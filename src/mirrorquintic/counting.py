@@ -24,6 +24,7 @@ The cache is an append-only JSON-lines file keyed on
 
 from __future__ import annotations
 
+import collections
 import json
 import time
 import warnings
@@ -32,8 +33,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CacheCorrupt, InstanceTooLarge
-from .families import FamilyId, FamilyInstance, enumerate_points, quintic_x, quintic_y
+from .errors import CacheCorrupt, InstanceTooLarge, InvariantViolated
+from .families import (
+    FamilyId,
+    FamilyInstance,
+    enumerate_points,
+    param_string,
+    quintic_y,
+)
 from .ffield import FieldDescriptor
 from .mvpoly import eval_batch
 
@@ -138,14 +145,23 @@ def count_naive(instance: FamilyInstance, threads: int = 1) -> CountRecord:
                 f"q^dim = {F.q ** instance.ambient_dim} exceeds {NAIVE_CAP}"
             )
         chunks = iter_projective_chunks(F, instance.ambient_dim)
+
+        def on_chunk(coords) -> int:
+            return int(_zero_mask(instance, coords, F).sum())
+
         if threads <= 1:
-            n = sum(int(_zero_mask(instance, c, F).sum()) for c in chunks)
+            n = sum(on_chunk(c) for c in chunks)
         else:
+            # At most 2 * threads chunks are alive at once: the next chunk is
+            # drawn only after the oldest pending one is done.
+            n = 0
+            pending = collections.deque()
             with ThreadPoolExecutor(max_workers=threads) as pool:
-                totals = list(
-                    pool.map(lambda c: int(_zero_mask(instance, c, F).sum()), chunks)
-                )
-            n = sum(totals)
+                for c in chunks:
+                    pending.append(pool.submit(on_chunk, c))
+                    if len(pending) >= 2 * threads:
+                        n += pending.popleft().result()
+                n += sum(f.result() for f in pending)
     ms = int(round((time.perf_counter() - t0) * 1000))
     return CountRecord(
         instance.id.value, instance.param_string(), F.p, F.k, n, "naive", ms
@@ -219,7 +235,10 @@ def _pair_scan(
 
 
 def _cone_to_projective(n_aff: int, q: int) -> int:
-    assert (n_aff - 1) % (q - 1) == 0, "cone count is not 1 mod (q - 1)"
+    if (n_aff - 1) % (q - 1) != 0:
+        raise InvariantViolated(
+            f"affine cone count {n_aff} is not 1 mod (q - 1) = {q - 1}"
+        )
     return (n_aff - 1) // (q - 1)
 
 
@@ -255,8 +274,9 @@ def count_x_table(mu, F: FieldDescriptor, threads: int = 1) -> CountRecord:
     )
     count = _cone_to_projective(n_aff, q)
     ms = int(round((time.perf_counter() - t0) * 1000))
-    inst = quintic_x(mu, F)
-    return CountRecord(inst.id.value, inst.param_string(), F.p, F.k, count, "table", ms)
+    return CountRecord(
+        FamilyId.QUINTIC_X.value, param_string({"mu": mu}), F.p, F.k, count, "table", ms
+    )
 
 
 def count_y_table(mu, F: FieldDescriptor, threads: int = 1) -> CountRecord:
@@ -298,8 +318,9 @@ def count_y_table(mu, F: FieldDescriptor, threads: int = 1) -> CountRecord:
     )
     count = _cone_to_projective(n_aff, q)
     ms = int(round((time.perf_counter() - t0) * 1000))
-    inst = quintic_y(mu, F)
-    return CountRecord(inst.id.value, inst.param_string(), F.p, F.k, count, "table", ms)
+    return CountRecord(
+        FamilyId.QUINTIC_Y.value, param_string({"mu": mu}), F.p, F.k, count, "table", ms
+    )
 
 
 def count(task: CountTask) -> CountRecord:

@@ -45,6 +45,10 @@ class DegenerateParameter(MirrorQuinticError):
     """A parameter value puts the instance outside the fast path."""
 
 
+class InvariantViolated(MirrorQuinticError):
+    """An exact identity that a correct computation satisfies failed."""
+
+
 class NotSingular(MirrorQuinticError):
     """Node classification was requested at a smooth point."""
 

@@ -18,7 +18,10 @@ coordinates, parameters are elements of the field):
                 two opposite, e.g. (0:0:0:1:-1)                             in P^4
 
 Integer-parameter instances are instantiated from one integer-coefficient
-template by reduction mod p, so every field sees the same source of truth.
+template by reduction mod p, so every field sees the same source of truth;
+each template is expanded once and memoized.  The builder that writes a
+family's equations also evaluates them on index arrays
+(FamilyInstance.evaluate), without expanding them.
 Projective points are tuples of FieldElements kept in canonical form
 (first nonzero coordinate scaled to 1).
 """
@@ -26,12 +29,21 @@ Projective points are tuples of FieldElements kept in canonical form
 from __future__ import annotations
 
 import enum
+import functools
+import operator
 from dataclasses import dataclass, field as dc_field
+from typing import Callable
 
 import numpy as np
 
 from .errors import DimensionMismatch, MissingParameter, ZeroDenominator
-from .ffield import FieldDescriptor, FieldElement, primitive_nth_root
+from .ffield import (
+    FieldArray,
+    FieldDescriptor,
+    FieldElement,
+    matrix_rank,
+    primitive_nth_root,
+)
 from .mvpoly import MPoly, PolySystem, eval_batch, poly_equal
 
 
@@ -79,28 +91,13 @@ class LinearChange:
                 raise DimensionMismatch("linear change matrix must be square")
         self.matrix = tuple(rows)
         self.field = rows[0][0].field
-        if _det_rank(rows, self.field) < n:
+        if matrix_rank(rows) < n:
             raise ValueError("linear change matrix is singular")
 
 
-def _det_rank(rows, F) -> int:
-    m = [list(r) for r in rows]
-    n = len(m)
-    ncols = len(m[0])
-    rank = 0
-    for col in range(ncols):
-        pivot = next((r for r in range(rank, n) if m[r][col]), None)
-        if pivot is None:
-            continue
-        m[rank], m[pivot] = m[pivot], m[rank]
-        inv = m[rank][col].inverse()
-        m[rank] = [v * inv for v in m[rank]]
-        for r in range(n):
-            if r != rank and m[r][col]:
-                f = m[r][col]
-                m[r] = [a - f * b for a, b in zip(m[r], m[rank])]
-        rank += 1
-    return rank
+def param_string(params: dict[str, FieldElement]) -> str:
+    """Canonical parameter string used as part of the cache key."""
+    return ";".join(f"{k}={v.canonical_str()}" for k, v in sorted(params.items()))
 
 
 @dataclass
@@ -111,6 +108,11 @@ class FamilyInstance:
     system: PolySystem | None
     ambient_dim: int
     degrees: tuple[int, ...] = dc_field(default=())
+    # the builder that wrote ``system``, bound to its parameter; it evaluates
+    # the same equations on FieldArrays (None for a hand-made system)
+    equations: Callable[[list], list] | None = dc_field(
+        default=None, repr=False, compare=False
+    )
 
     @property
     def nvars(self) -> int:
@@ -118,9 +120,31 @@ class FamilyInstance:
 
     def param_string(self) -> str:
         """Canonical parameter string used as part of the cache key."""
-        return ";".join(
-            f"{k}={v.canonical_str()}" for k, v in sorted(self.params.items())
-        )
+        return param_string(self.params)
+
+    def evaluate(self, coords) -> list[np.ndarray]:
+        """Values of the defining equations on index arrays, one per coordinate.
+
+        Equal to eval_batch of each polynomial of the system; a built family
+        evaluates its equations in the compact form its builder writes.
+        """
+        F = self.field
+        if len(coords) != self.nvars:
+            raise DimensionMismatch(
+                f"{len(coords)} coordinate arrays for {self.nvars} variables"
+            )
+        if self.equations is None:
+            return [eval_batch(p, coords, F) for p in self.system.polys]
+        x = [FieldArray(np.asarray(c, dtype=np.int64), F) for c in coords]
+        return [v.a for v in self.equations(x)]
+
+    def vanishing_mask(self, coords) -> np.ndarray:
+        """Boolean mask of the coordinate tuples on which every equation vanishes."""
+        values = self.evaluate(coords)
+        mask = values[0] == 0
+        for v in values[1:]:
+            mask &= v == 0
+        return mask
 
     def __repr__(self):
         ps = self.param_string()
@@ -130,90 +154,105 @@ class FamilyInstance:
 
 
 # ---------------------------------------------------------------------------
-# equation builders (domain-generic: integer or field coefficients)
+# equation builders
+#
+# Each builder takes the parameter and the coordinates x and writes the
+# equations once.  Given MPoly variables (integer or field coefficients) it
+# returns the symbolic system; given FieldArrays it returns the values on
+# index arrays, evaluated in the compact form written here.
 # ---------------------------------------------------------------------------
 
 
-def _quintic_x_polys(mu, F=None) -> list[MPoly]:
-    x = [MPoly.variable(5, i, F) for i in range(5)]
-    f = MPoly.zero(5, F)
-    for xi in x:
-        f = f + xi**5
-    prod = x[0] * x[1] * x[2] * x[3] * x[4]
-    return [f - prod.scale(mu * 5)]
+def _quintic_x_polys(mu, x):
+    powersum = x[0] ** 5 + x[1] ** 5 + x[2] ** 5 + x[3] ** 5 + x[4] ** 5
+    return [powersum - (x[0] * x[1] * x[2] * x[3] * x[4]).scale(mu * 5)]
 
 
-def _quintic_y_polys(mu, F=None) -> list[MPoly]:
-    x = [MPoly.variable(5, i, F) for i in range(5)]
-    s = MPoly.zero(5, F)
-    for xi in x:
-        s = s + xi
-    prod = x[0] * x[1] * x[2] * x[3] * x[4]
-    c = (5 * mu) ** 5 if F is None else (mu * 5) ** 5
-    return [s**5 - prod.scale(c)]
+def _quintic_y_polys(mu, x):
+    s = x[0] + x[1] + x[2] + x[3] + x[4]
+    return [s**5 - (x[0] * x[1] * x[2] * x[3] * x[4]).scale((mu * 5) ** 5)]
 
 
-def _cubics_v_polys(lam, F=None) -> list[MPoly]:
-    x = [MPoly.variable(6, i, F) for i in range(6)]
+def _cubics_v_polys(lam, x):
     f1 = x[0] ** 3 + x[1] ** 3 + x[2] ** 3 - (x[3] * x[4] * x[5]).scale(lam * 3)
     f2 = x[3] ** 3 + x[4] ** 3 + x[5] ** 3 - (x[0] * x[1] * x[2]).scale(lam * 3)
     return [f1, f2]
 
 
-def _cubics_w_polys(lam, F=None) -> list[MPoly]:
-    x = [MPoly.variable(6, i, F) for i in range(6)]
-    c = (3 * lam) ** 3 if F is None else (lam * 3) ** 3
+def _cubics_w_polys(lam, x):
+    c = (lam * 3) ** 3
     f1 = (x[0] + x[1] + x[2]) ** 3 - (x[3] * x[4] * x[5]).scale(c)
     f2 = (x[3] + x[4] + x[5]) ** 3 - (x[0] * x[1] * x[2]).scale(c)
     return [f1, f2]
 
 
-def _cubics_wtilde_polys(nu, F=None) -> list[MPoly]:
-    x = [MPoly.variable(6, i, F) for i in range(6)]
+def _cubics_wtilde_polys(nu, x):
     f1 = (x[3] + x[4] + x[5] - x[0].scale(nu)) ** 3 - (x[3] * x[4] * x[5]).scale(27)
     f2 = (x[0] + x[1] + x[2] - x[3].scale(nu)) ** 3 - (x[0] * x[1] * x[2]).scale(27)
     return [f1, f2]
 
 
-def _quadric_q_polys(xi: FieldElement, F: FieldDescriptor) -> list[MPoly]:
-    x = [MPoly.variable(5, i, F) for i in range(5)]
+def _cubics_nu_form_polys(nu, x):
+    # CubicsW in the Vandermonde coordinates, nu = 1 / lam^3
+    f1 = x[3] ** 3 + x[4] ** 3 + x[5] ** 3 - (x[0] ** 3).scale(nu) - (
+        x[3] * x[4] * x[5]
+    ).scale(3)
+    f2 = x[0] ** 3 + x[1] ** 3 + x[2] ** 3 - (x[3] ** 3).scale(nu) - (
+        x[0] * x[1] * x[2]
+    ).scale(3)
+    return [f1, f2]
+
+
+_QUADRIC_PAIRS = (
+    (0, 1, 0), (0, 2, 1), (0, 3, 2), (0, 4, 3),
+    (1, 2, 2), (1, 3, 3), (1, 4, 4),
+    (2, 3, 4), (2, 4, 0), (3, 4, 1),
+)
+
+
+def _quadric_q_polys(xi: FieldElement, x):
     lin = x[0] + x[1].scale(xi) + x[2].scale(xi**2) + x[3].scale(xi**3) + x[4].scale(xi**4)
-    pairs = [
-        (0, 1, 0), (0, 2, 1), (0, 3, 2), (0, 4, 3),
-        (1, 2, 2), (1, 3, 3), (1, 4, 4),
-        (2, 3, 4), (2, 4, 0), (3, 4, 1),
-    ]
-    quad = MPoly.zero(5, F)
-    for i, j, e in pairs:
-        quad = quad + (x[i] * x[j]).scale(xi**e)
+    # a generator: on arrays, one term at a time is alive
+    quad = functools.reduce(
+        operator.add, ((x[i] * x[j]).scale(xi**e) for i, j, e in _QUADRIC_PAIRS)
+    )
     return [lin, quad]
 
 
-def template_system(fid: FamilyId, **int_params) -> list[MPoly]:
-    """The integer-coefficient template for a family with integer parameters."""
-    if fid is FamilyId.QUINTIC_X:
-        return _quintic_x_polys(int_params["mu"])
-    if fid is FamilyId.QUINTIC_Y:
-        return _quintic_y_polys(int_params["mu"])
-    if fid is FamilyId.CUBICS_V:
-        return _cubics_v_polys(int_params["lam"])
-    if fid is FamilyId.CUBICS_W:
-        return _cubics_w_polys(int_params["lam"])
-    if fid is FamilyId.CUBICS_WTILDE:
-        return _cubics_wtilde_polys(int_params["nu"])
-    raise ValueError(f"{fid} has no integer template")
+def _variables(nvars: int, F: FieldDescriptor | None) -> list[MPoly]:
+    return [MPoly.variable(nvars, i, F) for i in range(nvars)]
 
 
-_PARAM_NAMES = {
-    FamilyId.QUINTIC_X: ("mu",),
-    FamilyId.QUINTIC_Y: ("mu",),
-    FamilyId.QUADRIC_Q: (),
-    FamilyId.CUBICS_V: ("lam",),
-    FamilyId.CUBICS_W: ("lam",),
-    FamilyId.CUBICS_WTILDE: ("nu",),
-    FamilyId.LINES_A: (),
-    FamilyId.POINTS_B: (),
+# family -> (parameter names, number of coordinates, builder); the builder
+# takes the one parameter when there is one, else xi5 (QuadricQ)
+_FAMILIES = {
+    FamilyId.QUINTIC_X: (("mu",), 5, _quintic_x_polys),
+    FamilyId.QUINTIC_Y: (("mu",), 5, _quintic_y_polys),
+    FamilyId.QUADRIC_Q: ((), 5, _quadric_q_polys),
+    FamilyId.CUBICS_V: (("lam",), 6, _cubics_v_polys),
+    FamilyId.CUBICS_W: (("lam",), 6, _cubics_w_polys),
+    FamilyId.CUBICS_WTILDE: (("nu",), 6, _cubics_wtilde_polys),
+    FamilyId.LINES_A: ((), 5, None),
+    FamilyId.POINTS_B: ((), 5, None),
 }
+
+
+@functools.lru_cache(maxsize=256)
+def _template(fid: FamilyId, value: int) -> tuple[MPoly, ...]:
+    _, nvars, builder = _FAMILIES[fid]
+    return tuple(builder(value, _variables(nvars, None)))
+
+
+def template_system(fid: FamilyId, **int_params) -> list[MPoly]:
+    """The integer-coefficient template for a family with integer parameters.
+
+    Each template is expanded once per (family, parameter) and memoized; the
+    list returned is a new one on every call.
+    """
+    names, _, _ = _FAMILIES[fid]
+    if not names:
+        raise ValueError(f"{fid} has no integer template")
+    return list(_template(fid, int_params[names[0]]))
 
 
 def build_family(fid: FamilyId, params: dict | None, F: FieldDescriptor) -> FamilyInstance:
@@ -224,7 +263,7 @@ def build_family(fid: FamilyId, params: dict | None, F: FieldDescriptor) -> Fami
     deterministic choice is recorded under params["xi5"].
     """
     params = dict(params or {})
-    needed = _PARAM_NAMES[fid]
+    needed, nvars, builder = _FAMILIES[fid]
     for name in needed:
         if name not in params:
             raise MissingParameter(f"{fid.value} requires parameter '{name}'")
@@ -233,29 +272,29 @@ def build_family(fid: FamilyId, params: dict | None, F: FieldDescriptor) -> Fami
             raise MissingParameter(f"{fid.value} does not take parameter '{name}'")
     elems = {k: F.element(v) for k, v in params.items()}
 
-    if fid in (FamilyId.LINES_A, FamilyId.POINTS_B):
+    if builder is None:
         return FamilyInstance(fid, F, {}, None, 4)
 
     if fid is FamilyId.QUADRIC_Q:
-        xi = primitive_nth_root(F, 5)
-        system = PolySystem(_quadric_q_polys(xi, F), homogeneous=True)
-        return FamilyInstance(fid, F, {"xi5": xi}, system, 4, degrees=(1, 2))
-
-    if all(isinstance(params[n], int) for n in needed):
+        param = primitive_nth_root(F, 5)
+        elems = {"xi5": param}
+    else:
+        param = elems[needed[0]]
+    if needed and isinstance(params[needed[0]], int):
         polys = [p.to_field(F) for p in template_system(fid, **params)]
     else:
-        builder = {
-            FamilyId.QUINTIC_X: _quintic_x_polys,
-            FamilyId.QUINTIC_Y: _quintic_y_polys,
-            FamilyId.CUBICS_V: _cubics_v_polys,
-            FamilyId.CUBICS_W: _cubics_w_polys,
-            FamilyId.CUBICS_WTILDE: _cubics_wtilde_polys,
-        }[fid]
-        polys = builder(elems[needed[0]], F)
+        polys = builder(param, _variables(nvars, F))
     system = PolySystem(polys, homogeneous=True)
-    dim = system.nvars - 1
     degrees = tuple(p.degree() for p in system.polys)
-    return FamilyInstance(fid, F, elems, system, dim, degrees=degrees)
+    return FamilyInstance(
+        fid,
+        F,
+        elems,
+        system,
+        nvars - 1,
+        degrees=degrees,
+        equations=functools.partial(builder, param),
+    )
 
 
 def quintic_x(mu, F) -> FamilyInstance:
@@ -435,7 +474,7 @@ def verify_coordinate_change(lam, F: FieldDescriptor) -> bool:
     w_inst = cubics_w(lam, F)
     sub = w_inst.system.substitute(change)
 
-    x = [MPoly.variable(6, i, F) for i in range(6)]
+    x = _variables(6, F)
     lam3 = lam**3
     t345 = x[3] ** 3 + x[4] ** 3 + x[5] ** 3 - (x[3] * x[4] * x[5]).scale(3)
     t012 = x[0] ** 3 + x[1] ** 3 + x[2] ** 3 - (x[0] * x[1] * x[2]).scale(3)
@@ -446,12 +485,7 @@ def verify_coordinate_change(lam, F: FieldDescriptor) -> bool:
     )
 
     nu = lam3.inverse()
-    nu_form1 = x[3] ** 3 + x[4] ** 3 + x[5] ** 3 - (x[0] ** 3).scale(nu) - (
-        x[3] * x[4] * x[5]
-    ).scale(3)
-    nu_form2 = x[0] ** 3 + x[1] ** 3 + x[2] ** 3 - (x[3] ** 3).scale(nu) - (
-        x[0] * x[1] * x[2]
-    ).scale(3)
+    nu_form1, nu_form2 = _cubics_nu_form_polys(nu, x)
     ok = ok and poly_equal(nu_form1, base1.scale(-nu))
     ok = ok and poly_equal(nu_form2, base2.scale(-nu))
     return ok
@@ -468,16 +502,15 @@ def new_coordinates_w(lam, F: FieldDescriptor) -> FamilyInstance:
         raise ZeroDenominator("the coordinate change needs lam != 0")
     primitive_nth_root(F, 3)
     nu = (lam**3).inverse()
-    x = [MPoly.variable(6, i, F) for i in range(6)]
-    f1 = x[3] ** 3 + x[4] ** 3 + x[5] ** 3 - (x[0] ** 3).scale(nu) - (
-        x[3] * x[4] * x[5]
-    ).scale(3)
-    f2 = x[0] ** 3 + x[1] ** 3 + x[2] ** 3 - (x[3] ** 3).scale(nu) - (
-        x[0] * x[1] * x[2]
-    ).scale(3)
-    system = PolySystem([f1, f2], homogeneous=True)
+    system = PolySystem(_cubics_nu_form_polys(nu, _variables(6, F)), homogeneous=True)
     return FamilyInstance(
-        FamilyId.CUBICS_W, F, {"lam": lam}, system, 5, degrees=(3, 3)
+        FamilyId.CUBICS_W,
+        F,
+        {"lam": lam},
+        system,
+        5,
+        degrees=(3, 3),
+        equations=functools.partial(_cubics_nu_form_polys, nu),
     )
 
 
@@ -494,13 +527,10 @@ def sample_points(
     nv = instance.nvars
     rng = np.random.default_rng(seed)
     found: dict[tuple, tuple] = {}
-    polys = [p.to_field(F) for p in instance.system.polys]
     for _ in range(200):
         batch = rng.integers(1 if nonzero_coords else 0, F.q, size=(nv, 4096))
         coords = [np.ascontiguousarray(batch[i]) for i in range(nv)]
-        mask = np.ones(batch.shape[1], dtype=bool)
-        for p in polys:
-            mask &= eval_batch(p, coords, F) == 0
+        mask = instance.vanishing_mask(coords)
         if nonzero_coords is False:
             mask &= batch.sum(axis=0) > 0
         for col in np.nonzero(mask)[0]:

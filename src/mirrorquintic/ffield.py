@@ -6,7 +6,9 @@ has index sum(c_i * p^i).  Index 0 is zero and index 1 is one in every
 supported field.  FieldElement gives exact scalar arithmetic with operator
 overloads; bulk work goes through the vectorized index operations on
 FieldDescriptor (numpy int64 arrays of indices), so hot loops run on flat
-tables instead of per-element objects or hash lookups.
+tables instead of per-element objects or hash lookups.  FieldArray gives
+such an index array the arithmetic operators, so that polynomial
+expressions written for MPoly also evaluate on arrays.
 
 Extension moduli are chosen deterministically: the first monic irreducible
 polynomial of degree k in lexicographic order of the coefficient tuple
@@ -440,6 +442,81 @@ class FieldDescriptor:
 
     def vpow(self, a, e: int):
         return self.power_table(e)[np.asarray(a, dtype=np.int64)]
+
+
+class FieldArray:
+    """An int64 array of element indices of one field, with the operators
+    the equation builders use on MPoly variables (+, -, *, ** and scale).
+
+    A builder written once over MPoly variables therefore also evaluates its
+    equations on index arrays, in the compact form it is written in (power
+    sums, products, linear forms) rather than as an expanded term list.
+    Every operation returns a new array; on prime fields it allocates one
+    result and reduces it in place.
+    """
+
+    __slots__ = ("a", "field")
+
+    def __init__(self, a, field: FieldDescriptor):
+        self.a = a
+        self.field = field
+
+    def _reduced(self, out) -> "FieldArray":
+        np.remainder(out, self.field.p, out=out)
+        return FieldArray(out, self.field)
+
+    def __add__(self, other: "FieldArray") -> "FieldArray":
+        F = self.field
+        if F.k == 1:
+            return self._reduced(self.a + other.a)
+        return FieldArray(F.vadd(self.a, other.a), F)
+
+    def __sub__(self, other: "FieldArray") -> "FieldArray":
+        F = self.field
+        if F.k == 1:
+            return self._reduced(self.a - other.a)
+        return FieldArray(F.vsub(self.a, other.a), F)
+
+    def __mul__(self, other: "FieldArray") -> "FieldArray":
+        F = self.field
+        if F.k == 1:
+            return self._reduced(self.a * other.a)
+        return FieldArray(F.vmul(self.a, other.a), F)
+
+    def __pow__(self, e: int) -> "FieldArray":
+        return FieldArray(self.field.vpow(self.a, e), self.field)
+
+    def scale(self, c) -> "FieldArray":
+        """Multiply by a scalar (int or FieldElement)."""
+        F = self.field
+        ci = F.element(c).index
+        if ci == 1:
+            return self
+        if F.k == 1:
+            return self._reduced(self.a * ci)
+        return FieldArray(F.vmul(np.int64(ci), self.a), F)
+
+
+def matrix_rank(rows) -> int:
+    """Rank of a matrix of FieldElements by Gauss-Jordan elimination."""
+    m = [list(r) for r in rows]
+    nrows, ncols = len(m), len(m[0])
+    rank = 0
+    for col in range(ncols):
+        pivot = next((r for r in range(rank, nrows) if m[r][col]), None)
+        if pivot is None:
+            continue
+        m[rank], m[pivot] = m[pivot], m[rank]
+        inv = m[rank][col].inverse()
+        m[rank] = [v * inv for v in m[rank]]
+        for r in range(nrows):
+            if r != rank and m[r][col]:
+                f = m[r][col]
+                m[r] = [a - f * b for a, b in zip(m[r], m[rank])]
+        rank += 1
+        if rank == nrows:
+            break
+    return rank
 
 
 def _prime_factors(n: int) -> list[int]:

@@ -7,8 +7,16 @@ monomials, no zero coefficients), so equality is a dictionary comparison
 and the term list in graded-lexicographic order is reproducible.
 
 Substitution fully expands the composite polynomial; at degree <= 5 in at
-most 6 variables this stays tiny.  eval_batch evaluates a polynomial on
-numpy arrays of element indices for the counting loops.
+most 6 variables this stays tiny.  eval_batch evaluates any polynomial,
+term by term, on numpy arrays of element indices.
+
+MPoly is the symbolic reference (derivatives, substitution, identities).
+The scans over whole charts do not evaluate expanded term lists: they call
+FamilyInstance.evaluate, which runs the family's own equation builder on
+index arrays in its compact form (power sums, products, linear forms).
+eval_batch stays the path for derivatives on the few points a scan keeps,
+for arbitrary polynomials, and for count_naive, the counting oracle; it is
+the reference the compact evaluation is tested against.
 """
 
 from __future__ import annotations

@@ -38,7 +38,7 @@ from .families import (
     quintic_y,
     strata_membership,
 )
-from .ffield import FieldDescriptor, FieldElement, element_roots
+from .ffield import FieldDescriptor, FieldElement, element_roots, matrix_rank
 from .mvpoly import eval_batch
 
 _P4_CAP = 41  # the node census runs up to F_41
@@ -118,9 +118,7 @@ def singular_points(instance: FamilyInstance, threads: int = 1) -> SingularRepor
 
     hits: list[tuple[FieldElement, ...]] = []
     for coords in iter_projective_chunks(F, dim):
-        mask = np.ones(coords[0].shape, dtype=bool)
-        for f in polys:
-            mask &= eval_batch(f, coords, F) == 0
+        mask = instance.vanishing_mask(coords)
         if not mask.any():
             continue
         sub = [c[mask] for c in coords]
@@ -153,27 +151,6 @@ def singular_points(instance: FamilyInstance, threads: int = 1) -> SingularRepor
     )
 
 
-def _matrix_rank(rows: list[list[FieldElement]], F: FieldDescriptor) -> int:
-    m = [list(r) for r in rows]
-    nrows, ncols = len(m), len(m[0])
-    rank = 0
-    for col in range(ncols):
-        pivot = next((r for r in range(rank, nrows) if m[r][col]), None)
-        if pivot is None:
-            continue
-        m[rank], m[pivot] = m[pivot], m[rank]
-        inv = m[rank][col].inverse()
-        m[rank] = [v * inv for v in m[rank]]
-        for r in range(nrows):
-            if r != rank and m[r][col]:
-                f = m[r][col]
-                m[r] = [a - f * b for a, b in zip(m[r], m[rank])]
-        rank += 1
-        if rank == nrows:
-            break
-    return rank
-
-
 def classify_node(instance: FamilyInstance, point) -> NodeClassification:
     """Hessian test at a singular point of a hypersurface instance.
 
@@ -202,7 +179,7 @@ def classify_node(instance: FamilyInstance, point) -> NodeClassification:
     hess = [
         [firsts[a].derivative(b).eval(point) for b in others] for a in others
     ]
-    rank = _matrix_rank(hess, F)
+    rank = matrix_rank(hess)
     return NodeClassification(point, True, rank, rank == len(others))
 
 
@@ -304,13 +281,9 @@ def surface_evidence(
     if surface.id is not FamilyId.QUADRIC_Q:
         raise ValueError("evidence is defined for the QuadricQ surface")
     system = surface.system.to_field(F)
-    f_target = target.system.polys[0].to_field(F)
     partials = [[g.derivative(v) for v in range(5)] for g in system.polys]
 
-    mu = target.params["mu"]
-    mirror = quintic_y(mu, F)
-    f_mirror = mirror.system.polys[0].to_field(F)
-    phi = MonomialMap(5, 5)
+    mirror = quintic_y(target.params["mu"], F)
     fifth = F.power_table(5)
 
     ones = (F.one,) * 5
@@ -322,14 +295,12 @@ def surface_evidence(
     on_mirror = True
     witnesses = []
     for coords in iter_projective_chunks(F, 4):
-        mask = np.ones(coords[0].shape, dtype=bool)
-        for g in system.polys:
-            mask &= eval_batch(g, coords, F) == 0
+        mask = surface.vanishing_mask(coords)
         if not mask.any():
             continue
         sub = [c[mask] for c in coords]
         n_points += int(mask.sum())
-        contained &= bool((eval_batch(f_target, sub, F) == 0).all())
+        contained &= bool(target.vanishing_mask(sub).all())
         jac = [[eval_batch(d, sub, F) for d in row] for row in partials]
         rank2 = np.zeros(sub[0].shape, dtype=bool)
         for c1, c2 in itertools.combinations(range(5), 2):
@@ -339,7 +310,7 @@ def surface_evidence(
             rank2 |= minor != 0
         full_rank &= bool(rank2.all())
         imgs = [fifth[c] for c in sub]
-        on_mirror &= bool((eval_batch(f_mirror, imgs, F) == 0).all())
+        on_mirror &= bool(mirror.vanishing_mask(imgs).all())
         zeros = sum((c == 0).astype(np.int64) for c in imgs)
         total = imgs[0]
         for c in imgs[1:]:

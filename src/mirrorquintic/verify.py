@@ -53,10 +53,9 @@ def suite_nodes(threads: int = 1) -> list[CheckResult]:
     G = symmetry.enumerate_G()
     for p in (11, 31, 41):
         F = make_field(p)
-        rep = singular.singular_points(quintic_x(1, F), threads=threads)
-        nodes_ok = all(
-            singular.classify_node(quintic_x(1, F), pt).is_node for pt in rep.points
-        )
+        X = quintic_x(1, F)
+        rep = singular.singular_points(X, threads=threads)
+        nodes_ok = all(singular.classify_node(X, pt).is_node for pt in rep.points)
         orb = symmetry.orbit((F.one,) * 5, G, F)
         out.append(
             _check(
@@ -70,17 +69,18 @@ def suite_nodes(threads: int = 1) -> list[CheckResult]:
         for mu in (2, 1):
             is_root = (F.element(mu) ** 5) == F.one
             expected = 10 * p - 9 if is_root else 10 * p - 10
-            rep = singular.singular_points(quintic_y(mu, F), threads=threads)
+            Y = quintic_y(mu, F)
+            rep = singular.singular_points(Y, threads=threads)
             ok = rep.count == expected
             if is_root:
                 extra = [
                     pt
                     for pt in rep.points
-                    if strata_membership(pt, quintic_y(mu, F)) is Stratum.EXTRA_NODE
+                    if strata_membership(pt, Y) is Stratum.EXTRA_NODE
                 ]
                 ok = ok and len(extra) == 1
                 if p >= 7:
-                    ok = ok and singular.classify_node(quintic_y(mu, F), extra[0]).is_node
+                    ok = ok and singular.classify_node(Y, extra[0]).is_node
             out.append(
                 _check(
                     f"mirror mu={mu} over F_{p}: singular count "

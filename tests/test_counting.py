@@ -205,3 +205,83 @@ def test_cache_hit_never_recounts(tmp_path):
     path.write_text(fake.to_json() + "\n")
     rec = count_cached(CountTask(quintic_x(1, make_field(11))), path)
     assert rec.count == 999999  # trusted verbatim, no recount
+
+
+def test_cone_to_projective_raises_on_bad_cone_count():
+    from mirrorquintic.counting import _cone_to_projective
+    from mirrorquintic.errors import InvariantViolated, MirrorQuinticError
+
+    assert _cone_to_projective(1 + 3 * 10, 11) == 3
+    with pytest.raises(InvariantViolated):
+        _cone_to_projective(5, 11)
+    assert issubclass(InvariantViolated, MirrorQuinticError)
+
+
+def test_cone_to_projective_raises_under_python_O():
+    # the invariant check must survive the optimizer, which strips asserts
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = (
+        "from mirrorquintic.counting import _cone_to_projective\n"
+        "from mirrorquintic.errors import InvariantViolated\n"
+        "try:\n"
+        "    _cone_to_projective(5, 11)\n"
+        "except InvariantViolated:\n"
+        "    print('raised')\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        env={"PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert out.stdout.strip() == "raised"
+
+
+def test_cli_exits_1_on_bad_cone_count(monkeypatch, capsys):
+    from mirrorquintic import cli, counting
+
+    monkeypatch.setattr(counting, "_pair_scan", lambda *a, **k: 5)
+    code = cli.run(["count", "--family", "X", "--mu", "1", "--p", "11", "--algo", "table"])
+    assert code == 1
+    assert "not 1 mod (q - 1)" in capsys.readouterr().out
+
+
+def test_threaded_naive_bounds_chunks_in_flight(monkeypatch):
+    import threading
+    import time
+
+    from mirrorquintic import counting
+
+    F = make_field(11)
+    inst = quintic_y(2, F)
+    expected = count_naive(inst).count
+    real_chunks, real_mask = counting.iter_projective_chunks, counting._zero_mask
+    state = {"produced": 0, "consumed": 0, "most": 0}
+    lock = threading.Lock()
+
+    def chunks(F, dim):
+        for coords in real_chunks(F, dim, chunk=500):
+            with lock:
+                state["produced"] += 1
+                state["most"] = max(state["most"], state["produced"] - state["consumed"])
+            yield coords
+
+    def zero_mask(instance, coords, F):
+        mask = real_mask(instance, coords, F)
+        time.sleep(0.002)  # consumers slower than the producer
+        with lock:
+            state["consumed"] += 1
+        return mask
+
+    monkeypatch.setattr(counting, "iter_projective_chunks", chunks)
+    monkeypatch.setattr(counting, "_zero_mask", zero_mask)
+    for threads in (1, 2, 3):
+        state.update(produced=0, consumed=0, most=0)
+        assert count_naive(inst, threads=threads).count == expected
+        assert state["produced"] == state["consumed"] > 4 * threads
+        assert state["most"] <= 2 * threads

@@ -202,3 +202,75 @@ def test_normalize_point():
     assert n[0] == F7.zero and n[1] == F7.one
     with pytest.raises(ValueError):
         normalize_point((F7.zero, F7.zero))
+
+
+def _random_coords(F, nvars, seed):
+    import numpy as np
+
+    rng = np.random.default_rng(seed)
+    coords = rng.integers(0, F.q, size=(nvars, 3000))
+    coords[:, :300] *= rng.integers(0, 2, size=(nvars, 300))  # more zeros
+    return [np.ascontiguousarray(c) for c in coords]
+
+
+def _assert_evaluate_matches_eval_batch(inst, seed):
+    import numpy as np
+
+    from mirrorquintic.mvpoly import eval_batch
+
+    coords = _random_coords(inst.field, inst.nvars, seed)
+    got = inst.evaluate(coords)
+    want = [eval_batch(p, coords, inst.field) for p in inst.system.polys]
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.dtype == np.int64 and np.array_equal(g, w)
+    mask = np.logical_and.reduce([w == 0 for w in want])
+    assert np.array_equal(inst.vanishing_mask(coords), mask)
+
+
+_EVAL_FIELDS = [(7, 1), (11, 1), (31, 1), (2, 2), (3, 2), (11, 2)]
+
+
+def _field_params(F):
+    # integer parameters (including ones that vanish mod p) and a
+    # FieldElement, outside the prime subfield when F is an extension
+    elem = F.element((2, 1)) if F.k > 1 else F.element(3)
+    return [0, 1, 2, 7, 5 * 3 * 11, elem]
+
+
+@pytest.mark.parametrize("p,k", _EVAL_FIELDS)
+@pytest.mark.parametrize(
+    "ctor", [quintic_x, quintic_y, cubics_v, cubics_w, cubics_wtilde]
+)
+def test_evaluate_equals_eval_batch(p, k, ctor):
+    F = make_field(p, k)
+    for i, param in enumerate(_field_params(F)):
+        _assert_evaluate_matches_eval_batch(ctor(param, F), seed=100 * p + 10 * k + i)
+
+
+@pytest.mark.parametrize("p,k", [(11, 1), (31, 1), (11, 2)])
+def test_evaluate_equals_eval_batch_quadric(p, k):
+    # QuadricQ needs a fifth root of unity: q = 1 mod 5
+    _assert_evaluate_matches_eval_batch(quadric_q(make_field(p, k)), seed=p * k)
+
+
+@pytest.mark.parametrize("p,k", [(7, 1), (31, 1), (2, 2), (11, 2)])
+def test_evaluate_equals_eval_batch_nu_form(p, k):
+    # the Vandermonde coordinates need a cube root of unity: q = 1 mod 3
+    F = make_field(p, k)
+    lams = [lam for lam in (1, 2, 3) if F.element(lam)]
+    lams.append(F.element((1, 1)) if k > 1 else F.element(3))
+    for i, lam in enumerate(lams):
+        _assert_evaluate_matches_eval_batch(new_coordinates_w(lam, F), seed=7 * p + i)
+
+
+def test_template_system_memo_is_not_shared():
+    first = template_system(FamilyId.QUINTIC_Y, mu=3)
+    expected = list(first)
+    first[0] = MPoly.zero(5)
+    first.append(MPoly.zero(5))
+    again = template_system(FamilyId.QUINTIC_Y, mu=3)
+    assert again is not first and len(again) == 1
+    assert poly_equal(again[0], expected[0])
+    # expanded once: the next call hands out the same polynomial objects
+    assert again[0] is expected[0]
