@@ -13,10 +13,31 @@ convert with (N_aff - 1) / (q - 1):
   QuinticY   S[T][P] = #{x0 : (x0 + T)^5 = (5 mu)^5 P x0} built in O(q^2);
              the block contributes through S[sum, prod].
 
-The degree-4 block scan is aggregated exactly: a pair histogram D2 over
-(pair product, pair powersum) (resp. (pair sum, pair product)) turns the
-q^4 tuple scan into integer contractions D2 x D2 against the table, which
-is the same accumulation reorganized, still exact int64 throughout.
+The degree-4 block is aggregated through a pair histogram D2 over
+(pair product, pair power sum) (resp. (pair product, pair sum)).  The block
+histogram is D4 = D2 * D2, a convolution on (F_q, x) x (F_q, +), and the
+count is the O(q^2) contraction sum D4[U, V] T[U, V] with the table T.
+_block_count computes D4 with one float64 FFT over Z/(q - 1) x (Z/p)^k
+(F_q^* by discrete logarithm, F_q by its base-p digits) plus a k-dimensional
+one for the product-zero row, O(q^2 log q) in all, and rounds it to int64.
+
+The rounding is exact while the float error stays below 1/2.  To first
+order, the error of a square z = x * x of a nonnegative array through an
+FFT of size N is at most (3 eta log2 N + u) ||x||_1 ||x||_2: the forward
+transform, the product and the inverse transform each add a relative
+2-norm error of at most eta log2 N (Higham, "Accuracy and Stability of
+Numerical Algorithms", Thm 24.2), with u = 2^-53 and eta = 7u.  That eta is
+the radix-2 constant; numpy's mixed-radix and Bluestein passes are taken to
+stay within it, which the residual check below watches.  D2 counts q^2
+pairs, so ||x||_2 <= ||x||_1 <= q^2, and the worst case is
+fft_error_bound(q) = (3 eta log2(q (q - 1)) + u) q^4, about
+21 u q^4 log2 N.  Table counts are refused with InstanceTooLarge unless
+that bound is below 1/4 (q <= TABLE_CAP = 1500); a count there peaks at
+about 60 q^2 bytes of arrays (140 MB) and takes about half a second.  Two
+checks guard the result at run time: every rounded entry must lie within
+1/4 of an integer, and the cone count must be 1 mod (q - 1); either
+failure raises InvariantViolated.  The observed residual is about 1e-8 at
+q = 1499.  Everything after rounding is int64.
 
 The cache is an append-only JSON-lines file keyed on
 (family, params, p, k, version); hits never recompute.
@@ -26,6 +47,7 @@ from __future__ import annotations
 
 import collections
 import json
+import math
 import time
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -45,9 +67,20 @@ from .ffield import FieldDescriptor
 from .mvpoly import eval_batch
 
 NAIVE_CAP = 10**10
-TABLE_CAP = 8192
 CACHE_VERSION = 1
 _CHUNK = 1 << 19
+_UNIT_ROUNDOFF = 2.0**-53
+_FFT_ETA = 7 * _UNIT_ROUNDOFF
+_ROUNDING_MARGIN = 0.25
+TABLE_CAP = 1500  # the largest q with fft_error_bound(q) < _ROUNDING_MARGIN
+
+
+def fft_error_bound(q: int) -> float:
+    """Worst-case absolute float64 error of the block convolution over F_q."""
+    log_n = math.log2(q * (q - 1))
+    return (3 * _FFT_ETA * log_n + _UNIT_ROUNDOFF) * float(q) ** 4
+
+
 
 
 @dataclass
@@ -133,6 +166,27 @@ def _zero_mask(instance: FamilyInstance, coords, F) -> np.ndarray:
     return mask
 
 
+def map_chunks(fn, chunks, threads: int = 1):
+    """Yield fn(chunk) for every chunk, in order.
+
+    With threads > 1 the calls run on a thread pool and at most
+    2 * threads chunks are alive at once: the next chunk is drawn only
+    after the oldest pending one is done.
+    """
+    if threads <= 1:
+        for c in chunks:
+            yield fn(c)
+        return
+    pending = collections.deque()
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        for c in chunks:
+            pending.append(pool.submit(fn, c))
+            if len(pending) >= 2 * threads:
+                yield pending.popleft().result()
+        while pending:
+            yield pending.popleft().result()
+
+
 def count_naive(instance: FamilyInstance, threads: int = 1) -> CountRecord:
     """Exact projective count by chart enumeration; the reference algorithm."""
     F = instance.field
@@ -144,24 +198,12 @@ def count_naive(instance: FamilyInstance, threads: int = 1) -> CountRecord:
             raise InstanceTooLarge(
                 f"q^dim = {F.q ** instance.ambient_dim} exceeds {NAIVE_CAP}"
             )
-        chunks = iter_projective_chunks(F, instance.ambient_dim)
 
         def on_chunk(coords) -> int:
             return int(_zero_mask(instance, coords, F).sum())
 
-        if threads <= 1:
-            n = sum(on_chunk(c) for c in chunks)
-        else:
-            # At most 2 * threads chunks are alive at once: the next chunk is
-            # drawn only after the oldest pending one is done.
-            n = 0
-            pending = collections.deque()
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                for c in chunks:
-                    pending.append(pool.submit(on_chunk, c))
-                    if len(pending) >= 2 * threads:
-                        n += pending.popleft().result()
-                n += sum(f.result() for f in pending)
+        chunks = iter_projective_chunks(F, instance.ambient_dim)
+        n = sum(map_chunks(on_chunk, chunks, threads))
     ms = int(round((time.perf_counter() - t0) * 1000))
     return CountRecord(
         instance.id.value, instance.param_string(), F.p, F.k, n, "naive", ms
@@ -188,50 +230,57 @@ def _pair_histogram(F: FieldDescriptor, first, second) -> np.ndarray:
     return hist.reshape(q, q)
 
 
-def _pair_scan(
-    F: FieldDescriptor,
-    table: np.ndarray,
-    d2: np.ndarray,
-    row_combine,
-    col_combine,
-    threads: int = 1,
-) -> int:
-    """sum over (u1,v1,u2,v2) of d2[u1,v1] d2[u2,v2] table[row(u1,u2), col(v1,v2)].
+def _convolve(a: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
+    """Cyclic convolution a * b (a * a when b is None) of nonnegative integer
+    arrays over the product of the cyclic groups Z/n for n in a.shape.
 
-    Exact int64 contraction: for each u1 the table rows are gathered, the
-    u2 axis is contracted by an integer matmul and the v axes by indexed
-    sums.  Work is O(q^4) in total, all inside numpy.
+    The float64 result is rounded to int64; a rounding residual of 1/4 or
+    more means the error bound did not hold and raises InvariantViolated.
+    """
+    fa = np.fft.rfftn(a)
+    fa *= fa if b is None else np.fft.rfftn(b)
+    x = np.fft.irfftn(fa, s=a.shape, axes=range(a.ndim))
+    r = np.rint(x)
+    np.subtract(x, r, out=x)
+    residual = float(np.abs(x, out=x).max())
+    if not residual < _ROUNDING_MARGIN:
+        raise InvariantViolated(
+            f"FFT convolution residual {residual:.3g} is not below "
+            f"{_ROUNDING_MARGIN}: the float64 error bound did not hold"
+        )
+    return r.astype(np.int64)
+
+
+def _block_count(F: FieldDescriptor, d2: np.ndarray, table: np.ndarray) -> int:
+    """sum over U, V of D4[U, V] table[U, V], with D4 = d2 * d2.
+
+    d2[u, v] counts the coordinate pairs with product key u and additive key
+    v; D4 counts the four-coordinate blocks with product U and additive key
+    V.  Rows with a nonzero product are convolved by discrete logarithm
+    (u1 u2 = g^(t1 + t2)) and additive keys by their base-p digits (field
+    addition is digit-wise mod p).  A zero product needs a zero in either
+    pair: D4[0] = z * z + 2 z * m, with z = d2[0] and m the sum of the
+    nonzero rows, convolved on the additive axis only.
     """
     q = F.q
-    all_idx = np.arange(q, dtype=np.int64)
-    d2t = np.ascontiguousarray(d2.T)
-    col_block = max(1, min(q, (1 << 21) // q))
+    add_shape = (F.p,) * F.k
+    exp = F.exp_table
+    units = d2[exp]
+    d4_units = _convolve(units.reshape((q - 1,) + add_shape)).reshape(q - 1, q)
+    zero = d2[0]
+    d4_zero = _convolve(
+        zero.reshape(add_shape), (zero + 2 * units.sum(axis=0)).reshape(add_shape)
+    ).reshape(q)
+    return int(np.einsum("tv,tv->", d4_units, table[exp])) + int(d4_zero @ table[0])
 
-    def run(u_range) -> int:
-        sub = 0
-        for u1 in u_range:
-            w1 = d2[u1]
-            if not w1.any():
-                continue
-            rows = table[row_combine(np.int64(u1), all_idx)]
-            v = d2t @ rows  # v[s, B] = sum_p d2[p, s] rows[p, B]
-            m = np.empty(q, dtype=np.int64)
-            for start in range(0, q, col_block):
-                stop = min(start + col_block, q)
-                cols = col_combine(all_idx[start:stop, None], all_idx[None, :])
-                # gather[v1, s] = v[s, cols[v1, s]], summed over s
-                m[start:stop] = v[all_idx[None, :], cols].sum(axis=1)
-            sub += int(w1 @ m)
-        return sub
 
-    if threads <= 1:
-        return run(range(q))
-    bounds = np.linspace(0, q, threads + 1, dtype=int)
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        parts = list(
-            pool.map(lambda i: run(range(bounds[i], bounds[i + 1])), range(threads))
+def _check_table_size(q: int):
+    if q > TABLE_CAP:
+        raise InstanceTooLarge(
+            f"table algorithm capped at q <= {TABLE_CAP}: at q = {q} the "
+            f"worst-case FFT rounding error is {fft_error_bound(q):.3g}, not "
+            f"below {_ROUNDING_MARGIN}"
         )
-    return sum(parts)
 
 
 def _cone_to_projective(n_aff: int, q: int) -> int:
@@ -243,9 +292,12 @@ def _cone_to_projective(n_aff: int, q: int) -> int:
 
 
 def count_x_table(mu, F: FieldDescriptor, threads: int = 1) -> CountRecord:
-    """Table count for QuinticX; equals count_naive on the same instance."""
-    if F.q > TABLE_CAP:
-        raise InstanceTooLarge(f"table algorithm capped at q <= {TABLE_CAP}")
+    """Table count for QuinticX; equals count_naive on the same instance.
+
+    threads is accepted for symmetry with count_y_table; the FFT runs in
+    the calling thread.
+    """
+    _check_table_size(F.q)
     t0 = time.perf_counter()
     q = F.q
     mu = F.element(mu)
@@ -264,14 +316,7 @@ def count_x_table(mu, F: FieldDescriptor, threads: int = 1) -> CountRecord:
         lambda a, b: F.vmul(a, b),
         lambda a, b: F.vadd(fifth[a], fifth[b]),
     )
-    n_aff = _pair_scan(
-        F,
-        r_table,
-        d2,
-        row_combine=lambda u1, u2: F.vmul(F.vmul(np.int64(c), u1), u2),
-        col_combine=lambda v1, v2: F.vadd(v1, v2),
-        threads=threads,
-    )
+    n_aff = _block_count(F, d2, r_table[F.vmul(np.int64(c), all_idx)])
     count = _cone_to_projective(n_aff, q)
     ms = int(round((time.perf_counter() - t0) * 1000))
     return CountRecord(
@@ -282,8 +327,7 @@ def count_x_table(mu, F: FieldDescriptor, threads: int = 1) -> CountRecord:
 def count_y_table(mu, F: FieldDescriptor, threads: int = 1) -> CountRecord:
     """Table count for QuinticY; mu = 0 (or characteristic 5) falls back to
     the naive enumerator because (5 mu)^5 must be invertible."""
-    if F.q > TABLE_CAP:
-        raise InstanceTooLarge(f"table algorithm capped at q <= {TABLE_CAP}")
+    _check_table_size(F.q)
     mu = F.element(mu)
     c = (mu * 5) ** 5
     if not c:
@@ -305,17 +349,10 @@ def count_y_table(mu, F: FieldDescriptor, threads: int = 1) -> CountRecord:
 
     d2 = _pair_histogram(
         F,
-        lambda a, b: F.vadd(a, b),
         lambda a, b: F.vmul(a, b),
+        lambda a, b: F.vadd(a, b),
     )
-    n_aff = _pair_scan(
-        F,
-        s_table,
-        d2,
-        row_combine=lambda u1, u2: F.vadd(u1, u2),
-        col_combine=lambda v1, v2: F.vmul(v1, v2),
-        threads=threads,
-    )
+    n_aff = _block_count(F, d2, s_table.T)
     count = _cone_to_projective(n_aff, q)
     ms = int(round((time.perf_counter() - t0) * 1000))
     return CountRecord(

@@ -16,12 +16,13 @@ evidence but not a symbolic proof; the report type is named accordingly.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .counting import iter_projective_chunks
+from .counting import iter_projective_chunks, map_chunks
 from .errors import (
     BadCharacteristic,
     InstanceTooLarge,
@@ -39,7 +40,7 @@ from .families import (
     strata_membership,
 )
 from .ffield import FieldDescriptor, FieldElement, element_roots, matrix_rank
-from .mvpoly import eval_batch
+from .mvpoly import MPoly, eval_batch
 
 _P4_CAP = 41  # the node census runs up to F_41
 _P5_CAP = 13
@@ -106,7 +107,11 @@ def _codim(instance: FamilyInstance) -> int:
 
 
 def singular_points(instance: FamilyInstance, threads: int = 1) -> SingularReport:
-    """All F_q-points where the system vanishes and the Jacobian drops rank."""
+    """All F_q-points where the system vanishes and the Jacobian drops rank.
+
+    With threads > 1 the chunks of the scan run on a thread pool
+    (counting.map_chunks); the report is the same for every thread count.
+    """
     F = instance.field
     dim = instance.ambient_dim
     cap = _P4_CAP if dim == 4 else _P5_CAP
@@ -116,11 +121,10 @@ def singular_points(instance: FamilyInstance, threads: int = 1) -> SingularRepor
     polys = system.polys
     partials = [[f.derivative(v) for v in range(system.nvars)] for f in polys]
 
-    hits: list[tuple[FieldElement, ...]] = []
-    for coords in iter_projective_chunks(F, dim):
+    def on_chunk(coords) -> list[tuple[FieldElement, ...]]:
         mask = instance.vanishing_mask(coords)
         if not mask.any():
-            continue
+            return []
         sub = [c[mask] for c in coords]
         if len(polys) == 1:
             smask = np.ones(sub[0].shape, dtype=bool)
@@ -136,9 +140,13 @@ def singular_points(instance: FamilyInstance, threads: int = 1) -> SingularRepor
                     F.vmul(jac[0][c1], jac[1][c2]), F.vmul(jac[0][c2], jac[1][c1])
                 )
                 smask &= minor == 0
-        for col in np.nonzero(smask)[0]:
-            hits.append(tuple(F.from_index(int(c[col])) for c in sub))
+        return [
+            tuple(F.from_index(int(c[col])) for c in sub)
+            for col in np.nonzero(smask)[0]
+        ]
 
+    chunks = iter_projective_chunks(F, dim)
+    hits = [pt for found in map_chunks(on_chunk, chunks, threads) for pt in found]
     hits.sort(key=lambda pt: tuple(x.index for x in pt))
     strata: dict[Stratum, int] = {s: 0 for s in Stratum}
     if instance.id is FamilyId.QUINTIC_Y:
@@ -149,6 +157,15 @@ def singular_points(instance: FamilyInstance, threads: int = 1) -> SingularRepor
     return SingularReport(
         instance.id.value, instance.param_string(), F.q, hits, strata
     )
+
+
+@functools.lru_cache(maxsize=64)
+def _partials(f: MPoly) -> tuple[tuple[MPoly, ...], tuple[tuple[MPoly, ...], ...]]:
+    """First partials of f and the second partials of each, derived once
+    per polynomial and memoized."""
+    firsts = tuple(f.derivative(v) for v in range(f.nvars))
+    seconds = tuple(tuple(d.derivative(v) for v in range(f.nvars)) for d in firsts)
+    return firsts, seconds
 
 
 def classify_node(instance: FamilyInstance, point) -> NodeClassification:
@@ -168,17 +185,15 @@ def classify_node(instance: FamilyInstance, point) -> NodeClassification:
         raise ValueError("node classification applies to hypersurfaces")
     point = normalize_point(point)
     f = instance.system.polys[0].to_field(F)
+    firsts, seconds = _partials(f)
     value = f.eval(point)
-    grad = [f.derivative(v).eval(point) for v in range(f.nvars)]
+    grad = [d.eval(point) for d in firsts]
     singular = (not value) and not any(grad)
     if not singular:
         raise NotSingular(f"{[x.index for x in point]} is a smooth point")
     pivot = next(i for i, x in enumerate(point) if x)
     others = [i for i in range(f.nvars) if i != pivot]
-    firsts = {v: f.derivative(v) for v in others}
-    hess = [
-        [firsts[a].derivative(b).eval(point) for b in others] for a in others
-    ]
+    hess = [[seconds[a][b].eval(point) for b in others] for a in others]
     rank = matrix_rank(hess)
     return NodeClassification(point, True, rank, rank == len(others))
 

@@ -1,18 +1,21 @@
 import itertools
 import json
+import random
 
 import pytest
 
 from mirrorquintic.counting import (
+    TABLE_CAP,
     CountRecord,
     CountTask,
     count_cached,
     count_naive,
     count_x_table,
     count_y_table,
+    fft_error_bound,
     projective_size,
 )
-from mirrorquintic.errors import CacheCorrupt, InstanceTooLarge
+from mirrorquintic.errors import CacheCorrupt, InstanceTooLarge, InvariantViolated
 from mirrorquintic.families import (
     FamilyId,
     MonomialMap,
@@ -21,7 +24,7 @@ from mirrorquintic.families import (
     quintic_x,
     quintic_y,
 )
-from mirrorquintic.ffield import make_field
+from mirrorquintic.ffield import make_field, nth_roots_of_unity
 from mirrorquintic.mvpoly import MPoly, PolySystem
 from mirrorquintic.singular import preimage_count
 
@@ -118,6 +121,53 @@ def test_instance_too_large():
         count_x_table(1, make_field(8209))
     with pytest.raises(InstanceTooLarge):
         count_naive(quintic_x(1, make_field(1009)))
+
+
+def _oracle_cases():
+    # (p, k, mu index): mu = 0, every fifth root of unity of the field (only
+    # 1 unless 5 divides q - 1) and one other mu drawn by a fixed seed
+    rng = random.Random(20260518)
+    cases = []
+    for p, k in [(7, 1), (11, 1), (13, 1), (2, 2), (2, 3), (3, 2), (5, 2), (3, 3)]:
+        F = make_field(p, k)
+        mus = [0] + [r.index for r in nth_roots_of_unity(F, 5)]
+        mus.append(rng.choice([m for m in range(F.q) if m not in mus]))
+        cases += [(p, k, m) for m in mus]
+    return cases
+
+
+@pytest.mark.parametrize("p,k,mu", _oracle_cases())
+def test_table_equals_naive_randomized(p, k, mu):
+    F = make_field(p, k)
+    mu = F.from_index(mu)
+    assert count_x_table(mu, F).count == count_naive(quintic_x(mu, F)).count
+    rec = count_y_table(mu, F)
+    if rec.algo == "naive":  # (5 mu)^5 = 0: count_y_table already is the oracle
+        assert not mu * 5
+    else:
+        assert rec.count == count_naive(quintic_y(mu, F)).count
+
+
+def test_table_cap_is_the_error_bound():
+    assert fft_error_bound(TABLE_CAP) < 0.25 <= fft_error_bound(TABLE_CAP + 1)
+    # the prime 1511 is the first field size past the cap
+    estimate = f"{fft_error_bound(1511):.3g}"
+    for table_count in (count_x_table, count_y_table):
+        with pytest.raises(InstanceTooLarge, match=estimate):
+            table_count(1, make_field(1511))
+
+
+@pytest.mark.parametrize("offset,ok", [(0.2, True), (0.3, False)])
+def test_rounding_residual_raises(monkeypatch, offset, ok):
+    import numpy as np
+
+    irfftn = np.fft.irfftn
+    monkeypatch.setattr(np.fft, "irfftn", lambda *a, **kw: irfftn(*a, **kw) + offset)
+    if ok:  # within the 1/4 margin the rounding still recovers the count
+        assert count_x_table(1, make_field(11)).count == 3300
+    else:
+        with pytest.raises(InvariantViolated, match="residual 0.3"):
+            count_x_table(1, make_field(11))
 
 
 @pytest.mark.parametrize("q,mu", [(11, 1), (31, 2)])
@@ -245,7 +295,7 @@ def test_cone_to_projective_raises_under_python_O():
 def test_cli_exits_1_on_bad_cone_count(monkeypatch, capsys):
     from mirrorquintic import cli, counting
 
-    monkeypatch.setattr(counting, "_pair_scan", lambda *a, **k: 5)
+    monkeypatch.setattr(counting, "_block_count", lambda *a, **k: 5)
     code = cli.run(["count", "--family", "X", "--mu", "1", "--p", "11", "--algo", "table"])
     assert code == 1
     assert "not 1 mod (q - 1)" in capsys.readouterr().out

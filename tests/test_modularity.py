@@ -76,6 +76,12 @@ def test_match_and_weil_small_primes(p):
     assert rec.match_ok and rec.weil_ok
 
 
+@pytest.mark.parametrize("p", [211, 401, 1009])
+def test_match_and_weil_large_primes(p):
+    rec = compare_traces(p)
+    assert rec.match_ok and rec.weil_ok
+
+
 def test_traces_agree_between_algorithms():
     for p in (2, 3, 7, 11, 13):
         F = make_field(p)

@@ -35,6 +35,11 @@ def test_x1_f11_node_census():
     assert all(classify_node(quintic_x(1, F11), pt).is_node for pt in rep.points)
 
 
+def test_singular_points_threads_same_report():
+    inst = quintic_y(2, F11)
+    assert singular_points(inst, threads=2) == singular_points(inst, threads=1)
+
+
 def test_y2_f11_singular_locus_is_lines():
     rep = singular_points(quintic_y(2, F11))
     assert rep.count == 10 * 11 - 10
