@@ -22,20 +22,20 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import os
 import sys
-import time
 
 from . import __version__
-from .counting import CountCache, CountTask, count_cached
+from .counting import CountCache, CountRecord, CountTask, count_cached
 from .errors import MirrorQuinticError
-from .families import FamilyId, build_family
+from .families import FamilyId, build_family, param_names
 from .ffield import is_prime, make_field
 from .modularity import compare_traces
 from .ledger import recorded_dataset
-from .verify import run_suite
+from .verify import SUITES, run_suite
 
 _FAMILY_FLAGS = {
     "X": FamilyId.QUINTIC_X,
@@ -46,14 +46,21 @@ _FAMILY_FLAGS = {
     "Wt": FamilyId.CUBICS_WTILDE,
 }
 
-_PARAM_FLAG = {
-    FamilyId.QUINTIC_X: "mu",
-    FamilyId.QUINTIC_Y: "mu",
-    FamilyId.QUADRIC_Q: None,
-    FamilyId.CUBICS_V: "lam",
-    FamilyId.CUBICS_W: "lam",
-    FamilyId.CUBICS_WTILDE: "nu",
-}
+# the family parameters in table order (mu, lam, nu); the flag of each is
+# --<name>, except --lambda for lam
+_PARAMS = list(
+    dict.fromkeys(name for fid in _FAMILY_FLAGS.values() for name in param_names(fid))
+)
+
+
+def _param_flag(name: str) -> str:
+    return "--lambda" if name == "lam" else f"--{name}"
+
+
+# a count report row: the CountRecord fields without the cache version, with
+# q after k, and a status
+_RECORD_FIELDS = [f.name for f in dataclasses.fields(CountRecord) if f.name != "version"]
+_COUNT_COLUMNS = _RECORD_FIELDS[:4] + ["q"] + _RECORD_FIELDS[4:] + ["status"]
 
 TRACE_COLUMNS = [
     "p",
@@ -88,9 +95,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     pc = sub.add_parser("count", help="count points on one family")
     pc.add_argument("--family", choices=sorted(_FAMILY_FLAGS), required=True)
-    pc.add_argument("--mu", type=int, default=None)
-    pc.add_argument("--lambda", dest="lam", type=int, default=None)
-    pc.add_argument("--nu", type=int, default=None)
+    for name in _PARAMS:
+        pc.add_argument(_param_flag(name), dest=name, type=int, default=None)
     pc.add_argument("--p", type=int, default=None)
     pc.add_argument("--p-range", default=None, metavar="A..B")
     pc.add_argument("--ext", type=int, default=1, help="extension degree k")
@@ -104,21 +110,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common(pt)
 
     pv = sub.add_parser("verify", help="run a named verification suite")
-    pv.add_argument(
-        "--suite",
-        required=True,
-        choices=[
-            "nodes",
-            "fibers",
-            "groups",
-            "coordchange",
-            "quadric",
-            "ledger",
-            "hecke",
-            "traces",
-            "all",
-        ],
-    )
+    pv.add_argument("--suite", required=True, choices=[*SUITES, "all"])
     pv.add_argument("--p-max", type=int, default=101, help="prime bound for traces")
     pv.add_argument("--long", action="store_true", help="include long-running checks")
     common(pv)
@@ -152,37 +144,6 @@ def _resolve_cache(args):
     return path
 
 
-class _CacheLock:
-    """CLI-level single-writer lock around a cache file."""
-
-    def __init__(self, path):
-        self.lock_path = None if path is None else str(path) + ".lock"
-
-    def __enter__(self):
-        if self.lock_path is None:
-            return self
-        deadline = time.monotonic() + 30.0
-        while True:
-            try:
-                fd = os.open(self.lock_path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-                os.close(fd)
-                return self
-            except FileExistsError:
-                if time.monotonic() > deadline:
-                    raise MirrorQuinticError(
-                        f"cache lock {self.lock_path} is held; remove it if stale"
-                    )
-                time.sleep(0.05)
-
-    def __exit__(self, *exc):
-        if self.lock_path is not None:
-            try:
-                os.remove(self.lock_path)
-            except FileNotFoundError:
-                pass
-        return False
-
-
 def _emit(text: str, out_path):
     if out_path is None:
         sys.stdout.write(text)
@@ -204,63 +165,40 @@ def _envelope(config: dict, records: list[dict]) -> str:
 
 def _cmd_count(args) -> int:
     fid = _FAMILY_FLAGS[args.family]
-    pname = _PARAM_FLAG[fid]
-    params = {}
-    given = {"mu": args.mu, "lam": args.lam, "nu": args.nu}
-    for name, val in given.items():
-        if val is not None and name != pname:
-            raise _UsageError(f"--family {args.family} does not take --{name}")
-    if pname is not None:
-        if given[pname] is None:
-            flag = {"mu": "--mu", "lam": "--lambda", "nu": "--nu"}[pname]
-            raise _UsageError(f"--family {args.family} requires {flag}")
-        params[pname] = given[pname]
+    params = {name: getattr(args, name) for name in param_names(fid)}
+    for name in _PARAMS:
+        if getattr(args, name) is not None and name not in params:
+            flag = _param_flag(name)
+            raise _UsageError(f"--family {args.family} does not take {flag}")
+    for name, val in params.items():
+        if val is None:
+            raise _UsageError(f"--family {args.family} requires {_param_flag(name)}")
     if not 1 <= args.ext <= 4:
         raise _UsageError("--ext must be in [1, 4]")
     primes = _parse_primes(args)
     cache_path = _resolve_cache(args)
     records = []
     failures = 0
-    with _CacheLock(cache_path):
-        cache = CountCache(cache_path) if cache_path else None
-        for p in primes:
-            F = make_field(p, args.ext)
-            inst = build_family(fid, params, F)
-            try:
-                rec = count_cached(
-                    CountTask(inst, args.algo, args.threads), cache
-                )
-                records.append(
-                    {
-                        "family": rec.family,
-                        "params": rec.params,
-                        "p": rec.p,
-                        "k": rec.k,
-                        "q": rec.q,
-                        "count": rec.count,
-                        "algo": rec.algo,
-                        "elapsed_ms": rec.elapsed_ms,
-                        "status": "ok",
-                    }
-                )
-            except MirrorQuinticError as exc:
-                failures += 1
-                records.append(
-                    {
-                        "family": fid.value,
-                        "p": p,
-                        "k": args.ext,
-                        "status": f"error: {exc}",
-                    }
-                )
+    cache = CountCache(cache_path) if cache_path else None
+    for p in primes:
+        F = make_field(p, args.ext)
+        inst = build_family(fid, params, F)
+        try:
+            rec = count_cached(CountTask(inst, args.algo, args.threads), cache)
+            row = {c: getattr(rec, c) for c in _COUNT_COLUMNS[:-1]}
+            records.append({**row, "status": "ok"})
+        except MirrorQuinticError as exc:
+            failures += 1
+            records.append(
+                {"family": fid.value, "p": p, "k": args.ext, "status": f"error: {exc}"}
+            )
     fmt = args.format or ("csv" if args.out and str(args.out).endswith(".csv") else "json")
     if fmt == "csv":
         buf = io.StringIO()
-        cols = ["family", "params", "p", "k", "q", "count", "algo", "elapsed_ms", "status"]
-        writer = csv.DictWriter(buf, fieldnames=cols, lineterminator="\n")
+        writer = csv.DictWriter(buf, fieldnames=_COUNT_COLUMNS, lineterminator="\n")
         writer.writeheader()
         for r in records:
-            writer.writerow({c: r.get(c, "") for c in cols})
+            writer.writerow({c: r.get(c, "") for c in _COUNT_COLUMNS})
         _emit(buf.getvalue(), args.out)
     else:
         _emit(_envelope(_config_echo(args), records), args.out)
@@ -279,12 +217,11 @@ def _cmd_trace(args) -> int:
     cache_path = _resolve_cache(args)
     records = []
     all_ok = True
-    with _CacheLock(cache_path):
-        cache = CountCache(cache_path) if cache_path else None
-        for p in primes:
-            rec = compare_traces(p, cache=cache, algo=args.algo, threads=args.threads)
-            all_ok = all_ok and rec.match_ok and rec.weil_ok
-            records.append(rec)
+    cache = CountCache(cache_path) if cache_path else None
+    for p in primes:
+        rec = compare_traces(p, cache=cache, algo=args.algo, threads=args.threads)
+        all_ok = all_ok and rec.match_ok and rec.weil_ok
+        records.append(rec)
     fmt = args.format or ("csv" if args.out and str(args.out).endswith(".csv") else "json")
     if fmt == "csv":
         buf = io.StringIO()
@@ -325,15 +262,14 @@ def _cmd_trace(args) -> int:
 
 def _cmd_verify(args) -> int:
     cache_path = _resolve_cache(args)
-    with _CacheLock(cache_path):
-        cache = CountCache(cache_path) if cache_path else None
-        results = run_suite(
-            args.suite,
-            threads=args.threads,
-            cache=cache,
-            long_run=args.long,
-            p_max=args.p_max,
-        )
+    cache = CountCache(cache_path) if cache_path else None
+    results = run_suite(
+        args.suite,
+        threads=args.threads,
+        cache=cache,
+        long_run=args.long,
+        p_max=args.p_max,
+    )
     width = max(len(r.name) for r in results)
     lines = []
     for r in results:

@@ -11,7 +11,10 @@ convert with (N_aff - 1) / (q - 1):
   QuinticX   R[A][B] = #{x0 : x0^5 + A x0 + B = 0} built in O(q^2);
              the (x1..x4) block contributes through R[-5 mu prod, powersum].
   QuinticY   S[T][P] = #{x0 : (x0 + T)^5 = (5 mu)^5 P x0} built in O(q^2);
-             the block contributes through S[sum, prod].
+             the block contributes through S[sum, prod].  When (5 mu)^5 = 0
+             (mu = 0, or characteristic 5) the equation is (x0 + T)^5 = 0,
+             S is 1 everywhere and the same path counts the hyperplane
+             power.
 
 The degree-4 block is aggregated through a pair histogram D2 over
 (pair product, pair power sum) (resp. (pair product, pair sum)).  The block
@@ -40,15 +43,23 @@ failure raises InvariantViolated.  The observed residual is about 1e-8 at
 q = 1499.  Everything after rounding is int64.
 
 The cache is an append-only JSON-lines file keyed on
-(family, params, p, k, version); hits never recompute.
+(family, params, p, k, version); hits never recompute.  The CountRecord
+fields are its one schema: to_json writes them and from_json reads them
+back, refusing any other keys or value types.  Each append is one write
+under an exclusive flock on the cache file, so concurrent writers, in one
+process or many, never interleave lines.
 """
 
 from __future__ import annotations
 
 import collections
+import dataclasses
+import fcntl
 import json
 import math
+import os
 import time
+import typing
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -56,13 +67,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CacheCorrupt, InstanceTooLarge, InvariantViolated
-from .families import (
-    FamilyId,
-    FamilyInstance,
-    enumerate_points,
-    param_string,
-    quintic_y,
-)
+from .families import FamilyId, FamilyInstance, enumerate_points, param_string
 from .ffield import FieldDescriptor
 from .mvpoly import eval_batch
 
@@ -79,8 +84,6 @@ def fft_error_bound(q: int) -> float:
     """Worst-case absolute float64 error of the block convolution over F_q."""
     log_n = math.log2(q * (q - 1))
     return (3 * _FFT_ETA * log_n + _UNIT_ROUNDOFF) * float(q) ** 4
-
-
 
 
 @dataclass
@@ -102,19 +105,22 @@ class CountRecord:
         return (self.family, self.params, self.p, self.k, self.version)
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "family": self.family,
-                "params": self.params,
-                "p": self.p,
-                "k": self.k,
-                "count": self.count,
-                "algo": self.algo,
-                "elapsed_ms": self.elapsed_ms,
-                "version": self.version,
-            },
-            sort_keys=True,
-        )
+        return json.dumps(dataclasses.asdict(self), sort_keys=True)
+
+    @classmethod
+    def from_json(cls, line: str) -> "CountRecord":
+        """Parse one cache line; ValueError or TypeError unless it holds
+        exactly the record's fields, each of its declared type."""
+        obj = json.loads(line)
+        if set(obj) != set(_RECORD_TYPES):
+            raise ValueError(f"unexpected keys {sorted(obj)}")
+        for name, typ in _RECORD_TYPES.items():
+            if type(obj[name]) is not typ:
+                raise ValueError(f"{name} = {obj[name]!r} is not {typ.__name__}")
+        return cls(**obj)
+
+
+_RECORD_TYPES = typing.get_type_hints(CountRecord)  # field name -> type
 
 
 @dataclass
@@ -291,12 +297,8 @@ def _cone_to_projective(n_aff: int, q: int) -> int:
     return (n_aff - 1) // (q - 1)
 
 
-def count_x_table(mu, F: FieldDescriptor, threads: int = 1) -> CountRecord:
-    """Table count for QuinticX; equals count_naive on the same instance.
-
-    threads is accepted for symmetry with count_y_table; the FFT runs in
-    the calling thread.
-    """
+def count_x_table(mu, F: FieldDescriptor) -> CountRecord:
+    """Table count for QuinticX; equals count_naive on the same instance."""
     _check_table_size(F.q)
     t0 = time.perf_counter()
     q = F.q
@@ -324,28 +326,25 @@ def count_x_table(mu, F: FieldDescriptor, threads: int = 1) -> CountRecord:
     )
 
 
-def count_y_table(mu, F: FieldDescriptor, threads: int = 1) -> CountRecord:
-    """Table count for QuinticY; mu = 0 (or characteristic 5) falls back to
-    the naive enumerator because (5 mu)^5 must be invertible."""
+def count_y_table(mu, F: FieldDescriptor) -> CountRecord:
+    """Table count for QuinticY; equals count_naive on the same instance."""
     _check_table_size(F.q)
-    mu = F.element(mu)
-    c = (mu * 5) ** 5
-    if not c:
-        return count_naive(quintic_y(mu, F), threads=threads)
     t0 = time.perf_counter()
     q = F.q
-    ci = c.index
+    mu = F.element(mu)
+    c = ((mu * 5) ** 5).index
     fifth = F.power_table(5)
-    inv = F.inv_table
-    nonzero = np.arange(1, q, dtype=np.int64)
-    inv_cx = inv[F.vmul(np.int64(ci), nonzero)]
-
-    # S[T][P] = #{x0 : (x0 + T)^5 = c P x0}
+    # S[T][P] = #{x0 : (x0 + T)^5 = c P x0} with c = (5 mu)^5.  An x0 with
+    # c x0 != 0 solves it for one P; an x0 with c x0 = 0 solves it for every
+    # P when x0 = -T: x0 = 0 in row T = 0, and every x0 when c = 0 (mu = 0,
+    # or characteristic 5), one in each row.
+    x0 = np.arange(1 if c else q, q, dtype=np.int64)
+    inv_cx = F.inv_table[F.vmul(np.int64(c), x0)]
     s_table = np.zeros((q, q), dtype=np.int64)
     for t in range(q):
-        p_idx = F.vmul(fifth[F.vadd(nonzero, np.int64(t))], inv_cx)
+        p_idx = F.vmul(fifth[F.vadd(x0, np.int64(t))], inv_cx)
         s_table[t] = np.bincount(p_idx, minlength=q)
-    s_table[0] += 1  # x0 = 0 solves the equation exactly when T = 0, any P
+    s_table[: 1 if c else q] += 1
 
     d2 = _pair_histogram(
         F,
@@ -374,10 +373,8 @@ def count(task: CountTask) -> CountRecord:
     if use_table and task.algo == "auto" and inst.field.q > TABLE_CAP:
         use_table = False
     if use_table:
-        mu = inst.params["mu"]
-        if inst.id is FamilyId.QUINTIC_X:
-            return count_x_table(mu, inst.field, threads=task.threads)
-        return count_y_table(mu, inst.field, threads=task.threads)
+        table_count = count_x_table if inst.id is FamilyId.QUINTIC_X else count_y_table
+        return table_count(inst.params["mu"], inst.field)
     return count_naive(inst, threads=task.threads)
 
 
@@ -385,16 +382,13 @@ def count(task: CountTask) -> CountRecord:
 # cache
 # ---------------------------------------------------------------------------
 
-_CACHE_KEYS = {"family", "params", "p", "k", "count", "algo", "elapsed_ms", "version"}
-
-
 class CountCache:
     """Append-only JSON-lines store of CountRecords.
 
     Malformed lines trigger a CacheCorrupt warning with the line number and
-    are skipped; computation proceeds as if they were absent.  One writer
-    at a time: the CLI wraps appends in a lock file, library callers must
-    not share one cache file between concurrent processes.
+    are skipped; computation proceeds as if they were absent.  Each append
+    is a single write of one whole line under an exclusive flock, and the
+    load reads under a shared one, so processes may share a cache file.
     """
 
     def __init__(self, path):
@@ -405,6 +399,7 @@ class CountCache:
     def _load(self):
         try:
             with open(self.path, "r", encoding="utf-8") as fh:
+                fcntl.flock(fh, fcntl.LOCK_SH)
                 lines = fh.readlines()
         except FileNotFoundError:
             return
@@ -413,20 +408,8 @@ class CountCache:
             if not line:
                 continue
             try:
-                obj = json.loads(line)
-                if set(obj) != _CACHE_KEYS:
-                    raise ValueError(f"unexpected keys {sorted(obj)}")
-                rec = CountRecord(
-                    obj["family"],
-                    obj["params"],
-                    int(obj["p"]),
-                    int(obj["k"]),
-                    int(obj["count"]),
-                    obj["algo"],
-                    int(obj["elapsed_ms"]),
-                    int(obj["version"]),
-                )
-            except (ValueError, KeyError, TypeError) as exc:
+                rec = CountRecord.from_json(line)
+            except (ValueError, TypeError) as exc:
                 warnings.warn(
                     f"{self.path}: cache line {lineno} is corrupt ({exc}); "
                     "recomputing without it",
@@ -441,8 +424,12 @@ class CountCache:
 
     def append(self, rec: CountRecord):
         self._records[rec.cache_key()] = rec
-        with open(self.path, "a", encoding="utf-8") as fh:
-            fh.write(rec.to_json() + "\n")
+        fd = os.open(self.path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o666)
+        try:
+            fcntl.flock(fd, fcntl.LOCK_EX)
+            os.write(fd, (rec.to_json() + "\n").encode("utf-8"))
+        finally:
+            os.close(fd)  # releases the lock
 
 
 def count_cached(task: CountTask, cache_path=None) -> CountRecord:
@@ -451,13 +438,9 @@ def count_cached(task: CountTask, cache_path=None) -> CountRecord:
         return count(task)
     cache = cache_path if isinstance(cache_path, CountCache) else CountCache(cache_path)
     inst = task.instance
-    key = (
-        inst.id.value,
-        inst.param_string(),
-        inst.field.p,
-        inst.field.k,
-        CACHE_VERSION,
-    )
+    F = inst.field
+    # a record's key fields do not include its count, algo or elapsed_ms
+    key = CountRecord(inst.id.value, inst.param_string(), F.p, F.k, 0, "", 0).cache_key()
     hit = cache.get(key)
     if hit is not None:
         return hit

@@ -41,10 +41,6 @@ class InstanceTooLarge(MirrorQuinticError):
     """The instance exceeds the feasibility cap of the chosen algorithm."""
 
 
-class DegenerateParameter(MirrorQuinticError):
-    """A parameter value puts the instance outside the fast path."""
-
-
 class InvariantViolated(MirrorQuinticError):
     """An exact identity that a correct computation satisfies failed."""
 

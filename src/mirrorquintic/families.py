@@ -237,6 +237,11 @@ _FAMILIES = {
 }
 
 
+def param_names(fid: FamilyId) -> tuple[str, ...]:
+    """The names of the parameters that build_family takes for the family."""
+    return _FAMILIES[fid][0]
+
+
 @functools.lru_cache(maxsize=256)
 def _template(fid: FamilyId, value: int) -> tuple[MPoly, ...]:
     _, nvars, builder = _FAMILIES[fid]

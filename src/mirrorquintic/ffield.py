@@ -381,7 +381,8 @@ class FieldDescriptor:
         return self._inv
 
     def power_table(self, e: int) -> np.ndarray:
-        """Flat table idx -> index of (element idx) ** e."""
+        """Flat table idx -> index of (element idx) ** e; TableTooLarge when
+        q exceeds POWER_TABLE_CAP."""
         tab = self._pow_tables.get(e)
         if tab is None:
             self._ensure_tables()
@@ -436,9 +437,6 @@ class FieldDescriptor:
         n = self.q - 1
         out = self._exp[(self._log[a] + self._log[b]) % n]
         return np.where((a == 0) | (b == 0), 0, out)
-
-    def vinv(self, a):
-        return self.inv_table[np.asarray(a, dtype=np.int64)]
 
     def vpow(self, a, e: int):
         return self.power_table(e)[np.asarray(a, dtype=np.int64)]
@@ -583,16 +581,6 @@ def primitive_nth_root(F: FieldDescriptor, n: int) -> FieldElement:
             f"{F!r} has no element of exact order {n} (q - 1 = {F.q - 1})"
         )
     return F.generator() ** ((F.q - 1) // n)
-
-
-def power_table(F: FieldDescriptor, e: int) -> np.ndarray:
-    """Flat table mapping every element index to the index of its e-th power.
-
-    Requires q <= 2**20; larger fields raise TableTooLarge.
-    """
-    if F.q > POWER_TABLE_CAP:
-        raise TableTooLarge(f"q = {F.q} exceeds the cap {POWER_TABLE_CAP}")
-    return F.power_table(e)
 
 
 def element_roots(F: FieldDescriptor, value: FieldElement, e: int) -> list[FieldElement]:

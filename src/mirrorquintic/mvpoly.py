@@ -91,9 +91,6 @@ class MPoly:
         """Terms in descending graded-lexicographic order."""
         return sorted(self._terms.items(), key=lambda t: (sum(t[0]), t[0]), reverse=True)
 
-    def is_zero(self) -> bool:
-        return not self._terms
-
     def degree(self) -> int:
         return max((sum(e) for e in self._terms), default=0)
 

@@ -102,8 +102,33 @@ class SurfaceEvidence:
         )
 
 
-def _codim(instance: FamilyInstance) -> int:
-    return len(instance.system.polys)
+@functools.lru_cache(maxsize=64)
+def _partials(f: MPoly) -> tuple[MPoly, ...]:
+    """The first partials of f, derived once per polynomial and memoized."""
+    return tuple(f.derivative(v) for v in range(f.nvars))
+
+
+@functools.lru_cache(maxsize=64)
+def _second_partials(f: MPoly) -> tuple[tuple[MPoly, ...], ...]:
+    """The first partials of each first partial of f, memoized."""
+    return tuple(tuple(d.derivative(v) for v in range(f.nvars)) for d in _partials(f))
+
+
+def _full_rank(partials, sub, F: FieldDescriptor) -> np.ndarray:
+    """Mask of the points of sub at which the Jacobian of a system of one or
+    two equations has full rank: some first partial (one equation) or some
+    2x2 minor (two equations) is nonzero.  partials[i] lists the first
+    partials of equation i."""
+    jac = [[eval_batch(d, sub, F) for d in row] for row in partials]
+    mask = np.zeros(sub[0].shape, dtype=bool)
+    if len(jac) == 1:
+        for d in jac[0]:
+            mask |= d != 0
+        return mask
+    for c1, c2 in itertools.combinations(range(len(jac[0])), 2):
+        minor = F.vsub(F.vmul(jac[0][c1], jac[1][c2]), F.vmul(jac[0][c2], jac[1][c1]))
+        mask |= minor != 0
+    return mask
 
 
 def singular_points(instance: FamilyInstance, threads: int = 1) -> SingularReport:
@@ -117,32 +142,17 @@ def singular_points(instance: FamilyInstance, threads: int = 1) -> SingularRepor
     cap = _P4_CAP if dim == 4 else _P5_CAP
     if F.q > cap:
         raise InstanceTooLarge(f"singular scan capped at q <= {cap} for P^{dim}")
-    system = instance.system.to_field(F)
-    polys = system.polys
-    partials = [[f.derivative(v) for v in range(system.nvars)] for f in polys]
+    partials = [_partials(f) for f in instance.system.to_field(F).polys]
 
     def on_chunk(coords) -> list[tuple[FieldElement, ...]]:
         mask = instance.vanishing_mask(coords)
         if not mask.any():
             return []
         sub = [c[mask] for c in coords]
-        if len(polys) == 1:
-            smask = np.ones(sub[0].shape, dtype=bool)
-            for d in partials[0]:
-                smask &= eval_batch(d, sub, F) == 0
-        else:
-            jac = [
-                [eval_batch(d, sub, F) for d in row] for row in partials
-            ]
-            smask = np.ones(sub[0].shape, dtype=bool)
-            for c1, c2 in itertools.combinations(range(system.nvars), 2):
-                minor = F.vsub(
-                    F.vmul(jac[0][c1], jac[1][c2]), F.vmul(jac[0][c2], jac[1][c1])
-                )
-                smask &= minor == 0
+        singular = ~_full_rank(partials, sub, F)
         return [
             tuple(F.from_index(int(c[col])) for c in sub)
-            for col in np.nonzero(smask)[0]
+            for col in np.nonzero(singular)[0]
         ]
 
     chunks = iter_projective_chunks(F, dim)
@@ -157,15 +167,6 @@ def singular_points(instance: FamilyInstance, threads: int = 1) -> SingularRepor
     return SingularReport(
         instance.id.value, instance.param_string(), F.q, hits, strata
     )
-
-
-@functools.lru_cache(maxsize=64)
-def _partials(f: MPoly) -> tuple[tuple[MPoly, ...], tuple[tuple[MPoly, ...], ...]]:
-    """First partials of f and the second partials of each, derived once
-    per polynomial and memoized."""
-    firsts = tuple(f.derivative(v) for v in range(f.nvars))
-    seconds = tuple(tuple(d.derivative(v) for v in range(f.nvars)) for d in firsts)
-    return firsts, seconds
 
 
 def classify_node(instance: FamilyInstance, point) -> NodeClassification:
@@ -185,14 +186,14 @@ def classify_node(instance: FamilyInstance, point) -> NodeClassification:
         raise ValueError("node classification applies to hypersurfaces")
     point = normalize_point(point)
     f = instance.system.polys[0].to_field(F)
-    firsts, seconds = _partials(f)
     value = f.eval(point)
-    grad = [d.eval(point) for d in firsts]
+    grad = [d.eval(point) for d in _partials(f)]
     singular = (not value) and not any(grad)
     if not singular:
         raise NotSingular(f"{[x.index for x in point]} is a smooth point")
     pivot = next(i for i, x in enumerate(point) if x)
     others = [i for i in range(f.nvars) if i != pivot]
+    seconds = _second_partials(f)
     hess = [[seconds[a][b].eval(point) for b in others] for a in others]
     rank = matrix_rank(hess)
     return NodeClassification(point, True, rank, rank == len(others))
@@ -296,7 +297,7 @@ def surface_evidence(
     if surface.id is not FamilyId.QUADRIC_Q:
         raise ValueError("evidence is defined for the QuadricQ surface")
     system = surface.system.to_field(F)
-    partials = [[g.derivative(v) for v in range(5)] for g in system.polys]
+    partials = [_partials(g) for g in system.polys]
 
     mirror = quintic_y(target.params["mu"], F)
     fifth = F.power_table(5)
@@ -316,14 +317,7 @@ def surface_evidence(
         sub = [c[mask] for c in coords]
         n_points += int(mask.sum())
         contained &= bool(target.vanishing_mask(sub).all())
-        jac = [[eval_batch(d, sub, F) for d in row] for row in partials]
-        rank2 = np.zeros(sub[0].shape, dtype=bool)
-        for c1, c2 in itertools.combinations(range(5), 2):
-            minor = F.vsub(
-                F.vmul(jac[0][c1], jac[1][c2]), F.vmul(jac[0][c2], jac[1][c1])
-            )
-            rank2 |= minor != 0
-        full_rank &= bool(rank2.all())
+        full_rank &= bool(_full_rank(partials, sub, F).all())
         imgs = [fifth[c] for c in sub]
         on_mirror &= bool(mirror.vanishing_mask(imgs).all())
         zeros = sum((c == 0).astype(np.int64) for c in imgs)

@@ -1,12 +1,16 @@
 """Named verification suites binding the modules into pass/fail checks.
 
-Each suite returns a list of CheckResult rows; the CLI renders them as a
-table and the acceptance tests assert on them.  Suites: nodes, fibers,
-groups, coordchange, quadric, ledger, hecke, traces, all.
+Each suite takes the same keyword arguments (threads, cache, long_run,
+p_max; a suite reads those it needs) and returns a list of CheckResult
+rows; the CLI renders them as a table and the acceptance tests assert on
+them.  SUITES names them in order: nodes, fibers, groups, coordchange,
+quadric, ledger, hecke, traces; "all" runs every one.
 """
 
 from __future__ import annotations
 
+import sys
+import traceback
 from dataclasses import dataclass
 
 from . import ledger, modularity, singular, symmetry
@@ -47,7 +51,9 @@ def good_primes(bound: int) -> list[int]:
 # ---------------------------------------------------------------------------
 
 
-def suite_nodes(threads: int = 1) -> list[CheckResult]:
+def suite_nodes(
+    threads: int = 1, cache=None, long_run: bool = False, p_max: int = 101
+) -> list[CheckResult]:
     """Node census of the quintic and the mirror's singular strata."""
     out = []
     G = symmetry.enumerate_G()
@@ -103,7 +109,9 @@ def suite_nodes(threads: int = 1) -> list[CheckResult]:
     return out
 
 
-def suite_fibers(threads: int = 1) -> list[CheckResult]:
+def suite_fibers(
+    threads: int = 1, cache=None, long_run: bool = False, p_max: int = 101
+) -> list[CheckResult]:
     """Fiber degrees of the coordinate-fifth-power map over F_11 (and the
     rational witness for the on-line degree over F_31)."""
     out = []
@@ -175,7 +183,9 @@ def suite_fibers(threads: int = 1) -> list[CheckResult]:
     return out
 
 
-def suite_groups(threads: int = 1) -> list[CheckResult]:
+def suite_groups(
+    threads: int = 1, cache=None, long_run: bool = False, p_max: int = 101
+) -> list[CheckResult]:
     out = []
     G = symmetry.enumerate_G()
     Gt = symmetry.enumerate_Gtilde()
@@ -237,7 +247,9 @@ def suite_groups(threads: int = 1) -> list[CheckResult]:
     return out
 
 
-def suite_coordchange(threads: int = 1) -> list[CheckResult]:
+def suite_coordchange(
+    threads: int = 1, cache=None, long_run: bool = False, p_max: int = 101
+) -> list[CheckResult]:
     out = []
     for p in (7, 13):
         F = make_field(p)
@@ -264,7 +276,9 @@ def suite_coordchange(threads: int = 1) -> list[CheckResult]:
     return out
 
 
-def suite_quadric(threads: int = 1) -> list[CheckResult]:
+def suite_quadric(
+    threads: int = 1, cache=None, long_run: bool = False, p_max: int = 101
+) -> list[CheckResult]:
     """Containment and smoothness evidence for the quadric surface.
 
     The images of surface points avoid the singular lines except at primes
@@ -319,7 +333,9 @@ def suite_quadric(threads: int = 1) -> list[CheckResult]:
     return out
 
 
-def suite_ledger(threads: int = 1) -> list[CheckResult]:
+def suite_ledger(
+    threads: int = 1, cache=None, long_run: bool = False, p_max: int = 101
+) -> list[CheckResult]:
     out = []
     u, d = ledger.solve_quotient_chi(ledger.MIRROR_STRATA_GENERIC)
     out.append(
@@ -376,7 +392,9 @@ def suite_ledger(threads: int = 1) -> list[CheckResult]:
     return out
 
 
-def suite_hecke(threads: int = 1, cache=None, long_run: bool = False) -> list[CheckResult]:
+def suite_hecke(
+    threads: int = 1, cache=None, long_run: bool = False, p_max: int = 101
+) -> list[CheckResult]:
     out = []
     out.append(
         _check(
@@ -395,11 +413,11 @@ def suite_hecke(threads: int = 1, cache=None, long_run: bool = False) -> list[Ch
 
 
 def suite_traces(
-    p_max: int = 101, threads: int = 1, cache=None, algo: str = "table"
+    threads: int = 1, cache=None, long_run: bool = False, p_max: int = 101
 ) -> list[CheckResult]:
     out = []
     records = [
-        modularity.compare_traces(p, cache=cache, algo=algo, threads=threads)
+        modularity.compare_traces(p, cache=cache, algo="table", threads=threads)
         for p in good_primes(p_max)
     ]
     out.append(
@@ -450,18 +468,21 @@ SUITES = {
 }
 
 
-def run_suite(name: str, threads: int = 1, cache=None, **kw) -> list[CheckResult]:
-    if name == "all":
-        out = []
-        for key in SUITES:
-            out.extend(run_suite(key, threads=threads, cache=cache, **kw))
-        return out
-    fn = SUITES[name]
-    kwargs = {"threads": threads}
-    if name in ("hecke", "traces"):
-        kwargs["cache"] = cache
-    if name == "hecke":
-        kwargs["long_run"] = kw.get("long_run", False)
-    if name == "traces":
-        kwargs["p_max"] = kw.get("p_max", 101)
-    return fn(**kwargs)
+def run_suite(
+    name: str, threads: int = 1, cache=None, long_run: bool = False, p_max: int = 101
+) -> list[CheckResult]:
+    """The rows of one suite, or of every suite in order for "all".
+
+    A suite that raises contributes one FAIL row naming it and the error,
+    and its traceback goes to stderr; the suites after it still run.
+    """
+    out = []
+    for key in SUITES if name == "all" else [name]:
+        suite = SUITES[key]
+        try:
+            rows = suite(threads=threads, cache=cache, long_run=long_run, p_max=p_max)
+        except Exception as exc:
+            traceback.print_exc(file=sys.stderr)
+            rows = [_check(f"suite {key}", False, f"{type(exc).__name__}: {exc}")]
+        out.extend(rows)
+    return out

@@ -171,11 +171,11 @@ def test_criterion_07_oracle_equivalence():
         F = make_field(p)
         for mu in (0, 1, 2):
             ok = ok and (
-                count_x_table(mu, F, threads=THREADS).count
+                count_x_table(mu, F).count
                 == count_naive(quintic_x(mu, F)).count
             )
             ok = ok and (
-                count_y_table(mu, F, threads=THREADS).count
+                count_y_table(mu, F).count
                 == count_naive(quintic_y(mu, F)).count
             )
             pairs += 2

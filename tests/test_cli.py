@@ -171,3 +171,27 @@ def test_lock_file_cleanup(tmp_path):
     assert run(["count", "--family", "X", "--mu", "1", "--p", "7",
                 "--cache", str(cache), "--out", str(out)]) == 0
     assert not (tmp_path / "c.jsonl.lock").exists()
+
+
+def test_stale_lock_file_does_not_block(tmp_path):
+    # a <cache>.lock left by a killed run of an earlier version is ignored
+    cache = tmp_path / "counts.jsonl"
+    (tmp_path / "counts.jsonl.lock").touch()
+    out = tmp_path / "r.json"
+    assert run(["count", "--family", "X", "--mu", "1", "--p", "7",
+                "--cache", str(cache), "--out", str(out)]) == 0
+    assert "QuinticX" in cache.read_text()
+
+
+def test_count_record_keys(tmp_path):
+    out = tmp_path / "r.csv"
+    assert run(["count", "--family", "Y", "--mu", "0", "--p", "7", "--out", str(out)]) == 0
+    header, row = out.read_text().splitlines()
+    assert header == "family,params,p,k,q,count,algo,elapsed_ms,status"
+    out = tmp_path / "r.json"
+    assert run(["count", "--family", "Y", "--mu", "0", "--p", "7", "--out", str(out)]) == 0
+    (rec,) = json.loads(out.read_text())["records"]
+    assert set(rec) == {
+        "family", "params", "p", "k", "q", "count", "algo", "elapsed_ms", "status"
+    }
+    assert (rec["count"], rec["algo"], rec["status"]) == (400, "table", "ok")

@@ -87,9 +87,15 @@ def test_table_equals_naive(p, mu):
     assert count_y_table(mu, F).count == count_naive(quintic_y(mu, F)).count
 
 
-def test_y_table_mu_zero_routed_to_naive():
+def test_y_table_mu_zero_uses_table():
+    # (5 mu)^5 = 0: the mirror is the fifth power of a hyperplane
     rec = count_y_table(0, make_field(7))
-    assert rec.count == 400 and rec.algo == "naive"
+    assert rec.count == 400 and rec.algo == "table"
+
+
+def test_y_table_characteristic_5_is_hyperplane_power():
+    rec = count_y_table(1, make_field(5, 3))
+    assert rec.count == projective_size(125, 3) == 1968876 and rec.algo == "table"
 
 
 def test_table_on_extension_field():
@@ -108,9 +114,9 @@ def test_monotone_bound():
 
 def test_parallel_determinism():
     F = make_field(11)
-    counts = {count_x_table(1, F, threads=t).count for t in (1, 2, 8)}
+    counts = {count_x_table(1, F).count for t in (1, 2, 8)}
     assert len(counts) == 1
-    counts = {count_y_table(2, F, threads=t).count for t in (1, 2, 8)}
+    counts = {count_y_table(2, F).count for t in (1, 2, 8)}
     assert len(counts) == 1
     counts = {count_naive(quintic_y(2, F), threads=t).count for t in (1, 2, 8)}
     assert len(counts) == 1
@@ -142,10 +148,8 @@ def test_table_equals_naive_randomized(p, k, mu):
     mu = F.from_index(mu)
     assert count_x_table(mu, F).count == count_naive(quintic_x(mu, F)).count
     rec = count_y_table(mu, F)
-    if rec.algo == "naive":  # (5 mu)^5 = 0: count_y_table already is the oracle
-        assert not mu * 5
-    else:
-        assert rec.count == count_naive(quintic_y(mu, F)).count
+    assert rec.algo == "table"
+    assert rec.count == count_naive(quintic_y(mu, F)).count
 
 
 def test_table_cap_is_the_error_bound():
@@ -335,3 +339,97 @@ def test_threaded_naive_bounds_chunks_in_flight(monkeypatch):
         assert count_naive(inst, threads=threads).count == expected
         assert state["produced"] == state["consumed"] > 4 * threads
         assert state["most"] <= 2 * threads
+
+
+def test_record_json_round_trip():
+    rec = CountRecord("QuinticY", "mu=2", 11, 1, 1496, "table", 7)
+    assert CountRecord.from_json(rec.to_json()) == rec
+    assert json.loads(rec.to_json()) == {
+        "family": "QuinticY",
+        "params": "mu=2",
+        "p": 11,
+        "k": 1,
+        "count": 1496,
+        "algo": "table",
+        "elapsed_ms": 7,
+        "version": 1,
+    }
+
+
+def _bad_line(case: str) -> str:
+    good = json.loads(CountRecord("QuinticX", "mu=1", 11, 1, 999999, "table", 1).to_json())
+    if case == "missing-key":
+        del good["algo"]
+    elif case == "extra-key":
+        good["note"] = "x"
+    else:
+        good["p"] = {"p-str": "11", "p-float": 11.0, "p-null": None, "p-bool": True}[case]
+    return json.dumps(good)
+
+
+@pytest.mark.parametrize(
+    "case", ["missing-key", "extra-key", "p-str", "p-float", "p-null", "p-bool"]
+)
+def test_cache_rejects_line_off_schema(tmp_path, case):
+    # each bad line holds the fake count 999999 under the key of the real one
+    path = tmp_path / "counts.jsonl"
+    path.write_text(_bad_line(case) + "\n")
+    with pytest.warns(CacheCorrupt, match="line 1"):
+        rec = count_cached(CountTask(quintic_x(1, make_field(11))), path)
+    assert rec.count == 3300
+
+
+def test_cache_append_waits_for_the_file_lock(tmp_path):
+    import fcntl
+    import threading
+
+    from mirrorquintic.counting import CountCache
+
+    path = tmp_path / "counts.jsonl"
+    path.touch()
+    cache = CountCache(path)
+    rec = CountRecord("QuinticX", "mu=1", 11, 1, 3300, "table", 1)
+    with open(path, "a") as holder:
+        fcntl.flock(holder, fcntl.LOCK_EX)
+        writer = threading.Thread(target=cache.append, args=(rec,))
+        writer.start()
+        writer.join(0.3)
+        assert writer.is_alive() and path.read_text() == ""
+        fcntl.flock(holder, fcntl.LOCK_UN)
+        writer.join(10)
+    assert not writer.is_alive()
+    assert path.read_text() == rec.to_json() + "\n"
+
+
+def test_concurrent_appends_stay_loadable(tmp_path):
+    import subprocess
+    import sys
+    import warnings
+    from pathlib import Path
+
+    from mirrorquintic.counting import CountCache
+
+    src = Path(__file__).resolve().parents[1] / "src"
+    path = tmp_path / "counts.jsonl"
+    code = (
+        "import sys\n"
+        "from mirrorquintic.counting import CountCache, CountRecord\n"
+        "cache = CountCache(sys.argv[1])\n"
+        "start = int(sys.argv[2])\n"
+        "for i in range(start, start + 150):\n"
+        "    cache.append(CountRecord('QuinticX', f'mu={i}', 11, 1, i, 'table', 0))\n"
+    )
+    writers = [
+        subprocess.Popen(
+            [sys.executable, "-c", code, str(path), str(start)],
+            env={"PYTHONPATH": str(src)},
+        )
+        for start in range(0, 600, 150)  # more writers than cores
+    ]
+    assert [w.wait(timeout=60) for w in writers] == [0] * 4
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", CacheCorrupt)
+        cache = CountCache(path)
+    for i in range(600):
+        assert cache.get(("QuinticX", f"mu={i}", 11, 1, 1)).count == i
+    assert len(path.read_text().splitlines()) == 600
