@@ -71,7 +71,15 @@ TRACE_COLUMNS = [
     "ap_y",
     "weil_ok",
     "match_ok",
-]
+]  # the TraceRecord fields in order, with ap_x and ap_y for a_p_x and a_p_y
+
+# the options that several subcommands share; each takes only those it reads
+_SHARED_OPTIONS = {
+    "--threads": {"type": int, "default": 1},
+    "--cache": {"default": None, "help": "JSON-lines count cache path"},
+    "--out": {"default": None, "help": "report output path (default stdout)"},
+    "--format": {"choices": ["json", "csv"], "default": None},
+}
 
 
 class _UsageError(Exception):
@@ -87,11 +95,9 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"mql {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--threads", type=int, default=1)
-        p.add_argument("--cache", default=None, help="JSON-lines count cache path")
-        p.add_argument("--out", default=None, help="report output path (default stdout)")
-        p.add_argument("--format", choices=["json", "csv"], default=None)
+    def shared(p, *flags):
+        for flag in flags:
+            p.add_argument(flag, **_SHARED_OPTIONS[flag])
 
     pc = sub.add_parser("count", help="count points on one family")
     pc.add_argument("--family", choices=sorted(_FAMILY_FLAGS), required=True)
@@ -101,22 +107,22 @@ def _build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--p-range", default=None, metavar="A..B")
     pc.add_argument("--ext", type=int, default=1, help="extension degree k")
     pc.add_argument("--algo", choices=["naive", "table"], default="table")
-    common(pc)
+    shared(pc, *_SHARED_OPTIONS)
 
     pt = sub.add_parser("trace", help="trace records over a prime range")
     pt.add_argument("--p", type=int, default=None)
     pt.add_argument("--p-range", default=None, metavar="A..B")
     pt.add_argument("--algo", choices=["naive", "table"], default="table")
-    common(pt)
+    shared(pt, *_SHARED_OPTIONS)
 
     pv = sub.add_parser("verify", help="run a named verification suite")
     pv.add_argument("--suite", required=True, choices=[*SUITES, "all"])
     pv.add_argument("--p-max", type=int, default=101, help="prime bound for traces")
     pv.add_argument("--long", action="store_true", help="include long-running checks")
-    common(pv)
+    shared(pv, "--threads", "--cache", "--out")
 
     pl = sub.add_parser("ledger-dump", help="dump the recorded constant table")
-    common(pl)
+    shared(pl, "--out")
     return parser
 
 
@@ -139,9 +145,10 @@ def _parse_primes(args) -> list[int]:
     raise _UsageError("one of --p or --p-range is required")
 
 
-def _resolve_cache(args):
+def _open_cache(args) -> CountCache | None:
+    """The --cache file, else the MQL_CACHE one; None when neither is set."""
     path = args.cache or os.environ.get("MQL_CACHE")
-    return path
+    return CountCache(path) if path else None
 
 
 def _emit(text: str, out_path):
@@ -163,6 +170,22 @@ def _envelope(config: dict, records: list[dict]) -> str:
     return json.dumps(env, indent=2, sort_keys=True) + "\n"
 
 
+def _report(args, columns: list[str], records: list[dict]):
+    """Emit the records as CSV (the columns, booleans as true/false) when
+    --format csv is given or the out path ends in .csv, else as an envelope."""
+    fmt = args.format or ("csv" if args.out and str(args.out).endswith(".csv") else "json")
+    if fmt == "json":
+        _emit(_envelope(_config_echo(args), records), args.out)
+        return
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(columns)
+    for r in records:
+        values = (r.get(c, "") for c in columns)
+        writer.writerow(str(v).lower() if isinstance(v, bool) else v for v in values)
+    _emit(buf.getvalue(), args.out)
+
+
 def _cmd_count(args) -> int:
     fid = _FAMILY_FLAGS[args.family]
     params = {name: getattr(args, name) for name in param_names(fid)}
@@ -176,10 +199,9 @@ def _cmd_count(args) -> int:
     if not 1 <= args.ext <= 4:
         raise _UsageError("--ext must be in [1, 4]")
     primes = _parse_primes(args)
-    cache_path = _resolve_cache(args)
+    cache = _open_cache(args)
     records = []
     failures = 0
-    cache = CountCache(cache_path) if cache_path else None
     for p in primes:
         F = make_field(p, args.ext)
         inst = build_family(fid, params, F)
@@ -192,16 +214,7 @@ def _cmd_count(args) -> int:
             records.append(
                 {"family": fid.value, "p": p, "k": args.ext, "status": f"error: {exc}"}
             )
-    fmt = args.format or ("csv" if args.out and str(args.out).endswith(".csv") else "json")
-    if fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.DictWriter(buf, fieldnames=_COUNT_COLUMNS, lineterminator="\n")
-        writer.writeheader()
-        for r in records:
-            writer.writerow({c: r.get(c, "") for c in _COUNT_COLUMNS})
-        _emit(buf.getvalue(), args.out)
-    else:
-        _emit(_envelope(_config_echo(args), records), args.out)
+    _report(args, _COUNT_COLUMNS, records)
     return 1 if failures else 0
 
 
@@ -214,59 +227,22 @@ def _config_echo(args) -> dict:
 
 def _cmd_trace(args) -> int:
     primes = [p for p in _parse_primes(args) if p != 5]
-    cache_path = _resolve_cache(args)
+    cache = _open_cache(args)
     records = []
-    all_ok = True
-    cache = CountCache(cache_path) if cache_path else None
     for p in primes:
         rec = compare_traces(p, cache=cache, algo=args.algo, threads=args.threads)
-        all_ok = all_ok and rec.match_ok and rec.weil_ok
-        records.append(rec)
-    fmt = args.format or ("csv" if args.out and str(args.out).endswith(".csv") else "json")
-    if fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(TRACE_COLUMNS)
-        for r in records:
-            writer.writerow(
-                [
-                    r.p,
-                    r.residue,
-                    r.count_x,
-                    r.count_y,
-                    r.a_p_x,
-                    r.a_p_y,
-                    str(r.weil_ok).lower(),
-                    str(r.match_ok).lower(),
-                ]
-            )
-        _emit(buf.getvalue(), args.out)
-    else:
-        rows = [
-            {
-                "p": r.p,
-                "residue": r.residue,
-                "count_x": r.count_x,
-                "count_y": r.count_y,
-                "ap_x": r.a_p_x,
-                "ap_y": r.a_p_y,
-                "weil_ok": r.weil_ok,
-                "match_ok": r.match_ok,
-                "status": "ok" if (r.weil_ok and r.match_ok) else "failed",
-            }
-            for r in records
-        ]
-        _emit(_envelope(_config_echo(args), rows), args.out)
-    return 0 if all_ok else 1
+        row = dict(zip(TRACE_COLUMNS, dataclasses.astuple(rec)))
+        row["status"] = "ok" if (rec.weil_ok and rec.match_ok) else "failed"
+        records.append(row)
+    _report(args, TRACE_COLUMNS, records)
+    return 0 if all(r["status"] == "ok" for r in records) else 1
 
 
 def _cmd_verify(args) -> int:
-    cache_path = _resolve_cache(args)
-    cache = CountCache(cache_path) if cache_path else None
     results = run_suite(
         args.suite,
         threads=args.threads,
-        cache=cache,
+        cache=_open_cache(args),
         long_run=args.long,
         p_max=args.p_max,
     )

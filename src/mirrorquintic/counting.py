@@ -5,21 +5,19 @@ count_naive enumerates normalized projective representatives chart by chart
 system on numpy index arrays; it is the oracle every fast path is tested
 against.
 
-count_x_table and count_y_table count the affine cone in two stages and
-convert with (N_aff - 1) / (q - 1):
+count_x_table and count_y_table share one engine.  Both quintics are
 
-  QuinticX   R[A][B] = #{x0 : x0^5 + A x0 + B = 0} built in O(q^2);
-             the (x1..x4) block contributes through R[-5 mu prod, powersum].
-  QuinticY   S[T][P] = #{x0 : (x0 + T)^5 = (5 mu)^5 P x0} built in O(q^2);
-             the block contributes through S[sum, prod].  When (5 mu)^5 = 0
-             (mu = 0, or characteristic 5) the equation is (x0 + T)^5 = 0,
-             S is 1 everywhere and the same path counts the hyperplane
-             power.
+  h(x0, V) = k x0 U,   h(x0, V) = (x0^e + V)^(5/e),   k = (5 mu)^(5/e),
 
-The degree-4 block is aggregated through a pair histogram D2 over
-(pair product, pair power sum) (resp. (pair product, pair sum)).  The block
-histogram is D4 = D2 * D2, a convolution on (F_q, x) x (F_q, +), and the
-count is the O(q^2) contraction sum D4[U, V] T[U, V] with the table T.
+with U = x1 x2 x3 x4 and V = x1^e + ... + x4^e: e = 5 for QuinticX and
+e = 1 for QuinticY.  The x0 table T[U, V] = #{x0 : h(x0, V) = k x0 U} is
+built in O(q^2): an x0 with k x0 != 0 solves it for one U, and an x0 with
+k x0 = 0 (x0 = 0, or every x0 when k = 0: mu = 0 or characteristic 5) for
+every U when h(x0, V) = 0.  The (x1..x4) block is aggregated through a pair
+histogram D2 over (pair product, pair key sum).  The block histogram is
+D4 = D2 * D2, a convolution on (F_q, x) x (F_q, +), the affine cone count
+is the O(q^2) contraction sum D4[U, V] T[U, V], and the projective count is
+(N_aff - 1) / (q - 1).
 _block_count computes D4 with one float64 FFT over Z/(q - 1) x (Z/p)^k
 (F_q^* by discrete logarithm, F_q by its base-p digits) plus a k-dimensional
 one for the product-zero row, O(q^2 log q) in all, and rounds it to int64.
@@ -126,10 +124,12 @@ _RECORD_TYPES = typing.get_type_hints(CountRecord)  # field name -> type
 @dataclass
 class CountTask:
     instance: FamilyInstance
-    algo: str = "auto"  # auto | naive | table
+    algo: str = "table"  # naive | table
     threads: int = 1
 
     def __post_init__(self):
+        if self.algo not in ("naive", "table"):
+            raise ValueError(f"unknown algorithm {self.algo!r}: use 'naive' or 'table'")
         if self.threads < 1:
             raise ValueError("thread count must be >= 1")
 
@@ -221,16 +221,14 @@ def count_naive(instance: FamilyInstance, threads: int = 1) -> CountRecord:
 # ---------------------------------------------------------------------------
 
 
-def _pair_histogram(F: FieldDescriptor, first, second) -> np.ndarray:
-    """Histogram over (first(a, b), second(a, b)) for all pairs of indices."""
+def _histogram(F: FieldDescriptor, first, second, rows, cols) -> np.ndarray:
+    """q x q histogram of (first(a, b), second(a, b)) over a in rows, b in cols."""
     q = F.q
-    all_idx = np.arange(q, dtype=np.int64)
     hist = np.zeros(q * q, dtype=np.int64)
-    rows_per_block = max(1, _CHUNK // q)
-    for start in range(0, q, rows_per_block):
-        stop = min(start + rows_per_block, q)
-        a = all_idx[start:stop, None]
-        b = all_idx[None, :]
+    rows_per_block = max(1, _CHUNK // max(1, len(cols)))
+    for start in range(0, len(rows), rows_per_block):
+        a = rows[start : start + rows_per_block, None]
+        b = cols[None, :]
         keys = (first(a, b) * q + second(a, b)).ravel()
         hist += np.bincount(keys, minlength=q * q)
     return hist.reshape(q, q)
@@ -297,82 +295,67 @@ def _cone_to_projective(n_aff: int, q: int) -> int:
     return (n_aff - 1) // (q - 1)
 
 
-def count_x_table(mu, F: FieldDescriptor) -> CountRecord:
-    """Table count for QuinticX; equals count_naive on the same instance."""
+# the exponent e of each family's coordinate key (see the module docstring)
+_KEY_EXPONENT = {FamilyId.QUINTIC_X: 5, FamilyId.QUINTIC_Y: 1}
+
+
+def _x0_table(F: FieldDescriptor, e: int, k: int) -> np.ndarray:
+    """T[U, V] = #{x0 : h(x0, V) = k x0 U} with h(x0, V) = (x0^e + V)^(5/e).
+
+    An x0 with k x0 != 0 solves it for the one U = h(x0, V) / (k x0).  An x0
+    with k x0 = 0 (x0 = 0, or every x0 when k = 0) solves it for every U
+    when h(x0, V) = 0.
+    """
+    all_idx = np.arange(F.q, dtype=np.int64)
+    kx = F.vmul(np.int64(k), all_idx)
+    inv_kx = F.inv_table[kx]
+
+    def h(x0, v):
+        return F.vpow(F.vadd(F.vpow(x0, e), v), 5 // e)
+
+    table = _histogram(
+        F,
+        lambda v, x0: F.vmul(h(x0, v), inv_kx[x0]),
+        lambda v, x0: v,
+        all_idx,
+        all_idx[kx != 0],
+    )
+    table += (h(all_idx[kx == 0, None], all_idx) == 0).sum(axis=0)
+    return table
+
+
+def _table_count(family: FamilyId, mu, F: FieldDescriptor) -> CountRecord:
     _check_table_size(F.q)
     t0 = time.perf_counter()
-    q = F.q
     mu = F.element(mu)
-    c = (-(mu * 5)).index
-    fifth = F.power_table(5)
-    all_idx = np.arange(q, dtype=np.int64)
-
-    # R[A][B] = #{x0 : x0^5 + A x0 + B = 0}
-    r_table = np.zeros((q, q), dtype=np.int64)
-    for a in range(q):
-        b = F.vneg(F.vadd(fifth[all_idx], F.vmul(np.int64(a), all_idx)))
-        r_table[a] = np.bincount(b, minlength=q)
-
-    d2 = _pair_histogram(
-        F,
-        lambda a, b: F.vmul(a, b),
-        lambda a, b: F.vadd(fifth[a], fifth[b]),
-    )
-    n_aff = _block_count(F, d2, r_table[F.vmul(np.int64(c), all_idx)])
-    count = _cone_to_projective(n_aff, q)
+    e = _KEY_EXPONENT[family]
+    key = F.power_table(e)
+    all_idx = np.arange(F.q, dtype=np.int64)
+    d2 = _histogram(F, F.vmul, lambda a, b: F.vadd(key[a], key[b]), all_idx, all_idx)
+    table = _x0_table(F, e, ((mu * 5) ** (5 // e)).index)
+    count = _cone_to_projective(_block_count(F, d2, table), F.q)
     ms = int(round((time.perf_counter() - t0) * 1000))
-    return CountRecord(
-        FamilyId.QUINTIC_X.value, param_string({"mu": mu}), F.p, F.k, count, "table", ms
-    )
+    return CountRecord(family.value, param_string({"mu": mu}), F.p, F.k, count, "table", ms)
+
+
+def count_x_table(mu, F: FieldDescriptor) -> CountRecord:
+    """Table count for QuinticX; equals count_naive on the same instance."""
+    return _table_count(FamilyId.QUINTIC_X, mu, F)
 
 
 def count_y_table(mu, F: FieldDescriptor) -> CountRecord:
     """Table count for QuinticY; equals count_naive on the same instance."""
-    _check_table_size(F.q)
-    t0 = time.perf_counter()
-    q = F.q
-    mu = F.element(mu)
-    c = ((mu * 5) ** 5).index
-    fifth = F.power_table(5)
-    # S[T][P] = #{x0 : (x0 + T)^5 = c P x0} with c = (5 mu)^5.  An x0 with
-    # c x0 != 0 solves it for one P; an x0 with c x0 = 0 solves it for every
-    # P when x0 = -T: x0 = 0 in row T = 0, and every x0 when c = 0 (mu = 0,
-    # or characteristic 5), one in each row.
-    x0 = np.arange(1 if c else q, q, dtype=np.int64)
-    inv_cx = F.inv_table[F.vmul(np.int64(c), x0)]
-    s_table = np.zeros((q, q), dtype=np.int64)
-    for t in range(q):
-        p_idx = F.vmul(fifth[F.vadd(x0, np.int64(t))], inv_cx)
-        s_table[t] = np.bincount(p_idx, minlength=q)
-    s_table[: 1 if c else q] += 1
-
-    d2 = _pair_histogram(
-        F,
-        lambda a, b: F.vmul(a, b),
-        lambda a, b: F.vadd(a, b),
-    )
-    n_aff = _block_count(F, d2, s_table.T)
-    count = _cone_to_projective(n_aff, q)
-    ms = int(round((time.perf_counter() - t0) * 1000))
-    return CountRecord(
-        FamilyId.QUINTIC_Y.value, param_string({"mu": mu}), F.p, F.k, count, "table", ms
-    )
+    return _table_count(FamilyId.QUINTIC_Y, mu, F)
 
 
 def count(task: CountTask) -> CountRecord:
     """Dispatch a counting task to the requested algorithm.
 
-    "table" is honored for QuinticX and QuinticY up to the table cap; other
-    families have no specialized path and run the naive enumerator.
+    "table" is honored for QuinticX and QuinticY; other families have no
+    specialized path and run the naive enumerator.
     """
     inst = task.instance
-    use_table = task.algo in ("table", "auto") and inst.id in (
-        FamilyId.QUINTIC_X,
-        FamilyId.QUINTIC_Y,
-    )
-    if use_table and task.algo == "auto" and inst.field.q > TABLE_CAP:
-        use_table = False
-    if use_table:
+    if task.algo == "table" and inst.id in _KEY_EXPONENT:
         table_count = count_x_table if inst.id is FamilyId.QUINTIC_X else count_y_table
         return table_count(inst.params["mu"], inst.field)
     return count_naive(inst, threads=task.threads)

@@ -396,12 +396,19 @@ class FieldDescriptor:
         return tab
 
     # -- vectorized index operations ---------------------------------------
+    # On prime fields each operation allocates one result and reduces it in
+    # place.
+
+    def _mod_p(self, x):
+        if isinstance(x, np.ndarray):
+            return np.remainder(x, self.p, out=x)
+        return x % self.p  # 0-d inputs give a numpy scalar
 
     def vadd(self, a, b):
         a = np.asarray(a, dtype=np.int64)
         b = np.asarray(b, dtype=np.int64)
         if self.k == 1:
-            return (a + b) % self.p
+            return self._mod_p(a + b)
         p = self.p
         out = np.zeros(np.broadcast(a, b).shape, dtype=np.int64)
         scale = 1
@@ -415,7 +422,7 @@ class FieldDescriptor:
     def vneg(self, a):
         a = np.asarray(a, dtype=np.int64)
         if self.k == 1:
-            return (self.p - a) % self.p
+            return self._mod_p(self.p - a)
         p = self.p
         out = np.zeros(a.shape, dtype=np.int64)
         scale = 1
@@ -426,13 +433,16 @@ class FieldDescriptor:
         return out
 
     def vsub(self, a, b):
+        if self.k == 1:
+            a = np.asarray(a, dtype=np.int64)
+            return self._mod_p(a - np.asarray(b, dtype=np.int64))
         return self.vadd(a, self.vneg(b))
 
     def vmul(self, a, b):
         a = np.asarray(a, dtype=np.int64)
         b = np.asarray(b, dtype=np.int64)
         if self.k == 1:
-            return (a * b) % self.p
+            return self._mod_p(a * b)
         self._ensure_tables()
         n = self.q - 1
         out = self._exp[(self._log[a] + self._log[b]) % n]
@@ -449,8 +459,8 @@ class FieldArray:
     A builder written once over MPoly variables therefore also evaluates its
     equations on index arrays, in the compact form it is written in (power
     sums, products, linear forms) rather than as an expanded term list.
-    Every operation returns a new array; on prime fields it allocates one
-    result and reduces it in place.
+    Every operation returns a new array, through the FieldDescriptor's
+    vectorized operations.
     """
 
     __slots__ = ("a", "field")
@@ -459,27 +469,14 @@ class FieldArray:
         self.a = a
         self.field = field
 
-    def _reduced(self, out) -> "FieldArray":
-        np.remainder(out, self.field.p, out=out)
-        return FieldArray(out, self.field)
-
     def __add__(self, other: "FieldArray") -> "FieldArray":
-        F = self.field
-        if F.k == 1:
-            return self._reduced(self.a + other.a)
-        return FieldArray(F.vadd(self.a, other.a), F)
+        return FieldArray(self.field.vadd(self.a, other.a), self.field)
 
     def __sub__(self, other: "FieldArray") -> "FieldArray":
-        F = self.field
-        if F.k == 1:
-            return self._reduced(self.a - other.a)
-        return FieldArray(F.vsub(self.a, other.a), F)
+        return FieldArray(self.field.vsub(self.a, other.a), self.field)
 
     def __mul__(self, other: "FieldArray") -> "FieldArray":
-        F = self.field
-        if F.k == 1:
-            return self._reduced(self.a * other.a)
-        return FieldArray(F.vmul(self.a, other.a), F)
+        return FieldArray(self.field.vmul(self.a, other.a), self.field)
 
     def __pow__(self, e: int) -> "FieldArray":
         return FieldArray(self.field.vpow(self.a, e), self.field)
@@ -490,8 +487,6 @@ class FieldArray:
         ci = F.element(c).index
         if ci == 1:
             return self
-        if F.k == 1:
-            return self._reduced(self.a * ci)
         return FieldArray(F.vmul(np.int64(ci), self.a), F)
 
 

@@ -15,7 +15,7 @@ than rejects.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .errors import NonIntegralSolution
 
@@ -154,20 +154,10 @@ def recorded_dataset() -> dict:
     """The recorded constant table, JSON-serializable."""
 
     def triple(t: HodgeTriple) -> dict:
-        d = {"chi": t.chi, "h11": t.h11, "h21": t.h21}
-        if t.defect is not None:
-            d["defect"] = t.defect
-        return d
+        return {k: v for k, v in asdict(t).items() if v is not None}
 
     def steps(ss: list[ResolutionStep]) -> list[dict]:
-        return [
-            {
-                "description": s.description,
-                "delta_chi": s.delta_chi,
-                "divisors_added": s.divisors_added,
-            }
-            for s in ss
-        ]
+        return [asdict(s) for s in ss]
 
     return {
         "version": DATASET_VERSION,

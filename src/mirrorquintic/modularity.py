@@ -81,7 +81,7 @@ def weil_ok(a: int, q: int) -> bool:
 
 
 def compare_traces(
-    p: int, cache=None, algo: str = "auto", threads: int = 1
+    p: int, cache=None, algo: str = "table", threads: int = 1
 ) -> TraceRecord:
     """Count both mu = 1 quintics over F_p and compare their traces."""
     if p == 5:
@@ -118,8 +118,8 @@ def hecke_consistency(p: int, cache=None, threads: int = 1) -> bool:
         )
     F_p = make_field(p)
     F_q = make_field(p, 2)
-    rp = count_cached(CountTask(quintic_x(1, F_p), "auto", threads), cache)
-    rq = count_cached(CountTask(quintic_x(1, F_q), "auto", threads), cache)
+    rp = count_cached(CountTask(quintic_x(1, F_p), "table", threads), cache)
+    rq = count_cached(CountTask(quintic_x(1, F_q), "table", threads), cache)
     tp = trace_x(p, p % 5, rp.count)
     tq = trace_x(p * p, 1, rq.count)
     return tq == tp * tp - 2 * p**3

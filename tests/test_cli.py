@@ -160,6 +160,19 @@ def test_ledger_dump(tmp_path):
     assert data["node_count"] == 125 and data["version"] == 1
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["ledger-dump", "--threads", "2"],
+        ["ledger-dump", "--cache", "counts.jsonl"],
+        ["ledger-dump", "--format", "json"],
+        ["verify", "--suite", "ledger", "--format", "json"],
+    ],
+)
+def test_options_a_subcommand_does_not_read_exit_2(args):
+    assert run(args) == 2
+
+
 def test_bad_p_range_exits_2():
     assert run(["trace", "--p-range", "banana"]) == 2
     assert run(["trace"]) == 2

@@ -98,6 +98,12 @@ def test_y_table_characteristic_5_is_hyperplane_power():
     assert rec.count == projective_size(125, 3) == 1968876 and rec.algo == "table"
 
 
+def test_x_table_characteristic_5_is_hyperplane_power():
+    # in characteristic 5 the Fermat sum is (x0 + ... + x4)^5 and 5 mu = 0
+    rec = count_x_table(1, make_field(5, 3))
+    assert rec.count == projective_size(125, 3) == 1968876 and rec.algo == "table"
+
+
 def test_table_on_extension_field():
     F9 = make_field(3, 2)
     assert count_x_table(1, F9).count == count_naive(quintic_x(1, F9)).count
@@ -114,12 +120,14 @@ def test_monotone_bound():
 
 def test_parallel_determinism():
     F = make_field(11)
-    counts = {count_x_table(1, F).count for t in (1, 2, 8)}
-    assert len(counts) == 1
-    counts = {count_y_table(2, F).count for t in (1, 2, 8)}
-    assert len(counts) == 1
     counts = {count_naive(quintic_y(2, F), threads=t).count for t in (1, 2, 8)}
     assert len(counts) == 1
+
+
+@pytest.mark.parametrize("algo", ["auto", "tabel"])
+def test_count_task_rejects_unknown_algo(algo):
+    with pytest.raises(ValueError, match="unknown algorithm"):
+        CountTask(quintic_x(1, make_field(11)), algo)
 
 
 def test_instance_too_large():
