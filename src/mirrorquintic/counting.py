@@ -2,8 +2,9 @@
 
 count_naive enumerates normalized projective representatives chart by chart
 (leading coordinate 1, earlier coordinates 0) and evaluates the defining
-system on numpy index arrays; it is the oracle every fast path is tested
-against.
+system on numpy index arrays through FamilyInstance.vanishing_mask, in the
+compact form the family's builder writes.  It is the oracle every fast path
+is tested against; the table paths below use no builder.
 
 count_x_table and count_y_table share one engine.  Both quintics are
 
@@ -67,7 +68,6 @@ import numpy as np
 from .errors import CacheCorrupt, InstanceTooLarge, InvariantViolated
 from .families import FamilyId, FamilyInstance, enumerate_points, param_string
 from .ffield import FieldDescriptor
-from .mvpoly import eval_batch
 
 NAIVE_CAP = 10**10
 CACHE_VERSION = 1
@@ -165,13 +165,6 @@ def iter_projective_chunks(F: FieldDescriptor, dim: int, chunk: int = _CHUNK):
             yield coords
 
 
-def _zero_mask(instance: FamilyInstance, coords, F) -> np.ndarray:
-    mask = np.ones(coords[0].shape, dtype=bool)
-    for poly in instance.system.polys:
-        mask &= eval_batch(poly.to_field(F), coords, F) == 0
-    return mask
-
-
 def map_chunks(fn, chunks, threads: int = 1):
     """Yield fn(chunk) for every chunk, in order.
 
@@ -206,7 +199,7 @@ def count_naive(instance: FamilyInstance, threads: int = 1) -> CountRecord:
             )
 
         def on_chunk(coords) -> int:
-            return int(_zero_mask(instance, coords, F).sum())
+            return int(instance.vanishing_mask(coords).sum())
 
         chunks = iter_projective_chunks(F, instance.ambient_dim)
         n = sum(map_chunks(on_chunk, chunks, threads))

@@ -57,10 +57,6 @@ class BadReduction(MirrorQuinticError):
     """Trace formulas are undefined at primes of bad reduction."""
 
 
-class UnsupportedBranch(MirrorQuinticError):
-    """The trace formula branch is not defined for this field size."""
-
-
 class NonIntegralSolution(MirrorQuinticError):
     """A stratification ledger does not solve in integers."""
 

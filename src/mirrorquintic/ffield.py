@@ -28,6 +28,7 @@ import numpy as np
 
 from .errors import (
     CompositeCharacteristic,
+    FieldMismatch,
     RootOfUnityUnavailable,
     TableTooLarge,
     UnsupportedDegree,
@@ -143,8 +144,6 @@ class FieldElement:
     def _coerce(self, other):
         if isinstance(other, FieldElement):
             if other.field is not self.field and other.field != self.field:
-                from .errors import FieldMismatch
-
                 raise FieldMismatch(
                     f"elements of {self.field} and {other.field} cannot be combined"
                 )
@@ -227,10 +226,9 @@ class FieldElement:
         return o * self.inverse()
 
     def __eq__(self, other):
+        # an int is not an element: F7(3) != 3, so equal values hash equally
         if isinstance(other, FieldElement):
             return self.field == other.field and self.coeffs == other.coeffs
-        if isinstance(other, int):
-            return self.coeffs == self.field.element(other).coeffs
         return NotImplemented
 
     def __hash__(self):
@@ -291,8 +289,6 @@ class FieldDescriptor:
         """Coerce an int (reduced mod p), coefficient sequence, or element."""
         if isinstance(value, FieldElement):
             if value.field != self:
-                from .errors import FieldMismatch
-
                 raise FieldMismatch(f"{value!r} is not in {self!r}")
             return value
         if isinstance(value, int):

@@ -1,23 +1,29 @@
 """Frobenius traces from point counts, and their consistency checks.
 
-For good field sizes q (no factor 5) the middle-cohomology trace of the
-resolved quintic and of the resolved mirror come from the counts by
+For a good field size q = p^k (no factor 5) the middle-cohomology trace of
+the resolved mu = 1 quintic X and of the resolved mirror Y come from the
+counts by one formula,
 
-  QuinticX:  q^3 + 25 q^2 - 100 q + 1 - #X   (q = 1 mod 5)
-             q^3 +      q^2          + 1 - #X   (q = 4 mod 5)
-             q^3 +      q^2 + 2 q    + 1 - #X   (q = 2, 3 mod 5, prime q only)
-  QuinticY:  q^3 + q^2         + 1 - #Y        (q = 1, 4 mod 5)
-             q^3 + q^2 + 2 q   + 1 - #Y        (q = 2, 3 mod 5)
+  t(q) = q^3 + q^2 + 1 + c(family, q mod 5) - #(F_q),
 
-For prime q every branch applies.  Over proper extensions only q = 1, 4
-mod 5 is accepted: there the 125 nodes and the 25 divisor classes are
-rational and the same shape holds, which the Hecke check validates; the
-q = 2, 3 branch over extensions is refused rather than guessed.
+with the correction c from CORRECTION:
 
-Both traces are exact integers and everything here is internal
-consistency: trace(X) = trace(Y), the Weil bound a^2 <= 4 q^3, and the
-two-dimensionality relation t(p^2) = t(p)^2 - 2 p^3.  No external modular
-form data is consulted.
+  q mod 5    QuinticX           QuinticY
+  1          24 q^2 - 100 q     0
+  4          0                  0
+  2, 3       2 q                2 q
+
+The correction counts the nodes and the divisor classes of the
+resolutions that are defined over F_q.  All of them are defined over
+F_p(zeta_5), and the q-power Frobenius acts on that field, and so on them,
+through zeta_5 -> zeta_5^q, that is through q mod 5 alone.  So one row
+serves prime fields and extension fields alike.
+
+Both traces are exact integers and everything here is consistency
+evidence, not proof: trace(X) = trace(Y), the Weil bound a^2 <= 4 q^3, and
+the Frobenius recurrence t(p^k) = t(p) t(p^(k-1)) - p^3 t(p^(k-2)),
+t(p^0) = 2, which holds when the piece is two-dimensional (mu = 1).  No
+external modular form data is consulted.
 """
 
 from __future__ import annotations
@@ -25,9 +31,21 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .counting import CountTask, count_cached
-from .errors import BadReduction, UnsupportedBranch
-from .families import quintic_x, quintic_y
-from .ffield import is_prime, make_field
+from .errors import BadReduction
+from .families import FamilyId, quintic_x, quintic_y
+from .ffield import make_field
+
+# (family, q mod 5) -> (a, b): the correction is a q^2 + b q
+CORRECTION = {
+    (FamilyId.QUINTIC_X, 1): (24, -100),
+    (FamilyId.QUINTIC_X, 2): (0, 2),
+    (FamilyId.QUINTIC_X, 3): (0, 2),
+    (FamilyId.QUINTIC_X, 4): (0, 0),
+    (FamilyId.QUINTIC_Y, 1): (0, 0),
+    (FamilyId.QUINTIC_Y, 2): (0, 2),
+    (FamilyId.QUINTIC_Y, 3): (0, 2),
+    (FamilyId.QUINTIC_Y, 4): (0, 0),
+}
 
 
 @dataclass
@@ -42,37 +60,17 @@ class TraceRecord:
     match_ok: bool
 
 
-def _check_q(q: int, residue: int):
+def _residue(q: int) -> int:
+    """q mod 5; BadReduction when 5 divides q."""
     if q % 5 == 0:
         raise BadReduction(f"q = {q} is a power of 5 (bad reduction)")
-    if residue != q % 5 or residue not in (1, 2, 3, 4):
-        raise ValueError(f"residue {residue} does not match q = {q} mod 5")
+    return q % 5
 
 
-def trace_x(q: int, residue: int, count: int) -> int:
-    """Middle-cohomology trace for the 125-nodal quintic from #X(F_q)."""
-    _check_q(q, residue)
-    if residue == 1:
-        return q**3 + 25 * q**2 - 100 * q + 1 - count
-    if residue == 4:
-        return q**3 + q**2 + 1 - count
-    if not is_prime(q):
-        raise UnsupportedBranch(
-            f"q = {q} = 2, 3 mod 5 is only supported for prime q"
-        )
-    return q**3 + q**2 + 2 * q + 1 - count
-
-
-def trace_y(q: int, residue: int, count: int) -> int:
-    """Middle-cohomology trace for the resolved mirror from #Y(F_q)."""
-    _check_q(q, residue)
-    if residue in (1, 4):
-        return q**3 + q**2 + 1 - count
-    if not is_prime(q):
-        raise UnsupportedBranch(
-            f"q = {q} = 2, 3 mod 5 is only supported for prime q"
-        )
-    return q**3 + q**2 + 2 * q + 1 - count
+def frobenius_trace(family: FamilyId, q: int, count: int) -> int:
+    """Middle-cohomology trace of the resolved mu = 1 family from #(F_q)."""
+    a, b = CORRECTION[family, _residue(q)]
+    return q**3 + q**2 + 1 + a * q * q + b * q - count
 
 
 def weil_ok(a: int, q: int) -> bool:
@@ -80,46 +78,39 @@ def weil_ok(a: int, q: int) -> bool:
     return a * a <= 4 * q**3
 
 
+def _count_pair(p: int, k: int, cache, algo: str, threads: int):
+    """Count X and Y at mu = 1 over F_(p^k): ((#X, #Y), (t_X, t_Y))."""
+    _residue(p)
+    F = make_field(p, k)
+    pair = (quintic_x(1, F), quintic_y(1, F))
+    counts = tuple(count_cached(CountTask(i, algo, threads), cache).count for i in pair)
+    traces = tuple(frobenius_trace(i.id, F.q, n) for i, n in zip(pair, counts))
+    return counts, traces
+
+
 def compare_traces(
     p: int, cache=None, algo: str = "table", threads: int = 1
 ) -> TraceRecord:
     """Count both mu = 1 quintics over F_p and compare their traces."""
-    if p == 5:
-        raise BadReduction("p = 5 is the prime of bad reduction")
-    F = make_field(p)
-    rx = count_cached(CountTask(quintic_x(1, F), algo, threads), cache)
-    ry = count_cached(CountTask(quintic_y(1, F), algo, threads), cache)
-    r = p % 5
-    ax = trace_x(p, r, rx.count)
-    ay = trace_y(p, r, ry.count)
+    (cx, cy), (ax, ay) = _count_pair(p, 1, cache, algo, threads)
     return TraceRecord(
-        p,
-        r,
-        rx.count,
-        ry.count,
-        ax,
-        ay,
-        weil_ok(ax, p) and weil_ok(ay, p),
-        ax == ay,
+        p, p % 5, cx, cy, ax, ay, weil_ok(ax, p) and weil_ok(ay, p), ax == ay
     )
 
 
-def hecke_consistency(p: int, cache=None, threads: int = 1) -> bool:
-    """Two-dimensionality check: t(p^2) = t(p)^2 - 2 p^3.
+def hecke_consistency(p: int, k: int = 2, cache=None, threads: int = 1) -> bool:
+    """Frobenius recurrence t_j = t_1 t_(j-1) - p^3 t_(j-2), t_0 = 2, for
+    X and Y at mu = 1, with t_j counted over F_(p^j), for every 2 <= j <= k
+    (k <= 4, the largest extension degree make_field builds).
 
-    Requires p = 1 or 4 mod 5 so that q = p^2 = 1 mod 5 and the extension
-    branch of trace_x applies with all divisor classes and nodes rational.
+    k = 2 is the two-dimensionality relation t(p^2) = t(p)^2 - 2 p^3.
     """
-    if p == 5:
-        raise BadReduction("p = 5 is the prime of bad reduction")
-    if p % 5 not in (1, 4):
-        raise UnsupportedBranch(
-            f"p = {p} = {p % 5} mod 5: the F_(p^2) node correction is unknown"
-        )
-    F_p = make_field(p)
-    F_q = make_field(p, 2)
-    rp = count_cached(CountTask(quintic_x(1, F_p), "table", threads), cache)
-    rq = count_cached(CountTask(quintic_x(1, F_q), "table", threads), cache)
-    tp = trace_x(p, p % 5, rp.count)
-    tq = trace_x(p * p, 1, rq.count)
-    return tq == tp * tp - 2 * p**3
+    if k < 2:
+        raise ValueError(f"k = {k}: the recurrence starts at k = 2")
+    pairs = [_count_pair(p, j, cache, "table", threads) for j in range(1, k + 1)]
+    t = [(2, 2)] + [traces for _, traces in pairs]
+    return all(
+        t[j][i] == t[1][i] * t[j - 1][i] - p**3 * t[j - 2][i]
+        for j in range(2, k + 1)
+        for i in (0, 1)
+    )

@@ -11,12 +11,12 @@ most 6 variables this stays tiny.  eval_batch evaluates any polynomial,
 term by term, on numpy arrays of element indices.
 
 MPoly is the symbolic reference (derivatives, substitution, identities).
-The scans over whole charts do not evaluate expanded term lists: they call
-FamilyInstance.evaluate, which runs the family's own equation builder on
-index arrays in its compact form (power sums, products, linear forms).
-eval_batch stays the path for derivatives on the few points a scan keeps,
-for arbitrary polynomials, and for count_naive, the counting oracle; it is
-the reference the compact evaluation is tested against.
+The scans over whole charts, count_naive among them, do not evaluate
+expanded term lists: they call FamilyInstance.evaluate, which runs the
+family's own equation builder on index arrays in its compact form (power
+sums, products, linear forms).  eval_batch stays the path for derivatives
+on the few points a scan keeps and for arbitrary polynomials; it is the
+reference the compact evaluation is tested against.
 """
 
 from __future__ import annotations
@@ -217,9 +217,12 @@ class MPoly:
         return result
 
     def __eq__(self, other):
+        # the same field (or both integral): poly_equal embeds integers
         if not isinstance(other, MPoly):
             return NotImplemented
-        return poly_equal(self, other)
+        return (self.nvars, self.field, self._terms) == (
+            other.nvars, other.field, other._terms
+        )
 
     def __hash__(self):
         return hash((self.nvars, frozenset(self._terms.items())))

@@ -25,6 +25,7 @@ import numpy as np
 from .counting import iter_projective_chunks, map_chunks
 from .errors import (
     BadCharacteristic,
+    DimensionMismatch,
     InstanceTooLarge,
     NotSingular,
     RootOfUnityUnavailable,
@@ -36,10 +37,11 @@ from .families import (
     Stratum,
     normalize_point,
     quadric_q,
+    quintic_x,
     quintic_y,
     strata_membership,
 )
-from .ffield import FieldDescriptor, FieldElement, element_roots, matrix_rank
+from .ffield import FieldDescriptor, FieldElement, element_roots, make_field, matrix_rank
 from .mvpoly import MPoly, eval_batch
 
 _P4_CAP = 41  # the node census runs up to F_41
@@ -217,8 +219,6 @@ def preimage_count(
     """
     point = normalize_point(point)
     if len(point) != m.arity:
-        from .errors import DimensionMismatch
-
         raise DimensionMismatch("point arity does not match the map")
     if (F.q - 1) % m.exponent != 0:
         raise RootOfUnityUnavailable(
@@ -342,8 +342,5 @@ def surface_evidence(
 def quadric_evidence_for_prime(p: int) -> SurfaceEvidence:
     """Convenience wrapper: evidence for the surface inside the mu = 1
     quintic over F_p (requires p = 1 mod 5)."""
-    from .families import quintic_x
-    from .ffield import make_field
-
     F = make_field(p)
     return surface_evidence(quadric_q(F), quintic_x(1, F))

@@ -409,6 +409,16 @@ def suite_hecke(
                 modularity.hecke_consistency(31, cache=cache, threads=threads),
             )
         )
+        out.append(
+            _check(
+                "Frobenius recurrence for X and Y over F_4, F_8, F_16, F_9, F_27, "
+                "F_81, F_49, F_343, F_1331",
+                all(
+                    modularity.hecke_consistency(p, k, cache=cache, threads=threads)
+                    for p, k in ((2, 4), (3, 4), (7, 3), (11, 3))
+                ),
+            )
+        )
     return out
 
 

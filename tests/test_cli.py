@@ -127,6 +127,18 @@ def test_verify_ledger_suite():
     assert run(["verify", "--suite", "ledger"]) == 0
 
 
+@pytest.mark.parametrize(
+    "args,rows",
+    [(["--suite", "hecke", "--long"], 3), (["--suite", "all"], 51)],
+    ids=["hecke-long", "all"],
+)
+def test_verify_row_counts(args, rows, capsys):
+    assert run(["verify", *args]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert sum(line.startswith("PASS") for line in lines) == rows
+    assert lines[-1] == f"{rows}/{rows} checks passed"
+
+
 def test_verify_unknown_suite_exits_2():
     assert run(["verify", "--suite", "nonsense"]) == 2
 

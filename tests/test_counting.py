@@ -18,6 +18,7 @@ from mirrorquintic.counting import (
 from mirrorquintic.errors import CacheCorrupt, InstanceTooLarge, InvariantViolated
 from mirrorquintic.families import (
     FamilyId,
+    FamilyInstance,
     MonomialMap,
     build_family,
     cubics_v,
@@ -30,8 +31,6 @@ from mirrorquintic.singular import preimage_count
 
 
 def hyperplane_instance(F):
-    from mirrorquintic.families import FamilyInstance
-
     f = MPoly.variable(5, 0, F)
     return FamilyInstance(
         FamilyId.QUINTIC_X, F, {}, PolySystem([f], homogeneous=True), 4
@@ -322,7 +321,7 @@ def test_threaded_naive_bounds_chunks_in_flight(monkeypatch):
     F = make_field(11)
     inst = quintic_y(2, F)
     expected = count_naive(inst).count
-    real_chunks, real_mask = counting.iter_projective_chunks, counting._zero_mask
+    real_chunks, real_mask = counting.iter_projective_chunks, FamilyInstance.vanishing_mask
     state = {"produced": 0, "consumed": 0, "most": 0}
     lock = threading.Lock()
 
@@ -333,15 +332,15 @@ def test_threaded_naive_bounds_chunks_in_flight(monkeypatch):
                 state["most"] = max(state["most"], state["produced"] - state["consumed"])
             yield coords
 
-    def zero_mask(instance, coords, F):
-        mask = real_mask(instance, coords, F)
+    def vanishing_mask(instance, coords):
+        mask = real_mask(instance, coords)
         time.sleep(0.002)  # consumers slower than the producer
         with lock:
             state["consumed"] += 1
         return mask
 
     monkeypatch.setattr(counting, "iter_projective_chunks", chunks)
-    monkeypatch.setattr(counting, "_zero_mask", zero_mask)
+    monkeypatch.setattr(FamilyInstance, "vanishing_mask", vanishing_mask)
     for threads in (1, 2, 3):
         state.update(produced=0, consumed=0, most=0)
         assert count_naive(inst, threads=threads).count == expected

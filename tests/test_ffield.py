@@ -198,3 +198,16 @@ def test_canonical_strings():
     assert F.element(7).canonical_str() == "7"
     G = make_field(11, 2)
     assert G.element((3, 5)).canonical_str() == "3,5"
+
+
+def test_hash_agrees_with_equality():
+    F7 = make_field(7)
+    assert F7.element(3) == F7.element(10)
+    assert hash(F7.element(3)) == hash(F7.element(10))
+    assert F7.element(3) != 3 and 3 != F7.element(3)
+    assert F7.element(0) != 0
+    assert len({F7.element(3), 3}) == 2
+    assert {F7.element(3), F7.element(10)} == {F7.element(3)}
+    assert {F7.element(3): "element"}.get(3) is None
+    # the same index in another field is another element
+    assert make_field(7, 2).element(3) != F7.element(3)

@@ -1,54 +1,49 @@
 import pytest
 
 from mirrorquintic.counting import CountTask, count_cached, count_naive
-from mirrorquintic.errors import BadReduction, UnsupportedBranch
-from mirrorquintic.families import quintic_x, quintic_y
+from mirrorquintic.errors import BadReduction
+from mirrorquintic.families import FamilyId, quintic_x, quintic_y
 from mirrorquintic.ffield import make_field
 from mirrorquintic.modularity import (
     compare_traces,
+    frobenius_trace,
     hecke_consistency,
-    trace_x,
-    trace_y,
     weil_ok,
 )
 
+X, Y = FamilyId.QUINTIC_X, FamilyId.QUINTIC_Y
+
 
 def test_trace_x_branches():
-    assert trace_x(2, 2, 16) == 8 + 4 + 4 + 1 - 16 == 1
+    assert frobenius_trace(X, 2, 16) == 8 + 4 + 4 + 1 - 16 == 1
     c = 100
-    assert trace_x(11, 1, c) == 1331 + 25 * 121 - 1100 + 1 - c == 3257 - c
-    assert trace_x(19, 4, c) == 19**3 + 19**2 + 1 - c
-    assert trace_x(4, 4, 0) == 64 + 16 + 1  # q = 2^2 is allowed on the 4-branch
+    assert frobenius_trace(X, 11, c) == 1331 + 25 * 121 - 1100 + 1 - c == 3257 - c
+    assert frobenius_trace(X, 19, c) == 19**3 + 19**2 + 1 - c
+    assert frobenius_trace(X, 4, 0) == 64 + 16 + 1  # q = 2^2 on the 4-row
 
 
 def test_trace_y_branches():
-    assert trace_y(2, 2, 16) == 17 - 16 == 1
+    assert frobenius_trace(Y, 2, 16) == 17 - 16 == 1
     c = 50
-    assert trace_y(11, 1, c) == 1331 + 121 + 1 - c == 1453 - c
-    assert trace_y(3, 3, c) == 27 + 9 + 6 + 1 - c
+    assert frobenius_trace(Y, 11, c) == 1331 + 121 + 1 - c == 1453 - c
+    assert frobenius_trace(Y, 3, c) == 27 + 9 + 6 + 1 - c
 
 
 def test_bad_reduction():
     for q in (5, 25):
-        with pytest.raises(BadReduction):
-            trace_x(q, q % 5, 1)
-        with pytest.raises(BadReduction):
-            trace_y(q, q % 5, 1)
+        for family in (X, Y):
+            with pytest.raises(BadReduction):
+                frobenius_trace(family, q, 1)
     with pytest.raises(BadReduction):
         compare_traces(5)
 
 
-def test_unsupported_branch_on_extensions():
-    # q = 8 = 2^3 is 3 mod 5: the node correction over extensions is unknown
-    with pytest.raises(UnsupportedBranch):
-        trace_x(8, 3, 1)
-    with pytest.raises(UnsupportedBranch):
-        trace_y(8, 3, 1)
-
-
-def test_residue_validation():
-    with pytest.raises(ValueError):
-        trace_x(11, 2, 1)
+def test_extension_traces_match_f8():
+    # q = 8 = 2^3 is 3 mod 5: the prime-field 2, 3-row applies over F_8 too
+    F = make_field(2, 3)
+    tx = frobenius_trace(X, 8, count_cached(CountTask(quintic_x(1, F))).count)
+    ty = frobenius_trace(Y, 8, count_cached(CountTask(quintic_y(1, F))).count)
+    assert tx == ty == -23  # t(2) = 1, t(4) = 1 - 2 * 8, t(8) = t(4) - 8 t(2)
 
 
 def test_compare_traces_p2():
@@ -87,10 +82,10 @@ def test_traces_agree_between_algorithms():
         F = make_field(p)
         nx = count_naive(quintic_x(1, F)).count
         tx = count_cached(CountTask(quintic_x(1, F), "table"))
-        assert trace_x(p, p % 5, nx) == trace_x(p, p % 5, tx.count)
+        assert frobenius_trace(X, p, nx) == frobenius_trace(X, p, tx.count)
         ny = count_naive(quintic_y(1, F)).count
         ty = count_cached(CountTask(quintic_y(1, F), "table"))
-        assert trace_y(p, p % 5, ny) == trace_y(p, p % 5, ty.count)
+        assert frobenius_trace(Y, p, ny) == frobenius_trace(Y, p, ty.count)
 
 
 def test_weil_bound_predicate():
@@ -101,8 +96,25 @@ def test_hecke_consistency_p11():
     assert hecke_consistency(11)
 
 
-def test_hecke_rejects_wrong_residues():
-    with pytest.raises(UnsupportedBranch):
-        hecke_consistency(7)
+def test_hecke_every_residue():
+    # p = 7 is 2 mod 5: F_49 is 4 mod 5 and F_343 is 3 mod 5
+    assert hecke_consistency(7)
+    assert hecke_consistency(7, 3)
     with pytest.raises(BadReduction):
         hecke_consistency(5)
+    with pytest.raises(ValueError):
+        hecke_consistency(7, 1)
+
+
+# the fields of the `verify --suite hecke --long` recurrence row
+@pytest.mark.parametrize("p,k", [(2, 4), (3, 4), (7, 3), (11, 3)])
+def test_frobenius_recurrence(p, k):
+    assert hecke_consistency(p, k)
+
+
+def test_recurrence_needs_mu_1():
+    # at mu = 3 over F_7 (3^5 != 1) the piece is not two-dimensional
+    for family, build in ((X, quintic_x), (Y, quintic_y)):
+        counts = [count_cached(CountTask(build(3, make_field(7, k)))).count for k in (1, 2)]
+        t1, t2 = (frobenius_trace(family, 7**k, n) for k, n in zip((1, 2), counts))
+        assert t2 != t1 * t1 - 2 * 7**3

@@ -213,3 +213,16 @@ def test_mixed_domain_promotes():
     xi = vars_over(2)  # integer coefficients
     xf = vars_over(2, F)
     assert poly_equal(xi[0].scale(8), xf[0])  # 8 = 1 mod 7 after promotion
+
+
+def test_hash_agrees_with_equality():
+    F = make_field(7)
+    xi = vars_over(2)
+    xf = vars_over(2, F)
+    assert xi[0].scale(8) != xf[0]  # equal only under the embedding
+    assert poly_equal(xi[0].scale(8), xf[0])
+    assert xf[0].scale(8) == xf[0] and hash(xf[0].scale(8)) == hash(xf[0])
+    assert (xi[0] + xi[1]) == (xi[1] + xi[0])
+    assert hash(xi[0] + xi[1]) == hash(xi[1] + xi[0])
+    assert len({xi[0], xf[0]}) == 2
+    assert xf[0] != vars_over(2, make_field(11))[0]
