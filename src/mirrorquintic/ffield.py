@@ -8,7 +8,8 @@ overloads; bulk work goes through the vectorized index operations on
 FieldDescriptor (numpy int64 arrays of indices), so hot loops run on flat
 tables instead of per-element objects or hash lookups.  FieldArray gives
 such an index array the arithmetic operators, so that polynomial
-expressions written for MPoly also evaluate on arrays.
+expressions written for MPoly also evaluate on arrays; Jet carries the
+first partial derivatives along with the values (forward mode).
 
 Extension moduli are chosen deterministically: the first monic irreducible
 polynomial of degree k in lexicographic order of the coefficient tuple
@@ -484,6 +485,72 @@ class FieldArray:
         if ci == 1:
             return self
         return FieldArray(F.vmul(np.int64(ci), self.a), F)
+
+
+class Jet:
+    """A FieldArray value with its first partial derivatives: forward-mode
+    differentiation through the same +, -, *, ** and scale.
+
+    Run through an equation builder, Jet.variables gives each equation's
+    value and gradient on index arrays, in the compact form the builder
+    writes, without expanding a term list.  A partial known to vanish is
+    None.
+    """
+
+    __slots__ = ("val", "d")
+
+    def __init__(self, val: FieldArray, d: tuple):
+        self.val = val
+        self.d = d
+
+    @classmethod
+    def variables(cls, coords, field: FieldDescriptor) -> list["Jet"]:
+        """The coordinate functions x_i on index arrays, with dx_i/dx_j = [i == j]."""
+        one = FieldArray(np.ones(np.shape(coords[0]), dtype=np.int64), field)
+        n = len(coords)
+        return [
+            cls(
+                FieldArray(np.asarray(c, dtype=np.int64), field),
+                tuple(one if j == i else None for j in range(n)),
+            )
+            for i, c in enumerate(coords)
+        ]
+
+    def __add__(self, other: "Jet") -> "Jet":
+        d = tuple(
+            b if a is None else a if b is None else a + b
+            for a, b in zip(self.d, other.d)
+        )
+        return Jet(self.val + other.val, d)
+
+    def __sub__(self, other: "Jet") -> "Jet":
+        d = tuple(
+            a if b is None else b.scale(-1) if a is None else a - b
+            for a, b in zip(self.d, other.d)
+        )
+        return Jet(self.val - other.val, d)
+
+    def __mul__(self, other: "Jet") -> "Jet":
+        # d(uv) = v du + u dv
+        d = []
+        for a, b in zip(self.d, other.d):
+            left = None if a is None else a * other.val
+            right = None if b is None else self.val * b
+            d.append(right if left is None else left if right is None else left + right)
+        return Jet(self.val * other.val, tuple(d))
+
+    def __pow__(self, e: int) -> "Jet":
+        # d(u^e) = e u^(e-1) du
+        if e == 0:
+            return Jet(self.val**0, (None,) * len(self.d))
+        factor = (self.val ** (e - 1)).scale(e)
+        d = tuple(None if a is None else factor * a for a in self.d)
+        return Jet(self.val**e, d)
+
+    def scale(self, c) -> "Jet":
+        """Multiply by a scalar (int or FieldElement)."""
+        d = tuple(None if a is None else a.scale(c) for a in self.d)
+        return Jet(self.val.scale(c), d)
 
 
 def matrix_rank(rows) -> int:

@@ -14,9 +14,10 @@ MPoly is the symbolic reference (derivatives, substitution, identities).
 The scans over whole charts, count_naive among them, do not evaluate
 expanded term lists: they call FamilyInstance.evaluate, which runs the
 family's own equation builder on index arrays in its compact form (power
-sums, products, linear forms).  eval_batch stays the path for derivatives
-on the few points a scan keeps and for arbitrary polynomials; it is the
-reference the compact evaluation is tested against.
+sums, products, linear forms), and the singular scans get their Jacobians
+from the same builder run on jets (ffield.Jet).  eval_batch stays the path
+for arbitrary polynomials and instances without a builder; it is the
+reference the compact evaluation and the jets are tested against.
 """
 
 from __future__ import annotations

@@ -4,20 +4,30 @@ surface evidence.
 Singularity is detected set-theoretically over F_q by the Jacobian
 criterion: a point is singular when the defining equations vanish and the
 Jacobian matrix has rank below the codimension (zero gradient for
-hypersurfaces, all 2x2 minors zero for the codimension-2 pairs).  Nodes
-are recognized by a full-rank Hessian in the affine chart of the first
-nonzero coordinate; the criterion needs characteristic at least 7 and is
-refused below that.
+hypersurfaces, all 2x2 minors zero for the codimension-2 pairs).  The
+scans evaluate the equations and, on the points where they vanish, the
+Jacobian through the instance's own builder: the builder run on
+forward-mode jets (ffield.Jet) gives the first partials in the compact
+form it writes the equations in.  An instance without a builder falls
+back to eval_batch of the expanded partials.  Nodes are recognized by a
+full-rank Hessian in the affine chart of the first nonzero coordinate,
+from memoized symbolic second partials; the criterion needs
+characteristic at least 7 and is refused below that.
 
 Containment statements about the quadric surface are certified by
 exhaustive finite-field enumeration over several primes, which is strong
 evidence but not a symbolic proof; the report type is named accordingly.
+Every point of the surface lies on its hyperplane
+x0 + xi x1 + ... + xi^4 x4 = 0, whose x0 coefficient is 1, so the scan
+runs over (x1 : ... : x4) in P^3 and solves for x0 instead of scanning
+P^4.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -26,6 +36,7 @@ from .counting import iter_projective_chunks, map_chunks
 from .errors import (
     BadCharacteristic,
     DimensionMismatch,
+    FieldMismatch,
     InstanceTooLarge,
     NotSingular,
     RootOfUnityUnavailable,
@@ -41,7 +52,14 @@ from .families import (
     quintic_y,
     strata_membership,
 )
-from .ffield import FieldDescriptor, FieldElement, element_roots, make_field, matrix_rank
+from .ffield import (
+    FieldDescriptor,
+    FieldElement,
+    Jet,
+    element_roots,
+    make_field,
+    matrix_rank,
+)
 from .mvpoly import MPoly, eval_batch
 
 _P4_CAP = 41  # the node census runs up to F_41
@@ -116,12 +134,32 @@ def _second_partials(f: MPoly) -> tuple[tuple[MPoly, ...], ...]:
     return tuple(tuple(d.derivative(v) for v in range(f.nvars)) for d in _partials(f))
 
 
-def _full_rank(partials, sub, F: FieldDescriptor) -> np.ndarray:
+def _jacobian(instance: FamilyInstance, coords) -> list[list[np.ndarray]]:
+    """The first partials of each equation of the instance on index arrays:
+    row i lists d f_i / d x_j for every j.
+
+    A built family runs its builder on jets; an instance without a builder
+    evaluates the expanded partials with eval_batch.
+    """
+    F = instance.field
+    if instance.equations is None:
+        return [
+            [eval_batch(d, coords, F) for d in _partials(f)]
+            for f in instance.system.to_field(F).polys
+        ]
+    zero = np.zeros(np.shape(coords[0]), dtype=np.int64)
+    return [
+        [zero if d is None else d.a for d in eq.d]
+        for eq in instance.equations(Jet.variables(coords, F))
+    ]
+
+
+def _full_rank(instance: FamilyInstance, sub) -> np.ndarray:
     """Mask of the points of sub at which the Jacobian of a system of one or
     two equations has full rank: some first partial (one equation) or some
-    2x2 minor (two equations) is nonzero.  partials[i] lists the first
-    partials of equation i."""
-    jac = [[eval_batch(d, sub, F) for d in row] for row in partials]
+    2x2 minor (two equations) is nonzero."""
+    F = instance.field
+    jac = _jacobian(instance, sub)
     mask = np.zeros(sub[0].shape, dtype=bool)
     if len(jac) == 1:
         for d in jac[0]:
@@ -144,14 +182,13 @@ def singular_points(instance: FamilyInstance, threads: int = 1) -> SingularRepor
     cap = _P4_CAP if dim == 4 else _P5_CAP
     if F.q > cap:
         raise InstanceTooLarge(f"singular scan capped at q <= {cap} for P^{dim}")
-    partials = [_partials(f) for f in instance.system.to_field(F).polys]
 
     def on_chunk(coords) -> list[tuple[FieldElement, ...]]:
         mask = instance.vanishing_mask(coords)
         if not mask.any():
             return []
         sub = [c[mask] for c in coords]
-        singular = ~_full_rank(partials, sub, F)
+        singular = ~_full_rank(instance, sub)
         return [
             tuple(F.from_index(int(c[col])) for c in sub)
             for col in np.nonzero(singular)[0]
@@ -208,11 +245,16 @@ def preimage_count(
     within: FamilyInstance | None = None,
     strata_instance: FamilyInstance | None = None,
 ) -> FiberReport:
-    """Fiber of the coordinate-power map over a point, by enumerating e-th
-    roots coordinate-wise and deduplicating under scalar identification.
+    """Fiber of the coordinate-power map over a point, as the product of the
+    coordinate-wise e-th roots.
 
-    The count is the full fiber in projective space; when ``within`` is
-    given the fiber points lying on that instance are counted as well.
+    Scaled so that its pivot coordinate (the first nonzero one of the
+    normalized point) is 1, a fiber point has zeros before the pivot and
+    any e-th root of the point's coordinate after it; so the product of
+    the root lists lists every fiber point exactly once.  The count is the
+    full fiber in projective space; when ``within`` is given the fiber
+    points lying on that instance are counted as well, by one
+    vanishing_mask call on their index arrays.
     The predicted geometric count is e^(m-1) with m the number of nonzero
     coordinates; the rational count attains it exactly when every nonzero
     coordinate ratio is an e-th power in F_q.
@@ -226,25 +268,22 @@ def preimage_count(
         )
     e = m.exponent
     pivot = next(i for i, x in enumerate(point) if x)
-    root_lists = []
-    for i, y in enumerate(point):
-        if i == pivot:
-            root_lists.append([F.one])
-        elif not y:
-            root_lists.append([F.zero])
-        else:
-            root_lists.append(element_roots(F, y, e))
-    fiber = set()
-    if all(root_lists):
-        for combo in itertools.product(*root_lists):
-            fiber.add(normalize_point(combo))
+    roots = [
+        [1] if i == pivot else [u.index for u in element_roots(F, y, e)]
+        for i, y in enumerate(point)
+    ]
+    count = math.prod(len(r) for r in roots)
     nonzero = sum(1 for x in point if x)
     predicted = e ** (nonzero - 1)
     count_within = None
     within_family = None
     if within is not None:
-        system = within.system.to_field(F)
-        count_within = sum(1 for pt in fiber if system.vanishes_at(pt))
+        if within.field != F:
+            raise FieldMismatch(f"{within!r} is not over {F!r}")
+        count_within = 0
+        if count:
+            grids = np.meshgrid(*(np.array(r) for r in roots), indexing="ij")
+            count_within = int(within.vanishing_mask([g.ravel() for g in grids]).sum())
         within_family = within.id.value
     stratum = None
     src = strata_instance or (
@@ -252,7 +291,7 @@ def preimage_count(
     )
     if src is not None:
         stratum = strata_membership(point, src)
-    return FiberReport(point, stratum, len(fiber), predicted, count_within, within_family)
+    return FiberReport(point, stratum, count, predicted, count_within, within_family)
 
 
 def fiber_size_table(m: MonomialMap, F: FieldDescriptor) -> np.ndarray:
@@ -264,10 +303,8 @@ def fiber_size_table(m: MonomialMap, F: FieldDescriptor) -> np.ndarray:
     """
     e = m.exponent
     dim = m.arity - 1
-    # roots_count[v] = number of solutions of u^e = v
-    counts = np.zeros(F.q, dtype=np.int64)
-    for v in range(F.q):
-        counts[v] = len(element_roots(F, F.from_index(v), e)) if v else 1
+    # counts[v] = number of solutions of u^e = v (1 at v = 0)
+    counts = np.bincount(F.power_table(e), minlength=F.q)
     out = []
     for coords in iter_projective_chunks(F, dim):
         sizes = np.ones(coords[0].shape, dtype=np.int64)
@@ -282,6 +319,34 @@ def fiber_size_table(m: MonomialMap, F: FieldDescriptor) -> np.ndarray:
     return np.concatenate(out)
 
 
+def _surface_chunks(surface: FamilyInstance):
+    """The F_q-points of the quadric surface as index arrays, chunk by chunk.
+
+    (x1 : ... : x4) runs over P^3 and x0 = -(xi x1 + ... + xi^4 x4) puts it
+    on the hyperplane; the x0 coefficient is 1, so this is a bijection onto
+    the hyperplane and every surface point comes exactly once.  The
+    representatives are not normalized.
+    """
+    F = surface.field
+    xi = surface.params["xi5"]
+    weights = [np.int64((xi**e).index) for e in range(1, 5)]
+    for coords in iter_projective_chunks(F, 3):
+        lin = np.zeros(coords[0].shape, dtype=np.int64)
+        for w, c in zip(weights, coords):
+            lin = F.vadd(lin, F.vmul(w, c))
+        pts = [F.vneg(lin), *coords]
+        mask = surface.vanishing_mask(pts)
+        if mask.any():
+            yield [c[mask] for c in pts]
+
+
+def _chart_key(point) -> tuple:
+    """Sort key of a normalized point in the order of iter_projective_chunks:
+    the chart (position of the first nonzero coordinate), then the indices."""
+    idx = tuple(x.index for x in point)
+    return (next(i for i, v in enumerate(idx) if v), idx)
+
+
 def surface_evidence(
     surface: FamilyInstance, target: FamilyInstance
 ) -> SurfaceEvidence:
@@ -291,33 +356,29 @@ def surface_evidence(
     the surface satisfies the target quintic, that the surface's Jacobian
     has full rank 2 at each of its points, and that the coordinate-power
     images of surface points land on the mirror quintic while avoiding its
-    singular lines and triple points.
+    singular lines and triple points.  The points come from the surface's
+    hyperplane (_surface_chunks); the witnesses are normalized and listed
+    in chart order.
     """
     F = surface.field
     if surface.id is not FamilyId.QUADRIC_Q:
         raise ValueError("evidence is defined for the QuadricQ surface")
-    system = surface.system.to_field(F)
-    partials = [_partials(g) for g in system.polys]
 
     mirror = quintic_y(target.params["mu"], F)
     fifth = F.power_table(5)
 
     ones = (F.one,) * 5
-    special_on_surface = system.vanishes_at(ones)
+    special_on_surface = surface.system.to_field(F).vanishes_at(ones)
 
     n_points = 0
     contained = True
     full_rank = True
     on_mirror = True
     witnesses = []
-    for coords in iter_projective_chunks(F, 4):
-        mask = surface.vanishing_mask(coords)
-        if not mask.any():
-            continue
-        sub = [c[mask] for c in coords]
-        n_points += int(mask.sum())
+    for sub in _surface_chunks(surface):
+        n_points += sub[0].shape[0]
         contained &= bool(target.vanishing_mask(sub).all())
-        full_rank &= bool(_full_rank(partials, sub, F).all())
+        full_rank &= bool(_full_rank(surface, sub).all())
         imgs = [fifth[c] for c in sub]
         on_mirror &= bool(mirror.vanishing_mask(imgs).all())
         zeros = sum((c == 0).astype(np.int64) for c in imgs)
@@ -326,7 +387,10 @@ def surface_evidence(
             total = F.vadd(total, c)
         on_a_or_b = (zeros >= 2) & (total == 0)
         for col in np.nonzero(on_a_or_b)[0]:
-            witnesses.append(tuple(F.from_index(int(c[col])) for c in sub))
+            witnesses.append(
+                normalize_point(F.from_index(int(c[col])) for c in sub)
+            )
+    witnesses.sort(key=_chart_key)
     return SurfaceEvidence(
         F.q,
         n_points,

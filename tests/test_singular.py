@@ -1,6 +1,8 @@
+import numpy as np
 import pytest
 
-from mirrorquintic.counting import projective_size
+from mirrorquintic import families
+from mirrorquintic.counting import iter_projective_chunks, projective_size
 from mirrorquintic.errors import (
     BadCharacteristic,
     InstanceTooLarge,
@@ -8,15 +10,27 @@ from mirrorquintic.errors import (
     RootOfUnityUnavailable,
 )
 from mirrorquintic.families import (
+    FamilyInstance,
     MonomialMap,
     Stratum,
     apply_map,
+    cubics_v,
+    cubics_w,
+    cubics_wtilde,
+    new_coordinates_w,
+    normalize_point,
+    quadric_q,
     quintic_x,
     quintic_y,
     sample_points,
 )
 from mirrorquintic.ffield import make_field
+from mirrorquintic.mvpoly import eval_batch
 from mirrorquintic.singular import (
+    _chart_key,
+    _jacobian,
+    _partials,
+    _surface_chunks,
     classify_node,
     fiber_size_table,
     preimage_count,
@@ -200,3 +214,122 @@ def test_surface_evidence_f31_witnesses():
 def test_surface_evidence_requires_quadric():
     with pytest.raises(ValueError):
         surface_evidence(quintic_x(1, F11), quintic_x(1, F11))
+
+
+# -- the jet Jacobian against the expanded partials ----------------------------
+
+# F_125: characteristic 5, where every (5 mu) and 5 x^4 factor vanishes
+_JET_FIELDS = [(7, 1), (11, 1), (31, 1), (2, 2), (3, 2), (11, 2), (5, 3)]
+
+
+def _jet_instances(F):
+    # every builder family, with an integer parameter (the template path) and
+    # a FieldElement outside the prime subfield when F is an extension
+    elem = F.from_index(F.q - 1)
+    params = [2, elem] if F.element(2) else [elem]
+    for param in params:
+        for ctor in (quintic_x, quintic_y, cubics_v, cubics_w, cubics_wtilde):
+            yield ctor(param, F)
+        if (F.q - 1) % 3 == 0:
+            yield new_coordinates_w(param, F)
+    if (F.q - 1) % 5 == 0:
+        yield quadric_q(F)
+
+
+def _expanded_jacobian(inst, coords):
+    return [[eval_batch(d, coords, inst.field) for d in _partials(f)] for f in inst.system.polys]
+
+
+@pytest.mark.parametrize("p,k", _JET_FIELDS)
+def test_jet_jacobian_equals_expanded_partials(p, k):
+    F = make_field(p, k)
+    rng = np.random.default_rng(1000 * p + k)
+    for inst in _jet_instances(F):
+        coords = list(rng.integers(0, F.q, size=(inst.nvars, 400)))
+        coords[0][:50] = 0  # points with a zero coordinate
+        got = _jacobian(inst, coords)
+        want = _expanded_jacobian(inst, coords)
+        assert len(got) == len(want)
+        for grow, wrow in zip(got, want):
+            assert len(grow) == len(wrow) == inst.nvars
+            for g, w in zip(grow, wrow):
+                assert g.dtype == np.int64 and np.array_equal(g, w)
+
+
+def test_jet_fields_cover_every_builder():
+    builders = {b for _, _, b in families._FAMILIES.values() if b is not None}
+    builders.add(families._cubics_nu_form_polys)
+    covered = {
+        inst.equations.func
+        for p, k in _JET_FIELDS
+        for inst in _jet_instances(make_field(p, k))
+    }
+    assert covered == builders
+
+
+def test_jacobian_without_builder_uses_expanded_partials():
+    inst = quintic_y(2, F11)
+    bare = FamilyInstance(inst.id, F11, inst.params, inst.system, inst.ambient_dim)
+    coords = list(np.random.default_rng(3).integers(0, 11, size=(5, 200)))
+    got = _jacobian(bare, coords)
+    for grow, wrow in zip(got, _jacobian(inst, coords)):
+        for g, w in zip(grow, wrow):
+            assert np.array_equal(g, w)
+
+
+# -- the hyperplane scan of the quadric surface against a full P^4 scan ---------
+
+
+def _full_scan_evidence(surface, target):
+    """The quadric evidence from a scan of all of P^4, with the Jacobian from
+    the expanded partials: the reference for the hyperplane scan."""
+    F = surface.field
+    mirror = quintic_y(target.params["mu"], F)
+    fifth = F.power_table(5)
+    points = set()
+    contained = full_rank = on_mirror = True
+    witnesses = []
+    for coords in iter_projective_chunks(F, 4):
+        mask = surface.vanishing_mask(coords)
+        sub = [c[mask] for c in coords]
+        points |= {tuple(int(c[i]) for c in sub) for i in range(sub[0].shape[0])}
+        contained &= bool(target.vanishing_mask(sub).all())
+        (a, b) = _expanded_jacobian(surface, sub)
+        rank2 = np.zeros(sub[0].shape, dtype=bool)
+        for i in range(5):
+            for j in range(i + 1, 5):
+                rank2 |= F.vsub(F.vmul(a[i], b[j]), F.vmul(a[j], b[i])) != 0
+        full_rank &= bool(rank2.all())
+        imgs = [fifth[c] for c in sub]
+        on_mirror &= bool(mirror.vanishing_mask(imgs).all())
+        zeros = sum((c == 0).astype(np.int64) for c in imgs)
+        total = imgs[0]
+        for c in imgs[1:]:
+            total = F.vadd(total, c)
+        for col in np.nonzero((zeros >= 2) & (total == 0))[0]:
+            witnesses.append(tuple(F.from_index(int(c[col])) for c in sub))
+    return points, contained, full_rank, on_mirror, witnesses
+
+
+@pytest.mark.parametrize("p", [11, 31])
+def test_hyperplane_scan_equals_full_scan(p):
+    F = make_field(p)
+    surface, target = quadric_q(F), quintic_x(1, F)
+    points, contained, full_rank, on_mirror, witnesses = _full_scan_evidence(
+        surface, target
+    )
+    hyper = set()
+    for sub in _surface_chunks(surface):
+        for i in range(sub[0].shape[0]):
+            pt = normalize_point(F.from_index(int(c[i])) for c in sub)
+            hyper.add(tuple(x.index for x in pt))
+    assert hyper == points
+    ev = surface_evidence(surface, target)
+    assert ev.surface_points == len(points)
+    assert ev.contained_in_target == contained
+    assert ev.jacobian_full_rank == full_rank
+    assert ev.images_on_mirror == on_mirror
+    assert ev.images_avoid_singular_lines == (not witnesses)
+    assert ev.line_witnesses == witnesses
+    assert witnesses == sorted(witnesses, key=_chart_key)
+    assert ev.special_point_on_surface
