@@ -1,10 +1,11 @@
 """Exact point counting over F_q: generic enumerator, fast table paths, cache.
 
 count_naive enumerates normalized projective representatives chart by chart
-(leading coordinate 1, earlier coordinates 0) and evaluates the defining
-system on numpy index arrays through FamilyInstance.vanishing_mask, in the
-compact form the family's builder writes.  It is the oracle every fast path
-is tested against; the table paths below use no builder.
+(leading coordinate 1, earlier coordinates 0) in broadcastable grid blocks
+(iter_projective_chunks) and evaluates the defining system on them through
+FamilyInstance.vanishing_mask, in the compact form the family's builder
+writes.  It is the oracle every fast path is tested against; the table
+paths below use no builder.
 
 count_x_table and count_y_table share one engine.  Both quintics are
 
@@ -54,6 +55,7 @@ from __future__ import annotations
 import collections
 import dataclasses
 import fcntl
+import itertools
 import json
 import math
 import os
@@ -139,30 +141,37 @@ def projective_size(q: int, dim: int) -> int:
 
 
 def iter_projective_chunks(F: FieldDescriptor, dim: int, chunk: int = _CHUNK):
-    """Stream normalized representatives of P^dim(F_q) as index arrays.
+    """Stream normalized representatives of P^dim(F_q) as broadcastable grid
+    blocks: one index array (or scalar) per coordinate.
 
     Chart i fixes x_0 .. x_{i-1} = 0, x_i = 1 and lets the remaining
-    coordinates run over all of F_q; the union over charts is exactly one
-    representative per point, in a deterministic order.
+    coordinates run over all of F_q.  In a block the trailing free
+    coordinates are orthogonal arange(q) axes, coordinate j of shape
+    (1, ..., q, ..., 1), and the leading free ones are scalars: as many as
+    keep the block to at most chunk points.  The builders broadcast, so a
+    power of x_j is a lookup on q values and only the last operations of
+    an equation run over the whole block.  Broadcast together and raveled
+    in C order, the blocks list exactly one representative per point,
+    chart by chart, each chart in the order of its free coordinates read
+    as base-q digits.  The axes are shared by the blocks and read-only.
     """
     q = F.q
     nv = dim + 1
+    max_axes = 0
+    while max_axes < dim and q ** (max_axes + 1) <= chunk:
+        max_axes += 1
+    axis = np.arange(q, dtype=np.int64)
+    axis.flags.writeable = False
     for i in range(nv):
         free = nv - 1 - i
-        size = q**free
-        for start in range(0, size, chunk):
-            stop = min(start + chunk, size)
-            ar = np.arange(start, stop, dtype=np.int64)
-            coords: list[np.ndarray] = []
-            for j in range(nv):
-                if j < i:
-                    coords.append(np.zeros(stop - start, dtype=np.int64))
-                elif j == i:
-                    coords.append(np.ones(stop - start, dtype=np.int64))
-                else:
-                    shift = q ** (nv - 1 - j)
-                    coords.append((ar // shift) % q)
-            yield coords
+        n_axes = min(free, max_axes)
+        axes = [
+            axis.reshape((1,) * a + (q,) + (1,) * (n_axes - 1 - a))
+            for a in range(n_axes)
+        ]
+        head = [np.int64(0)] * i + [np.int64(1)]
+        for lead in itertools.product(range(q), repeat=free - n_axes):
+            yield head + [np.int64(v) for v in lead] + axes
 
 
 def map_chunks(fn, chunks, threads: int = 1):

@@ -123,7 +123,8 @@ class FamilyInstance:
         return param_string(self.params)
 
     def evaluate(self, coords) -> list[np.ndarray]:
-        """Values of the defining equations on index arrays, one per coordinate.
+        """Values of the defining equations on index arrays, one per
+        coordinate; the arrays may be any shapes that broadcast together.
 
         Equal to eval_batch of each polynomial of the system; a built family
         evaluates its equations in the compact form its builder writes.
@@ -139,12 +140,14 @@ class FamilyInstance:
         return [v.a for v in self.equations(x)]
 
     def vanishing_mask(self, coords) -> np.ndarray:
-        """Boolean mask of the coordinate tuples on which every equation vanishes."""
+        """Boolean mask of the coordinate tuples on which every equation
+        vanishes, in the broadcast shape of the coordinate arrays."""
         values = self.evaluate(coords)
         mask = values[0] == 0
         for v in values[1:]:
-            mask &= v == 0
-        return mask
+            mask = mask & (v == 0)  # an equation may miss some block axes
+        shape = np.broadcast_shapes(*(np.shape(c) for c in coords))
+        return mask if np.shape(mask) == shape else np.broadcast_to(mask, shape)
 
     def __repr__(self):
         ps = self.param_string()

@@ -5,14 +5,16 @@ Singularity is detected set-theoretically over F_q by the Jacobian
 criterion: a point is singular when the defining equations vanish and the
 Jacobian matrix has rank below the codimension (zero gradient for
 hypersurfaces, all 2x2 minors zero for the codimension-2 pairs).  The
-scans evaluate the equations and, on the points where they vanish, the
-Jacobian through the instance's own builder: the builder run on
-forward-mode jets (ffield.Jet) gives the first partials in the compact
-form it writes the equations in.  An instance without a builder falls
-back to eval_batch of the expanded partials.  Nodes are recognized by a
-full-rank Hessian in the affine chart of the first nonzero coordinate,
-from memoized symbolic second partials; the criterion needs
-characteristic at least 7 and is refused below that.
+scans walk P^n in broadcastable grid blocks (counting.iter_projective_chunks)
+and evaluate the equations on each whole block through the instance's own
+builder; the points where they vanish are taken out of the broadcast
+coordinates, and only there is the Jacobian evaluated, by the same builder
+run on forward-mode jets (ffield.Jet), which gives the first partials in
+the compact form it writes the equations in.  An instance without a
+builder falls back to eval_batch of the expanded partials.  Nodes are
+recognized by a full-rank Hessian in the affine chart of the first
+nonzero coordinate, from memoized symbolic second partials; the criterion
+needs characteristic at least 7 and is refused below that.
 
 Containment statements about the quadric surface are certified by
 exhaustive finite-field enumeration over several primes, which is strong
@@ -32,7 +34,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .counting import iter_projective_chunks, map_chunks
+from .counting import iter_projective_chunks, map_chunks, projective_size
 from .errors import (
     BadCharacteristic,
     DimensionMismatch,
@@ -181,13 +183,16 @@ def singular_points(instance: FamilyInstance, threads: int = 1) -> SingularRepor
     dim = instance.ambient_dim
     cap = _P4_CAP if dim == 4 else _P5_CAP
     if F.q > cap:
-        raise InstanceTooLarge(f"singular scan capped at q <= {cap} for P^{dim}")
+        raise InstanceTooLarge(
+            f"singular scan capped at q <= {cap} for P^{dim}: over F_{F.q} it "
+            f"would scan {projective_size(F.q, dim)} points"
+        )
 
     def on_chunk(coords) -> list[tuple[FieldElement, ...]]:
         mask = instance.vanishing_mask(coords)
         if not mask.any():
             return []
-        sub = [c[mask] for c in coords]
+        sub = [np.broadcast_to(c, mask.shape)[mask] for c in coords]
         singular = ~_full_rank(instance, sub)
         return [
             tuple(F.from_index(int(c[col])) for c in sub)
@@ -307,15 +312,14 @@ def fiber_size_table(m: MonomialMap, F: FieldDescriptor) -> np.ndarray:
     counts = np.bincount(F.power_table(e), minlength=F.q)
     out = []
     for coords in iter_projective_chunks(F, dim):
-        sizes = np.ones(coords[0].shape, dtype=np.int64)
-        seen_pivot = np.zeros(coords[0].shape, dtype=bool)
+        sizes = np.int64(1)
+        seen_pivot = np.False_
         for c in coords:
+            # a nonzero coordinate after the pivot has counts[c] roots
             nz = c != 0
-            is_pivot = nz & ~seen_pivot
-            seen_pivot |= nz
-            take = np.where(nz & ~is_pivot, counts[c], 1)
-            sizes *= take
-        out.append(sizes)
+            sizes = sizes * np.where(nz & seen_pivot, counts[c], 1)
+            seen_pivot = seen_pivot | nz
+        out.append(np.broadcast_to(sizes, np.broadcast(*coords).shape).ravel())
     return np.concatenate(out)
 
 
@@ -331,13 +335,13 @@ def _surface_chunks(surface: FamilyInstance):
     xi = surface.params["xi5"]
     weights = [np.int64((xi**e).index) for e in range(1, 5)]
     for coords in iter_projective_chunks(F, 3):
-        lin = np.zeros(coords[0].shape, dtype=np.int64)
+        lin = np.int64(0)
         for w, c in zip(weights, coords):
             lin = F.vadd(lin, F.vmul(w, c))
         pts = [F.vneg(lin), *coords]
         mask = surface.vanishing_mask(pts)
         if mask.any():
-            yield [c[mask] for c in pts]
+            yield [np.broadcast_to(c, mask.shape)[mask] for c in pts]
 
 
 def _chart_key(point) -> tuple:

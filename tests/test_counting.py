@@ -2,8 +2,10 @@ import itertools
 import json
 import random
 
+import numpy as np
 import pytest
 
+from mirrorquintic import counting, singular
 from mirrorquintic.counting import (
     TABLE_CAP,
     CountRecord,
@@ -22,6 +24,7 @@ from mirrorquintic.families import (
     MonomialMap,
     build_family,
     cubics_v,
+    cubics_wtilde,
     quintic_x,
     quintic_y,
 )
@@ -170,8 +173,6 @@ def test_table_cap_is_the_error_bound():
 
 @pytest.mark.parametrize("offset,ok", [(0.2, True), (0.3, False)])
 def test_rounding_residual_raises(monkeypatch, offset, ok):
-    import numpy as np
-
     irfftn = np.fft.irfftn
     monkeypatch.setattr(np.fft, "irfftn", lambda *a, **kw: irfftn(*a, **kw) + offset)
     if ok:  # within the 1/4 margin the rounding still recovers the count
@@ -184,19 +185,14 @@ def test_rounding_residual_raises(monkeypatch, offset, ok):
 @pytest.mark.parametrize("q,mu", [(11, 1), (31, 2)])
 def test_fiber_sum_identity(q, mu):
     # sum over mirror points of the on-quintic fiber equals the quintic count
-    import numpy as np
-
-    from mirrorquintic.counting import iter_projective_chunks
-    from mirrorquintic.mvpoly import eval_batch
-
     F = make_field(q)
     X = quintic_x(mu, F)
     Y = quintic_y(mu, F)
-    fy = Y.system.polys[0]
     phi = MonomialMap(5, 5)
     total = 0
-    for coords in iter_projective_chunks(F, 4):
-        mask = eval_batch(fy, coords, F) == 0
+    for block in counting.iter_projective_chunks(F, 4):
+        mask = Y.vanishing_mask(block).ravel()
+        coords = [c.ravel() for c in np.broadcast_arrays(*block)]
         for col in np.nonzero(mask)[0]:
             pt = tuple(F.from_index(int(c[col])) for c in coords)
             total += preimage_count(phi, pt, F, within=X).count_within
@@ -208,6 +204,78 @@ def test_v_template_consistency_count():
     direct = count_naive(cubics_v(1, F7)).count
     templ = count_naive(build_family(FamilyId.CUBICS_V, {"lam": 1}, F7)).count
     assert direct == templ
+
+
+# -- grid-block enumeration ------------------------------------------------
+
+
+def _flat_chart_order(q, dim):
+    """Normalized representatives of P^dim(F_q), chart by chart (x_i = 1 after
+    i zeros), each chart in itertools.product order of its free coordinates."""
+    return np.array(
+        [
+            (0,) * i + (1,) + free
+            for i in range(dim + 1)
+            for free in itertools.product(range(q), repeat=dim - i)
+        ],
+        dtype=np.int64,
+    )
+
+
+@pytest.mark.parametrize(
+    "p,k,dim", [(7, 1, 3), (11, 1, 3), (2, 2, 4), (3, 2, 4), (5, 1, 5), (2, 2, 5)]
+)
+@pytest.mark.parametrize(
+    "chunk_for",
+    [lambda q: 1, lambda q: q - 1, lambda q: q**2 + q, lambda q: counting._CHUNK],
+    ids=["one", "below_q", "q2_to_q3", "default"],
+)
+def test_grid_blocks_ravel_to_flat_chart_order(p, k, dim, chunk_for):
+    F = make_field(p, k)
+    chunk = chunk_for(F.q)
+    blocks = list(counting.iter_projective_chunks(F, dim, chunk=chunk))
+    assert all(np.broadcast(*b).size <= max(chunk, 1) for b in blocks)
+    got = np.concatenate(
+        [np.stack([c.ravel() for c in np.broadcast_arrays(*b)], axis=1) for b in blocks]
+    )
+    assert np.array_equal(got, _flat_chart_order(F.q, dim))
+
+
+@pytest.fixture(scope="module")
+def flat_scans():
+    """count_naive's reference counts from one flat mask over every point,
+    and the default singular scans with one thread."""
+    F3, F4, F7 = make_field(3), make_field(2, 2), make_field(7)
+    instances = [
+        quintic_x(1, F4),
+        quintic_y(1, F7),
+        cubics_v(1, F3),
+        cubics_wtilde(1, F4),  # its first equation misses x1 and x2
+    ]
+    out = []
+    for inst in instances:
+        flat = _flat_chart_order(inst.field.q, inst.ambient_dim)
+        n = int(inst.vanishing_mask(list(flat.T)).sum())
+        out.append((inst, n, singular.singular_points(inst)))
+    return out
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 500, None])
+@pytest.mark.parametrize("threads", [1, 2])
+def test_scans_do_not_depend_on_block_size(monkeypatch, flat_scans, chunk, threads):
+    if chunk is not None:
+        real = counting.iter_projective_chunks
+
+        def chunks(F, dim):
+            return real(F, dim, chunk=chunk)
+
+        monkeypatch.setattr(counting, "iter_projective_chunks", chunks)
+        monkeypatch.setattr(singular, "iter_projective_chunks", chunks)
+    for inst, n, rep in flat_scans:
+        assert count_naive(inst, threads=threads).count == n
+        got = singular.singular_points(inst, threads=threads)
+        assert got.points == rep.points
+        assert got.strata_counts == rep.strata_counts
 
 
 # -- cache -------------------------------------------------------------------

@@ -174,7 +174,8 @@ def test_phi_sends_x_points_to_y(p):
     fx = quintic_x(mu, F).system.polys[0]
     fy = quintic_y(mu, F).system.polys[0]
     fifth = F.power_table(5)
-    for coords in iter_projective_chunks(F, 4):
+    for block in iter_projective_chunks(F, 4):
+        coords = [c.ravel() for c in np.broadcast_arrays(*block)]
         on_x = eval_batch(fx, coords, F) == 0
         if not on_x.any():
             continue

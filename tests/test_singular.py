@@ -120,8 +120,11 @@ def test_classify_node_rejects_small_characteristic():
 
 
 def test_singular_scan_cap():
-    with pytest.raises(InstanceTooLarge):
+    # the refusal states the size of the scan it would have run
+    with pytest.raises(InstanceTooLarge, match=f"scan {projective_size(43, 4)} points"):
         singular_points(quintic_x(1, make_field(43)))
+    with pytest.raises(InstanceTooLarge, match=f"scan {projective_size(17, 5)} points"):
+        singular_points(cubics_v(1, make_field(17)))
 
 
 def test_preimage_generic_and_special():
@@ -184,7 +187,8 @@ def test_fiber_sizes_match_preimage_count_on_samples():
     phi = MonomialMap(5, 5)
     sizes = fiber_size_table(phi, F11)
     pts = []
-    for coords in iter_projective_chunks(F11, 4):
+    for block in iter_projective_chunks(F11, 4):
+        coords = [c.ravel() for c in np.broadcast_arrays(*block)]
         for col in range(coords[0].shape[0]):
             pts.append(tuple(F11.from_index(int(c[col])) for c in coords))
     rng = np.random.default_rng(8)
@@ -289,7 +293,8 @@ def _full_scan_evidence(surface, target):
     points = set()
     contained = full_rank = on_mirror = True
     witnesses = []
-    for coords in iter_projective_chunks(F, 4):
+    for block in iter_projective_chunks(F, 4):
+        coords = [c.ravel() for c in np.broadcast_arrays(*block)]
         mask = surface.vanishing_mask(coords)
         sub = [c[mask] for c in coords]
         points |= {tuple(int(c[i]) for c in sub) for i in range(sub[0].shape[0])}
