@@ -17,11 +17,13 @@ coordinates, parameters are elements of the field):
   PointsB       the 10 points with three zero coordinates and the other
                 two opposite, e.g. (0:0:0:1:-1)                             in P^4
 
-Integer-parameter instances are instantiated from one integer-coefficient
-template by reduction mod p, so every field sees the same source of truth;
-each template is expanded once and memoized.  The builder that writes a
-family's equations also evaluates them on index arrays
-(FamilyInstance.evaluate), without expanding them.
+The builder that writes a family's equations also evaluates them on index
+arrays (FamilyInstance.evaluate), without expanding them, so building an
+instance expands nothing.  Its symbolic system is written on first read:
+integer-parameter instances are instantiated from one integer-coefficient
+template by reduction mod p, so every field sees the same source of truth
+(each template is expanded once and memoized); other parameters run the
+builder on MPoly variables over the field.
 Projective points are tuples of FieldElements kept in canonical form
 (first nonzero coordinate scaled to 1).
 """
@@ -30,8 +32,9 @@ from __future__ import annotations
 
 import enum
 import functools
+import itertools
 import operator
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -100,19 +103,47 @@ def param_string(params: dict[str, FieldElement]) -> str:
     return ";".join(f"{k}={v.canonical_str()}" for k, v in sorted(params.items()))
 
 
-@dataclass
 class FamilyInstance:
-    id: FamilyId
-    field: FieldDescriptor
-    params: dict[str, FieldElement]
-    system: PolySystem | None
-    ambient_dim: int
-    degrees: tuple[int, ...] = dc_field(default=())
-    # the builder that wrote ``system``, bound to its parameter; it evaluates
-    # the same equations on FieldArrays (None for a hand-made system)
-    equations: Callable[[list], list] | None = dc_field(
-        default=None, repr=False, compare=False
-    )
+    """A family over one field: its parameters, its equation builder and its
+    symbolic system.
+
+    ``system`` is given as a PolySystem, as None (the point-set families
+    LinesA and PointsB), or as a function of no arguments that writes the
+    PolySystem; a function is called on the first read of ``system`` or
+    ``degrees`` and its result kept.  The evaluations (evaluate,
+    vanishing_mask, and the jets of the singular module) run ``equations``
+    and never read the symbolic system of a built family.
+    """
+
+    def __init__(
+        self,
+        id: FamilyId,
+        field: FieldDescriptor,
+        params: dict[str, FieldElement],
+        system: PolySystem | Callable[[], PolySystem] | None,
+        ambient_dim: int,
+        equations: Callable[[list], list] | None = None,
+    ):
+        self.id = id
+        self.field = field
+        self.params = params
+        self._system = system
+        self.ambient_dim = ambient_dim
+        # the builder that writes the system, bound to its parameter; it
+        # evaluates the same equations on FieldArrays and Jets (None for a
+        # hand-made system)
+        self.equations = equations
+
+    @property
+    def system(self) -> PolySystem | None:
+        if callable(self._system):
+            self._system = self._system()
+        return self._system
+
+    @property
+    def degrees(self) -> tuple[int, ...]:
+        system = self.system
+        return () if system is None else tuple(p.degree() for p in system.polys)
 
     @property
     def nvars(self) -> int:
@@ -263,12 +294,25 @@ def template_system(fid: FamilyId, **int_params) -> list[MPoly]:
     return list(_template(fid, int_params[names[0]]))
 
 
+def _expand(fid: FamilyId, param, F: FieldDescriptor) -> PolySystem:
+    """The symbolic system of a built family: the memoized integer template
+    reduced into F for an int parameter, else the builder run on MPoly
+    variables over F."""
+    _, nvars, builder = _FAMILIES[fid]
+    if isinstance(param, int):
+        polys = [p.to_field(F) for p in _template(fid, param)]
+    else:
+        polys = builder(param, _variables(nvars, F))
+    return PolySystem(polys, homogeneous=True)
+
+
 def build_family(fid: FamilyId, params: dict | None, F: FieldDescriptor) -> FamilyInstance:
     """Build a family instance over F.
 
     Integer parameter values reduce into the field.  QuadricQ requires a
     primitive 5th root of unity in F and takes none from the caller; the
-    deterministic choice is recorded under params["xi5"].
+    deterministic choice is recorded under params["xi5"].  No polynomial
+    is expanded here: the symbolic system is written on its first read.
     """
     params = dict(params or {})
     needed, nvars, builder = _FAMILIES[fid]
@@ -288,19 +332,13 @@ def build_family(fid: FamilyId, params: dict | None, F: FieldDescriptor) -> Fami
         elems = {"xi5": param}
     else:
         param = elems[needed[0]]
-    if needed and isinstance(params[needed[0]], int):
-        polys = [p.to_field(F) for p in template_system(fid, **params)]
-    else:
-        polys = builder(param, _variables(nvars, F))
-    system = PolySystem(polys, homogeneous=True)
-    degrees = tuple(p.degree() for p in system.polys)
+    source = params[needed[0]] if needed and isinstance(params[needed[0]], int) else param
     return FamilyInstance(
         fid,
         F,
         elems,
-        system,
+        lambda: _expand(fid, source, F),
         nvars - 1,
-        degrees=degrees,
         equations=functools.partial(builder, param),
     )
 
@@ -417,21 +455,30 @@ def points_b(F: FieldDescriptor) -> list[tuple[FieldElement, ...]]:
 
 
 def points_on_lines_a(F: FieldDescriptor) -> list[tuple[FieldElement, ...]]:
-    """All F_q-points of the union of the 10 lines, normalized and deduplicated."""
-    pts = set()
-    idxs = list(range(5))
-    for i in range(5):
-        for j in range(i + 1, 5):
-            rest = [r for r in idxs if r not in (i, j)]
-            reps = [(F.one, F.zero)] + [(F.from_index(t), F.one) for t in range(F.q)]
-            for u, v in reps:
-                pt = [F.zero] * 5
-                pt[rest[1]] = u
-                pt[rest[2]] = v
-                pt[rest[0]] = -(u + v)
-                if any(pt):
-                    pts.add(normalize_point(pt))
-    return sorted(pts, key=lambda t: tuple(x.index for x in t))
+    """All F_q-points of the union of the 10 lines, normalized, deduplicated
+    and sorted by index tuple.
+
+    Line {x_i = x_j = 0} is (-(u + v), u, v) on the other three coordinates,
+    with (u : v) over (1 : 0) and (t : 1); the 10 (q + 1) points are built on
+    index arrays, scaled by the inverse of their first nonzero coordinate,
+    sorted by np.lexsort and deduplicated against their sorted neighbours
+    (np.unique would import numpy.ma, about 12 ms, on its first call).
+    """
+    u = np.concatenate(([1], np.arange(F.q, dtype=np.int64)))
+    v = np.concatenate(([0], np.ones(F.q, dtype=np.int64)))
+    w = F.vneg(F.vadd(u, v))
+    blocks = []
+    for i, j in itertools.combinations(range(5), 2):
+        block = np.zeros((F.q + 1, 5), dtype=np.int64)
+        block[:, [r for r in range(5) if r not in (i, j)]] = np.stack([w, u, v], axis=1)
+        blocks.append(block)
+    pts = np.concatenate(blocks)
+    pivot = pts[np.arange(len(pts)), np.argmax(pts != 0, axis=1)]
+    pts = F.vmul(pts, F.inv_table[pivot][:, None])
+    pts = pts[np.lexsort(pts.T[::-1])]
+    pts = pts[np.r_[True, (pts[1:] != pts[:-1]).any(axis=1)]]
+    elems = list(F.elements())
+    return [tuple(elems[c] for c in row) for row in pts.tolist()]
 
 
 def enumerate_points(instance: FamilyInstance) -> list[tuple[FieldElement, ...]]:
@@ -510,14 +557,12 @@ def new_coordinates_w(lam, F: FieldDescriptor) -> FamilyInstance:
         raise ZeroDenominator("the coordinate change needs lam != 0")
     primitive_nth_root(F, 3)
     nu = (lam**3).inverse()
-    system = PolySystem(_cubics_nu_form_polys(nu, _variables(6, F)), homogeneous=True)
     return FamilyInstance(
         FamilyId.CUBICS_W,
         F,
         {"lam": lam},
-        system,
+        lambda: PolySystem(_cubics_nu_form_polys(nu, _variables(6, F)), homogeneous=True),
         5,
-        degrees=(3, 3),
         equations=functools.partial(_cubics_nu_form_polys, nu),
     )
 

@@ -9,7 +9,9 @@ FieldDescriptor (numpy int64 arrays of indices), so hot loops run on flat
 tables instead of per-element objects or hash lookups.  FieldArray gives
 such an index array the arithmetic operators, so that polynomial
 expressions written for MPoly also evaluate on arrays; Jet carries the
-first partial derivatives along with the values (forward mode).
+first partial derivatives along with the values (forward mode), and a Jet
+of Jets the second ones.  matrix_ranks row-reduces a whole stack of
+matrices of indices in one elimination.
 
 Extension moduli are chosen deterministically: the first monic irreducible
 polynomial of degree k in lexicographic order of the coefficient tuple
@@ -494,7 +496,8 @@ class Jet:
     Run through an equation builder, Jet.variables gives each equation's
     value and gradient on index arrays, in the compact form the builder
     writes, without expanding a term list.  A partial known to vanish is
-    None.
+    None.  The value and the partials may themselves be Jets (order 2 in
+    Jet.variables), since the operations only use +, -, *, ** and scale.
     """
 
     __slots__ = ("val", "d")
@@ -504,17 +507,24 @@ class Jet:
         self.d = d
 
     @classmethod
-    def variables(cls, coords, field: FieldDescriptor) -> list["Jet"]:
-        """The coordinate functions x_i on index arrays, with dx_i/dx_j = [i == j]."""
-        one = FieldArray(np.ones(np.shape(coords[0]), dtype=np.int64), field)
+    def variables(cls, coords, field: FieldDescriptor, order: int = 1) -> list["Jet"]:
+        """The coordinate functions x_i on index arrays, with dx_i/dx_j = [i == j].
+
+        With order 2 each value and each partial is itself a Jet (forward
+        over forward mode): a builder run on these gives every equation as
+        a Jet e with value e.val.val, gradient e.val.d and second partials
+        e.d[j].d[k].
+        """
         n = len(coords)
-        return [
-            cls(
-                FieldArray(np.asarray(c, dtype=np.int64), field),
-                tuple(one if j == i else None for j in range(n)),
-            )
-            for i, c in enumerate(coords)
-        ]
+        one = FieldArray(np.ones(np.shape(coords[0]), dtype=np.int64), field)
+        xs = [FieldArray(np.asarray(c, dtype=np.int64), field) for c in coords]
+        for _ in range(order):
+            xs = [
+                cls(x, tuple(one if j == i else None for j in range(n)))
+                for i, x in enumerate(xs)
+            ]
+            one = cls(one, (None,) * n)
+        return xs
 
     def __add__(self, other: "Jet") -> "Jet":
         d = tuple(
@@ -553,26 +563,37 @@ class Jet:
         return Jet(self.val.scale(c), d)
 
 
-def matrix_rank(rows) -> int:
-    """Rank of a matrix of FieldElements by Gauss-Jordan elimination."""
-    m = [list(r) for r in rows]
-    nrows, ncols = len(m), len(m[0])
-    rank = 0
+def matrix_ranks(F: FieldDescriptor, m) -> np.ndarray:
+    """Ranks of a stack of matrices over F, given as an index array of shape
+    (count, rows, cols), by one Gauss-Jordan elimination run on every
+    matrix at once.  The pivots are inverted through inv_table, so q is
+    bounded by POWER_TABLE_CAP."""
+    m = np.array(m, dtype=np.int64)
+    count, nrows, ncols = m.shape
+    rank = np.zeros(count, dtype=np.int64)
     for col in range(ncols):
-        pivot = next((r for r in range(rank, nrows) if m[r][col]), None)
-        if pivot is None:
+        # the first nonzero entry of the column at or below row ``rank``
+        free = np.arange(nrows) >= rank[:, None]
+        cand = (m[:, :, col] != 0) & free
+        sel = np.nonzero(cand.any(axis=1))[0]
+        if sel.size == 0:
             continue
-        m[rank], m[pivot] = m[pivot], m[rank]
-        inv = m[rank][col].inverse()
-        m[rank] = [v * inv for v in m[rank]]
-        for r in range(nrows):
-            if r != rank and m[r][col]:
-                f = m[r][col]
-                m[r] = [a - f * b for a, b in zip(m[r], m[rank])]
-        rank += 1
-        if rank == nrows:
-            break
+        piv = cand[sel].argmax(axis=1)
+        top = rank[sel]
+        m[sel, top], m[sel, piv] = m[sel, piv], m[sel, top]
+        row = F.vmul(m[sel, top], F.inv_table[m[sel, top, col]][:, None])
+        m[sel, top] = row
+        f = m[sel, :, col]
+        f[np.arange(sel.size), top] = 0
+        m[sel] = F.vsub(m[sel], F.vmul(f[:, :, None], row[:, None, :]))
+        rank[sel] += 1
     return rank
+
+
+def matrix_rank(rows) -> int:
+    """Rank of a matrix of FieldElements: the one-matrix case of matrix_ranks."""
+    F = rows[0][0].field
+    return int(matrix_ranks(F, [[[x.index for x in r] for r in rows]])[0])
 
 
 def _prime_factors(n: int) -> list[int]:

@@ -13,8 +13,12 @@ run on forward-mode jets (ffield.Jet), which gives the first partials in
 the compact form it writes the equations in.  An instance without a
 builder falls back to eval_batch of the expanded partials.  Nodes are
 recognized by a full-rank Hessian in the affine chart of the first
-nonzero coordinate, from memoized symbolic second partials; the criterion
-needs characteristic at least 7 and is refused below that.
+nonzero coordinate.  classify_nodes takes all the points of an instance
+at once: the builder run on second-order jets (a Jet of Jets) gives the
+values, gradients and Hessians on index arrays, and one elimination over
+F_q on the stack of affine Hessians gives the ranks; an instance without
+a builder falls back to eval_batch of the memoized second partials.  The
+criterion needs characteristic at least 7 and is refused below that.
 
 Containment statements about the quadric surface are certified by
 exhaustive finite-field enumeration over several primes, which is strong
@@ -60,7 +64,7 @@ from .ffield import (
     Jet,
     element_roots,
     make_field,
-    matrix_rank,
+    matrix_ranks,
 )
 from .mvpoly import MPoly, eval_batch
 
@@ -213,34 +217,80 @@ def singular_points(instance: FamilyInstance, threads: int = 1) -> SingularRepor
     )
 
 
-def classify_node(instance: FamilyInstance, point) -> NodeClassification:
-    """Hessian test at a singular point of a hypersurface instance.
+def _hessian(instance: FamilyInstance, coords) -> list[tuple]:
+    """Value, gradient and Hessian of each equation of the instance on index
+    arrays: one (f, [df/dx_j], [[d2f/dx_j dx_k]]) per equation.
 
-    Dehomogenizes at the first nonzero coordinate and evaluates the 4x4
-    Hessian of the affine equation there; a node has full rank.  Only
-    characteristics p >= 7 are accepted: the quadratic-form rank criterion
-    degenerates for small p.
+    A built family runs its builder once on second-order jets; an instance
+    without a builder evaluates the expanded first and second partials with
+    eval_batch.
+    """
+    F = instance.field
+    if instance.equations is None:
+        return [
+            (
+                eval_batch(f, coords, F),
+                [eval_batch(d, coords, F) for d in _partials(f)],
+                [[eval_batch(s, coords, F) for s in row] for row in _second_partials(f)],
+            )
+            for f in instance.system.to_field(F).polys
+        ]
+    zero = np.zeros(np.shape(coords[0]), dtype=np.int64)
+    n = len(coords)
+    out = []
+    for eq in instance.equations(Jet.variables(coords, F, order=2)):
+        grad = [zero if d is None else d.a for d in eq.val.d]
+        hess = [
+            [zero] * n if row is None else [zero if d is None else d.a for d in row.d]
+            for row in eq.d
+        ]
+        out.append((eq.val.val.a, grad, hess))
+    return out
+
+
+def classify_nodes(instance: FamilyInstance, points) -> list[NodeClassification]:
+    """Hessian test at singular points of a hypersurface instance, all in one
+    batch.
+
+    Each point is dehomogenized at its first nonzero coordinate, and the
+    4x4 Hessian of the affine equation there is the Hessian of the
+    homogeneous equation with the pivot row and column deleted; a node has
+    full rank.  One builder run on second-order jets gives every point's
+    value, gradient and Hessian, and one elimination (ffield.matrix_ranks)
+    every rank.  Only characteristics p >= 7 are accepted: the
+    quadratic-form rank criterion degenerates for small p.
     """
     F = instance.field
     if F.p < 7:
         raise BadCharacteristic(
             f"node classification requires characteristic >= 7, got {F.p}"
         )
-    if len(instance.system.polys) != 1:
+    points = [normalize_point(pt) for pt in points]
+    n = instance.nvars
+    idx = np.array([[x.index for x in pt] for pt in points], dtype=np.int64)
+    idx = idx.reshape(len(points), n)
+    parts = _hessian(instance, list(idx.T))
+    if len(parts) != 1:
         raise ValueError("node classification applies to hypersurfaces")
-    point = normalize_point(point)
-    f = instance.system.polys[0].to_field(F)
-    value = f.eval(point)
-    grad = [d.eval(point) for d in _partials(f)]
-    singular = (not value) and not any(grad)
-    if not singular:
-        raise NotSingular(f"{[x.index for x in point]} is a smooth point")
-    pivot = next(i for i, x in enumerate(point) if x)
-    others = [i for i in range(f.nvars) if i != pivot]
-    seconds = _second_partials(f)
-    hess = [[seconds[a][b].eval(point) for b in others] for a in others]
-    rank = matrix_rank(hess)
-    return NodeClassification(point, True, rank, rank == len(others))
+    value, grad, hess = parts[0]
+    smooth = np.nonzero(functools.reduce(np.logical_or, (g != 0 for g in grad), value != 0))[0]
+    if smooth.size:
+        raise NotSingular(f"{[x.index for x in points[smooth[0]]]} is a smooth point")
+    full = np.stack([np.stack(row, axis=-1) for row in hess], axis=-2)  # (points, n, n)
+    pivots = np.argmax(idx != 0, axis=1)
+    others = np.array([[j for j in range(n) if j != i] for i in pivots], dtype=np.int64)
+    others = others.reshape(len(points), n - 1)
+    rows = np.arange(len(points))[:, None, None]
+    ranks = matrix_ranks(F, full[rows, others[:, :, None], others[:, None, :]])
+    return [
+        NodeClassification(pt, True, int(r), int(r) == n - 1)
+        for pt, r in zip(points, ranks)
+    ]
+
+
+def classify_node(instance: FamilyInstance, point) -> NodeClassification:
+    """The Hessian test of classify_nodes at one point."""
+    return classify_nodes(instance, [point])[0]
 
 
 def preimage_count(
@@ -371,8 +421,8 @@ def surface_evidence(
     mirror = quintic_y(target.params["mu"], F)
     fifth = F.power_table(5)
 
-    ones = (F.one,) * 5
-    special_on_surface = surface.system.to_field(F).vanishes_at(ones)
+    ones = [np.ones(1, dtype=np.int64)] * 5  # index 1 is one
+    special_on_surface = bool(surface.vanishing_mask(ones).all())
 
     n_points = 0
     contained = True

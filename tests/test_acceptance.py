@@ -90,7 +90,7 @@ def test_criterion_04_node_census():
         inst = quintic_x(1, F)
         rep = singular.singular_points(inst, threads=THREADS)
         all_nodes = all(
-            singular.classify_node(inst, pt).is_node for pt in rep.points
+            c.is_node for c in singular.classify_nodes(inst, rep.points)
         )
         orb = symmetry.orbit((F.one,) * 5, G, F)
         ok = ok and rep.count == 125 and all_nodes and set(rep.points) == orb

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from mirrorquintic.counting import count_naive
+from mirrorquintic import families
+from mirrorquintic.cli import run
+from mirrorquintic.counting import CountTask, count, count_naive
 from mirrorquintic.errors import (
     MissingParameter,
     RootOfUnityUnavailable,
@@ -32,6 +34,7 @@ from mirrorquintic.families import (
 )
 from mirrorquintic.ffield import make_field
 from mirrorquintic.mvpoly import MPoly, eval_batch, poly_equal
+from mirrorquintic.singular import classify_nodes, singular_points
 
 F7 = make_field(7)
 F11 = make_field(11)
@@ -277,3 +280,85 @@ def test_template_system_memo_is_not_shared():
     assert poly_equal(again[0], expected[0])
     # expanded once: the next call hands out the same polynomial objects
     assert again[0] is expected[0]
+
+
+# -- the symbolic system is expanded on first read, and only then -------------
+
+_DEGREES = {
+    FamilyId.QUINTIC_X: (5,),
+    FamilyId.QUINTIC_Y: (5,),
+    FamilyId.QUADRIC_Q: (1, 2),
+    FamilyId.CUBICS_V: (3, 3),
+    FamilyId.CUBICS_W: (3, 3),
+    FamilyId.CUBICS_WTILDE: (3, 3),
+}
+
+
+@pytest.fixture
+def expansions(monkeypatch):
+    """Counts the calls of the one function that expands a built family's
+    symbolic system."""
+    calls = []
+    expand = families._expand
+
+    def counting(*args):
+        calls.append(args)
+        return expand(*args)
+
+    monkeypatch.setattr(families, "_expand", counting)
+    return calls
+
+
+def _eager_system(fid, param, F):
+    """The system expanded eagerly, outside the instance: the reduced
+    integer template for an int parameter, else the builder on MPoly
+    variables."""
+    names, nvars, builder = families._FAMILIES[fid]
+    if isinstance(param, int):
+        return [p.to_field(F) for p in template_system(fid, **{names[0]: param})]
+    x = [MPoly.variable(nvars, i, F) for i in range(nvars)]
+    return builder(param, x)
+
+
+@pytest.mark.parametrize("p,k", [(11, 1), (11, 2)])
+@pytest.mark.parametrize("fid", list(_DEGREES), ids=lambda f: f.value)
+def test_system_is_expanded_on_first_read(fid, p, k, expansions):
+    F = make_field(p, k)
+    names, _, _ = families._FAMILIES[fid]
+    params = [2, F.from_index(F.q - 1)] if names else [None]
+    for param in params:
+        inst = build_family(fid, {names[0]: param} if names else {}, F)
+        assert expansions == []
+        source = inst.params["xi5"] if param is None else param
+        want = _eager_system(fid, source, F)
+        got = inst.system
+        assert len(expansions) == 1
+        assert len(got.polys) == len(want) and got.homogeneous
+        assert all(poly_equal(g, w) for g, w in zip(got.polys, want))
+        assert inst.degrees == _DEGREES[fid]
+        assert inst.system is got and len(expansions) == 1
+        expansions.clear()
+    if names:
+        # the template path and the builder path give the same system
+        by_int = build_family(fid, {names[0]: 2}, F).system
+        by_elem = build_family(fid, {names[0]: F.element(2)}, F).system
+        assert all(poly_equal(a, b) for a, b in zip(by_int.polys, by_elem.polys))
+
+
+def test_evaluations_leave_the_system_unexpanded(expansions, tmp_path):
+    F31 = make_field(31)
+    for ctor in (quintic_x, quintic_y, cubics_v, cubics_w, cubics_wtilde):
+        for param in (2, F7.element(3)):
+            inst = ctor(param, F7)
+            inst.vanishing_mask(_random_coords(F7, inst.nvars, seed=4))
+            count(CountTask(inst, "naive"))
+            count(CountTask(inst, "table"))
+    singular_points(cubics_v(1, F7))
+    for inst in (quintic_x(1, F31), quintic_y(2, F31)):
+        classify_nodes(inst, singular_points(inst).points)
+    assert count_naive(build_family(FamilyId.LINES_A, {}, F7)).count == 60
+    assert run(
+        ["trace", "--p-range", "2..31", "--cache", str(tmp_path / "c.jsonl"),
+         "--out", str(tmp_path / "t.csv")]
+    ) == 0
+    assert expansions == []

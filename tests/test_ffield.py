@@ -1,3 +1,5 @@
+import functools
+import itertools
 import math
 
 import numpy as np
@@ -13,6 +15,8 @@ from mirrorquintic.ffield import (
     element_roots,
     is_prime,
     make_field,
+    matrix_rank,
+    matrix_ranks,
     nth_roots_of_unity,
     primitive_nth_root,
 )
@@ -183,6 +187,31 @@ def test_inv_table():
         inv = F.inv_table
         for i in range(1, F.q):
             assert F.from_index(int(inv[i])) * F.from_index(i) == F.one
+
+
+@pytest.mark.parametrize("p,k", [(2, 1), (3, 1), (7, 1), (2, 2)])
+def test_matrix_ranks_equal_row_space_size(p, k):
+    # the rank is log_q of the number of distinct combinations of the rows
+    F = make_field(p, k)
+    rng = np.random.default_rng(10 * p + k)
+    mats = rng.integers(0, F.q, size=(30, 4, 5))
+    mats[::3, 2] = mats[::3, 0]
+    mats[1::3, 3] = F.vmul(np.int64(F.q - 1), mats[1::3, 1])
+    mats[::4, 1] = 0
+    mats[5] = 0
+    combos = np.array(list(itertools.product(range(F.q), repeat=4)), dtype=np.int64)
+    want = []
+    for m in mats:
+        span = functools.reduce(
+            F.vadd, (F.vmul(combos[:, i, None], m[i][None, :]) for i in range(4))
+        )
+        want.append(round(math.log(len({tuple(r) for r in span.tolist()}), F.q)))
+    got = matrix_ranks(F, mats)
+    assert got.tolist() == want
+    assert set(want) >= {0, 2, 3, 4}
+    for m, r in zip(mats, want):
+        assert matrix_rank([[F.from_index(int(x)) for x in row] for row in m]) == r
+        assert matrix_rank([[F.from_index(int(x)) for x in col] for col in m.T]) == r
 
 
 def test_element_roots():

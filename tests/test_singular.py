@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -32,6 +34,7 @@ from mirrorquintic.singular import (
     _partials,
     _surface_chunks,
     classify_node,
+    classify_nodes,
     fiber_size_table,
     preimage_count,
     quadric_evidence_for_prime,
@@ -338,3 +341,121 @@ def test_hyperplane_scan_equals_full_scan(p):
     assert ev.line_witnesses == witnesses
     assert witnesses == sorted(witnesses, key=_chart_key)
     assert ev.special_point_on_surface
+
+
+# -- the batched jet Hessians against a scalar MPoly reference ----------------
+
+
+def _scalar_rank(rows):
+    """Rank of a matrix of FieldElements by scalar Gauss-Jordan elimination."""
+    m = [list(r) for r in rows]
+    rank = 0
+    for col in range(len(m[0])):
+        pivot = next((r for r in range(rank, len(m)) if m[r][col]), None)
+        if pivot is None:
+            continue
+        m[rank], m[pivot] = m[pivot], m[rank]
+        inv = m[rank][col].inverse()
+        m[rank] = [v * inv for v in m[rank]]
+        for r in range(len(m)):
+            if r != rank and m[r][col]:
+                f = m[r][col]
+                m[r] = [a - f * b for a, b in zip(m[r], m[rank])]
+        rank += 1
+    return rank
+
+
+def _scalar_classifications(inst, points):
+    """The Hessian test one point at a time: the expanded polynomial's
+    symbolic second partials evaluated term by term in FieldElements, the
+    pivot row and column deleted, and a scalar elimination."""
+    f = inst.system.polys[0]
+    n = f.nvars
+    seconds = {
+        (a, b): f.derivative(a).derivative(b).terms() for a in range(n) for b in range(a, n)
+    }
+    out = []
+    for point in points:
+        point = normalize_point(point)
+        powers = [[x**e for e in range(6)] for x in point]
+        pivot = next(i for i, x in enumerate(point) if x)
+        others = [i for i in range(n) if i != pivot]
+        hess = {}
+        for a, b in itertools.combinations_with_replacement(others, 2):
+            value = point[0].field.zero
+            for exps, c in seconds[a, b]:
+                for i, e in enumerate(exps):
+                    if e:
+                        c = c * powers[i][e]
+                value = value + c
+            hess[a, b] = hess[b, a] = value
+        rank = _scalar_rank([[hess[a, b] for b in others] for a in others])
+        out.append((point, rank, rank == len(others)))
+    return out
+
+
+def _as_tuples(results):
+    return [(c.point, c.hessian_rank, c.is_node) for c in results]
+
+
+@pytest.mark.parametrize("p", [7, 11, 31])
+def test_classify_nodes_equal_scalar_hessians(p):
+    F = make_field(p)
+    ranks = set()
+    for ctor in (quintic_x, quintic_y):
+        for mu in (1, 2, 3):
+            inst = ctor(mu, F)
+            points = singular_points(inst).points
+            got = classify_nodes(inst, points)
+            assert all(c.is_singular for c in got)
+            assert _as_tuples(got) == _scalar_classifications(inst, points)
+            ranks |= {c.hessian_rank for c in got}
+    assert {0, 2, 4} <= ranks
+
+
+def test_classify_nodes_over_extension_field():
+    F49 = make_field(7, 2)
+    ones = (F49.one,) * 5
+    for ctor in (quintic_x, quintic_y):
+        inst = ctor(1, F49)
+        got = classify_nodes(inst, [ones])
+        assert _as_tuples(got) == _scalar_classifications(inst, [ones])
+        assert got[0].is_node
+
+
+def test_classify_nodes_without_builder_uses_expanded_partials():
+    for inst in (quintic_x(1, F11), quintic_y(1, F11)):
+        bare = FamilyInstance(inst.id, F11, inst.params, inst.system, inst.ambient_dim)
+        points = singular_points(inst).points
+        assert _as_tuples(classify_nodes(bare, points)) == _as_tuples(
+            classify_nodes(inst, points)
+        )
+
+
+def test_classify_nodes_batch_equals_one_at_a_time():
+    F31 = make_field(31)
+    inst = quintic_y(2, F31)
+    # unnormalized representatives: every point scaled by 3
+    points = [tuple(x * 3 for x in pt) for pt in singular_points(inst).points]
+    batch = classify_nodes(inst, points)
+    assert _as_tuples(batch) == [
+        (c.point, c.hessian_rank, c.is_node)
+        for c in (classify_node(inst, pt) for pt in points)
+    ]
+    assert [c.point for c in batch] == [normalize_point(pt) for pt in points]
+    assert classify_nodes(inst, []) == []
+
+
+def test_classify_nodes_refusals():
+    X = quintic_x(1, F11)
+    nodes = singular_points(X).points
+    smooth = (F11.zero, F11.zero, F11.zero, F11.one, F11.element(-1))
+    with pytest.raises(NotSingular, match=r"\[0, 0, 0, 1, 10\] is a smooth point"):
+        classify_nodes(X, [*nodes[:3], smooth, *nodes[3:]])
+    F5 = make_field(5)
+    with pytest.raises(BadCharacteristic):
+        classify_nodes(quintic_x(1, F5), [(F5.one,) * 5])
+    with pytest.raises(ValueError, match="hypersurfaces"):
+        classify_nodes(cubics_v(1, F7), [(F7.one,) * 6])
+    with pytest.raises(ValueError, match="hypersurfaces"):
+        classify_node(cubics_v(1, F7), (F7.one,) * 6)
