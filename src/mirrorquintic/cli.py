@@ -203,9 +203,8 @@ def _cmd_count(args) -> int:
     records = []
     failures = 0
     for p in primes:
-        F = make_field(p, args.ext)
-        inst = build_family(fid, params, F)
         try:
+            inst = build_family(fid, params, make_field(p, args.ext))
             rec = count_cached(CountTask(inst, args.algo, args.threads), cache)
             row = {c: getattr(rec, c) for c in _COUNT_COLUMNS[:-1]}
             records.append({**row, "status": "ok"})

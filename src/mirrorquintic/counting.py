@@ -199,7 +199,7 @@ def count_naive(instance: FamilyInstance, threads: int = 1) -> CountRecord:
     """Exact projective count by chart enumeration; the reference algorithm."""
     F = instance.field
     t0 = time.perf_counter()
-    if instance.equations is None and instance.system is None:
+    if instance.equations is None:
         n = len(enumerate_points(instance))
     else:
         if F.q ** instance.ambient_dim > NAIVE_CAP:

@@ -17,13 +17,11 @@ coordinates, parameters are elements of the field):
   PointsB       the 10 points with three zero coordinates and the other
                 two opposite, e.g. (0:0:0:1:-1)                             in P^4
 
-The builder that writes a family's equations also evaluates them on index
-arrays (FamilyInstance.evaluate), without expanding them, so building an
-instance expands nothing.  Its symbolic system is written on first read:
-integer-parameter instances are instantiated from one integer-coefficient
-template by reduction mod p, so every field sees the same source of truth
-(each template is expanded once and memoized); other parameters run the
-builder on MPoly variables over the field.
+Each family's equations are written once, by its builder, the only
+definition of them.  The builder evaluates them on index arrays
+(FamilyInstance.evaluate) and on jets without expanding them, so building
+an instance expands nothing; its symbolic system is the builder run on
+MPoly variables over the field, written on first read.
 Projective points are tuples of FieldElements kept in canonical form
 (first nonzero coordinate scaled to 1).
 """
@@ -47,7 +45,7 @@ from .ffield import (
     matrix_rank,
     primitive_nth_root,
 )
-from .mvpoly import MPoly, PolySystem, eval_batch, poly_equal
+from .mvpoly import MPoly, PolySystem, poly_equal
 
 
 class FamilyId(enum.Enum):
@@ -104,15 +102,15 @@ def param_string(params: dict[str, FieldElement]) -> str:
 
 
 class FamilyInstance:
-    """A family over one field: its parameters, its equation builder and its
-    symbolic system.
+    """A family over one field: its parameters and its equation builder.
 
-    ``system`` is given as a PolySystem, as None (the point-set families
-    LinesA and PointsB), or as a function of no arguments that writes the
-    PolySystem; a function is called on the first read of ``system`` or
-    ``degrees`` and its result kept.  The evaluations (evaluate,
-    vanishing_mask, and the jets of the singular module) run ``equations``
-    and never read the symbolic system of a built family.
+    ``equations`` maps one value per coordinate to the list of equation
+    values, for any value type with +, -, *, ** and scale (FieldArray, Jet,
+    MPoly); it is a family builder bound to its parameter, a PolySystem, or
+    None for the point-set families LinesA and PointsB.  The evaluations
+    (evaluate, vanishing_mask, and the jets of the singular module) run it
+    directly; ``system`` and ``degrees`` run it once on MPoly variables, on
+    their first read.
     """
 
     def __init__(
@@ -120,24 +118,20 @@ class FamilyInstance:
         id: FamilyId,
         field: FieldDescriptor,
         params: dict[str, FieldElement],
-        system: PolySystem | Callable[[], PolySystem] | None,
         ambient_dim: int,
         equations: Callable[[list], list] | None = None,
     ):
         self.id = id
         self.field = field
         self.params = params
-        self._system = system
         self.ambient_dim = ambient_dim
-        # the builder that writes the system, bound to its parameter; it
-        # evaluates the same equations on FieldArrays and Jets (None for a
-        # hand-made system)
         self.equations = equations
+        self._system = None
 
     @property
     def system(self) -> PolySystem | None:
-        if callable(self._system):
-            self._system = self._system()
+        if self._system is None and self.equations is not None:
+            self._system = _expand(self.equations, self.nvars, self.field)
         return self._system
 
     @property
@@ -157,16 +151,14 @@ class FamilyInstance:
         """Values of the defining equations on index arrays, one per
         coordinate; the arrays may be any shapes that broadcast together.
 
-        Equal to eval_batch of each polynomial of the system; a built family
-        evaluates its equations in the compact form its builder writes.
+        Equal to eval_batch of each polynomial of the system, evaluated in
+        the compact form the builder writes.
         """
         F = self.field
         if len(coords) != self.nvars:
             raise DimensionMismatch(
                 f"{len(coords)} coordinate arrays for {self.nvars} variables"
             )
-        if self.equations is None:
-            return [eval_batch(p, coords, F) for p in self.system.polys]
         x = [FieldArray(np.asarray(c, dtype=np.int64), F) for c in coords]
         return [v.a for v in self.equations(x)]
 
@@ -192,8 +184,8 @@ class FamilyInstance:
 #
 # Each builder takes the parameter and the coordinates x and writes the
 # equations once.  Given MPoly variables (integer or field coefficients) it
-# returns the symbolic system; given FieldArrays it returns the values on
-# index arrays, evaluated in the compact form written here.
+# returns the symbolic system; given FieldArrays or Jets it returns the
+# values on index arrays, evaluated in the compact form written here.
 # ---------------------------------------------------------------------------
 
 
@@ -276,34 +268,10 @@ def param_names(fid: FamilyId) -> tuple[str, ...]:
     return _FAMILIES[fid][0]
 
 
-@functools.lru_cache(maxsize=256)
-def _template(fid: FamilyId, value: int) -> tuple[MPoly, ...]:
-    _, nvars, builder = _FAMILIES[fid]
-    return tuple(builder(value, _variables(nvars, None)))
-
-
-def template_system(fid: FamilyId, **int_params) -> list[MPoly]:
-    """The integer-coefficient template for a family with integer parameters.
-
-    Each template is expanded once per (family, parameter) and memoized; the
-    list returned is a new one on every call.
-    """
-    names, _, _ = _FAMILIES[fid]
-    if not names:
-        raise ValueError(f"{fid} has no integer template")
-    return list(_template(fid, int_params[names[0]]))
-
-
-def _expand(fid: FamilyId, param, F: FieldDescriptor) -> PolySystem:
-    """The symbolic system of a built family: the memoized integer template
-    reduced into F for an int parameter, else the builder run on MPoly
+def _expand(equations, nvars: int, F: FieldDescriptor) -> PolySystem:
+    """The symbolic system of an instance: its builder run on MPoly
     variables over F."""
-    _, nvars, builder = _FAMILIES[fid]
-    if isinstance(param, int):
-        polys = [p.to_field(F) for p in _template(fid, param)]
-    else:
-        polys = builder(param, _variables(nvars, F))
-    return PolySystem(polys, homogeneous=True)
+    return PolySystem(equations(_variables(nvars, F)), homogeneous=True)
 
 
 def build_family(fid: FamilyId, params: dict | None, F: FieldDescriptor) -> FamilyInstance:
@@ -325,22 +293,14 @@ def build_family(fid: FamilyId, params: dict | None, F: FieldDescriptor) -> Fami
     elems = {k: F.element(v) for k, v in params.items()}
 
     if builder is None:
-        return FamilyInstance(fid, F, {}, None, 4)
+        return FamilyInstance(fid, F, {}, 4)
 
     if fid is FamilyId.QUADRIC_Q:
         param = primitive_nth_root(F, 5)
         elems = {"xi5": param}
     else:
         param = elems[needed[0]]
-    source = params[needed[0]] if needed and isinstance(params[needed[0]], int) else param
-    return FamilyInstance(
-        fid,
-        F,
-        elems,
-        lambda: _expand(fid, source, F),
-        nvars - 1,
-        equations=functools.partial(builder, param),
-    )
+    return FamilyInstance(fid, F, elems, nvars - 1, functools.partial(builder, param))
 
 
 def quintic_x(mu, F) -> FamilyInstance:
@@ -558,12 +518,7 @@ def new_coordinates_w(lam, F: FieldDescriptor) -> FamilyInstance:
     primitive_nth_root(F, 3)
     nu = (lam**3).inverse()
     return FamilyInstance(
-        FamilyId.CUBICS_W,
-        F,
-        {"lam": lam},
-        lambda: PolySystem(_cubics_nu_form_polys(nu, _variables(6, F)), homogeneous=True),
-        5,
-        equations=functools.partial(_cubics_nu_form_polys, nu),
+        FamilyId.CUBICS_W, F, {"lam": lam}, 5, functools.partial(_cubics_nu_form_polys, nu)
     )
 
 

@@ -32,6 +32,7 @@ import numpy as np
 from .errors import (
     CompositeCharacteristic,
     FieldMismatch,
+    InvariantViolated,
     RootOfUnityUnavailable,
     TableTooLarge,
     UnsupportedDegree,
@@ -209,6 +210,10 @@ class FieldElement:
             base = base * base
             e >>= 1
         return result
+
+    def scale(self, c) -> "FieldElement":
+        """Multiply by a scalar (int or FieldElement), as MPoly.scale does."""
+        return self * c
 
     def inverse(self) -> "FieldElement":
         # Exponentiation by q - 2; branch-free and off the hot path.
@@ -628,7 +633,7 @@ def make_field(p: int, k: int = 1) -> FieldDescriptor:
         coeffs = tail + (1,)
         if _is_irreducible(coeffs, p):
             return FieldDescriptor(p, k, coeffs)
-    raise AssertionError("no irreducible polynomial found")  # unreachable
+    raise InvariantViolated(f"no irreducible polynomial of degree {k} over F_{p}")
 
 
 def nth_roots_of_unity(F: FieldDescriptor, n: int) -> list[FieldElement]:

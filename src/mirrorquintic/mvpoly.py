@@ -6,18 +6,22 @@ field.  Everything is canonicalized on construction (no duplicate
 monomials, no zero coefficients), so equality is a dictionary comparison
 and the term list in graded-lexicographic order is reproducible.
 
-Substitution fully expands the composite polynomial; at degree <= 5 in at
-most 6 variables this stays tiny.  eval_batch evaluates any polynomial,
-term by term, on numpy arrays of element indices.
+A polynomial has one evaluator, MPoly.__call__: it takes one value per
+variable, of any type with +, -, *, ** and scale (FieldElement, FieldArray,
+ffield.Jet or MPoly), and computes each (variable, exponent) power once.
+MPoly.eval (a point of FieldElements), eval_batch (index arrays, through
+FieldArray) and substitute (polynomials, fully expanded; at degree <= 5 in
+at most 6 variables this stays tiny) check their arguments and call it.
+A PolySystem is called the same way, so a system is itself an equation
+builder.
 
 MPoly is the symbolic reference (derivatives, substitution, identities).
-The scans over whole charts, count_naive among them, do not evaluate
-expanded term lists: they call FamilyInstance.evaluate, which runs the
-family's own equation builder on index arrays in its compact form (power
-sums, products, linear forms), and the singular scans get their Jacobians
-from the same builder run on jets (ffield.Jet).  eval_batch stays the path
-for arbitrary polynomials and instances without a builder; it is the
-reference the compact evaluation and the jets are tested against.
+The scans over whole charts do not evaluate expanded term lists: they
+call FamilyInstance.evaluate, which runs the family's own equation builder
+on index arrays in its compact form (power sums, products, linear forms),
+and the singular scans get their derivatives from the same builder run on
+jets.  eval_batch is the reference the compact evaluation is tested
+against.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DimensionMismatch, FieldMismatch
-from .ffield import FieldDescriptor, FieldElement
+from .ffield import FieldArray, FieldDescriptor, FieldElement
 
 
 def _is_zero_coeff(c) -> bool:
@@ -253,6 +257,28 @@ class MPoly:
                 acc[nexps] = c2
         return MPoly(self.nvars, acc, F)
 
+    def __call__(self, values):
+        """The value of the polynomial at one value per variable.
+
+        The values may be of any type with +, -, *, ** and scale:
+        FieldElements, FieldArrays, Jets or MPolys.  Each (variable,
+        exponent) power is computed once; a constant term is values[0] ** 0
+        scaled, and the zero polynomial gives (values[0] ** 0).scale(0).
+        """
+        powers: dict[tuple[int, int], object] = {}
+        total = None
+        for exps, c in self._terms.items():
+            term = None
+            for i, e in enumerate(exps):
+                if e:
+                    pw = powers.get((i, e))
+                    if pw is None:
+                        pw = powers[(i, e)] = values[i] ** e
+                    term = pw if term is None else term * pw
+            term = (values[0] ** 0 if term is None else term).scale(c)
+            total = term if total is None else total + term
+        return (values[0] ** 0).scale(0) if total is None else total
+
     def eval(self, point) -> FieldElement:
         """Exact value at a point of FieldElements (int coefficients reduce)."""
         point = tuple(point)
@@ -272,14 +298,7 @@ class MPoly:
             raise FieldMismatch(
                 f"polynomial over {self.field!r} evaluated at a point of {F!r}"
             )
-        total = F.zero
-        for exps, c in self._terms.items():
-            v = F.element(c) if not isinstance(c, FieldElement) else c
-            for x, e in zip(point, exps):
-                if e:
-                    v = v * x**e
-            total = total + v
-        return total
+        return self(point)
 
     def substitute(self, change) -> "MPoly":
         """Fully expanded composite with each variable replaced by a polynomial.
@@ -303,25 +322,7 @@ class MPoly:
                     F = g.field
                 elif g.field != F:
                     raise FieldMismatch("substitution over a different field")
-        out = MPoly.zero(tgt_nvars, F)
-        power_memo: dict[tuple[int, int], MPoly] = {}
-
-        def power(i, e):
-            key = (i, e)
-            got = power_memo.get(key)
-            if got is None:
-                got = mapping[i] ** e
-                power_memo[key] = got
-            return got
-
-        one = 1 if F is None else F.one
-        for exps, c in self._terms.items():
-            term = MPoly.constant(tgt_nvars, one, F)
-            for i, e in enumerate(exps):
-                if e:
-                    term = term * power(i, e)
-            out = out + term.scale(c)
-        return out
+        return self([g if F is None else g.to_field(F) for g in mapping])
 
 
 def _as_substitution(change, nvars, field):
@@ -359,7 +360,7 @@ def eval_batch(f: MPoly, coords, F: FieldDescriptor) -> np.ndarray:
     """Evaluate f on arrays of element indices, one int64 array per variable.
 
     Integer coefficients reduce into F; field coefficients must be of F.
-    Returns the array of value indices.
+    Returns a new array of value indices in the broadcast shape of coords.
     """
     if len(coords) != f.nvars:
         raise DimensionMismatch(
@@ -367,16 +368,9 @@ def eval_batch(f: MPoly, coords, F: FieldDescriptor) -> np.ndarray:
         )
     if f.field is not None and f.field != F:
         raise FieldMismatch("polynomial and evaluation field differ")
-    shape = np.broadcast(*coords).shape if len(coords) > 1 else coords[0].shape
-    total = np.zeros(shape, dtype=np.int64)
-    for exps, c in f._terms.items():
-        ci = c.index if isinstance(c, FieldElement) else F.element(int(c)).index
-        term = np.full(shape, ci, dtype=np.int64)
-        for arr, e in zip(coords, exps):
-            if e:
-                term = F.vmul(term, F.vpow(arr, e))
-        total = F.vadd(total, term)
-    return total
+    shape = np.broadcast_shapes(*(np.shape(c) for c in coords))
+    values = f([FieldArray(np.asarray(c, dtype=np.int64), F) for c in coords])
+    return np.array(np.broadcast_to(values.a, shape), dtype=np.int64)
 
 
 class PolySystem:
@@ -405,6 +399,11 @@ class PolySystem:
     @property
     def field(self):
         return self.polys[0].field
+
+    def __call__(self, x) -> list:
+        """The values of the polynomials at x (see MPoly.__call__), so a
+        system is itself an equation builder."""
+        return [p(x) for p in self.polys]
 
     def eval(self, point):
         return [p.eval(point) for p in self.polys]

@@ -10,15 +10,13 @@ and evaluate the equations on each whole block through the instance's own
 builder; the points where they vanish are taken out of the broadcast
 coordinates, and only there is the Jacobian evaluated, by the same builder
 run on forward-mode jets (ffield.Jet), which gives the first partials in
-the compact form it writes the equations in.  An instance without a
-builder falls back to eval_batch of the expanded partials.  Nodes are
-recognized by a full-rank Hessian in the affine chart of the first
-nonzero coordinate.  classify_nodes takes all the points of an instance
-at once: the builder run on second-order jets (a Jet of Jets) gives the
-values, gradients and Hessians on index arrays, and one elimination over
-F_q on the stack of affine Hessians gives the ranks; an instance without
-a builder falls back to eval_batch of the memoized second partials.  The
-criterion needs characteristic at least 7 and is refused below that.
+the compact form it writes the equations in.  Nodes are recognized by a
+full-rank Hessian in the affine chart of the first nonzero coordinate.
+classify_nodes takes all the points of an instance at once: the builder
+run on second-order jets (a Jet of Jets) gives the values, gradients and
+Hessians on index arrays, and one elimination over F_q on the stack of
+affine Hessians gives the ranks.  The criterion needs characteristic at
+least 7 and is refused below that.
 
 Containment statements about the quadric surface are certified by
 exhaustive finite-field enumeration over several primes, which is strong
@@ -66,7 +64,6 @@ from .ffield import (
     make_field,
     matrix_ranks,
 )
-from .mvpoly import MPoly, eval_batch
 
 _P4_CAP = 41  # the node census runs up to F_41
 _P5_CAP = 13
@@ -128,31 +125,11 @@ class SurfaceEvidence:
         )
 
 
-@functools.lru_cache(maxsize=64)
-def _partials(f: MPoly) -> tuple[MPoly, ...]:
-    """The first partials of f, derived once per polynomial and memoized."""
-    return tuple(f.derivative(v) for v in range(f.nvars))
-
-
-@functools.lru_cache(maxsize=64)
-def _second_partials(f: MPoly) -> tuple[tuple[MPoly, ...], ...]:
-    """The first partials of each first partial of f, memoized."""
-    return tuple(tuple(d.derivative(v) for v in range(f.nvars)) for d in _partials(f))
-
-
 def _jacobian(instance: FamilyInstance, coords) -> list[list[np.ndarray]]:
     """The first partials of each equation of the instance on index arrays:
-    row i lists d f_i / d x_j for every j.
-
-    A built family runs its builder on jets; an instance without a builder
-    evaluates the expanded partials with eval_batch.
+    row i lists d f_i / d x_j for every j, from the builder run on jets.
     """
     F = instance.field
-    if instance.equations is None:
-        return [
-            [eval_batch(d, coords, F) for d in _partials(f)]
-            for f in instance.system.to_field(F).polys
-        ]
     zero = np.zeros(np.shape(coords[0]), dtype=np.int64)
     return [
         [zero if d is None else d.a for d in eq.d]
@@ -219,22 +196,10 @@ def singular_points(instance: FamilyInstance, threads: int = 1) -> SingularRepor
 
 def _hessian(instance: FamilyInstance, coords) -> list[tuple]:
     """Value, gradient and Hessian of each equation of the instance on index
-    arrays: one (f, [df/dx_j], [[d2f/dx_j dx_k]]) per equation.
-
-    A built family runs its builder once on second-order jets; an instance
-    without a builder evaluates the expanded first and second partials with
-    eval_batch.
+    arrays: one (f, [df/dx_j], [[d2f/dx_j dx_k]]) per equation, from one
+    run of the builder on second-order jets.
     """
     F = instance.field
-    if instance.equations is None:
-        return [
-            (
-                eval_batch(f, coords, F),
-                [eval_batch(d, coords, F) for d in _partials(f)],
-                [[eval_batch(s, coords, F) for s in row] for row in _second_partials(f)],
-            )
-            for f in instance.system.to_field(F).polys
-        ]
     zero = np.zeros(np.shape(coords[0]), dtype=np.int64)
     n = len(coords)
     out = []

@@ -23,7 +23,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .errors import RootOfUnityUnavailable
+from .errors import InvariantViolated, RootOfUnityUnavailable
 from .families import FamilyInstance, normalize_point
 from .ffield import FieldDescriptor, FieldElement, primitive_nth_root
 from .mvpoly import MPoly
@@ -112,6 +112,7 @@ class GroupSpec:
     def __init__(self, elements, identity):
         self.elements = tuple(elements)
         self.identity = identity
+        self._members = frozenset(self.elements)
 
     def __len__(self):
         return len(self.elements)
@@ -120,21 +121,21 @@ class GroupSpec:
         return iter(self.elements)
 
     def __contains__(self, g):
-        return g in set(self.elements)
+        return g in self._members
 
     def verify_axioms(self) -> bool:
         """Exhaustive closure, identity and inverse check (groups are small)."""
-        elems = set(self.elements)
-        if self.identity not in elems:
+        members = self._members
+        if self.identity not in members:
             return False
         for g in self.elements:
-            if g.compose(self.identity) != g or g.inverse() not in elems:
+            if g.compose(self.identity) != g or g.inverse() not in members:
                 return False
             if g.compose(g.inverse()) != self.identity:
                 return False
         for g in self.elements:
             for h in self.elements:
-                if g.compose(h) not in elems:
+                if g.compose(h) not in members:
                     return False
         return True
 
@@ -266,4 +267,4 @@ def quotient_generator() -> GtildeElement:
     for g in enumerate_Gtilde():
         if induced_cube_action(g) == (1, 1, 1, 0, 0, 0):
             return g
-    raise AssertionError("no generator with the expected induced action")
+    raise InvariantViolated("no generator with the expected induced action")

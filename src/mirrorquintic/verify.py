@@ -87,8 +87,7 @@ def suite_nodes(
                     if strata_membership(pt, Y) is Stratum.EXTRA_NODE
                 ]
                 ok = ok and len(extra) == 1
-                if p >= 7:
-                    ok = ok and singular.classify_node(Y, extra[0]).is_node
+                ok = ok and singular.classify_node(Y, extra[0]).is_node
             out.append(
                 _check(
                     f"mirror mu={mu} over F_{p}: singular count "
@@ -243,7 +242,7 @@ def suite_groups(
         )
     )
     kernel_ok = all(symmetry._cubes_projectively_trivial(h) for h in H) and not any(
-        symmetry._cubes_projectively_trivial(g) for g in Gt if g not in set(H.elements)
+        symmetry._cubes_projectively_trivial(g) for g in Gt if g not in H
     )
     out.append(_check("kernel = exactly the elements with mu = 0 mod 3", kernel_ok))
     return out

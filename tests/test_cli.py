@@ -164,6 +164,19 @@ def test_count_p_range(tmp_path):
     assert [r["p"] for r in env["records"]] == [2, 3, 5, 7]
 
 
+def test_count_build_error_is_one_row_per_prime(tmp_path):
+    # QuadricQ needs a fifth root of unity: over 2..31 only F_11 and F_31 have one
+    out = tmp_path / "q.json"
+    assert run(["count", "--family", "Q", "--p-range", "2..31", "--out", str(out)]) == 1
+    records = json.loads(out.read_text())["records"]
+    assert [r["p"] for r in records] == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31]
+    for r in records:
+        if r["p"] in (11, 31):
+            assert r["status"] == "ok"
+        else:
+            assert r["status"].startswith("error: ")
+
+
 def test_count_p5_family_falls_back_to_naive(tmp_path):
     out = tmp_path / "v.json"
     code = run(

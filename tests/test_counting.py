@@ -35,9 +35,7 @@ from mirrorquintic.singular import preimage_count
 
 def hyperplane_instance(F):
     f = MPoly.variable(5, 0, F)
-    return FamilyInstance(
-        FamilyId.QUINTIC_X, F, {}, PolySystem([f], homogeneous=True), 4
-    )
+    return FamilyInstance(FamilyId.QUINTIC_X, F, {}, 4, PolySystem([f], homogeneous=True))
 
 
 def hand_count_f2(kind):

@@ -28,7 +28,6 @@ from mirrorquintic.families import (
     quintic_y,
     sample_points,
     strata_membership,
-    template_system,
     verify_coordinate_change,
     wtilde_from_lambda,
 )
@@ -186,15 +185,6 @@ def test_phi_sends_x_points_to_y(p):
         assert (eval_batch(fy, imgs, F) == 0).all()
 
 
-def test_template_instantiation_consistency():
-    # integer template reduced mod p equals direct field-side construction
-    lam = F7.element(1)
-    direct = cubics_v(lam, F7).system
-    templ = [t.to_field(F7) for t in template_system(FamilyId.CUBICS_V, lam=1)]
-    assert all(poly_equal(a, b) for a, b in zip(direct.polys, templ))
-    assert count_naive(cubics_v(1, F7)).count == count_naive(cubics_v(lam, F7)).count
-
-
 def test_param_string_canonical():
     assert quintic_x(1, F11).param_string() == "mu=1"
     F121 = make_field(11, 2)
@@ -270,18 +260,6 @@ def test_evaluate_equals_eval_batch_nu_form(p, k):
         _assert_evaluate_matches_eval_batch(new_coordinates_w(lam, F), seed=7 * p + i)
 
 
-def test_template_system_memo_is_not_shared():
-    first = template_system(FamilyId.QUINTIC_Y, mu=3)
-    expected = list(first)
-    first[0] = MPoly.zero(5)
-    first.append(MPoly.zero(5))
-    again = template_system(FamilyId.QUINTIC_Y, mu=3)
-    assert again is not first and len(again) == 1
-    assert poly_equal(again[0], expected[0])
-    # expanded once: the next call hands out the same polynomial objects
-    assert again[0] is expected[0]
-
-
 # -- the symbolic system is expanded on first read, and only then -------------
 
 _DEGREES = {
@@ -309,15 +287,13 @@ def expansions(monkeypatch):
     return calls
 
 
-def _eager_system(fid, param, F):
-    """The system expanded eagerly, outside the instance: the reduced
-    integer template for an int parameter, else the builder on MPoly
-    variables."""
-    names, nvars, builder = families._FAMILIES[fid]
-    if isinstance(param, int):
-        return [p.to_field(F) for p in template_system(fid, **{names[0]: param})]
-    x = [MPoly.variable(nvars, i, F) for i in range(nvars)]
-    return builder(param, x)
+def _eager_system(fid, param, F, domain):
+    """The system expanded eagerly, outside the instance: the builder on
+    MPoly variables with coefficients in domain (None for the integers),
+    reduced into F."""
+    _, nvars, builder = families._FAMILIES[fid]
+    x = [MPoly.variable(nvars, i, domain) for i in range(nvars)]
+    return [p.to_field(F) for p in builder(param, x)]
 
 
 @pytest.mark.parametrize("p,k", [(11, 1), (11, 2)])
@@ -330,7 +306,7 @@ def test_system_is_expanded_on_first_read(fid, p, k, expansions):
         inst = build_family(fid, {names[0]: param} if names else {}, F)
         assert expansions == []
         source = inst.params["xi5"] if param is None else param
-        want = _eager_system(fid, source, F)
+        want = _eager_system(fid, source, F, F)
         got = inst.system
         assert len(expansions) == 1
         assert len(got.polys) == len(want) and got.homogeneous
@@ -339,10 +315,11 @@ def test_system_is_expanded_on_first_read(fid, p, k, expansions):
         assert inst.system is got and len(expansions) == 1
         expansions.clear()
     if names:
-        # the template path and the builder path give the same system
-        by_int = build_family(fid, {names[0]: 2}, F).system
-        by_elem = build_family(fid, {names[0]: F.element(2)}, F).system
-        assert all(poly_equal(a, b) for a, b in zip(by_int.polys, by_elem.polys))
+        # the builder on integer variables, reduced into F, gives the
+        # builder's system over F
+        over_z = _eager_system(fid, 2, F, None)
+        over_f = _eager_system(fid, F.element(2), F, F)
+        assert all(poly_equal(a, b) for a, b in zip(over_z, over_f))
 
 
 def test_evaluations_leave_the_system_unexpanded(expansions, tmp_path):

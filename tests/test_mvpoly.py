@@ -12,7 +12,7 @@ from mirrorquintic.families import (
     quintic_x,
     quintic_y,
 )
-from mirrorquintic.ffield import make_field, primitive_nth_root
+from mirrorquintic.ffield import FieldArray, Jet, make_field, primitive_nth_root
 from mirrorquintic.mvpoly import MPoly, PolySystem, eval_batch, poly_equal
 
 
@@ -199,6 +199,53 @@ def test_eval_batch_matches_scalar():
     for j in range(64):
         pt = tuple(F.from_index(int(pts[i, j])) for i in range(5))
         assert int(vals[j]) == f.eval(pt).index
+
+
+@pytest.mark.parametrize("p,k", [(13, 1), (7, 2), (5, 3)])
+def test_call_on_every_value_type(p, k):
+    F = make_field(p, k)
+    rng = np.random.default_rng(10 * p + k)
+    n, m = 3, 40
+    polys = [
+        random_poly(n, rng, F) + MPoly.constant(n, F.from_index(int(c)), F)
+        for c in rng.integers(1, F.q, size=5)
+    ]
+    polys.append(MPoly.zero(n, F))
+    coords = list(rng.integers(0, F.q, size=(n, m)))
+    points = [tuple(F.from_index(int(c[j])) for c in coords) for j in range(m)]
+    arrays = [FieldArray(c, F) for c in coords]
+    jets = Jet.variables(coords, F)
+    inner = [random_poly(2, rng, F) for _ in range(n)]
+    outer_points = [
+        tuple(F.from_index(int(i)) for i in rng.integers(0, F.q, size=2))
+        for _ in range(10)
+    ]
+
+    def full(v):
+        return np.broadcast_to(v, (m,))
+
+    for f in polys:
+        values = full(f(arrays).a)
+        assert [int(v) for v in values] == [f(pt).index for pt in points]
+        jet = f(jets)
+        assert np.array_equal(full(jet.val.a), values)
+        for j in range(n):
+            d = 0 if jet.d[j] is None else jet.d[j].a
+            assert np.array_equal(full(d), full(f.derivative(j)(arrays).a))
+        composed = f(inner)
+        assert composed.nvars == 2 and composed.field == F
+        for pt in outer_points:
+            assert composed(pt) == f([g(pt) for g in inner])
+
+    grid = [
+        np.arange(F.q).reshape(-1, 1, 1),
+        np.arange(4).reshape(1, -1, 1),
+        np.zeros((1, 1, 2), dtype=np.int64),
+    ]
+    out = eval_batch(MPoly.constant(n, 3, F), grid, F)
+    assert out.shape == (F.q, 4, 2) and out.dtype == np.int64 and out.flags.writeable
+    assert (out == F.element(3).index).all()
+    assert eval_batch(MPoly.zero(n, F), grid, F).shape == (F.q, 4, 2)
 
 
 def test_system_homogeneity_flag_checked():

@@ -31,7 +31,6 @@ from mirrorquintic.mvpoly import eval_batch
 from mirrorquintic.singular import (
     _chart_key,
     _jacobian,
-    _partials,
     _surface_chunks,
     classify_node,
     classify_nodes,
@@ -244,7 +243,10 @@ def _jet_instances(F):
 
 
 def _expanded_jacobian(inst, coords):
-    return [[eval_batch(d, coords, inst.field) for d in _partials(f)] for f in inst.system.polys]
+    return [
+        [eval_batch(f.derivative(j), coords, inst.field) for j in range(f.nvars)]
+        for f in inst.system.polys
+    ]
 
 
 @pytest.mark.parametrize("p,k", _JET_FIELDS)
@@ -276,7 +278,7 @@ def test_jet_fields_cover_every_builder():
 
 def test_jacobian_without_builder_uses_expanded_partials():
     inst = quintic_y(2, F11)
-    bare = FamilyInstance(inst.id, F11, inst.params, inst.system, inst.ambient_dim)
+    bare = FamilyInstance(inst.id, F11, inst.params, inst.ambient_dim, inst.system)
     coords = list(np.random.default_rng(3).integers(0, 11, size=(5, 200)))
     got = _jacobian(bare, coords)
     for grow, wrow in zip(got, _jacobian(inst, coords)):
@@ -425,7 +427,7 @@ def test_classify_nodes_over_extension_field():
 
 def test_classify_nodes_without_builder_uses_expanded_partials():
     for inst in (quintic_x(1, F11), quintic_y(1, F11)):
-        bare = FamilyInstance(inst.id, F11, inst.params, inst.system, inst.ambient_dim)
+        bare = FamilyInstance(inst.id, F11, inst.params, inst.ambient_dim, inst.system)
         points = singular_points(inst).points
         assert _as_tuples(classify_nodes(bare, points)) == _as_tuples(
             classify_nodes(inst, points)
