@@ -310,7 +310,7 @@ def _x0_table(F: FieldDescriptor, e: int, k: int) -> np.ndarray:
     """
     all_idx = np.arange(F.q, dtype=np.int64)
     kx = F.vmul(np.int64(k), all_idx)
-    inv_kx = F.inv_table[kx]
+    inv_kx = F.vpow(kx, -1)
 
     def h(x0, v):
         return F.vpow(F.vadd(F.vpow(x0, e), v), 5 // e)

@@ -37,7 +37,12 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DimensionMismatch, MissingParameter, ZeroDenominator
+from .errors import (
+    DimensionMismatch,
+    MirrorQuinticError,
+    MissingParameter,
+    ZeroDenominator,
+)
 from .ffield import (
     FieldArray,
     FieldDescriptor,
@@ -155,6 +160,8 @@ class FamilyInstance:
         the compact form the builder writes.
         """
         F = self.field
+        if self.equations is None:
+            raise MirrorQuinticError(f"{self!r} is a point set with no equations")
         if len(coords) != self.nvars:
             raise DimensionMismatch(
                 f"{len(coords)} coordinate arrays for {self.nvars} variables"
@@ -434,7 +441,7 @@ def points_on_lines_a(F: FieldDescriptor) -> list[tuple[FieldElement, ...]]:
         blocks.append(block)
     pts = np.concatenate(blocks)
     pivot = pts[np.arange(len(pts)), np.argmax(pts != 0, axis=1)]
-    pts = F.vmul(pts, F.inv_table[pivot][:, None])
+    pts = F.vmul(pts, F.vpow(pivot, -1)[:, None])
     pts = pts[np.lexsort(pts.T[::-1])]
     pts = pts[np.r_[True, (pts[1:] != pts[:-1]).any(axis=1)]]
     elems = list(F.elements())

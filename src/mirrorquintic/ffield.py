@@ -1,24 +1,27 @@
 """Exact arithmetic in prime fields F_p and small extensions F_{p^k}, k <= 4.
 
-Every element of F_{p^k} carries a canonical integer index in [0, q),
-q = p^k: the element with coefficient vector (c_0, ..., c_{k-1}) over F_p
-has index sum(c_i * p^i).  Index 0 is zero and index 1 is one in every
-supported field.  FieldElement gives exact scalar arithmetic with operator
-overloads; bulk work goes through the vectorized index operations on
-FieldDescriptor (numpy int64 arrays of indices), so hot loops run on flat
-tables instead of per-element objects or hash lookups.  FieldArray gives
-such an index array the arithmetic operators, so that polynomial
-expressions written for MPoly also evaluate on arrays; Jet carries the
-first partial derivatives along with the values (forward mode), and a Jet
-of Jets the second ones.  matrix_ranks row-reduces a whole stack of
-matrices of indices in one elimination.
+An element of F_{p^k} is its canonical integer index in [0, q), q = p^k:
+the element with coefficient vector (c_0, ..., c_{k-1}) over F_p has index
+sum(c_i * p^i).  Index 0 is zero and index 1 is one in every supported
+field.  The arithmetic is defined once, by the index operations of
+FieldDescriptor (vadd, vsub, vneg, vmul, vpow), each of which takes Python
+ints as well as numpy int64 arrays of indices.  A prime field's index is
+its residue, so its scalars need no tables at any p; an extension field
+adds digit by digit in base p and multiplies, powers and inverts through
+its exp/log tables.  FieldElement gives one index the operators, for exact
+scalar work; FieldArray gives an index array the same operators, so that
+polynomial expressions written for MPoly also evaluate on arrays; Jet
+carries the first partial derivatives along with the values (forward
+mode), and a Jet of Jets the second ones.  matrix_ranks row-reduces a whole
+stack of matrices of indices in one elimination.
 
 Extension moduli are chosen deterministically: the first monic irreducible
 polynomial of degree k in lexicographic order of the coefficient tuple
 (constant term first).  Irreducibility is certified by exhaustive root and
 quadratic-divisor search, which is complete for k <= 4.  Two runs on any
 machine therefore agree on element indexing, which keeps persisted counts
-comparable.
+comparable.  Products of coefficient vectors modulo the modulus serve only
+to build the tables: to find the generator and to fill the exp table.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 
 import numpy as np
 
@@ -68,29 +72,21 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def _poly_rem(coeffs: list[int], modulus: tuple[int, ...], p: int) -> list[int]:
-    # Remainder of coeffs (ascending degree) modulo the monic modulus, mod p.
+def _poly_mul_mod(a, b, modulus, p) -> list[int]:
+    # Product of coefficient vectors (ascending degree) modulo the monic
+    # modulus and p, padded to the modulus degree.
     k = len(modulus) - 1
-    out = [c % p for c in coeffs]
-    for i in range(len(out) - 1, k - 1, -1):
-        lead = out[i]
-        if lead:
-            out[i] = 0
-            for j in range(k):
-                out[i - k + j] = (out[i - k + j] - lead * modulus[j]) % p
-    del out[k:]
-    while len(out) < k:
-        out.append(0)
-    return out
-
-
-def _poly_mul_mod(a, b, modulus, p):
-    prod = [0] * (len(a) + len(b) - 1)
+    out = [0] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
         if ai:
             for j, bj in enumerate(b):
-                prod[i + j] = (prod[i + j] + ai * bj) % p
-    return _poly_rem(prod, modulus, p)
+                out[i + j] = (out[i + j] + ai * bj) % p
+    for i in range(len(out) - 1, k - 1, -1):
+        lead = out[i]
+        if lead:
+            for j in range(k):
+                out[i - k + j] = (out[i - k + j] - lead * modulus[j]) % p
+    return (out + [0] * k)[:k]
 
 
 def _has_root(coeffs: tuple[int, ...], p: int) -> bool:
@@ -129,132 +125,102 @@ def _is_irreducible(coeffs: tuple[int, ...], p: int) -> bool:
 
 
 class FieldElement:
-    """An element of F_{p^k}, stored as a reduced coefficient tuple."""
+    """An element of F_{p^k}, stored as its index (a Python int).
 
-    __slots__ = ("field", "coeffs")
+    Its operators run the FieldDescriptor's index operations, the ones
+    FieldArray runs on arrays, so scalars and arrays share one arithmetic.
+    Equality and hashing are by field and index; an int is not an element.
+    """
 
-    def __init__(self, field: "FieldDescriptor", coeffs: tuple[int, ...]):
+    __slots__ = ("field", "index")
+
+    def __init__(self, field: "FieldDescriptor", index: int):
         self.field = field
-        self.coeffs = coeffs
+        self.index = index
 
-    @property
-    def index(self) -> int:
-        p = self.field.p
-        idx = 0
-        for c in reversed(self.coeffs):
-            idx = idx * p + c
-        return idx
-
-    def _coerce(self, other):
+    def _other(self, other):
+        # the index of the other operand, None when it is not one
         if isinstance(other, FieldElement):
             if other.field is not self.field and other.field != self.field:
                 raise FieldMismatch(
                     f"elements of {self.field} and {other.field} cannot be combined"
                 )
-            return other
+            return other.index
         if isinstance(other, int):
-            return self.field.element(other)
+            return other % self.field.p
         return None
 
+    def _new(self, index) -> "FieldElement":
+        # table lookups give numpy integers; the index stays a Python int
+        return FieldElement(self.field, int(index))
+
     def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        p = self.field.p
-        return FieldElement(
-            self.field, tuple((a + b) % p for a, b in zip(self.coeffs, o.coeffs))
-        )
+        o = self._other(other)
+        return NotImplemented if o is None else self._new(self.field.vadd(self.index, o))
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        p = self.field.p
-        return FieldElement(
-            self.field, tuple((a - b) % p for a, b in zip(self.coeffs, o.coeffs))
-        )
+        o = self._other(other)
+        return NotImplemented if o is None else self._new(self.field.vsub(self.index, o))
 
     def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o - self
+        o = self._other(other)
+        return NotImplemented if o is None else self._new(self.field.vsub(o, self.index))
 
     def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        F = self.field
-        if F.k == 1:
-            return FieldElement(F, ((self.coeffs[0] * o.coeffs[0]) % F.p,))
-        prod = _poly_mul_mod(list(self.coeffs), list(o.coeffs), F.modulus, F.p)
-        return FieldElement(F, tuple(prod))
+        o = self._other(other)
+        return NotImplemented if o is None else self._new(self.field.vmul(self.index, o))
 
     __rmul__ = __mul__
 
     def __neg__(self):
-        p = self.field.p
-        return FieldElement(self.field, tuple((-a) % p for a in self.coeffs))
+        return self._new(self.field.vneg(self.index))
 
     def __pow__(self, e: int):
-        F = self.field
-        if e < 0:
-            return self.inverse() ** (-e)
-        result = F.one
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        e = operator.index(e)  # a numpy integer exponent too
+        if e < 0 and not self.index:
+            raise ZeroDivisionError("inverse of zero")
+        return self._new(self.field.vpow(self.index, e))
 
     def scale(self, c) -> "FieldElement":
         """Multiply by a scalar (int or FieldElement), as MPoly.scale does."""
         return self * c
 
     def inverse(self) -> "FieldElement":
-        # Exponentiation by q - 2; branch-free and off the hot path.
-        if not self:
-            raise ZeroDivisionError("inverse of zero")
-        return self ** (self.field.q - 2)
+        return self**-1
 
     def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self * o.inverse()
+        o = self._other(other)
+        return NotImplemented if o is None else self * self._new(o).inverse()
 
     def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o * self.inverse()
+        o = self._other(other)
+        return NotImplemented if o is None else self._new(o) * self.inverse()
 
     def __eq__(self, other):
         # an int is not an element: F7(3) != 3, so equal values hash equally
         if isinstance(other, FieldElement):
-            return self.field == other.field and self.coeffs == other.coeffs
+            return self.index == other.index and self.field == other.field
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.field.p, self.field.k, self.coeffs))
+        return hash((self.field.q, self.index))
 
     def __bool__(self):
-        return any(self.coeffs)
+        return self.index != 0
 
     def __repr__(self):
-        if self.field.k == 1:
-            return f"F{self.field.p}({self.coeffs[0]})"
-        return f"F{self.field.q}({list(self.coeffs)})"
+        F = self.field
+        if F.k == 1:
+            return f"F{F.p}({self.index})"
+        return f"F{F.q}({F._digits(self.index)})"
 
     def canonical_str(self) -> str:
         """Decimal integer for prime fields, comma-separated digits otherwise."""
         if self.field.k == 1:
-            return str(self.coeffs[0])
-        return ",".join(str(c) for c in self.coeffs)
+            return str(self.index)
+        return ",".join(map(str, self.field._digits(self.index)))
 
 
 class FieldDescriptor:
@@ -272,10 +238,9 @@ class FieldDescriptor:
         self._generator: FieldElement | None = None
         self._exp: np.ndarray | None = None
         self._log: np.ndarray | None = None
-        self._inv: np.ndarray | None = None
         self._pow_tables: dict[int, np.ndarray] = {}
-        self.zero = FieldElement(self, (0,) * k)
-        self.one = FieldElement(self, (1,) + (0,) * (k - 1))
+        self.zero = FieldElement(self, 0)
+        self.one = FieldElement(self, 1)
 
     def __repr__(self):
         return f"GF({self.q})" if self.k > 1 else f"GF({self.p})"
@@ -293,6 +258,20 @@ class FieldDescriptor:
 
     # -- scalar interface ------------------------------------------------
 
+    def _digits(self, idx: int) -> list[int]:
+        # the coefficient vector (c_0, ..., c_{k-1}) of an index
+        out = []
+        for _ in range(self.k):
+            idx, c = divmod(idx, self.p)
+            out.append(c)
+        return out
+
+    def _index(self, coeffs) -> int:
+        idx = 0
+        for c in reversed(coeffs):
+            idx = idx * self.p + c
+        return idx
+
     def element(self, value) -> FieldElement:
         """Coerce an int (reduced mod p), coefficient sequence, or element."""
         if isinstance(value, FieldElement):
@@ -300,38 +279,47 @@ class FieldDescriptor:
                 raise FieldMismatch(f"{value!r} is not in {self!r}")
             return value
         if isinstance(value, int):
-            return FieldElement(self, (value % self.p,) + (0,) * (self.k - 1))
-        coeffs = tuple(int(c) % self.p for c in value)
+            return FieldElement(self, value % self.p)
+        coeffs = [int(c) % self.p for c in value]
         if len(coeffs) > self.k:
             raise ValueError("coefficient vector longer than extension degree")
-        coeffs = coeffs + (0,) * (self.k - len(coeffs))
-        return FieldElement(self, coeffs)
+        return FieldElement(self, self._index(coeffs))
 
     def from_index(self, idx: int) -> FieldElement:
         if not 0 <= idx < self.q:
             raise ValueError(f"index {idx} out of range for {self!r}")
-        coeffs = []
-        for _ in range(self.k):
-            coeffs.append(idx % self.p)
-            idx //= self.p
-        return FieldElement(self, tuple(coeffs))
+        return FieldElement(self, int(idx))
 
     def elements(self):
         """All field elements in canonical index order."""
-        return (self.from_index(i) for i in range(self.q))
+        return (FieldElement(self, i) for i in range(self.q))
 
     def generator(self) -> FieldElement:
-        """The smallest-index generator of the multiplicative group."""
+        """The smallest-index generator of the multiplicative group.
+
+        The tables are built from it, so the search multiplies residues, or
+        coefficient vectors modulo the modulus, instead of using them.
+        """
         if self._generator is None:
-            n = self.q - 1
+            p, n = self.p, self.q - 1
+
+            def power(idx: int, e: int) -> int:
+                if self.k == 1:
+                    return pow(idx, e, p)
+                result, base = [1], self._digits(idx)
+                while e:
+                    if e & 1:
+                        result = _poly_mul_mod(result, base, self.modulus, p)
+                    base = _poly_mul_mod(base, base, self.modulus, p)
+                    e >>= 1
+                return self._index(result)
+
             factors = _prime_factors(n)
-            for idx in range(2, self.q):
-                g = self.from_index(idx)
-                if all(g ** (n // f) != self.one for f in factors):
-                    self._generator = g
-                    break
-            else:  # q == 2
-                self._generator = self.one
+            gen = next(
+                (g for g in range(2, self.q) if all(power(g, n // f) != 1 for f in factors)),
+                1,  # q == 2: one generates the trivial group
+            )
+            self._generator = FieldElement(self, gen)
         return self._generator
 
     # -- flat tables ------------------------------------------------------
@@ -344,25 +332,22 @@ class FieldDescriptor:
                 f"q = {self.q} exceeds the flat-table cap {POWER_TABLE_CAP}"
             )
         n = self.q - 1
+        g = self.generator().index
         exp = np.zeros(n, dtype=np.int64)
-        log = np.zeros(self.q, dtype=np.int64)
         if self.k == 1:
-            g = self.generator().coeffs[0]
             v = 1
             for t in range(n):
                 exp[t] = v
-                log[v] = t
                 v = v * g % self.p
         else:
-            g = self.generator()
-            v = self.one
+            gc, v = self._digits(g), self._digits(1)
             for t in range(n):
-                iv = v.index
-                exp[t] = iv
-                log[iv] = t
-                v = v * g
-        self._exp = exp
+                exp[t] = self._index(v)
+                v = _poly_mul_mod(v, gc, self.modulus, self.p)
+        log = np.zeros(self.q, dtype=np.int64)  # log[0] is a placeholder
+        log[exp] = np.arange(n)
         self._log = log
+        self._exp = exp  # last: a set _exp means both tables are ready
 
     @property
     def exp_table(self) -> np.ndarray:
@@ -374,19 +359,10 @@ class FieldDescriptor:
         self._ensure_tables()
         return self._log
 
-    @property
-    def inv_table(self) -> np.ndarray:
-        if self._inv is None:
-            self._ensure_tables()
-            n = self.q - 1
-            inv = np.zeros(self.q, dtype=np.int64)
-            inv[self._exp] = self._exp[(n - np.arange(n)) % n]
-            self._inv = inv
-        return self._inv
-
     def power_table(self, e: int) -> np.ndarray:
-        """Flat table idx -> index of (element idx) ** e; TableTooLarge when
-        q exceeds POWER_TABLE_CAP."""
+        """Flat table idx -> index of (element idx) ** e, with 0 ** 0 = 1 and
+        0 ** e = 0 otherwise (so power_table(-1) inverts every unit);
+        TableTooLarge when q exceeds POWER_TABLE_CAP."""
         tab = self._pow_tables.get(e)
         if tab is None:
             self._ensure_tables()
@@ -399,61 +375,54 @@ class FieldDescriptor:
             self._pow_tables[e] = tab
         return tab
 
-    # -- vectorized index operations ---------------------------------------
-    # On prime fields each operation allocates one result and reduces it in
-    # place.
+    # -- index operations ---------------------------------------------------
+    # The one definition of the field arithmetic.  Each takes Python ints or
+    # numpy int64 arrays (any broadcastable mix); on prime-field arrays each
+    # allocates one result and reduces it in place.
 
     def _mod_p(self, x):
         if isinstance(x, np.ndarray):
             return np.remainder(x, self.p, out=x)
-        return x % self.p  # 0-d inputs give a numpy scalar
+        return x % self.p
+
+    def _digitwise(self, op, a, b):
+        # op applied to each base-p digit, mod p; a prime field has one digit
+        if self.k == 1:
+            return self._mod_p(op(a, b))
+        p, out, scale = self.p, 0, 1
+        for _ in range(self.k):
+            out += op(a, b) % p * scale
+            a, b, scale = a // p, b // p, scale * p
+        return out
 
     def vadd(self, a, b):
-        a = np.asarray(a, dtype=np.int64)
-        b = np.asarray(b, dtype=np.int64)
-        if self.k == 1:
-            return self._mod_p(a + b)
-        p = self.p
-        out = np.zeros(np.broadcast(a, b).shape, dtype=np.int64)
-        scale = 1
-        for _ in range(self.k):
-            out += ((a % p + b % p) % p) * scale
-            a = a // p
-            b = b // p
-            scale *= p
-        return out
-
-    def vneg(self, a):
-        a = np.asarray(a, dtype=np.int64)
-        if self.k == 1:
-            return self._mod_p(self.p - a)
-        p = self.p
-        out = np.zeros(a.shape, dtype=np.int64)
-        scale = 1
-        for _ in range(self.k):
-            out += ((p - a % p) % p) * scale
-            a = a // p
-            scale *= p
-        return out
+        return self._digitwise(operator.add, a, b)
 
     def vsub(self, a, b):
-        if self.k == 1:
-            a = np.asarray(a, dtype=np.int64)
-            return self._mod_p(a - np.asarray(b, dtype=np.int64))
-        return self.vadd(a, self.vneg(b))
+        return self._digitwise(operator.sub, a, b)
+
+    def vneg(self, a):
+        return self._digitwise(operator.sub, 0, a)
 
     def vmul(self, a, b):
-        a = np.asarray(a, dtype=np.int64)
-        b = np.asarray(b, dtype=np.int64)
         if self.k == 1:
             return self._mod_p(a * b)
         self._ensure_tables()
-        n = self.q - 1
-        out = self._exp[(self._log[a] + self._log[b]) % n]
-        return np.where((a == 0) | (b == 0), 0, out)
+        prod = self._exp[(self._log[a] + self._log[b]) % (self.q - 1)]
+        return prod * ((a != 0) & (b != 0))
 
     def vpow(self, a, e: int):
-        return self.power_table(e)[np.asarray(a, dtype=np.int64)]
+        """a ** e, with 0 ** 0 = 1; e < 0 inverts (and sends 0 to 0 on the
+        tables).  A prime field's ints use the builtin pow, an extension
+        field's ints the exp/log tables, arrays the cached power_table(e)."""
+        if not isinstance(a, int):
+            return self.power_table(e)[a]
+        if self.k == 1:
+            return pow(a, e, self.p)
+        if a == 0:
+            return int(e == 0)
+        self._ensure_tables()
+        return self._exp[int(self._log[a]) * e % (self.q - 1)]
 
 
 class FieldArray:
@@ -491,7 +460,7 @@ class FieldArray:
         ci = F.element(c).index
         if ci == 1:
             return self
-        return FieldArray(F.vmul(np.int64(ci), self.a), F)
+        return FieldArray(F.vmul(ci, self.a), F)
 
 
 class Jet:
@@ -571,8 +540,8 @@ class Jet:
 def matrix_ranks(F: FieldDescriptor, m) -> np.ndarray:
     """Ranks of a stack of matrices over F, given as an index array of shape
     (count, rows, cols), by one Gauss-Jordan elimination run on every
-    matrix at once.  The pivots are inverted through inv_table, so q is
-    bounded by POWER_TABLE_CAP."""
+    matrix at once.  The pivots are inverted through power_table(-1), so q
+    is bounded by POWER_TABLE_CAP."""
     m = np.array(m, dtype=np.int64)
     count, nrows, ncols = m.shape
     rank = np.zeros(count, dtype=np.int64)
@@ -586,7 +555,7 @@ def matrix_ranks(F: FieldDescriptor, m) -> np.ndarray:
         piv = cand[sel].argmax(axis=1)
         top = rank[sel]
         m[sel, top], m[sel, piv] = m[sel, piv], m[sel, top]
-        row = F.vmul(m[sel, top], F.inv_table[m[sel, top, col]][:, None])
+        row = F.vmul(m[sel, top], F.vpow(m[sel, top, col], -1)[:, None])
         m[sel, top] = row
         f = m[sel, :, col]
         f[np.arange(sel.size), top] = 0
@@ -635,24 +604,6 @@ def make_field(p: int, k: int = 1) -> FieldDescriptor:
             return FieldDescriptor(p, k, coeffs)
     raise InvariantViolated(f"no irreducible polynomial of degree {k} over F_{p}")
 
-
-def nth_roots_of_unity(F: FieldDescriptor, n: int) -> list[FieldElement]:
-    """All solutions of x**n = 1 in F, sorted by canonical index.
-
-    The list has exactly gcd(n, q - 1) entries.
-    """
-    if n < 1:
-        raise ValueError("n must be positive")
-    d = math.gcd(n, F.q - 1)
-    g = F.generator()
-    r = g ** ((F.q - 1) // d)
-    roots = []
-    x = F.one
-    for _ in range(d):
-        roots.append(x)
-        x = x * r
-    roots.sort(key=lambda e: e.index)
-    return roots
 
 def primitive_nth_root(F: FieldDescriptor, n: int) -> FieldElement:
     """The distinguished element of exact order n: generator ** ((q-1)/n).

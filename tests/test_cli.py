@@ -177,6 +177,16 @@ def test_count_build_error_is_one_row_per_prime(tmp_path):
             assert r["status"].startswith("error: ")
 
 
+def test_count_refuses_extension_field_above_table_cap(tmp_path):
+    # F_{1031^2} is built, but its arithmetic needs exp/log tables past the cap
+    out = tmp_path / "q.json"
+    code = run(["count", "--family", "Q", "--p", "1031", "--ext", "2", "--out", str(out)])
+    assert code == 1
+    (rec,) = json.loads(out.read_text())["records"]
+    assert (rec["p"], rec["k"]) == (1031, 2)
+    assert rec["status"] == "error: q = 1062961 exceeds the flat-table cap 1048576"
+
+
 def test_count_p5_family_falls_back_to_naive(tmp_path):
     out = tmp_path / "v.json"
     code = run(

@@ -22,13 +22,12 @@ from mirrorquintic.families import (
     FamilyId,
     FamilyInstance,
     MonomialMap,
-    build_family,
     cubics_v,
     cubics_wtilde,
     quintic_x,
     quintic_y,
 )
-from mirrorquintic.ffield import make_field, nth_roots_of_unity
+from mirrorquintic.ffield import element_roots, make_field
 from mirrorquintic.mvpoly import MPoly, PolySystem
 from mirrorquintic.singular import preimage_count
 
@@ -144,7 +143,7 @@ def _oracle_cases():
     cases = []
     for p, k in [(7, 1), (11, 1), (13, 1), (2, 2), (2, 3), (3, 2), (5, 2), (3, 3)]:
         F = make_field(p, k)
-        mus = [0] + [r.index for r in nth_roots_of_unity(F, 5)]
+        mus = [0] + [r.index for r in element_roots(F, F.one, 5)]
         mus.append(rng.choice([m for m in range(F.q) if m not in mus]))
         cases += [(p, k, m) for m in mus]
     return cases
@@ -197,11 +196,22 @@ def test_fiber_sum_identity(q, mu):
     assert total == count_x_table(mu, F).count
 
 
-def test_v_template_consistency_count():
-    F7 = make_field(7)
-    direct = count_naive(cubics_v(1, F7)).count
-    templ = count_naive(build_family(FamilyId.CUBICS_V, {"lam": 1}, F7)).count
-    assert direct == templ
+def test_v_count_matches_integer_brute_force():
+    # every point of P^5(F_7), normalized to a leading 1, tested on the two
+    # cubics of V at lam = 1 in plain integers mod 7
+    p, lam = 7, 1
+    points = [
+        (0,) * i + (1,) + free
+        for i in range(6)
+        for free in itertools.product(range(p), repeat=5 - i)
+    ]
+    assert len(points) == (p**6 - 1) // (p - 1) == 19608
+    total = sum(
+        (x0**3 + x1**3 + x2**3 - 3 * lam * x3 * x4 * x5) % p == 0
+        and (x3**3 + x4**3 + x5**3 - 3 * lam * x0 * x1 * x2) % p == 0
+        for x0, x1, x2, x3, x4, x5 in points
+    )
+    assert count_naive(cubics_v(lam, make_field(p))).count == total
 
 
 # -- grid-block enumeration ------------------------------------------------

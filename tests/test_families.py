@@ -5,6 +5,7 @@ from mirrorquintic import families
 from mirrorquintic.cli import run
 from mirrorquintic.counting import CountTask, count, count_naive
 from mirrorquintic.errors import (
+    MirrorQuinticError,
     MissingParameter,
     RootOfUnityUnavailable,
     ZeroDenominator,
@@ -127,6 +128,15 @@ def test_point_sets_a_and_b():
     b_set = set(points_b(F11))
     assert b_set <= set(a_pts)
     assert len(enumerate_points(build_family(FamilyId.LINES_A, {}, F7))) == 10 * 7 - 10
+
+
+@pytest.mark.parametrize("family", [FamilyId.LINES_A, FamilyId.POINTS_B])
+def test_point_set_families_have_no_equations_to_evaluate(family):
+    inst = build_family(family, {}, F7)
+    coords = [np.arange(7, dtype=np.int64)] * 5
+    for method in (inst.evaluate, inst.vanishing_mask):
+        with pytest.raises(MirrorQuinticError, match=f"{family.value} over GF.7. is a point set"):
+            method(coords)
 
 
 @pytest.mark.parametrize(

@@ -17,7 +17,6 @@ from mirrorquintic.ffield import (
     make_field,
     matrix_rank,
     matrix_ranks,
-    nth_roots_of_unity,
     primitive_nth_root,
 )
 
@@ -98,18 +97,18 @@ def test_inverse_law(p, k):
 
 def test_roots_of_unity_f11():
     F = make_field(11)
-    roots = nth_roots_of_unity(F, 5)
+    roots = element_roots(F, F.one, 5)
     assert [r.index for r in roots] == [1, 3, 4, 5, 9]
 
 
 def test_roots_of_unity_f7_trivial():
     F = make_field(7)
-    assert [r.index for r in nth_roots_of_unity(F, 5)] == [1]
+    assert [r.index for r in element_roots(F, F.one, 5)] == [1]
 
 
 def test_roots_of_unity_f4():
     F = make_field(2, 2)
-    assert [r.index for r in nth_roots_of_unity(F, 3)] == [1, 2, 3]
+    assert [r.index for r in element_roots(F, F.one, 3)] == [1, 2, 3]
 
 
 @pytest.mark.parametrize("p,k", [(2, 1), (3, 1), (5, 1), (7, 1), (11, 1), (2, 2), (3, 2), (11, 2), (5, 2), (2, 3)])
@@ -117,7 +116,7 @@ def test_roots_of_unity_count_scan(p, k):
     # cross-check |x : x^n = 1| = gcd(n, q - 1) by exhaustive scan
     F = make_field(p, k)
     for n in range(1, 11):
-        roots = nth_roots_of_unity(F, n)
+        roots = element_roots(F, F.one, n)
         scan = [x for x in F.elements() if x and x**n == F.one]
         assert len(roots) == math.gcd(n, F.q - 1) == len(scan)
         assert {r.index for r in roots} == {s.index for s in scan}
@@ -169,6 +168,16 @@ def test_power_table_cap():
         F.power_table(5)
 
 
+def test_large_prime_scalars_need_no_tables():
+    F = make_field(2**31 - 1)  # far above POWER_TABLE_CAP
+    x = F.element(123456789)
+    assert x * x.inverse() == F.one and x / x == F.one
+    assert x ** (F.q - 1) == F.one and (x + 1) ** 2 == x * x + 2 * x + 1
+    assert primitive_nth_root(F, 2) == F.element(-1)
+    with pytest.raises(TableTooLarge):
+        F.vpow(np.arange(3), 2)
+
+
 def test_vector_ops_match_scalar():
     rng = np.random.default_rng(7)
     for F in (make_field(13), make_field(3, 2), make_field(2, 4)):
@@ -182,9 +191,49 @@ def test_vector_ops_match_scalar():
             assert int(vn[i]) == (-x).index
 
 
+def _schoolbook_product(F, a: int, b: int) -> int:
+    # the index of a * b from its definition: multiply the coefficient
+    # vectors and reduce modulo F.modulus and p, without the field's tables
+    p, k = F.p, F.k
+    da = [a // p**i % p for i in range(k)]
+    db = [b // p**i % p for i in range(k)]
+    prod = [0] * (2 * k - 1)
+    for i in range(k):
+        for j in range(k):
+            prod[i + j] += da[i] * db[j]
+    for d in range(2 * k - 2, k - 1, -1):  # x^k = -(m_0 + ... + m_{k-1} x^(k-1))
+        for j in range(k):
+            prod[d - k + j] -= prod[d] * F.modulus[j]
+    return sum(prod[i] % p * p**i for i in range(k))
+
+
+def _check_products(F, a, b):
+    got = F.vmul(a, b)
+    for x, y, z in zip(a.tolist(), b.tolist(), got.tolist()):
+        want = _schoolbook_product(F, x, y)
+        assert z == want
+        assert (F.from_index(x) * F.from_index(y)).index == want
+
+
+@pytest.mark.parametrize("p,k", [(2, 2), (2, 3), (3, 2), (2, 4), (5, 2), (3, 3), (7, 2)])
+def test_mul_matches_schoolbook_every_pair(p, k):
+    F = make_field(p, k)
+    a, b = np.divmod(np.arange(F.q * F.q, dtype=np.int64), F.q)
+    _check_products(F, a, b)
+
+
+@pytest.mark.parametrize("p,k", [(3, 4), (11, 2), (7, 3), (7, 4)])
+def test_mul_matches_schoolbook_random_pairs(p, k):
+    F = make_field(p, k)
+    rng = np.random.default_rng(p * 10 + k)
+    a, b = rng.integers(0, F.q, size=(2, 2000))
+    a[:20] = 0  # zero is the case the tables encode apart
+    _check_products(F, a, b)
+
+
 def test_inv_table():
     for F in (make_field(11), make_field(7, 2)):
-        inv = F.inv_table
+        inv = F.vpow(np.arange(F.q), -1)
         for i in range(1, F.q):
             assert F.from_index(int(inv[i])) * F.from_index(i) == F.one
 

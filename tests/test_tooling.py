@@ -15,3 +15,42 @@ def test_invariants_raise_package_exceptions():
             ):
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []
+
+
+def _references(tree, names):
+    # (enclosing class/def names, line) of each use of one of the names
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, scope + (child.name,))
+                continue
+            name = (
+                child.id if isinstance(child, ast.Name)
+                else child.attr if isinstance(child, ast.Attribute)
+                else child.name if isinstance(child, ast.alias)
+                else None
+            )
+            if name in names:
+                found.append((scope, child.lineno))
+            visit(child, scope)
+
+    visit(tree, ())
+    return found
+
+
+def test_one_field_arithmetic():
+    # an element is its index: coefficient-vector products build the tables
+    # and nothing else, and no module reads an element's coefficients
+    table_builders = {("FieldDescriptor", "generator"), ("FieldDescriptor", "_ensure_tables")}
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        for scope, line in _references(tree, {"_poly_mul_mod", "_poly_rem"}):
+            if scope[:2] not in table_builders:
+                found.append(f"{path.name}:{line}")
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and node.attr == "coeffs":
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
