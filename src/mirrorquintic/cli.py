@@ -277,6 +277,10 @@ def run(argv: list[str]) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:
+        if getattr(args, "threads", 1) < 1:
+            raise _UsageError("--threads must be at least 1")
+        if getattr(args, "p_max", 2) < 2:
+            raise _UsageError("--p-max must be at least 2")
         if args.command == "count":
             return _cmd_count(args)
         if args.command == "trace":

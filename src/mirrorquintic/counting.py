@@ -309,7 +309,7 @@ def _x0_table(F: FieldDescriptor, e: int, k: int) -> np.ndarray:
     when h(x0, V) = 0.
     """
     all_idx = np.arange(F.q, dtype=np.int64)
-    kx = F.vmul(np.int64(k), all_idx)
+    kx = F.vmul(k, all_idx)
     inv_kx = F.vpow(kx, -1)
 
     def h(x0, v):

@@ -20,8 +20,8 @@ coordinates, parameters are elements of the field):
 Each family's equations are written once, by its builder, the only
 definition of them.  The builder evaluates them on index arrays
 (FamilyInstance.evaluate) and on jets without expanding them, so building
-an instance expands nothing; its symbolic system is the builder run on
-MPoly variables over the field, written on first read.
+an instance expands nothing; its symbolic system is the list of MPolys the
+builder writes on MPoly variables over the field, on first read.
 Projective points are tuples of FieldElements kept in canonical form
 (first nonzero coordinate scaled to 1).
 """
@@ -39,6 +39,7 @@ import numpy as np
 
 from .errors import (
     DimensionMismatch,
+    InvariantViolated,
     MirrorQuinticError,
     MissingParameter,
     ZeroDenominator,
@@ -50,7 +51,7 @@ from .ffield import (
     matrix_rank,
     primitive_nth_root,
 )
-from .mvpoly import MPoly, PolySystem, poly_equal
+from .mvpoly import MPoly
 
 
 class FamilyId(enum.Enum):
@@ -111,11 +112,11 @@ class FamilyInstance:
 
     ``equations`` maps one value per coordinate to the list of equation
     values, for any value type with +, -, *, ** and scale (FieldArray, Jet,
-    MPoly); it is a family builder bound to its parameter, a PolySystem, or
-    None for the point-set families LinesA and PointsB.  The evaluations
-    (evaluate, vanishing_mask, and the jets of the singular module) run it
-    directly; ``system`` and ``degrees`` run it once on MPoly variables, on
-    their first read.
+    MPoly); it is a family builder bound to its parameter, or None for the
+    point-set families LinesA and PointsB.  The evaluations (evaluate,
+    vanishing_mask, and the jets of the singular module) run it directly;
+    ``system`` and ``degrees`` run it once on MPoly variables, on their
+    first read.
     """
 
     def __init__(
@@ -134,7 +135,7 @@ class FamilyInstance:
         self._system = None
 
     @property
-    def system(self) -> PolySystem | None:
+    def system(self) -> list[MPoly] | None:
         if self._system is None and self.equations is not None:
             self._system = _expand(self.equations, self.nvars, self.field)
         return self._system
@@ -142,7 +143,7 @@ class FamilyInstance:
     @property
     def degrees(self) -> tuple[int, ...]:
         system = self.system
-        return () if system is None else tuple(p.degree() for p in system.polys)
+        return () if system is None else tuple(p.degree() for p in system)
 
     @property
     def nvars(self) -> int:
@@ -190,9 +191,9 @@ class FamilyInstance:
 # equation builders
 #
 # Each builder takes the parameter and the coordinates x and writes the
-# equations once.  Given MPoly variables (integer or field coefficients) it
-# returns the symbolic system; given FieldArrays or Jets it returns the
-# values on index arrays, evaluated in the compact form written here.
+# equations once.  Given MPoly variables over the field it returns the
+# symbolic system; given FieldArrays or Jets it returns the values on index
+# arrays, evaluated in the compact form written here.
 # ---------------------------------------------------------------------------
 
 
@@ -252,7 +253,7 @@ def _quadric_q_polys(xi: FieldElement, x):
     return [lin, quad]
 
 
-def _variables(nvars: int, F: FieldDescriptor | None) -> list[MPoly]:
+def _variables(nvars: int, F: FieldDescriptor) -> list[MPoly]:
     return [MPoly.variable(nvars, i, F) for i in range(nvars)]
 
 
@@ -275,10 +276,13 @@ def param_names(fid: FamilyId) -> tuple[str, ...]:
     return _FAMILIES[fid][0]
 
 
-def _expand(equations, nvars: int, F: FieldDescriptor) -> PolySystem:
+def _expand(equations, nvars: int, F: FieldDescriptor) -> list[MPoly]:
     """The symbolic system of an instance: its builder run on MPoly
-    variables over F."""
-    return PolySystem(equations(_variables(nvars, F)), homogeneous=True)
+    variables over F, every equation homogeneous."""
+    polys = equations(_variables(nvars, F))
+    if not all(p.is_homogeneous() for p in polys):
+        raise InvariantViolated("a projective family has a non-homogeneous equation")
+    return polys
 
 
 def build_family(fid: FamilyId, params: dict | None, F: FieldDescriptor) -> FamilyInstance:
@@ -493,24 +497,21 @@ def verify_coordinate_change(lam, F: FieldDescriptor) -> bool:
     if not lam:
         raise ZeroDenominator("the coordinate change needs lam != 0")
     change = cube_root_vandermonde_change(F)  # raises RootOfUnityUnavailable
-    w_inst = cubics_w(lam, F)
-    sub = w_inst.system.substitute(change)
-
     x = _variables(6, F)
+    forms = [
+        sum((xj.scale(c) for xj, c in zip(x, row)), MPoly.zero(6, F))
+        for row in change.matrix
+    ]
+    sub = [f.substitute(forms) for f in cubics_w(lam, F).system]
+
     lam3 = lam**3
     t345 = x[3] ** 3 + x[4] ** 3 + x[5] ** 3 - (x[3] * x[4] * x[5]).scale(3)
     t012 = x[0] ** 3 + x[1] ** 3 + x[2] ** 3 - (x[0] * x[1] * x[2]).scale(3)
     base1 = x[0] ** 3 - t345.scale(lam3)
     base2 = x[3] ** 3 - t012.scale(lam3)
-    ok = poly_equal(sub.polys[0], base1.scale(27)) and poly_equal(
-        sub.polys[1], base2.scale(27)
-    )
-
     nu = lam3.inverse()
-    nu_form1, nu_form2 = _cubics_nu_form_polys(nu, x)
-    ok = ok and poly_equal(nu_form1, base1.scale(-nu))
-    ok = ok and poly_equal(nu_form2, base2.scale(-nu))
-    return ok
+    rewritten = sub == [base1.scale(27), base2.scale(27)]
+    return rewritten and _cubics_nu_form_polys(nu, x) == [base1.scale(-nu), base2.scale(-nu)]
 
 
 def new_coordinates_w(lam, F: FieldDescriptor) -> FamilyInstance:

@@ -108,23 +108,21 @@ CUBIC_INTERSECTION_CHI = -144  # recorded, not recomputed
 NODE_COUNT = 125
 SPECIAL_TOTAL_CHI = -75  # nodal quintic: -200 + 125
 
-MIRROR_STRATA_GENERIC = QuotientLedger(
-    total_chi_upstairs=-200,
-    strata=[
-        Stratum("complement of the singular lines", None, 125),
-        Stratum("singular lines minus triple points", 10 * (2 - 3), 25),
-        Stratum("triple points", 10, 5),
-    ],
+# the strata of the quintic's quotient by G, the same for the generic and
+# the nodal quintic: (name, chi or None for the unknown, deck degree)
+_MIRROR_STRATA = (
+    ("complement of the singular lines", None, 125),
+    ("singular lines minus triple points", 10 * (2 - 3), 25),
+    ("triple points", 10, 5),
 )
 
-MIRROR_STRATA_SPECIAL = QuotientLedger(
-    total_chi_upstairs=SPECIAL_TOTAL_CHI,
-    strata=[
-        Stratum("complement of the singular lines", None, 125),
-        Stratum("singular lines minus triple points", 10 * (2 - 3), 25),
-        Stratum("triple points", 10, 5),
-    ],
-)
+
+def _mirror_ledger(total_chi_upstairs: int) -> QuotientLedger:
+    return QuotientLedger(total_chi_upstairs, [Stratum(*s) for s in _MIRROR_STRATA])
+
+
+MIRROR_STRATA_GENERIC = _mirror_ledger(-200)
+MIRROR_STRATA_SPECIAL = _mirror_ledger(SPECIAL_TOTAL_CHI)
 
 # Per-step Euler changes of the generic mirror resolution are not stated
 # individually by the source data; the aggregate +200 is recorded as its

@@ -348,9 +348,9 @@ def _surface_chunks(surface: FamilyInstance):
     """
     F = surface.field
     xi = surface.params["xi5"]
-    weights = [np.int64((xi**e).index) for e in range(1, 5)]
+    weights = [(xi**e).index for e in range(1, 5)]
     for coords in iter_projective_chunks(F, 3):
-        lin = np.int64(0)
+        lin = 0
         for w, c in zip(weights, coords):
             lin = F.vadd(lin, F.vmul(w, c))
         pts = [F.vneg(lin), *coords]

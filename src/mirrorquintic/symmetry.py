@@ -191,37 +191,28 @@ def diagonal_invariance(scalars, instance: FamilyInstance) -> bool:
     """True iff each defining polynomial, composed with the diagonal scaling,
     is a nonzero scalar multiple of some defining polynomial of the system."""
     system = instance.system
-    if len(scalars) != system.nvars:
+    if len(scalars) != instance.nvars:
         return False
-    scaled = []
-    for f in system.polys:
+    for f in system:
         terms = []
         for exps, c in f.terms():
-            factor = instance.field.one
             for s, e in zip(scalars, exps):
                 if e:
-                    factor = factor * s**e
-            terms.append((exps, c * factor))
-        scaled.append(MPoly(f.nvars, terms, instance.field))
-    for g in scaled:
-        if not any(_scalar_multiple(g, f) for f in system.polys):
+                    c = c * s**e
+            terms.append((exps, c))
+        g = MPoly(f.nvars, terms, instance.field)
+        if not any(_scalar_multiple(g, h) for h in system):
             return False
     return True
 
 
 def _scalar_multiple(g: MPoly, f: MPoly) -> bool:
-    gt, ft = g.terms(), f.terms()
-    if len(gt) != len(ft):
-        return False
-    if not gt:
-        return True
-    (e0, cg), (e0f, cf) = gt[0], ft[0]
-    if e0 != e0f or not cf:
-        return False
-    ratio = cg / cf
-    if not ratio:
-        return False
-    return all(eg == ef and cg2 == ratio * cf2 for (eg, cg2), (ef, cf2) in zip(gt, ft))
+    """True iff g = c f for a nonzero scalar c (the zero polynomial is only
+    a multiple of itself)."""
+    if not g or not f:
+        return not g and not f
+    (eg, cg), (ef, cf) = g.terms()[0], f.terms()[0]
+    return eg == ef and g == f.scale(cg / cf)
 
 
 def invariance_check(g, instance: FamilyInstance) -> bool:

@@ -153,6 +153,23 @@ def test_verify_unknown_suite_exits_2():
     assert run(["verify", "--suite", "nonsense"]) == 2
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["count", "--family", "X", "--mu", "1", "--p", "11", "--threads", "0"],
+        ["trace", "--p-range", "2..11", "--threads", "0"],
+        ["verify", "--suite", "groups", "--threads", "-1"],
+        ["verify", "--suite", "traces", "--p-max", "1"],
+        ["verify", "--suite", "all", "--p-max", "-3"],
+    ],
+)
+def test_threads_below_1_and_p_max_below_2_exit_2(args, capsys):
+    assert run(args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage error:") and captured.err.count("\n") == 1
+
+
 def test_count_p_range(tmp_path):
     out = tmp_path / "range.json"
     code = run(

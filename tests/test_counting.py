@@ -28,13 +28,13 @@ from mirrorquintic.families import (
     quintic_y,
 )
 from mirrorquintic.ffield import element_roots, make_field
-from mirrorquintic.mvpoly import MPoly, PolySystem
+from mirrorquintic.mvpoly import MPoly
 from mirrorquintic.singular import preimage_count
 
 
 def hyperplane_instance(F):
     f = MPoly.variable(5, 0, F)
-    return FamilyInstance(FamilyId.QUINTIC_X, F, {}, 4, PolySystem([f], homogeneous=True))
+    return FamilyInstance(FamilyId.QUINTIC_X, F, {}, 4, lambda x: [f(x)])
 
 
 def hand_count_f2(kind):

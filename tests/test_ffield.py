@@ -1,6 +1,7 @@
 import functools
 import itertools
 import math
+import operator
 
 import numpy as np
 import pytest
@@ -178,17 +179,37 @@ def test_large_prime_scalars_need_no_tables():
         F.vpow(np.arange(3), 2)
 
 
+def _digitwise(F, op, a: int, b: int) -> int:
+    # the index of a + b, a - b or -b from the definition: op on each base-p
+    # coefficient, reduced mod p, without the field's vector code
+    p = F.p
+    return sum(op(a // p**i % p, b // p**i % p) % p * p**i for i in range(F.k))
+
+
 def test_vector_ops_match_scalar():
+    # the index operations on arrays, on an int broadcast against an array
+    # and on two ints, against the definitions written out above
     rng = np.random.default_rng(7)
     for F in (make_field(13), make_field(3, 2), make_field(2, 4)):
         a = rng.integers(0, F.q, size=200)
         b = rng.integers(0, F.q, size=200)
-        va, vm, vn = F.vadd(a, b), F.vmul(a, b), F.vneg(a)
-        for i in range(200):
-            x, y = F.from_index(int(a[i])), F.from_index(int(b[i]))
-            assert int(va[i]) == (x + y).index
-            assert int(vm[i]) == (x * y).index
-            assert int(vn[i]) == (-x).index
+        a[:10] = 0
+        s = int(rng.integers(2, F.q))
+        for x, y in [(a, b), (0, b), (1, b), (s, b), (a, s)]:
+            xs, ys = (np.broadcast_to(v, (200,)).tolist() for v in (x, y))
+            pairs = list(zip(xs, ys))
+            for op, ref in (
+                (F.vadd, lambda u, v: _digitwise(F, operator.add, u, v)),
+                (F.vsub, lambda u, v: _digitwise(F, operator.sub, u, v)),
+                (F.vmul, lambda u, v: _schoolbook_product(F, u, v)),
+            ):
+                want = [ref(u, v) for u, v in pairs]
+                got = op(x, y)
+                assert got.dtype == np.int64 and got.tolist() == want
+                assert [op(u, v) for u, v in pairs[:20]] == want[:20]
+        neg = [_digitwise(F, operator.sub, 0, u) for u in a.tolist()]
+        assert F.vneg(a).tolist() == neg
+        assert [F.vneg(u) for u in a.tolist()] == neg
 
 
 def _schoolbook_product(F, a: int, b: int) -> int:

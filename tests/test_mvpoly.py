@@ -1,10 +1,13 @@
+import operator
+
 import numpy as np
 import pytest
 
-from mirrorquintic.errors import DimensionMismatch, FieldMismatch
+from mirrorquintic.errors import DimensionMismatch, FieldMismatch, InvariantViolated
 from mirrorquintic.families import (
+    FamilyId,
+    FamilyInstance,
     LinearChange,
-    MonomialMap,
     cubics_v,
     cubics_w,
     cubics_wtilde,
@@ -13,11 +16,24 @@ from mirrorquintic.families import (
     quintic_y,
 )
 from mirrorquintic.ffield import FieldArray, Jet, make_field, primitive_nth_root
-from mirrorquintic.mvpoly import MPoly, PolySystem, eval_batch, poly_equal
+from mirrorquintic.mvpoly import MPoly, eval_batch
 
 
-def vars_over(n, F=None):
+F7 = make_field(7)
+
+
+def vars_over(n, F=F7):
     return [MPoly.variable(n, i, F) for i in range(n)]
+
+
+def linear_forms(change):
+    # the polynomial replacing each variable under a LinearChange
+    F = change.field
+    x = vars_over(len(change.matrix), F)
+    return [
+        sum((xj.scale(c) for xj, c in zip(x, row)), MPoly.zero(len(x), F))
+        for row in change.matrix
+    ]
 
 
 def random_poly(nvars, rng, F, max_terms=6, max_deg=3):
@@ -50,9 +66,8 @@ def test_eval_simple():
 
 def test_eval_family_symmetry_points():
     F11 = make_field(11)
-    assert quintic_x(1, F11).system.eval((F11.one,) * 5)[0] == F11.zero
-    F7 = make_field(7)
-    assert quintic_y(1, F7).system.eval((F7.one,) * 5)[0] == F7.zero
+    assert quintic_x(1, F11).system[0].eval((F11.one,) * 5) == F11.zero
+    assert quintic_y(1, F7).system[0].eval((F7.one,) * 5) == F7.zero
 
 
 def test_eval_dimension_mismatch():
@@ -72,16 +87,16 @@ def test_eval_field_mismatch():
 def test_derivative_power_rule():
     x = vars_over(5)
     f = x[0] ** 5
-    assert poly_equal(f.derivative(0), (x[0] ** 4).scale(5))
+    assert f.derivative(0) == (x[0] ** 4).scale(5)
 
 
 def test_derivative_of_quintic_template():
     x = vars_over(5)
-    f = sum((xi**5 for xi in x), MPoly.zero(5)) - (
+    f = sum((xi**5 for xi in x), MPoly.zero(5, F7)) - (
         x[0] * x[1] * x[2] * x[3] * x[4]
     ).scale(5)
     expect = (x[0] ** 4).scale(5) - (x[1] * x[2] * x[3] * x[4]).scale(5)
-    assert poly_equal(f.derivative(0), expect)
+    assert f.derivative(0) == expect
 
 
 def test_second_derivatives_commute():
@@ -89,7 +104,7 @@ def test_second_derivatives_commute():
     F = make_field(13)
     for _ in range(100):
         f = random_poly(4, rng, F)
-        assert poly_equal(f.derivative(0).derivative(1), f.derivative(1).derivative(0))
+        assert f.derivative(0).derivative(1) == f.derivative(1).derivative(0)
 
 
 def test_derivative_linear():
@@ -97,16 +112,15 @@ def test_derivative_linear():
     F = make_field(11)
     for _ in range(50):
         f, g = random_poly(3, rng, F), random_poly(3, rng, F)
-        assert poly_equal((f + g).derivative(1), f.derivative(1) + g.derivative(1))
+        assert (f + g).derivative(1) == f.derivative(1) + g.derivative(1)
 
 
 def test_substitute_vandermonde_sum():
-    F7 = make_field(7)
     w = primitive_nth_root(F7, 3)
     a, b, c = vars_over(3, F7)
     rows = [a + b + c, a + b.scale(w) + c.scale(w**2), a + b.scale(w**2) + c.scale(w)]
     composite = (a + b + c).substitute(rows)
-    assert poly_equal(composite, a.scale(3))
+    assert composite == a.scale(3)
 
 
 @pytest.mark.parametrize("p", [7, 13])
@@ -119,20 +133,22 @@ def test_substitute_cube_identity(p):
         a + b.scale(w**2) + c.scale(w)
     )
     target = a**3 + b**3 + c**3 - (a * b * c).scale(3)
-    assert poly_equal(prod, target)
+    assert prod == target
 
 
 def test_substitute_monomial_map():
+    # the coordinate fifth-power map, substituted as explicit fifth powers
     x = vars_over(5)
-    f = sum(x, MPoly.zero(5))
-    g = f.substitute(MonomialMap(5, 5))
-    assert poly_equal(g, sum((xi**5 for xi in x), MPoly.zero(5)))
+    f = sum(x, MPoly.zero(5, F7))
+    fifth = sum((xi**5 for xi in x), MPoly.zero(5, F7))
+    assert f.substitute([xi**5 for xi in x]) == fifth
 
 
-def test_poly_equal_basics():
+def test_equality_basics():
     x = vars_over(2)
-    assert poly_equal(x[0] + x[1], x[1] + x[0])
-    assert not poly_equal(x[0], x[0].scale(2))
+    assert x[0] + x[1] == x[1] + x[0]
+    assert x[0] != x[0].scale(2)
+    assert x[0] != vars_over(3)[0]
 
 
 def test_eval_substitute_compatibility():
@@ -146,7 +162,7 @@ def test_eval_substitute_compatibility():
             pt = tuple(F.from_index(int(i)) for i in rng.integers(0, F.q, size=3))
             if not any(pt):
                 continue
-            lhs = f.substitute(L).eval(pt)
+            lhs = f.substitute(linear_forms(L)).eval(pt)
             image = tuple(
                 sum((c * x for c, x in zip(row, pt)), F.zero) for row in L.matrix
             )
@@ -169,8 +185,8 @@ def test_family_polynomials_homogeneous():
     F11, F7 = make_field(11), make_field(7)
     rng = np.random.default_rng(9)
     for system in all_family_systems(F11, F7):
-        F = system.field
-        for f in system.polys:
+        for f in system:
+            F = f.field
             assert f.is_homogeneous()
             d = f.degree()
             for _ in range(10):
@@ -183,16 +199,16 @@ def test_family_polynomials_homogeneous():
 def test_euler_relation_exact():
     F11, F7 = make_field(11), make_field(7)
     for system in all_family_systems(F11, F7):
-        for f in system.polys:
-            total = MPoly.zero(f.nvars, system.field)
+        for f in system:
+            total = MPoly.zero(f.nvars, f.field)
             for i in range(f.nvars):
-                total = total + MPoly.variable(f.nvars, i, system.field) * f.derivative(i)
-            assert poly_equal(total, f.scale(f.degree()))
+                total = total + MPoly.variable(f.nvars, i, f.field) * f.derivative(i)
+            assert total == f.scale(f.degree())
 
 
 def test_eval_batch_matches_scalar():
     F = make_field(11)
-    f = quintic_y(2, F).system.polys[0]
+    f = quintic_y(2, F).system[0]
     rng = np.random.default_rng(5)
     pts = rng.integers(0, 11, size=(5, 64))
     vals = eval_batch(f, [pts[i] for i in range(5)], F)
@@ -249,27 +265,33 @@ def test_call_on_every_value_type(p, k):
 
 
 def test_system_homogeneity_flag_checked():
-    F = make_field(7)
-    x = vars_over(2, F)
-    with pytest.raises(ValueError):
-        PolySystem([x[0] + x[1] ** 2], homogeneous=True)
+    # a non-homogeneous builder raises InvariantViolated on .system
+    inst = FamilyInstance(FamilyId.QUINTIC_X, F7, {}, 1, lambda x: [x[0] + x[1] ** 2])
+    with pytest.raises(InvariantViolated):
+        inst.system
 
 
-def test_mixed_domain_promotes():
-    F = make_field(7)
-    xi = vars_over(2)  # integer coefficients
-    xf = vars_over(2, F)
-    assert poly_equal(xi[0].scale(8), xf[0])  # 8 = 1 mod 7 after promotion
+def test_mixed_fields_raise():
+    x, y = vars_over(2), vars_over(2, make_field(11))
+    for op in (operator.add, operator.sub, operator.mul):
+        with pytest.raises(FieldMismatch):
+            op(x[0], y[0])
+    with pytest.raises(FieldMismatch):
+        x[0].substitute(y)
+    with pytest.raises(FieldMismatch):
+        eval_batch(x[0], [np.zeros(1, dtype=np.int64)] * 2, make_field(11))
+
+
+def test_int_coefficients_reduce_into_the_field():
+    x = vars_over(2)
+    assert MPoly(2, {(1, 0): 8, (0, 1): -7}, F7) == x[0]  # 8 = 1, -7 = 0 mod 7
+    assert x[0].scale(8) == x[0] and x[0] * 8 == x[0]
+    assert MPoly.constant(2, 7, F7) == MPoly.zero(2, F7) and not MPoly.zero(2, F7)
 
 
 def test_hash_agrees_with_equality():
-    F = make_field(7)
-    xi = vars_over(2)
-    xf = vars_over(2, F)
-    assert xi[0].scale(8) != xf[0]  # equal only under the embedding
-    assert poly_equal(xi[0].scale(8), xf[0])
+    xf = vars_over(2)
     assert xf[0].scale(8) == xf[0] and hash(xf[0].scale(8)) == hash(xf[0])
-    assert (xi[0] + xi[1]) == (xi[1] + xi[0])
-    assert hash(xi[0] + xi[1]) == hash(xi[1] + xi[0])
-    assert len({xi[0], xf[0]}) == 2
+    assert (xf[0] + xf[1]) == (xf[1] + xf[0])
+    assert hash(xf[0] + xf[1]) == hash(xf[1] + xf[0])
     assert xf[0] != vars_over(2, make_field(11))[0]

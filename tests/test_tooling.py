@@ -54,3 +54,22 @@ def test_one_field_arithmetic():
             if isinstance(node, ast.Attribute) and node.attr == "coeffs":
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []
+
+
+def test_symbolic_layer_stays_in_its_modules():
+    # MPoly is the symbolic reference: the families and their symmetry
+    # checks build polynomials, the counting, scans, checks and CLI do not
+    allowed = {"mvpoly.py", "families.py", "symmetry.py"}
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                dotted = [a.name.split(".") for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                base = (node.module or "").split(".")
+                dotted = [base + [a.name] for a in node.names]
+            else:
+                continue
+            if path.name not in allowed and any("mvpoly" in d for d in dotted):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
