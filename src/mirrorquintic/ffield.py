@@ -10,10 +10,15 @@ its residue, so its scalars need no tables at any p; an extension field
 adds digit by digit in base p and multiplies, powers and inverts through
 its exp/log tables.  FieldElement gives one index the operators, for exact
 scalar work; FieldArray gives an index array the same operators, so that
-polynomial expressions written for MPoly also evaluate on arrays; Jet
-carries the first partial derivatives along with the values (forward
-mode), and a Jet of Jets the second ones.  matrix_ranks row-reduces a whole
-stack of matrices of indices in one elimination.
+polynomial expressions written for MPoly also evaluate on arrays.  Over a
+prime field a FieldArray defers the reduction mod p: it applies the raw
+integer operation, carries the exact interval of the unreduced values,
+and reduces once, with the descriptor's _mod_p, when its indices are read
+or before they could overflow int64.  Jet carries the first partial
+derivatives along with the values (forward mode), and a Jet of Jets the
+second ones.  matrix_ranks row-reduces a whole stack of matrices of
+indices in one elimination.  Products of residues that cannot fit in
+int64, p > 2^31.5, are refused on arrays with InstanceTooLarge.
 
 Extension moduli are chosen deterministically: the first monic irreducible
 polynomial of degree k in lexicographic order of the coefficient tuple
@@ -36,6 +41,7 @@ import numpy as np
 from .errors import (
     CompositeCharacteristic,
     FieldMismatch,
+    InstanceTooLarge,
     InvariantViolated,
     RootOfUnityUnavailable,
     TableTooLarge,
@@ -43,6 +49,11 @@ from .errors import (
 )
 
 POWER_TABLE_CAP = 1 << 20
+
+# a prime-field array is reduced before its values could reach _LAZY_LIMIT
+# in absolute value; beyond _INT64_MAX they would wrap
+_LAZY_LIMIT = 1 << 62
+_INT64_MAX = (1 << 63) - 1
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -406,6 +417,10 @@ class FieldDescriptor:
 
     def vmul(self, a, b):
         if self.k == 1:
+            if (self.p - 1) ** 2 > _INT64_MAX and not (
+                isinstance(a, int) and isinstance(b, int)
+            ):
+                raise _products_overflow(self)
             return self._mod_p(a * b)
         self._ensure_tables()
         prod = self._exp[(self._log[a] + self._log[b]) % (self.q - 1)]
@@ -425,6 +440,25 @@ class FieldDescriptor:
         return self._exp[int(self._log[a]) * e % (self.q - 1)]
 
 
+def _products_overflow(F: FieldDescriptor) -> InstanceTooLarge:
+    return InstanceTooLarge(
+        f"products of residues mod p = {F.p} overflow int64: (p - 1)^2 > 2^63 - 1"
+    )
+
+
+def _mul_bounds(a, b, c, d):
+    products = (a * c, a * d, b * c, b * d)
+    return min(products), max(products)
+
+
+# the exact interval of op(x, y) from the intervals [a, b] of x and [c, d] of y
+_BOUNDS = {
+    operator.add: lambda a, b, c, d: (a + c, b + d),
+    operator.sub: lambda a, b, c, d: (a - d, b - c),
+    operator.mul: _mul_bounds,
+}
+
+
 class FieldArray:
     """An int64 array of element indices of one field, with the operators
     the equation builders use on MPoly variables (+, -, *, ** and scale).
@@ -432,27 +466,80 @@ class FieldArray:
     A builder written once over MPoly variables therefore also evaluates its
     equations on index arrays, in the compact form it is written in (power
     sums, products, linear forms) rather than as an expanded term list.
-    Every operation returns a new array, through the FieldDescriptor's
-    vectorized operations.
+    Every operation returns a new array.  Over an extension field it runs
+    the FieldDescriptor's vectorized operations.  Over a prime field it runs
+    the raw integer operation and carries the exact interval [lo, hi] of the
+    unreduced values (negative ones too), so that a chain of operations
+    reduces mod p once: when ``a`` is read, or before an interval could
+    reach 2^62.  Arrays passed in are taken as reduced and never written;
+    only arrays a FieldArray allocated are reduced in place.
     """
 
-    __slots__ = ("a", "field")
+    __slots__ = ("_a", "field", "lo", "hi")
 
-    def __init__(self, a, field: FieldDescriptor):
-        self.a = a
+    def __init__(self, a, field: FieldDescriptor, lo: int = 0, hi: int | None = None):
+        self._a = a
         self.field = field
+        self.lo = lo
+        self.hi = field.q - 1 if hi is None else hi
+
+    @property
+    def a(self):
+        """The index array, reduced into [0, q) on this read if it had left it."""
+        self._reduce()
+        return self._a
+
+    def _reduce(self):
+        # an extension-field array never leaves [0, q - 1]
+        F = self.field
+        if self.lo < 0 or self.hi >= F.q:
+            self._a = F._mod_p(self._a)
+            self.lo, self.hi = 0, F.p - 1
+
+    def _lazy(self, op, other: "FieldArray") -> "FieldArray":
+        # op on the unreduced values of a prime field, with its exact interval
+        bounds = _BOUNDS[op]
+        lo, hi = bounds(self.lo, self.hi, other.lo, other.hi)
+        if -lo >= _LAZY_LIMIT or hi >= _LAZY_LIMIT:
+            self._reduce()
+            other._reduce()
+            lo, hi = bounds(self.lo, self.hi, other.lo, other.hi)
+            if -lo > _INT64_MAX or hi > _INT64_MAX:
+                raise _products_overflow(self.field)
+        return FieldArray(op(self._a, other._a), self.field, lo, hi)
 
     def __add__(self, other: "FieldArray") -> "FieldArray":
-        return FieldArray(self.field.vadd(self.a, other.a), self.field)
+        F = self.field
+        if F.k == 1:
+            return self._lazy(operator.add, other)
+        return FieldArray(F.vadd(self._a, other._a), F)
 
     def __sub__(self, other: "FieldArray") -> "FieldArray":
-        return FieldArray(self.field.vsub(self.a, other.a), self.field)
+        F = self.field
+        if F.k == 1:
+            return self._lazy(operator.sub, other)
+        return FieldArray(F.vsub(self._a, other._a), F)
 
     def __mul__(self, other: "FieldArray") -> "FieldArray":
-        return FieldArray(self.field.vmul(self.a, other.a), self.field)
+        F = self.field
+        if F.k == 1:
+            return self._lazy(operator.mul, other)
+        return FieldArray(F.vmul(self._a, other._a), F)
 
     def __pow__(self, e: int) -> "FieldArray":
-        return FieldArray(self.field.vpow(self.a, e), self.field)
+        F = self.field
+        if F.k == 1 and F.q > POWER_TABLE_CAP and e >= 0:
+            # no power table at this p: square and multiply
+            result = FieldArray(np.ones(np.shape(self._a), dtype=np.int64), F)
+            base = self
+            while e:
+                if e & 1:
+                    result = result * base
+                e >>= 1
+                if e:
+                    base = base * base
+            return result
+        return FieldArray(F.vpow(self.a, e), F)
 
     def scale(self, c) -> "FieldArray":
         """Multiply by a scalar (int or FieldElement)."""
@@ -460,7 +547,9 @@ class FieldArray:
         ci = F.element(c).index
         if ci == 1:
             return self
-        return FieldArray(F.vmul(ci, self.a), F)
+        if F.k == 1:  # ci as a constant operand with its exact interval
+            return self._lazy(operator.mul, FieldArray(ci, F, ci, ci))
+        return FieldArray(F.vmul(ci, self._a), F)
 
 
 class Jet:

@@ -5,6 +5,7 @@ from mirrorquintic import families
 from mirrorquintic.cli import run
 from mirrorquintic.counting import CountTask, count, count_naive
 from mirrorquintic.errors import (
+    InstanceTooLarge,
     MirrorQuinticError,
     MissingParameter,
     RootOfUnityUnavailable,
@@ -32,7 +33,7 @@ from mirrorquintic.families import (
     verify_coordinate_change,
     wtilde_from_lambda,
 )
-from mirrorquintic.ffield import make_field
+from mirrorquintic.ffield import FieldArray, Jet, make_field
 from mirrorquintic.mvpoly import MPoly, eval_batch
 from mirrorquintic.singular import classify_nodes, singular_points
 
@@ -269,6 +270,45 @@ def test_evaluate_equals_eval_batch_nu_form(p, k):
     for i, lam in enumerate(lams):
         _assert_evaluate_matches_eval_batch(new_coordinates_w(lam, F), seed=7 * p + i)
 
+
+
+def _read_all(value):
+    # read .a of every FieldArray in a (nested) Jet
+    if isinstance(value, FieldArray):
+        return [value.a]
+    return _read_all(value.val) + [a for d in value.d if d is not None for a in _read_all(d)]
+
+
+@pytest.mark.parametrize("p,k", [(7, 1), (31, 1), (3, 2)])
+def test_evaluations_never_write_their_inputs(p, k):
+    # reduction in place touches only arrays a FieldArray allocated: the
+    # evaluations run on read-only coordinates, broadcast views among them,
+    # and leave them as they were
+    F = make_field(p, k)
+    for inst in (quintic_x(2, F), quintic_y(3, F), cubics_w(2, F), cubics_wtilde(5, F)):
+        coords = _random_coords(F, inst.nvars, seed=p + k)
+        coords[1] = np.broadcast_to(coords[1][:1], coords[1].shape)
+        before = [c.copy() for c in coords]
+        for c in coords:
+            c.flags.writeable = False
+        inst.evaluate(coords)
+        inst.vanishing_mask(coords)
+        for order in (1, 2):
+            for eq in inst.equations(Jet.variables(coords, F, order=order)):
+                _read_all(eq)
+        for f in inst.system:
+            eval_batch(f, coords, F)
+        assert all(np.array_equal(c, b) for c, b in zip(coords, before))
+
+
+def test_evaluate_refuses_int64_overflow():
+    # over F_p with (p - 1)^2 > 2^63 - 1 a product of residues would wrap:
+    # the evaluation is refused, naming p, instead of returning wrong values
+    p = 8589934621  # 1 mod 5, about 2^33
+    inst = quadric_q(make_field(p))
+    coords = [np.array([1, p - 1], dtype=np.int64)] * 5
+    with pytest.raises(InstanceTooLarge, match=f"p = {p}"):
+        inst.evaluate(coords)
 
 # -- the symbolic system is expanded on first read, and only then -------------
 

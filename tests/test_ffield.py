@@ -8,11 +8,13 @@ import pytest
 
 from mirrorquintic.errors import (
     CompositeCharacteristic,
+    InstanceTooLarge,
     RootOfUnityUnavailable,
     TableTooLarge,
     UnsupportedDegree,
 )
 from mirrorquintic.ffield import (
+    FieldArray,
     element_roots,
     is_prime,
     make_field,
@@ -310,3 +312,116 @@ def test_hash_agrees_with_equality():
     assert {F7.element(3): "element"}.get(3) is None
     # the same index in another field is another element
     assert make_field(7, 2).element(3) != F7.element(3)
+
+
+# -- deferred reduction: FieldArray against FieldElement ----------------------
+
+_TREE_OPS = {"add": operator.add, "sub": operator.sub, "mul": operator.mul}
+
+
+def _random_tree(rng, F, nleaves: int, depth: int):
+    # ("x", i) | ("scale", c, t) | ("pow", e, t) | (op, left, right)
+    if depth == 0 or rng.random() < 0.15:
+        return ("x", int(rng.integers(nleaves)))
+    kind = ["add", "sub", "mul", "scale", "pow"][int(rng.integers(5))]
+    if kind == "scale":
+        c = int(rng.integers(-3 * F.q, 3 * F.q))
+        if rng.random() < 0.3:
+            c = F.from_index(int(rng.integers(F.q)))
+        return ("scale", c, _random_tree(rng, F, nleaves, depth - 1))
+    if kind == "pow":
+        return ("pow", int(rng.integers(0, 7)), _random_tree(rng, F, nleaves, depth - 1))
+    left = _random_tree(rng, F, nleaves, depth - 1)
+    return (kind, left, _random_tree(rng, F, nleaves, depth - 1))
+
+
+def _evaluate_tree(tree, leaves, seen: list):
+    # the tree on FieldArrays or FieldElements; every value goes to seen
+    kind = tree[0]
+    if kind == "x":
+        out = leaves[tree[1]]
+    elif kind == "scale":
+        out = _evaluate_tree(tree[2], leaves, seen).scale(tree[1])
+    elif kind == "pow":
+        out = _evaluate_tree(tree[2], leaves, seen) ** tree[1]
+    else:
+        left = _evaluate_tree(tree[1], leaves, seen)
+        out = _TREE_OPS[kind](left, _evaluate_tree(tree[2], leaves, seen))
+    seen.append(out)
+    return out
+
+
+def _chain(op, leaf_ids):
+    tree = ("x", leaf_ids[0])
+    for i in leaf_ids[1:]:
+        tree = (op, tree, ("x", i))
+    return tree
+
+
+def _long_chains(rng, nleaves: int):
+    # products of 40 factors (unreduced, their intervals pass 2^63 at every
+    # p here but 2), sums of 40 triple products (past 2^63 at p = 2^31 - 1),
+    # and differences that go negative feeding powers
+    def product(n):
+        return _chain("mul", [int(i) for i in rng.integers(nleaves, size=n)])
+
+    sums = product(3)
+    for _ in range(39):
+        sums = ("add", sums, product(3))
+    negative = ("sub", ("sub", ("x", 0), ("x", 1)), ("scale", 5, ("x", 2)))
+    return [
+        product(40),
+        sums,
+        ("pow", 5, negative),
+        ("mul", ("pow", 3, negative), ("sub", sums, product(40))),
+        ("pow", 2, ("sub", product(5), product(40))),
+    ]
+
+
+@pytest.mark.parametrize("p,k", [(2, 1), (7, 1), (31, 1), (2**31 - 1, 1), (7, 2)])
+def test_deferred_reduction_matches_scalars(p, k):
+    # random expression trees of + - * scale ** on FieldArrays, against the
+    # same trees on FieldElements; every intermediate's interval holds its
+    # values and stays below 2^62, and F_49 runs the descriptor's operations
+    F = make_field(p, k)
+    rng = np.random.default_rng(p + k)
+    nleaves, ncols = 4, 24
+    cols = rng.integers(0, F.q, size=(nleaves, ncols))
+    cols[:, :3] = [0, 1, F.q - 1]
+    inputs = [c.copy() for c in cols]
+    for c in cols:
+        c.setflags(write=False)
+    arrays = [FieldArray(c, F) for c in cols]
+    trees = [_random_tree(rng, F, nleaves, 5) for _ in range(30)] + _long_chains(rng, nleaves)
+    for tree in trees:
+        seen = []
+        got = _evaluate_tree(tree, arrays, seen)
+        for v in seen:
+            raw = np.asarray(v._a)
+            assert v.lo <= raw.min() and raw.max() <= v.hi
+            assert -(2**62) < v.lo and v.hi < 2**62
+            if k > 1:
+                assert (v.lo, v.hi) == (0, F.q - 1)
+        want = [
+            _evaluate_tree(tree, [F.from_index(int(c[j])) for c in cols], []).index
+            for j in range(ncols)
+        ]
+        assert np.broadcast_to(got.a, (ncols,)).tolist() == want
+        assert 0 <= got.lo and got.hi < F.q  # the read reduced it
+    assert all(np.array_equal(c, d) for c, d in zip(cols, inputs))
+
+
+def test_products_that_overflow_int64_are_refused():
+    # above p = 2^31.5 a product of two residues can pass 2^63 - 1: arrays
+    # refuse it rather than wrap, ints still multiply exactly
+    F = make_field(2**61 - 1)
+    a = np.array([1, 4], dtype=np.int64)
+    b = np.array([F.p - 1, F.p - 2], dtype=np.int64)
+    with pytest.raises(InstanceTooLarge, match=f"p = {F.p}"):
+        F.vmul(a, b)
+    with pytest.raises(InstanceTooLarge, match=f"p = {F.p}"):
+        FieldArray(a, F) * FieldArray(b, F)
+    with pytest.raises(InstanceTooLarge, match=f"p = {F.p}"):
+        FieldArray(a, F).scale(F.p - 1)
+    assert F.vmul(4, F.p - 2) == (4 * (F.p - 2)) % F.p
+    assert (FieldArray(a, F) + FieldArray(b, F) - FieldArray(a, F)).a.tolist() == b.tolist()

@@ -73,3 +73,23 @@ def test_symbolic_layer_stays_in_its_modules():
             if path.name not in allowed and any("mvpoly" in d for d in dotted):
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []
+
+
+def test_reduction_stays_in_ffield():
+    # FieldArray defers prime-field reductions and FieldDescriptor._mod_p
+    # performs them: no other module reduces arrays with numpy's remainders
+    names = {"remainder", "mod", "fmod"}
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "ffield.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Attribute) and node.attr in names and (
+                isinstance(node.value, ast.Name) and node.value.id in {"np", "numpy"}
+            ):
+                found.append(f"{path.name}:{node.lineno}")
+            elif isinstance(node, ast.ImportFrom) and node.module == "numpy" and any(
+                a.name in names for a in node.names
+            ):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
