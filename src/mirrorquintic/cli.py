@@ -29,11 +29,11 @@ import os
 import sys
 
 from . import __version__
-from .counting import CountCache, CountRecord, CountTask, count_cached
+from .counting import CountCache, CountRecord, count
 from .errors import MirrorQuinticError
 from .families import FamilyId, build_family, param_names
 from .ffield import is_prime, make_field
-from .modularity import compare_traces
+from .modularity import TraceRecord, compare_traces
 from .ledger import recorded_dataset
 from .verify import SUITES, run_suite
 
@@ -62,16 +62,7 @@ def _param_flag(name: str) -> str:
 _RECORD_FIELDS = [f.name for f in dataclasses.fields(CountRecord) if f.name != "version"]
 _COUNT_COLUMNS = _RECORD_FIELDS[:4] + ["q"] + _RECORD_FIELDS[4:] + ["status"]
 
-TRACE_COLUMNS = [
-    "p",
-    "residue",
-    "count_x",
-    "count_y",
-    "ap_x",
-    "ap_y",
-    "weil_ok",
-    "match_ok",
-]  # the TraceRecord fields in order, with ap_x and ap_y for a_p_x and a_p_y
+TRACE_COLUMNS = [f.name for f in dataclasses.fields(TraceRecord)]
 
 # the options that several subcommands share; each takes only those it reads
 _SHARED_OPTIONS = {
@@ -205,7 +196,7 @@ def _cmd_count(args) -> int:
     for p in primes:
         try:
             inst = build_family(fid, params, make_field(p, args.ext))
-            rec = count_cached(CountTask(inst, args.algo, args.threads), cache)
+            rec = count(inst, args.algo, args.threads, cache)
             row = {c: getattr(rec, c) for c in _COUNT_COLUMNS[:-1]}
             records.append({**row, "status": "ok"})
         except MirrorQuinticError as exc:
@@ -230,7 +221,7 @@ def _cmd_trace(args) -> int:
     records = []
     for p in primes:
         rec = compare_traces(p, cache=cache, algo=args.algo, threads=args.threads)
-        row = dict(zip(TRACE_COLUMNS, dataclasses.astuple(rec)))
+        row = dataclasses.asdict(rec)
         row["status"] = "ok" if (rec.weil_ok and rec.match_ok) else "failed"
         records.append(row)
     _report(args, TRACE_COLUMNS, records)

@@ -1,5 +1,9 @@
 """Exact point counting over F_q: generic enumerator, fast table paths, cache.
 
+count(instance, algo, threads, cache) is the one entry point: it returns a
+cached record when the cache holds one and otherwise runs the table path
+("table", QuinticX and QuinticY only) or count_naive.
+
 count_naive enumerates normalized projective representatives chart by chart
 (leading coordinate 1, earlier coordinates 0) in broadcastable grid blocks
 (iter_projective_chunks) and evaluates the defining system on them through
@@ -43,11 +47,11 @@ failure raises InvariantViolated.  The observed residual is about 1e-8 at
 q = 1499.  Everything after rounding is int64.
 
 The cache is an append-only JSON-lines file keyed on
-(family, params, p, k, version); hits never recompute.  The CountRecord
-fields are its one schema: to_json writes them and from_json reads them
-back, refusing any other keys or value types.  Each append is one write
-under an exclusive flock on the cache file, so concurrent writers, in one
-process or many, never interleave lines.
+(family, params, p, k, version), by _cache_key; hits never recompute.
+The CountRecord fields are its one schema: to_json writes them and
+from_json reads them back, refusing any other keys or value types.  Each
+append is one write under an exclusive flock on the cache file, so
+concurrent writers, in one process or many, never interleave lines.
 """
 
 from __future__ import annotations
@@ -68,7 +72,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CacheCorrupt, InstanceTooLarge, InvariantViolated
-from .families import FamilyId, FamilyInstance, enumerate_points, param_string
+from .families import FamilyId, FamilyInstance, param_string
 from .ffield import FieldDescriptor
 
 NAIVE_CAP = 10**10
@@ -102,7 +106,7 @@ class CountRecord:
         return self.p**self.k
 
     def cache_key(self) -> tuple:
-        return (self.family, self.params, self.p, self.k, self.version)
+        return _cache_key(self.family, self.params, self.p, self.k, self.version)
 
     def to_json(self) -> str:
         return json.dumps(dataclasses.asdict(self), sort_keys=True)
@@ -123,17 +127,10 @@ class CountRecord:
 _RECORD_TYPES = typing.get_type_hints(CountRecord)  # field name -> type
 
 
-@dataclass
-class CountTask:
-    instance: FamilyInstance
-    algo: str = "table"  # naive | table
-    threads: int = 1
-
-    def __post_init__(self):
-        if self.algo not in ("naive", "table"):
-            raise ValueError(f"unknown algorithm {self.algo!r}: use 'naive' or 'table'")
-        if self.threads < 1:
-            raise ValueError("thread count must be >= 1")
+def _cache_key(family: str, params: str, p: int, k: int, version: int = CACHE_VERSION) -> tuple:
+    """The key of a count in the cache: every record field but the count,
+    its algo and its elapsed_ms."""
+    return (family, params, p, k, version)
 
 
 def projective_size(q: int, dim: int) -> int:
@@ -199,19 +196,14 @@ def count_naive(instance: FamilyInstance, threads: int = 1) -> CountRecord:
     """Exact projective count by chart enumeration; the reference algorithm."""
     F = instance.field
     t0 = time.perf_counter()
-    if instance.equations is None:
-        n = len(enumerate_points(instance))
-    else:
-        if F.q ** instance.ambient_dim > NAIVE_CAP:
-            raise InstanceTooLarge(
-                f"q^dim = {F.q ** instance.ambient_dim} exceeds {NAIVE_CAP}"
-            )
+    if F.q ** instance.ambient_dim > NAIVE_CAP:
+        raise InstanceTooLarge(f"q^dim = {F.q ** instance.ambient_dim} exceeds {NAIVE_CAP}")
 
-        def on_chunk(coords) -> int:
-            return int(instance.vanishing_mask(coords).sum())
+    def on_chunk(coords) -> int:
+        return int(instance.vanishing_mask(coords).sum())
 
-        chunks = iter_projective_chunks(F, instance.ambient_dim)
-        n = sum(map_chunks(on_chunk, chunks, threads))
+    chunks = iter_projective_chunks(F, instance.ambient_dim)
+    n = sum(map_chunks(on_chunk, chunks, threads))
     ms = int(round((time.perf_counter() - t0) * 1000))
     return CountRecord(
         instance.id.value, instance.param_string(), F.p, F.k, n, "naive", ms
@@ -350,19 +342,6 @@ def count_y_table(mu, F: FieldDescriptor) -> CountRecord:
     return _table_count(FamilyId.QUINTIC_Y, mu, F)
 
 
-def count(task: CountTask) -> CountRecord:
-    """Dispatch a counting task to the requested algorithm.
-
-    "table" is honored for QuinticX and QuinticY; other families have no
-    specialized path and run the naive enumerator.
-    """
-    inst = task.instance
-    if task.algo == "table" and inst.id in _KEY_EXPONENT:
-        table_count = count_x_table if inst.id is FamilyId.QUINTIC_X else count_y_table
-        return table_count(inst.params["mu"], inst.field)
-    return count_naive(inst, threads=task.threads)
-
-
 # ---------------------------------------------------------------------------
 # cache
 # ---------------------------------------------------------------------------
@@ -417,18 +396,33 @@ class CountCache:
             os.close(fd)  # releases the lock
 
 
-def count_cached(task: CountTask, cache_path=None) -> CountRecord:
-    """Return the cached record for the task's key, else compute and append."""
-    if cache_path is None:
-        return count(task)
-    cache = cache_path if isinstance(cache_path, CountCache) else CountCache(cache_path)
-    inst = task.instance
-    F = inst.field
-    # a record's key fields do not include its count, algo or elapsed_ms
-    key = CountRecord(inst.id.value, inst.param_string(), F.p, F.k, 0, "", 0).cache_key()
-    hit = cache.get(key)
-    if hit is not None:
-        return hit
-    rec = count(task)
-    cache.append(rec)
+def count(
+    instance: FamilyInstance,
+    algo: str = "table",
+    threads: int = 1,
+    cache: CountCache | None = None,
+) -> CountRecord:
+    """The projective count of the instance.
+
+    "table" is honored for QuinticX and QuinticY; other families have no
+    specialized path and run the naive enumerator.  With a cache, the
+    record stored under the instance's key is returned verbatim, and a
+    count computed on a miss is appended.
+    """
+    if algo not in ("naive", "table"):
+        raise ValueError(f"unknown algorithm {algo!r}: use 'naive' or 'table'")
+    if threads < 1:
+        raise ValueError("thread count must be >= 1")
+    F = instance.field
+    if cache is not None:
+        hit = cache.get(_cache_key(instance.id.value, instance.param_string(), F.p, F.k))
+        if hit is not None:
+            return hit
+    if algo == "table" and instance.id in _KEY_EXPONENT:
+        table_count = count_x_table if instance.id is FamilyId.QUINTIC_X else count_y_table
+        rec = table_count(instance.params["mu"], F)
+    else:
+        rec = count_naive(instance, threads=threads)
+    if cache is not None:
+        cache.append(rec)
     return rec

@@ -13,9 +13,12 @@ coordinates, parameters are elements of the field):
                 (x3 + x4 + x5)^3 = (3 lam)^3 x0 x1 x2                       in P^5
   CubicsWtilde  (x3 + x4 + x5 - nu x0)^3 = 27 x3 x4 x5,
                 (x0 + x1 + x2 - nu x3)^3 = 27 x0 x1 x2                      in P^5
-  LinesA        union of the 10 lines  x_i = x_j = x_k + x_l + x_m = 0      in P^4
-  PointsB       the 10 points with three zero coordinates and the other
-                two opposite, e.g. (0:0:0:1:-1)                             in P^4
+
+The singular strata of QuinticY, the 10 lines A (x_i = x_j = 0 and the
+other three coordinates summing to zero) and their 10 triple points B
+(three zero coordinates, the other two opposite), are not families:
+points_on_lines_a lists the points of A and strata_membership classifies
+a point against A, B and the extra node.
 
 Each family's equations are written once, by its builder, the only
 definition of them.  The builder evaluates them on index arrays
@@ -40,7 +43,6 @@ import numpy as np
 from .errors import (
     DimensionMismatch,
     InvariantViolated,
-    MirrorQuinticError,
     MissingParameter,
     ZeroDenominator,
 )
@@ -61,8 +63,6 @@ class FamilyId(enum.Enum):
     CUBICS_V = "CubicsV"
     CUBICS_W = "CubicsW"
     CUBICS_WTILDE = "CubicsWtilde"
-    LINES_A = "LinesA"
-    POINTS_B = "PointsB"
 
 
 class Stratum(enum.Enum):
@@ -112,11 +112,10 @@ class FamilyInstance:
 
     ``equations`` maps one value per coordinate to the list of equation
     values, for any value type with +, -, *, ** and scale (FieldArray, Jet,
-    MPoly); it is a family builder bound to its parameter, or None for the
-    point-set families LinesA and PointsB.  The evaluations (evaluate,
-    vanishing_mask, and the jets of the singular module) run it directly;
-    ``system`` and ``degrees`` run it once on MPoly variables, on their
-    first read.
+    MPoly); it is a family builder bound to its parameter.  The
+    evaluations (evaluate, vanishing_mask, and the jets of the singular
+    module) run it directly; ``system`` and ``degrees`` run it once on
+    MPoly variables, on their first read.
     """
 
     def __init__(
@@ -125,25 +124,21 @@ class FamilyInstance:
         field: FieldDescriptor,
         params: dict[str, FieldElement],
         ambient_dim: int,
-        equations: Callable[[list], list] | None = None,
+        equations: Callable[[list], list],
     ):
         self.id = id
         self.field = field
         self.params = params
         self.ambient_dim = ambient_dim
         self.equations = equations
-        self._system = None
 
-    @property
-    def system(self) -> list[MPoly] | None:
-        if self._system is None and self.equations is not None:
-            self._system = _expand(self.equations, self.nvars, self.field)
-        return self._system
+    @functools.cached_property
+    def system(self) -> list[MPoly]:
+        return _expand(self.equations, self.nvars, self.field)
 
     @property
     def degrees(self) -> tuple[int, ...]:
-        system = self.system
-        return () if system is None else tuple(p.degree() for p in system)
+        return tuple(p.degree() for p in self.system)
 
     @property
     def nvars(self) -> int:
@@ -161,8 +156,6 @@ class FamilyInstance:
         the compact form the builder writes.
         """
         F = self.field
-        if self.equations is None:
-            raise MirrorQuinticError(f"{self!r} is a point set with no equations")
         if len(coords) != self.nvars:
             raise DimensionMismatch(
                 f"{len(coords)} coordinate arrays for {self.nvars} variables"
@@ -266,8 +259,6 @@ _FAMILIES = {
     FamilyId.CUBICS_V: (("lam",), 6, _cubics_v_polys),
     FamilyId.CUBICS_W: (("lam",), 6, _cubics_w_polys),
     FamilyId.CUBICS_WTILDE: (("nu",), 6, _cubics_wtilde_polys),
-    FamilyId.LINES_A: ((), 5, None),
-    FamilyId.POINTS_B: ((), 5, None),
 }
 
 
@@ -302,10 +293,6 @@ def build_family(fid: FamilyId, params: dict | None, F: FieldDescriptor) -> Fami
         if name not in needed:
             raise MissingParameter(f"{fid.value} does not take parameter '{name}'")
     elems = {k: F.element(v) for k, v in params.items()}
-
-    if builder is None:
-        return FamilyInstance(fid, F, {}, 4)
-
     if fid is FamilyId.QUADRIC_Q:
         param = primitive_nth_root(F, 5)
         elems = {"xi5": param}
@@ -411,20 +398,6 @@ def strata_membership(point, y_instance: FamilyInstance) -> Stratum:
     return Stratum.GENERIC
 
 
-def points_b(F: FieldDescriptor) -> list[tuple[FieldElement, ...]]:
-    """The 10 triple-intersection points, normalized."""
-    out = []
-    one, zero = F.one, F.zero
-    minus = -one
-    for i in range(5):
-        for j in range(i + 1, 5):
-            pt = [zero] * 5
-            pt[i] = one
-            pt[j] = minus
-            out.append(tuple(pt))
-    return out
-
-
 def points_on_lines_a(F: FieldDescriptor) -> list[tuple[FieldElement, ...]]:
     """All F_q-points of the union of the 10 lines, normalized, deduplicated
     and sorted by index tuple.
@@ -450,15 +423,6 @@ def points_on_lines_a(F: FieldDescriptor) -> list[tuple[FieldElement, ...]]:
     pts = pts[np.r_[True, (pts[1:] != pts[:-1]).any(axis=1)]]
     elems = list(F.elements())
     return [tuple(elems[c] for c in row) for row in pts.tolist()]
-
-
-def enumerate_points(instance: FamilyInstance) -> list[tuple[FieldElement, ...]]:
-    """Point sets of the stratum families (LinesA, PointsB)."""
-    if instance.id is FamilyId.LINES_A:
-        return points_on_lines_a(instance.field)
-    if instance.id is FamilyId.POINTS_B:
-        return points_b(instance.field)
-    raise ValueError(f"{instance.id.value} points come from the counting module")
 
 
 # ---------------------------------------------------------------------------

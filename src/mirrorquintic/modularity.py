@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .counting import CountTask, count_cached
+from .counting import count
 from .errors import BadReduction
 from .families import FamilyId, quintic_x, quintic_y
 from .ffield import make_field
@@ -54,8 +54,8 @@ class TraceRecord:
     residue: int
     count_x: int
     count_y: int
-    a_p_x: int
-    a_p_y: int
+    ap_x: int
+    ap_y: int
     weil_ok: bool
     match_ok: bool
 
@@ -83,7 +83,7 @@ def _count_pair(p: int, k: int, cache, algo: str, threads: int):
     _residue(p)
     F = make_field(p, k)
     pair = (quintic_x(1, F), quintic_y(1, F))
-    counts = tuple(count_cached(CountTask(i, algo, threads), cache).count for i in pair)
+    counts = tuple(count(i, algo, threads, cache).count for i in pair)
     traces = tuple(frobenius_trace(i.id, F.q, n) for i, n in zip(pair, counts))
     return counts, traces
 

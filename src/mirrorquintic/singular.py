@@ -85,7 +85,6 @@ class SingularReport:
 @dataclass
 class NodeClassification:
     point: tuple[FieldElement, ...]
-    is_singular: bool
     hessian_rank: int
     is_node: bool
 
@@ -97,7 +96,6 @@ class FiberReport:
     count: int
     predicted: int
     count_within: int | None = None
-    within_family: str | None = None
 
 
 @dataclass
@@ -248,7 +246,7 @@ def classify_nodes(instance: FamilyInstance, points) -> list[NodeClassification]
     rows = np.arange(len(points))[:, None, None]
     ranks = matrix_ranks(F, full[rows, others[:, :, None], others[:, None, :]])
     return [
-        NodeClassification(pt, True, int(r), int(r) == n - 1)
+        NodeClassification(pt, int(r), int(r) == n - 1)
         for pt, r in zip(points, ranks)
     ]
 
@@ -274,7 +272,8 @@ def preimage_count(
     the root lists lists every fiber point exactly once.  The count is the
     full fiber in projective space; when ``within`` is given the fiber
     points lying on that instance are counted as well, by one
-    vanishing_mask call on their index arrays.
+    vanishing_mask call on their index arrays.  The point's stratum is
+    classified against ``strata_instance``, a QuinticY, when one is given.
     The predicted geometric count is e^(m-1) with m the number of nonzero
     coordinates; the rational count attains it exactly when every nonzero
     coordinate ratio is an e-th power in F_q.
@@ -296,7 +295,6 @@ def preimage_count(
     nonzero = sum(1 for x in point if x)
     predicted = e ** (nonzero - 1)
     count_within = None
-    within_family = None
     if within is not None:
         if within.field != F:
             raise FieldMismatch(f"{within!r} is not over {F!r}")
@@ -304,14 +302,10 @@ def preimage_count(
         if count:
             grids = np.meshgrid(*(np.array(r) for r in roots), indexing="ij")
             count_within = int(within.vanishing_mask([g.ravel() for g in grids]).sum())
-        within_family = within.id.value
     stratum = None
-    src = strata_instance or (
-        within if within is not None and within.id is FamilyId.QUINTIC_Y else None
-    )
-    if src is not None:
-        stratum = strata_membership(point, src)
-    return FiberReport(point, stratum, count, predicted, count_within, within_family)
+    if strata_instance is not None:
+        stratum = strata_membership(point, strata_instance)
+    return FiberReport(point, stratum, count, predicted, count_within)
 
 
 def fiber_size_table(m: MonomialMap, F: FieldDescriptor) -> np.ndarray:

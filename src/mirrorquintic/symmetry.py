@@ -23,7 +23,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .errors import InvariantViolated, MirrorQuinticError, RootOfUnityUnavailable
+from .errors import InvariantViolated, RootOfUnityUnavailable
 from .families import FamilyInstance, normalize_point
 from .ffield import FieldDescriptor, FieldElement, primitive_nth_root
 from .mvpoly import MPoly
@@ -191,8 +191,6 @@ def diagonal_invariance(scalars, instance: FamilyInstance) -> bool:
     """True iff each defining polynomial, composed with the diagonal scaling,
     is a nonzero scalar multiple of some defining polynomial of the system."""
     system = instance.system
-    if system is None:
-        raise MirrorQuinticError(f"{instance!r} is a point set with no equations")
     if len(scalars) != instance.nvars:
         return False
     for f in system:

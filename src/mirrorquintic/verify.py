@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import ledger, modularity, singular, symmetry
-from .counting import CountTask, count_cached, count_naive, projective_size
+from .counting import count, count_naive, projective_size
 from .families import (
     MonomialMap,
     Stratum,
@@ -450,7 +450,7 @@ def suite_traces(
     out.append(
         _check(
             "desk anchor: #X = #Y = 16 over F_2, trace 1",
-            anchor.count_x == 16 and anchor.count_y == 16 and anchor.a_p_x == 1,
+            anchor.count_x == 16 and anchor.count_y == 16 and anchor.ap_x == 1,
             f"counts ({anchor.count_x}, {anchor.count_y})",
         )
     )
@@ -459,9 +459,9 @@ def suite_traces(
         F = make_field(p)
         for mu in (0, 1, 2):
             nx = count_naive(quintic_x(mu, F)).count
-            tx = count_cached(CountTask(quintic_x(mu, F), "table", threads))
+            tx = count(quintic_x(mu, F), "table", threads)
             ny = count_naive(quintic_y(mu, F)).count
-            ty = count_cached(CountTask(quintic_y(mu, F), "table", threads))
+            ty = count(quintic_y(mu, F), "table", threads)
             ok7 = ok7 and nx == tx.count and ny == ty.count
     out.append(
         _check("table and naive counts agree (30 instances, p <= 13)", ok7)

@@ -76,8 +76,8 @@ def test_criterion_03_desk_anchor(trace_records):
     rec = trace_records[2]
     report(
         "criterion 3: #X(F_2) = #Y(F_2) = 16 by hand, trace 1",
-        hand == 16 and rec.count_x == 16 and rec.count_y == 16 and rec.a_p_x == 1,
-        f"hand={hand}, counts=({rec.count_x}, {rec.count_y}), a_2={rec.a_p_x}",
+        hand == 16 and rec.count_x == 16 and rec.count_y == 16 and rec.ap_x == 1,
+        f"hand={hand}, counts=({rec.count_x}, {rec.count_y}), a_2={rec.ap_x}",
     )
 
 

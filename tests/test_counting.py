@@ -8,9 +8,9 @@ import pytest
 from mirrorquintic import counting, singular
 from mirrorquintic.counting import (
     TABLE_CAP,
+    CountCache,
     CountRecord,
-    CountTask,
-    count_cached,
+    count,
     count_naive,
     count_x_table,
     count_y_table,
@@ -126,7 +126,7 @@ def test_parallel_determinism():
 @pytest.mark.parametrize("algo", ["auto", "tabel"])
 def test_count_task_rejects_unknown_algo(algo):
     with pytest.raises(ValueError, match="unknown algorithm"):
-        CountTask(quintic_x(1, make_field(11)), algo)
+        count(quintic_x(1, make_field(11)), algo)
 
 
 def test_instance_too_large():
@@ -291,9 +291,9 @@ def test_scans_do_not_depend_on_block_size(monkeypatch, flat_scans, chunk, threa
 
 def test_cache_idempotent(tmp_path):
     path = tmp_path / "counts.jsonl"
-    task = CountTask(quintic_x(1, make_field(11)), "table")
-    first = count_cached(task, path)
-    second = count_cached(task, path)
+    inst = quintic_x(1, make_field(11))
+    first = count(inst, "table", cache=CountCache(path))
+    second = count(inst, "table", cache=CountCache(path))  # reloaded from disk
     assert first.count == second.count
     assert second.elapsed_ms == first.elapsed_ms  # served from cache
     assert len(path.read_text().strip().splitlines()) == 1
@@ -302,8 +302,9 @@ def test_cache_idempotent(tmp_path):
 def test_cache_distinct_keys(tmp_path):
     path = tmp_path / "counts.jsonl"
     F = make_field(11)
-    count_cached(CountTask(quintic_x(1, F)), path)
-    count_cached(CountTask(quintic_x(2, F)), path)
+    cache = CountCache(path)
+    count(quintic_x(1, F), cache=cache)
+    count(quintic_x(2, F), cache=cache)
     lines = path.read_text().strip().splitlines()
     assert len(lines) == 2
     params = {json.loads(l)["params"] for l in lines}
@@ -312,7 +313,7 @@ def test_cache_distinct_keys(tmp_path):
 
 def test_cache_line_format(tmp_path):
     path = tmp_path / "counts.jsonl"
-    count_cached(CountTask(quintic_x(1, make_field(11))), path)
+    count(quintic_x(1, make_field(11)), cache=CountCache(path))
     obj = json.loads(path.read_text().strip())
     assert set(obj) == {
         "family",
@@ -330,9 +331,8 @@ def test_cache_line_format(tmp_path):
 def test_cache_corrupt_line_warns_and_recomputes(tmp_path):
     path = tmp_path / "counts.jsonl"
     path.write_text("this is not json\n")
-    task = CountTask(quintic_x(1, make_field(11)), "table")
     with pytest.warns(CacheCorrupt):
-        rec = count_cached(task, path)
+        rec = count(quintic_x(1, make_field(11)), "table", cache=CountCache(path))
     assert rec.count == 3300
 
 
@@ -340,7 +340,7 @@ def test_cache_hit_never_recounts(tmp_path):
     path = tmp_path / "counts.jsonl"
     fake = CountRecord("QuinticX", "mu=1", 11, 1, 999999, "table", 1)
     path.write_text(fake.to_json() + "\n")
-    rec = count_cached(CountTask(quintic_x(1, make_field(11))), path)
+    rec = count(quintic_x(1, make_field(11)), cache=CountCache(path))
     assert rec.count == 999999  # trusted verbatim, no recount
 
 
@@ -458,15 +458,13 @@ def test_cache_rejects_line_off_schema(tmp_path, case):
     path = tmp_path / "counts.jsonl"
     path.write_text(_bad_line(case) + "\n")
     with pytest.warns(CacheCorrupt, match="line 1"):
-        rec = count_cached(CountTask(quintic_x(1, make_field(11))), path)
+        rec = count(quintic_x(1, make_field(11)), cache=CountCache(path))
     assert rec.count == 3300
 
 
 def test_cache_append_waits_for_the_file_lock(tmp_path):
     import fcntl
     import threading
-
-    from mirrorquintic.counting import CountCache
 
     path = tmp_path / "counts.jsonl"
     path.touch()
@@ -489,8 +487,6 @@ def test_concurrent_appends_stay_loadable(tmp_path):
     import sys
     import warnings
     from pathlib import Path
-
-    from mirrorquintic.counting import CountCache
 
     src = Path(__file__).resolve().parents[1] / "src"
     path = tmp_path / "counts.jsonl"

@@ -3,10 +3,9 @@ import pytest
 
 from mirrorquintic import families
 from mirrorquintic.cli import run
-from mirrorquintic.counting import CountTask, count, count_naive
+from mirrorquintic.counting import count
 from mirrorquintic.errors import (
     InstanceTooLarge,
-    MirrorQuinticError,
     MissingParameter,
     RootOfUnityUnavailable,
     ZeroDenominator,
@@ -20,10 +19,8 @@ from mirrorquintic.families import (
     cubics_v,
     cubics_w,
     cubics_wtilde,
-    enumerate_points,
     new_coordinates_w,
     normalize_point,
-    points_b,
     points_on_lines_a,
     quadric_q,
     quintic_x,
@@ -123,21 +120,26 @@ def test_strata_membership():
 
 
 def test_point_sets_a_and_b():
-    assert len(points_b(F11)) == 10
+    y11 = quintic_y(1, F11)
     a_pts = points_on_lines_a(F11)
     assert len(a_pts) == 10 * 11 - 10
-    b_set = set(points_b(F11))
-    assert b_set <= set(a_pts)
-    assert len(enumerate_points(build_family(FamilyId.LINES_A, {}, F7))) == 10 * 7 - 10
+    strata = [strata_membership(pt, y11) for pt in a_pts]
+    assert strata.count(Stratum.IN_POINT_SET_B) == 10
+    assert set(strata) == {Stratum.ON_LINE_A, Stratum.IN_POINT_SET_B}
+    assert len(points_on_lines_a(F7)) == 10 * 7 - 10
 
 
-@pytest.mark.parametrize("family", [FamilyId.LINES_A, FamilyId.POINTS_B])
-def test_point_set_families_have_no_equations_to_evaluate(family):
-    inst = build_family(family, {}, F7)
-    coords = [np.arange(7, dtype=np.int64)] * 5
-    for method in (inst.evaluate, inst.vanishing_mask):
-        with pytest.raises(MirrorQuinticError, match=f"{family.value} over GF.7. is a point set"):
-            method(coords)
+@pytest.mark.parametrize("fid", list(FamilyId), ids=lambda f: f.value)
+def test_every_family_has_equations(fid):
+    # F_7 has no primitive 5th root of unity, so QuadricQ is built over F_11 only
+    names = families.param_names(fid)
+    for F in (F11,) if fid is FamilyId.QUADRIC_Q else (F7, F11):
+        inst = build_family(fid, {name: 2 for name in names}, F)
+        system = inst.system
+        assert isinstance(system, list) and system
+        assert all(isinstance(f, MPoly) and f and f.is_homogeneous() for f in system)
+        values = inst.evaluate(_random_coords(F, inst.nvars, seed=3))
+        assert len(values) == len(system)
 
 
 @pytest.mark.parametrize(
@@ -369,12 +371,11 @@ def test_evaluations_leave_the_system_unexpanded(expansions, tmp_path):
         for param in (2, F7.element(3)):
             inst = ctor(param, F7)
             inst.vanishing_mask(_random_coords(F7, inst.nvars, seed=4))
-            count(CountTask(inst, "naive"))
-            count(CountTask(inst, "table"))
+            count(inst, "naive")
+            count(inst, "table")
     singular_points(cubics_v(1, F7))
     for inst in (quintic_x(1, F31), quintic_y(2, F31)):
         classify_nodes(inst, singular_points(inst).points)
-    assert count_naive(build_family(FamilyId.LINES_A, {}, F7)).count == 60
     assert run(
         ["trace", "--p-range", "2..31", "--cache", str(tmp_path / "c.jsonl"),
          "--out", str(tmp_path / "t.csv")]

@@ -1,6 +1,6 @@
 import pytest
 
-from mirrorquintic.counting import CountTask, count_cached, count_naive
+from mirrorquintic.counting import count, count_naive
 from mirrorquintic.errors import BadReduction
 from mirrorquintic.families import FamilyId, quintic_x, quintic_y
 from mirrorquintic.ffield import make_field
@@ -41,15 +41,15 @@ def test_bad_reduction():
 def test_extension_traces_match_f8():
     # q = 8 = 2^3 is 3 mod 5: the prime-field 2, 3-row applies over F_8 too
     F = make_field(2, 3)
-    tx = frobenius_trace(X, 8, count_cached(CountTask(quintic_x(1, F))).count)
-    ty = frobenius_trace(Y, 8, count_cached(CountTask(quintic_y(1, F))).count)
+    tx = frobenius_trace(X, 8, count(quintic_x(1, F)).count)
+    ty = frobenius_trace(Y, 8, count(quintic_y(1, F)).count)
     assert tx == ty == -23  # t(2) = 1, t(4) = 1 - 2 * 8, t(8) = t(4) - 8 t(2)
 
 
 def test_compare_traces_p2():
     rec = compare_traces(2)
     assert rec.count_x == rec.count_y == 16
-    assert rec.a_p_x == rec.a_p_y == 1
+    assert rec.ap_x == rec.ap_y == 1
     assert rec.match_ok and rec.weil_ok
 
 
@@ -81,10 +81,10 @@ def test_traces_agree_between_algorithms():
     for p in (2, 3, 7, 11, 13):
         F = make_field(p)
         nx = count_naive(quintic_x(1, F)).count
-        tx = count_cached(CountTask(quintic_x(1, F), "table"))
+        tx = count(quintic_x(1, F), "table")
         assert frobenius_trace(X, p, nx) == frobenius_trace(X, p, tx.count)
         ny = count_naive(quintic_y(1, F)).count
-        ty = count_cached(CountTask(quintic_y(1, F), "table"))
+        ty = count(quintic_y(1, F), "table")
         assert frobenius_trace(Y, p, ny) == frobenius_trace(Y, p, ty.count)
 
 
@@ -115,6 +115,6 @@ def test_frobenius_recurrence(p, k):
 def test_recurrence_needs_mu_1():
     # at mu = 3 over F_7 (3^5 != 1) the piece is not two-dimensional
     for family, build in ((X, quintic_x), (Y, quintic_y)):
-        counts = [count_cached(CountTask(build(3, make_field(7, k)))).count for k in (1, 2)]
+        counts = [count(build(3, make_field(7, k))).count for k in (1, 2)]
         t1, t2 = (frobenius_trace(family, 7**k, n) for k, n in zip((1, 2), counts))
         assert t2 != t1 * t1 - 2 * 7**3

@@ -2,11 +2,9 @@ import numpy as np
 import pytest
 
 from mirrorquintic.counting import iter_projective_chunks
-from mirrorquintic.errors import MirrorQuinticError, RootOfUnityUnavailable
+from mirrorquintic.errors import RootOfUnityUnavailable
 from mirrorquintic.families import (
-    FamilyId,
     MonomialMap,
-    build_family,
     apply_map,
     cubics_v,
     normalize_point,
@@ -163,13 +161,3 @@ def test_quotient_generator_action():
         rhs = normalize_point((w[0] * w3, w[1] * w3, w[2] * w3, w[3], w[4], w[5]))
         assert lhs == rhs
 
-
-@pytest.mark.parametrize("family", [FamilyId.LINES_A, FamilyId.POINTS_B])
-def test_point_set_families_have_no_system_to_check(family):
-    inst = build_family(family, {}, F11)
-    g = ScalingElement((1, 4, 0, 0))
-    match = f"{family.value} over GF.11. is a point set"
-    with pytest.raises(MirrorQuinticError, match=match):
-        invariance_check(g, inst)
-    with pytest.raises(MirrorQuinticError, match=match):
-        diagonal_invariance(scalars_for(g, F11), inst)

@@ -93,3 +93,19 @@ def test_reduction_stays_in_ffield():
             ):
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []
+
+
+def test_only_the_cli_opens_a_count_cache():
+    # one cache per command: the CLI opens it once and hands it down, and
+    # no count reloads the file
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "cli.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Call) and "CountCache" in (
+                getattr(node.func, "id", None),
+                getattr(node.func, "attr", None),
+            ):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
