@@ -137,9 +137,20 @@ def _parse_primes(args) -> list[int]:
 
 
 def _open_cache(args) -> CountCache | None:
-    """The --cache file, else the MQL_CACHE one; None when neither is set."""
+    """The --cache file, else the MQL_CACHE one; None when neither is set.
+
+    A path that is a directory, or whose directory does not exist, is a
+    usage error, raised before any count is computed.
+    """
     path = args.cache or os.environ.get("MQL_CACHE")
-    return CountCache(path) if path else None
+    if not path:
+        return None
+    if os.path.isdir(path):
+        raise _UsageError(f"cache path {path!r} is a directory")
+    parent = os.path.dirname(path) or "."
+    if not os.path.isdir(parent):
+        raise _UsageError(f"cache path {path!r}: directory {parent!r} does not exist")
+    return CountCache(path)
 
 
 def _emit(text: str, out_path):

@@ -66,14 +66,14 @@ import os
 import time
 import typing
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
-import numpy as np
-
+from ._lazy import lazy_numpy
 from .errors import CacheCorrupt, InstanceTooLarge, InvariantViolated
 from .families import FamilyId, FamilyInstance, param_string
 from .ffield import FieldDescriptor
+
+np = lazy_numpy()
 
 NAIVE_CAP = 10**10
 CACHE_VERSION = 1
@@ -177,11 +177,20 @@ def map_chunks(fn, chunks, threads: int = 1):
     With threads > 1 the calls run on a thread pool and at most
     2 * threads chunks are alive at once: the next chunk is drawn only
     after the oldest pending one is done.
+
+    numpy is loaded lazily (_lazy.lazy_numpy), and its first attribute
+    access is not thread-safe on Python 3.11, so numpy must have executed
+    before the pool starts.  It has: the first chunk is drawn here, in the
+    calling thread, before any worker exists, and the chunks come from
+    iter_projective_chunks, which calls np.arange.  A caller that passes
+    other chunks must keep that rule.
     """
     if threads <= 1:
         for c in chunks:
             yield fn(c)
         return
+    from concurrent.futures import ThreadPoolExecutor
+
     pending = collections.deque()
     with ThreadPoolExecutor(max_workers=threads) as pool:
         for c in chunks:

@@ -38,8 +38,7 @@ import operator
 from dataclasses import dataclass
 from typing import Callable
 
-import numpy as np
-
+from ._lazy import lazy_numpy
 from .errors import (
     DimensionMismatch,
     InvariantViolated,
@@ -54,6 +53,8 @@ from .ffield import (
     primitive_nth_root,
 )
 from .mvpoly import MPoly
+
+np = lazy_numpy()
 
 
 class FamilyId(enum.Enum):

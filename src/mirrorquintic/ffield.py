@@ -36,8 +36,7 @@ import itertools
 import math
 import operator
 
-import numpy as np
-
+from ._lazy import lazy_numpy
 from .errors import (
     CompositeCharacteristic,
     FieldMismatch,
@@ -47,6 +46,8 @@ from .errors import (
     TableTooLarge,
     UnsupportedDegree,
 )
+
+np = lazy_numpy()
 
 POWER_TABLE_CAP = 1 << 20
 

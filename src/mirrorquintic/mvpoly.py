@@ -26,10 +26,11 @@ against.
 
 from __future__ import annotations
 
-import numpy as np
-
+from ._lazy import lazy_numpy
 from .errors import DimensionMismatch, FieldMismatch
 from .ffield import FieldArray, FieldDescriptor, FieldElement
+
+np = lazy_numpy()
 
 
 class MPoly:

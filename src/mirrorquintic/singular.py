@@ -34,8 +34,7 @@ import itertools
 import math
 from dataclasses import dataclass, field as dc_field
 
-import numpy as np
-
+from ._lazy import lazy_numpy
 from .counting import iter_projective_chunks, map_chunks, projective_size
 from .errors import (
     BadCharacteristic,
@@ -64,6 +63,8 @@ from .ffield import (
     make_field,
     matrix_ranks,
 )
+
+np = lazy_numpy()
 
 _P4_CAP = 41  # the node census runs up to F_41
 _P5_CAP = 13
@@ -152,6 +153,19 @@ def _full_rank(instance: FamilyInstance, sub) -> np.ndarray:
     return mask
 
 
+def _gather(coords, mask) -> list:
+    """The coordinates of the points where mask is True, one flat index
+    array per coordinate, in C order of the broadcast block.
+
+    One flat-index pass finds the points and each coordinate is gathered
+    there; indexing with the boolean mask would walk the whole block once
+    per coordinate.  The last chart's block is 0-d, hence atleast_1d.
+    """
+    mask = np.atleast_1d(mask)
+    nz = np.unravel_index(np.flatnonzero(mask), mask.shape)
+    return [np.broadcast_to(c, mask.shape)[nz] for c in coords]
+
+
 def singular_points(instance: FamilyInstance, threads: int = 1) -> SingularReport:
     """All F_q-points where the system vanishes and the Jacobian drops rank.
 
@@ -171,7 +185,7 @@ def singular_points(instance: FamilyInstance, threads: int = 1) -> SingularRepor
         mask = instance.vanishing_mask(coords)
         if not mask.any():
             return []
-        sub = [np.broadcast_to(c, mask.shape)[mask] for c in coords]
+        sub = _gather(coords, mask)
         singular = ~_full_rank(instance, sub)
         return [
             tuple(F.from_index(int(c[col])) for c in sub)
@@ -350,7 +364,7 @@ def _surface_chunks(surface: FamilyInstance):
         pts = [F.vneg(lin), *coords]
         mask = surface.vanishing_mask(pts)
         if mask.any():
-            yield [np.broadcast_to(c, mask.shape)[mask] for c in pts]
+            yield _gather(pts, mask)
 
 
 def _chart_key(point) -> tuple:

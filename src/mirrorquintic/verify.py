@@ -13,9 +13,8 @@ import sys
 import traceback
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import ledger, modularity, singular, symmetry
+from ._lazy import lazy_numpy
 from .counting import count, count_naive, projective_size
 from .families import (
     MonomialMap,
@@ -33,6 +32,8 @@ from .families import (
     wtilde_from_lambda,
 )
 from .ffield import element_roots, is_prime, make_field, primitive_nth_root
+
+np = lazy_numpy()
 
 
 @dataclass

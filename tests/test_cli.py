@@ -104,6 +104,25 @@ def test_cache_flag_wins_over_env(tmp_path, monkeypatch):
     assert flag_cache.exists() and not env_cache.exists()
 
 
+
+@pytest.mark.parametrize("command", [
+    ["count", "--family", "X", "--mu", "1", "--p", "7"],
+    ["trace", "--p", "7"],
+])
+@pytest.mark.parametrize("bad", ["missing-dir", "directory"])
+@pytest.mark.parametrize("via_env", [False, True])
+def test_bad_cache_path_is_a_usage_error(tmp_path, monkeypatch, capsys, command, bad, via_env):
+    # refused before the first count, whether --cache or MQL_CACHE names it
+    path = str(tmp_path / "nowhere" / "c.jsonl" if bad == "missing-dir" else tmp_path)
+    if via_env:
+        monkeypatch.setenv("MQL_CACHE", path)
+    args = command if via_env else command + ["--cache", path]
+    assert run(args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage error:") and repr(path) in captured.err
+    assert list(tmp_path.iterdir()) == []
+
 def test_corrupt_cache_warns_but_succeeds(tmp_path):
     cache = tmp_path / "counts.jsonl"
     cache.write_text("{ not json }\n")

@@ -1,0 +1,75 @@
+"""Start-up behaviour that only a fresh interpreter shows: which commands
+execute numpy, and threaded runs in a process where numpy has not yet been
+executed."""
+
+import csv
+import io
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+# run the CLI on argv, then print its exit code and whether numpy executed
+# (a lazily loaded numpy is in sys.modules, its submodules are not)
+_PROBE = """
+import sys
+from mirrorquintic.cli import run
+code = run(sys.argv[1:])
+print(code, any(m.startswith("numpy.") for m in sys.modules))
+"""
+
+
+def _python(args, cwd):
+    path = [str(SRC), *filter(None, [os.environ.get("PYTHONPATH")])]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    done = subprocess.run(
+        [sys.executable, *args], cwd=cwd, env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.stderr == ""
+    return done
+
+
+def _mql(argv, cwd) -> tuple[int, bool]:
+    code, executed = _python(["-c", _PROBE, *argv], cwd).stdout.split()
+    return int(code), executed == "True"
+
+
+def test_importing_the_cli_leaves_numpy_unexecuted(tmp_path):
+    probe = "import sys, mirrorquintic.cli; print(sorted(m for m in sys.modules if m.startswith('numpy')))"
+    assert _python(["-c", probe], tmp_path).stdout == "['numpy']\n"
+
+
+def test_warm_trace_and_ledger_dump_leave_numpy_unexecuted(tmp_path):
+    args = ["trace", "--p-range", "2..31", "--cache", "c.jsonl", "--out"]
+    assert _mql(args + ["cold.csv"], tmp_path) == (0, True)
+    assert _mql(args + ["warm.csv"], tmp_path) == (0, False)
+    assert (tmp_path / "warm.csv").read_bytes() == (tmp_path / "cold.csv").read_bytes()
+    assert _mql(["ledger-dump", "--out", "ledger.json"], tmp_path) == (0, False)
+
+
+def _without_elapsed(text: str) -> list[dict]:
+    rows = list(csv.DictReader(io.StringIO(text)))
+    for row in rows:
+        del row["elapsed_ms"]
+    return rows
+
+
+# numpy executes in the calling thread before map_chunks starts its workers,
+# so a threaded run in a fresh process gives the one-thread answers
+
+
+def test_threaded_count_in_a_fresh_process(tmp_path):
+    count = ["-m", "mirrorquintic.cli", "count", "--family", "V", "--lambda", "1",
+             "--p-range", "7..13", "--algo", "naive", "--format", "csv"]
+    one = _without_elapsed(_python(count + ["--threads", "1"], tmp_path).stdout)
+    two = _without_elapsed(_python(count + ["--threads", "2"], tmp_path).stdout)
+    assert two == one and len(one) == 3
+
+
+def test_threaded_nodes_suite_in_a_fresh_process(tmp_path):
+    verify = ["-m", "mirrorquintic.cli", "verify", "--suite", "nodes"]
+    one = _python(verify + ["--threads", "1"], tmp_path).stdout
+    two = _python(verify + ["--threads", "2"], tmp_path).stdout
+    assert two == one and two.endswith("\n10/10 checks passed\n")

@@ -109,3 +109,49 @@ def test_only_the_cli_opens_a_count_cache():
             ):
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []
+
+
+def _import_time_nodes(node):
+    # the nodes that run while their module is imported: all but function
+    # bodies and annotations (strings under `from __future__ import annotations`)
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+        args = node.args
+        for n in [*args.defaults, *args.kw_defaults, *getattr(node, "decorator_list", [])]:
+            if n is not None:
+                yield from ast.walk(n)
+        return
+    yield node
+    for child in ast.iter_child_nodes(node):
+        if not (isinstance(node, ast.AnnAssign) and child is node.annotation):
+            yield from _import_time_nodes(child)
+
+
+def test_numpy_loads_on_first_use():
+    # numpy is executed by the first array operation, not by importing the
+    # package: only _lazy imports it, and no module reads np while it is
+    # being imported
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        reads_np = any(isinstance(n, ast.Name) and n.id == "np" for n in ast.walk(tree))
+        if reads_np and not any(
+            isinstance(n, ast.ImportFrom) and n.module == "__future__"
+            and any(a.name == "annotations" for a in n.names)
+            for n in tree.body
+        ):
+            found.append(f"{path.name}: annotations are evaluated")
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                modules = [node.module]
+            else:
+                continue
+            if path.name != "_lazy.py" and any(
+                m == "numpy" or m.startswith("numpy.") for m in modules
+            ):
+                found.append(f"{path.name}:{node.lineno}")
+        for node in _import_time_nodes(tree):
+            if isinstance(node, ast.Name) and node.id == "np" and isinstance(node.ctx, ast.Load):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
