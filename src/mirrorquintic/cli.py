@@ -4,7 +4,8 @@ Subcommands
 
   count        count points on one family over F_(p^k)
                  mql count --family X --mu 1 --p 11 --algo table
-  trace        trace records for the mu = 1 pair over a prime range
+  trace        trace records for the mu = 1 pair over a prime range; a range
+               skips p = 5 (bad reduction), and --p 5 is a usage error
                  mql trace --p-range 2..101 --cache counts.jsonl --out traces.csv
   verify       run a named check suite and print a pass/fail table
                  mql verify --suite groups
@@ -16,13 +17,20 @@ explicit --cache flag wins.  Reports are single JSON envelopes (or CSV for
 traces); the cache file is JSON-lines.  With a warm cache and a fixed
 configuration, reruns produce byte-identical reports: the envelope's
 elapsed_ms is the sum of the per-record values, which cache hits preserve.
+
+Each subcommand imports only the layers it runs.  Importing this module
+loads the fields, families, counting and traces; count and trace need
+nothing more (numpy executes at the first computed count, MPoly is never
+loaded).  verify imports the verify stack (singular, symmetry, ledger,
+MPoly) inside _cmd_verify, and ledger-dump imports ledger alone.  The
+--suite choices read verify.SUITES only when a value is checked or the
+help is printed.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import io
 import json
 import os
@@ -34,8 +42,6 @@ from .errors import MirrorQuinticError
 from .families import FamilyId, build_family, param_names
 from .ffield import is_prime, make_field
 from .modularity import TraceRecord, compare_traces
-from .ledger import recorded_dataset
-from .verify import SUITES, run_suite
 
 _FAMILY_FLAGS = {
     "X": FamilyId.QUINTIC_X,
@@ -59,10 +65,10 @@ def _param_flag(name: str) -> str:
 
 # a count report row: the CountRecord fields without the cache version, with
 # q after k, and a status
-_RECORD_FIELDS = [f.name for f in dataclasses.fields(CountRecord) if f.name != "version"]
+_RECORD_FIELDS = [name for name in CountRecord._fields if name != "version"]
 _COUNT_COLUMNS = _RECORD_FIELDS[:4] + ["q"] + _RECORD_FIELDS[4:] + ["status"]
 
-TRACE_COLUMNS = [f.name for f in dataclasses.fields(TraceRecord)]
+TRACE_COLUMNS = list(TraceRecord._fields)
 
 # the options that several subcommands share; each takes only those it reads
 _SHARED_OPTIONS = {
@@ -75,6 +81,20 @@ _SHARED_OPTIONS = {
 
 class _UsageError(Exception):
     pass
+
+
+class _SuiteChoices:
+    """The --suite choices, the keys of verify.SUITES and "all", read when
+    argparse first checks a value or formats the help, so that building
+    the parser imports nothing of the verify stack."""
+
+    def __iter__(self):
+        from .verify import SUITES
+
+        return iter([*SUITES, "all"])
+
+    def __contains__(self, name) -> bool:
+        return name in list(self)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -107,7 +127,9 @@ def _build_parser() -> argparse.ArgumentParser:
     shared(pt, *_SHARED_OPTIONS)
 
     pv = sub.add_parser("verify", help="run a named verification suite")
-    pv.add_argument("--suite", required=True, choices=[*SUITES, "all"])
+    # set after add_argument, which would otherwise format (so read) the
+    # choices to check the metavar
+    pv.add_argument("--suite", required=True).choices = _SuiteChoices()
     pv.add_argument("--p-max", type=int, default=101, help="prime bound for traces")
     pv.add_argument("--long", action="store_true", help="include long-running checks")
     shared(pv, "--threads", "--cache", "--out")
@@ -227,12 +249,14 @@ def _config_echo(args) -> dict:
 
 
 def _cmd_trace(args) -> int:
-    primes = [p for p in _parse_primes(args) if p != 5]
+    if args.p == 5:
+        raise _UsageError("--p 5: the quintic pair has bad reduction at 5, so it has no traces")
+    primes = [p for p in _parse_primes(args) if p != 5]  # a range skips the bad prime
     cache = _open_cache(args)
     records = []
     for p in primes:
         rec = compare_traces(p, cache=cache, algo=args.algo, threads=args.threads)
-        row = dataclasses.asdict(rec)
+        row = rec._asdict()
         row["status"] = "ok" if (rec.weil_ok and rec.match_ok) else "failed"
         records.append(row)
     _report(args, TRACE_COLUMNS, records)
@@ -240,6 +264,8 @@ def _cmd_trace(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .verify import run_suite
+
     results = run_suite(
         args.suite,
         threads=args.threads,
@@ -266,6 +292,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_ledger_dump(args) -> int:
+    from .ledger import recorded_dataset
+
     text = json.dumps(recorded_dataset(), indent=2, sort_keys=True) + "\n"
     _emit(text, args.out)
     return 0

@@ -57,7 +57,6 @@ concurrent writers, in one process or many, never interleave lines.
 from __future__ import annotations
 
 import collections
-import dataclasses
 import fcntl
 import itertools
 import json
@@ -66,7 +65,6 @@ import os
 import time
 import typing
 import warnings
-from dataclasses import dataclass
 
 from ._lazy import lazy_numpy
 from .errors import CacheCorrupt, InstanceTooLarge, InvariantViolated
@@ -90,8 +88,14 @@ def fft_error_bound(q: int) -> float:
     return (3 * _FFT_ETA * log_n + _UNIT_ROUNDOFF) * float(q) ** 4
 
 
-@dataclass
-class CountRecord:
+class CountRecord(typing.NamedTuple):
+    """One count, as the cache stores it and count() returns it.
+
+    An immutable tuple whose fields are the cache schema: to_json writes
+    them as one JSON object with sorted keys, and from_json reads exactly
+    them back.
+    """
+
     family: str
     params: str
     p: int
@@ -109,7 +113,7 @@ class CountRecord:
         return _cache_key(self.family, self.params, self.p, self.k, self.version)
 
     def to_json(self) -> str:
-        return json.dumps(dataclasses.asdict(self), sort_keys=True)
+        return json.dumps(self._asdict(), sort_keys=True)
 
     @classmethod
     def from_json(cls, line: str) -> "CountRecord":

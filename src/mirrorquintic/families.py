@@ -24,7 +24,9 @@ Each family's equations are written once, by its builder, the only
 definition of them.  The builder evaluates them on index arrays
 (FamilyInstance.evaluate) and on jets without expanding them, so building
 an instance expands nothing; its symbolic system is the list of MPolys the
-builder writes on MPoly variables over the field, on first read.
+builder writes on MPoly variables over the field, on first read.  mvpoly
+is imported there and in verify_coordinate_change, so a count never
+loads it.
 Projective points are tuples of FieldElements kept in canonical form
 (first nonzero coordinate scaled to 1).
 """
@@ -35,8 +37,7 @@ import enum
 import functools
 import itertools
 import operator
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from ._lazy import lazy_numpy
 from .errors import (
@@ -52,7 +53,6 @@ from .ffield import (
     matrix_rank,
     primitive_nth_root,
 )
-from .mvpoly import MPoly
 
 np = lazy_numpy()
 
@@ -73,16 +73,23 @@ class Stratum(enum.Enum):
     EXTRA_NODE = "ExtraNode"
 
 
-@dataclass(frozen=True)
-class MonomialMap:
-    """Coordinate-wise power map x_i -> x_i^e on P^(arity-1)."""
-
+class _MapShape(NamedTuple):
     exponent: int
     arity: int
 
-    def __post_init__(self):
-        if self.exponent < 1:
+
+class MonomialMap(_MapShape):
+    """Coordinate-wise power map x_i -> x_i^e on P^(arity-1).
+
+    An immutable (exponent, arity) tuple; ValueError unless exponent >= 1.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, exponent: int, arity: int):
+        if exponent < 1:
             raise ValueError("map exponent must be >= 1")
+        return super().__new__(cls, exponent, arity)
 
 
 class LinearChange:
@@ -248,6 +255,8 @@ def _quadric_q_polys(xi: FieldElement, x):
 
 
 def _variables(nvars: int, F: FieldDescriptor) -> list[MPoly]:
+    from .mvpoly import MPoly
+
     return [MPoly.variable(nvars, i, F) for i in range(nvars)]
 
 
@@ -458,6 +467,8 @@ def verify_coordinate_change(lam, F: FieldDescriptor) -> bool:
       27 * (x3^3 - lam^3 (x0^3 + x1^3 + x2^3 - 3 x0 x1 x2)),
     and the nu-form with nu = 1 / lam^3 must be a scalar multiple of them.
     """
+    from .mvpoly import MPoly
+
     lam = F.element(lam)
     if not lam:
         raise ZeroDenominator("the coordinate change needs lam != 0")

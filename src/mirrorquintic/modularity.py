@@ -28,7 +28,7 @@ external modular form data is consulted.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import typing
 
 from .counting import count
 from .errors import BadReduction
@@ -48,8 +48,12 @@ CORRECTION = {
 }
 
 
-@dataclass
-class TraceRecord:
+class TraceRecord(typing.NamedTuple):
+    """The mu = 1 pair over F_p: the counts, the traces and their checks.
+
+    An immutable tuple; its fields, in order, are the trace CSV columns.
+    """
+
     p: int
     residue: int
     count_x: int

@@ -64,6 +64,17 @@ def test_trace_json_envelope(tmp_path):
     assert rec["ap_x"] == rec["ap_y"] == 1 and rec["count_x"] == 16
 
 
+def test_trace_p5_alone_is_a_usage_error(tmp_path, capsys):
+    # a range skips the bad prime (test_trace_csv_format); asked for alone
+    # it is refused before the cache is opened
+    cache = tmp_path / "counts.jsonl"
+    assert run(["trace", "--p", "5", "--cache", str(cache)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage error: --p 5") and "bad reduction" in captured.err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_reports_byte_identical_with_warm_cache(tmp_path):
     cache = tmp_path / "counts.jsonl"
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -168,8 +179,18 @@ def test_verify_all_matches_golden_report(capsys):
     assert capsys.readouterr().out.encode() == golden
 
 
-def test_verify_unknown_suite_exits_2():
+def test_verify_unknown_suite_exits_2(capsys):
     assert run(["verify", "--suite", "nonsense"]) == 2
+    err = capsys.readouterr().err
+    assert "argument --suite: invalid choice: 'nonsense'" in err
+    assert "(choose from 'nodes', 'fibers', 'groups', 'coordchange', 'quadric', " \
+        "'ledger', 'hecke', 'traces', 'all')" in err
+
+
+def test_verify_help_lists_the_suites(capsys):
+    assert run(["verify", "--help"]) == 0
+    choices = "{nodes,fibers,groups,coordchange,quadric,ledger,hecke,traces,all}"
+    assert f"  --suite {choices}\n" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize(

@@ -439,6 +439,15 @@ def test_record_json_round_trip():
     }
 
 
+def test_record_json_is_pinned():
+    # the cache line format: sorted keys, json.dumps separators
+    rec = CountRecord("QuinticX", "mu=1", 11, 1, 3300, "table", 12)
+    assert rec.to_json() == (
+        '{"algo": "table", "count": 3300, "elapsed_ms": 12, "family": "QuinticX", '
+        '"k": 1, "p": 11, "params": "mu=1", "version": 1}'
+    )
+
+
 def _bad_line(case: str) -> str:
     good = json.loads(CountRecord("QuinticX", "mu=1", 11, 1, 999999, "table", 1).to_json())
     if case == "missing-key":

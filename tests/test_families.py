@@ -99,6 +99,13 @@ def test_apply_map_fixed_points():
     assert apply_map(psi, ones6) == ones6
 
 
+@pytest.mark.parametrize("exponent", [0, -3])
+def test_monomial_map_refuses_exponent_below_1(exponent):
+    with pytest.raises(ValueError, match="exponent must be >= 1"):
+        MonomialMap(exponent, 5)
+    assert MonomialMap(1, 5) == MonomialMap(exponent=1, arity=5)
+
+
 def test_apply_map_fifth_root_of_minus_one():
     a = F11.element(2)  # 2^5 = -1 mod 11
     img = apply_map(MonomialMap(5, 5), (F11.zero,) * 3 + (F11.one, a))

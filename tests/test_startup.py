@@ -1,6 +1,6 @@
-"""Start-up behaviour that only a fresh interpreter shows: which commands
-execute numpy, and threaded runs in a process where numpy has not yet been
-executed."""
+"""Start-up behaviour that only a fresh interpreter shows: which modules
+each command loads, which commands execute numpy, and threaded runs in a
+process where numpy has not yet been executed."""
 
 import csv
 import io
@@ -47,6 +47,50 @@ def test_warm_trace_and_ledger_dump_leave_numpy_unexecuted(tmp_path):
     assert _mql(args + ["warm.csv"], tmp_path) == (0, False)
     assert (tmp_path / "warm.csv").read_bytes() == (tmp_path / "cold.csv").read_bytes()
     assert _mql(["ledger-dump", "--out", "ledger.json"], tmp_path) == (0, False)
+
+
+# run the CLI on argv, then print the package modules it loaded and the
+# other modules it added to those the interpreter started with
+_MODULES_PROBE = """
+import sys
+before = set(sys.modules)
+from mirrorquintic.cli import run
+run(sys.argv[1:])
+added = set(sys.modules) - before
+print(*sorted(m for m in added if m.startswith("mirrorquintic.")))
+print(*sorted(m for m in added if not m.startswith("mirrorquintic")))
+"""
+
+# what importing the cli loads: fields, families, counting and traces
+_CLI_MODULES = {
+    f"mirrorquintic.{m}"
+    for m in ["_lazy", "cli", "counting", "errors", "families", "ffield", "modularity"]
+}
+
+
+def _loads(argv, cwd) -> tuple[set, set]:
+    package, other = _python(["-c", _MODULES_PROBE, *argv], cwd).stdout.splitlines()[-2:]
+    return set(package.split()), set(other.split())
+
+
+def test_modules_each_command_loads(tmp_path):
+    # trace and count from the cache run no verify stack and no MPoly, and
+    # none of the record types imports dataclasses
+    trace = ["trace", "--p-range", "2..31", "--cache", "t.jsonl", "--out", "t.csv"]
+    count = ["count", "--family", "Y", "--mu", "2", "--p-range", "2..13",
+             "--cache", "c.jsonl", "--out", "c.json"]
+    assert _mql(trace, tmp_path) == (0, True) and _mql(count, tmp_path) == (0, True)
+    for argv in (trace, count, ["--version"]):
+        package, other = _loads(argv, tmp_path)
+        assert package == _CLI_MODULES and "dataclasses" not in other
+    package, _ = _loads(["ledger-dump", "--out", "ledger.json"], tmp_path)
+    assert package == _CLI_MODULES | {"mirrorquintic.ledger"}
+
+
+def test_verify_all_in_a_fresh_process(tmp_path):
+    # verify imports its stack inside the command; the report is unchanged
+    golden = (Path(__file__).parent / "data" / "verify-all.txt").read_text()
+    assert _python(["-m", "mirrorquintic.cli", "verify", "--suite", "all"], tmp_path).stdout == golden
 
 
 def _without_elapsed(text: str) -> list[dict]:

@@ -75,6 +75,26 @@ def test_symbolic_layer_stays_in_its_modules():
     assert found == []
 
 
+def test_record_types_do_not_import_dataclasses():
+    # importing dataclasses loads inspect, ast, dis and tokenize; only the
+    # verify stack, which a count or a trace never loads, may use it
+    verify_stack = {"verify.py", "singular.py", "symmetry.py", "ledger.py"}
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name in verify_stack:
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                modules = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module]
+            else:
+                continue
+            if "dataclasses" in modules:
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
 def test_reduction_stays_in_ffield():
     # FieldArray defers prime-field reductions and FieldDescriptor._mod_p
     # performs them: no other module reduces arrays with numpy's remainders

@@ -8,7 +8,7 @@ def test_suite_choices_are_the_suites():
     parser = cli._build_parser()
     commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     suite = next(a for a in commands.choices["verify"]._actions if a.dest == "suite")
-    assert suite.choices == [*SUITES, "all"]
+    assert list(suite.choices) == [*SUITES, "all"]
 
 
 def test_all_suites_51_rows_pass():
