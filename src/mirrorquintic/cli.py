@@ -37,7 +37,7 @@ import os
 import sys
 
 from . import __version__
-from .counting import CountCache, CountRecord, count
+from .counting import TABLE_CAP, CountCache, CountRecord, count
 from .errors import MirrorQuinticError
 from .families import FamilyId, build_family, param_names
 from .ffield import is_prime, make_field
@@ -311,6 +311,9 @@ def run(argv: list[str]) -> int:
             raise _UsageError("--threads must be at least 1")
         if getattr(args, "p_max", 2) < 2:
             raise _UsageError("--p-max must be at least 2")
+        if getattr(args, "p_max", 2) > TABLE_CAP:
+            # the traces suite counts with the table, which refuses q > TABLE_CAP
+            raise _UsageError(f"--p-max must be at most {TABLE_CAP}, the table count's cap")
         if args.command == "count":
             return _cmd_count(args)
         if args.command == "trace":

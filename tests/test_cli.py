@@ -179,6 +179,13 @@ def test_verify_all_matches_golden_report(capsys):
     assert capsys.readouterr().out.encode() == golden
 
 
+def test_verify_all_long_matches_golden_report(capsys):
+    # the --long report byte for byte (53 rows), under the same rule
+    golden = (Path(__file__).parent / "data" / "verify-all-long.txt").read_bytes()
+    assert run(["verify", "--suite", "all", "--long"]) == 0
+    assert capsys.readouterr().out.encode() == golden
+
+
 def test_verify_unknown_suite_exits_2(capsys):
     assert run(["verify", "--suite", "nonsense"]) == 2
     err = capsys.readouterr().err
@@ -201,6 +208,9 @@ def test_verify_help_lists_the_suites(capsys):
         ["verify", "--suite", "groups", "--threads", "-1"],
         ["verify", "--suite", "traces", "--p-max", "1"],
         ["verify", "--suite", "all", "--p-max", "-3"],
+        # above the table count's cap: refused before any count or primality test
+        ["verify", "--suite", "traces", "--p-max", "1501"],
+        ["verify", "--suite", "traces", "--p-max", "1000000000"],
     ],
 )
 def test_threads_below_1_and_p_max_below_2_exit_2(args, capsys):

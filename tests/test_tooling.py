@@ -1,4 +1,5 @@
 import ast
+import inspect
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "mirrorquintic"
@@ -175,3 +176,16 @@ def test_numpy_loads_on_first_use():
             if isinstance(node, ast.Name) and node.id == "np" and isinstance(node.ctx, ast.Load):
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []
+
+
+def test_suites_are_the_traced_functions():
+    # perfbench times each suite by wrapping verify.suite_<name>: every
+    # suite is that module-level function and runs its rows when called
+    # (a generator function would run them only as its caller iterates)
+    from mirrorquintic import verify
+
+    for key, suite in verify.SUITES.items():
+        assert suite.__name__ == f"suite_{key}"
+        assert suite.__module__ == "mirrorquintic.verify"
+        assert getattr(verify, suite.__name__) is suite
+        assert not inspect.isgeneratorfunction(suite)

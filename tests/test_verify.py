@@ -1,6 +1,6 @@
 import argparse
 
-from mirrorquintic import cli, verify
+from mirrorquintic import cli, ledger, singular, verify
 from mirrorquintic.verify import SUITES, run_suite
 
 
@@ -31,3 +31,62 @@ def test_raising_suite_is_one_fail_row(monkeypatch, capsys):
     assert "suite groups" in fails[0] and "ZeroDivisionError: division by zero" in fails[0]
     # the 9 rows of the groups suite are replaced by the one FAIL row
     assert lines[-1] == "42/43 checks passed, 1 FAILED"
+
+
+def test_raising_check_is_one_fail_row(monkeypatch, capsys):
+    def broken(q):
+        raise ZeroDivisionError("division by zero")
+
+    monkeypatch.setattr(ledger, "line_count_identity", broken)
+    assert cli.run(["verify", "--suite", "ledger"]) == 1
+    captured = capsys.readouterr()
+    assert "Traceback" in captured.err and "ZeroDivisionError" in captured.err
+    lines = captured.out.splitlines()
+    assert sum(line.startswith("PASS") for line in lines) == 9
+    (fail,) = [line for line in lines if line.startswith("FAIL")]
+    assert fail.split("  ")[1] == "line count identity 10(q+1) - 20 = 10q - 10"
+    assert fail.endswith("  [ZeroDivisionError: division by zero]")
+    assert lines[-1] == "9/10 checks passed, 1 FAILED"
+    # the other suites and the other rows of the ledger suite still run
+    assert cli.run(["verify", "--suite", "all"]) == 1
+    assert capsys.readouterr().out.splitlines()[-1] == "50/51 checks passed, 1 FAILED"
+
+
+def test_each_parameterized_row_runs_on_its_own_instance(monkeypatch):
+    # rows built in a loop check their own parameters, not the last ones:
+    # the arguments of each scan, surface and coordinate change, in order
+    scans, surfaces, changes = [], [], []
+    singular_points = singular.singular_points
+    quadric_evidence = singular.quadric_evidence_for_prime
+    coordinate_change = verify.verify_coordinate_change
+
+    def scan(inst, threads=1):
+        scans.append((inst.id.value, inst.param_string(), inst.field.q))
+        return singular_points(inst, threads=threads)
+
+    def surface(p):
+        surfaces.append(p)
+        return quadric_evidence(p)
+
+    def change(lam, F):
+        changes.append((lam, F.q))
+        return coordinate_change(lam, F)
+
+    monkeypatch.setattr(singular, "singular_points", scan)
+    monkeypatch.setattr(singular, "quadric_evidence_for_prime", surface)
+    monkeypatch.setattr(verify, "verify_coordinate_change", change)
+    assert [r.name for r in run_suite("all") if not r.passed] == []
+    assert scans == [
+        ("QuinticX", "mu=1", 11),
+        ("QuinticX", "mu=1", 31),
+        ("QuinticX", "mu=1", 41),
+        ("QuinticY", "mu=2", 7),
+        ("QuinticY", "mu=1", 7),
+        ("QuinticY", "mu=2", 11),
+        ("QuinticY", "mu=1", 11),
+        ("QuinticY", "mu=2", 31),
+        ("QuinticY", "mu=1", 31),
+        ("QuinticY", "mu=3", 31),
+    ]
+    assert surfaces == [11, 31, 41]
+    assert changes == [(1, 7), (2, 7), (1, 13), (2, 13)]
