@@ -393,8 +393,22 @@ class FieldDescriptor:
     # allocates one result and reduces it in place.
 
     def _mod_p(self, x):
+        """x mod p; an array is reduced in place, as x - p * floor(x / p).
+
+        numpy divides int64 by a scalar with a precomputed multiplier, which
+        is several times faster than np.remainder.  The product p * floor(x
+        / p) lies in [x - (p - 1), x], so it stays in int64 for every array
+        this method is given: a FieldArray reduces before its interval
+        reaches 2^62 in absolute value, and vadd, vsub and vmul (as well as
+        a FieldArray's forced reduction) pass in operations on residues,
+        which lie in [-(p - 1), (p - 1)^2] with (p - 1)^2 <= 2^63 - 1.  So
+        every x lies in [-2^62, max(2^62, (p - 1)^2)].
+        """
         if isinstance(x, np.ndarray):
-            return np.remainder(x, self.p, out=x)
+            floor = np.floor_divide(x, self.p)
+            floor *= self.p
+            x -= floor
+            return x
         return x % self.p
 
     def _digitwise(self, op, a, b):

@@ -4,18 +4,22 @@ surface evidence.
 Singularity is detected set-theoretically over F_q by the Jacobian
 criterion: a point is singular when the defining equations vanish and the
 Jacobian matrix has rank below the codimension (zero gradient for
-hypersurfaces, all 2x2 minors zero for the codimension-2 pairs).  The
-scans walk P^n in broadcastable grid blocks (counting.iter_projective_chunks)
-and evaluate the equations on each whole block through the instance's own
-builder; the points where they vanish are taken out of the broadcast
-coordinates, and only there is the Jacobian evaluated, by the same builder
-run on forward-mode jets (ffield.Jet), which gives the first partials in
-the compact form it writes the equations in.  Nodes are recognized by a
-full-rank Hessian in the affine chart of the first nonzero coordinate.
-classify_nodes takes all the points of an instance at once: the builder
-run on second-order jets (a Jet of Jets) gives the values, gradients and
-Hessians on index arrays, and one elimination over F_q on the stack of
-affine Hessians gives the ranks.  The criterion needs characteristic at
+hypersurfaces, all 2x2 minors zero for the codimension-2 pairs).  A scan
+runs in two phases.  Phase 1 walks P^n in broadcastable grid blocks
+(counting.iter_projective_chunks), on a thread pool when asked, evaluates
+the equations on each whole block through the instance's own builder, and
+takes the points where they vanish out of the broadcast coordinates.
+Phase 2 regroups those zeros into batches of at most _BATCH points and
+evaluates the Jacobian once per batch, by the same builder run on
+forward-mode jets (ffield.Jet), which gives the first partials in the
+compact form it writes the equations in (_BATCH bounds its memory).
+Only the singular points become FieldElement tuples.
+
+Nodes are recognized by a full-rank Hessian in the affine chart of the
+first nonzero coordinate.  classify_nodes takes all the points of an
+instance at once: the builder run on second-order jets (a Jet of Jets)
+gives the values, gradients and Hessians on index arrays, and one
+elimination over F_q on the stack of affine Hessians gives the ranks.  The criterion needs characteristic at
 least 7 and is refused below that.
 
 Containment statements about the quadric surface are certified by
@@ -68,6 +72,12 @@ np = lazy_numpy()
 
 _P4_CAP = 41  # the node census runs up to F_41
 _P5_CAP = 13
+
+# zeros per Jacobian run in singular_points.  A batch costs 8 bytes per
+# point and coordinate, and its Jacobian's jet arrays peak at about 170
+# bytes per point (2.8 MB at 2^14, QuinticX, QuinticY and CubicsV alike).
+# At 2^12 verify-all ran 3% slower; at 2^15 its peak RSS rose 0.4 MB.
+_BATCH = 1 << 14
 
 
 @dataclass
@@ -166,11 +176,34 @@ def _gather(coords, mask) -> list:
     return [np.broadcast_to(c, mask.shape)[nz] for c in coords]
 
 
+def _batches(blocks, size: int):
+    """Regroup a stream of point blocks (one index array per coordinate)
+    into batches of at most size points, in order."""
+    pending, n = [], 0
+    for block in blocks:
+        pending.append(block)
+        n += len(block[0])
+        if n < size:
+            continue
+        joined = [np.concatenate(c) for c in zip(*pending)]
+        full = n - n % size
+        for start in range(0, full, size):
+            yield [c[start : start + size] for c in joined]
+        n -= full
+        pending = [[c[full:] for c in joined]] if n else []
+    if n:
+        yield [np.concatenate(c) for c in zip(*pending)]
+
+
 def singular_points(instance: FamilyInstance, threads: int = 1) -> SingularReport:
     """All F_q-points where the system vanishes and the Jacobian drops rank.
 
-    With threads > 1 the chunks of the scan run on a thread pool
-    (counting.map_chunks); the report is the same for every thread count.
+    Phase 1 evaluates the equations on each grid block and gathers the
+    zeros; with threads > 1 the blocks run on a thread pool
+    (counting.map_chunks).  Phase 2 regroups the zeros into batches of at
+    most _BATCH points and runs the Jacobian once per batch, in the calling
+    thread; only the singular points become FieldElement tuples.  The
+    report is the same for every thread count and batch size.
     """
     F = instance.field
     dim = instance.ambient_dim
@@ -181,19 +214,18 @@ def singular_points(instance: FamilyInstance, threads: int = 1) -> SingularRepor
             f"would scan {projective_size(F.q, dim)} points"
         )
 
-    def on_chunk(coords) -> list[tuple[FieldElement, ...]]:
+    def on_chunk(coords) -> list:
         mask = instance.vanishing_mask(coords)
-        if not mask.any():
-            return []
-        sub = _gather(coords, mask)
-        singular = ~_full_rank(instance, sub)
-        return [
-            tuple(F.from_index(int(c[col])) for c in sub)
-            for col in np.nonzero(singular)[0]
-        ]
+        return _gather(coords, mask) if mask.any() else []
 
-    chunks = iter_projective_chunks(F, dim)
-    hits = [pt for found in map_chunks(on_chunk, chunks, threads) for pt in found]
+    zeros = map_chunks(on_chunk, iter_projective_chunks(F, dim), threads)
+    hits = []
+    for batch in _batches(filter(None, zeros), _BATCH):
+        singular = ~_full_rank(instance, batch)
+        hits.extend(
+            tuple(F.from_index(int(c[col])) for c in batch)
+            for col in np.nonzero(singular)[0]
+        )
     hits.sort(key=lambda pt: tuple(x.index for x in pt))
     strata: dict[Stratum, int] = {s: 0 for s in Stratum}
     if instance.id is FamilyId.QUINTIC_Y:

@@ -14,6 +14,16 @@ with w3, w9 fixed primitive cube and ninth roots of unity.  The subgroup
 acting trivially through the coordinate-cubing map has 27 elements; the
 quotient acts on the image by scaling x0, x1, x2 by a cube root of unity.
 
+Both groups are abelian and written additively: an element is its
+exponent vector, (l1, l2, l3, l4) with moduli (5, 5, 5, 5) or
+(a, b, d, e, m) with moduli (3, 3, 3, 3, 9), and the one composition law
+(_compose) adds exponent vectors modulo the moduli; the inverse is the
+negated vector.  An element's compose and inverse use it on one pair,
+and GroupSpec.verify_axioms and is_abelian on whole arrays: all n^2
+products, the identity and the inverses in one broadcast over the (n, r)
+array of element vectors, with membership tested by one lookup of each
+vector's mixed-radix code.
+
 Group elements act through explicit field scalars, so invariance is an
 exact polynomial comparison, not character bookkeeping.
 """
@@ -21,19 +31,50 @@ exact polynomial comparison, not character bookkeeping.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
+from ._lazy import lazy_numpy
 from .errors import InvariantViolated, RootOfUnityUnavailable
 from .families import FamilyInstance, normalize_point
 from .ffield import FieldDescriptor, FieldElement, primitive_nth_root
 from .mvpoly import MPoly
 
+np = lazy_numpy()
+
+
+def _compose(u, v, moduli):
+    """The composition law of both groups: exponent vectors add modulo
+    their moduli.  u and v broadcast, so one call composes one pair or all
+    pairs of an array of vectors."""
+    return (np.asarray(u) + v) % moduli
+
+
+def _inverse(u, moduli):
+    """The inverse under _compose: the negated vector modulo the moduli."""
+    return _compose(np.negative(u), 0, moduli)
+
+
+class _Element:
+    """An element given by its exponent vector modulo MODULI: a subclass
+    defines MODULI, the vector property and the from_vector constructor."""
+
+    MODULI: tuple[int, ...]
+
+    def compose(self, other):
+        return self.from_vector(_compose(self.vector, other.vector, self.MODULI))
+
+    def inverse(self):
+        return self.from_vector(_inverse(self.vector, self.MODULI))
+
 
 @dataclass(frozen=True)
-class ScalingElement:
+class ScalingElement(_Element):
     """Exponent tuple (l1, l2, l3, l4) mod 5 with sum divisible by 5."""
 
     exponents: tuple[int, int, int, int]
+
+    MODULI = (5, 5, 5, 5)
 
     def __post_init__(self):
         if len(self.exponents) != 4 or any(not 0 <= e < 5 for e in self.exponents):
@@ -41,20 +82,20 @@ class ScalingElement:
         if sum(self.exponents) % 5 != 0:
             raise ValueError("exponent sum must be 0 mod 5")
 
-    def compose(self, other: "ScalingElement") -> "ScalingElement":
-        return ScalingElement(
-            tuple((a + b) % 5 for a, b in zip(self.exponents, other.exponents))
-        )
+    @property
+    def vector(self) -> tuple[int, ...]:
+        return self.exponents
 
-    def inverse(self) -> "ScalingElement":
-        return ScalingElement(tuple((-a) % 5 for a in self.exponents))
+    @classmethod
+    def from_vector(cls, vector) -> "ScalingElement":
+        return cls(tuple(np.asarray(vector).tolist()))
 
     def order(self) -> int:
         return 1 if not any(self.exponents) else 5
 
 
 @dataclass(frozen=True)
-class GtildeElement:
+class GtildeElement(_Element):
     """(alpha, beta, delta, epsilon) mod 3 and mu mod 9 with
     mu = alpha + beta = delta + epsilon mod 3."""
 
@@ -63,6 +104,8 @@ class GtildeElement:
     delta: int
     epsilon: int
     mu: int
+
+    MODULI = (3, 3, 3, 3, 9)
 
     def __post_init__(self):
         for v in (self.alpha, self.beta, self.delta, self.epsilon):
@@ -75,23 +118,13 @@ class GtildeElement:
         ) % 3 != self.mu % 3:
             raise ValueError("constraint mu = a + b = d + e mod 3 violated")
 
-    def compose(self, other: "GtildeElement") -> "GtildeElement":
-        return GtildeElement(
-            (self.alpha + other.alpha) % 3,
-            (self.beta + other.beta) % 3,
-            (self.delta + other.delta) % 3,
-            (self.epsilon + other.epsilon) % 3,
-            (self.mu + other.mu) % 9,
-        )
+    @property
+    def vector(self) -> tuple[int, ...]:
+        return (self.alpha, self.beta, self.delta, self.epsilon, self.mu)
 
-    def inverse(self) -> "GtildeElement":
-        return GtildeElement(
-            (-self.alpha) % 3,
-            (-self.beta) % 3,
-            (-self.delta) % 3,
-            (-self.epsilon) % 3,
-            (-self.mu) % 9,
-        )
+    @classmethod
+    def from_vector(cls, vector) -> "GtildeElement":
+        return cls(*np.asarray(vector).tolist())
 
     def ninth_root_exponents(self) -> tuple[int, ...]:
         """Exponent of w9 in each of the six coordinate scalars."""
@@ -107,7 +140,8 @@ class GtildeElement:
 
 
 class GroupSpec:
-    """A finite abelian group given by its element list and composition."""
+    """A finite abelian group given by its element list and identity; the
+    elements are of one type and compose by its law (_compose)."""
 
     def __init__(self, elements, identity):
         self.elements = tuple(elements)
@@ -123,28 +157,36 @@ class GroupSpec:
     def __contains__(self, g):
         return g in self._members
 
+    def _vectors(self):
+        """The (n, r) array of element vectors and the moduli of the type."""
+        moduli = self.identity.MODULI
+        vectors = np.array([g.vector for g in self.elements], dtype=np.int64)
+        return vectors.reshape(len(self.elements), len(moduli)), moduli
+
     def verify_axioms(self) -> bool:
-        """Exhaustive closure, identity and inverse check (groups are small)."""
-        members = self._members
-        if self.identity not in members:
-            return False
-        for g in self.elements:
-            if g.compose(self.identity) != g or g.inverse() not in members:
-                return False
-            if g.compose(g.inverse()) != self.identity:
-                return False
-        for g in self.elements:
-            for h in self.elements:
-                if g.compose(h) not in members:
-                    return False
-        return True
+        """Exhaustive closure, identity and inverse check in whole-array
+        passes: every one of the n^2 products, the identity's product with
+        each element and each element's inverse, with membership by one
+        lookup of each vector's mixed-radix code."""
+        vectors, moduli = self._vectors()
+        radix = [math.prod(moduli[j + 1 :]) for j in range(len(moduli))]
+        member = np.zeros(math.prod(moduli), dtype=bool)
+        member[vectors @ radix] = True
+        identity = np.array(self.identity.vector, dtype=np.int64)
+        inverses = _inverse(vectors, moduli)
+        products = _compose(vectors[:, None, :], vectors[None, :, :], moduli)
+        return bool(
+            member[identity @ radix]
+            and (_compose(vectors, identity, moduli) == vectors).all()
+            and member[inverses @ radix].all()
+            and (_compose(vectors, inverses, moduli) == identity).all()
+            and member[products @ radix].all()
+        )
 
     def is_abelian(self) -> bool:
-        return all(
-            g.compose(h) == h.compose(g)
-            for g in self.elements
-            for h in self.elements
-        )
+        vectors, moduli = self._vectors()
+        gh = _compose(vectors[:, None, :], vectors[None, :, :], moduli)
+        return bool((gh == gh.transpose(1, 0, 2)).all())
 
 
 def enumerate_G() -> GroupSpec:

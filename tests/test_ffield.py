@@ -425,3 +425,30 @@ def test_products_that_overflow_int64_are_refused():
         FieldArray(a, F).scale(F.p - 1)
     assert F.vmul(4, F.p - 2) == (4 * (F.p - 2)) % F.p
     assert (FieldArray(a, F) + FieldArray(b, F) - FieldArray(a, F)).a.tolist() == b.tolist()
+
+
+# the largest prime p with (p - 1)^2 <= 2^63 - 1: arrays multiply up to it
+_LARGEST_ARRAY_PRIME = 3037000493
+
+
+@pytest.mark.parametrize("p", [2, 3, 41, _LARGEST_ARRAY_PRIME])
+def test_mod_p_matches_remainder_at_the_extremes(p):
+    # _mod_p reduces in place as x - p * floor(x / p); on every value of
+    # its documented range [-2^62, max(2^62, (p - 1)^2)] it must agree with
+    # np.remainder, negative values and the ends included
+    assert is_prime(p) and (p - 1) ** 2 <= 2**63 - 1
+    past = range(_LARGEST_ARRAY_PRIME + 1, math.isqrt(2**63 - 1) + 2)
+    assert not any(is_prime(n) for n in past)
+    F = make_field(p)
+    top = max(2**62, (p - 1) ** 2)
+    edges = [-(2**62), -(2**62) + 1, -p - 1, -p, -p + 1, -1, 0, 1, p - 1, p, p + 1]
+    edges += [(p - 1) ** 2 - 1, (p - 1) ** 2, 2**62 - 1, 2**62, top - 1, top]
+    rng = np.random.default_rng(p)
+    x = np.concatenate(
+        [np.array(edges, dtype=np.int64), rng.integers(-(2**62), top, size=1000, endpoint=True)]
+    )
+    want = np.remainder(x, p)
+    out = F._mod_p(x)
+    assert out is x  # reduced in place
+    assert np.array_equal(out, want)
+    assert F._mod_p(np.array(-(2**62), dtype=np.int64)) == (-(2**62)) % p  # 0-d

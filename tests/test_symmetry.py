@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from mirrorquintic import symmetry
 from mirrorquintic.counting import iter_projective_chunks
 from mirrorquintic.errors import RootOfUnityUnavailable
 from mirrorquintic.families import (
@@ -14,6 +15,7 @@ from mirrorquintic.families import (
 from mirrorquintic.ffield import make_field, primitive_nth_root
 from mirrorquintic.singular import singular_points
 from mirrorquintic.symmetry import (
+    GroupSpec,
     GtildeElement,
     ScalingElement,
     apply_scalars,
@@ -59,6 +61,66 @@ def test_group_axioms_exhaustive():
     for group in (enumerate_G(), enumerate_Gtilde(), psi_kernel()):
         assert group.verify_axioms()
         assert group.is_abelian()
+
+
+def _reference_law(g, h):
+    # the composition written out per type, one coordinate at a time
+    if isinstance(g, ScalingElement):
+        return ScalingElement(tuple((a + b) % 5 for a, b in zip(g.exponents, h.exponents)))
+    return GtildeElement(
+        (g.alpha + h.alpha) % 3,
+        (g.beta + h.beta) % 3,
+        (g.delta + h.delta) % 3,
+        (g.epsilon + h.epsilon) % 3,
+        (g.mu + h.mu) % 9,
+    )
+
+
+def _reference_axioms(elements, identity) -> bool:
+    # closure over every pair, the identity and every inverse, by brute force
+    members = set(elements)
+    return (
+        identity in members
+        and all(_reference_law(g, identity) == g for g in elements)
+        and all(any(_reference_law(g, h) == identity for h in elements) for g in elements)
+        and all(_reference_law(g, h) in members for g in elements for h in elements)
+    )
+
+
+def _broken_sets():
+    G, Gt = enumerate_G(), enumerate_Gtilde()
+    g = ScalingElement((1, 4, 0, 0))
+    t = GtildeElement(1, 0, 1, 0, 1)
+    return {
+        "G minus one element": GroupSpec([x for x in G if x != g], G.identity),
+        "G without its identity": GroupSpec([x for x in G if x != G.identity], G.identity),
+        "Gtilde missing an inverse": GroupSpec([x for x in Gt if x != t.inverse()], Gt.identity),
+        "three powers of g": GroupSpec([G.identity, g, g.compose(g)], G.identity),
+        "G with a wrong identity": GroupSpec(G, g),
+    }
+
+
+def test_array_axiom_check_agrees_with_a_reference():
+    # the whole-array check against brute force, on the three groups and
+    # on sets that are not groups; compose and inverse agree with the
+    # written-out law on every pair
+    groups = (enumerate_G(), enumerate_Gtilde(), psi_kernel())
+    for group in groups:
+        assert group.verify_axioms() and _reference_axioms(group.elements, group.identity)
+        for g in group:
+            assert _reference_law(g, g.inverse()) == group.identity
+            assert all(g.compose(h) == _reference_law(g, h) for h in group)
+    for name, spec in _broken_sets().items():
+        assert not _reference_axioms(spec.elements, spec.identity), name
+        assert not spec.verify_axioms(), name
+
+
+def test_is_abelian_detects_a_non_commuting_law(monkeypatch):
+    # is_abelian compares g*h with h*g through the one law: a law that is
+    # not symmetric in its arguments is caught
+    real = symmetry._compose
+    monkeypatch.setattr(symmetry, "_compose", lambda u, v, m: real(2 * np.asarray(u), v, m))
+    assert not enumerate_Gtilde().is_abelian()
 
 
 def test_g_is_elementary_abelian_of_order_125():
