@@ -37,11 +37,11 @@ import os
 import sys
 
 from . import __version__
-from .counting import TABLE_CAP, CountCache, CountRecord, count
+from .counting import ALGOS, TABLE_CAP, CountCache, CountRecord, count
 from .errors import MirrorQuinticError
 from .families import FamilyId, build_family, param_names
 from .ffield import is_prime, make_field
-from .modularity import TraceRecord, compare_traces
+from .modularity import TraceRecord, compare_traces, good_reduction
 
 _FAMILY_FLAGS = {
     "X": FamilyId.QUINTIC_X,
@@ -117,13 +117,13 @@ def _build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--p", type=int, default=None)
     pc.add_argument("--p-range", default=None, metavar="A..B")
     pc.add_argument("--ext", type=int, default=1, help="extension degree k")
-    pc.add_argument("--algo", choices=["naive", "table"], default="table")
+    pc.add_argument("--algo", choices=ALGOS, default="table")
     shared(pc, *_SHARED_OPTIONS)
 
     pt = sub.add_parser("trace", help="trace records over a prime range")
     pt.add_argument("--p", type=int, default=None)
     pt.add_argument("--p-range", default=None, metavar="A..B")
-    pt.add_argument("--algo", choices=["naive", "table"], default="table")
+    pt.add_argument("--algo", choices=ALGOS, default="table")
     shared(pt, *_SHARED_OPTIONS)
 
     pv = sub.add_parser("verify", help="run a named verification suite")
@@ -249,9 +249,12 @@ def _config_echo(args) -> dict:
 
 
 def _cmd_trace(args) -> int:
-    if args.p == 5:
-        raise _UsageError("--p 5: the quintic pair has bad reduction at 5, so it has no traces")
-    primes = [p for p in _parse_primes(args) if p != 5]  # a range skips the bad prime
+    # a range skips the bad prime; --p 5 is a usage error
+    primes = [p for p in _parse_primes(args) if good_reduction(p)]
+    if args.p is not None and not primes:
+        raise _UsageError(
+            f"--p {args.p}: the quintic pair has bad reduction at 5, so it has no traces"
+        )
     cache = _open_cache(args)
     records = []
     for p in primes:

@@ -81,6 +81,9 @@ _FFT_ETA = 7 * _UNIT_ROUNDOFF
 _ROUNDING_MARGIN = 0.25
 TABLE_CAP = 1500  # the largest q with fft_error_bound(q) < _ROUNDING_MARGIN
 
+# the names count() takes for its algorithm, and the --algo choices
+ALGOS = ("naive", "table")
+
 
 def fft_error_bound(q: int) -> float:
     """Worst-case absolute float64 error of the block convolution over F_q."""
@@ -422,8 +425,10 @@ def count(
     record stored under the instance's key is returned verbatim, and a
     count computed on a miss is appended.
     """
-    if algo not in ("naive", "table"):
-        raise ValueError(f"unknown algorithm {algo!r}: use 'naive' or 'table'")
+    if algo not in ALGOS:
+        raise ValueError(
+            f"unknown algorithm {algo!r}: use {' or '.join(map(repr, ALGOS))}"
+        )
     if threads < 1:
         raise ValueError("thread count must be >= 1")
     F = instance.field

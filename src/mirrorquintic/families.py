@@ -17,16 +17,18 @@ coordinates, parameters are elements of the field):
 The singular strata of QuinticY, the 10 lines A (x_i = x_j = 0 and the
 other three coordinates summing to zero) and their 10 triple points B
 (three zero coordinates, the other two opposite), are not families:
-points_on_lines_a lists the points of A and strata_membership classifies
-a point against A, B and the extra node.
+points_on_lines_a lists the points of A, and strata_codes classifies an
+index array of points against A, B and the extra node (strata_membership
+is its one-point case), the one definition of the strata.
 
 Each family's equations are written once, by its builder, the only
 definition of them.  The builder evaluates them on index arrays
 (FamilyInstance.evaluate) and on jets without expanding them, so building
 an instance expands nothing; its symbolic system is the list of MPolys the
 builder writes on MPoly variables over the field, on first read.  mvpoly
-is imported there and in verify_coordinate_change, so a count never
-loads it.
+is imported only for MPoly variables (_variables): for that system, and
+for verify_coordinate_change, which writes the cube-root coordinate
+change as its six linear forms on them; so a count never loads it.
 Projective points are tuples of FieldElements kept in canonical form
 (first nonzero coordinate scaled to 1).
 """
@@ -42,6 +44,7 @@ from typing import Callable, NamedTuple
 from ._lazy import lazy_numpy
 from .errors import (
     DimensionMismatch,
+    FieldMismatch,
     InvariantViolated,
     MissingParameter,
     ZeroDenominator,
@@ -50,7 +53,6 @@ from .ffield import (
     FieldArray,
     FieldDescriptor,
     FieldElement,
-    matrix_rank,
     primitive_nth_root,
 )
 
@@ -90,24 +92,6 @@ class MonomialMap(_MapShape):
         if exponent < 1:
             raise ValueError("map exponent must be >= 1")
         return super().__new__(cls, exponent, arity)
-
-
-class LinearChange:
-    """An invertible linear substitution, stored as a square matrix of
-    FieldElements; row i gives the polynomial replacing variable i."""
-
-    __slots__ = ("matrix", "field")
-
-    def __init__(self, matrix):
-        rows = [tuple(r) for r in matrix]
-        n = len(rows)
-        for r in rows:
-            if len(r) != n:
-                raise DimensionMismatch("linear change matrix must be square")
-        self.matrix = tuple(rows)
-        self.field = rows[0][0].field
-        if matrix_rank(rows) < n:
-            raise ValueError("linear change matrix is singular")
 
 
 def param_string(params: dict[str, FieldElement]) -> str:
@@ -358,54 +342,51 @@ def normalize_point(point) -> tuple[FieldElement, ...]:
     return tuple(x * inv for x in point)
 
 
-def apply_map(m, point) -> tuple[FieldElement, ...]:
-    """Image of a projective point under a MonomialMap or LinearChange."""
+def apply_map(m: MonomialMap, point) -> tuple[FieldElement, ...]:
+    """Image of a projective point under a MonomialMap."""
+    if not isinstance(m, MonomialMap):
+        raise TypeError(f"cannot apply {type(m).__name__} to a point")
     point = tuple(point)
-    if isinstance(m, MonomialMap):
-        if len(point) != m.arity:
-            raise DimensionMismatch(
-                f"point has {len(point)} coordinates, map expects {m.arity}"
-            )
-        return normalize_point(tuple(x ** m.exponent for x in point))
-    if isinstance(m, LinearChange):
-        n = len(m.matrix)
-        if len(point) != n:
-            raise DimensionMismatch(
-                f"point has {len(point)} coordinates, change expects {n}"
-            )
-        image = tuple(
-            sum((c * x for c, x in zip(row, point)), m.field.zero)
-            for row in m.matrix
+    if len(point) != m.arity:
+        raise DimensionMismatch(
+            f"point has {len(point)} coordinates, map expects {m.arity}"
         )
-        return normalize_point(image)
-    raise TypeError(f"cannot apply {type(m).__name__} to a point")
+    return normalize_point(tuple(x ** m.exponent for x in point))
 
 
-def strata_membership(point, y_instance: FamilyInstance) -> Stratum:
-    """Classify a P^4 point against the singular strata of a QuinticY instance.
+def strata_codes(idx, y_instance: FamilyInstance) -> np.ndarray:
+    """The stratum of each row of an (n, 5) index array of P^4 points, as its
+    position in Stratum (0 Generic, 1 OnLineA, 2 InPointSetB, 3 ExtraNode),
+    relative to a QuinticY instance; the rows need not be normalized.
 
     InPointSetB: exactly three coordinates vanish and the other two sum to
-    zero.  OnLineA: some pair of coordinates vanishes and the remaining
-    three sum to zero (and not InPointSetB).  ExtraNode: the point
-    (1:1:1:1:1) when mu^5 = 1.  Everything else is Generic.
+    zero.  OnLineA: two or more coordinates vanish and all five sum to zero
+    (and not InPointSetB).  ExtraNode: the point (1:1:1:1:1), all
+    coordinates equal and nonzero, when mu^5 = 1.  Everything else is
+    Generic.  This is the one definition of the strata.
     """
     if y_instance.id is not FamilyId.QUINTIC_Y:
         raise ValueError("strata are defined relative to a QuinticY instance")
-    point = tuple(point)
-    if len(point) != 5:
+    idx = np.asarray(idx, dtype=np.int64)
+    if idx.ndim != 2 or idx.shape[1] != 5:
         raise DimensionMismatch("strata are defined for points of P^4")
     F = y_instance.field
-    zeros = sum(1 for x in point if not x)
-    total = sum(point, F.zero)
-    if zeros == 3 and not total:
-        return Stratum.IN_POINT_SET_B
-    if zeros >= 2 and not total:
-        return Stratum.ON_LINE_A
-    mu = y_instance.params["mu"]
-    if zeros == 0 and mu**5 == F.one:
-        if normalize_point(point) == (F.one,) * 5:
-            return Stratum.EXTRA_NODE
-    return Stratum.GENERIC
+    zeros = (idx == 0).sum(axis=1)
+    on_a_or_b = (zeros >= 2) & (functools.reduce(F.vadd, idx.T) == 0)
+    codes = np.where(on_a_or_b, np.where(zeros == 3, 2, 1), 0)
+    if y_instance.params["mu"] ** 5 == F.one:
+        codes[(idx == idx[:, :1]).all(axis=1) & (idx[:, 0] != 0)] = 3
+    return codes
+
+
+def strata_membership(point, y_instance: FamilyInstance) -> Stratum:
+    """The stratum of one P^4 point over the instance's field: the one-point
+    case of strata_codes, with its ValueError and DimensionMismatch, and
+    FieldMismatch for a point over another field."""
+    point = tuple(point)
+    if any(x.field != y_instance.field for x in point):
+        raise FieldMismatch(f"{point!r} is not a point over {y_instance.field!r}")
+    return tuple(Stratum)[strata_codes([[x.index for x in point]], y_instance)[0]]
 
 
 def points_on_lines_a(F: FieldDescriptor) -> list[tuple[FieldElement, ...]]:
@@ -440,43 +421,25 @@ def points_on_lines_a(F: FieldDescriptor) -> list[tuple[FieldElement, ...]]:
 # ---------------------------------------------------------------------------
 
 
-def cube_root_vandermonde_change(F: FieldDescriptor) -> LinearChange:
-    """The block substitution x_i -> x_a + w^s x_b + w^(2s) x_c on the two
-    3-variable blocks, with w a primitive cube root of unity."""
-    w = primitive_nth_root(F, 3)
-    one, zero = F.one, F.zero
-    w2 = w * w
-    block = [
-        (one, one, one),
-        (one, w, w2),
-        (one, w2, w),
-    ]
-    rows = []
-    for r in block:
-        rows.append(tuple(r) + (zero, zero, zero))
-    for r in block:
-        rows.append((zero, zero, zero) + tuple(r))
-    return LinearChange(rows)
-
-
 def verify_coordinate_change(lam, F: FieldDescriptor) -> bool:
     """Check that the Vandermonde block change rewrites CubicsW as claimed.
 
-    After substitution the two cubics must equal, exactly,
+    The change sends x_(a+s) to x_a + w^s x_(a+1) + w^(2s) x_(a+2) for the
+    blocks a = 0, 3 and s = 0, 1, 2, with w the primitive cube root of
+    unity of primitive_nth_root.  After substitution the two cubics must equal, exactly,
       27 * (x0^3 - lam^3 (x3^3 + x4^3 + x5^3 - 3 x3 x4 x5)) and
       27 * (x3^3 - lam^3 (x0^3 + x1^3 + x2^3 - 3 x0 x1 x2)),
     and the nu-form with nu = 1 / lam^3 must be a scalar multiple of them.
     """
-    from .mvpoly import MPoly
-
     lam = F.element(lam)
     if not lam:
         raise ZeroDenominator("the coordinate change needs lam != 0")
-    change = cube_root_vandermonde_change(F)  # raises RootOfUnityUnavailable
+    w = primitive_nth_root(F, 3)  # raises RootOfUnityUnavailable
     x = _variables(6, F)
     forms = [
-        sum((xj.scale(c) for xj, c in zip(x, row)), MPoly.zero(6, F))
-        for row in change.matrix
+        x[a] + x[a + 1].scale(w**s) + x[a + 2].scale(w ** (2 * s))
+        for a in (0, 3)
+        for s in range(3)
     ]
     sub = [f.substitute(forms) for f in cubics_w(lam, F).system]
 

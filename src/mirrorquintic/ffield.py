@@ -17,7 +17,8 @@ and reduces once, with the descriptor's _mod_p, when its indices are read
 or before they could overflow int64.  Jet carries the first partial
 derivatives along with the values (forward mode), and a Jet of Jets the
 second ones.  matrix_ranks row-reduces a whole stack of matrices of
-indices in one elimination.  Products of residues that cannot fit in
+indices in one elimination.  element_roots(value, e) solves u^e = value
+in the field that value carries.  Products of residues that cannot fit in
 int64, p > 2^31.5, are refused on arrays with InstanceTooLarge.
 
 Extension moduli are chosen deterministically: the first monic irreducible
@@ -668,12 +669,6 @@ def matrix_ranks(F: FieldDescriptor, m) -> np.ndarray:
     return rank
 
 
-def matrix_rank(rows) -> int:
-    """Rank of a matrix of FieldElements: the one-matrix case of matrix_ranks."""
-    F = rows[0][0].field
-    return int(matrix_ranks(F, [[[x.index for x in r] for r in rows]])[0])
-
-
 def _prime_factors(n: int) -> list[int]:
     out = []
     d = 2
@@ -722,8 +717,10 @@ def primitive_nth_root(F: FieldDescriptor, n: int) -> FieldElement:
     return F.generator() ** ((F.q - 1) // n)
 
 
-def element_roots(F: FieldDescriptor, value: FieldElement, e: int) -> list[FieldElement]:
-    """All solutions u of u**e = value, sorted by index (may be empty)."""
+def element_roots(value: FieldElement, e: int) -> list[FieldElement]:
+    """All solutions u of u**e = value in the field of value, sorted by index
+    (may be empty)."""
+    F = value.field
     if not value:
         return [F.zero]
     F._ensure_tables()

@@ -64,9 +64,14 @@ class TraceRecord(typing.NamedTuple):
     match_ok: bool
 
 
+def good_reduction(q: int) -> bool:
+    """Whether the pair has good reduction over F_q: q is not a power of 5."""
+    return q % 5 != 0
+
+
 def _residue(q: int) -> int:
     """q mod 5; BadReduction when 5 divides q."""
-    if q % 5 == 0:
+    if not good_reduction(q):
         raise BadReduction(f"q = {q} is a power of 5 (bad reduction)")
     return q % 5
 

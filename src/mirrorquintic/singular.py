@@ -13,14 +13,16 @@ Phase 2 regroups those zeros into batches of at most _BATCH points and
 evaluates the Jacobian once per batch, by the same builder run on
 forward-mode jets (ffield.Jet), which gives the first partials in the
 compact form it writes the equations in (_BATCH bounds its memory).
-Only the singular points become FieldElement tuples.
+The mirror's strata come from families.strata_codes on index arrays, and
+only the singular points become FieldElement tuples.  Fiber counts and
+node tests read the field off their points.
 
 Nodes are recognized by a full-rank Hessian in the affine chart of the
 first nonzero coordinate.  classify_nodes takes all the points of an
 instance at once: the builder run on second-order jets (a Jet of Jets)
 gives the values, gradients and Hessians on index arrays, and one
-elimination over F_q on the stack of affine Hessians gives the ranks.  The criterion needs characteristic at
-least 7 and is refused below that.
+elimination over F_q on the stack of affine Hessians gives the ranks.
+The criterion needs characteristic at least 7 and is refused below that.
 
 Containment statements about the quadric surface are certified by
 exhaustive finite-field enumeration over several primes, which is strong
@@ -57,7 +59,7 @@ from .families import (
     quadric_q,
     quintic_x,
     quintic_y,
-    strata_membership,
+    strata_codes,
 )
 from .ffield import (
     FieldDescriptor,
@@ -103,7 +105,6 @@ class NodeClassification:
 @dataclass
 class FiberReport:
     point: tuple[FieldElement, ...]
-    stratum: Stratum | None
     count: int
     predicted: int
     count_within: int | None = None
@@ -202,8 +203,10 @@ def singular_points(instance: FamilyInstance, threads: int = 1) -> SingularRepor
     zeros; with threads > 1 the blocks run on a thread pool
     (counting.map_chunks).  Phase 2 regroups the zeros into batches of at
     most _BATCH points and runs the Jacobian once per batch, in the calling
-    thread; only the singular points become FieldElement tuples.  The
-    report is the same for every thread count and batch size.
+    thread.  One families.strata_codes call classifies the singular points
+    (QuinticY), np.bincount counts them, and only then do they become
+    FieldElement tuples.  The report is the same for every thread count
+    and batch size.
     """
     F = instance.field
     dim = instance.ambient_dim
@@ -219,22 +222,24 @@ def singular_points(instance: FamilyInstance, threads: int = 1) -> SingularRepor
         return _gather(coords, mask) if mask.any() else []
 
     zeros = map_chunks(on_chunk, iter_projective_chunks(F, dim), threads)
-    hits = []
+    hits = [np.empty((0, instance.nvars), dtype=np.int64)]
     for batch in _batches(filter(None, zeros), _BATCH):
         singular = ~_full_rank(instance, batch)
-        hits.extend(
-            tuple(F.from_index(int(c[col])) for c in batch)
-            for col in np.nonzero(singular)[0]
-        )
-    hits.sort(key=lambda pt: tuple(x.index for x in pt))
-    strata: dict[Stratum, int] = {s: 0 for s in Stratum}
+        hits.append(np.stack([c[singular] for c in batch], axis=1))
+    hits = np.concatenate(hits)
+    hits = hits[np.lexsort(hits.T[::-1])]
     if instance.id is FamilyId.QUINTIC_Y:
-        for pt in hits:
-            strata[strata_membership(pt, instance)] += 1
+        codes = strata_codes(hits, instance)
     else:
-        strata[Stratum.GENERIC] = len(hits)
+        codes = np.zeros(len(hits), dtype=np.int64)  # every point is Generic
+    counts = np.bincount(codes, minlength=len(Stratum)).tolist()
+    elems = list(F.elements())
     return SingularReport(
-        instance.id.value, instance.param_string(), F.q, hits, strata
+        instance.id.value,
+        instance.param_string(),
+        F.q,
+        [tuple(elems[c] for c in row) for row in hits.tolist()],
+        dict(zip(Stratum, counts)),
     )
 
 
@@ -267,7 +272,8 @@ def classify_nodes(instance: FamilyInstance, points) -> list[NodeClassification]
     full rank.  One builder run on second-order jets gives every point's
     value, gradient and Hessian, and one elimination (ffield.matrix_ranks)
     every rank.  Only characteristics p >= 7 are accepted: the
-    quadratic-form rank criterion degenerates for small p.
+    quadratic-form rank criterion degenerates for small p.  A point over
+    another field is refused with FieldMismatch.
     """
     F = instance.field
     if F.p < 7:
@@ -275,6 +281,8 @@ def classify_nodes(instance: FamilyInstance, points) -> list[NodeClassification]
             f"node classification requires characteristic >= 7, got {F.p}"
         )
     points = [normalize_point(pt) for pt in points]
+    if any(x.field != F for pt in points for x in pt):
+        raise FieldMismatch(f"a point is not over the field of {instance!r}")
     n = instance.nvars
     idx = np.array([[x.index for x in pt] for pt in points], dtype=np.int64)
     idx = idx.reshape(len(points), n)
@@ -303,23 +311,18 @@ def classify_node(instance: FamilyInstance, point) -> NodeClassification:
 
 
 def preimage_count(
-    m: MonomialMap,
-    point,
-    F: FieldDescriptor,
-    within: FamilyInstance | None = None,
-    strata_instance: FamilyInstance | None = None,
+    m: MonomialMap, point, within: FamilyInstance | None = None
 ) -> FiberReport:
     """Fiber of the coordinate-power map over a point, as the product of the
-    coordinate-wise e-th roots.
+    coordinate-wise e-th roots, over the field of the point's coordinates.
 
     Scaled so that its pivot coordinate (the first nonzero one of the
     normalized point) is 1, a fiber point has zeros before the pivot and
     any e-th root of the point's coordinate after it; so the product of
     the root lists lists every fiber point exactly once.  The count is the
     full fiber in projective space; when ``within`` is given the fiber
-    points lying on that instance are counted as well, by one
-    vanishing_mask call on their index arrays.  The point's stratum is
-    classified against ``strata_instance``, a QuinticY, when one is given.
+    points lying on that instance, which must be over the point's field,
+    are counted as well, by one vanishing_mask call on their index arrays.
     The predicted geometric count is e^(m-1) with m the number of nonzero
     coordinates; the rational count attains it exactly when every nonzero
     coordinate ratio is an e-th power in F_q.
@@ -327,6 +330,7 @@ def preimage_count(
     point = normalize_point(point)
     if len(point) != m.arity:
         raise DimensionMismatch("point arity does not match the map")
+    F = point[0].field
     if (F.q - 1) % m.exponent != 0:
         raise RootOfUnityUnavailable(
             f"{F!r} lacks the {m.exponent}-th roots of unity"
@@ -334,7 +338,7 @@ def preimage_count(
     e = m.exponent
     pivot = next(i for i, x in enumerate(point) if x)
     roots = [
-        [1] if i == pivot else [u.index for u in element_roots(F, y, e)]
+        [1] if i == pivot else [u.index for u in element_roots(y, e)]
         for i, y in enumerate(point)
     ]
     count = math.prod(len(r) for r in roots)
@@ -348,10 +352,7 @@ def preimage_count(
         if count:
             grids = np.meshgrid(*(np.array(r) for r in roots), indexing="ij")
             count_within = int(within.vanishing_mask([g.ravel() for g in grids]).sum())
-    stratum = None
-    if strata_instance is not None:
-        stratum = strata_membership(point, strata_instance)
-    return FiberReport(point, stratum, count, predicted, count_within)
+    return FiberReport(point, count, predicted, count_within)
 
 
 def fiber_size_table(m: MonomialMap, F: FieldDescriptor) -> np.ndarray:
@@ -415,9 +416,9 @@ def surface_evidence(
     the surface satisfies the target quintic, that the surface's Jacobian
     has full rank 2 at each of its points, and that the coordinate-power
     images of surface points land on the mirror quintic while avoiding its
-    singular lines and triple points.  The points come from the surface's
-    hyperplane (_surface_chunks); the witnesses are normalized and listed
-    in chart order.
+    singular lines and triple points (families.strata_codes).  The points
+    come from the surface's hyperplane (_surface_chunks); the witnesses are
+    normalized and listed in chart order.
     """
     F = surface.field
     if surface.id is not FamilyId.QUADRIC_Q:
@@ -440,11 +441,8 @@ def surface_evidence(
         full_rank &= bool(_full_rank(surface, sub).all())
         imgs = [fifth[c] for c in sub]
         on_mirror &= bool(mirror.vanishing_mask(imgs).all())
-        zeros = sum((c == 0).astype(np.int64) for c in imgs)
-        total = imgs[0]
-        for c in imgs[1:]:
-            total = F.vadd(total, c)
-        on_a_or_b = (zeros >= 2) & (total == 0)
+        codes = strata_codes(np.stack(imgs, axis=1), mirror)
+        on_a_or_b = (codes == 1) | (codes == 2)  # OnLineA or InPointSetB
         for col in np.nonzero(on_a_or_b)[0]:
             witnesses.append(
                 normalize_point(F.from_index(int(c[col])) for c in sub)

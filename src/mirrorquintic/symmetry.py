@@ -25,7 +25,9 @@ array of element vectors, with membership tested by one lookup of each
 vector's mixed-radix code.
 
 Group elements act through explicit field scalars, so invariance is an
-exact polynomial comparison, not character bookkeeping.
+exact polynomial comparison, not character bookkeeping.  The scalars are
+taken in the field of what they act on: an instance's field, or for
+orbit(point, group) the field of the point's coordinates.
 """
 
 from __future__ import annotations
@@ -262,8 +264,11 @@ def invariance_check(g, instance: FamilyInstance) -> bool:
     return diagonal_invariance(scalars_for(g, instance.field), instance)
 
 
-def orbit(point, group: GroupSpec, F: FieldDescriptor) -> set:
-    """The orbit of a projective point as a set of normalized tuples."""
+def orbit(point, group: GroupSpec) -> set:
+    """The orbit of a projective point, over the field of its coordinates,
+    as a set of normalized tuples."""
+    point = tuple(point)
+    F = point[0].field
     out = set()
     for g in group:
         s = scalars_for(g, F)

@@ -32,6 +32,7 @@ from .families import (
     quintic_x,
     quintic_y,
     sample_points,
+    strata_codes,
     strata_membership,
     verify_coordinate_change,
     wtilde_from_lambda,
@@ -65,7 +66,15 @@ def _row(name: str, run) -> CheckResult:
 
 
 def good_primes(bound: int) -> list[int]:
-    return [p for p in range(2, bound + 1) if is_prime(p) and p != 5]
+    return [p for p in range(2, bound + 1) if is_prime(p) and modularity.good_reduction(p)]
+
+
+def _strata(points, y) -> list[Stratum]:
+    """The stratum of each P^4 point against the QuinticY instance y, from
+    one strata_codes call."""
+    idx = np.array([[x.index for x in pt] for pt in points], dtype=np.int64)
+    codes = strata_codes(idx.reshape(len(points), 5), y)
+    return [tuple(Stratum)[c] for c in codes.tolist()]
 
 
 # ---------------------------------------------------------------------------
@@ -82,7 +91,7 @@ def suite_nodes(
         X = quintic_x(1, F)
         rep = singular.singular_points(X, threads=threads)
         nodes_ok = all(c.is_node for c in singular.classify_nodes(X, rep.points))
-        one_orbit = set(rep.points) == symmetry.orbit((F.one,) * 5, G, F)
+        one_orbit = set(rep.points) == symmetry.orbit((F.one,) * 5, G)
         return rep.count == 125 and nodes_ok and one_orbit, f"count={rep.count}"
 
     def mirror(p, mu):
@@ -96,8 +105,8 @@ def suite_nodes(
             if is_root:
                 extra = [
                     pt
-                    for pt in rep.points
-                    if strata_membership(pt, Y) is Stratum.EXTRA_NODE
+                    for pt, s in zip(rep.points, _strata(rep.points, Y))
+                    if s is Stratum.EXTRA_NODE
                 ]
                 node = len(extra) == 1 and singular.classify_node(Y, extra[0]).is_node
                 ok = ok and node
@@ -140,32 +149,30 @@ def suite_fibers(
 
     def generic():
         pts = sample_points(X, 5, seed=11, nonzero_coords=True)
-        fr = [
-            singular.preimage_count(phi, apply_map(phi, x), F, within=X, strata_instance=Y)
-            for x in pts
-        ]
+        fr = [singular.preimage_count(phi, apply_map(phi, x), within=X) for x in pts]
         ok = all(r.count_within == 125 and r.count == 625 for r in fr)
         return ok, f"sampled {len(fr)} image points"
 
     def line_points():
-        a_pts = [pt for pt in points_on_lines_a(F) if sum(1 for x in pt if not x) == 2]
+        pts = points_on_lines_a(F)
+        a_pts = [pt for pt, s in zip(pts, _strata(pts, Y)) if s is Stratum.ON_LINE_A]
         imgs = [apply_map(phi, pt) for pt in a_pts[:10]]
-        fr = [singular.preimage_count(phi, y, F, strata_instance=Y) for y in imgs]
+        fr = [singular.preimage_count(phi, y) for y in imgs]
         return all(r.count == 25 for r in fr), f"{len(fr)} line points"
 
     def on_line_witness():
         F31 = make_field(31)
         witness = (F31.zero, F31.zero, F31.one, F31.element(5), F31.element(25))
-        fr = singular.preimage_count(
-            phi, witness, F31, within=quintic_x(1, F31), strata_instance=quintic_y(1, F31)
-        )
-        ok = fr.stratum is Stratum.ON_LINE_A and fr.count == fr.count_within == 25
+        fr = singular.preimage_count(phi, witness, within=quintic_x(1, F31))
+        on_line = strata_membership(witness, quintic_y(1, F31)) is Stratum.ON_LINE_A
+        ok = on_line and fr.count == fr.count_within == 25
         return ok, f"count={fr.count}"
 
     def triple_point():
         b_pt = (F.zero, F.zero, F.zero, F.one, F.element(-1))
-        fr = singular.preimage_count(phi, b_pt, F, within=X, strata_instance=Y)
-        ok = fr.stratum is Stratum.IN_POINT_SET_B and fr.count == fr.count_within == 5
+        fr = singular.preimage_count(phi, b_pt, within=X)
+        in_b = strata_membership(b_pt, Y) is Stratum.IN_POINT_SET_B
+        ok = in_b and fr.count == fr.count_within == 5
         return ok, f"count={fr.count}"
 
     def fiber_sum():
@@ -311,9 +318,7 @@ def suite_quadric(
             )
             return ok, f"{len(ws)} witnesses"
 
-        witnesses_possible = (p - 1) % 3 == 0 and element_roots(
-            F, primitive_nth_root(F, 3), 5
-        )
+        witnesses_possible = (p - 1) % 3 == 0 and element_roots(primitive_nth_root(F, 3), 5)
         return [
             _row(f"surface over F_{p}: on the quintic, smooth, images on mirror", surface),
             _row(

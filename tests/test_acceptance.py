@@ -92,7 +92,7 @@ def test_criterion_04_node_census():
         all_nodes = all(
             c.is_node for c in singular.classify_nodes(inst, rep.points)
         )
-        orb = symmetry.orbit((F.one,) * 5, G, F)
+        orb = symmetry.orbit((F.one,) * 5, G)
         ok = ok and rep.count == 125 and all_nodes and set(rep.points) == orb
         details.append(f"F_{p}: {rep.count}")
     report(
@@ -140,20 +140,19 @@ def test_criterion_06_fiber_degrees():
     F = make_field(11)
     phi = MonomialMap(5, 5)
     X = quintic_x(1, F)
-    Y = quintic_y(1, F)
     xs = sample_points(X, 5, seed=6, nonzero_coords=True)
     generic_ok = all(
-        singular.preimage_count(phi, apply_map(phi, x), F, within=X).count_within
+        singular.preimage_count(phi, apply_map(phi, x), within=X).count_within
         == 125
         for x in xs
     )
     a_pts = [pt for pt in points_on_lines_a(F) if sum(1 for c in pt if not c) == 2]
     line_ok = all(
-        singular.preimage_count(phi, apply_map(phi, pt), F).count == 25
+        singular.preimage_count(phi, apply_map(phi, pt)).count == 25
         for pt in a_pts[:10]
     )
     b_pt = (F.zero, F.zero, F.zero, F.one, F.element(-1))
-    fr_b = singular.preimage_count(phi, b_pt, F, within=X, strata_instance=Y)
+    fr_b = singular.preimage_count(phi, b_pt, within=X)
     b_ok = fr_b.count == 5 and fr_b.count_within == 5
     total = int(singular.fiber_size_table(phi, F).sum())
     sum_ok = total == 16105 == projective_size(11, 4)

@@ -3,8 +3,10 @@ import pytest
 
 from mirrorquintic import families
 from mirrorquintic.cli import run
-from mirrorquintic.counting import count
+from mirrorquintic.counting import count, iter_projective_chunks
 from mirrorquintic.errors import (
+    DimensionMismatch,
+    FieldMismatch,
     InstanceTooLarge,
     MissingParameter,
     RootOfUnityUnavailable,
@@ -26,6 +28,7 @@ from mirrorquintic.families import (
     quintic_x,
     quintic_y,
     sample_points,
+    strata_codes,
     strata_membership,
     verify_coordinate_change,
     wtilde_from_lambda,
@@ -136,6 +139,58 @@ def test_point_sets_a_and_b():
     assert len(points_on_lines_a(F7)) == 10 * 7 - 10
 
 
+def _reference_stratum(point, y):
+    # the strata written out per point, on FieldElements
+    F = y.field
+    zeros = sum(1 for x in point if not x)
+    total = sum(point, F.zero)
+    if zeros == 3 and not total:
+        return Stratum.IN_POINT_SET_B
+    if zeros >= 2 and not total:
+        return Stratum.ON_LINE_A
+    ones = (F.one,) * 5
+    if zeros == 0 and y.params["mu"] ** 5 == F.one and normalize_point(point) == ones:
+        return Stratum.EXTRA_NODE
+    return Stratum.GENERIC
+
+
+@pytest.mark.parametrize(
+    "p,k,mu",
+    [(11, 1, 1), (11, 1, 2), (7, 1, 0), (2, 2, (0, 1))],
+    ids=["F11-mu1", "F11-mu2", "F7-mu0", "F4-mu-t"],
+)
+def test_strata_codes_match_scalar_reference(p, k, mu):
+    # every point of P^4(F_q), normalized and scaled by a unit
+    F = make_field(p, k)
+    y = quintic_y(mu, F)
+    idx = np.concatenate([
+        np.stack(np.broadcast_arrays(*c), axis=-1).reshape(-1, 5)
+        for c in iter_projective_chunks(F, 4)
+    ])
+    elems = list(F.elements())
+    points = [tuple(elems[c] for c in row) for row in idx.tolist()]
+    want = [_reference_stratum(pt, y) for pt in points]
+    for rows in (idx, F.vmul(idx, F.q - 1)):
+        assert [tuple(Stratum)[c] for c in strata_codes(rows, y).tolist()] == want
+    assert [strata_membership(pt, y) for pt in points[::97]] == want[::97]
+    assert set(want) >= {Stratum.GENERIC, Stratum.ON_LINE_A, Stratum.IN_POINT_SET_B}
+    assert (Stratum.EXTRA_NODE in want) == (y.params["mu"] ** 5 == F.one)
+
+
+def test_strata_refusals():
+    y = quintic_y(1, F11)
+    with pytest.raises(FieldMismatch):
+        strata_membership((F7.one,) * 5, y)
+    with pytest.raises(FieldMismatch):
+        strata_membership((F11.one,) * 4 + (F7.one,), y)
+    with pytest.raises(ValueError, match="QuinticY"):
+        strata_membership((F11.one,) * 5, quintic_x(1, F11))
+    with pytest.raises(DimensionMismatch):
+        strata_membership((F11.one,) * 4, y)
+    with pytest.raises(DimensionMismatch):
+        strata_codes(np.ones((3, 6), dtype=np.int64), y)
+
+
 @pytest.mark.parametrize("fid", list(FamilyId), ids=lambda f: f.value)
 def test_every_family_has_equations(fid):
     # F_7 has no primitive 5th root of unity, so QuadricQ is built over F_11 only
@@ -173,6 +228,14 @@ def test_coordinate_change_needs_cube_root():
         verify_coordinate_change(1, make_field(5))
     with pytest.raises(ZeroDenominator):
         verify_coordinate_change(0, F7)
+
+
+def test_coordinate_change_fails_without_a_primitive_cube_root(monkeypatch):
+    # with w = 1 the six forms are not a change of coordinates, and the
+    # rewritten cubics differ from the claimed ones
+    monkeypatch.setattr(families, "primitive_nth_root", lambda F, n: F.one)
+    assert not verify_coordinate_change(1, F7)
+    assert not verify_coordinate_change(2, F13)
 
 
 @pytest.mark.parametrize("p,lam", [(7, 1), (7, 2), (13, 1), (13, 2)])

@@ -18,7 +18,6 @@ from mirrorquintic.ffield import (
     element_roots,
     is_prime,
     make_field,
-    matrix_rank,
     matrix_ranks,
     primitive_nth_root,
 )
@@ -100,18 +99,18 @@ def test_inverse_law(p, k):
 
 def test_roots_of_unity_f11():
     F = make_field(11)
-    roots = element_roots(F, F.one, 5)
+    roots = element_roots(F.one, 5)
     assert [r.index for r in roots] == [1, 3, 4, 5, 9]
 
 
 def test_roots_of_unity_f7_trivial():
     F = make_field(7)
-    assert [r.index for r in element_roots(F, F.one, 5)] == [1]
+    assert [r.index for r in element_roots(F.one, 5)] == [1]
 
 
 def test_roots_of_unity_f4():
     F = make_field(2, 2)
-    assert [r.index for r in element_roots(F, F.one, 3)] == [1, 2, 3]
+    assert [r.index for r in element_roots(F.one, 3)] == [1, 2, 3]
 
 
 @pytest.mark.parametrize("p,k", [(2, 1), (3, 1), (5, 1), (7, 1), (11, 1), (2, 2), (3, 2), (11, 2), (5, 2), (2, 3)])
@@ -119,7 +118,7 @@ def test_roots_of_unity_count_scan(p, k):
     # cross-check |x : x^n = 1| = gcd(n, q - 1) by exhaustive scan
     F = make_field(p, k)
     for n in range(1, 11):
-        roots = element_roots(F, F.one, n)
+        roots = element_roots(F.one, n)
         scan = [x for x in F.elements() if x and x**n == F.one]
         assert len(roots) == math.gcd(n, F.q - 1) == len(scan)
         assert {r.index for r in roots} == {s.index for s in scan}
@@ -282,16 +281,19 @@ def test_matrix_ranks_equal_row_space_size(p, k):
     assert got.tolist() == want
     assert set(want) >= {0, 2, 3, 4}
     for m, r in zip(mats, want):
-        assert matrix_rank([[F.from_index(int(x)) for x in row] for row in m]) == r
-        assert matrix_rank([[F.from_index(int(x)) for x in col] for col in m.T]) == r
+        assert matrix_ranks(F, [m])[0] == r
+        assert matrix_ranks(F, [m.T])[0] == r
 
 
 def test_element_roots():
     F = make_field(11)
-    r = element_roots(F, F.element(-1), 5)
+    r = element_roots(F.element(-1), 5)
     assert [x.index for x in r] == [2, 6, 7, 8, 10]
-    assert element_roots(F, F.element(2), 5) == []  # 2 is not a fifth power mod 11
-    assert [x.index for x in element_roots(F, F.zero, 5)] == [0]
+    assert element_roots(F.element(2), 5) == []  # 2 is not a fifth power mod 11
+    assert [x.index for x in element_roots(F.zero, 5)] == [0]
+    # the field is the value's: 3 has the one fifth root 5 in F_7
+    F7 = make_field(7)
+    assert element_roots(F7.element(3), 5) == [F7.element(5)]
 
 
 def test_canonical_strings():

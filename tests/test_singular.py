@@ -7,6 +7,7 @@ from mirrorquintic import families
 from mirrorquintic.counting import iter_projective_chunks, projective_size
 from mirrorquintic.errors import (
     BadCharacteristic,
+    FieldMismatch,
     InstanceTooLarge,
     NotSingular,
     RootOfUnityUnavailable,
@@ -25,6 +26,7 @@ from mirrorquintic.families import (
     quintic_x,
     quintic_y,
     sample_points,
+    strata_membership,
 )
 from mirrorquintic.ffield import make_field
 from mirrorquintic.mvpoly import eval_batch
@@ -92,7 +94,7 @@ def test_nodes_of_other_root_of_unity_member():
     rep = singular_points(quintic_x(mu, F11))
     seed = (F11.one, mu, mu, mu, mu)
     assert rep.count == 125
-    assert set(rep.points) == orbit(seed, enumerate_G(), F11)
+    assert set(rep.points) == orbit(seed, enumerate_G())
 
 
 def test_classify_node_at_symmetric_point():
@@ -134,20 +136,20 @@ def test_preimage_generic_and_special():
     X = quintic_x(1, F11)
     Y = quintic_y(1, F11)
     x = sample_points(X, 1, seed=5, nonzero_coords=True)[0]
-    fr = preimage_count(phi, apply_map(phi, x), F11, within=X, strata_instance=Y)
+    fr = preimage_count(phi, apply_map(phi, x), within=X)
     assert fr.count == 625 and fr.count_within == 125
-    assert fr.predicted == 625 and fr.stratum is Stratum.GENERIC
+    assert fr.predicted == 625 and strata_membership(fr.point, Y) is Stratum.GENERIC
 
     b = (F11.zero,) * 3 + (F11.one, F11.element(-1))
-    frb = preimage_count(phi, b, F11, within=X, strata_instance=Y)
+    frb = preimage_count(phi, b, within=X)
     assert frb.count == 5 == frb.count_within == frb.predicted
-    assert frb.stratum is Stratum.IN_POINT_SET_B
+    assert strata_membership(frb.point, Y) is Stratum.IN_POINT_SET_B
 
 
 def test_preimage_of_line_image_is_25():
     phi = MonomialMap(5, 5)
     x = (F11.zero, F11.zero, F11.one, F11.one, F11.element(-2))
-    fr = preimage_count(phi, apply_map(phi, x), F11)
+    fr = preimage_count(phi, apply_map(phi, x))
     assert fr.count == 25 == fr.predicted
 
 
@@ -155,23 +157,33 @@ def test_preimage_f31_line_witness():
     F31 = make_field(31)
     phi = MonomialMap(5, 5)
     y = (F31.zero, F31.zero, F31.one, F31.element(5), F31.element(25))
-    fr = preimage_count(
-        phi, y, F31, within=quintic_x(1, F31), strata_instance=quintic_y(1, F31)
-    )
-    assert fr.stratum is Stratum.ON_LINE_A
+    fr = preimage_count(phi, y, within=quintic_x(1, F31))
+    assert strata_membership(fr.point, quintic_y(1, F31)) is Stratum.ON_LINE_A
     assert fr.count == 25 and fr.count_within == 25
 
 
 def test_preimage_empty_when_ratio_not_fifth_power():
     phi = MonomialMap(5, 5)
     y = (F11.one, F11.element(2), F11.one, F11.one, F11.one)  # 2 not a 5th power
-    fr = preimage_count(phi, y, F11)
+    fr = preimage_count(phi, y)
     assert fr.count == 0 and fr.count < fr.predicted
 
 
 def test_preimage_needs_roots_of_unity():
     with pytest.raises(RootOfUnityUnavailable):
-        preimage_count(MonomialMap(5, 5), (F7.one,) * 5, F7)
+        preimage_count(MonomialMap(5, 5), (F7.one,) * 5)
+
+
+def test_preimage_count_reads_the_field_off_the_point():
+    # a point over F_7 is counted over F_7, which lacks the fifth roots of
+    # unity, and an instance over another field is refused
+    phi = MonomialMap(5, 5)
+    with pytest.raises(RootOfUnityUnavailable, match="GF\\(7\\)"):
+        preimage_count(phi, (F7.one,) * 5, within=quintic_x(1, F11))
+    with pytest.raises(FieldMismatch):
+        preimage_count(phi, (F11.one,) * 5, within=quintic_x(1, F7))
+    with pytest.raises(FieldMismatch):
+        preimage_count(phi, (F11.one,) * 5, within=quintic_x(1, make_field(31)))
 
 
 def test_fiber_partition_of_p4():
@@ -195,7 +207,7 @@ def test_fiber_sizes_match_preimage_count_on_samples():
             pts.append(tuple(F11.from_index(int(c[col])) for c in coords))
     rng = np.random.default_rng(8)
     for i in rng.integers(0, len(pts), size=100):
-        assert preimage_count(phi, pts[int(i)], F11).count == int(sizes[int(i)])
+        assert preimage_count(phi, pts[int(i)]).count == int(sizes[int(i)])
 
 
 def test_surface_evidence_f11():
@@ -465,3 +477,13 @@ def test_classify_nodes_refusals():
         classify_nodes(cubics_v(1, F7), [(F7.one,) * 6])
     with pytest.raises(ValueError, match="hypersurfaces"):
         classify_node(cubics_v(1, F7), (F7.one,) * 6)
+
+
+def test_classify_nodes_refuses_points_of_another_field():
+    # the indices of an F_7 point mean other elements of F_11: (1:1:1:1:1)
+    # over F_7 is not the node (1:1:1:1:1) of the F_11 quintic
+    X = quintic_x(1, F11)
+    with pytest.raises(FieldMismatch):
+        classify_node(X, (F7.one,) * 5)
+    with pytest.raises(FieldMismatch):
+        classify_nodes(X, [(F11.one,) * 5, (F7.one,) * 5])

@@ -153,13 +153,13 @@ def test_invariance_needs_roots():
 
 
 def test_node_orbit_has_125_points():
-    orb = orbit((F11.one,) * 5, enumerate_G(), F11)
+    orb = orbit((F11.one,) * 5, enumerate_G())
     assert len(orb) == 125
 
 
 def test_coordinate_point_is_fixed():
     e0 = (F11.one, F11.zero, F11.zero, F11.zero, F11.zero)
-    assert orbit(e0, enumerate_G(), F11) == {e0}
+    assert orbit(e0, enumerate_G()) == {e0}
 
 
 def test_orbit_sizes_divide_group_order():
@@ -169,12 +169,12 @@ def test_orbit_sizes_divide_group_order():
         pt = tuple(F11.from_index(int(i)) for i in rng.integers(0, 11, size=5))
         if not any(pt):
             continue
-        assert 125 % len(orbit(pt, G, F11)) == 0
+        assert 125 % len(orbit(pt, G)) == 0
 
 
 def test_orbit_equals_singular_locus():
     rep = singular_points(quintic_x(1, F11))
-    assert set(rep.points) == orbit((F11.one,) * 5, enumerate_G(), F11)
+    assert set(rep.points) == orbit((F11.one,) * 5, enumerate_G())
 
 
 def test_phi_constant_on_g_orbits_exhaustive():

@@ -41,6 +41,24 @@ def _references(tree, names):
     return found
 
 
+def test_no_module_imports_a_name_it_never_uses():
+    # a deleted helper leaves no import behind: every name a module imports
+    # is read somewhere in it (annotations count; __future__ does not)
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    bound = alias.asname or alias.name.split(".")[0]
+                    if bound not in read:
+                        found.append(f"{path.name}:{node.lineno} {bound}")
+    assert found == []
+
+
 def test_one_field_arithmetic():
     # an element is its index: coefficient-vector products build the tables
     # and nothing else, and no module reads an element's coefficients
