@@ -5,7 +5,8 @@ Subcommands
   count        count points on one family over F_(p^k)
                  mql count --family X --mu 1 --p 11 --algo table
   trace        trace records for the mu = 1 pair over a prime range; a range
-               skips p = 5 (bad reduction), and --p 5 is a usage error
+               skips p = 5 (bad reduction), and --p 5 is a usage error, as
+               is a prime above TABLE_CAP with --algo table
                  mql trace --p-range 2..101 --cache counts.jsonl --out traces.csv
   verify       run a named check suite and print a pass/fail table
                  mql verify --suite groups
@@ -255,6 +256,8 @@ def _cmd_trace(args) -> int:
         raise _UsageError(
             f"--p {args.p}: the quintic pair has bad reduction at 5, so it has no traces"
         )
+    if args.algo == "table" and max(primes, default=0) > TABLE_CAP:
+        raise _UsageError(f"p = {max(primes)} is above {TABLE_CAP}, the table count's cap")
     cache = _open_cache(args)
     records = []
     for p in primes:

@@ -47,6 +47,7 @@ from .errors import (
     FieldMismatch,
     InvariantViolated,
     MissingParameter,
+    TooFewPoints,
     ZeroDenominator,
 )
 from .ffield import (
@@ -476,7 +477,8 @@ def sample_points(
 
     Draws random coordinate tuples, keeps those on the variety, and
     normalizes; with nonzero_coords only points with every coordinate
-    nonzero are kept.
+    nonzero are kept.  TooFewPoints when 200 batches of draws find fewer
+    than n distinct points.
     """
     F = instance.field
     nv = instance.nvars
@@ -495,4 +497,6 @@ def sample_points(
             found[tuple(x.index for x in pt)] = pt
             if len(found) >= n:
                 return list(found.values())
-    raise RuntimeError(f"could not find {n} points on {instance!r}")
+    raise TooFewPoints(
+        f"found {len(found)} distinct points on {instance!r}, not the {n} requested"
+    )

@@ -1,28 +1,31 @@
 """Diagonal symmetry groups, their actions, orbits and the cube-map kernel.
 
-The quintic group G: scalings x_i -> w^(l_i) x_i (i = 1..4, x_0 fixed,
-w a primitive 5th root of unity) with l_1 + l_2 + l_3 + l_4 = 0 mod 5;
+A group is plain data, a GroupSpec: its elements are exponent vectors
+modulo `moduli`, and one integer matrix `action` says how they act.
+Element g scales coordinate x_j by w^(action[j] . g mod order), where w is
+the distinguished primitive order-th root of unity of the field acted on
+(ffield.primitive_nth_root).  Both groups are abelian, written additively:
+the composition of two elements is the sum of their vectors modulo the
+moduli, and the inverse is the negated vector.
+
+The quintic group G: vectors (l1, l2, l3, l4) mod 5 with
+l1 + l2 + l3 + l4 = 0 mod 5, acting by x -> (x0, w5^l1 x1, .., w5^l4 x4);
 125 elements, isomorphic to (Z/5)^3.
 
-The cubic group Gtilde: 81 transformations g_(a, b, d, e; m) with
-a, b, d, e in Z/3, m in Z/9 and m = a + b = d + e mod 3, acting as
+The cubic group Gtilde: 81 vectors (a, b, d, e, m) with a, b, d, e in Z/3,
+m in Z/9 and m = a + b = d + e mod 3, acting as
 
   (x0 : .. : x5) -> (w3^a w9^m x0 : w3^b w9^m x1 : w9^m x2 :
-                     w3^-d w9^-m x3 : w3^-e w9^-m x4 : w9^-m x5)
+                     w3^-d w9^-m x3 : w3^-e w9^-m x4 : w9^-m x5),
 
-with w3, w9 fixed primitive cube and ninth roots of unity.  The subgroup
-acting trivially through the coordinate-cubing map has 27 elements; the
-quotient acts on the image by scaling x0, x1, x2 by a cube root of unity.
+that is by w9^(3a+m, 3b+m, m, -3d-m, -3e-m, -m) with w3 = w9^3.  The
+subgroup acting trivially through the coordinate-cubing map has 27
+elements; the quotient acts on the image by scaling x0, x1, x2 by a cube
+root of unity.
 
-Both groups are abelian and written additively: an element is its
-exponent vector, (l1, l2, l3, l4) with moduli (5, 5, 5, 5) or
-(a, b, d, e, m) with moduli (3, 3, 3, 3, 9), and the one composition law
-(_compose) adds exponent vectors modulo the moduli; the inverse is the
-negated vector.  An element's compose and inverse use it on one pair,
-and GroupSpec.verify_axioms and is_abelian on whole arrays: all n^2
-products, the identity and the inverses in one broadcast over the (n, r)
-array of element vectors, with membership tested by one lookup of each
-vector's mixed-radix code.
+verify_axioms checks a GroupSpec in whole-array passes: the zero vector,
+every negative and all n^2 sums are members, with membership tested by
+one lookup of each vector's mixed-radix code.
 
 Group elements act through explicit field scalars, so invariance is an
 exact polynomial comparison, not character bookkeeping.  The scalars are
@@ -34,121 +37,44 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 
 from ._lazy import lazy_numpy
-from .errors import InvariantViolated, RootOfUnityUnavailable
+from .errors import DimensionMismatch, InvariantViolated
 from .families import FamilyInstance, normalize_point
 from .ffield import FieldDescriptor, FieldElement, primitive_nth_root
 from .mvpoly import MPoly
 
 np = lazy_numpy()
 
-
-def _compose(u, v, moduli):
-    """The composition law of both groups: exponent vectors add modulo
-    their moduli.  u and v broadcast, so one call composes one pair or all
-    pairs of an array of vectors."""
-    return (np.asarray(u) + v) % moduli
-
-
-def _inverse(u, moduli):
-    """The inverse under _compose: the negated vector modulo the moduli."""
-    return _compose(np.negative(u), 0, moduli)
-
-
-class _Element:
-    """An element given by its exponent vector modulo MODULI: a subclass
-    defines MODULI, the vector property and the from_vector constructor."""
-
-    MODULI: tuple[int, ...]
-
-    def compose(self, other):
-        return self.from_vector(_compose(self.vector, other.vector, self.MODULI))
-
-    def inverse(self):
-        return self.from_vector(_inverse(self.vector, self.MODULI))
-
-
-@dataclass(frozen=True)
-class ScalingElement(_Element):
-    """Exponent tuple (l1, l2, l3, l4) mod 5 with sum divisible by 5."""
-
-    exponents: tuple[int, int, int, int]
-
-    MODULI = (5, 5, 5, 5)
-
-    def __post_init__(self):
-        if len(self.exponents) != 4 or any(not 0 <= e < 5 for e in self.exponents):
-            raise ValueError("exponents must be four residues mod 5")
-        if sum(self.exponents) % 5 != 0:
-            raise ValueError("exponent sum must be 0 mod 5")
-
-    @property
-    def vector(self) -> tuple[int, ...]:
-        return self.exponents
-
-    @classmethod
-    def from_vector(cls, vector) -> "ScalingElement":
-        return cls(tuple(np.asarray(vector).tolist()))
-
-    def order(self) -> int:
-        return 1 if not any(self.exponents) else 5
-
-
-@dataclass(frozen=True)
-class GtildeElement(_Element):
-    """(alpha, beta, delta, epsilon) mod 3 and mu mod 9 with
-    mu = alpha + beta = delta + epsilon mod 3."""
-
-    alpha: int
-    beta: int
-    delta: int
-    epsilon: int
-    mu: int
-
-    MODULI = (3, 3, 3, 3, 9)
-
-    def __post_init__(self):
-        for v in (self.alpha, self.beta, self.delta, self.epsilon):
-            if not 0 <= v < 3:
-                raise ValueError("block exponents must be residues mod 3")
-        if not 0 <= self.mu < 9:
-            raise ValueError("mu must be a residue mod 9")
-        if (self.alpha + self.beta) % 3 != self.mu % 3 or (
-            self.delta + self.epsilon
-        ) % 3 != self.mu % 3:
-            raise ValueError("constraint mu = a + b = d + e mod 3 violated")
-
-    @property
-    def vector(self) -> tuple[int, ...]:
-        return (self.alpha, self.beta, self.delta, self.epsilon, self.mu)
-
-    @classmethod
-    def from_vector(cls, vector) -> "GtildeElement":
-        return cls(*np.asarray(vector).tolist())
-
-    def ninth_root_exponents(self) -> tuple[int, ...]:
-        """Exponent of w9 in each of the six coordinate scalars."""
-        a, b, d, e, m = self.alpha, self.beta, self.delta, self.epsilon, self.mu
-        return (
-            (3 * a + m) % 9,
-            (3 * b + m) % 9,
-            m % 9,
-            (-3 * d - m) % 9,
-            (-3 * e - m) % 9,
-            (-m) % 9,
-        )
+# one row per coordinate x0..x4: x0 is fixed, x_i scales by w5^(l_i)
+_G_ACTION = (
+    (0, 0, 0, 0),
+    (1, 0, 0, 0),
+    (0, 1, 0, 0),
+    (0, 0, 1, 0),
+    (0, 0, 0, 1),
+)
+# one row per coordinate x0..x5: the exponent of w9 on (a, b, d, e, m)
+_GTILDE_ACTION = (
+    (3, 0, 0, 0, 1),
+    (0, 3, 0, 0, 1),
+    (0, 0, 0, 0, 1),
+    (0, 0, -3, 0, -1),
+    (0, 0, 0, -3, -1),
+    (0, 0, 0, 0, -1),
+)
 
 
 class GroupSpec:
-    """A finite abelian group given by its element list and identity; the
-    elements are of one type and compose by its law (_compose)."""
+    """A finite abelian group of exponent-vector tuples modulo `moduli`,
+    acting diagonally through the root order `order` and the integer
+    matrix `action`, one row per coordinate."""
 
-    def __init__(self, elements, identity):
+    def __init__(self, elements, moduli, order, action):
         self.elements = tuple(elements)
-        self.identity = identity
-        self._members = frozenset(self.elements)
+        self.moduli = moduli
+        self.order = order
+        self.action = action
 
     def __len__(self):
         return len(self.elements)
@@ -156,48 +82,14 @@ class GroupSpec:
     def __iter__(self):
         return iter(self.elements)
 
-    def __contains__(self, g):
-        return g in self._members
-
-    def _vectors(self):
-        """The (n, r) array of element vectors and the moduli of the type."""
-        moduli = self.identity.MODULI
-        vectors = np.array([g.vector for g in self.elements], dtype=np.int64)
-        return vectors.reshape(len(self.elements), len(moduli)), moduli
-
-    def verify_axioms(self) -> bool:
-        """Exhaustive closure, identity and inverse check in whole-array
-        passes: every one of the n^2 products, the identity's product with
-        each element and each element's inverse, with membership by one
-        lookup of each vector's mixed-radix code."""
-        vectors, moduli = self._vectors()
-        radix = [math.prod(moduli[j + 1 :]) for j in range(len(moduli))]
-        member = np.zeros(math.prod(moduli), dtype=bool)
-        member[vectors @ radix] = True
-        identity = np.array(self.identity.vector, dtype=np.int64)
-        inverses = _inverse(vectors, moduli)
-        products = _compose(vectors[:, None, :], vectors[None, :, :], moduli)
-        return bool(
-            member[identity @ radix]
-            and (_compose(vectors, identity, moduli) == vectors).all()
-            and member[inverses @ radix].all()
-            and (_compose(vectors, inverses, moduli) == identity).all()
-            and member[products @ radix].all()
-        )
-
-    def is_abelian(self) -> bool:
-        vectors, moduli = self._vectors()
-        gh = _compose(vectors[:, None, :], vectors[None, :, :], moduli)
-        return bool((gh == gh.transpose(1, 0, 2)).all())
-
 
 def enumerate_G() -> GroupSpec:
     """The 125-element scaling group of the quintic family."""
     elems = [
-        ScalingElement((a, b, c, (-(a + b + c)) % 5))
+        (a, b, c, (-(a + b + c)) % 5)
         for a, b, c in itertools.product(range(5), repeat=3)
     ]
-    return GroupSpec(elems, ScalingElement((0, 0, 0, 0)))
+    return GroupSpec(elems, (5, 5, 5, 5), 5, _G_ACTION)
 
 
 def enumerate_Gtilde() -> GroupSpec:
@@ -208,23 +100,38 @@ def enumerate_Gtilde() -> GroupSpec:
             b = (m - a) % 3
             for d in range(3):
                 e = (m - d) % 3
-                elems.append(GtildeElement(a, b, d, e, m))
-    return GroupSpec(elems, GtildeElement(0, 0, 0, 0, 0))
+                elems.append((a, b, d, e, m))
+    return GroupSpec(elems, (3, 3, 3, 3, 9), 9, _GTILDE_ACTION)
 
 
-def scalars_for(g, F: FieldDescriptor) -> tuple[FieldElement, ...]:
-    """The diagonal field scalars through which g acts on coordinates."""
-    if isinstance(g, ScalingElement):
-        w = primitive_nth_root(F, 5)
-        return (F.one,) + tuple(w**e for e in g.exponents)
-    if isinstance(g, GtildeElement):
-        if (F.q - 1) % 9 != 0:
-            raise RootOfUnityUnavailable(
-                f"{F!r} lacks a primitive 9th root of unity"
-            )
-        w9 = primitive_nth_root(F, 9)
-        return tuple(w9**e for e in g.ninth_root_exponents())
-    raise TypeError(f"unsupported group element {type(g).__name__}")
+def verify_axioms(group: GroupSpec) -> bool:
+    """Exhaustive closure, identity and inverse check in whole-array
+    passes: the zero vector, every element's negative and every one of the
+    n^2 sums are members, with membership by one lookup of each vector's
+    mixed-radix code."""
+    moduli = group.moduli
+    vectors = np.array(group.elements, dtype=np.int64).reshape(len(group), len(moduli))
+    radix = [math.prod(moduli[j + 1 :]) for j in range(len(moduli))]
+    member = np.zeros(math.prod(moduli), dtype=bool)
+    member[vectors @ radix] = True
+    negatives = np.negative(vectors) % moduli
+    sums = (vectors[:, None, :] + vectors[None, :, :]) % moduli
+    return bool(
+        member[0] and member[negatives @ radix].all() and member[sums @ radix].all()
+    )
+
+
+def _action_exponents(action, g) -> tuple[int, ...]:
+    """action . g: the root exponent on each coordinate, not reduced."""
+    return tuple(sum(a * x for a, x in zip(row, g)) for row in action)
+
+
+def scalars_for(group: GroupSpec, g, F: FieldDescriptor) -> tuple[FieldElement, ...]:
+    """The diagonal field scalars through which g acts on coordinates;
+    RootOfUnityUnavailable when F lacks a primitive root of the group's
+    order."""
+    w = primitive_nth_root(F, group.order)
+    return tuple(w ** (u % group.order) for u in _action_exponents(group.action, g))
 
 
 def apply_scalars(scalars, point):
@@ -233,10 +140,13 @@ def apply_scalars(scalars, point):
 
 def diagonal_invariance(scalars, instance: FamilyInstance) -> bool:
     """True iff each defining polynomial, composed with the diagonal scaling,
-    is a nonzero scalar multiple of some defining polynomial of the system."""
+    is a nonzero scalar multiple of some defining polynomial of the system;
+    DimensionMismatch when there is not one scalar per variable."""
     system = instance.system
     if len(scalars) != instance.nvars:
-        return False
+        raise DimensionMismatch(
+            f"{len(scalars)} scalars for the {instance.nvars} variables of {instance!r}"
+        )
     for f in system:
         terms = []
         for exps, c in f.terms():
@@ -259,9 +169,9 @@ def _scalar_multiple(g: MPoly, f: MPoly) -> bool:
     return eg == ef and g == f.scale(cg / cf)
 
 
-def invariance_check(g, instance: FamilyInstance) -> bool:
+def invariance_check(group: GroupSpec, g, instance: FamilyInstance) -> bool:
     """Exact invariance of the instance's system under the group element."""
-    return diagonal_invariance(scalars_for(g, instance.field), instance)
+    return diagonal_invariance(scalars_for(group, g, instance.field), instance)
 
 
 def orbit(point, group: GroupSpec) -> set:
@@ -271,9 +181,18 @@ def orbit(point, group: GroupSpec) -> set:
     F = point[0].field
     out = set()
     for g in group:
-        s = scalars_for(g, F)
+        s = scalars_for(group, g, F)
         out.add(normalize_point(apply_scalars(s, point)))
     return out
+
+
+def induced_cube_action(g) -> tuple[int, ...]:
+    """Exponents of w3 by which the image coordinates of the Gtilde element
+    g scale under coordinate cubing, normalized so the second block is
+    fixed: the cube of w9^u is w3^(u mod 3)."""
+    cubes = [u % 3 for u in _action_exponents(_GTILDE_ACTION, g)]
+    shift = (-cubes[5]) % 3
+    return tuple((c + shift) % 3 for c in cubes)
 
 
 def psi_kernel() -> GroupSpec:
@@ -282,24 +201,12 @@ def psi_kernel() -> GroupSpec:
     An element acts on the image through the cubes of its six scalars;
     those agree projectively exactly when mu = 0 mod 3, giving 27 elements.
     """
-    kernel = [g for g in enumerate_Gtilde() if _cubes_projectively_trivial(g)]
-    return GroupSpec(kernel, GtildeElement(0, 0, 0, 0, 0))
+    Gt = enumerate_Gtilde()
+    kernel = [g for g in Gt if not any(induced_cube_action(g))]
+    return GroupSpec(kernel, Gt.moduli, Gt.order, Gt.action)
 
 
-def _cubes_projectively_trivial(g: GtildeElement) -> bool:
-    cubes = [(3 * u) % 9 for u in g.ninth_root_exponents()]
-    return len(set(cubes)) == 1
-
-
-def induced_cube_action(g: GtildeElement) -> tuple[int, ...]:
-    """Exponents of w3 by which the image coordinates scale, normalized so
-    the second block is fixed."""
-    cubes = [u % 3 for u in g.ninth_root_exponents()]  # w9^(3u) = w3^(u mod 3)
-    shift = (-cubes[5]) % 3
-    return tuple((c + shift) % 3 for c in cubes)
-
-
-def quotient_generator() -> GtildeElement:
+def quotient_generator() -> tuple[int, ...]:
     """Deterministic coset representative generating Gtilde mod the kernel,
     chosen so the induced action scales x0, x1, x2 by w3 exactly once."""
     for g in enumerate_Gtilde():

@@ -75,6 +75,17 @@ def test_trace_p5_alone_is_a_usage_error(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_trace_above_the_table_cap_is_a_usage_error(tmp_path, capsys):
+    # 1499 lies under counting.TABLE_CAP and 1511 above it: the whole list
+    # is refused before any count, so no cache line is written
+    cache = tmp_path / "counts.jsonl"
+    assert run(["trace", "--p-range", "1499..1511", "--cache", str(cache)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage error: p = 1511") and "1500" in captured.err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_reports_byte_identical_with_warm_cache(tmp_path):
     cache = tmp_path / "counts.jsonl"
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"

@@ -10,6 +10,7 @@ from mirrorquintic.errors import (
     InstanceTooLarge,
     MissingParameter,
     RootOfUnityUnavailable,
+    TooFewPoints,
     ZeroDenominator,
 )
 from mirrorquintic.families import (
@@ -266,6 +267,13 @@ def test_phi_sends_x_points_to_y(p):
             continue
         imgs = [fifth[c[on_x]] for c in coords]
         assert (eval_batch(fy, imgs, F) == 0).all()
+
+
+def test_sample_points_refuses_more_points_than_it_finds():
+    # P^4(F_3) has 121 points, and the quintic fewer: the sample gives up
+    # with a package error that says how many distinct points it found
+    with pytest.raises(TooFewPoints, match=r"found \d+ distinct points .* not the 100"):
+        sample_points(quintic_x(1, make_field(3)), 100)
 
 
 def test_param_string_canonical():

@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from mirrorquintic import symmetry
 from mirrorquintic.counting import iter_projective_chunks
-from mirrorquintic.errors import RootOfUnityUnavailable
+from mirrorquintic.errors import DimensionMismatch, RootOfUnityUnavailable
 from mirrorquintic.families import (
     MonomialMap,
     apply_map,
@@ -16,8 +15,6 @@ from mirrorquintic.ffield import make_field, primitive_nth_root
 from mirrorquintic.singular import singular_points
 from mirrorquintic.symmetry import (
     GroupSpec,
-    GtildeElement,
-    ScalingElement,
     apply_scalars,
     diagonal_invariance,
     enumerate_G,
@@ -28,6 +25,7 @@ from mirrorquintic.symmetry import (
     psi_kernel,
     quotient_generator,
     scalars_for,
+    verify_axioms,
 )
 
 F11 = make_field(11)
@@ -43,42 +41,35 @@ def test_group_orders():
 
 def test_g_membership_rules():
     G = enumerate_G()
-    assert ScalingElement((0, 0, 0, 0)) in G
-    assert ScalingElement((1, 4, 0, 0)) in G
-    with pytest.raises(ValueError):
-        ScalingElement((1, 0, 0, 0))  # sum not 0 mod 5
+    assert (0, 0, 0, 0) in G
+    assert (1, 4, 0, 0) in G
+    assert (1, 0, 0, 0) not in G  # sum not 0 mod 5
 
 
 def test_gtilde_membership_rules():
     Gt = enumerate_Gtilde()
-    assert GtildeElement(0, 0, 0, 0, 0) in Gt
-    assert GtildeElement(1, 2, 0, 0, 0) in Gt
-    with pytest.raises(ValueError):
-        GtildeElement(1, 1, 0, 0, 0)  # 1 + 1 != 0 mod 3
+    assert (0, 0, 0, 0, 0) in Gt
+    assert (1, 2, 0, 0, 0) in Gt
+    assert (1, 1, 0, 0, 0) not in Gt  # 1 + 1 != 0 mod 3
 
 
 def test_group_axioms_exhaustive():
     for group in (enumerate_G(), enumerate_Gtilde(), psi_kernel()):
-        assert group.verify_axioms()
-        assert group.is_abelian()
+        assert verify_axioms(group)
 
 
 def _reference_law(g, h):
-    # the composition written out per type, one coordinate at a time
-    if isinstance(g, ScalingElement):
-        return ScalingElement(tuple((a + b) % 5 for a, b in zip(g.exponents, h.exponents)))
-    return GtildeElement(
-        (g.alpha + h.alpha) % 3,
-        (g.beta + h.beta) % 3,
-        (g.delta + h.delta) % 3,
-        (g.epsilon + h.epsilon) % 3,
-        (g.mu + h.mu) % 9,
-    )
+    # the composition written out per group, one coordinate at a time
+    if len(g) == 4:
+        return tuple((x + y) % 5 for x, y in zip(g, h))
+    (a, b, d, e, m), (a2, b2, d2, e2, m2) = g, h
+    return ((a + a2) % 3, (b + b2) % 3, (d + d2) % 3, (e + e2) % 3, (m + m2) % 9)
 
 
-def _reference_axioms(elements, identity) -> bool:
+def _reference_axioms(elements) -> bool:
     # closure over every pair, the identity and every inverse, by brute force
     members = set(elements)
+    identity = (0,) * len(elements[0])
     return (
         identity in members
         and all(_reference_law(g, identity) == g for g in elements)
@@ -89,48 +80,48 @@ def _reference_axioms(elements, identity) -> bool:
 
 def _broken_sets():
     G, Gt = enumerate_G(), enumerate_Gtilde()
-    g = ScalingElement((1, 4, 0, 0))
-    t = GtildeElement(1, 0, 1, 0, 1)
+    g = (1, 4, 0, 0)
+
+    def subset(group, elements):
+        return GroupSpec(elements, group.moduli, group.order, group.action)
+
     return {
-        "G minus one element": GroupSpec([x for x in G if x != g], G.identity),
-        "G without its identity": GroupSpec([x for x in G if x != G.identity], G.identity),
-        "Gtilde missing an inverse": GroupSpec([x for x in Gt if x != t.inverse()], Gt.identity),
-        "three powers of g": GroupSpec([G.identity, g, g.compose(g)], G.identity),
-        "G with a wrong identity": GroupSpec(G, g),
+        "G minus one element": subset(G, [x for x in G if x != g]),
+        "G without its identity": subset(G, [x for x in G if any(x)]),
+        # (2, 0, 2, 0, 8) is the inverse of (1, 0, 1, 0, 1)
+        "Gtilde missing an inverse": subset(Gt, [x for x in Gt if x != (2, 0, 2, 0, 8)]),
+        "three powers of g": subset(G, [(0, 0, 0, 0), g, (2, 3, 0, 0)]),
     }
 
 
 def test_array_axiom_check_agrees_with_a_reference():
     # the whole-array check against brute force, on the three groups and
-    # on sets that are not groups; compose and inverse agree with the
-    # written-out law on every pair
-    groups = (enumerate_G(), enumerate_Gtilde(), psi_kernel())
-    for group in groups:
-        assert group.verify_axioms() and _reference_axioms(group.elements, group.identity)
-        for g in group:
-            assert _reference_law(g, g.inverse()) == group.identity
-            assert all(g.compose(h) == _reference_law(g, h) for h in group)
+    # on sets that are not groups
+    for group in (enumerate_G(), enumerate_Gtilde(), psi_kernel()):
+        assert verify_axioms(group) and _reference_axioms(group.elements)
     for name, spec in _broken_sets().items():
-        assert not _reference_axioms(spec.elements, spec.identity), name
-        assert not spec.verify_axioms(), name
+        assert not _reference_axioms(spec.elements), name
+        assert not verify_axioms(spec), name
 
 
-def test_is_abelian_detects_a_non_commuting_law(monkeypatch):
-    # is_abelian compares g*h with h*g through the one law: a law that is
-    # not symmetric in its arguments is caught
-    real = symmetry._compose
-    monkeypatch.setattr(symmetry, "_compose", lambda u, v, m: real(2 * np.asarray(u), v, m))
-    assert not enumerate_Gtilde().is_abelian()
-
-
-def test_g_is_elementary_abelian_of_order_125():
-    G = enumerate_G()
-    assert all(g.order() in (1, 5) for g in G)
+def test_scalars_match_the_written_out_actions():
+    # scalars_for reads each group's action matrix; here the two actions
+    # are written out, element by element
+    G, Gt = enumerate_G(), enumerate_Gtilde()
+    w5 = primitive_nth_root(F11, 5)
+    for g in G:
+        assert scalars_for(G, g, F11) == (F11.one,) + tuple(w5**l for l in g)
+    w9 = primitive_nth_root(F19, 9)
+    for a, b, d, e, m in Gt:
+        exponents = (3 * a + m, 3 * b + m, m, -3 * d - m, -3 * e - m, -m)
+        expected = tuple(w9 ** (u % 9) for u in exponents)
+        assert scalars_for(Gt, (a, b, d, e, m), F19) == expected
 
 
 def test_invariance_of_x_under_all_of_g():
     X2 = quintic_x(2, F11)
-    assert all(invariance_check(g, X2) for g in enumerate_G())
+    G = enumerate_G()
+    assert all(invariance_check(G, g, X2) for g in G)
 
 
 def test_non_member_scaling_fails():
@@ -140,16 +131,22 @@ def test_non_member_scaling_fails():
     assert not diagonal_invariance(bad, X2)
 
 
+def test_diagonal_invariance_needs_one_scalar_per_variable():
+    with pytest.raises(DimensionMismatch):
+        diagonal_invariance((F11.one,) * 4, quintic_x(1, F11))
+
+
 def test_invariance_of_v_under_gtilde():
     V1 = cubics_v(1, F19)
-    assert all(invariance_check(g, V1) for g in enumerate_Gtilde())
+    Gt = enumerate_Gtilde()
+    assert all(invariance_check(Gt, g, V1) for g in Gt)
 
 
 def test_invariance_needs_roots():
     with pytest.raises(RootOfUnityUnavailable):
-        invariance_check(ScalingElement((1, 4, 0, 0)), quintic_x(1, make_field(7)))
+        invariance_check(enumerate_G(), (1, 4, 0, 0), quintic_x(1, make_field(7)))
     with pytest.raises(RootOfUnityUnavailable):
-        invariance_check(GtildeElement(0, 0, 0, 0, 0), cubics_v(1, make_field(7)))
+        invariance_check(enumerate_Gtilde(), (0, 0, 0, 0, 0), cubics_v(1, make_field(7)))
 
 
 def test_node_orbit_has_125_points():
@@ -181,8 +178,9 @@ def test_phi_constant_on_g_orbits_exhaustive():
     # the fifth-power map composed with any scaling equals the map itself,
     # checked on every point of P^4(F_11)
     phi_tab = F11.power_table(5)
-    for g in enumerate_G():
-        s = np.array([x.index for x in scalars_for(g, F11)], dtype=np.int64)
+    G = enumerate_G()
+    for g in G:
+        s = np.array([x.index for x in scalars_for(G, g, F11)], dtype=np.int64)
         for coords in iter_projective_chunks(F11, 4):
             for i, c in enumerate(coords):
                 assert (phi_tab[F11.vmul(np.int64(s[i]), c)] == phi_tab[c]).all()
@@ -191,7 +189,7 @@ def test_phi_constant_on_g_orbits_exhaustive():
 def test_psi_kernel_is_mu_multiples_of_three():
     H = set(psi_kernel().elements)
     for g in enumerate_Gtilde():
-        assert (g in H) == (g.mu % 3 == 0)
+        assert (g in H) == (g[4] % 3 == 0)
 
 
 def test_psi_invariant_under_kernel_and_only_kernel():
@@ -199,8 +197,9 @@ def test_psi_invariant_under_kernel_and_only_kernel():
     H = set(psi_kernel().elements)
     pts = sample_points(cubics_v(1, F19), 25, seed=2)
     ones = (F19.one,) * 6
-    for g in enumerate_Gtilde():
-        s = scalars_for(g, F19)
+    Gt = enumerate_Gtilde()
+    for g in Gt:
+        s = scalars_for(Gt, g, F19)
         same_on_ones = apply_map(psi, apply_scalars(s, ones)) == apply_map(psi, ones)
         if g in H:
             assert same_on_ones
@@ -212,11 +211,11 @@ def test_psi_invariant_under_kernel_and_only_kernel():
 
 def test_quotient_generator_action():
     g0 = quotient_generator()
-    assert g0.mu % 3 != 0
+    assert g0 == (0, 2, 0, 2, 2)
     assert induced_cube_action(g0) == (1, 1, 1, 0, 0, 0)
     w3 = primitive_nth_root(F19, 3)
     psi = MonomialMap(3, 6)
-    sc = scalars_for(g0, F19)
+    sc = scalars_for(enumerate_Gtilde(), g0, F19)
     for pt in sample_points(cubics_v(1, F19), 50, seed=4):
         lhs = apply_map(psi, apply_scalars(sc, pt))
         w = apply_map(psi, pt)
