@@ -58,6 +58,7 @@ from __future__ import annotations
 
 import collections
 import fcntl
+import functools
 import itertools
 import json
 import math
@@ -144,38 +145,123 @@ def projective_size(q: int, dim: int) -> int:
     return (q ** (dim + 1) - 1) // (q - 1)
 
 
-def iter_projective_chunks(F: FieldDescriptor, dim: int, chunk: int = _CHUNK):
+def iter_projective_chunks(
+    F: FieldDescriptor, dim: int, chunk: int = _CHUNK, blocks: tuple = ()
+):
     """Stream normalized representatives of P^dim(F_q) as broadcastable grid
     blocks: one index array (or scalar) per coordinate.
 
     Chart i fixes x_0 .. x_{i-1} = 0, x_i = 1 and lets the remaining
-    coordinates run over all of F_q.  In a block the trailing free
-    coordinates are orthogonal arange(q) axes, coordinate j of shape
-    (1, ..., q, ..., 1), and the leading free ones are scalars: as many as
-    keep the block to at most chunk points.  The builders broadcast, so a
-    power of x_j is a lookup on q values and only the last operations of
-    an equation run over the whole block.  Broadcast together and raveled
-    in C order, the blocks list exactly one representative per point,
-    chart by chart, each chart in the order of its free coordinates read
-    as base-q digits.  The axes are shared by the blocks and read-only.
+    coordinates run over F_q.  ``blocks`` lists disjoint tuples of
+    interchangeable coordinates, and a coordinate in none of them is a block
+    of its own (the default).  In chart i the free coordinates of a block
+    form a group, and a group of k runs over the nondecreasing k-tuples
+    only, C(q + k - 1, k) of them in lexicographic order: every point of
+    the chart is a permutation inside its blocks of exactly one
+    representative.  A group is one broadcast axis shared by its
+    coordinates, coordinate j of shape (1, ..., n, ..., 1), or scalars.
+    The trailing groups are axes, as many as keep the block to at most
+    chunk points.  Of the leading groups, all but the last are scalars; the
+    last gives its first coordinate v as a scalar and the rest as the suffix
+    of the (k - 1)-tuples with entries at least v, split the same way while
+    that suffix is still too large.
+
+    With the default blocks every group is one coordinate, an arange(q) axis
+    or a scalar, so a power of x_j is a lookup on q values and only the last
+    operations of an equation run over the whole block.  Broadcast together
+    and raveled in C order, those blocks list exactly one representative
+    per point, chart by chart, each chart in the order of its free
+    coordinates read as base-q digits.  The sorted-tuple tables are built on
+    first use; the axes are shared by the blocks and read-only.
     """
     q = F.q
     nv = dim + 1
-    max_axes = 0
-    while max_axes < dim and q ** (max_axes + 1) <= chunk:
-        max_axes += 1
-    axis = np.arange(q, dtype=np.int64)
-    axis.flags.writeable = False
+    members = [j for b in blocks for j in b]
+    if len(set(members)) != len(members) or not set(members) <= set(range(nv)):
+        raise ValueError(f"blocks {blocks!r} are not disjoint coordinates of P^{dim}")
+    block_of = list(range(nv))  # coordinate -> the least coordinate of its block
+    for b in blocks:
+        for j in b:
+            block_of[j] = min(b)
     for i in range(nv):
-        free = nv - 1 - i
-        n_axes = min(free, max_axes)
-        axes = [
-            axis.reshape((1,) * a + (q,) + (1,) * (n_axes - 1 - a))
-            for a in range(n_axes)
-        ]
-        head = [np.int64(0)] * i + [np.int64(1)]
-        for lead in itertools.product(range(q), repeat=free - n_axes):
-            yield head + [np.int64(v) for v in lead] + axes
+        groups = {}
+        for j in range(i + 1, nv):
+            groups.setdefault(block_of[j], []).append(j)
+        groups = list(groups.values())
+        n_lead, points = len(groups), 1  # the trailing groups that fit are axes
+        while n_lead and points * _n_tuples(q, len(groups[n_lead - 1])) <= chunk:
+            n_lead -= 1
+            points *= _n_tuples(q, len(groups[n_lead]))
+        axes = [(g, _sorted_tuples(q, len(g))) for g in groups[n_lead:]]
+        fixed, head = list(range(i + 1)), [0] * i + [1]
+        if not n_lead:
+            yield _grid_block(nv, fixed, head, axes)
+            continue
+        *lead, split = groups[:n_lead]
+        fixed += [j for g in lead for j in g]
+        rows = [itertools.combinations_with_replacement(range(q), len(g)) for g in lead]
+        for prefix in itertools.product(*rows):
+            values = head + [v for row in prefix for v in row]
+            for first, suffix in _split_group(q, len(split), chunk // points):
+                n = len(first)
+                tail = axes if suffix is None else [(split[n:], suffix), *axes]
+                yield _grid_block(nv, fixed + split[:n], values + list(first), tail)
+
+
+def _grid_block(nv: int, fixed, values, axes) -> list:
+    """One grid block: the coordinates in fixed at their scalar values, and
+    each (coordinates, table) of axes on one broadcast axis, in order."""
+    out = [None] * nv
+    for j, v in zip(fixed, values):
+        out[j] = np.int64(v)
+    for a, (coords, table) in enumerate(axes):
+        shape = (1,) * a + (-1,) + (1,) * (len(axes) - 1 - a)
+        for j, row in zip(coords, table):
+            out[j] = row.reshape(shape)
+    return out
+
+
+def _split_group(q: int, k: int, room: int, lo: int = 0):
+    """The nondecreasing k-tuples over range(q) with entries at least lo, in
+    lexicographic order, as (leading scalars, table of the rest) pairs: the
+    first entry is a scalar, and the rest is one suffix of the sorted-tuple
+    table when at most room tuples, else split again (None when no entry
+    is left)."""
+    for v in range(lo, q):
+        if k == 1:
+            yield (v,), None
+            continue
+        n = _n_tuples(q - v, k - 1)
+        if n <= room:
+            table = _sorted_tuples(q, k - 1)
+            yield (v,), table[:, table.shape[1] - n :]
+        else:
+            for first, suffix in _split_group(q, k - 1, room, v):
+                yield (v, *first), suffix
+
+
+def _n_tuples(q: int, k: int) -> int:
+    """The number of nondecreasing k-tuples over range(q)."""
+    return math.comb(q + k - 1, k)
+
+
+@functools.lru_cache(maxsize=16)
+def _sorted_tuples(q: int, k: int) -> np.ndarray:
+    """The nondecreasing k-tuples over range(q) in lexicographic order, as a
+    read-only (k, C(q + k - 1, k)) array with one row per coordinate.
+
+    The n_v tuples that start with v are v followed by the last n_v of the
+    (k - 1)-tuples: those whose entries are all at least v.
+    """
+    if k == 1:
+        table = np.arange(q, dtype=np.int64)[None, :]
+    else:
+        rest = _sorted_tuples(q, k - 1)
+        n = np.array([_n_tuples(q - v, k - 1) for v in range(q)], dtype=np.int64)
+        cols = np.arange(n.sum()) + np.repeat(rest.shape[1] - np.cumsum(n), n)
+        table = np.vstack([np.repeat(np.arange(q, dtype=np.int64), n), rest[:, cols]])
+    table.flags.writeable = False
+    return table
 
 
 def map_chunks(fn, chunks, threads: int = 1):
@@ -189,8 +275,8 @@ def map_chunks(fn, chunks, threads: int = 1):
     access is not thread-safe on Python 3.11, so numpy must have executed
     before the pool starts.  It has: the first chunk is drawn here, in the
     calling thread, before any worker exists, and the chunks come from
-    iter_projective_chunks, which calls np.arange.  A caller that passes
-    other chunks must keep that rule.
+    iter_projective_chunks, whose first block is made of numpy scalars
+    and arrays.  A caller that passes other chunks must keep that rule.
     """
     if threads <= 1:
         for c in chunks:

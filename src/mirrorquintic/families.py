@@ -29,8 +29,18 @@ builder writes on MPoly variables over the field, on first read.  mvpoly
 is imported only for MPoly variables (_variables): for that system, and
 for verify_coordinate_change, which writes the cube-root coordinate
 change as its six linear forms on them; so a count never loads it.
+
+Each family's row in _FAMILIES also declares, as data, its blocks of
+interchangeable coordinates: every permutation inside a block maps each
+equation to itself (QuinticX and QuinticY (0..4); CubicsV and CubicsW
+(0, 1, 2) and (3, 4, 5); CubicsWtilde (1, 2) and (4, 5); QuadricQ none).
+build_family stores them on the instance, and the singular scan visits
+one point per orbit of those permutations.
+
 Projective points are tuples of FieldElements kept in canonical form
-(first nonzero coordinate scaled to 1).
+(first nonzero coordinate scaled to 1); normalize_rows is the same scaling
+on the rows of an index array, and unique_points also sorts the rows and
+drops repeats.
 """
 
 from __future__ import annotations
@@ -108,7 +118,10 @@ class FamilyInstance:
     MPoly); it is a family builder bound to its parameter.  The
     evaluations (evaluate, vanishing_mask, and the jets of the singular
     module) run it directly; ``system`` and ``degrees`` run it once on
-    MPoly variables, on their first read.
+    MPoly variables, on their first read.  ``blocks`` lists disjoint
+    tuples of coordinates such that every permutation inside a tuple maps
+    each equation to itself; singular.singular_points scans one point per
+    orbit of those permutations.  An instance built directly has none.
     """
 
     def __init__(
@@ -118,12 +131,14 @@ class FamilyInstance:
         params: dict[str, FieldElement],
         ambient_dim: int,
         equations: Callable[[list], list],
+        blocks: tuple[tuple[int, ...], ...] = (),
     ):
         self.id = id
         self.field = field
         self.params = params
         self.ambient_dim = ambient_dim
         self.equations = equations
+        self.blocks = blocks
 
     @functools.cached_property
     def system(self) -> list[MPoly]:
@@ -245,21 +260,31 @@ def _variables(nvars: int, F: FieldDescriptor) -> list[MPoly]:
     return [MPoly.variable(nvars, i, F) for i in range(nvars)]
 
 
-# family -> (parameter names, number of coordinates, builder); the builder
-# takes the one parameter when there is one, else xi5 (QuadricQ)
+class _Family(NamedTuple):
+    """One row of _FAMILIES.  The builder takes the one parameter when there
+    is one, else xi5 (QuadricQ).  blocks are the coordinates that its
+    equations treat alike: each permutation inside a block fixes every
+    equation, for every parameter and field."""
+
+    params: tuple[str, ...]
+    nvars: int
+    builder: Callable
+    blocks: tuple[tuple[int, ...], ...]
+
+
 _FAMILIES = {
-    FamilyId.QUINTIC_X: (("mu",), 5, _quintic_x_polys),
-    FamilyId.QUINTIC_Y: (("mu",), 5, _quintic_y_polys),
-    FamilyId.QUADRIC_Q: ((), 5, _quadric_q_polys),
-    FamilyId.CUBICS_V: (("lam",), 6, _cubics_v_polys),
-    FamilyId.CUBICS_W: (("lam",), 6, _cubics_w_polys),
-    FamilyId.CUBICS_WTILDE: (("nu",), 6, _cubics_wtilde_polys),
+    FamilyId.QUINTIC_X: _Family(("mu",), 5, _quintic_x_polys, ((0, 1, 2, 3, 4),)),
+    FamilyId.QUINTIC_Y: _Family(("mu",), 5, _quintic_y_polys, ((0, 1, 2, 3, 4),)),
+    FamilyId.QUADRIC_Q: _Family((), 5, _quadric_q_polys, ()),
+    FamilyId.CUBICS_V: _Family(("lam",), 6, _cubics_v_polys, ((0, 1, 2), (3, 4, 5))),
+    FamilyId.CUBICS_W: _Family(("lam",), 6, _cubics_w_polys, ((0, 1, 2), (3, 4, 5))),
+    FamilyId.CUBICS_WTILDE: _Family(("nu",), 6, _cubics_wtilde_polys, ((1, 2), (4, 5))),
 }
 
 
 def param_names(fid: FamilyId) -> tuple[str, ...]:
     """The names of the parameters that build_family takes for the family."""
-    return _FAMILIES[fid][0]
+    return _FAMILIES[fid].params
 
 
 def _expand(equations, nvars: int, F: FieldDescriptor) -> list[MPoly]:
@@ -278,9 +303,10 @@ def build_family(fid: FamilyId, params: dict | None, F: FieldDescriptor) -> Fami
     primitive 5th root of unity in F and takes none from the caller; the
     deterministic choice is recorded under params["xi5"].  No polynomial
     is expanded here: the symbolic system is written on its first read.
+    The instance carries the family's blocks of interchangeable coordinates.
     """
     params = dict(params or {})
-    needed, nvars, builder = _FAMILIES[fid]
+    needed, nvars, builder, blocks = _FAMILIES[fid]
     for name in needed:
         if name not in params:
             raise MissingParameter(f"{fid.value} requires parameter '{name}'")
@@ -293,7 +319,7 @@ def build_family(fid: FamilyId, params: dict | None, F: FieldDescriptor) -> Fami
         elems = {"xi5": param}
     else:
         param = elems[needed[0]]
-    return FamilyInstance(fid, F, elems, nvars - 1, functools.partial(builder, param))
+    return FamilyInstance(fid, F, elems, nvars - 1, functools.partial(builder, param), blocks)
 
 
 def quintic_x(mu, F) -> FamilyInstance:
@@ -341,6 +367,27 @@ def normalize_point(point) -> tuple[FieldElement, ...]:
         raise ValueError("the zero vector is not a projective point")
     inv = pivot.inverse()
     return tuple(x * inv for x in point)
+
+
+def normalize_rows(idx, F: FieldDescriptor) -> np.ndarray:
+    """normalize_point on every row of an (n, nvars) index array of nonzero
+    vectors: each row scaled by the inverse of its first nonzero entry."""
+    pivot = idx[np.arange(len(idx)), np.argmax(idx != 0, axis=1)]
+    return F.vmul(idx, F.vpow(pivot, -1)[:, None])
+
+
+def unique_points(idx, F: FieldDescriptor) -> np.ndarray:
+    """The distinct projective points among the rows of an index array of
+    nonzero vectors, normalized and sorted by index tuple.
+
+    Duplicates are dropped against their sorted neighbours (np.unique would
+    import numpy.ma, about 12 ms, on its first call).
+    """
+    pts = normalize_rows(idx, F)
+    pts = pts[np.lexsort(pts.T[::-1])]
+    keep = np.ones(len(pts), dtype=bool)
+    keep[1:] = (pts[1:] != pts[:-1]).any(axis=1)
+    return pts[keep]
 
 
 def apply_map(m: MonomialMap, point) -> tuple[FieldElement, ...]:
@@ -396,9 +443,7 @@ def points_on_lines_a(F: FieldDescriptor) -> list[tuple[FieldElement, ...]]:
 
     Line {x_i = x_j = 0} is (-(u + v), u, v) on the other three coordinates,
     with (u : v) over (1 : 0) and (t : 1); the 10 (q + 1) points are built on
-    index arrays, scaled by the inverse of their first nonzero coordinate,
-    sorted by np.lexsort and deduplicated against their sorted neighbours
-    (np.unique would import numpy.ma, about 12 ms, on its first call).
+    index arrays and unique_points normalizes, sorts and deduplicates them.
     """
     u = np.concatenate(([1], np.arange(F.q, dtype=np.int64)))
     v = np.concatenate(([0], np.ones(F.q, dtype=np.int64)))
@@ -408,11 +453,7 @@ def points_on_lines_a(F: FieldDescriptor) -> list[tuple[FieldElement, ...]]:
         block = np.zeros((F.q + 1, 5), dtype=np.int64)
         block[:, [r for r in range(5) if r not in (i, j)]] = np.stack([w, u, v], axis=1)
         blocks.append(block)
-    pts = np.concatenate(blocks)
-    pivot = pts[np.arange(len(pts)), np.argmax(pts != 0, axis=1)]
-    pts = F.vmul(pts, F.vpow(pivot, -1)[:, None])
-    pts = pts[np.lexsort(pts.T[::-1])]
-    pts = pts[np.r_[True, (pts[1:] != pts[:-1]).any(axis=1)]]
+    pts = unique_points(np.concatenate(blocks), F)
     elems = list(F.elements())
     return [tuple(elems[c] for c in row) for row in pts.tolist()]
 
@@ -477,8 +518,10 @@ def sample_points(
 
     Draws random coordinate tuples, keeps those on the variety, and
     normalizes; with nonzero_coords only points with every coordinate
-    nonzero are kept.  TooFewPoints when 200 batches of draws find fewer
-    than n distinct points.
+    nonzero are kept.  The points come in the order of their first draw.
+    Each batch's hits are normalized in one normalize_rows pass, and only a
+    point not seen before becomes FieldElements.  TooFewPoints when 200
+    batches of draws find fewer than n distinct points.
     """
     F = instance.field
     nv = instance.nvars
@@ -490,13 +533,11 @@ def sample_points(
         mask = instance.vanishing_mask(coords)
         if nonzero_coords is False:
             mask &= batch.sum(axis=0) > 0
-        for col in np.nonzero(mask)[0]:
-            pt = normalize_point(
-                [F.from_index(int(batch[i, col])) for i in range(nv)]
-            )
-            found[tuple(x.index for x in pt)] = pt
-            if len(found) >= n:
-                return list(found.values())
+        for key in dict.fromkeys(map(tuple, normalize_rows(batch.T[mask], F).tolist())):
+            if key not in found:
+                found[key] = tuple(F.from_index(c) for c in key)
+                if len(found) >= n:
+                    return list(found.values())
     raise TooFewPoints(
         f"found {len(found)} distinct points on {instance!r}, not the {n} requested"
     )

@@ -4,18 +4,23 @@ surface evidence.
 Singularity is detected set-theoretically over F_q by the Jacobian
 criterion: a point is singular when the defining equations vanish and the
 Jacobian matrix has rank below the codimension (zero gradient for
-hypersurfaces, all 2x2 minors zero for the codimension-2 pairs).  A scan
-runs in two phases.  Phase 1 walks P^n in broadcastable grid blocks
-(counting.iter_projective_chunks), on a thread pool when asked, evaluates
-the equations on each whole block through the instance's own builder, and
-takes the points where they vanish out of the broadcast coordinates.
-Phase 2 regroups those zeros into batches of at most _BATCH points and
-evaluates the Jacobian once per batch, by the same builder run on
-forward-mode jets (ffield.Jet), which gives the first partials in the
-compact form it writes the equations in (_BATCH bounds its memory).
-The mirror's strata come from families.strata_codes on index arrays, and
-only the singular points become FieldElement tuples.  Fiber counts and
-node tests read the field off their points.
+hypersurfaces, all 2x2 minors zero for the codimension-2 pairs).  A
+permutation of the coordinates that maps every equation to itself maps
+the singular locus to itself, so a scan visits one point per orbit of the
+permutations inside the instance's blocks (FamilyInstance.blocks) and
+spreads the singular ones over their orbits at the end.  A scan runs in
+two phases.  Phase 1 walks those representatives in broadcastable grid
+blocks (counting.iter_projective_chunks with the instance's blocks), on a
+thread pool when asked, evaluates the equations on each whole block
+through the instance's own builder, and takes the points where they
+vanish out of the broadcast coordinates.  Phase 2 regroups those zeros
+into batches of at most _BATCH points and evaluates the Jacobian once per
+batch, by the same builder run on forward-mode jets (ffield.Jet), which
+gives the first partials in the compact form it writes the equations in
+(_BATCH bounds its memory).  The mirror's strata come from
+families.strata_codes on index arrays, and only the singular points
+become FieldElement tuples.  Fiber counts and node tests read the field
+off their points.
 
 Nodes are recognized by a full-rank Hessian in the affine chart of the
 first nonzero coordinate.  classify_nodes takes all the points of an
@@ -60,6 +65,7 @@ from .families import (
     quintic_x,
     quintic_y,
     strata_codes,
+    unique_points,
 )
 from .ffield import (
     FieldDescriptor,
@@ -80,6 +86,15 @@ _P5_CAP = 13
 # bytes per point (2.8 MB at 2^14, QuinticX, QuinticY and CubicsV alike).
 # At 2^12 verify-all ran 3% slower; at 2^15 its peak RSS rose 0.4 MB.
 _BATCH = 1 << 14
+
+# points per grid block of a scan.  A group of interchangeable coordinates
+# is one axis on which each of its coordinates is a whole array, so a block
+# costs more memory per point than counting's default ones.  Against the
+# full scan at 2^19, verify-all's peak RSS rose 6.5 MB with orbit blocks of
+# up to 2^19 points (one block per chart), 2.5 MB at 2^16 (46376 points per
+# QuinticY block over F_31) and 0.5 MB at 2^15; 2^14 gives its scans the
+# same blocks as 2^15.
+_SCAN_CHUNK = 1 << 15
 
 
 @dataclass
@@ -196,17 +211,40 @@ def _batches(blocks, size: int):
         yield [np.concatenate(c) for c in zip(*pending)]
 
 
-def singular_points(instance: FamilyInstance, threads: int = 1) -> SingularReport:
-    """All F_q-points where the system vanishes and the Jacobian drops rank.
+@functools.lru_cache(maxsize=None)
+def _block_permutations(blocks: tuple, nvars: int) -> np.ndarray:
+    """Every permutation of the coordinates inside the blocks, as the rows
+    of a read-only (permutations, nvars) array: row[j] is the coordinate
+    that moves to position j.  The identity alone when there are no blocks.
+    """
+    rows = []
+    for images in itertools.product(*(itertools.permutations(b) for b in blocks)):
+        row = list(range(nvars))
+        for b, image in zip(blocks, images):
+            for j, k in zip(b, image):
+                row[j] = k
+        rows.append(row)
+    table = np.array(rows, dtype=np.int64)
+    table.flags.writeable = False
+    return table
 
-    Phase 1 evaluates the equations on each grid block and gathers the
-    zeros; with threads > 1 the blocks run on a thread pool
-    (counting.map_chunks).  Phase 2 regroups the zeros into batches of at
-    most _BATCH points and runs the Jacobian once per batch, in the calling
-    thread.  One families.strata_codes call classifies the singular points
-    (QuinticY), np.bincount counts them, and only then do they become
-    FieldElement tuples.  The report is the same for every thread count
-    and batch size.
+
+def singular_points(instance: FamilyInstance, threads: int = 1) -> SingularReport:
+    """All F_q-points where the system vanishes and the Jacobian drops rank,
+    sorted by index tuple.
+
+    Phase 1 evaluates the equations on each grid block of one point per
+    orbit of the instance's block permutations and gathers the zeros; with
+    threads > 1 the blocks run on a thread pool (counting.map_chunks).
+    Phase 2 regroups the zeros into batches of at most _BATCH points and
+    runs the Jacobian once per batch, in the calling thread.  Every block
+    permutation is then applied to the singular representatives, and
+    families.unique_points normalizes, sorts and deduplicates the images.
+    The criterion is invariant under those permutations, so the points are
+    exactly those of a scan of every point (an instance without blocks).
+    One families.strata_codes call classifies them (QuinticY), np.bincount
+    counts them, and only then do they become FieldElement tuples.  The
+    report is the same for every thread count, grid block and batch size.
     """
     F = instance.field
     dim = instance.ambient_dim
@@ -221,13 +259,16 @@ def singular_points(instance: FamilyInstance, threads: int = 1) -> SingularRepor
         mask = instance.vanishing_mask(coords)
         return _gather(coords, mask) if mask.any() else []
 
-    zeros = map_chunks(on_chunk, iter_projective_chunks(F, dim), threads)
-    hits = [np.empty((0, instance.nvars), dtype=np.int64)]
+    n = instance.nvars
+    chunks = iter_projective_chunks(F, dim, chunk=_SCAN_CHUNK, blocks=instance.blocks)
+    zeros = map_chunks(on_chunk, chunks, threads)
+    reps = [np.empty((0, n), dtype=np.int64)]
     for batch in _batches(filter(None, zeros), _BATCH):
         singular = ~_full_rank(instance, batch)
-        hits.append(np.stack([c[singular] for c in batch], axis=1))
-    hits = np.concatenate(hits)
-    hits = hits[np.lexsort(hits.T[::-1])]
+        reps.append(np.stack([c[singular] for c in batch], axis=1))
+    reps = np.concatenate(reps)
+    perms = _block_permutations(instance.blocks, n)
+    hits = unique_points(reps[:, perms].reshape(-1, n), F)
     if instance.id is FamilyId.QUINTIC_Y:
         codes = strata_codes(hits, instance)
     else:

@@ -249,6 +249,66 @@ def test_grid_blocks_ravel_to_flat_chart_order(p, k, dim, chunk_for):
     assert np.array_equal(got, _flat_chart_order(F.q, dim))
 
 
+def _sorted_in_blocks(point, blocks):
+    """The point with the coordinates of each block after its pivot sorted:
+    the representative of its orbit under permutations inside blocks."""
+    point = list(point)
+    pivot = next(j for j, v in enumerate(point) if v)
+    for b in blocks:
+        free = [j for j in b if j > pivot]
+        for j, v in zip(free, sorted(point[j] for j in free)):
+            point[j] = v
+    return tuple(point)
+
+
+@pytest.mark.parametrize(
+    "p,k,dim,blocks",
+    [
+        (7, 1, 4, ((0, 1, 2, 3, 4),)),
+        (5, 1, 4, ((1, 2, 3),)),
+        (2, 2, 5, ((0, 1, 2), (3, 4, 5))),
+        (3, 1, 5, ((1, 2), (4, 5))),
+        (3, 1, 5, ((1, 4), (0, 2, 5))),  # blocks need not be runs
+    ],
+)
+@pytest.mark.parametrize(
+    "chunk_for",
+    [lambda q: 1, lambda q: q - 1, lambda q: q**2 + q, lambda q: counting._CHUNK],
+    ids=["one", "below_q", "q2_to_q3", "default"],
+)
+def test_grid_blocks_list_one_point_per_orbit(p, k, dim, blocks, chunk_for):
+    # every point of P^dim is a permutation inside blocks of exactly one
+    # listed point, and at the default size each chart is one grid block
+    F = make_field(p, k)
+    chunk = chunk_for(F.q)
+    grid = list(counting.iter_projective_chunks(F, dim, chunk=chunk, blocks=blocks))
+    assert all(np.broadcast(*b).size <= max(chunk, 1) for b in grid)
+    if chunk == counting._CHUNK:
+        assert len(grid) == dim + 1
+    got = np.concatenate(
+        [np.stack([c.ravel() for c in np.broadcast_arrays(*b)], axis=1) for b in grid]
+    ).tolist()
+    want = {_sorted_in_blocks(pt, blocks) for pt in _flat_chart_order(F.q, dim).tolist()}
+    assert len(got) == len(want) and set(map(tuple, got)) == want
+
+
+def test_grid_blocks_must_be_disjoint_coordinates():
+    F = make_field(3)
+    for blocks in [((0, 1), (1, 2)), ((3, 5),), ((0, 0),)]:
+        with pytest.raises(ValueError, match="not disjoint coordinates"):
+            next(counting.iter_projective_chunks(F, 4, blocks=blocks))
+
+
+def test_instances_without_declared_blocks():
+    # an instance built directly has no blocks and is scanned in full; so
+    # has the hyperplane x0, whose equation is not symmetric
+    F = make_field(7)
+    X = quintic_x(1, F)
+    assert X.blocks == ((0, 1, 2, 3, 4),)
+    assert FamilyInstance(X.id, F, X.params, 4, X.equations).blocks == ()
+    assert hyperplane_instance(F).blocks == ()
+
+
 @pytest.fixture(scope="module")
 def flat_scans():
     """count_naive's reference counts from one flat mask over every point,
@@ -276,8 +336,8 @@ def test_scans_do_not_depend_on_block_size(monkeypatch, flat_scans, chunk, threa
     if chunk is not None:
         real = counting.iter_projective_chunks
 
-        def chunks(F, dim):
-            return real(F, dim, chunk=chunk)
+        def chunks(F, dim, **kwargs):
+            return real(F, dim, **{**kwargs, "chunk": chunk})
 
         monkeypatch.setattr(counting, "iter_projective_chunks", chunks)
         monkeypatch.setattr(singular, "iter_projective_chunks", chunks)

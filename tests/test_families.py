@@ -276,6 +276,73 @@ def test_sample_points_refuses_more_points_than_it_finds():
         sample_points(quintic_x(1, make_field(3)), 100)
 
 
+def _sample_one_at_a_time(instance, n, seed=0, nonzero_coords=False):
+    """sample_points normalizing each hit by normalize_point: the reference
+    for the samples and their order."""
+    F = instance.field
+    rng = np.random.default_rng(seed)
+    found = {}
+    for _ in range(200):
+        batch = rng.integers(1 if nonzero_coords else 0, F.q, size=(instance.nvars, 4096))
+        mask = instance.vanishing_mask(list(batch))
+        if not nonzero_coords:
+            mask &= batch.sum(axis=0) > 0
+        for col in np.nonzero(mask)[0]:
+            pt = normalize_point(F.from_index(int(c)) for c in batch[:, col])
+            found[tuple(x.index for x in pt)] = pt
+            if len(found) >= n:
+                return list(found.values())
+    return None
+
+
+@pytest.mark.parametrize(
+    "ctor,param,p,k,n,seed,nonzero",
+    [
+        (quintic_x, 1, 11, 1, 5, 11, True),
+        (cubics_v, 1, 19, 1, 50, 19, False),
+        (new_coordinates_w, 2, 19, 1, 100, 102, False),
+        (cubics_wtilde, 2, 3, 2, 30, 1, False),
+        (quintic_x, 1, 3, 1, 36, 0, False),  # every point of the instance
+    ],
+)
+def test_sample_points_equal_one_at_a_time(ctor, param, p, k, n, seed, nonzero):
+    inst = ctor(param, make_field(p, k))
+    got = sample_points(inst, n, seed=seed, nonzero_coords=nonzero)
+    assert got == _sample_one_at_a_time(inst, n, seed, nonzero) and len(got) == n
+
+
+# the coordinates each family's equations treat alike
+_BLOCKS = {
+    FamilyId.QUINTIC_X: ((0, 1, 2, 3, 4),),
+    FamilyId.QUINTIC_Y: ((0, 1, 2, 3, 4),),
+    FamilyId.QUADRIC_Q: (),
+    FamilyId.CUBICS_V: ((0, 1, 2), (3, 4, 5)),
+    FamilyId.CUBICS_W: ((0, 1, 2), (3, 4, 5)),
+    FamilyId.CUBICS_WTILDE: ((1, 2), (4, 5)),
+}
+
+
+@pytest.mark.parametrize("p,k", [(7, 1), (2, 2)])
+@pytest.mark.parametrize("fid", list(FamilyId), ids=lambda f: f.value)
+def test_declared_blocks_are_symmetries(fid, p, k):
+    # each adjacent transposition inside a declared block maps the builder's
+    # system, run on the permuted variables, onto the system
+    assert families._FAMILIES[fid].blocks == _BLOCKS[fid]
+    F = make_field(p, k)
+    if fid is FamilyId.QUADRIC_Q:
+        return  # no blocks, and no fifth root of unity over F_7 or F_4
+    nvars = families._FAMILIES[fid].nvars
+    x = [MPoly.variable(nvars, i, F) for i in range(nvars)]
+    for param in (2, F.from_index(F.q - 1)):
+        inst = build_family(fid, {families.param_names(fid)[0]: param}, F)
+        assert inst.blocks == _BLOCKS[fid]
+        for block in inst.blocks:
+            for a, b in zip(block, block[1:]):
+                swapped = list(x)
+                swapped[a], swapped[b] = x[b], x[a]
+                assert set(inst.equations(swapped)) == set(inst.system)
+
+
 def test_param_string_canonical():
     assert quintic_x(1, F11).param_string() == "mu=1"
     F121 = make_field(11, 2)
@@ -420,7 +487,8 @@ def expansions(monkeypatch):
 def _eager_system(fid, param, F):
     """The system expanded eagerly, outside the instance: the builder on
     MPoly variables over F."""
-    _, nvars, builder = families._FAMILIES[fid]
+    row = families._FAMILIES[fid]
+    nvars, builder = row.nvars, row.builder
     return builder(param, [MPoly.variable(nvars, i, F) for i in range(nvars)])
 
 
@@ -428,7 +496,7 @@ def _eager_system(fid, param, F):
 @pytest.mark.parametrize("fid", list(_DEGREES), ids=lambda f: f.value)
 def test_system_is_expanded_on_first_read(fid, p, k, expansions):
     F = make_field(p, k)
-    names, _, _ = families._FAMILIES[fid]
+    names = families._FAMILIES[fid].params
     params = [2, F.from_index(F.q - 1)] if names else [None]
     for param in params:
         inst = build_family(fid, {names[0]: param} if names else {}, F)

@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from mirrorquintic import families
+from mirrorquintic import families, singular
 from mirrorquintic.counting import iter_projective_chunks, projective_size
 from mirrorquintic.errors import (
     BadCharacteristic,
@@ -45,6 +45,47 @@ from mirrorquintic.singular import (
 
 F7 = make_field(7)
 F11 = make_field(11)
+
+
+# -- the orbit scan against the full scan ------------------------------------
+
+
+def _full_scan_instance(inst):
+    """The same builder without blocks: its scan visits every point."""
+    return FamilyInstance(inst.id, inst.field, inst.params, inst.ambient_dim, inst.equations)
+
+
+def _orbit_cases(q):
+    F = make_field(*{4: (2, 2), 9: (3, 2)}.get(q, (q,)))
+    for mu in range(4):
+        yield quintic_x(mu, F)
+        yield quintic_y(mu, F)
+    if q in (2, 3, 4, 7, 13):
+        for param in range(3):
+            yield cubics_v(param, F)
+            yield cubics_w(param, F)
+            yield cubics_wtilde(param, F)
+        if (q - 1) % 3 == 0:
+            yield new_coordinates_w(1, F)  # built directly: no blocks
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 9, 11, 13, 31])
+def test_orbit_scan_equals_full_scan(monkeypatch, q):
+    # the report of the scan over one point per orbit of the declared
+    # blocks is the full scan's: the same points in the same order and the
+    # same strata; on small fields also for tiny grid blocks and 2 threads
+    settings = [(1, singular._SCAN_CHUNK)]
+    if q <= 4:
+        settings += [(2, singular._SCAN_CHUNK), (1, 1), (2, 7)]
+    for inst in _orbit_cases(q):
+        full = _full_scan_instance(inst)
+        assert inst.blocks or inst.equations.func is families._cubics_nu_form_polys
+        want = singular_points(full)
+        for threads, chunk in settings:
+            monkeypatch.setattr(singular, "_SCAN_CHUNK", chunk)
+            got = singular_points(inst, threads=threads)
+            assert got.points == want.points
+            assert got.strata_counts == want.strata_counts
 
 
 def test_x1_f11_node_census():
@@ -278,7 +319,7 @@ def test_jet_jacobian_equals_expanded_partials(p, k):
 
 
 def test_jet_fields_cover_every_builder():
-    builders = {b for _, _, b in families._FAMILIES.values() if b is not None}
+    builders = {row.builder for row in families._FAMILIES.values() if row.builder is not None}
     builders.add(families._cubics_nu_form_polys)
     covered = {
         inst.equations.func
