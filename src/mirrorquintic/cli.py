@@ -22,10 +22,10 @@ elapsed_ms is the sum of the per-record values, which cache hits preserve.
 Each subcommand imports only the layers it runs.  Importing this module
 loads the fields, families, counting and traces; count and trace need
 nothing more (numpy executes at the first computed count, MPoly is never
-loaded).  verify imports the verify stack (singular, symmetry, ledger,
-MPoly) inside _cmd_verify, and ledger-dump imports ledger alone.  The
---suite choices read verify.SUITES only when a value is checked or the
-help is printed.
+loaded).  verify imports the verify stack (singular, symmetry, ledger)
+inside _cmd_verify, and MPoly loads only for a suite that reads a symbolic
+system; ledger-dump imports ledger alone.  The --suite choices read
+verify.SUITES only when a value is checked or the help is printed.
 """
 
 from __future__ import annotations

@@ -163,8 +163,8 @@ def iter_projective_chunks(
     The trailing groups are axes, as many as keep the block to at most
     chunk points.  Of the leading groups, all but the last are scalars; the
     last gives its first coordinate v as a scalar and the rest as the suffix
-    of the (k - 1)-tuples with entries at least v, split the same way while
-    that suffix is still too large.
+    of the (k - 1)-tuples with entries at least v, cut into runs that keep
+    the block to at most chunk points.
 
     With the default blocks every group is one coordinate, an arange(q) axis
     or a scalar, so a power of x_j is a lookup on q values and only the last
@@ -202,10 +202,9 @@ def iter_projective_chunks(
         rows = [itertools.combinations_with_replacement(range(q), len(g)) for g in lead]
         for prefix in itertools.product(*rows):
             values = head + [v for row in prefix for v in row]
-            for first, suffix in _split_group(q, len(split), chunk // points):
-                n = len(first)
-                tail = axes if suffix is None else [(split[n:], suffix), *axes]
-                yield _grid_block(nv, fixed + split[:n], values + list(first), tail)
+            for v, run in _split_group(q, len(split), chunk // points):
+                tail = axes if run is None else [(split[1:], run), *axes]
+                yield _grid_block(nv, fixed + split[:1], values + [v], tail)
 
 
 def _grid_block(nv: int, fixed, values, axes) -> list:
@@ -221,23 +220,19 @@ def _grid_block(nv: int, fixed, values, axes) -> list:
     return out
 
 
-def _split_group(q: int, k: int, room: int, lo: int = 0):
-    """The nondecreasing k-tuples over range(q) with entries at least lo, in
-    lexicographic order, as (leading scalars, table of the rest) pairs: the
-    first entry is a scalar, and the rest is one suffix of the sorted-tuple
-    table when at most room tuples, else split again (None when no entry
-    is left)."""
-    for v in range(lo, q):
+def _split_group(q: int, k: int, room: int):
+    """The nondecreasing k-tuples over range(q) in lexicographic order, as
+    (first entry v, run) pairs: the runs of one v cover, in order and at
+    most room columns each, the suffix of the (k - 1)-tuple table whose
+    entries are all at least v (run is None when k = 1)."""
+    for v in range(q):
         if k == 1:
-            yield (v,), None
+            yield v, None
             continue
-        n = _n_tuples(q - v, k - 1)
-        if n <= room:
-            table = _sorted_tuples(q, k - 1)
-            yield (v,), table[:, table.shape[1] - n :]
-        else:
-            for first, suffix in _split_group(q, k - 1, room, v):
-                yield (v, *first), suffix
+        table = _sorted_tuples(q, k - 1)
+        suffix = table[:, table.shape[1] - _n_tuples(q - v, k - 1) :]
+        for start in range(0, suffix.shape[1], room):
+            yield v, suffix[:, start : start + room]
 
 
 def _n_tuples(q: int, k: int) -> int:

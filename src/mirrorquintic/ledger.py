@@ -11,46 +11,56 @@ per-step changes.  Hodge triples are audited against the threefold
 identity chi = 2 (h11 - h21); the shipped dataset intentionally contains
 one recorded triple that fails the audit, so the auditor reports rather
 than rejects.
+
+The records are immutable NamedTuples.  Stratum and QuotientLedger check
+their data when they are built and raise ValueError: a deck degree below
+1, or a ledger without exactly one unknown stratum.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from typing import NamedTuple
 
 from .errors import NonIntegralSolution
 
 
-@dataclass
-class Stratum:
+class _StratumFields(NamedTuple):
     name: str
     chi: int | None  # None marks the single unknown to solve for
     deck_degree: int
 
-    def __post_init__(self):
-        if self.deck_degree < 1:
+
+class Stratum(_StratumFields):
+    __slots__ = ()
+
+    def __new__(cls, name: str, chi: int | None, deck_degree: int):
+        if deck_degree < 1:
             raise ValueError("deck degree must be a positive integer")
+        return super().__new__(cls, name, chi, deck_degree)
 
 
-@dataclass
-class QuotientLedger:
+class _LedgerFields(NamedTuple):
     total_chi_upstairs: int
-    strata: list[Stratum]
+    strata: tuple[Stratum, ...]
 
-    def __post_init__(self):
-        unknowns = [s for s in self.strata if s.chi is None]
-        if len(unknowns) != 1:
+
+class QuotientLedger(_LedgerFields):
+    __slots__ = ()
+
+    def __new__(cls, total_chi_upstairs: int, strata):
+        strata = tuple(strata)
+        if sum(s.chi is None for s in strata) != 1:
             raise ValueError("exactly one stratum must be marked unknown")
+        return super().__new__(cls, total_chi_upstairs, strata)
 
 
-@dataclass
-class ResolutionStep:
+class ResolutionStep(NamedTuple):
     description: str
     delta_chi: int | None  # None when the source states no per-step value
     divisors_added: int
 
 
-@dataclass
-class HodgeTriple:
+class HodgeTriple(NamedTuple):
     chi: int
     h11: int
     h21: int
@@ -152,10 +162,10 @@ def recorded_dataset() -> dict:
     """The recorded constant table, JSON-serializable."""
 
     def triple(t: HodgeTriple) -> dict:
-        return {k: v for k, v in asdict(t).items() if v is not None}
+        return {k: v for k, v in t._asdict().items() if v is not None}
 
     def steps(ss: list[ResolutionStep]) -> list[dict]:
-        return [asdict(s) for s in ss]
+        return [s._asdict() for s in ss]
 
     return {
         "version": DATASET_VERSION,

@@ -36,6 +36,8 @@ Every point of the surface lies on its hyperplane
 x0 + xi x1 + ... + xi^4 x4 = 0, whose x0 coefficient is 1, so the scan
 runs over (x1 : ... : x4) in P^3 and solves for x0 instead of scanning
 P^4.
+
+The four report types are NamedTuples.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field as dc_field
+from typing import NamedTuple
 
 from ._lazy import lazy_numpy
 from .counting import iter_projective_chunks, map_chunks, projective_size
@@ -97,8 +99,7 @@ _BATCH = 1 << 14
 _SCAN_CHUNK = 1 << 15
 
 
-@dataclass
-class SingularReport:
+class SingularReport(NamedTuple):
     family: str
     params: str
     q: int
@@ -110,23 +111,20 @@ class SingularReport:
         return len(self.points)
 
 
-@dataclass
-class NodeClassification:
+class NodeClassification(NamedTuple):
     point: tuple[FieldElement, ...]
     hessian_rank: int
     is_node: bool
 
 
-@dataclass
-class FiberReport:
+class FiberReport(NamedTuple):
     point: tuple[FieldElement, ...]
     count: int
     predicted: int
     count_within: int | None = None
 
 
-@dataclass
-class SurfaceEvidence:
+class SurfaceEvidence(NamedTuple):
     q: int
     surface_points: int
     special_point_on_surface: bool
@@ -138,7 +136,7 @@ class SurfaceEvidence:
     # F_q contains a primitive cube root of unity that is a fifth power
     # (then the two points of the surface on each coordinate plane are
     # rational and their images are the cube-root points of the lines)
-    line_witnesses: list = dc_field(default_factory=list)
+    line_witnesses: list
 
     def all_ok(self) -> bool:
         return (

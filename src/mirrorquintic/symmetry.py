@@ -27,10 +27,11 @@ verify_axioms checks a GroupSpec in whole-array passes: the zero vector,
 every negative and all n^2 sums are members, with membership tested by
 one lookup of each vector's mixed-radix code.
 
-Group elements act through explicit field scalars, so invariance is an
-exact polynomial comparison, not character bookkeeping.  The scalars are
-taken in the field of what they act on: an instance's field, or for
-orbit(point, group) the field of the point's coordinates.
+Group elements act through explicit field scalars, so invariance is
+exact field arithmetic on each equation's monomials, not character
+bookkeeping.  The scalars are taken in the field of what they act on: an
+instance's field, or for orbit(point, group) the field of the point's
+coordinates.
 """
 
 from __future__ import annotations
@@ -42,7 +43,6 @@ from ._lazy import lazy_numpy
 from .errors import DimensionMismatch, InvariantViolated
 from .families import FamilyInstance, normalize_point
 from .ffield import FieldDescriptor, FieldElement, primitive_nth_root
-from .mvpoly import MPoly
 
 np = lazy_numpy()
 
@@ -139,34 +139,26 @@ def apply_scalars(scalars, point):
 
 
 def diagonal_invariance(scalars, instance: FamilyInstance) -> bool:
-    """True iff each defining polynomial, composed with the diagonal scaling,
-    is a nonzero scalar multiple of some defining polynomial of the system;
-    DimensionMismatch when there is not one scalar per variable."""
-    system = instance.system
+    """True iff the diagonal scaling multiplies each defining polynomial by
+    one nonzero factor: every monomial x^e of the equation gets the same
+    factor prod s_j^(e_j).  The scaling keeps each equation's monomial
+    support and no two equations of a family share one, so this is the
+    same as each scaled equation being a nonzero multiple of some equation
+    of the system.  DimensionMismatch when there is not one scalar per
+    variable."""
     if len(scalars) != instance.nvars:
         raise DimensionMismatch(
             f"{len(scalars)} scalars for the {instance.nvars} variables of {instance!r}"
         )
-    for f in system:
-        terms = []
-        for exps, c in f.terms():
-            for s, e in zip(scalars, exps):
-                if e:
-                    c = c * s**e
-            terms.append((exps, c))
-        g = MPoly(f.nvars, terms, instance.field)
-        if not any(_scalar_multiple(g, h) for h in system):
+    one = instance.field.one
+    for f in instance.system:
+        factors = {
+            math.prod((s**e for s, e in zip(scalars, exps) if e), start=one)
+            for exps, _ in f.terms()
+        }
+        if len(factors) > 1 or not all(factors):
             return False
     return True
-
-
-def _scalar_multiple(g: MPoly, f: MPoly) -> bool:
-    """True iff g = c f for a nonzero scalar c (the zero polynomial is only
-    a multiple of itself)."""
-    if not g or not f:
-        return not g and not f
-    (eg, cg), (ef, cf) = g.terms()[0], f.terms()[0]
-    return eg == ef and g == f.scale(cg / cf)
 
 
 def invariance_check(group: GroupSpec, g, instance: FamilyInstance) -> bool:

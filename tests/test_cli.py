@@ -283,6 +283,17 @@ def test_ledger_dump(tmp_path):
     assert data["node_count"] == 125 and data["version"] == 1
 
 
+def test_ledger_dump_matches_golden_file(tmp_path, capsys):
+    # the recorded dataset byte for byte, written to --out and to stdout;
+    # regenerate the file only when a recorded constant changes on purpose
+    golden = (Path(__file__).parent / "data" / "ledger-dump.json").read_bytes()
+    out = tmp_path / "dataset.json"
+    assert run(["ledger-dump", "--out", str(out)]) == 0
+    assert out.read_bytes() == golden
+    assert run(["ledger-dump"]) == 0
+    assert capsys.readouterr().out.encode() == golden
+
+
 @pytest.mark.parametrize(
     "args",
     [

@@ -83,8 +83,16 @@ def test_modules_each_command_loads(tmp_path):
     for argv in (trace, count, ["--version"]):
         package, other = _loads(argv, tmp_path)
         assert package == _CLI_MODULES and "dataclasses" not in other
-    package, _ = _loads(["ledger-dump", "--out", "ledger.json"], tmp_path)
-    assert package == _CLI_MODULES | {"mirrorquintic.ledger"}
+    package, other = _loads(["ledger-dump", "--out", "ledger.json"], tmp_path)
+    assert package == _CLI_MODULES | {"mirrorquintic.ledger"} and "dataclasses" not in other
+
+
+def test_nodes_suite_loads_no_symbolic_layer(tmp_path):
+    # the nodes suite runs the builders on arrays and jets and reads no
+    # symbolic system, so MPoly stays unloaded
+    package, other = _loads(["verify", "--suite", "nodes"], tmp_path)
+    assert "mirrorquintic.verify" in package and "mirrorquintic.mvpoly" not in package
+    assert "dataclasses" not in other
 
 
 def test_verify_all_in_a_fresh_process(tmp_path):

@@ -2,16 +2,24 @@ import numpy as np
 import pytest
 
 from mirrorquintic.counting import iter_projective_chunks
-from mirrorquintic.errors import DimensionMismatch, RootOfUnityUnavailable
+from mirrorquintic.errors import DimensionMismatch, RootOfUnityUnavailable, ZeroDenominator
 from mirrorquintic.families import (
+    _FAMILIES,
     MonomialMap,
     apply_map,
+    build_family,
     cubics_v,
+    cubics_w,
+    cubics_wtilde,
+    new_coordinates_w,
     normalize_point,
+    quadric_q,
     quintic_x,
+    quintic_y,
     sample_points,
 )
 from mirrorquintic.ffield import make_field, primitive_nth_root
+from mirrorquintic.mvpoly import MPoly
 from mirrorquintic.singular import singular_points
 from mirrorquintic.symmetry import (
     GroupSpec,
@@ -134,6 +142,102 @@ def test_non_member_scaling_fails():
 def test_diagonal_invariance_needs_one_scalar_per_variable():
     with pytest.raises(DimensionMismatch):
         diagonal_invariance((F11.one,) * 4, quintic_x(1, F11))
+
+
+def _scalar_multiple(g, f) -> bool:
+    # g = c f for a nonzero scalar c (the zero polynomial is only a
+    # multiple of itself)
+    if not g or not f:
+        return not g and not f
+    (eg, cg), (ef, cf) = g.terms()[0], f.terms()[0]
+    return eg == ef and g == f.scale(cg / cf)
+
+
+def _reference_invariance(scalars, instance) -> bool:
+    # the polynomial comparison: each equation composed with the scaling is
+    # a nonzero multiple of some equation of the system
+    system = instance.system
+    for f in system:
+        terms = []
+        for exps, c in f.terms():
+            for s, e in zip(scalars, exps):
+                if e:
+                    c = c * s**e
+            terms.append((exps, c))
+        g = MPoly(f.nvars, terms, instance.field)
+        if not any(_scalar_multiple(g, h) for h in system):
+            return False
+    return True
+
+
+def _oracle_cases():
+    # (scalars, instance) pairs on which the one-factor rule must give the
+    # polynomial comparison's answer
+    G, Gt = enumerate_G(), enumerate_Gtilde()
+    for F in (F11, make_field(31)):
+        for mu in (0, 1, 2):
+            X = quintic_x(mu, F)
+            yield from ((scalars_for(G, g, F), X) for g in G)
+    for inst in (cubics_v(1, F19), cubics_w(1, F19), cubics_wtilde(1, F19)):
+        yield from ((scalars_for(Gt, g, F19), inst) for g in Gt)
+    w5 = primitive_nth_root(F11, 5)
+    yield (F11.one, w5, F11.one, F11.one, F11.one), quintic_x(2, F11)  # verify's non-member
+    # F_181 has the 45th roots of unity, so 5th and 9th roots alike
+    F = make_field(181)
+    w = primitive_nth_root(F, 45)
+    instances = [quintic_x(1, F), quintic_y(2, F), quadric_q(F), cubics_v(1, F),
+                 cubics_w(2, F), cubics_wtilde(1, F), new_coordinates_w(1, F)]
+    rng = np.random.default_rng(22)
+    for i in range(50):
+        inst = instances[i % len(instances)]
+        n = inst.nvars
+        if i % 5 == 1:  # one common factor: every system is invariant
+            scalars = [w ** int(rng.integers(45))] * n
+        else:
+            scalars = [w ** int(e) for e in rng.integers(0, 45, size=n)]
+        if i % 4 == 0:  # one to n zeros
+            for j in rng.permutation(n)[: rng.integers(1, n + 1)]:
+                scalars[j] = F.zero
+        yield tuple(scalars), inst
+
+
+def test_one_factor_rule_agrees_with_the_polynomial_comparison():
+    answers = []
+    for scalars, inst in _oracle_cases():
+        answer = diagonal_invariance(scalars, inst)
+        assert answer == _reference_invariance(scalars, inst), (inst, scalars)
+        answers.append(answer)
+    assert len(answers) == 2 * 3 * 125 + 3 * 81 + 1 + 50
+    assert any(answers) and not all(answers)
+
+
+def _every_system():
+    # each family at parameters 0, 1 and 2, and the nu-form, where the
+    # field allows it
+    for F in (make_field(7), make_field(11), make_field(19), make_field(2, 2), make_field(3, 2)):
+        for fid, row in _FAMILIES.items():
+            for v in (0, 1, 2):
+                try:
+                    yield build_family(fid, {name: v for name in row.params}, F)
+                except RootOfUnityUnavailable:  # QuadricQ needs a 5th root
+                    break
+        for lam in (0, 1, 2):
+            try:
+                yield new_coordinates_w(lam, F)
+            except (RootOfUnityUnavailable, ZeroDenominator):  # a cube root, lam != 0
+                continue
+
+
+def test_no_two_equations_share_a_monomial_support():
+    # a diagonal scaling keeps each equation's support, so the one-factor
+    # rule equals the polynomial comparison exactly when no two equations
+    # of a system have the same support
+    built = 0
+    for inst in _every_system():
+        supports = [frozenset(e for e, _ in f.terms()) for f in inst.system]
+        assert len(set(supports)) == len(supports), inst
+        built += 1
+    assert built > 5 * 5
 
 
 def test_invariance_of_v_under_gtilde():

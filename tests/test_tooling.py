@@ -76,9 +76,9 @@ def test_one_field_arithmetic():
 
 
 def test_symbolic_layer_stays_in_its_modules():
-    # MPoly is the symbolic reference: the families and their symmetry
-    # checks build polynomials, the counting, scans, checks and CLI do not
-    allowed = {"mvpoly.py", "families.py", "symmetry.py"}
+    # MPoly is the symbolic reference: the families build polynomials, and
+    # the counting, scans, symmetry checks, other checks and CLI do not
+    allowed = {"mvpoly.py", "families.py"}
     found = []
     for path in sorted(SRC.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
@@ -95,14 +95,10 @@ def test_symbolic_layer_stays_in_its_modules():
 
 
 def test_record_types_do_not_import_dataclasses():
-    # importing dataclasses loads inspect, ast, dis and tokenize; only
-    # singular and ledger, verify-stack modules that a count or a trace
-    # never loads, still use it
-    verify_stack = {"singular.py", "ledger.py"}
+    # importing dataclasses loads inspect, ast, dis and tokenize; every
+    # record type of the package is a NamedTuple
     found = []
     for path in sorted(SRC.glob("*.py")):
-        if path.name in verify_stack:
-            continue
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
             if isinstance(node, ast.Import):
                 modules = [a.name for a in node.names]
