@@ -8,25 +8,24 @@ hypersurfaces, all 2x2 minors zero for the codimension-2 pairs).  A
 permutation of the coordinates that maps every equation to itself maps
 the singular locus to itself, so a scan visits one point per orbit of the
 permutations inside the instance's blocks (FamilyInstance.blocks) and
-spreads the singular ones over their orbits at the end.  A scan runs in
-two phases.  Phase 1 walks those representatives in broadcastable grid
-blocks (counting.iter_projective_chunks with the instance's blocks), on a
-thread pool when asked, evaluates the equations on each whole block
-through the instance's own builder, and takes the points where they
-vanish out of the broadcast coordinates.  Phase 2 regroups those zeros
-into batches of at most _BATCH points and evaluates the Jacobian once per
-batch, by the same builder run on forward-mode jets (ffield.Jet), which
-gives the first partials in the compact form it writes the equations in
-(_BATCH bounds its memory).  The mirror's strata come from
-families.strata_codes on index arrays, and only the singular points
-become FieldElement tuples.  Fiber counts and node tests read the field
-off their points.
+spreads the singular ones over their orbits at the end.  A scan walks
+those representatives in broadcastable grid blocks
+(counting.iter_projective_chunks with the instance's blocks), on a thread
+pool when asked, evaluates the equations on each whole block through the
+instance's own builder, and gathers the points where they vanish as the
+rows of one index array.  The Jacobian then runs once on all of them, by
+the same builder run on forward-mode jets (ffield.Jet), which gives the
+first partials in the compact form it writes the equations in.  The
+mirror's strata come from families.strata_codes on index arrays, and only
+the singular points become FieldElement tuples.  Fiber counts and node
+tests read the field off their points.
 
 Nodes are recognized by a full-rank Hessian in the affine chart of the
-first nonzero coordinate.  classify_nodes takes all the points of an
-instance at once: the builder run on second-order jets (a Jet of Jets)
-gives the values, gradients and Hessians on index arrays, and one
-elimination over F_q on the stack of affine Hessians gives the ranks.
+first nonzero coordinate, whose rank is that of the homogeneous Hessian.
+classify_nodes takes all the points of an instance at once: the builder
+run on second-order jets (a Jet of Jets) gives the values, gradients and
+Hessians on index arrays, and one elimination over F_q on the stack of
+Hessians gives the ranks.
 The criterion needs characteristic at least 7 and is refused below that.
 
 Containment statements about the quadric surface are certified by
@@ -35,7 +34,7 @@ evidence but not a symbolic proof; the report type is named accordingly.
 Every point of the surface lies on its hyperplane
 x0 + xi x1 + ... + xi^4 x4 = 0, whose x0 coefficient is 1, so the scan
 runs over (x1 : ... : x4) in P^3 and solves for x0 instead of scanning
-P^4.
+P^4, and each claim is one whole-array expression on the surface's points.
 
 The four report types are NamedTuples.
 """
@@ -82,12 +81,6 @@ np = lazy_numpy()
 
 _P4_CAP = 41  # the node census runs up to F_41
 _P5_CAP = 13
-
-# zeros per Jacobian run in singular_points.  A batch costs 8 bytes per
-# point and coordinate, and its Jacobian's jet arrays peak at about 170
-# bytes per point (2.8 MB at 2^14, QuinticX, QuinticY and CubicsV alike).
-# At 2^12 verify-all ran 3% slower; at 2^15 its peak RSS rose 0.4 MB.
-_BATCH = 1 << 14
 
 # points per grid block of a scan.  A group of interchangeable coordinates
 # is one axis on which each of its coordinates is a whole array, so a block
@@ -160,13 +153,13 @@ def _jacobian(instance: FamilyInstance, coords) -> list[list[np.ndarray]]:
     ]
 
 
-def _full_rank(instance: FamilyInstance, sub) -> np.ndarray:
-    """Mask of the points of sub at which the Jacobian of a system of one or
-    two equations has full rank: some first partial (one equation) or some
-    2x2 minor (two equations) is nonzero."""
+def _full_rank(instance: FamilyInstance, rows) -> np.ndarray:
+    """Mask of the points (the rows of an index array) at which the Jacobian
+    of a system of one or two equations has full rank: some first partial
+    (one equation) or some 2x2 minor (two equations) is nonzero."""
     F = instance.field
-    jac = _jacobian(instance, sub)
-    mask = np.zeros(sub[0].shape, dtype=bool)
+    jac = _jacobian(instance, list(rows.T))
+    mask = np.zeros(len(rows), dtype=bool)
     if len(jac) == 1:
         for d in jac[0]:
             mask |= d != 0
@@ -177,9 +170,9 @@ def _full_rank(instance: FamilyInstance, sub) -> np.ndarray:
     return mask
 
 
-def _gather(coords, mask) -> list:
-    """The coordinates of the points where mask is True, one flat index
-    array per coordinate, in C order of the broadcast block.
+def _gather(coords, mask) -> np.ndarray:
+    """The points where mask is True as the rows of an (n, nvars) index
+    array, in C order of the broadcast block.
 
     One flat-index pass finds the points and each coordinate is gathered
     there; indexing with the boolean mask would walk the whole block once
@@ -187,26 +180,7 @@ def _gather(coords, mask) -> list:
     """
     mask = np.atleast_1d(mask)
     nz = np.unravel_index(np.flatnonzero(mask), mask.shape)
-    return [np.broadcast_to(c, mask.shape)[nz] for c in coords]
-
-
-def _batches(blocks, size: int):
-    """Regroup a stream of point blocks (one index array per coordinate)
-    into batches of at most size points, in order."""
-    pending, n = [], 0
-    for block in blocks:
-        pending.append(block)
-        n += len(block[0])
-        if n < size:
-            continue
-        joined = [np.concatenate(c) for c in zip(*pending)]
-        full = n - n % size
-        for start in range(0, full, size):
-            yield [c[start : start + size] for c in joined]
-        n -= full
-        pending = [[c[full:] for c in joined]] if n else []
-    if n:
-        yield [np.concatenate(c) for c in zip(*pending)]
+    return np.stack([np.broadcast_to(c, mask.shape)[nz] for c in coords], axis=1)
 
 
 @functools.lru_cache(maxsize=None)
@@ -231,18 +205,18 @@ def singular_points(instance: FamilyInstance, threads: int = 1) -> SingularRepor
     """All F_q-points where the system vanishes and the Jacobian drops rank,
     sorted by index tuple.
 
-    Phase 1 evaluates the equations on each grid block of one point per
-    orbit of the instance's block permutations and gathers the zeros; with
-    threads > 1 the blocks run on a thread pool (counting.map_chunks).
-    Phase 2 regroups the zeros into batches of at most _BATCH points and
-    runs the Jacobian once per batch, in the calling thread.  Every block
-    permutation is then applied to the singular representatives, and
-    families.unique_points normalizes, sorts and deduplicates the images.
-    The criterion is invariant under those permutations, so the points are
-    exactly those of a scan of every point (an instance without blocks).
-    One families.strata_codes call classifies them (QuinticY), np.bincount
-    counts them, and only then do they become FieldElement tuples.  The
-    report is the same for every thread count, grid block and batch size.
+    The equations are evaluated on each grid block of one point per orbit
+    of the instance's block permutations and the zeros are gathered as the
+    rows of one index array; with threads > 1 the blocks run on a thread
+    pool (counting.map_chunks).  The Jacobian then runs once on every zero,
+    in the calling thread.  Every block permutation is applied to the
+    singular representatives, and families.unique_points normalizes, sorts
+    and deduplicates the images.  The criterion is invariant under those
+    permutations, so the points are exactly those of a scan of every point
+    (an instance without blocks).  One families.strata_codes call
+    classifies them (QuinticY), np.bincount counts them, and only then do
+    they become FieldElement tuples.  The report is the same for every
+    thread count and grid block.
     """
     F = instance.field
     dim = instance.ambient_dim
@@ -253,18 +227,13 @@ def singular_points(instance: FamilyInstance, threads: int = 1) -> SingularRepor
             f"would scan {projective_size(F.q, dim)} points"
         )
 
-    def on_chunk(coords) -> list:
-        mask = instance.vanishing_mask(coords)
-        return _gather(coords, mask) if mask.any() else []
+    def on_chunk(coords) -> np.ndarray:
+        return _gather(coords, instance.vanishing_mask(coords))
 
     n = instance.nvars
     chunks = iter_projective_chunks(F, dim, chunk=_SCAN_CHUNK, blocks=instance.blocks)
-    zeros = map_chunks(on_chunk, chunks, threads)
-    reps = [np.empty((0, n), dtype=np.int64)]
-    for batch in _batches(filter(None, zeros), _BATCH):
-        singular = ~_full_rank(instance, batch)
-        reps.append(np.stack([c[singular] for c in batch], axis=1))
-    reps = np.concatenate(reps)
+    zeros = np.concatenate(list(map_chunks(on_chunk, chunks, threads)))
+    reps = zeros[~_full_rank(instance, zeros)]
     perms = _block_permutations(instance.blocks, n)
     hits = unique_points(reps[:, perms].reshape(-1, n), F)
     if instance.id is FamilyId.QUINTIC_Y:
@@ -306,13 +275,16 @@ def classify_nodes(instance: FamilyInstance, points) -> list[NodeClassification]
     batch.
 
     Each point is dehomogenized at its first nonzero coordinate, and the
-    4x4 Hessian of the affine equation there is the Hessian of the
+    4x4 Hessian of the affine equation there is the Hessian H of the
     homogeneous equation with the pivot row and column deleted; a node has
-    full rank.  One builder run on second-order jets gives every point's
-    value, gradient and Hessian, and one elimination (ffield.matrix_ranks)
-    every rank.  Only characteristics p >= 7 are accepted: the
-    quadratic-form rank criterion degenerates for small p.  A point over
-    another field is refused with FieldMismatch.
+    full rank.  Differentiating Euler's identity gives H x = (d - 1) grad f,
+    which is 0 at a singular point x, so the pivot row and column are
+    combinations of the others in every characteristic, and the whole
+    n x n Hessian has the same rank.  One builder run on second-order jets
+    gives every point's value, gradient and Hessian, and one elimination
+    (ffield.matrix_ranks) every rank.  Only characteristics p >= 7 are
+    accepted: the quadratic-form rank criterion degenerates for small p.
+    A point over another field is refused with FieldMismatch.
     """
     F = instance.field
     if F.p < 7:
@@ -333,11 +305,7 @@ def classify_nodes(instance: FamilyInstance, points) -> list[NodeClassification]
     if smooth.size:
         raise NotSingular(f"{[x.index for x in points[smooth[0]]]} is a smooth point")
     full = np.stack([np.stack(row, axis=-1) for row in hess], axis=-2)  # (points, n, n)
-    pivots = np.argmax(idx != 0, axis=1)
-    others = np.array([[j for j in range(n) if j != i] for i in pivots], dtype=np.int64)
-    others = others.reshape(len(points), n - 1)
-    rows = np.arange(len(points))[:, None, None]
-    ranks = matrix_ranks(F, full[rows, others[:, :, None], others[:, None, :]])
+    ranks = matrix_ranks(F, full)
     return [
         NodeClassification(pt, int(r), int(r) == n - 1)
         for pt, r in zip(points, ranks)
@@ -418,8 +386,8 @@ def fiber_size_table(m: MonomialMap, F: FieldDescriptor) -> np.ndarray:
     return np.concatenate(out)
 
 
-def _surface_chunks(surface: FamilyInstance):
-    """The F_q-points of the quadric surface as index arrays, chunk by chunk.
+def _surface_points(surface: FamilyInstance) -> np.ndarray:
+    """The F_q-points of the quadric surface as the rows of an index array.
 
     (x1 : ... : x4) runs over P^3 and x0 = -(xi x1 + ... + xi^4 x4) puts it
     on the hyperplane; the x0 coefficient is 1, so this is a bijection onto
@@ -429,14 +397,14 @@ def _surface_chunks(surface: FamilyInstance):
     F = surface.field
     xi = surface.params["xi5"]
     weights = [(xi**e).index for e in range(1, 5)]
+    rows = []
     for coords in iter_projective_chunks(F, 3):
         lin = 0
         for w, c in zip(weights, coords):
             lin = F.vadd(lin, F.vmul(w, c))
         pts = [F.vneg(lin), *coords]
-        mask = surface.vanishing_mask(pts)
-        if mask.any():
-            yield _gather(pts, mask)
+        rows.append(_gather(pts, surface.vanishing_mask(pts)))
+    return np.concatenate(rows)
 
 
 def _chart_key(point) -> tuple:
@@ -456,7 +424,7 @@ def surface_evidence(
     has full rank 2 at each of its points, and that the coordinate-power
     images of surface points land on the mirror quintic while avoiding its
     singular lines and triple points (families.strata_codes).  The points
-    come from the surface's hyperplane (_surface_chunks); the witnesses are
+    come from the surface's hyperplane (_surface_points); the witnesses are
     normalized and listed in chart order.
     """
     F = surface.field
@@ -469,31 +437,21 @@ def surface_evidence(
     ones = [np.ones(1, dtype=np.int64)] * 5  # index 1 is one
     special_on_surface = bool(surface.vanishing_mask(ones).all())
 
-    n_points = 0
-    contained = True
-    full_rank = True
-    on_mirror = True
-    witnesses = []
-    for sub in _surface_chunks(surface):
-        n_points += sub[0].shape[0]
-        contained &= bool(target.vanishing_mask(sub).all())
-        full_rank &= bool(_full_rank(surface, sub).all())
-        imgs = [fifth[c] for c in sub]
-        on_mirror &= bool(mirror.vanishing_mask(imgs).all())
-        codes = strata_codes(np.stack(imgs, axis=1), mirror)
-        on_a_or_b = (codes == 1) | (codes == 2)  # OnLineA or InPointSetB
-        for col in np.nonzero(on_a_or_b)[0]:
-            witnesses.append(
-                normalize_point(F.from_index(int(c[col])) for c in sub)
-            )
-    witnesses.sort(key=_chart_key)
+    pts = _surface_points(surface)
+    imgs = fifth[pts]
+    codes = strata_codes(imgs, mirror)
+    on_a_or_b = (codes == 1) | (codes == 2)  # OnLineA or InPointSetB
+    witnesses = sorted(
+        (normalize_point(F.from_index(c) for c in row) for row in pts[on_a_or_b].tolist()),
+        key=_chart_key,
+    )
     return SurfaceEvidence(
         F.q,
-        n_points,
+        len(pts),
         special_on_surface,
-        contained,
-        full_rank,
-        on_mirror,
+        bool(target.vanishing_mask(list(pts.T)).all()),
+        bool(_full_rank(surface, pts).all()),
+        bool(mirror.vanishing_mask(list(imgs.T)).all()),
         not witnesses,
         witnesses,
     )

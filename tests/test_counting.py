@@ -331,8 +331,8 @@ def flat_scans():
 @pytest.mark.parametrize("chunk", [1, 7, 500, None])
 @pytest.mark.parametrize("threads", [1, 2])
 def test_scans_do_not_depend_on_block_size(monkeypatch, flat_scans, chunk, threads):
-    # neither the grid block size (None: the default) nor the singular
-    # scan's Jacobian batch size changes the counts or the reports
+    # the grid block size (None: the default) changes neither the counts
+    # nor the reports
     if chunk is not None:
         real = counting.iter_projective_chunks
 
@@ -341,14 +341,11 @@ def test_scans_do_not_depend_on_block_size(monkeypatch, flat_scans, chunk, threa
 
         monkeypatch.setattr(counting, "iter_projective_chunks", chunks)
         monkeypatch.setattr(singular, "iter_projective_chunks", chunks)
-    batches = (1, 7, singular._BATCH)
     for inst, n, rep in flat_scans:
         assert count_naive(inst, threads=threads).count == n
-        for batch in batches:
-            monkeypatch.setattr(singular, "_BATCH", batch)
-            got = singular.singular_points(inst, threads=threads)
-            assert got.points == rep.points
-            assert got.strata_counts == rep.strata_counts
+        got = singular.singular_points(inst, threads=threads)
+        assert got.points == rep.points
+        assert got.strata_counts == rep.strata_counts
 
 
 # -- cache -------------------------------------------------------------------

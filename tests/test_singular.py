@@ -13,6 +13,7 @@ from mirrorquintic.errors import (
     RootOfUnityUnavailable,
 )
 from mirrorquintic.families import (
+    FamilyId,
     FamilyInstance,
     MonomialMap,
     Stratum,
@@ -33,7 +34,7 @@ from mirrorquintic.mvpoly import eval_batch
 from mirrorquintic.singular import (
     _chart_key,
     _jacobian,
-    _surface_chunks,
+    _surface_points,
     classify_node,
     classify_nodes,
     fiber_size_table,
@@ -97,6 +98,18 @@ def test_x1_f11_node_census():
 def test_singular_points_threads_same_report():
     inst = quintic_y(2, F11)
     assert singular_points(inst, threads=2) == singular_points(inst, threads=1)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_scan_without_zeros_reports_nothing(threads):
+    # x0^2 = 3 x1^2 has no point over F_7 (3 is not a square): no block
+    # gathers a zero, and the Jacobian runs on empty arrays
+    conic = FamilyInstance(
+        FamilyId.QUINTIC_X, F7, {}, 1, lambda x: [x[0] ** 2 - (x[1] ** 2).scale(3)]
+    )
+    rep = singular_points(conic, threads=threads)
+    assert rep.points == []
+    assert rep.strata_counts == dict.fromkeys(Stratum, 0)
 
 
 def test_y2_f11_singular_locus_is_lines():
@@ -383,11 +396,9 @@ def test_hyperplane_scan_equals_full_scan(p):
     points, contained, full_rank, on_mirror, witnesses = _full_scan_evidence(
         surface, target
     )
-    hyper = set()
-    for sub in _surface_chunks(surface):
-        for i in range(sub[0].shape[0]):
-            pt = normalize_point(F.from_index(int(c[i])) for c in sub)
-            hyper.add(tuple(x.index for x in pt))
+    rows = _surface_points(surface).tolist()
+    hyper = {tuple(x.index for x in normalize_point(map(F.from_index, row))) for row in rows}
+    assert len(rows) == len(hyper) == len(points)
     assert hyper == points
     ev = surface_evidence(surface, target)
     assert ev.surface_points == len(points)

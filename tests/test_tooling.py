@@ -59,6 +59,37 @@ def test_no_module_imports_a_name_it_never_uses():
     assert found == []
 
 
+def test_no_dead_private_names():
+    # a deleted caller leaves no helper behind: every private module-level
+    # function, class or constant is read somewhere in the package
+    trees = {path.name: ast.parse(path.read_text(), str(path)) for path in sorted(SRC.glob("*.py"))}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    found = []
+    for name, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined = [
+                    n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)
+                ]
+            else:
+                continue
+            found += [
+                f"{name}:{node.lineno} {d}"
+                for d in defined
+                if d.startswith("_") and not d.startswith("__") and d not in read
+            ]
+    assert found == []
+
+
 def test_one_field_arithmetic():
     # an element is its index: coefficient-vector products build the tables
     # and nothing else, and no module reads an element's coefficients
