@@ -471,28 +471,21 @@ def verify_coordinate_change(lam, F: FieldDescriptor) -> bool:
     unity of primitive_nth_root.  After substitution the two cubics must equal, exactly,
       27 * (x0^3 - lam^3 (x3^3 + x4^3 + x5^3 - 3 x3 x4 x5)) and
       27 * (x3^3 - lam^3 (x0^3 + x1^3 + x2^3 - 3 x0 x1 x2)),
-    and the nu-form with nu = 1 / lam^3 must be a scalar multiple of them.
+    that is, -27 lam^3 times the nu-form (nu = 1 / lam^3): the CubicsW
+    builder run on the forms is compared with the builder of
+    new_coordinates_w, which refuses lam = 0 and a field without a
+    primitive cube root.  Both run on MPoly variables.
     """
-    lam = F.element(lam)
-    if not lam:
-        raise ZeroDenominator("the coordinate change needs lam != 0")
-    w = primitive_nth_root(F, 3)  # raises RootOfUnityUnavailable
+    target = new_coordinates_w(lam, F)
+    w = primitive_nth_root(F, 3)
     x = _variables(6, F)
     forms = [
         x[a] + x[a + 1].scale(w**s) + x[a + 2].scale(w ** (2 * s))
         for a in (0, 3)
         for s in range(3)
     ]
-    sub = [f.substitute(forms) for f in cubics_w(lam, F).system]
-
-    lam3 = lam**3
-    t345 = x[3] ** 3 + x[4] ** 3 + x[5] ** 3 - (x[3] * x[4] * x[5]).scale(3)
-    t012 = x[0] ** 3 + x[1] ** 3 + x[2] ** 3 - (x[0] * x[1] * x[2]).scale(3)
-    base1 = x[0] ** 3 - t345.scale(lam3)
-    base2 = x[3] ** 3 - t012.scale(lam3)
-    nu = lam3.inverse()
-    rewritten = sub == [base1.scale(27), base2.scale(27)]
-    return rewritten and _cubics_nu_form_polys(nu, x) == [base1.scale(-nu), base2.scale(-nu)]
+    rewritten = cubics_w(lam, F).equations(forms)
+    return rewritten == [f.scale(-27 * lam**3) for f in target.equations(x)]
 
 
 def new_coordinates_w(lam, F: FieldDescriptor) -> FamilyInstance:
@@ -531,7 +524,7 @@ def sample_points(
         batch = rng.integers(1 if nonzero_coords else 0, F.q, size=(nv, 4096))
         coords = [np.ascontiguousarray(batch[i]) for i in range(nv)]
         mask = instance.vanishing_mask(coords)
-        if nonzero_coords is False:
+        if not nonzero_coords:
             mask &= batch.sum(axis=0) > 0
         for key in dict.fromkeys(map(tuple, normalize_rows(batch.T[mask], F).tolist())):
             if key not in found:

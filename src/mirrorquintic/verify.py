@@ -103,13 +103,8 @@ def suite_nodes(
             rep = singular.singular_points(Y, threads=threads)
             ok = rep.count == expected
             if is_root:
-                extra = [
-                    pt
-                    for pt, s in zip(rep.points, _strata(rep.points, Y))
-                    if s is Stratum.EXTRA_NODE
-                ]
-                node = len(extra) == 1 and singular.classify_node(Y, extra[0]).is_node
-                ok = ok and node
+                ok = ok and rep.strata_counts[Stratum.EXTRA_NODE] == 1
+                ok = ok and singular.classify_node(Y, (Y.field.one,) * 5).is_node
             return ok, f"count={rep.count}, mu^5=1: {is_root}"
 
         return _row(
@@ -460,8 +455,11 @@ def run_suite(
 
     A check that raises is its own FAIL row; a suite that raises outside its
     checks contributes one FAIL row naming it and the error.  Either way the
-    traceback goes to stderr and the rows after it still run.
+    traceback goes to stderr and the rows after it still run.  ValueError,
+    before any suite runs, for a name that is neither "all" nor in SUITES.
     """
+    if name != "all" and name not in SUITES:
+        raise ValueError(f"unknown suite {name!r}: choose from all, {', '.join(SUITES)}")
 
     def rows(key):
         try:

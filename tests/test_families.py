@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -34,7 +36,7 @@ from mirrorquintic.families import (
     verify_coordinate_change,
     wtilde_from_lambda,
 )
-from mirrorquintic.ffield import FieldArray, Jet, make_field
+from mirrorquintic.ffield import FieldArray, Jet, make_field, primitive_nth_root
 from mirrorquintic.mvpoly import MPoly, eval_batch
 from mirrorquintic.singular import classify_nodes, singular_points
 
@@ -240,6 +242,31 @@ def test_coordinate_change_fails_without_a_primitive_cube_root(monkeypatch):
 
 
 @pytest.mark.parametrize("p,lam", [(7, 1), (7, 2), (13, 1), (13, 2)])
+def test_coordinate_change_equals_substitution_and_the_claimed_cubics(p, lam):
+    # substitution is a ring homomorphism: the CubicsW builder run on the
+    # six forms equals its expanded system with the forms substituted, and
+    # both equal 27 * base; the nu-form is -nu * base
+    F = make_field(p)
+    lam = F.element(lam)
+    w = primitive_nth_root(F, 3)
+    x = [MPoly.variable(6, i, F) for i in range(6)]
+    forms = [
+        x[a] + x[a + 1].scale(w**s) + x[a + 2].scale(w ** (2 * s))
+        for a in (0, 3)
+        for s in range(3)
+    ]
+    t345 = x[3] ** 3 + x[4] ** 3 + x[5] ** 3 - (x[3] * x[4] * x[5]).scale(3)
+    t012 = x[0] ** 3 + x[1] ** 3 + x[2] ** 3 - (x[0] * x[1] * x[2]).scale(3)
+    base = [x[0] ** 3 - t345.scale(lam**3), x[3] ** 3 - t012.scale(lam**3)]
+    W = cubics_w(lam, F)
+    rewritten = W.equations(forms)
+    assert rewritten == [f.substitute(forms) for f in W.system]
+    assert rewritten == [b.scale(27) for b in base]
+    nu = (lam**3).inverse()
+    assert new_coordinates_w(lam, F).equations(x) == [b.scale(-nu) for b in base]
+
+
+@pytest.mark.parametrize("p,lam", [(7, 1), (7, 2), (13, 1), (13, 2)])
 def test_psi_sends_w_points_to_wtilde(p, lam):
     F = make_field(p)
     w_new = new_coordinates_w(lam, F)
@@ -274,6 +301,18 @@ def test_sample_points_refuses_more_points_than_it_finds():
     # with a package error that says how many distinct points it found
     with pytest.raises(TooFewPoints, match=r"found \d+ distinct points .* not the 100"):
         sample_points(quintic_x(1, make_field(3)), 100)
+
+
+def test_sample_points_with_nonzero_coords_zero_keeps_out_the_zero_vector():
+    # nonzero_coords=0 draws zero coordinates like False, and the zero
+    # vector drawn among them is not a point: all 16 points of X(F_2)
+    F2 = make_field(2)
+    X = quintic_x(1, F2)
+    vectors = np.array(list(itertools.product((0, 1), repeat=5))[1:])
+    on_x = vectors[X.vanishing_mask(list(vectors.T))]
+    want = {tuple(F2.from_index(int(c)) for c in row) for row in on_x}
+    got = sample_points(X, 16, nonzero_coords=0)
+    assert len(want) == 16 and set(got) == want and (F2.zero,) * 5 not in got
 
 
 def _sample_one_at_a_time(instance, n, seed=0, nonzero_coords=False):

@@ -1,6 +1,9 @@
 import argparse
 
+import pytest
+
 from mirrorquintic import cli, ledger, singular, verify
+from mirrorquintic.families import Stratum
 from mirrorquintic.verify import SUITES, run_suite
 
 
@@ -15,6 +18,32 @@ def test_all_suites_51_rows_pass():
     rows = run_suite("all")
     assert len(rows) == 51
     assert [r.name for r in rows if not r.passed] == []
+
+
+def test_unknown_suite_is_refused():
+    # a misspelt name is the caller's error, not a FAIL row of a suite
+    with pytest.raises(ValueError, match=r"unknown suite 'nodez': choose from all, nodes,"):
+        run_suite("nodez")
+
+
+def test_mirror_rows_read_the_extra_node_from_the_scan(monkeypatch):
+    # a scan that counts no ExtraNode fails exactly the rows with mu^5 = 1:
+    # mu = 1 over F_7, F_11, F_31, and mu = 2 over F_31 (2^5 = 1 mod 31)
+    scan = singular.singular_points
+
+    def no_extra_node(instance, threads=1):
+        rep = scan(instance, threads=threads)
+        return rep._replace(strata_counts={**rep.strata_counts, Stratum.EXTRA_NODE: 0})
+
+    monkeypatch.setattr(singular, "singular_points", no_extra_node)
+    rows = run_suite("nodes")
+    assert len(rows) == 10
+    assert [r.name for r in rows if not r.passed] == [
+        "mirror mu=1 over F_7: singular count 61 (with extra node)",
+        "mirror mu=1 over F_11: singular count 101 (with extra node)",
+        "mirror mu=2 over F_31: singular count 301 (with extra node)",
+        "mirror mu=1 over F_31: singular count 301 (with extra node)",
+    ]
 
 
 def test_raising_suite_is_one_fail_row(monkeypatch, capsys):
