@@ -20,11 +20,11 @@ configuration, reruns produce byte-identical reports: the envelope's
 elapsed_ms is the sum of the per-record values, which cache hits preserve.
 
 Each subcommand imports only the layers it runs.  Importing this module
-loads the fields, families, counting and traces; count and trace need
-nothing more (numpy executes at the first computed count, MPoly is never
-loaded).  verify imports the verify stack (singular, symmetry, ledger)
-inside _cmd_verify, and MPoly loads only for a suite that reads a symbolic
-system; ledger-dump imports ledger alone.  The --suite choices read
+loads the fields, families, counting, traces and the ledger they read;
+count, trace and ledger-dump need nothing more (numpy executes at the
+first computed count, MPoly is never loaded).  verify imports the verify
+stack (singular, symmetry) inside _cmd_verify, and MPoly loads only for a
+suite that reads a symbolic system.  The --suite choices read
 verify.SUITES only when a value is checked or the help is printed.
 """
 
@@ -42,6 +42,7 @@ from .counting import ALGOS, TABLE_CAP, CountCache, CountRecord, count
 from .errors import MirrorQuinticError
 from .families import FamilyId, build_family, param_names
 from .ffield import is_prime, make_field
+from .ledger import recorded_dataset
 from .modularity import TraceRecord, compare_traces, good_reduction
 
 _FAMILY_FLAGS = {
@@ -140,13 +141,14 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _parse_primes(args) -> list[int]:
+def _prime_bounds(args) -> tuple[int, int]:
+    """(a, b) of --p-range a..b, or (p, p) for a prime --p."""
     if args.p is not None and args.p_range is not None:
         raise _UsageError("use either --p or --p-range, not both")
     if args.p is not None:
         if not is_prime(args.p):
             raise _UsageError(f"--p {args.p} is not prime")
-        return [args.p]
+        return args.p, args.p
     if args.p_range is not None:
         try:
             lo, hi = args.p_range.split("..")
@@ -155,8 +157,13 @@ def _parse_primes(args) -> list[int]:
             raise _UsageError(f"--p-range must look like 2..101, got {args.p_range!r}") from exc
         if lo < 2 or hi < lo:
             raise _UsageError("--p-range bounds must satisfy 2 <= a <= b")
-        return [p for p in range(lo, hi + 1) if is_prime(p)]
+        return lo, hi
     raise _UsageError("one of --p or --p-range is required")
+
+
+def _parse_primes(args) -> list[int]:
+    lo, hi = _prime_bounds(args)
+    return [p for p in range(lo, hi + 1) if is_prime(p)]
 
 
 def _open_cache(args) -> CountCache | None:
@@ -250,14 +257,18 @@ def _config_echo(args) -> dict:
 
 
 def _cmd_trace(args) -> int:
-    # a range skips the bad prime; --p 5 is a usage error
-    primes = [p for p in _parse_primes(args) if good_reduction(p)]
+    # the largest prime, found by stepping down from b, is refused before
+    # the range is listed; a range skips the bad prime; --p 5 is a usage error
+    lo, hi = _prime_bounds(args)
+    if args.algo == "table":
+        top = next((p for p in range(hi, lo - 1, -1) if is_prime(p)), 0)
+        if top > TABLE_CAP:
+            raise _UsageError(f"p = {top} is above {TABLE_CAP}, the table count's cap")
+    primes = [p for p in range(lo, hi + 1) if is_prime(p) and good_reduction(p)]
     if args.p is not None and not primes:
         raise _UsageError(
             f"--p {args.p}: the quintic pair has bad reduction at 5, so it has no traces"
         )
-    if args.algo == "table" and max(primes, default=0) > TABLE_CAP:
-        raise _UsageError(f"p = {max(primes)} is above {TABLE_CAP}, the table count's cap")
     cache = _open_cache(args)
     records = []
     for p in primes:
@@ -298,8 +309,6 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_ledger_dump(args) -> int:
-    from .ledger import recorded_dataset
-
     text = json.dumps(recorded_dataset(), indent=2, sort_keys=True) + "\n"
     _emit(text, args.out)
     return 0

@@ -12,6 +12,10 @@ identity chi = 2 (h11 - h21); the shipped dataset intentionally contains
 one recorded triple that fails the audit, so the auditor reports rather
 than rejects.
 
+It is the one record of the quintic's nodes and small resolution and the
+mirror's lines and triple points; modularity.CORRECTION and the verify
+censuses read it, so a wrong value fails a check.
+
 The records are immutable NamedTuples.  Stratum and QuotientLedger check
 their data when they are built and raise ValueError: a deck degree below
 1, or a ledger without exactly one unknown stratum.
@@ -95,13 +99,9 @@ def resolution_chi(base_chi: int, steps: list[ResolutionStep]) -> tuple[int, int
     return chi, divisors
 
 
-def hodge_consistency(t: HodgeTriple, generic_h11: int | None = None) -> bool:
-    """Audit chi = 2 (h11 - h21); with a defect recorded, also audit
-    defect = h11 - generic_h11 when the generic value is supplied."""
-    ok = t.chi == 2 * (t.h11 - t.h21)
-    if t.defect is not None and generic_h11 is not None:
-        ok = ok and t.defect == t.h11 - generic_h11
-    return ok
+def hodge_consistency(t: HodgeTriple) -> bool:
+    """Audit chi = 2 (h11 - h21)."""
+    return t.chi == 2 * (t.h11 - t.h21)
 
 
 # ---------------------------------------------------------------------------
@@ -115,24 +115,19 @@ MIRROR_RESOLUTION_GENERIC = HodgeTriple(chi=200, h11=100, h21=1)  # fails the au
 MIRROR_RESOLUTION_SPECIAL = HodgeTriple(chi=202, h11=101, h21=0)
 CUBIC_INTERSECTION_CHI = -144  # recorded, not recomputed
 
-NODE_COUNT = 125
-SPECIAL_TOTAL_CHI = -75  # nodal quintic: -200 + 125
+NODE_COUNT = 125  # nodes of the mu = 1 quintic
+LINES = 10  # the mirror's singular lines A, {x_i = x_j = 0, sum x = 0}
+TRIPLE_POINTS = 10  # the set B where three of the lines meet
+SPECIAL_TOTAL_CHI = QUINTIC_SMOOTH.chi + NODE_COUNT  # the nodal quintic
 
-# the strata of the quintic's quotient by G, the same for the generic and
-# the nodal quintic: (name, chi or None for the unknown, deck degree)
+# the strata of the quotient by G, the same for the generic and nodal quintic
 _MIRROR_STRATA = (
-    ("complement of the singular lines", None, 125),
-    ("singular lines minus triple points", 10 * (2 - 3), 25),
-    ("triple points", 10, 5),
+    Stratum("complement of the singular lines", None, 125),
+    Stratum("singular lines minus triple points", 2 * LINES - 3 * TRIPLE_POINTS, 25),
+    Stratum("triple points", TRIPLE_POINTS, 5),
 )
-
-
-def _mirror_ledger(total_chi_upstairs: int) -> QuotientLedger:
-    return QuotientLedger(total_chi_upstairs, [Stratum(*s) for s in _MIRROR_STRATA])
-
-
-MIRROR_STRATA_GENERIC = _mirror_ledger(-200)
-MIRROR_STRATA_SPECIAL = _mirror_ledger(SPECIAL_TOTAL_CHI)
+MIRROR_STRATA_GENERIC = QuotientLedger(QUINTIC_SMOOTH.chi, _MIRROR_STRATA)
+MIRROR_STRATA_SPECIAL = QuotientLedger(SPECIAL_TOTAL_CHI, _MIRROR_STRATA)
 
 # Per-step Euler changes of the generic mirror resolution are not stated
 # individually by the source data; the aggregate +200 is recorded as its
@@ -152,7 +147,7 @@ SPECIAL_MIRROR_STEPS = [
 ]
 
 QUINTIC_RESOLUTION_STEPS = [
-    ResolutionStep("nodal degeneration and small resolution of 125 nodes", 2 * 125, 0),
+    ResolutionStep("nodal degeneration and small resolution of 125 nodes", 2 * NODE_COUNT, 0),
 ]
 
 DATASET_VERSION = 1
@@ -183,7 +178,7 @@ def recorded_dataset() -> dict:
     }
 
 
-def line_count_identity(q: int) -> bool:
-    """The point-count form of chi(A) = 0: ten lines with q + 1 points glued
-    along ten triple points give 10 (q + 1) - 2 * 10 = 10 q - 10 points."""
-    return 10 * (q + 1) - 2 * 10 == 10 * q - 10
+def line_census(q: int) -> int:
+    """#A(F_q): the lines have q + 1 points each, and each triple point lies
+    on three of them, so it is counted twice too often."""
+    return LINES * (q + 1) - 2 * TRIPLE_POINTS

@@ -17,7 +17,8 @@ The correction counts the nodes and the divisor classes of the
 resolutions that are defined over F_q.  All of them are defined over
 F_p(zeta_5), and the q-power Frobenius acts on that field, and so on them,
 through zeta_5 -> zeta_5^q, that is through q mod 5 alone.  So one row
-serves prime fields and extension fields alike.
+serves prime fields and extension fields alike.  X's q = 1 row is read
+from the ledger: a = h11 - 1 (the defect) and b = h11 - N (N nodes).
 
 Both traces are exact integers and everything here is consistency
 evidence, not proof: trace(X) = trace(Y), the Weil bound a^2 <= 4 q^3, and
@@ -34,10 +35,12 @@ from .counting import count
 from .errors import BadReduction
 from .families import FamilyId, quintic_x, quintic_y
 from .ffield import make_field
+from .ledger import NODE_COUNT, QUINTIC_SMALL_RESOLUTION as XHAT
 
 # (family, q mod 5) -> (a, b): the correction is a q^2 + b q
 CORRECTION = {
-    (FamilyId.QUINTIC_X, 1): (24, -100),
+    # q = 1 mod 5: nodes and classes rational, #X + N q = #Xhat = 1 + h11 (q + q^2) + q^3 - t
+    (FamilyId.QUINTIC_X, 1): (XHAT.defect, XHAT.h11 - NODE_COUNT),
     (FamilyId.QUINTIC_X, 2): (0, 2),
     (FamilyId.QUINTIC_X, 3): (0, 2),
     (FamilyId.QUINTIC_X, 4): (0, 0),
@@ -77,7 +80,10 @@ def _residue(q: int) -> int:
 
 
 def frobenius_trace(family: FamilyId, q: int, count: int) -> int:
-    """Middle-cohomology trace of the resolved mu = 1 family from #(F_q)."""
+    """Middle-cohomology trace of the resolved mu = 1 family from #(F_q);
+    ValueError for a family that has no row in CORRECTION."""
+    if (family, 1) not in CORRECTION:
+        raise ValueError(f"no trace formula for the {family.value} family")
     a, b = CORRECTION[family, _residue(q)]
     return q**3 + q**2 + 1 + a * q * q + b * q - count
 
@@ -116,6 +122,7 @@ def hecke_consistency(p: int, k: int = 2, cache=None, threads: int = 1) -> bool:
     """
     if k < 2:
         raise ValueError(f"k = {k}: the recurrence starts at k = 2")
+    make_field(p, k)  # UnsupportedDegree for k > 4, before any count
     pairs = [_count_pair(p, j, cache, "table", threads) for j in range(1, k + 1)]
     t = [(2, 2)] + [traces for _, traces in pairs]
     return all(

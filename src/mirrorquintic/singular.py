@@ -407,13 +407,6 @@ def _surface_points(surface: FamilyInstance) -> np.ndarray:
     return np.concatenate(rows)
 
 
-def _chart_key(point) -> tuple:
-    """Sort key of a normalized point in the order of iter_projective_chunks:
-    the chart (position of the first nonzero coordinate), then the indices."""
-    idx = tuple(x.index for x in point)
-    return (next(i for i, v in enumerate(idx) if v), idx)
-
-
 def surface_evidence(
     surface: FamilyInstance, target: FamilyInstance
 ) -> SurfaceEvidence:
@@ -425,7 +418,8 @@ def surface_evidence(
     images of surface points land on the mirror quintic while avoiding its
     singular lines and triple points (families.strata_codes).  The points
     come from the surface's hyperplane (_surface_points); the witnesses are
-    normalized and listed in chart order.
+    normalized and sorted by index tuple (families.unique_points), the
+    order of SingularReport.points.
     """
     F = surface.field
     if surface.id is not FamilyId.QUADRIC_Q:
@@ -441,10 +435,9 @@ def surface_evidence(
     imgs = fifth[pts]
     codes = strata_codes(imgs, mirror)
     on_a_or_b = (codes == 1) | (codes == 2)  # OnLineA or InPointSetB
-    witnesses = sorted(
-        (normalize_point(F.from_index(c) for c in row) for row in pts[on_a_or_b].tolist()),
-        key=_chart_key,
-    )
+    witnesses = [
+        tuple(map(F.from_index, row)) for row in unique_points(pts[on_a_or_b], F).tolist()
+    ]
     return SurfaceEvidence(
         F.q,
         len(pts),

@@ -69,14 +69,6 @@ def good_primes(bound: int) -> list[int]:
     return [p for p in range(2, bound + 1) if is_prime(p) and modularity.good_reduction(p)]
 
 
-def _strata(points, y) -> list[Stratum]:
-    """The stratum of each P^4 point against the QuinticY instance y, from
-    one strata_codes call."""
-    idx = np.array([[x.index for x in pt] for pt in points], dtype=np.int64)
-    codes = strata_codes(idx.reshape(len(points), 5), y)
-    return [tuple(Stratum)[c] for c in codes.tolist()]
-
-
 # ---------------------------------------------------------------------------
 
 
@@ -92,11 +84,11 @@ def suite_nodes(
         rep = singular.singular_points(X, threads=threads)
         nodes_ok = all(c.is_node for c in singular.classify_nodes(X, rep.points))
         one_orbit = set(rep.points) == symmetry.orbit((F.one,) * 5, G)
-        return rep.count == 125 and nodes_ok and one_orbit, f"count={rep.count}"
+        return rep.count == ledger.NODE_COUNT and nodes_ok and one_orbit, f"count={rep.count}"
 
     def mirror(p, mu):
         is_root = pow(mu, 5, p) == 1
-        expected = 10 * p - 9 if is_root else 10 * p - 10
+        expected = ledger.line_census(p) + is_root
 
         def run():
             Y = quintic_y(mu, make_field(p))
@@ -115,7 +107,7 @@ def suite_nodes(
 
     def generic_census():
         rep = singular.singular_points(quintic_y(3, make_field(31)), threads=threads)
-        return rep.count == 300, f"count={rep.count}"
+        return rep.count == ledger.line_census(31), f"count={rep.count}"
 
     return [
         *[
@@ -150,7 +142,8 @@ def suite_fibers(
 
     def line_points():
         pts = points_on_lines_a(F)
-        a_pts = [pt for pt, s in zip(pts, _strata(pts, Y)) if s is Stratum.ON_LINE_A]
+        codes = strata_codes([[x.index for x in pt] for pt in pts], Y).tolist()
+        a_pts = [pt for pt, c in zip(pts, codes) if c == 1]  # OnLineA
         imgs = [apply_map(phi, pt) for pt in a_pts[:10]]
         fr = [singular.preimage_count(phi, y) for y in imgs]
         return all(r.count == 25 for r in fr), f"{len(fr)} line points"
@@ -335,6 +328,7 @@ def suite_ledger(
     threads: int = 1, cache=None, long_run: bool = False, p_max: int = 101
 ) -> list[CheckResult]:
     solve, resolve = ledger.solve_quotient_chi, ledger.resolution_chi
+    smooth, xhat = ledger.QUINTIC_SMOOTH, ledger.QUINTIC_SMALL_RESOLUTION
 
     def equals(value, expected):
         return value == expected, str(value)
@@ -352,19 +346,22 @@ def suite_ledger(
             "mirror resolution: chi 200 with 100 exceptional divisors",
             lambda: equals(resolve(0, ledger.MIRROR_RESOLUTION_STEPS), (200, 100)),
         ),
-        _row("60 remaining nodes recorded", lambda: ledger.REMAINING_NODES == 60),
+        _row(
+            "60 remaining nodes recorded",
+            lambda: ledger.REMAINING_NODES == 6 * ledger.TRIPLE_POINTS,
+        ),
         _row(
             "special mirror resolution: chi 202",
             lambda: equals(resolve(1, ledger.SPECIAL_MIRROR_STEPS)[0], 202),
         ),
         _row(
             "quintic small resolution: chi 50",
-            lambda: equals(resolve(-200, ledger.QUINTIC_RESOLUTION_STEPS)[0], 50),
+            lambda: equals(resolve(smooth.chi, ledger.QUINTIC_RESOLUTION_STEPS)[0], xhat.chi),
         ),
         _row(
             "Hodge audits pass where they should",
-            lambda: ledger.hodge_consistency(ledger.QUINTIC_SMOOTH)
-            and ledger.hodge_consistency(ledger.QUINTIC_SMALL_RESOLUTION, generic_h11=1)
+            lambda: ledger.hodge_consistency(smooth)
+            and ledger.hodge_consistency(xhat)
             and ledger.hodge_consistency(ledger.MIRROR_RESOLUTION_SPECIAL),
         ),
         _row(
@@ -373,11 +370,14 @@ def suite_ledger(
         ),
         _row(
             "defect 24 = resolved h11 minus generic h11",
-            lambda: ledger.QUINTIC_SMALL_RESOLUTION.defect == 24,
+            lambda: xhat.defect == xhat.h11 - smooth.h11,
         ),
         _row(
             "line count identity 10(q+1) - 20 = 10q - 10",
-            lambda: all(ledger.line_count_identity(q) for q in (7, 11, 31)),
+            lambda: all(
+                len(points_on_lines_a(make_field(q))) == ledger.line_census(q)
+                for q in (7, 11, 31)
+            ),
         ),
     ]
 

@@ -3,7 +3,9 @@ from pathlib import Path
 
 import pytest
 
+from mirrorquintic import cli
 from mirrorquintic.cli import TRACE_COLUMNS, run
+from mirrorquintic.ffield import is_prime
 
 
 def test_count_happy_path(tmp_path):
@@ -84,6 +86,20 @@ def test_trace_above_the_table_cap_is_a_usage_error(tmp_path, capsys):
     assert captured.out == ""
     assert captured.err.startswith("usage error: p = 1511") and "1500" in captured.err
     assert list(tmp_path.iterdir()) == []
+
+
+def test_trace_refuses_a_long_range_above_the_cap_before_listing_it(monkeypatch, capsys):
+    # the largest prime is found by stepping down from the top of the range
+    calls = []
+
+    def counted(n):
+        calls.append(n)
+        return is_prime(n)
+
+    monkeypatch.setattr(cli, "is_prime", counted)
+    assert run(["trace", "--p-range", "2..1000000000"]) == 2
+    assert capsys.readouterr().err.startswith("usage error: p = 999999937 is above 1500")
+    assert len(calls) < 1000
 
 
 def test_reports_byte_identical_with_warm_cache(tmp_path):

@@ -1,6 +1,8 @@
 import pytest
 
 from mirrorquintic.errors import NonIntegralSolution
+from mirrorquintic.families import points_on_lines_a
+from mirrorquintic.ffield import make_field
 from mirrorquintic.ledger import (
     CUBIC_INTERSECTION_CHI,
     MIRROR_RESOLUTION_GENERIC,
@@ -17,7 +19,7 @@ from mirrorquintic.ledger import (
     QuotientLedger,
     Stratum,
     hodge_consistency,
-    line_count_identity,
+    line_census,
     recorded_dataset,
     resolution_chi,
     solve_quotient_chi,
@@ -111,10 +113,10 @@ def test_hodge_consistency_table():
 
 
 def test_defect_check():
+    # the defect is the resolved h11 minus the smooth quintic's h11
     assert QUINTIC_SMALL_RESOLUTION.defect == 24
-    assert hodge_consistency(QUINTIC_SMALL_RESOLUTION, generic_h11=1)
-    wrong = HodgeTriple(50, 25, 0, defect=23)
-    assert not hodge_consistency(wrong, generic_h11=1)
+    assert QUINTIC_SMALL_RESOLUTION.defect == QUINTIC_SMALL_RESOLUTION.h11 - QUINTIC_SMOOTH.h11
+    assert hodge_consistency(QUINTIC_SMALL_RESOLUTION)
 
 
 def test_shipped_triples():
@@ -128,8 +130,10 @@ def test_cubic_chi_recorded_constant():
 
 
 def test_line_count_identity():
+    # ten lines of q + 1 points, glued along ten triple points: 10 q - 10
     for q in (7, 11, 31, 41):
-        assert line_count_identity(q)
+        assert line_census(q) == 10 * (q + 1) - 2 * 10 == 10 * q - 10
+        assert len(points_on_lines_a(make_field(q))) == line_census(q)
 
 
 def test_dataset_dump_shape():

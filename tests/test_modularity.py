@@ -1,7 +1,13 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+from mirrorquintic import modularity
 from mirrorquintic.counting import count, count_naive
-from mirrorquintic.errors import BadReduction
+from mirrorquintic.errors import BadReduction, UnsupportedDegree
 from mirrorquintic.families import FamilyId, quintic_x, quintic_y
 from mirrorquintic.ffield import make_field
 from mirrorquintic.modularity import (
@@ -36,6 +42,36 @@ def test_bad_reduction():
                 frobenius_trace(family, q, 1)
     with pytest.raises(BadReduction):
         compare_traces(5)
+
+
+def test_trace_of_a_family_without_a_formula_is_refused():
+    with pytest.raises(ValueError, match="no trace formula for the CubicsV family"):
+        frobenius_trace(FamilyId.CUBICS_V, 11, 100)
+    with pytest.raises(ValueError, match="CubicsV"):
+        frobenius_trace(FamilyId.CUBICS_V, 5, 100)  # before the residue is read
+
+
+# patch the ledger's small resolution to h11 = 26 before modularity reads it,
+# then print the good primes up to 41 whose traces do not match
+_WRONG_H11 = """
+from mirrorquintic import ledger
+ledger.QUINTIC_SMALL_RESOLUTION = ledger.QUINTIC_SMALL_RESOLUTION._replace(h11=26)
+from mirrorquintic import modularity
+primes = [2, 3, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41]
+print(*[p for p in primes if not modularity.compare_traces(p).match_ok])
+"""
+
+
+def test_trace_match_fails_on_a_wrong_ledger_h11():
+    # the q = 1 mod 5 row of CORRECTION is read from the ledger, so a wrong
+    # h11 fails the trace match at exactly p = 1 mod 5
+    path = [str(Path(__file__).resolve().parent.parent / "src"), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    done = subprocess.run(
+        [sys.executable, "-c", _WRONG_H11], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["11", "31", "41"]
 
 
 def test_extension_traces_match_f8():
@@ -104,6 +140,15 @@ def test_hecke_every_residue():
         hecke_consistency(5)
     with pytest.raises(ValueError):
         hecke_consistency(7, 1)
+
+
+def test_hecke_refuses_a_degree_above_4_before_any_count(monkeypatch):
+    counted = []
+    monkeypatch.setattr(modularity, "count", lambda *a, **kw: counted.append(a))
+    for p in (2, 11):
+        with pytest.raises(UnsupportedDegree, match="extension degree 5"):
+            hecke_consistency(p, 5)
+    assert counted == []
 
 
 # the fields of the `verify --suite hecke --long` recurrence row

@@ -61,10 +61,11 @@ print(*sorted(m for m in added if m.startswith("mirrorquintic.")))
 print(*sorted(m for m in added if not m.startswith("mirrorquintic")))
 """
 
-# what importing the cli loads: fields, families, counting and traces
+# what importing the cli loads: fields, families, counting, traces and the
+# ledger the traces read
 _CLI_MODULES = {
     f"mirrorquintic.{m}"
-    for m in ["_lazy", "cli", "counting", "errors", "families", "ffield", "modularity"]
+    for m in ["_lazy", "cli", "counting", "errors", "families", "ffield", "ledger", "modularity"]
 }
 
 
@@ -80,11 +81,9 @@ def test_modules_each_command_loads(tmp_path):
     count = ["count", "--family", "Y", "--mu", "2", "--p-range", "2..13",
              "--cache", "c.jsonl", "--out", "c.json"]
     assert _mql(trace, tmp_path) == (0, True) and _mql(count, tmp_path) == (0, True)
-    for argv in (trace, count, ["--version"]):
+    for argv in (trace, count, ["--version"], ["ledger-dump", "--out", "ledger.json"]):
         package, other = _loads(argv, tmp_path)
         assert package == _CLI_MODULES and "dataclasses" not in other
-    package, other = _loads(["ledger-dump", "--out", "ledger.json"], tmp_path)
-    assert package == _CLI_MODULES | {"mirrorquintic.ledger"} and "dataclasses" not in other
 
 
 def test_nodes_suite_loads_no_symbolic_layer(tmp_path):

@@ -46,6 +46,30 @@ def test_mirror_rows_read_the_extra_node_from_the_scan(monkeypatch):
     ]
 
 
+def test_wrong_node_count_fails_the_quintic_rows(monkeypatch):
+    monkeypatch.setattr(ledger, "NODE_COUNT", 124)
+    assert [r.name for r in run_suite("nodes") if not r.passed] == [
+        f"quintic mu=1 over F_{p}: 125 nodes forming one orbit" for p in (11, 31, 41)
+    ]
+
+
+def test_wrong_line_census_fails_the_census_rows(monkeypatch):
+    # the six mirror rows, the generic census and the line-count row
+    census = ledger.line_census
+    monkeypatch.setattr(ledger, "line_census", lambda q: census(q) + 1)
+    rows = run_suite("nodes") + run_suite("ledger")
+    assert [r.name for r in rows if not r.passed] == [
+        "mirror mu=2 over F_7: singular count 61 (no extra node)",
+        "mirror mu=1 over F_7: singular count 62 (with extra node)",
+        "mirror mu=2 over F_11: singular count 101 (no extra node)",
+        "mirror mu=1 over F_11: singular count 102 (with extra node)",
+        "mirror mu=2 over F_31: singular count 302 (with extra node)",
+        "mirror mu=1 over F_31: singular count 302 (with extra node)",
+        "mirror mu=3 over F_31: generic census 300",
+        "line count identity 10(q+1) - 20 = 10q - 10",
+    ]
+
+
 def test_raising_suite_is_one_fail_row(monkeypatch, capsys):
     def broken(**kw):
         raise ZeroDivisionError("division by zero")
@@ -66,7 +90,7 @@ def test_raising_check_is_one_fail_row(monkeypatch, capsys):
     def broken(q):
         raise ZeroDivisionError("division by zero")
 
-    monkeypatch.setattr(ledger, "line_count_identity", broken)
+    monkeypatch.setattr(ledger, "line_census", broken)
     assert cli.run(["verify", "--suite", "ledger"]) == 1
     captured = capsys.readouterr()
     assert "Traceback" in captured.err and "ZeroDivisionError" in captured.err
@@ -76,9 +100,16 @@ def test_raising_check_is_one_fail_row(monkeypatch, capsys):
     assert fail.split("  ")[1] == "line count identity 10(q+1) - 20 = 10q - 10"
     assert fail.endswith("  [ZeroDivisionError: division by zero]")
     assert lines[-1] == "9/10 checks passed, 1 FAILED"
-    # the other suites and the other rows of the ledger suite still run
+    # the other suites and the other rows of the ledger suite still run; the
+    # nodes suite names its mirror rows by the census, so its 10 rows are
+    # one FAIL row "suite nodes"
     assert cli.run(["verify", "--suite", "all"]) == 1
-    assert capsys.readouterr().out.splitlines()[-1] == "50/51 checks passed, 1 FAILED"
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split("  ")[1] for line in lines if line.startswith("FAIL")] == [
+        "suite nodes",
+        "line count identity 10(q+1) - 20 = 10q - 10",
+    ]
+    assert lines[-1] == "40/42 checks passed, 2 FAILED"
 
 
 def test_each_parameterized_row_runs_on_its_own_instance(monkeypatch):
