@@ -43,7 +43,7 @@ from .errors import MirrorQuinticError
 from .families import FamilyId, build_family, param_names
 from .ffield import is_prime, make_field
 from .ledger import recorded_dataset
-from .modularity import TraceRecord, compare_traces, good_reduction
+from .modularity import TraceRecord, compare_traces, good_primes
 
 _FAMILY_FLAGS = {
     "X": FamilyId.QUINTIC_X,
@@ -264,7 +264,7 @@ def _cmd_trace(args) -> int:
         top = next((p for p in range(hi, lo - 1, -1) if is_prime(p)), 0)
         if top > TABLE_CAP:
             raise _UsageError(f"p = {top} is above {TABLE_CAP}, the table count's cap")
-    primes = [p for p in range(lo, hi + 1) if is_prime(p) and good_reduction(p)]
+    primes = good_primes(lo, hi)
     if args.p is not None and not primes:
         raise _UsageError(
             f"--p {args.p}: the quintic pair has bad reduction at 5, so it has no traces"

@@ -17,9 +17,10 @@ and reduces once, with the descriptor's _mod_p, when its indices are read
 or before they could overflow int64.  Jet carries the first partial
 derivatives along with the values (forward mode), and a Jet of Jets the
 second ones.  matrix_ranks row-reduces a whole stack of matrices of
-indices in one elimination.  element_roots(value, e) solves u^e = value
-in the field that value carries.  Products of residues that cannot fit in
-int64, p > 2^31.5, are refused on arrays with InstanceTooLarge.
+indices in one elimination.  power_table(e) maps every element to its
+e-th power, so the solutions of u^e = v are the indices where it reads v.
+Products of residues that cannot fit in int64, p > 2^31.5, are refused on
+arrays with InstanceTooLarge.
 
 Extension moduli are chosen deterministically: the first monic irreducible
 polynomial of degree k in lexicographic order of the coefficient tuple
@@ -34,7 +35,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 import operator
 
 from ._lazy import lazy_numpy
@@ -716,21 +716,3 @@ def primitive_nth_root(F: FieldDescriptor, n: int) -> FieldElement:
         )
     return F.generator() ** ((F.q - 1) // n)
 
-
-def element_roots(value: FieldElement, e: int) -> list[FieldElement]:
-    """All solutions u of u**e = value in the field of value, sorted by index
-    (may be empty)."""
-    F = value.field
-    if not value:
-        return [F.zero]
-    F._ensure_tables()
-    n = F.q - 1
-    L = int(F.log_table[value.index])
-    d = math.gcd(e, n)
-    if L % d != 0:
-        return []
-    m = n // d
-    t0 = (L // d) * pow(e // d, -1, m) % m
-    roots = [F.from_index(int(F.exp_table[(t0 + j * m) % n])) for j in range(d)]
-    roots.sort(key=lambda x: x.index)
-    return roots

@@ -34,7 +34,7 @@ import typing
 from .counting import count
 from .errors import BadReduction
 from .families import FamilyId, quintic_x, quintic_y
-from .ffield import make_field
+from .ffield import is_prime, make_field
 from .ledger import NODE_COUNT, QUINTIC_SMALL_RESOLUTION as XHAT
 
 # (family, q mod 5) -> (a, b): the correction is a q^2 + b q
@@ -72,6 +72,11 @@ def good_reduction(q: int) -> bool:
     return q % 5 != 0
 
 
+def good_primes(lo: int, hi: int) -> list[int]:
+    """The primes p in [lo, hi] at which the pair has good reduction."""
+    return [p for p in range(lo, hi + 1) if is_prime(p) and good_reduction(p)]
+
+
 def _residue(q: int) -> int:
     """q mod 5; BadReduction when 5 divides q."""
     if not good_reduction(q):
@@ -93,7 +98,7 @@ def weil_ok(a: int, q: int) -> bool:
     return a * a <= 4 * q**3
 
 
-def _count_pair(p: int, k: int, cache, algo: str, threads: int):
+def _count_pair(p: int, k: int, cache, algo: str = "table", threads: int = 1):
     """Count X and Y at mu = 1 over F_(p^k): ((#X, #Y), (t_X, t_Y))."""
     _residue(p)
     F = make_field(p, k)
@@ -113,7 +118,7 @@ def compare_traces(
     )
 
 
-def hecke_consistency(p: int, k: int = 2, cache=None, threads: int = 1) -> bool:
+def hecke_consistency(p: int, k: int = 2, cache=None) -> bool:
     """Frobenius recurrence t_j = t_1 t_(j-1) - p^3 t_(j-2), t_0 = 2, for
     X and Y at mu = 1, with t_j counted over F_(p^j), for every 2 <= j <= k
     (k <= 4, the largest extension degree make_field builds).
@@ -123,7 +128,7 @@ def hecke_consistency(p: int, k: int = 2, cache=None, threads: int = 1) -> bool:
     if k < 2:
         raise ValueError(f"k = {k}: the recurrence starts at k = 2")
     make_field(p, k)  # UnsupportedDegree for k > 4, before any count
-    pairs = [_count_pair(p, j, cache, "table", threads) for j in range(1, k + 1)]
+    pairs = [_count_pair(p, j, cache) for j in range(1, k + 1)]
     t = [(2, 2)] + [traces for _, traces in pairs]
     return all(
         t[j][i] == t[1][i] * t[j - 1][i] - p**3 * t[j - 2][i]

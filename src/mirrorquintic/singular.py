@@ -3,8 +3,8 @@ surface evidence.
 
 Singularity is detected set-theoretically over F_q by the Jacobian
 criterion: a point is singular when the defining equations vanish and the
-Jacobian matrix has rank below the codimension (zero gradient for
-hypersurfaces, all 2x2 minors zero for the codimension-2 pairs).  A
+Jacobian matrix has rank below the number of equations (the codimension),
+by the same elimination (ffield.matrix_ranks) that ranks the Hessians.  A
 permutation of the coordinates that maps every equation to itself maps
 the singular locus to itself, so a scan visits one point per orbit of the
 permutations inside the instance's blocks (FamilyInstance.blocks) and
@@ -18,7 +18,8 @@ the same builder run on forward-mode jets (ffield.Jet), which gives the
 first partials in the compact form it writes the equations in.  The
 mirror's strata come from families.strata_codes on index arrays, and only
 the singular points become FieldElement tuples.  Fiber counts and node
-tests read the field off their points.
+tests read the field off their points; the e-th roots of a fiber's
+coordinates are read off the field's power table.
 
 Nodes are recognized by a full-rank Hessian in the affine chart of the
 first nonzero coordinate, whose rank is that of the homogeneous Hessian.
@@ -31,10 +32,10 @@ The criterion needs characteristic at least 7 and is refused below that.
 Containment statements about the quadric surface are certified by
 exhaustive finite-field enumeration over several primes, which is strong
 evidence but not a symbolic proof; the report type is named accordingly.
-Every point of the surface lies on its hyperplane
-x0 + xi x1 + ... + xi^4 x4 = 0, whose x0 coefficient is 1, so the scan
-runs over (x1 : ... : x4) in P^3 and solves for x0 instead of scanning
-P^4, and each claim is one whole-array expression on the surface's points.
+Every point of the surface lies on its hyperplane, the linear equation
+of the QuadricQ builder, whose x0 coefficient is 1, so the scan runs over
+(x1 : ... : x4) in P^3 and solves for x0 instead of scanning P^4, and each
+claim is one whole-array expression on the surface's points.
 
 The four report types are NamedTuples.
 """
@@ -72,7 +73,6 @@ from .ffield import (
     FieldDescriptor,
     FieldElement,
     Jet,
-    element_roots,
     make_field,
     matrix_ranks,
 )
@@ -124,21 +124,11 @@ class SurfaceEvidence(NamedTuple):
     contained_in_target: bool
     jacobian_full_rank: bool
     images_on_mirror: bool
-    images_avoid_singular_lines: bool
     # surface points whose images land on the singular lines; empty unless
     # F_q contains a primitive cube root of unity that is a fifth power
     # (then the two points of the surface on each coordinate plane are
     # rational and their images are the cube-root points of the lines)
     line_witnesses: list
-
-    def all_ok(self) -> bool:
-        return (
-            self.special_point_on_surface
-            and self.contained_in_target
-            and self.jacobian_full_rank
-            and self.images_on_mirror
-            and self.images_avoid_singular_lines
-        )
 
 
 def _jacobian(instance: FamilyInstance, coords) -> list[list[np.ndarray]]:
@@ -153,21 +143,17 @@ def _jacobian(instance: FamilyInstance, coords) -> list[list[np.ndarray]]:
     ]
 
 
+def _stack(matrix) -> np.ndarray:
+    """A matrix whose entries are index arrays over the same points, as the
+    (points, rows, cols) stack that ffield.matrix_ranks reads."""
+    return np.stack([np.stack(row, axis=-1) for row in matrix], axis=-2)
+
+
 def _full_rank(instance: FamilyInstance, rows) -> np.ndarray:
     """Mask of the points (the rows of an index array) at which the Jacobian
-    of a system of one or two equations has full rank: some first partial
-    (one equation) or some 2x2 minor (two equations) is nonzero."""
-    F = instance.field
+    of the instance has full rank, one per equation."""
     jac = _jacobian(instance, list(rows.T))
-    mask = np.zeros(len(rows), dtype=bool)
-    if len(jac) == 1:
-        for d in jac[0]:
-            mask |= d != 0
-        return mask
-    for c1, c2 in itertools.combinations(range(len(jac[0])), 2):
-        minor = F.vsub(F.vmul(jac[0][c1], jac[1][c2]), F.vmul(jac[0][c2], jac[1][c1]))
-        mask |= minor != 0
-    return mask
+    return matrix_ranks(instance.field, _stack(jac)) == len(jac)
 
 
 def _gather(coords, mask) -> np.ndarray:
@@ -304,8 +290,7 @@ def classify_nodes(instance: FamilyInstance, points) -> list[NodeClassification]
     smooth = np.nonzero(functools.reduce(np.logical_or, (g != 0 for g in grad), value != 0))[0]
     if smooth.size:
         raise NotSingular(f"{[x.index for x in points[smooth[0]]]} is a smooth point")
-    full = np.stack([np.stack(row, axis=-1) for row in hess], axis=-2)  # (points, n, n)
-    ranks = matrix_ranks(F, full)
+    ranks = matrix_ranks(F, _stack(hess))
     return [
         NodeClassification(pt, int(r), int(r) == n - 1)
         for pt, r in zip(points, ranks)
@@ -322,6 +307,7 @@ def preimage_count(
 ) -> FiberReport:
     """Fiber of the coordinate-power map over a point, as the product of the
     coordinate-wise e-th roots, over the field of the point's coordinates.
+    The roots of y are the indices u with power_table(e)[u] = y, in order.
 
     Scaled so that its pivot coordinate (the first nonzero one of the
     normalized point) is 1, a fiber point has zeros before the pivot and
@@ -344,8 +330,9 @@ def preimage_count(
         )
     e = m.exponent
     pivot = next(i for i, x in enumerate(point) if x)
+    powers = F.power_table(e)
     roots = [
-        [1] if i == pivot else [u.index for u in element_roots(y, e)]
+        [1] if i == pivot else np.flatnonzero(powers == y.index)
         for i, y in enumerate(point)
     ]
     count = math.prod(len(r) for r in roots)
@@ -389,20 +376,15 @@ def fiber_size_table(m: MonomialMap, F: FieldDescriptor) -> np.ndarray:
 def _surface_points(surface: FamilyInstance) -> np.ndarray:
     """The F_q-points of the quadric surface as the rows of an index array.
 
-    (x1 : ... : x4) runs over P^3 and x0 = -(xi x1 + ... + xi^4 x4) puts it
-    on the hyperplane; the x0 coefficient is 1, so this is a bijection onto
-    the hyperplane and every surface point comes exactly once.  The
-    representatives are not normalized.
+    (x1 : ... : x4) runs over P^3 and x0 = -(the builder's linear equation
+    at x0 = 0) puts it on the hyperplane; the x0 coefficient is 1, so this
+    is a bijection onto the hyperplane and every surface point comes
+    exactly once.  The representatives are not normalized.
     """
     F = surface.field
-    xi = surface.params["xi5"]
-    weights = [(xi**e).index for e in range(1, 5)]
     rows = []
     for coords in iter_projective_chunks(F, 3):
-        lin = 0
-        for w, c in zip(weights, coords):
-            lin = F.vadd(lin, F.vmul(w, c))
-        pts = [F.vneg(lin), *coords]
+        pts = [F.vneg(surface.evaluate([0, *coords])[0]), *coords]
         rows.append(_gather(pts, surface.vanishing_mask(pts)))
     return np.concatenate(rows)
 
@@ -445,7 +427,6 @@ def surface_evidence(
         bool(target.vanishing_mask(list(pts.T)).all()),
         bool(_full_rank(surface, pts).all()),
         bool(mirror.vanishing_mask(list(imgs.T)).all()),
-        not witnesses,
         witnesses,
     )
 

@@ -26,7 +26,7 @@ from mirrorquintic.families import (
     sample_points,
 )
 from mirrorquintic.ffield import make_field
-from mirrorquintic.verify import good_primes, run_suite
+from mirrorquintic.verify import run_suite
 
 THREADS = 4
 
@@ -42,7 +42,7 @@ def report(criterion: str, passed: bool, detail: str = ""):
 def trace_records():
     return {
         p: modularity.compare_traces(p, algo="table", threads=THREADS)
-        for p in good_primes(101)
+        for p in modularity.good_primes(2, 101)
     }
 
 
@@ -219,8 +219,8 @@ def test_criterion_10_ledger_suite():
 
 
 def test_criterion_11_hecke_consistency():
-    ok = modularity.hecke_consistency(11, threads=THREADS)
-    ok = ok and modularity.hecke_consistency(31, threads=THREADS)
+    ok = modularity.hecke_consistency(11)
+    ok = ok and modularity.hecke_consistency(31)
     report(
         "criterion 11: trace over F_(p^2) equals t_p^2 - 2 p^3",
         ok,

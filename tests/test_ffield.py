@@ -15,7 +15,6 @@ from mirrorquintic.errors import (
 )
 from mirrorquintic.ffield import (
     FieldArray,
-    element_roots,
     is_prime,
     make_field,
     matrix_ranks,
@@ -97,20 +96,25 @@ def test_inverse_law(p, k):
             assert x * x.inverse() == F.one
 
 
+def _roots(value, e):
+    """The solutions of u^e = value, as the indices where power_table(e)
+    reads value, in order."""
+    return np.flatnonzero(value.field.power_table(e) == value.index).tolist()
+
+
 def test_roots_of_unity_f11():
     F = make_field(11)
-    roots = element_roots(F.one, 5)
-    assert [r.index for r in roots] == [1, 3, 4, 5, 9]
+    assert _roots(F.one, 5) == [1, 3, 4, 5, 9]
 
 
 def test_roots_of_unity_f7_trivial():
     F = make_field(7)
-    assert [r.index for r in element_roots(F.one, 5)] == [1]
+    assert _roots(F.one, 5) == [1]
 
 
 def test_roots_of_unity_f4():
     F = make_field(2, 2)
-    assert [r.index for r in element_roots(F.one, 3)] == [1, 2, 3]
+    assert _roots(F.one, 3) == [1, 2, 3]
 
 
 @pytest.mark.parametrize("p,k", [(2, 1), (3, 1), (5, 1), (7, 1), (11, 1), (2, 2), (3, 2), (11, 2), (5, 2), (2, 3)])
@@ -118,10 +122,10 @@ def test_roots_of_unity_count_scan(p, k):
     # cross-check |x : x^n = 1| = gcd(n, q - 1) by exhaustive scan
     F = make_field(p, k)
     for n in range(1, 11):
-        roots = element_roots(F.one, n)
-        scan = [x for x in F.elements() if x and x**n == F.one]
+        roots = _roots(F.one, n)
+        scan = [x.index for x in F.elements() if x and x**n == F.one]
         assert len(roots) == math.gcd(n, F.q - 1) == len(scan)
-        assert {r.index for r in roots} == {s.index for s in scan}
+        assert roots == scan
 
 
 def test_primitive_root_order():
@@ -287,13 +291,18 @@ def test_matrix_ranks_equal_row_space_size(p, k):
 
 def test_element_roots():
     F = make_field(11)
-    r = element_roots(F.element(-1), 5)
-    assert [x.index for x in r] == [2, 6, 7, 8, 10]
-    assert element_roots(F.element(2), 5) == []  # 2 is not a fifth power mod 11
-    assert [x.index for x in element_roots(F.zero, 5)] == [0]
+    assert _roots(F.element(-1), 5) == [2, 6, 7, 8, 10]
+    assert _roots(F.element(2), 5) == []  # 2 is not a fifth power mod 11
+    assert _roots(F.zero, 5) == [0]
     # the field is the value's: 3 has the one fifth root 5 in F_7
     F7 = make_field(7)
-    assert element_roots(F7.element(3), 5) == [F7.element(5)]
+    assert _roots(F7.element(3), 5) == [5]
+    # every solution, against an exhaustive search in each small field
+    for p, k in SMALL_FIELDS:
+        F = make_field(p, k)
+        for e in (2, 3, 5):
+            for v in F.elements():
+                assert _roots(v, e) == [u.index for u in F.elements() if u**e == v]
 
 
 def test_canonical_strings():

@@ -100,16 +100,24 @@ def test_raising_check_is_one_fail_row(monkeypatch, capsys):
     assert fail.split("  ")[1] == "line count identity 10(q+1) - 20 = 10q - 10"
     assert fail.endswith("  [ZeroDivisionError: division by zero]")
     assert lines[-1] == "9/10 checks passed, 1 FAILED"
-    # the other suites and the other rows of the ledger suite still run; the
-    # nodes suite names its mirror rows by the census, so its 10 rows are
-    # one FAIL row "suite nodes"
+    # the other suites and the other rows of the ledger suite still run; in
+    # the nodes suite the census fails only its own rows: each mirror row
+    # under its name without the count, and the generic census row, while
+    # the three quintic rows pass
     assert cli.run(["verify", "--suite", "all"]) == 1
     lines = capsys.readouterr().out.splitlines()
     assert [line.split("  ")[1] for line in lines if line.startswith("FAIL")] == [
-        "suite nodes",
+        "mirror mu=2 over F_7: singular count (no extra node)",
+        "mirror mu=1 over F_7: singular count (with extra node)",
+        "mirror mu=2 over F_11: singular count (no extra node)",
+        "mirror mu=1 over F_11: singular count (with extra node)",
+        "mirror mu=2 over F_31: singular count (with extra node)",
+        "mirror mu=1 over F_31: singular count (with extra node)",
+        "mirror mu=3 over F_31: generic census 300",
         "line count identity 10(q+1) - 20 = 10q - 10",
     ]
-    assert lines[-1] == "40/42 checks passed, 2 FAILED"
+    assert sum(line.startswith("PASS  quintic mu=1 over F_") for line in lines) == 3
+    assert lines[-1] == "43/51 checks passed, 8 FAILED"
 
 
 def test_each_parameterized_row_runs_on_its_own_instance(monkeypatch):
