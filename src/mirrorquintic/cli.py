@@ -134,7 +134,7 @@ def _build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--suite", required=True).choices = _SuiteChoices()
     pv.add_argument("--p-max", type=int, default=101, help="prime bound for traces")
     pv.add_argument("--long", action="store_true", help="include long-running checks")
-    shared(pv, "--threads", "--cache", "--out")
+    shared(pv, "--cache", "--out")
 
     pl = sub.add_parser("ledger-dump", help="dump the recorded constant table")
     shared(pl, "--out")
@@ -284,11 +284,7 @@ def _cmd_verify(args) -> int:
     from .verify import run_suite
 
     results = run_suite(
-        args.suite,
-        threads=args.threads,
-        cache=_open_cache(args),
-        long_run=args.long,
-        p_max=args.p_max,
+        args.suite, cache=_open_cache(args), long_run=args.long, p_max=args.p_max
     )
     width = max(len(r.name) for r in results)
     lines = []

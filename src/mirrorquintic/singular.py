@@ -10,8 +10,8 @@ the singular locus to itself, so a scan visits one point per orbit of the
 permutations inside the instance's blocks (FamilyInstance.blocks) and
 spreads the singular ones over their orbits at the end.  A scan walks
 those representatives in broadcastable grid blocks
-(counting.iter_projective_chunks with the instance's blocks), on a thread
-pool when asked, evaluates the equations on each whole block through the
+(counting.iter_projective_chunks with the instance's blocks) on the
+calling thread, evaluates the equations on each whole block through the
 instance's own builder, and gathers the points where they vanish as the
 rows of one index array.  The Jacobian then runs once on all of them, by
 the same builder run on forward-mode jets (ffield.Jet), which gives the
@@ -48,7 +48,7 @@ import math
 from typing import NamedTuple
 
 from ._lazy import lazy_numpy
-from .counting import iter_projective_chunks, map_chunks, projective_size
+from .counting import iter_projective_chunks, projective_size
 from .errors import (
     BadCharacteristic,
     DimensionMismatch,
@@ -187,22 +187,20 @@ def _block_permutations(blocks: tuple, nvars: int) -> np.ndarray:
     return table
 
 
-def singular_points(instance: FamilyInstance, threads: int = 1) -> SingularReport:
+def singular_points(instance: FamilyInstance) -> SingularReport:
     """All F_q-points where the system vanishes and the Jacobian drops rank,
     sorted by index tuple.
 
     The equations are evaluated on each grid block of one point per orbit
     of the instance's block permutations and the zeros are gathered as the
-    rows of one index array; with threads > 1 the blocks run on a thread
-    pool (counting.map_chunks).  The Jacobian then runs once on every zero,
-    in the calling thread.  Every block permutation is applied to the
-    singular representatives, and families.unique_points normalizes, sorts
-    and deduplicates the images.  The criterion is invariant under those
-    permutations, so the points are exactly those of a scan of every point
-    (an instance without blocks).  One families.strata_codes call
-    classifies them (QuinticY), np.bincount counts them, and only then do
-    they become FieldElement tuples.  The report is the same for every
-    thread count and grid block.
+    rows of one index array.  The Jacobian then runs once on every zero.
+    Every block permutation is applied to the singular representatives,
+    and families.unique_points normalizes, sorts and deduplicates the
+    images.  The criterion is invariant under those permutations, so the
+    points are exactly those of a scan of every point (an instance without
+    blocks).  One families.strata_codes call classifies them (QuinticY),
+    np.bincount counts them, and only then do they become FieldElement
+    tuples.  The report is the same for every grid block size.
     """
     F = instance.field
     dim = instance.ambient_dim
@@ -213,12 +211,9 @@ def singular_points(instance: FamilyInstance, threads: int = 1) -> SingularRepor
             f"would scan {projective_size(F.q, dim)} points"
         )
 
-    def on_chunk(coords) -> np.ndarray:
-        return _gather(coords, instance.vanishing_mask(coords))
-
     n = instance.nvars
     chunks = iter_projective_chunks(F, dim, chunk=_SCAN_CHUNK, blocks=instance.blocks)
-    zeros = np.concatenate(list(map_chunks(on_chunk, chunks, threads)))
+    zeros = np.concatenate([_gather(c, instance.vanishing_mask(c)) for c in chunks])
     reps = zeros[~_full_rank(instance, zeros)]
     perms = _block_permutations(instance.blocks, n)
     hits = unique_points(reps[:, perms].reshape(-1, n), F)

@@ -1,10 +1,10 @@
 """Named verification suites binding the modules into pass/fail checks.
 
-Each suite takes the same keyword arguments (threads, cache, long_run,
-p_max; a suite reads those it needs) and returns a list of CheckResult
-rows; the CLI renders them as a table and the acceptance tests assert on
-them.  SUITES names them in order: nodes, fibers, groups, coordchange,
-quadric, ledger, hecke, traces; "all" runs every one.
+Each suite takes the same keyword arguments (cache, long_run, p_max; a
+suite reads those it needs) and returns a list of CheckResult rows; the
+CLI renders them as a table and the acceptance tests assert on them.
+SUITES names them in order: nodes, fibers, groups, coordchange, quadric,
+ledger, hecke, traces; "all" runs every one.
 
 A suite is a list of _row(name, run) calls, each run at once: run()
 returns passed or (passed, detail).  A check that raises is one FAIL row
@@ -68,43 +68,47 @@ def _row(name: str, run) -> CheckResult:
 # ---------------------------------------------------------------------------
 
 
-def suite_nodes(
-    threads: int = 1, cache=None, long_run: bool = False, p_max: int = 101
-) -> list[CheckResult]:
+def suite_nodes(cache=None, long_run: bool = False, p_max: int = 101) -> list[CheckResult]:
     """Node census of the quintic and the mirror's singular strata."""
     G = symmetry.enumerate_G()
 
     def quintic(p):
         F = make_field(p)
         X = quintic_x(1, F)
-        rep = singular.singular_points(X, threads=threads)
+        rep = singular.singular_points(X)
         nodes_ok = all(c.is_node for c in singular.classify_nodes(X, rep.points))
         one_orbit = set(rep.points) == symmetry.orbit((F.one,) * 5, G)
         return rep.count == ledger.NODE_COUNT and nodes_ok and one_orbit, f"count={rep.count}"
 
+    def census_row(name, p, extra, tail, run):
+        """The row f"{name} {expected}{tail}" of run(expected), where expected
+        is ledger.line_census(p) + extra; if the census raises, the row
+        fails under f"{name}{tail}", without the count."""
+        try:
+            expected = ledger.line_census(p) + extra
+        except Exception as exc:
+            return _failed(f"{name}{tail}", exc)
+        return _row(f"{name} {expected}{tail}", lambda: run(expected))
+
     def mirror(p, mu):
         is_root = pow(mu, 5, p) == 1
-        name = f"mirror mu={mu} over F_{p}: singular count"
-        node = f"({'with' if is_root else 'no'} extra node)"
-        try:
-            expected = ledger.line_census(p) + is_root
-        except Exception as exc:  # the row fails under a name without the count
-            return _failed(f"{name} {node}", exc)
 
-        def run():
+        def run(expected):
             Y = quintic_y(mu, make_field(p))
-            rep = singular.singular_points(Y, threads=threads)
+            rep = singular.singular_points(Y)
             ok = rep.count == expected
             if is_root:
                 ok = ok and rep.strata_counts[Stratum.EXTRA_NODE] == 1
                 ok = ok and singular.classify_node(Y, (Y.field.one,) * 5).is_node
             return ok, f"count={rep.count}, mu^5=1: {is_root}"
 
-        return _row(f"{name} {expected} {node}", run)
+        name = f"mirror mu={mu} over F_{p}: singular count"
+        node = f" ({'with' if is_root else 'no'} extra node)"
+        return census_row(name, p, is_root, node, run)
 
-    def generic_census():
-        rep = singular.singular_points(quintic_y(3, make_field(31)), threads=threads)
-        return rep.count == ledger.line_census(31), f"count={rep.count}"
+    def generic_census(expected):
+        rep = singular.singular_points(quintic_y(3, make_field(31)))
+        return rep.count == expected, f"count={rep.count}"
 
     return [
         *[
@@ -117,13 +121,11 @@ def suite_nodes(
         *[mirror(p, mu) for p in (7, 11, 31) for mu in (2, 1)],
         # mu = 2 is a fifth root of unity mod 31, so also witness the
         # generic 10q - 10 census there with mu = 3
-        _row("mirror mu=3 over F_31: generic census 300", generic_census),
+        census_row("mirror mu=3 over F_31: generic census", 31, 0, "", generic_census),
     ]
 
 
-def suite_fibers(
-    threads: int = 1, cache=None, long_run: bool = False, p_max: int = 101
-) -> list[CheckResult]:
+def suite_fibers(cache=None, long_run: bool = False, p_max: int = 101) -> list[CheckResult]:
     """Fiber degrees of the coordinate-fifth-power map over F_11 (and the
     rational witness for the on-line degree over F_31)."""
     F = make_field(11)
@@ -175,9 +177,7 @@ def suite_fibers(
     ]
 
 
-def suite_groups(
-    threads: int = 1, cache=None, long_run: bool = False, p_max: int = 101
-) -> list[CheckResult]:
+def suite_groups(cache=None, long_run: bool = False, p_max: int = 101) -> list[CheckResult]:
     G = symmetry.enumerate_G()
     Gt = symmetry.enumerate_Gtilde()
     H = symmetry.psi_kernel()
@@ -234,9 +234,7 @@ def suite_groups(
     ]
 
 
-def suite_coordchange(
-    threads: int = 1, cache=None, long_run: bool = False, p_max: int = 101
-) -> list[CheckResult]:
+def suite_coordchange(cache=None, long_run: bool = False, p_max: int = 101) -> list[CheckResult]:
     F19 = make_field(19)
 
     def cubes_in_quotient(lam):
@@ -264,9 +262,7 @@ def suite_coordchange(
     ]
 
 
-def suite_quadric(
-    threads: int = 1, cache=None, long_run: bool = False, p_max: int = 101
-) -> list[CheckResult]:
+def suite_quadric(cache=None, long_run: bool = False, p_max: int = 101) -> list[CheckResult]:
     """Containment and smoothness evidence for the quadric surface.
 
     The images of surface points avoid the singular lines except at primes
@@ -321,9 +317,7 @@ def suite_quadric(
     return [row for p in (11, 31, 41) for row in prime_rows(p)]
 
 
-def suite_ledger(
-    threads: int = 1, cache=None, long_run: bool = False, p_max: int = 101
-) -> list[CheckResult]:
+def suite_ledger(cache=None, long_run: bool = False, p_max: int = 101) -> list[CheckResult]:
     solve, resolve = ledger.solve_quotient_chi, ledger.resolution_chi
     smooth, xhat = ledger.QUINTIC_SMOOTH, ledger.QUINTIC_SMALL_RESOLUTION
 
@@ -379,9 +373,7 @@ def suite_ledger(
     ]
 
 
-def suite_hecke(
-    threads: int = 1, cache=None, long_run: bool = False, p_max: int = 101
-) -> list[CheckResult]:
+def suite_hecke(cache=None, long_run: bool = False, p_max: int = 101) -> list[CheckResult]:
     def hecke(p, k=2):
         return modularity.hecke_consistency(p, k, cache=cache)
 
@@ -398,11 +390,9 @@ def suite_hecke(
     return rows
 
 
-def suite_traces(
-    threads: int = 1, cache=None, long_run: bool = False, p_max: int = 101
-) -> list[CheckResult]:
+def suite_traces(cache=None, long_run: bool = False, p_max: int = 101) -> list[CheckResult]:
     records = [
-        modularity.compare_traces(p, cache=cache, algo="table", threads=threads)
+        modularity.compare_traces(p, cache=cache, algo="table")
         for p in modularity.good_primes(2, p_max)
     ]
 
@@ -413,7 +403,7 @@ def suite_traces(
 
     def table_is_naive():
         return all(
-            count_naive(inst).count == count(inst, "table", threads).count
+            count_naive(inst).count == count(inst, "table").count
             for p in (2, 3, 7, 11, 13)
             for mu in (0, 1, 2)
             for inst in (quintic_x(mu, make_field(p)), quintic_y(mu, make_field(p)))
@@ -446,7 +436,7 @@ SUITES = {
 
 
 def run_suite(
-    name: str, threads: int = 1, cache=None, long_run: bool = False, p_max: int = 101
+    name: str, cache=None, long_run: bool = False, p_max: int = 101
 ) -> list[CheckResult]:
     """The rows of one suite, or of every suite in order for "all".
 
@@ -460,9 +450,7 @@ def run_suite(
 
     def rows(key):
         try:
-            return SUITES[key](
-                threads=threads, cache=cache, long_run=long_run, p_max=p_max
-            )
+            return SUITES[key](cache=cache, long_run=long_run, p_max=p_max)
         except Exception as exc:
             return [_failed(f"suite {key}", exc)]
 

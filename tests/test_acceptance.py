@@ -28,8 +28,6 @@ from mirrorquintic.families import (
 from mirrorquintic.ffield import make_field
 from mirrorquintic.verify import run_suite
 
-THREADS = 4
-
 
 def report(criterion: str, passed: bool, detail: str = ""):
     tag = "PASS" if passed else "FAIL"
@@ -41,7 +39,7 @@ def report(criterion: str, passed: bool, detail: str = ""):
 @pytest.fixture(scope="module")
 def trace_records():
     return {
-        p: modularity.compare_traces(p, algo="table", threads=THREADS)
+        p: modularity.compare_traces(p, algo="table")
         for p in modularity.good_primes(2, 101)
     }
 
@@ -88,7 +86,7 @@ def test_criterion_04_node_census():
     for p in (11, 31, 41):
         F = make_field(p)
         inst = quintic_x(1, F)
-        rep = singular.singular_points(inst, threads=THREADS)
+        rep = singular.singular_points(inst)
         all_nodes = all(
             c.is_node for c in singular.classify_nodes(inst, rep.points)
         )
@@ -110,19 +108,19 @@ def test_criterion_05_mirror_singular_locus():
         mu = F.element(2)
         is_root = mu**5 == F.one  # true at p = 31 where 2^5 = 32 = 1
         expected = 10 * p - 9 if is_root else 10 * p - 10
-        rep = singular.singular_points(quintic_y(2, F), threads=THREADS)
+        rep = singular.singular_points(quintic_y(2, F))
         ok = ok and rep.count == expected
         details.append(f"F_{p} mu=2: {rep.count}/{expected}")
         if p == 31:
             # mu = 2 is a fifth root of unity mod 31; also witness the
             # generic census there with mu = 3 (3^5 = 26 != 1)
-            rep3 = singular.singular_points(quintic_y(3, F), threads=THREADS)
+            rep3 = singular.singular_points(quintic_y(3, F))
             ok = ok and rep3.count == 10 * p - 10
             details.append(f"F_31 mu=3: {rep3.count}/300")
     for p in (7, 11, 31):
         F = make_field(p)
         inst = quintic_y(1, F)
-        rep = singular.singular_points(inst, threads=THREADS)
+        rep = singular.singular_points(inst)
         ok = ok and rep.count == 10 * p - 9
         ones = (F.one,) * 5
         ok = ok and ones in set(rep.points)
@@ -186,7 +184,7 @@ def test_criterion_07_oracle_equivalence():
 
 
 def test_criterion_08_group_suite():
-    results = run_suite("groups", threads=THREADS)
+    results = run_suite("groups")
     failed = [r.name for r in results if not r.passed]
     report(
         "criterion 8: |G| = 125, 81-element group, 27-element kernel, "
@@ -197,7 +195,7 @@ def test_criterion_08_group_suite():
 
 
 def test_criterion_09_coordinate_change():
-    results = run_suite("coordchange", threads=THREADS)
+    results = run_suite("coordchange")
     failed = [r.name for r in results if not r.passed]
     report(
         "criterion 9: coordinate-change identities over F_7/F_13 and 100 "
@@ -208,7 +206,7 @@ def test_criterion_09_coordinate_change():
 
 
 def test_criterion_10_ledger_suite():
-    results = run_suite("ledger", threads=THREADS)
+    results = run_suite("ledger")
     failed = [r.name for r in results if not r.passed]
     report(
         "criterion 10: Euler characteristics 0/1/50/200/202, 100 divisors, "

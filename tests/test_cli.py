@@ -232,7 +232,6 @@ def test_verify_help_lists_the_suites(capsys):
     [
         ["count", "--family", "X", "--mu", "1", "--p", "11", "--threads", "0"],
         ["trace", "--p-range", "2..11", "--threads", "0"],
-        ["verify", "--suite", "groups", "--threads", "-1"],
         ["verify", "--suite", "traces", "--p-max", "1"],
         ["verify", "--suite", "all", "--p-max", "-3"],
         # above the table count's cap: refused before any count or primality test
@@ -317,6 +316,9 @@ def test_ledger_dump_matches_golden_file(tmp_path, capsys):
         ["ledger-dump", "--cache", "counts.jsonl"],
         ["ledger-dump", "--format", "json"],
         ["verify", "--suite", "ledger", "--format", "json"],
+        # the singular scans and the suites run on one thread
+        ["verify", "--suite", "groups", "--threads", "2"],
+        ["verify", "--suite", "groups", "--threads", "-1"],
     ],
 )
 def test_options_a_subcommand_does_not_read_exit_2(args):

@@ -343,7 +343,7 @@ def test_scans_do_not_depend_on_block_size(monkeypatch, flat_scans, chunk, threa
         monkeypatch.setattr(singular, "iter_projective_chunks", chunks)
     for inst, n, rep in flat_scans:
         assert count_naive(inst, threads=threads).count == n
-        got = singular.singular_points(inst, threads=threads)
+        got = singular.singular_points(inst)
         assert got.points == rep.points
         assert got.strata_counts == rep.strata_counts
 

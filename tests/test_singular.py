@@ -73,17 +73,15 @@ def _orbit_cases(q):
 def test_orbit_scan_equals_full_scan(monkeypatch, q):
     # the report of the scan over one point per orbit of the declared
     # blocks is the full scan's: the same points in the same order and the
-    # same strata; on small fields also for tiny grid blocks and 2 threads
-    settings = [(1, singular._SCAN_CHUNK)]
-    if q <= 4:
-        settings += [(2, singular._SCAN_CHUNK), (1, 1), (2, 7)]
+    # same strata; on small fields also for tiny grid blocks
+    chunks = [singular._SCAN_CHUNK, 1, 7] if q <= 4 else [singular._SCAN_CHUNK]
     for inst in _orbit_cases(q):
         full = _full_scan_instance(inst)
         assert inst.blocks or inst.equations.func is families._cubics_nu_form_polys
         want = singular_points(full)
-        for threads, chunk in settings:
+        for chunk in chunks:
             monkeypatch.setattr(singular, "_SCAN_CHUNK", chunk)
-            got = singular_points(inst, threads=threads)
+            got = singular_points(inst)
             assert got.points == want.points
             assert got.strata_counts == want.strata_counts
 
@@ -94,19 +92,13 @@ def test_x1_f11_node_census():
     assert all(classify_node(quintic_x(1, F11), pt).is_node for pt in rep.points)
 
 
-def test_singular_points_threads_same_report():
-    inst = quintic_y(2, F11)
-    assert singular_points(inst, threads=2) == singular_points(inst, threads=1)
-
-
-@pytest.mark.parametrize("threads", [1, 2])
-def test_scan_without_zeros_reports_nothing(threads):
+def test_scan_without_zeros_reports_nothing():
     # x0^2 = 3 x1^2 has no point over F_7 (3 is not a square): no block
     # gathers a zero, and the Jacobian runs on empty arrays
     conic = FamilyInstance(
         FamilyId.QUINTIC_X, F7, {}, 1, lambda x: [x[0] ** 2 - (x[1] ** 2).scale(3)]
     )
-    rep = singular_points(conic, threads=threads)
+    rep = singular_points(conic)
     assert rep.points == []
     assert rep.strata_counts == dict.fromkeys(Stratum, 0)
 

@@ -117,10 +117,3 @@ def test_threaded_count_in_a_fresh_process(tmp_path):
     one = _without_elapsed(_python(count + ["--threads", "1"], tmp_path).stdout)
     two = _without_elapsed(_python(count + ["--threads", "2"], tmp_path).stdout)
     assert two == one and len(one) == 3
-
-
-def test_threaded_nodes_suite_in_a_fresh_process(tmp_path):
-    verify = ["-m", "mirrorquintic.cli", "verify", "--suite", "nodes"]
-    one = _python(verify + ["--threads", "1"], tmp_path).stdout
-    two = _python(verify + ["--threads", "2"], tmp_path).stdout
-    assert two == one and two.endswith("\n10/10 checks passed\n")

@@ -169,6 +169,20 @@ def test_reduction_stays_in_ffield():
     assert found == []
 
 
+def test_threads_serve_only_the_naive_count():
+    # the singular scans and the suites run on one thread: only
+    # counting.count_naive hands chunks to map_chunks, and only map_chunks
+    # starts a thread pool
+    where = {"map_chunks": set(), "ThreadPoolExecutor": set()}
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        for name, places in where.items():
+            places.update((path.name, scope) for scope, _ in _references(tree, {name}))
+    assert where == {
+        "map_chunks": {("counting.py", ("count_naive",))},
+        "ThreadPoolExecutor": {("counting.py", ("map_chunks",))},
+    }
+
 def test_only_the_cli_opens_a_count_cache():
     # one cache per command: the CLI opens it once and hands it down, and
     # no count reloads the file

@@ -31,8 +31,8 @@ def test_mirror_rows_read_the_extra_node_from_the_scan(monkeypatch):
     # mu = 1 over F_7, F_11, F_31, and mu = 2 over F_31 (2^5 = 1 mod 31)
     scan = singular.singular_points
 
-    def no_extra_node(instance, threads=1):
-        rep = scan(instance, threads=threads)
+    def no_extra_node(instance):
+        rep = scan(instance)
         return rep._replace(strata_counts={**rep.strata_counts, Stratum.EXTRA_NODE: 0})
 
     monkeypatch.setattr(singular, "singular_points", no_extra_node)
@@ -65,7 +65,7 @@ def test_wrong_line_census_fails_the_census_rows(monkeypatch):
         "mirror mu=1 over F_11: singular count 102 (with extra node)",
         "mirror mu=2 over F_31: singular count 302 (with extra node)",
         "mirror mu=1 over F_31: singular count 302 (with extra node)",
-        "mirror mu=3 over F_31: generic census 300",
+        "mirror mu=3 over F_31: generic census 301",
         "line count identity 10(q+1) - 20 = 10q - 10",
     ]
 
@@ -101,9 +101,8 @@ def test_raising_check_is_one_fail_row(monkeypatch, capsys):
     assert fail.endswith("  [ZeroDivisionError: division by zero]")
     assert lines[-1] == "9/10 checks passed, 1 FAILED"
     # the other suites and the other rows of the ledger suite still run; in
-    # the nodes suite the census fails only its own rows: each mirror row
-    # under its name without the count, and the generic census row, while
-    # the three quintic rows pass
+    # the nodes suite the census fails only its own rows, each under its
+    # name without the count, while the three quintic rows pass
     assert cli.run(["verify", "--suite", "all"]) == 1
     lines = capsys.readouterr().out.splitlines()
     assert [line.split("  ")[1] for line in lines if line.startswith("FAIL")] == [
@@ -113,7 +112,7 @@ def test_raising_check_is_one_fail_row(monkeypatch, capsys):
         "mirror mu=1 over F_11: singular count (with extra node)",
         "mirror mu=2 over F_31: singular count (with extra node)",
         "mirror mu=1 over F_31: singular count (with extra node)",
-        "mirror mu=3 over F_31: generic census 300",
+        "mirror mu=3 over F_31: generic census",
         "line count identity 10(q+1) - 20 = 10q - 10",
     ]
     assert sum(line.startswith("PASS  quintic mu=1 over F_") for line in lines) == 3
@@ -128,9 +127,9 @@ def test_each_parameterized_row_runs_on_its_own_instance(monkeypatch):
     quadric_evidence = singular.quadric_evidence_for_prime
     coordinate_change = verify.verify_coordinate_change
 
-    def scan(inst, threads=1):
+    def scan(inst):
         scans.append((inst.id.value, inst.param_string(), inst.field.q))
-        return singular_points(inst, threads=threads)
+        return singular_points(inst)
 
     def surface(p):
         surfaces.append(p)
