@@ -22,9 +22,9 @@ def lazy_numpy():
 
     That first access is not thread-safe on Python 3.11: LazyLoader swaps
     the module's class before numpy has finished executing, so a second
-    thread can read a half-initialized module.  Code that starts threads
-    must touch numpy in the calling thread first (see
-    counting.map_chunks).
+    thread can read a half-initialized module.  The package starts no
+    thread; a caller that runs counts on its own threads must touch numpy
+    in the calling thread first.
     """
     module = sys.modules.get("numpy")
     if module is not None:

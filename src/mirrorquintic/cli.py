@@ -6,7 +6,8 @@ Subcommands
                  mql count --family X --mu 1 --p 11 --algo table
   trace        trace records for the mu = 1 pair over a prime range; a range
                skips p = 5 (bad reduction), and --p 5 is a usage error, as
-               is a prime above TABLE_CAP with --algo table
+               is a prime above the cap of --algo: TABLE_CAP for table, the
+               largest p with p^4 <= NAIVE_CAP for naive
                  mql trace --p-range 2..101 --cache counts.jsonl --out traces.csv
   verify       run a named check suite and print a pass/fail table
                  mql verify --suite groups
@@ -34,11 +35,12 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 
 from . import __version__
-from .counting import ALGOS, TABLE_CAP, CountCache, CountRecord, count
+from .counting import ALGOS, NAIVE_CAP, TABLE_CAP, CountCache, CountRecord, count
 from .errors import MirrorQuinticError
 from .families import FamilyId, build_family, param_names
 from .ffield import is_prime, make_field
@@ -74,7 +76,6 @@ TRACE_COLUMNS = list(TraceRecord._fields)
 
 # the options that several subcommands share; each takes only those it reads
 _SHARED_OPTIONS = {
-    "--threads": {"type": int, "default": 1},
     "--cache": {"default": None, "help": "JSON-lines count cache path"},
     "--out": {"default": None, "help": "report output path (default stdout)"},
     "--format": {"choices": ["json", "csv"], "default": None},
@@ -237,7 +238,7 @@ def _cmd_count(args) -> int:
     for p in primes:
         try:
             inst = build_family(fid, params, make_field(p, args.ext))
-            rec = count(inst, args.algo, args.threads, cache)
+            rec = count(inst, args.algo, cache)
             row = {c: getattr(rec, c) for c in _COUNT_COLUMNS[:-1]}
             records.append({**row, "status": "ok"})
         except MirrorQuinticError as exc:
@@ -258,12 +259,14 @@ def _config_echo(args) -> dict:
 
 def _cmd_trace(args) -> int:
     # the largest prime, found by stepping down from b, is refused before
-    # the range is listed; a range skips the bad prime; --p 5 is a usage error
+    # the range is listed when it is above the algo's cap (the naive count
+    # refuses q^4 > NAIVE_CAP on the quintics in P^4); a range skips the
+    # bad prime; --p 5 is a usage error
     lo, hi = _prime_bounds(args)
-    if args.algo == "table":
-        top = next((p for p in range(hi, lo - 1, -1) if is_prime(p)), 0)
-        if top > TABLE_CAP:
-            raise _UsageError(f"p = {top} is above {TABLE_CAP}, the table count's cap")
+    cap = TABLE_CAP if args.algo == "table" else math.isqrt(math.isqrt(NAIVE_CAP))
+    top = next((p for p in range(hi, lo - 1, -1) if is_prime(p)), 0)
+    if top > cap:
+        raise _UsageError(f"p = {top} is above {cap}, the {args.algo} count's cap")
     primes = good_primes(lo, hi)
     if args.p is not None and not primes:
         raise _UsageError(
@@ -272,7 +275,7 @@ def _cmd_trace(args) -> int:
     cache = _open_cache(args)
     records = []
     for p in primes:
-        rec = compare_traces(p, cache=cache, algo=args.algo, threads=args.threads)
+        rec = compare_traces(p, cache=cache, algo=args.algo)
         row = rec._asdict()
         row["status"] = "ok" if (rec.weil_ok and rec.match_ok) else "failed"
         records.append(row)
@@ -318,8 +321,6 @@ def run(argv: list[str]) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:
-        if getattr(args, "threads", 1) < 1:
-            raise _UsageError("--threads must be at least 1")
         if getattr(args, "p_max", 2) < 2:
             raise _UsageError("--p-max must be at least 2")
         if getattr(args, "p_max", 2) > TABLE_CAP:

@@ -1,6 +1,6 @@
 """Exact point counting over F_q: generic enumerator, fast table paths, cache.
 
-count(instance, algo, threads, cache) is the one entry point: it returns a
+count(instance, algo, cache) is the one entry point: it returns a
 cached record when the cache holds one and otherwise runs the table path
 ("table", QuinticX and QuinticY only) or count_naive.
 
@@ -56,7 +56,6 @@ concurrent writers, in one process or many, never interleave lines.
 
 from __future__ import annotations
 
-import collections
 import fcntl
 import functools
 import itertools
@@ -259,48 +258,16 @@ def _sorted_tuples(q: int, k: int) -> np.ndarray:
     return table
 
 
-def map_chunks(fn, chunks, threads: int = 1):
-    """Yield fn(chunk) for every chunk, in order.
-
-    With threads > 1 the calls run on a thread pool and at most
-    2 * threads chunks are alive at once: the next chunk is drawn only
-    after the oldest pending one is done.
-
-    numpy is loaded lazily (_lazy.lazy_numpy), and its first attribute
-    access is not thread-safe on Python 3.11, so numpy must have executed
-    before the pool starts.  It has: the first chunk is drawn here, in the
-    calling thread, before any worker exists, and the chunks come from
-    iter_projective_chunks, whose first block is made of numpy scalars
-    and arrays.  A caller that passes other chunks must keep that rule.
-    """
-    if threads <= 1:
-        for c in chunks:
-            yield fn(c)
-        return
-    from concurrent.futures import ThreadPoolExecutor
-
-    pending = collections.deque()
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        for c in chunks:
-            pending.append(pool.submit(fn, c))
-            if len(pending) >= 2 * threads:
-                yield pending.popleft().result()
-        while pending:
-            yield pending.popleft().result()
-
-
-def count_naive(instance: FamilyInstance, threads: int = 1) -> CountRecord:
+def count_naive(instance: FamilyInstance) -> CountRecord:
     """Exact projective count by chart enumeration; the reference algorithm."""
     F = instance.field
     t0 = time.perf_counter()
     if F.q ** instance.ambient_dim > NAIVE_CAP:
         raise InstanceTooLarge(f"q^dim = {F.q ** instance.ambient_dim} exceeds {NAIVE_CAP}")
-
-    def on_chunk(coords) -> int:
-        return int(instance.vanishing_mask(coords).sum())
-
-    chunks = iter_projective_chunks(F, instance.ambient_dim)
-    n = sum(map_chunks(on_chunk, chunks, threads))
+    n = sum(
+        int(instance.vanishing_mask(c).sum())
+        for c in iter_projective_chunks(F, instance.ambient_dim)
+    )
     ms = int(round((time.perf_counter() - t0) * 1000))
     return CountRecord(
         instance.id.value, instance.param_string(), F.p, F.k, n, "naive", ms
@@ -496,7 +463,6 @@ class CountCache:
 def count(
     instance: FamilyInstance,
     algo: str = "table",
-    threads: int = 1,
     cache: CountCache | None = None,
 ) -> CountRecord:
     """The projective count of the instance.
@@ -510,8 +476,6 @@ def count(
         raise ValueError(
             f"unknown algorithm {algo!r}: use {' or '.join(map(repr, ALGOS))}"
         )
-    if threads < 1:
-        raise ValueError("thread count must be >= 1")
     F = instance.field
     if cache is not None:
         hit = cache.get(_cache_key(instance.id.value, instance.param_string(), F.p, F.k))
@@ -521,7 +485,7 @@ def count(
         table_count = count_x_table if instance.id is FamilyId.QUINTIC_X else count_y_table
         rec = table_count(instance.params["mu"], F)
     else:
-        rec = count_naive(instance, threads=threads)
+        rec = count_naive(instance)
     if cache is not None:
         cache.append(rec)
     return rec

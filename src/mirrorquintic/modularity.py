@@ -98,21 +98,19 @@ def weil_ok(a: int, q: int) -> bool:
     return a * a <= 4 * q**3
 
 
-def _count_pair(p: int, k: int, cache, algo: str = "table", threads: int = 1):
+def _count_pair(p: int, k: int, cache, algo: str = "table"):
     """Count X and Y at mu = 1 over F_(p^k): ((#X, #Y), (t_X, t_Y))."""
     _residue(p)
     F = make_field(p, k)
     pair = (quintic_x(1, F), quintic_y(1, F))
-    counts = tuple(count(i, algo, threads, cache).count for i in pair)
+    counts = tuple(count(i, algo, cache).count for i in pair)
     traces = tuple(frobenius_trace(i.id, F.q, n) for i, n in zip(pair, counts))
     return counts, traces
 
 
-def compare_traces(
-    p: int, cache=None, algo: str = "table", threads: int = 1
-) -> TraceRecord:
+def compare_traces(p: int, cache=None, algo: str = "table") -> TraceRecord:
     """Count both mu = 1 quintics over F_p and compare their traces."""
-    (cx, cy), (ax, ay) = _count_pair(p, 1, cache, algo, threads)
+    (cx, cy), (ax, ay) = _count_pair(p, 1, cache, algo)
     return TraceRecord(
         p, p % 5, cx, cy, ax, ay, weil_ok(ax, p) and weil_ok(ay, p), ax == ay
     )

@@ -5,6 +5,7 @@ import pytest
 
 from mirrorquintic import cli
 from mirrorquintic.cli import TRACE_COLUMNS, run
+from mirrorquintic.errors import MirrorQuinticError
 from mirrorquintic.ffield import is_prime
 
 
@@ -100,6 +101,16 @@ def test_trace_refuses_a_long_range_above_the_cap_before_listing_it(monkeypatch,
     assert run(["trace", "--p-range", "2..1000000000"]) == 2
     assert capsys.readouterr().err.startswith("usage error: p = 999999937 is above 1500")
     assert len(calls) < 1000
+
+
+def test_trace_naive_cap_admits_313(monkeypatch, capsys):
+    # 313^4 <= counting.NAIVE_CAP < 317^4: a naive trace at 313 reaches its count
+    def reached(p, **kwargs):
+        raise MirrorQuinticError(f"reached p = {p}")
+
+    monkeypatch.setattr(cli, "compare_traces", reached)
+    assert run(["trace", "--p", "313", "--algo", "naive"]) == 1
+    assert capsys.readouterr().err == "error: reached p = 313\n"
 
 
 def test_reports_byte_identical_with_warm_cache(tmp_path):
@@ -230,16 +241,16 @@ def test_verify_help_lists_the_suites(capsys):
 @pytest.mark.parametrize(
     "args",
     [
-        ["count", "--family", "X", "--mu", "1", "--p", "11", "--threads", "0"],
-        ["trace", "--p-range", "2..11", "--threads", "0"],
         ["verify", "--suite", "traces", "--p-max", "1"],
         ["verify", "--suite", "all", "--p-max", "-3"],
         # above the table count's cap: refused before any count or primality test
         ["verify", "--suite", "traces", "--p-max", "1501"],
         ["verify", "--suite", "traces", "--p-max", "1000000000"],
+        # above the naive count's cap, 313 < 317: refused before any count
+        ["trace", "--p-range", "2..317", "--algo", "naive"],
     ],
 )
-def test_threads_below_1_and_p_max_below_2_exit_2(args, capsys):
+def test_p_max_and_p_out_of_range_exit_2(args, capsys):
     assert run(args) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -316,9 +327,11 @@ def test_ledger_dump_matches_golden_file(tmp_path, capsys):
         ["ledger-dump", "--cache", "counts.jsonl"],
         ["ledger-dump", "--format", "json"],
         ["verify", "--suite", "ledger", "--format", "json"],
-        # the singular scans and the suites run on one thread
+        # every count and scan runs on one thread
         ["verify", "--suite", "groups", "--threads", "2"],
         ["verify", "--suite", "groups", "--threads", "-1"],
+        ["count", "--family", "X", "--mu", "1", "--p", "11", "--threads", "2"],
+        ["trace", "--p-range", "2..11", "--threads", "2"],
     ],
 )
 def test_options_a_subcommand_does_not_read_exit_2(args):

@@ -117,12 +117,6 @@ def test_monotone_bound():
     assert count_naive(cubics_v(1, make_field(7))).count <= projective_size(7, 5)
 
 
-def test_parallel_determinism():
-    F = make_field(11)
-    counts = {count_naive(quintic_y(2, F), threads=t).count for t in (1, 2, 8)}
-    assert len(counts) == 1
-
-
 @pytest.mark.parametrize("algo", ["auto", "tabel"])
 def test_count_task_rejects_unknown_algo(algo):
     with pytest.raises(ValueError, match="unknown algorithm"):
@@ -329,8 +323,7 @@ def flat_scans():
 
 
 @pytest.mark.parametrize("chunk", [1, 7, 500, None])
-@pytest.mark.parametrize("threads", [1, 2])
-def test_scans_do_not_depend_on_block_size(monkeypatch, flat_scans, chunk, threads):
+def test_scans_do_not_depend_on_block_size(monkeypatch, flat_scans, chunk):
     # the grid block size (None: the default) changes neither the counts
     # nor the reports
     if chunk is not None:
@@ -342,7 +335,7 @@ def test_scans_do_not_depend_on_block_size(monkeypatch, flat_scans, chunk, threa
         monkeypatch.setattr(counting, "iter_projective_chunks", chunks)
         monkeypatch.setattr(singular, "iter_projective_chunks", chunks)
     for inst, n, rep in flat_scans:
-        assert count_naive(inst, threads=threads).count == n
+        assert count_naive(inst).count == n
         got = singular.singular_points(inst)
         assert got.points == rep.points
         assert got.strata_counts == rep.strata_counts
@@ -448,42 +441,6 @@ def test_cli_exits_1_on_bad_cone_count(monkeypatch, capsys):
     code = cli.run(["count", "--family", "X", "--mu", "1", "--p", "11", "--algo", "table"])
     assert code == 1
     assert "not 1 mod (q - 1)" in capsys.readouterr().out
-
-
-def test_threaded_naive_bounds_chunks_in_flight(monkeypatch):
-    import threading
-    import time
-
-    from mirrorquintic import counting
-
-    F = make_field(11)
-    inst = quintic_y(2, F)
-    expected = count_naive(inst).count
-    real_chunks, real_mask = counting.iter_projective_chunks, FamilyInstance.vanishing_mask
-    state = {"produced": 0, "consumed": 0, "most": 0}
-    lock = threading.Lock()
-
-    def chunks(F, dim):
-        for coords in real_chunks(F, dim, chunk=500):
-            with lock:
-                state["produced"] += 1
-                state["most"] = max(state["most"], state["produced"] - state["consumed"])
-            yield coords
-
-    def vanishing_mask(instance, coords):
-        mask = real_mask(instance, coords)
-        time.sleep(0.002)  # consumers slower than the producer
-        with lock:
-            state["consumed"] += 1
-        return mask
-
-    monkeypatch.setattr(counting, "iter_projective_chunks", chunks)
-    monkeypatch.setattr(FamilyInstance, "vanishing_mask", vanishing_mask)
-    for threads in (1, 2, 3):
-        state.update(produced=0, consumed=0, most=0)
-        assert count_naive(inst, threads=threads).count == expected
-        assert state["produced"] == state["consumed"] > 4 * threads
-        assert state["most"] <= 2 * threads
 
 
 def test_record_json_round_trip():

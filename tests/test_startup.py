@@ -1,9 +1,6 @@
 """Start-up behaviour that only a fresh interpreter shows: which modules
-each command loads, which commands execute numpy, and threaded runs in a
-process where numpy has not yet been executed."""
+each command loads and which commands execute numpy."""
 
-import csv
-import io
 import os
 import subprocess
 import sys
@@ -98,22 +95,3 @@ def test_verify_all_in_a_fresh_process(tmp_path):
     # verify imports its stack inside the command; the report is unchanged
     golden = (Path(__file__).parent / "data" / "verify-all.txt").read_text()
     assert _python(["-m", "mirrorquintic.cli", "verify", "--suite", "all"], tmp_path).stdout == golden
-
-
-def _without_elapsed(text: str) -> list[dict]:
-    rows = list(csv.DictReader(io.StringIO(text)))
-    for row in rows:
-        del row["elapsed_ms"]
-    return rows
-
-
-# numpy executes in the calling thread before map_chunks starts its workers,
-# so a threaded run in a fresh process gives the one-thread answers
-
-
-def test_threaded_count_in_a_fresh_process(tmp_path):
-    count = ["-m", "mirrorquintic.cli", "count", "--family", "V", "--lambda", "1",
-             "--p-range", "7..13", "--algo", "naive", "--format", "csv"]
-    one = _without_elapsed(_python(count + ["--threads", "1"], tmp_path).stdout)
-    two = _without_elapsed(_python(count + ["--threads", "2"], tmp_path).stdout)
-    assert two == one and len(one) == 3
