@@ -49,6 +49,7 @@ import enum
 import functools
 import itertools
 import operator
+import random
 from typing import Callable, NamedTuple
 
 from ._lazy import lazy_numpy
@@ -512,16 +513,26 @@ def sample_points(
     Draws random coordinate tuples, keeps those on the variety, and
     normalizes; with nonzero_coords only points with every coordinate
     nonzero are kept.  The points come in the order of their first draw.
-    Each batch's hits are normalized in one normalize_rows pass, and only a
-    point not seen before becomes FieldElements.  TooFewPoints when 200
-    batches of draws find fewer than n distinct points.
+    A batch of nvars x 4096 coordinates is one randbytes call of a
+    random.Random(seed), read as little-endian 32-bit words and reduced
+    into [lo, q), lo = 1 with nonzero_coords and 0 otherwise; the modulo
+    bias is at most q / 2^32.  The standard library's random is loaded at
+    interpreter start-up, while numpy.random (with secrets, hashlib and
+    its bit generators) would add about 6 MB of resident memory for the
+    rest of the process.  64-bit words would double the bytes drawn, the
+    larger part of a batch's time.  Each batch's hits are normalized in
+    one normalize_rows pass, and only a point not seen before becomes
+    FieldElements.  TooFewPoints when 200 batches of draws find fewer than
+    n distinct points.
     """
     F = instance.field
     nv = instance.nvars
-    rng = np.random.default_rng(seed)
+    lo = 1 if nonzero_coords else 0
+    rng = random.Random(seed)
     found: dict[tuple, tuple] = {}
     for _ in range(200):
-        batch = rng.integers(1 if nonzero_coords else 0, F.q, size=(nv, 4096))
+        words = np.frombuffer(rng.randbytes(4 * nv * 4096), dtype="<u4")
+        batch = (words % (F.q - lo)).astype(np.int64).reshape(nv, 4096) + lo
         coords = [np.ascontiguousarray(batch[i]) for i in range(nv)]
         mask = instance.vanishing_mask(coords)
         if not nonzero_coords:

@@ -646,25 +646,35 @@ def matrix_ranks(F: FieldDescriptor, m) -> np.ndarray:
     """Ranks of a stack of matrices over F, given as an index array of shape
     (count, rows, cols), by one Gauss-Jordan elimination run on every
     matrix at once.  The pivots are inverted through power_table(-1), so q
-    is bounded by POWER_TABLE_CAP."""
+    is bounded by POWER_TABLE_CAP.
+
+    A column that has a pivot in every matrix, the common case, updates
+    the whole stack without gathering it; only the matrices whose pivot
+    row is not already in place swap rows."""
     m = np.array(m, dtype=np.int64)
     count, nrows, ncols = m.shape
     rank = np.zeros(count, dtype=np.int64)
+    rows = np.arange(nrows)
     for col in range(ncols):
         # the first nonzero entry of the column at or below row ``rank``
-        free = np.arange(nrows) >= rank[:, None]
-        cand = (m[:, :, col] != 0) & free
-        sel = np.nonzero(cand.any(axis=1))[0]
-        if sel.size == 0:
+        cand = (m[:, :, col] != 0) & (rows >= rank[:, None])
+        has = cand.any(axis=1)
+        sel = slice(None) if has.all() else np.flatnonzero(has)
+        sub = m[sel]  # a view when every matrix has a pivot
+        if len(sub) == 0:
             continue
-        piv = cand[sel].argmax(axis=1)
         top = rank[sel]
-        m[sel, top], m[sel, piv] = m[sel, piv], m[sel, top]
-        row = F.vmul(m[sel, top], F.vpow(m[sel, top, col], -1)[:, None])
-        m[sel, top] = row
-        f = m[sel, :, col]
-        f[np.arange(sel.size), top] = 0
-        m[sel] = F.vsub(m[sel], F.vmul(f[:, :, None], row[:, None, :]))
+        piv = cand[sel].argmax(axis=1)
+        at = np.arange(len(sub))
+        swap = np.flatnonzero(piv != top)
+        if swap.size:
+            a, b = top[swap], piv[swap]
+            sub[swap, a], sub[swap, b] = sub[swap, b], sub[swap, a]
+        row = F.vmul(sub[at, top], F.vpow(sub[at, top, col], -1)[:, None])
+        sub[at, top] = row
+        f = sub[:, :, col].copy()
+        f[at, top] = 0
+        m[sel] = F.vsub(sub, F.vmul(f[:, :, None], row[:, None, :]))
         rank[sel] += 1
     return rank
 

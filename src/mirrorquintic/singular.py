@@ -34,8 +34,9 @@ exhaustive finite-field enumeration over several primes, which is strong
 evidence but not a symbolic proof; the report type is named accordingly.
 Every point of the surface lies on its hyperplane, the linear equation
 of the QuadricQ builder, whose x0 coefficient is 1, so the scan runs over
-(x1 : ... : x4) in P^3 and solves for x0 instead of scanning P^4, and each
-claim is one whole-array expression on the surface's points.
+(x1 : ... : x4) in P^3, in grid blocks like every scan, and solves for x0
+instead of scanning P^4, and each claim is one whole-array expression on
+the surface's points.
 
 The four report types are NamedTuples.
 """
@@ -88,7 +89,9 @@ _P5_CAP = 13
 # full scan at 2^19, verify-all's peak RSS rose 6.5 MB with orbit blocks of
 # up to 2^19 points (one block per chart), 2.5 MB at 2^16 (46376 points per
 # QuinticY block over F_31) and 0.5 MB at 2^15; 2^14 gives its scans the
-# same blocks as 2^15.
+# same blocks as 2^15.  The quadric surface's scan of P^3 uses it too: over
+# F_41 its chart 0 is 41 blocks of 1681 points, not one of 68921, which took
+# verify-all's peak RSS from 34.9 to 32.9 MB (that scan had set the peak).
 _SCAN_CHUNK = 1 << 15
 
 
@@ -371,15 +374,23 @@ def fiber_size_table(m: MonomialMap, F: FieldDescriptor) -> np.ndarray:
 def _surface_points(surface: FamilyInstance) -> np.ndarray:
     """The F_q-points of the quadric surface as the rows of an index array.
 
-    (x1 : ... : x4) runs over P^3 and x0 = -(the builder's linear equation
-    at x0 = 0) puts it on the hyperplane; the x0 coefficient is 1, so this
-    is a bijection onto the hyperplane and every surface point comes
-    exactly once.  The representatives are not normalized.
+    (x1 : ... : x4) runs over P^3 in grid blocks of at most _SCAN_CHUNK
+    points, like every scan, and x0 = -(c1 x1 + ... + c4 x4) puts it on
+    the hyperplane.  The c_j are read once, from the builder's linear
+    equation at x0 = 0 on the four unit vectors; its x0 coefficient is 1,
+    so this is a bijection onto the hyperplane and every surface point
+    comes exactly once.  The builder then runs once per block, in
+    vanishing_mask.  Blocks keep the scan's memory to that of the other
+    scans (see _SCAN_CHUNK).  The points come in chart order whatever the
+    block size, and are not normalized.
     """
     F = surface.field
+    unit = np.eye(4, dtype=np.int64)  # index 1 is one
+    neg = [F.vneg(int(c)) for c in surface.evaluate([0, *unit])[0]]
     rows = []
-    for coords in iter_projective_chunks(F, 3):
-        pts = [F.vneg(surface.evaluate([0, *coords])[0]), *coords]
+    for coords in iter_projective_chunks(F, 3, chunk=_SCAN_CHUNK):
+        x0 = functools.reduce(F.vadd, map(F.vmul, neg, coords))
+        pts = [x0, *coords]
         rows.append(_gather(pts, surface.vanishing_mask(pts)))
     return np.concatenate(rows)
 

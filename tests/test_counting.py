@@ -424,8 +424,10 @@ def test_cone_to_projective_raises_under_python_O():
         "except InvariantViolated:\n"
         "    print('raised')\n"
     )
+    # -B: the child's environment drops PYTHONDONTWRITEBYTECODE, and the
+    # optimized bytecode must not land in src/
     out = subprocess.run(
-        [sys.executable, "-O", "-c", code],
+        [sys.executable, "-B", "-O", "-c", code],
         env={"PYTHONPATH": str(src)},
         capture_output=True,
         text=True,
@@ -528,7 +530,7 @@ def test_concurrent_appends_stay_loadable(tmp_path):
     )
     writers = [
         subprocess.Popen(
-            [sys.executable, "-c", code, str(path), str(start)],
+            [sys.executable, "-B", "-c", code, str(path), str(start)],  # no bytecode in src/
             env={"PYTHONPATH": str(src)},
         )
         for start in range(0, 600, 150)  # more writers than cores

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import numpy as np
 import pytest
@@ -316,13 +317,19 @@ def test_sample_points_with_nonzero_coords_zero_keeps_out_the_zero_vector():
 
 
 def _sample_one_at_a_time(instance, n, seed=0, nonzero_coords=False):
-    """sample_points normalizing each hit by normalize_point: the reference
-    for the samples and their order."""
+    """sample_points drawing each coordinate by its own 4-byte randbytes
+    call and normalizing each hit by normalize_point: the reference for the
+    draws, the samples and their order.  One randbytes(4 m) call gives the
+    bytes of m randbytes(4) calls in order."""
     F = instance.field
-    rng = np.random.default_rng(seed)
+    lo = 1 if nonzero_coords else 0
+    rng = random.Random(seed)
     found = {}
     for _ in range(200):
-        batch = rng.integers(1 if nonzero_coords else 0, F.q, size=(instance.nvars, 4096))
+        batch = np.array([
+            [lo + int.from_bytes(rng.randbytes(4), "little") % (F.q - lo) for _ in range(4096)]
+            for _ in range(instance.nvars)
+        ])
         mask = instance.vanishing_mask(list(batch))
         if not nonzero_coords:
             mask &= batch.sum(axis=0) > 0
@@ -348,6 +355,26 @@ def test_sample_points_equal_one_at_a_time(ctor, param, p, k, n, seed, nonzero):
     inst = ctor(param, make_field(p, k))
     got = sample_points(inst, n, seed=seed, nonzero_coords=nonzero)
     assert got == _sample_one_at_a_time(inst, n, seed, nonzero) and len(got) == n
+
+
+@pytest.mark.parametrize("p,k,n", [(2, 1, 1), (2, 2, 3), (11, 1, 20)])
+def test_sample_points_repeat_and_draw_nonzero_coords_from_1_to_q(p, k, n, monkeypatch):
+    # two fresh calls with one seed give the same points, and with
+    # nonzero_coords every coordinate drawn lies in [1, q)
+    inst = quintic_x(1, make_field(p, k))
+    draws = []
+    mask = inst.vanishing_mask
+
+    def recording_mask(coords):
+        draws.append(np.array(coords))
+        return mask(coords)
+
+    monkeypatch.setattr(inst, "vanishing_mask", recording_mask)
+    got = sample_points(inst, n, seed=5, nonzero_coords=True)
+    assert got == sample_points(inst, n, seed=5, nonzero_coords=True) and len(got) == n
+    drawn = np.concatenate(draws, axis=1)
+    assert drawn.min() == 1 and drawn.max() == inst.field.q - 1
+    assert all(x for pt in got for x in pt)
 
 
 # the coordinates each family's equations treat alike

@@ -506,6 +506,20 @@ def test_hyperplane_scan_equals_full_scan(p):
     assert ev.special_point_on_surface
 
 
+@pytest.mark.parametrize("p,chunks", [(11, [1, 7]), (31, [31, 1 << 19]), (41, [41, 1 << 19])])
+def test_surface_scan_is_the_same_for_every_block_size(monkeypatch, p, chunks):
+    # the surface's points, in chart order, and its evidence do not depend
+    # on _SCAN_CHUNK: blocks of single points, of one axis of q points, and
+    # one block per chart (2^19 points hold chart 0 over F_41).  Blocks of
+    # 1 or 7 points take seconds over F_31 and F_41, so q is the least there
+    want_rows = _surface_points(quadric_q(make_field(p)))
+    want = quadric_evidence_for_prime(p)
+    for chunk in chunks:
+        monkeypatch.setattr(singular, "_SCAN_CHUNK", chunk)
+        assert np.array_equal(_surface_points(quadric_q(make_field(p))), want_rows)
+        assert quadric_evidence_for_prime(p) == want
+
+
 # -- the batched jet Hessians against a scalar MPoly reference ----------------
 
 

@@ -91,6 +91,14 @@ def test_nodes_suite_loads_no_symbolic_layer(tmp_path):
     assert "dataclasses" not in other
 
 
+def test_verify_all_loads_no_numpy_random(tmp_path):
+    # the sampled rows draw from the standard library's random: numpy.random
+    # and the secrets module it imports stay unloaded, about 6 MB of RSS
+    package, other = _loads(["verify", "--suite", "all"], tmp_path)
+    assert "mirrorquintic.verify" in package
+    assert "numpy.random" not in other and "secrets" not in other
+
+
 def test_verify_all_in_a_fresh_process(tmp_path):
     # verify imports its stack inside the command; the report is unchanged
     golden = (Path(__file__).parent / "data" / "verify-all.txt").read_text()

@@ -188,6 +188,26 @@ def test_no_module_starts_threads():
     assert found == []
 
 
+def test_no_module_reads_numpy_random():
+    # numpy.random pulls in secrets, hashlib and its bit generators, about
+    # 6 MB that stay resident: families.sample_points draws from the
+    # standard library's random, loaded at interpreter start-up
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Attribute):
+                names = [f"{getattr(node.value, 'id', '')}.{node.attr}"]
+            elif isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [f"{node.module}.{a.name}" for a in node.names]
+            else:
+                continue
+            if any(n.split(".")[:2] in (["np", "random"], ["numpy", "random"]) for n in names):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
 def test_only_the_cli_opens_a_count_cache():
     # one cache per command: the CLI opens it once and hands it down, and
     # no count reloads the file
