@@ -6,8 +6,7 @@ Subcommands
                  mql count --family X --mu 1 --p 11 --algo table
   trace        trace records for the mu = 1 pair over a prime range; a range
                skips p = 5 (bad reduction), and --p 5 is a usage error, as
-               is a prime above the cap of --algo: TABLE_CAP for table, the
-               largest p with p^4 <= NAIVE_CAP for naive
+               is a prime whose count counting.check_size refuses
                  mql trace --p-range 2..101 --cache counts.jsonl --out traces.csv
   verify       run a named check suite and print a pass/fail table
                  mql verify --suite groups
@@ -35,14 +34,13 @@ import argparse
 import csv
 import io
 import json
-import math
 import os
 import sys
 
 from . import __version__
-from .counting import ALGOS, NAIVE_CAP, TABLE_CAP, CountCache, CountRecord, count
-from .errors import MirrorQuinticError
-from .families import FamilyId, build_family, param_names
+from .counting import ALGOS, CountCache, CountRecord, check_size, count
+from .errors import InstanceTooLarge, MirrorQuinticError
+from .families import FamilyId, build_family, param_names, quintic_x
 from .ffield import is_prime, make_field
 from .ledger import recorded_dataset
 from .modularity import TraceRecord, compare_traces, good_primes
@@ -162,6 +160,19 @@ def _prime_bounds(args) -> tuple[int, int]:
     raise _UsageError("one of --p or --p-range is required")
 
 
+def _check_reach(lo: int, hi: int, algo: str):
+    """Refuse, before any count, a range whose largest prime's mu = 1
+    quintic X the algo's count would refuse.  The prime is found by
+    stepping down from hi, so a long range is never listed."""
+    top = next((p for p in range(hi, lo - 1, -1) if is_prime(p)), None)
+    if top is None:
+        return
+    try:
+        check_size(quintic_x(1, make_field(top)), algo)
+    except InstanceTooLarge as exc:
+        raise _UsageError(f"p = {top}: {exc}") from exc
+
+
 def _parse_primes(args) -> list[int]:
     lo, hi = _prime_bounds(args)
     return [p for p in range(lo, hi + 1) if is_prime(p)]
@@ -258,15 +269,9 @@ def _config_echo(args) -> dict:
 
 
 def _cmd_trace(args) -> int:
-    # the largest prime, found by stepping down from b, is refused before
-    # the range is listed when it is above the algo's cap (the naive count
-    # refuses q^4 > NAIVE_CAP on the quintics in P^4); a range skips the
-    # bad prime; --p 5 is a usage error
+    # a range skips the bad prime; --p 5 is a usage error
     lo, hi = _prime_bounds(args)
-    cap = TABLE_CAP if args.algo == "table" else math.isqrt(math.isqrt(NAIVE_CAP))
-    top = next((p for p in range(hi, lo - 1, -1) if is_prime(p)), 0)
-    if top > cap:
-        raise _UsageError(f"p = {top} is above {cap}, the {args.algo} count's cap")
+    _check_reach(lo, hi, args.algo)
     primes = good_primes(lo, hi)
     if args.p is not None and not primes:
         raise _UsageError(
@@ -286,6 +291,8 @@ def _cmd_trace(args) -> int:
 def _cmd_verify(args) -> int:
     from .verify import run_suite
 
+    # the traces suite counts with the table up to --p-max
+    _check_reach(2, args.p_max, "table")
     results = run_suite(
         args.suite, cache=_open_cache(args), long_run=args.long, p_max=args.p_max
     )
@@ -323,9 +330,6 @@ def run(argv: list[str]) -> int:
     try:
         if getattr(args, "p_max", 2) < 2:
             raise _UsageError("--p-max must be at least 2")
-        if getattr(args, "p_max", 2) > TABLE_CAP:
-            # the traces suite counts with the table, which refuses q > TABLE_CAP
-            raise _UsageError(f"--p-max must be at most {TABLE_CAP}, the table count's cap")
         if args.command == "count":
             return _cmd_count(args)
         if args.command == "trace":

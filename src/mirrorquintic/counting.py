@@ -1,17 +1,21 @@
-"""Exact point counting over F_q: generic enumerator, fast table paths, cache.
+"""Exact point counting over F_q: generic enumerator, fast table path, cache.
 
 count(instance, algo, cache) is the one entry point: it returns a
-cached record when the cache holds one and otherwise runs the table path
-("table", QuinticX and QuinticY only) or count_naive.
+cached record when the cache holds one and otherwise runs count_table
+("table", QuinticX and QuinticY only) or count_naive.  Both take a
+FamilyInstance and first call check_size, the one statement of the size
+limits: q^dim <= NAIVE_CAP = 10^10 for count_naive and q <= TABLE_CAP for
+count_table.  Anything that must refuse an instance before counting it
+(the CLI's trace and verify --p-max) calls check_size too.
 
 count_naive enumerates normalized projective representatives chart by chart
 (leading coordinate 1, earlier coordinates 0) in broadcastable grid blocks
 (iter_projective_chunks) and evaluates the defining system on them through
 FamilyInstance.vanishing_mask, in the compact form the family's builder
 writes.  It is the oracle every fast path is tested against; the table
-paths below use no builder.
+path below uses no builder.
 
-count_x_table and count_y_table share one engine.  Both quintics are
+count_table runs one engine for both quintics, which are
 
   h(x0, V) = k x0 U,   h(x0, V) = (x0^e + V)^(5/e),   k = (5 mu)^(5/e),
 
@@ -38,8 +42,8 @@ the radix-2 constant; numpy's mixed-radix and Bluestein passes are taken to
 stay within it, which the residual check below watches.  D2 counts q^2
 pairs, so ||x||_2 <= ||x||_1 <= q^2, and the worst case is
 fft_error_bound(q) = (3 eta log2(q (q - 1)) + u) q^4, about
-21 u q^4 log2 N.  Table counts are refused with InstanceTooLarge unless
-that bound is below 1/4 (q <= TABLE_CAP = 1500); a count there peaks at
+21 u q^4 log2 N.  check_size refuses a table count with InstanceTooLarge
+unless that bound is below 1/4 (q <= TABLE_CAP = 1500); a count there peaks at
 about 60 q^2 bytes of arrays (140 MB) and takes about half a second.  Two
 checks guard the result at run time: every rounded entry must lie within
 1/4 of an integer, and the cone count must be 1 mod (q - 1); either
@@ -68,7 +72,7 @@ import warnings
 
 from ._lazy import lazy_numpy
 from .errors import CacheCorrupt, InstanceTooLarge, InvariantViolated
-from .families import FamilyId, FamilyInstance, param_string
+from .families import FamilyId, FamilyInstance
 from .ffield import FieldDescriptor
 
 np = lazy_numpy()
@@ -258,12 +262,28 @@ def _sorted_tuples(q: int, k: int) -> np.ndarray:
     return table
 
 
+def check_size(instance: FamilyInstance, algo: str):
+    """Refuse, with InstanceTooLarge, an instance past the size limit of the
+    count that count(instance, algo) runs: q <= TABLE_CAP for the table
+    path, under the fft_error_bound estimate, and q^dim <= NAIVE_CAP for
+    the enumerator."""
+    q, dim = instance.field.q, instance.ambient_dim
+    if algo == "table" and instance.id in _KEY_EXPONENT:
+        if q > TABLE_CAP:
+            raise InstanceTooLarge(
+                f"table algorithm capped at q <= {TABLE_CAP}: at q = {q} the "
+                f"worst-case FFT rounding error is {fft_error_bound(q):.3g}, not "
+                f"below {_ROUNDING_MARGIN}"
+            )
+    elif q**dim > NAIVE_CAP:
+        raise InstanceTooLarge(f"q^dim = {q**dim} exceeds {NAIVE_CAP}")
+
+
 def count_naive(instance: FamilyInstance) -> CountRecord:
     """Exact projective count by chart enumeration; the reference algorithm."""
+    check_size(instance, "naive")
     F = instance.field
     t0 = time.perf_counter()
-    if F.q ** instance.ambient_dim > NAIVE_CAP:
-        raise InstanceTooLarge(f"q^dim = {F.q ** instance.ambient_dim} exceeds {NAIVE_CAP}")
     n = sum(
         int(instance.vanishing_mask(c).sum())
         for c in iter_projective_chunks(F, instance.ambient_dim)
@@ -336,15 +356,6 @@ def _block_count(F: FieldDescriptor, d2: np.ndarray, table: np.ndarray) -> int:
     return int(np.einsum("tv,tv->", d4_units, table[exp])) + int(d4_zero @ table[0])
 
 
-def _check_table_size(q: int):
-    if q > TABLE_CAP:
-        raise InstanceTooLarge(
-            f"table algorithm capped at q <= {TABLE_CAP}: at q = {q} the "
-            f"worst-case FFT rounding error is {fft_error_bound(q):.3g}, not "
-            f"below {_ROUNDING_MARGIN}"
-        )
-
-
 def _cone_to_projective(n_aff: int, q: int) -> int:
     if (n_aff - 1) % (q - 1) != 0:
         raise InvariantViolated(
@@ -382,28 +393,24 @@ def _x0_table(F: FieldDescriptor, e: int, k: int) -> np.ndarray:
     return table
 
 
-def _table_count(family: FamilyId, mu, F: FieldDescriptor) -> CountRecord:
-    _check_table_size(F.q)
+def count_table(instance: FamilyInstance) -> CountRecord:
+    """Table count for QuinticX and QuinticY; equals count_naive on the
+    same instance.  ValueError for any other family."""
+    e = _KEY_EXPONENT.get(instance.id)
+    if e is None:
+        raise ValueError(f"no table algorithm for {instance.id.value}")
+    check_size(instance, "table")
+    F = instance.field
     t0 = time.perf_counter()
-    mu = F.element(mu)
-    e = _KEY_EXPONENT[family]
     key = F.power_table(e)
     all_idx = np.arange(F.q, dtype=np.int64)
     d2 = _histogram(F, F.vmul, lambda a, b: F.vadd(key[a], key[b]), all_idx, all_idx)
-    table = _x0_table(F, e, ((mu * 5) ** (5 // e)).index)
+    table = _x0_table(F, e, ((instance.params["mu"] * 5) ** (5 // e)).index)
     count = _cone_to_projective(_block_count(F, d2, table), F.q)
     ms = int(round((time.perf_counter() - t0) * 1000))
-    return CountRecord(family.value, param_string({"mu": mu}), F.p, F.k, count, "table", ms)
-
-
-def count_x_table(mu, F: FieldDescriptor) -> CountRecord:
-    """Table count for QuinticX; equals count_naive on the same instance."""
-    return _table_count(FamilyId.QUINTIC_X, mu, F)
-
-
-def count_y_table(mu, F: FieldDescriptor) -> CountRecord:
-    """Table count for QuinticY; equals count_naive on the same instance."""
-    return _table_count(FamilyId.QUINTIC_Y, mu, F)
+    return CountRecord(
+        instance.id.value, instance.param_string(), F.p, F.k, count, "table", ms
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -481,11 +488,8 @@ def count(
         hit = cache.get(_cache_key(instance.id.value, instance.param_string(), F.p, F.k))
         if hit is not None:
             return hit
-    if algo == "table" and instance.id in _KEY_EXPONENT:
-        table_count = count_x_table if instance.id is FamilyId.QUINTIC_X else count_y_table
-        rec = table_count(instance.params["mu"], F)
-    else:
-        rec = count_naive(instance)
+    run = count_table if algo == "table" and instance.id in _KEY_EXPONENT else count_naive
+    rec = run(instance)
     if cache is not None:
         cache.append(rec)
     return rec

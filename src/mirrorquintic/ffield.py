@@ -487,8 +487,10 @@ class FieldArray:
     the raw integer operation and carries the exact interval [lo, hi] of the
     unreduced values (negative ones too), so that a chain of operations
     reduces mod p once: when ``a`` is read, or before an interval could
-    reach 2^62.  Arrays passed in are taken as reduced and never written;
-    only arrays a FieldArray allocated are reduced in place.
+    reach 2^62.  ** reads the field's power table, so above
+    POWER_TABLE_CAP it raises TableTooLarge, as vpow does.  Arrays passed
+    in are taken as reduced and never written; only arrays a FieldArray
+    allocated are reduced in place.
     """
 
     __slots__ = ("_a", "field", "lo", "hi")
@@ -543,19 +545,7 @@ class FieldArray:
         return FieldArray(F.vmul(self._a, other._a), F)
 
     def __pow__(self, e: int) -> "FieldArray":
-        F = self.field
-        if F.k == 1 and F.q > POWER_TABLE_CAP and e >= 0:
-            # no power table at this p: square and multiply
-            result = FieldArray(np.ones(np.shape(self._a), dtype=np.int64), F)
-            base = self
-            while e:
-                if e & 1:
-                    result = result * base
-                e >>= 1
-                if e:
-                    base = base * base
-            return result
-        return FieldArray(F.vpow(self.a, e), F)
+        return FieldArray(self.field.vpow(self.a, e), self.field)
 
     def scale(self, c) -> "FieldArray":
         """Multiply by a scalar (int or FieldElement)."""

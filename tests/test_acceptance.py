@@ -13,8 +13,7 @@ import pytest
 from mirrorquintic import modularity, singular, symmetry
 from mirrorquintic.counting import (
     count_naive,
-    count_x_table,
-    count_y_table,
+    count_table,
     projective_size,
 )
 from mirrorquintic.families import (
@@ -168,11 +167,11 @@ def test_criterion_07_oracle_equivalence():
         F = make_field(p)
         for mu in (0, 1, 2):
             ok = ok and (
-                count_x_table(mu, F).count
+                count_table(quintic_x(mu, F)).count
                 == count_naive(quintic_x(mu, F)).count
             )
             ok = ok and (
-                count_y_table(mu, F).count
+                count_table(quintic_y(mu, F)).count
                 == count_naive(quintic_y(mu, F)).count
             )
             pairs += 2

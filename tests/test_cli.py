@@ -3,10 +3,11 @@ from pathlib import Path
 
 import pytest
 
-from mirrorquintic import cli
+from mirrorquintic import cli, counting, verify
 from mirrorquintic.cli import TRACE_COLUMNS, run
-from mirrorquintic.errors import MirrorQuinticError
-from mirrorquintic.ffield import is_prime
+from mirrorquintic.errors import InstanceTooLarge, MirrorQuinticError
+from mirrorquintic.families import quintic_x
+from mirrorquintic.ffield import is_prime, make_field
 
 
 def test_count_happy_path(tmp_path):
@@ -99,7 +100,9 @@ def test_trace_refuses_a_long_range_above_the_cap_before_listing_it(monkeypatch,
 
     monkeypatch.setattr(cli, "is_prime", counted)
     assert run(["trace", "--p-range", "2..1000000000"]) == 2
-    assert capsys.readouterr().err.startswith("usage error: p = 999999937 is above 1500")
+    assert capsys.readouterr().err.startswith(
+        "usage error: p = 999999937: table algorithm capped at q <= 1500"
+    )
     assert len(calls) < 1000
 
 
@@ -111,6 +114,52 @@ def test_trace_naive_cap_admits_313(monkeypatch, capsys):
     monkeypatch.setattr(cli, "compare_traces", reached)
     assert run(["trace", "--p", "313", "--algo", "naive"]) == 1
     assert capsys.readouterr().err == "error: reached p = 313\n"
+
+
+class _Reached(Exception):
+    pass
+
+
+def _count_refuses(monkeypatch, p: int, algo: str) -> bool:
+    # count() on the mu = 1 X over F_p, stopped where its engine would start
+    # work: True when it refuses the instance with InstanceTooLarge first
+    def reached(*args, **kwargs):
+        raise _Reached
+
+    with monkeypatch.context() as m:
+        m.setattr(counting, "_histogram", reached)
+        m.setattr(counting, "iter_projective_chunks", reached)
+        try:
+            counting.count(quintic_x(1, make_field(p)), algo)
+        except InstanceTooLarge:
+            return True
+        except _Reached:
+            return False
+    raise AssertionError(f"count ran to the end at p = {p}")
+
+
+@pytest.mark.parametrize("algo,admitted,refused", [("table", 1499, 1511), ("naive", 313, 317)])
+def test_up_front_refusals_follow_the_count(monkeypatch, capsys, algo, admitted, refused):
+    # trace, and verify --p-max for the table, exit 2 naming the prime
+    # exactly when count refuses that prime's X instance
+    def reached(*args, **kwargs):
+        raise MirrorQuinticError("reached the count")
+
+    monkeypatch.setattr(cli, "compare_traces", reached)
+    monkeypatch.setattr(verify, "run_suite", reached)
+    commands = [["trace", "--p", "{p}", "--algo", algo]]
+    if algo == "table":
+        commands.append(["verify", "--suite", "traces", "--p-max", "{p}"])
+    for p in (admitted, refused):
+        is_refused = _count_refuses(monkeypatch, p, algo)
+        assert is_refused == (p == refused)
+        for command in commands:
+            code = run([a.format(p=p) for a in command])
+            err = capsys.readouterr().err
+            if is_refused:
+                assert code == 2 and err.startswith(f"usage error: p = {p}: ")
+            else:
+                assert code == 1 and err == "error: reached the count\n"
 
 
 def test_reports_byte_identical_with_warm_cache(tmp_path):
@@ -243,8 +292,8 @@ def test_verify_help_lists_the_suites(capsys):
     [
         ["verify", "--suite", "traces", "--p-max", "1"],
         ["verify", "--suite", "all", "--p-max", "-3"],
-        # above the table count's cap: refused before any count or primality test
-        ["verify", "--suite", "traces", "--p-max", "1501"],
+        # a prime above the table count's cap: refused before any count
+        ["verify", "--suite", "traces", "--p-max", "1511"],
         ["verify", "--suite", "traces", "--p-max", "1000000000"],
         # above the naive count's cap, 313 < 317: refused before any count
         ["trace", "--p-range", "2..317", "--algo", "naive"],

@@ -7,13 +7,15 @@ import pytest
 
 from mirrorquintic import counting, singular
 from mirrorquintic.counting import (
+    ALGOS,
+    NAIVE_CAP,
     TABLE_CAP,
     CountCache,
     CountRecord,
+    check_size,
     count,
     count_naive,
-    count_x_table,
-    count_y_table,
+    count_table,
     fft_error_bound,
     projective_size,
 )
@@ -82,38 +84,38 @@ def test_fermat_f7_400():
 @pytest.mark.parametrize("mu", [0, 1, 2])
 def test_table_equals_naive(p, mu):
     F = make_field(p)
-    assert count_x_table(mu, F).count == count_naive(quintic_x(mu, F)).count
-    assert count_y_table(mu, F).count == count_naive(quintic_y(mu, F)).count
+    assert count_table(quintic_x(mu, F)).count == count_naive(quintic_x(mu, F)).count
+    assert count_table(quintic_y(mu, F)).count == count_naive(quintic_y(mu, F)).count
 
 
 def test_y_table_mu_zero_uses_table():
     # (5 mu)^5 = 0: the mirror is the fifth power of a hyperplane
-    rec = count_y_table(0, make_field(7))
+    rec = count_table(quintic_y(0, make_field(7)))
     assert rec.count == 400 and rec.algo == "table"
 
 
 def test_y_table_characteristic_5_is_hyperplane_power():
-    rec = count_y_table(1, make_field(5, 3))
+    rec = count_table(quintic_y(1, make_field(5, 3)))
     assert rec.count == projective_size(125, 3) == 1968876 and rec.algo == "table"
 
 
 def test_x_table_characteristic_5_is_hyperplane_power():
     # in characteristic 5 the Fermat sum is (x0 + ... + x4)^5 and 5 mu = 0
-    rec = count_x_table(1, make_field(5, 3))
+    rec = count_table(quintic_x(1, make_field(5, 3)))
     assert rec.count == projective_size(125, 3) == 1968876 and rec.algo == "table"
 
 
 def test_table_on_extension_field():
     F9 = make_field(3, 2)
-    assert count_x_table(1, F9).count == count_naive(quintic_x(1, F9)).count
-    assert count_y_table(1, F9).count == count_naive(quintic_y(1, F9)).count
+    assert count_table(quintic_x(1, F9)).count == count_naive(quintic_x(1, F9)).count
+    assert count_table(quintic_y(1, F9)).count == count_naive(quintic_y(1, F9)).count
 
 
 def test_monotone_bound():
     for p, mu in [(7, 1), (11, 2)]:
         F = make_field(p)
-        assert count_x_table(mu, F).count <= projective_size(p, 4)
-        assert count_y_table(mu, F).count <= projective_size(p, 4)
+        assert count_table(quintic_x(mu, F)).count <= projective_size(p, 4)
+        assert count_table(quintic_y(mu, F)).count <= projective_size(p, 4)
     assert count_naive(cubics_v(1, make_field(7))).count <= projective_size(7, 5)
 
 
@@ -125,7 +127,7 @@ def test_count_task_rejects_unknown_algo(algo):
 
 def test_instance_too_large():
     with pytest.raises(InstanceTooLarge):
-        count_x_table(1, make_field(8209))
+        count_table(quintic_x(1, make_field(8209)))
     with pytest.raises(InstanceTooLarge):
         count_naive(quintic_x(1, make_field(1009)))
 
@@ -147,19 +149,37 @@ def _oracle_cases():
 def test_table_equals_naive_randomized(p, k, mu):
     F = make_field(p, k)
     mu = F.from_index(mu)
-    assert count_x_table(mu, F).count == count_naive(quintic_x(mu, F)).count
-    rec = count_y_table(mu, F)
+    assert count_table(quintic_x(mu, F)).count == count_naive(quintic_x(mu, F)).count
+    rec = count_table(quintic_y(mu, F))
     assert rec.algo == "table"
     assert rec.count == count_naive(quintic_y(mu, F)).count
 
 
 def test_table_cap_is_the_error_bound():
     assert fft_error_bound(TABLE_CAP) < 0.25 <= fft_error_bound(TABLE_CAP + 1)
-    # the prime 1511 is the first field size past the cap
+    # the prime 1511 is the first field size past the cap; check_size
+    # refuses it with the estimate for the table and admits 1499
     estimate = f"{fft_error_bound(1511):.3g}"
-    for table_count in (count_x_table, count_y_table):
-        with pytest.raises(InstanceTooLarge, match=estimate):
-            table_count(1, make_field(1511))
+    for family in (quintic_x, quintic_y):
+        check_size(family(1, make_field(1499)), "table")
+        inst = family(1, make_field(1511))
+        for refuse in (lambda: check_size(inst, "table"), lambda: count_table(inst)):
+            with pytest.raises(InstanceTooLarge, match=estimate):
+                refuse()
+
+
+@pytest.mark.parametrize("algo", ALGOS)
+def test_check_size_states_the_naive_cap(algo):
+    # q^dim <= NAIVE_CAP = 10^10 on CubicsV in P^5: 97^5 passes and 101^5
+    # does not; it has no table path, so "table" applies the same rule
+    check_size(cubics_v(1, make_field(97)), algo)
+    with pytest.raises(InstanceTooLarge, match=f"q\\^dim = {101**5} exceeds {NAIVE_CAP}"):
+        check_size(cubics_v(1, make_field(101)), algo)
+
+
+def test_count_table_refuses_a_family_without_a_table_path():
+    with pytest.raises(ValueError, match="no table algorithm for CubicsV"):
+        count_table(cubics_v(1, make_field(7)))
 
 
 @pytest.mark.parametrize("offset,ok", [(0.2, True), (0.3, False)])
@@ -167,10 +187,10 @@ def test_rounding_residual_raises(monkeypatch, offset, ok):
     irfftn = np.fft.irfftn
     monkeypatch.setattr(np.fft, "irfftn", lambda *a, **kw: irfftn(*a, **kw) + offset)
     if ok:  # within the 1/4 margin the rounding still recovers the count
-        assert count_x_table(1, make_field(11)).count == 3300
+        assert count_table(quintic_x(1, make_field(11))).count == 3300
     else:
         with pytest.raises(InvariantViolated, match="residual 0.3"):
-            count_x_table(1, make_field(11))
+            count_table(quintic_x(1, make_field(11)))
 
 
 @pytest.mark.parametrize("q,mu", [(11, 1), (31, 2)])
@@ -187,7 +207,7 @@ def test_fiber_sum_identity(q, mu):
         for col in np.nonzero(mask)[0]:
             pt = tuple(F.from_index(int(c[col])) for c in coords)
             total += preimage_count(phi, pt, within=X).count_within
-    assert total == count_x_table(mu, F).count
+    assert total == count_table(X).count
 
 
 def test_v_count_matches_integer_brute_force():

@@ -182,6 +182,8 @@ def test_large_prime_scalars_need_no_tables():
     assert primitive_nth_root(F, 2) == F.element(-1)
     with pytest.raises(TableTooLarge):
         F.vpow(np.arange(3), 2)
+    with pytest.raises(TableTooLarge):  # arrays take powers by the same rule
+        FieldArray(np.arange(3), F) ** 2
 
 
 def _digitwise(F, op, a: int, b: int) -> int:
@@ -371,7 +373,7 @@ def _chain(op, leaf_ids):
 
 def _long_chains(rng, nleaves: int):
     # products of 40 factors (unreduced, their intervals pass 2^63 at every
-    # p here but 2), sums of 40 triple products (past 2^63 at p = 2^31 - 1),
+    # p here but 2), sums of 40 triple products (past 2^63 at p = 1048573),
     # and differences that go negative feeding powers
     def product(n):
         return _chain("mul", [int(i) for i in rng.integers(nleaves, size=n)])
@@ -389,7 +391,9 @@ def _long_chains(rng, nleaves: int):
     ]
 
 
-@pytest.mark.parametrize("p,k", [(2, 1), (7, 1), (31, 1), (2**31 - 1, 1), (7, 2)])
+# 1048573 is the largest prime below POWER_TABLE_CAP = 2^20, where ** still
+# has its power tables
+@pytest.mark.parametrize("p,k", [(2, 1), (7, 1), (31, 1), (1048573, 1), (7, 2)])
 def test_deferred_reduction_matches_scalars(p, k):
     # random expression trees of + - * scale ** on FieldArrays, against the
     # same trees on FieldElements; every intermediate's interval holds its

@@ -169,6 +169,24 @@ def test_reduction_stays_in_ffield():
     assert found == []
 
 
+def test_size_caps_are_read_only_in_counting():
+    # counting.check_size is the one statement of the count size limits:
+    # no other module names TABLE_CAP or NAIVE_CAP
+    caps = {"TABLE_CAP", "NAIVE_CAP"}
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "counting.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if (
+                isinstance(node, ast.Name) and node.id in caps
+                or isinstance(node, ast.Attribute) and node.attr in caps
+                or isinstance(node, ast.alias) and node.name in caps
+            ):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
 def test_no_module_starts_threads():
     # _lazy.lazy_numpy's first attribute access is not thread-safe on
     # Python 3.11, and every count and scan runs on one thread: no module
