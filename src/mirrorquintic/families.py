@@ -106,11 +106,6 @@ class MonomialMap(_MapShape):
         return super().__new__(cls, exponent, arity)
 
 
-def param_string(params: dict[str, FieldElement]) -> str:
-    """Canonical parameter string used as part of the cache key."""
-    return ";".join(f"{k}={v.canonical_str()}" for k, v in sorted(params.items()))
-
-
 class FamilyInstance:
     """A family over one field: its parameters and its equation builder.
 
@@ -155,7 +150,7 @@ class FamilyInstance:
 
     def param_string(self) -> str:
         """Canonical parameter string used as part of the cache key."""
-        return param_string(self.params)
+        return ";".join(f"{k}={v.canonical_str()}" for k, v in sorted(self.params.items()))
 
     def evaluate(self, coords) -> list[np.ndarray]:
         """Values of the defining equations on index arrays, one per

@@ -22,6 +22,10 @@ e-th power, so the solutions of u^e = v are the indices where it reads v.
 Products of residues that cannot fit in int64, p > 2^31.5, are refused on
 arrays with InstanceTooLarge.
 
+A field is one object: make_field returns one FieldDescriptor per (p, k)
+and nothing else builds one, so fields compare by identity, and values of
+different fields do not combine.
+
 Extension moduli are chosen deterministically: the first monic irreducible
 polynomial of degree k in lexicographic order of the coefficient tuple
 (constant term first).  Irreducibility is certified by exhaustive root and
@@ -154,7 +158,7 @@ class FieldElement:
     def _other(self, other):
         # the index of the other operand, None when it is not one
         if isinstance(other, FieldElement):
-            if other.field is not self.field and other.field != self.field:
+            if other.field is not self.field:
                 raise FieldMismatch(
                     f"elements of {self.field} and {other.field} cannot be combined"
                 )
@@ -214,7 +218,7 @@ class FieldElement:
     def __eq__(self, other):
         # an int is not an element: F7(3) != 3, so equal values hash equally
         if isinstance(other, FieldElement):
-            return self.index == other.index and self.field == other.field
+            return self.index == other.index and self.field is other.field
         return NotImplemented
 
     def __hash__(self):
@@ -239,8 +243,10 @@ class FieldElement:
 class FieldDescriptor:
     """Immutable description of F_{p^k} plus lazily built arithmetic tables.
 
-    All tables are built once and then only read, so a descriptor is safe
-    to share across threads.
+    Built only by make_field, once per field, so the descriptor is the
+    field's identity: it has no equality of its own, and elements compare
+    their fields with ``is``.  All tables are built once and then only
+    read, so a descriptor is safe to share across threads.
     """
 
     def __init__(self, p: int, k: int, modulus: tuple[int, ...]):
@@ -257,17 +263,6 @@ class FieldDescriptor:
 
     def __repr__(self):
         return f"GF({self.q})" if self.k > 1 else f"GF({self.p})"
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, FieldDescriptor)
-            and self.p == other.p
-            and self.k == other.k
-            and self.modulus == other.modulus
-        )
-
-    def __hash__(self):
-        return hash((self.p, self.k, self.modulus))
 
     # -- scalar interface ------------------------------------------------
 
@@ -683,17 +678,23 @@ def _prime_factors(n: int) -> list[int]:
     return out
 
 
-@functools.lru_cache(maxsize=None)
 def make_field(p: int, k: int = 1) -> FieldDescriptor:
-    """Build F_{p^k} with the deterministic smallest-lexicographic modulus.
+    """F_{p^k} with the deterministic smallest-lexicographic modulus.
 
     Raises CompositeCharacteristic when p is not prime and UnsupportedDegree
-    when k is outside [1, 4].  Calls with equal (p, k) return the same
-    cached descriptor, hence identical moduli and element indexing.
+    when k is outside [1, 4].  Every spelling of the same (p, k) returns
+    the field's one cached descriptor, which is its identity.
     """
-    if not isinstance(p, int) or not is_prime(p):
+    return _field(p, k)
+
+
+@functools.lru_cache(maxsize=None, typed=True)
+def _field(p: int, k: int) -> FieldDescriptor:
+    # the only constructor of descriptors: each field is validated and
+    # built once, keyed on exact int arguments so no spelling splits it
+    if type(p) is not int or not is_prime(p):
         raise CompositeCharacteristic(f"{p} is not prime")
-    if not isinstance(k, int) or not 1 <= k <= 4:
+    if type(k) is not int or not 1 <= k <= 4:
         raise UnsupportedDegree(f"extension degree {k} outside [1, 4]")
     if k == 1:
         return FieldDescriptor(p, 1, ())

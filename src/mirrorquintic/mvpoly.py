@@ -33,6 +33,16 @@ from .ffield import FieldArray, FieldDescriptor, FieldElement
 np = lazy_numpy()
 
 
+def _add_term(terms: dict, exps: tuple, c: FieldElement) -> None:
+    # add c to the coefficient of exps in place; a term that cancels goes
+    prev = terms.get(exps)
+    c = c if prev is None else prev + c
+    if c:
+        terms[exps] = c
+    else:
+        terms.pop(exps, None)
+
+
 class MPoly:
     """Sparse polynomial in a fixed number of variables over the field
     ``field``.  Values are immutable once constructed."""
@@ -49,13 +59,7 @@ class MPoly:
                 raise DimensionMismatch(
                     f"monomial {exps} has {len(exps)} exponents, expected {nvars}"
                 )
-            coeff = field.element(coeff)
-            prev = clean.get(exps)
-            coeff = coeff if prev is None else prev + coeff
-            if coeff:
-                clean[exps] = coeff
-            else:
-                clean.pop(exps, None)
+            _add_term(clean, exps, field.element(coeff))
         self._terms = clean
 
     def _new(self, terms: dict) -> "MPoly":
@@ -116,7 +120,7 @@ class MPoly:
             raise DimensionMismatch(
                 f"{self.nvars} and {other.nvars} variables cannot be combined"
             )
-        if other.field is not self.field and other.field != self.field:
+        if other.field is not self.field:
             raise FieldMismatch(
                 f"polynomials over {self.field!r} and {other.field!r} cannot be combined"
             )
@@ -127,12 +131,7 @@ class MPoly:
         self._check(other)
         terms = dict(self._terms)
         for exps, c in other._terms.items():
-            prev = terms.get(exps)
-            c = c if prev is None else prev + c
-            if c:
-                terms[exps] = c
-            else:
-                terms.pop(exps, None)
+            _add_term(terms, exps, c)
         return self._new(terms)
 
     def __neg__(self):
@@ -159,14 +158,7 @@ class MPoly:
         acc: dict[tuple, FieldElement] = {}
         for e1, c1 in self._terms.items():
             for e2, c2 in other._terms.items():
-                e = tuple(x + y for x, y in zip(e1, e2))
-                c = c1 * c2
-                prev = acc.get(e)
-                c = c if prev is None else prev + c
-                if c:
-                    acc[e] = c
-                else:
-                    acc.pop(e, None)
+                _add_term(acc, tuple(x + y for x, y in zip(e1, e2)), c1 * c2)
         return self._new(acc)
 
     __rmul__ = __mul__

@@ -18,15 +18,17 @@ the same builder run on forward-mode jets (ffield.Jet), which gives the
 first partials in the compact form it writes the equations in.  The
 mirror's strata come from families.strata_codes on index arrays, and only
 the singular points become FieldElement tuples.  Fiber counts and node
-tests read the field off their points; the e-th roots of a fiber's
-coordinates are read off the field's power table.
+tests read the field off their points and refuse a point whose field is
+not the instance's (descriptors compare by identity, ffield.make_field);
+the e-th roots of a fiber's coordinates are read off the field's power
+table.
 
 Nodes are recognized by a full-rank Hessian in the affine chart of the
 first nonzero coordinate, whose rank is that of the homogeneous Hessian.
-classify_nodes takes all the points of an instance at once: the builder
-run on second-order jets (a Jet of Jets) gives the values, gradients and
-Hessians on index arrays, and one elimination over F_q on the stack of
-Hessians gives the ranks.
+classify_nodes takes all the points of an instance at once, and a single
+point is a batch of one: the builder run on second-order jets (a Jet of
+Jets) gives the values, gradients and Hessians on index arrays, and one
+elimination over F_q on the stack of Hessians gives the ranks.
 The criterion needs characteristic at least 7 and is refused below that.
 
 Containment statements about the quadric surface are certified by
@@ -64,8 +66,6 @@ from .families import (
     MonomialMap,
     Stratum,
     normalize_point,
-    quadric_q,
-    quintic_x,
     quintic_y,
     strata_codes,
     unique_points,
@@ -74,7 +74,6 @@ from .ffield import (
     FieldDescriptor,
     FieldElement,
     Jet,
-    make_field,
     matrix_ranks,
 )
 
@@ -295,11 +294,6 @@ def classify_nodes(instance: FamilyInstance, points) -> list[NodeClassification]
     ]
 
 
-def classify_node(instance: FamilyInstance, point) -> NodeClassification:
-    """The Hessian test of classify_nodes at one point."""
-    return classify_nodes(instance, [point])[0]
-
-
 def preimage_count(
     m: MonomialMap, point, within: FamilyInstance | None = None
 ) -> FiberReport:
@@ -435,10 +429,3 @@ def surface_evidence(
         bool(mirror.vanishing_mask(list(imgs.T)).all()),
         witnesses,
     )
-
-
-def quadric_evidence_for_prime(p: int) -> SurfaceEvidence:
-    """Convenience wrapper: evidence for the surface inside the mu = 1
-    quintic over F_p (requires p = 1 mod 5)."""
-    F = make_field(p)
-    return surface_evidence(quadric_q(F), quintic_x(1, F))

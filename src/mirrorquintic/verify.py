@@ -29,6 +29,7 @@ from .families import (
     new_coordinates_w,
     normalize_point,
     points_on_lines_a,
+    quadric_q,
     quintic_x,
     quintic_y,
     sample_points,
@@ -99,7 +100,7 @@ def suite_nodes(cache=None, long_run: bool = False, p_max: int = 101) -> list[Ch
             ok = rep.count == expected
             if is_root:
                 ok = ok and rep.strata_counts[Stratum.EXTRA_NODE] == 1
-                ok = ok and singular.classify_node(Y, (Y.field.one,) * 5).is_node
+                ok = ok and singular.classify_nodes(Y, [(Y.field.one,) * 5])[0].is_node
             return ok, f"count={rep.count}, mu^5=1: {is_root}"
 
         name = f"mirror mu={mu} over F_{p}: singular count"
@@ -273,8 +274,8 @@ def suite_quadric(cache=None, long_run: bool = False, p_max: int = 101) -> list[
     """
 
     def prime_rows(p):
-        ev = singular.quadric_evidence_for_prime(p)
         F = make_field(p)
+        ev = singular.surface_evidence(quadric_q(F), quintic_x(1, F))
         fifth = F.power_table(5)
 
         def surface():

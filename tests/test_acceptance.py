@@ -123,7 +123,7 @@ def test_criterion_05_mirror_singular_locus():
         ok = ok and rep.count == 10 * p - 9
         ones = (F.one,) * 5
         ok = ok and ones in set(rep.points)
-        ok = ok and singular.classify_node(inst, ones).is_node
+        ok = ok and singular.classify_nodes(inst, [ones])[0].is_node
         details.append(f"F_{p} mu=1: {rep.count}/{10 * p - 9}")
     report(
         "criterion 5: mirror singular counts 10q-10 (generic) and 10q-9 "

@@ -52,6 +52,26 @@ def test_modulus_deterministic():
     assert a is b and a.modulus == b.modulus == (1, 0, 1)
 
 
+def test_every_spelling_of_a_field_is_one_descriptor():
+    # the cache keys on (p, k) however a call spells them, so a field is
+    # one object: F_11 three ways, F_49 four ways
+    F11 = make_field(11)
+    assert make_field(11, 1) is F11 and make_field(p=11, k=1) is F11
+    F49 = make_field(7, 2)
+    assert make_field(7, k=2) is F49 and make_field(p=7, k=2) is F49
+    assert make_field(k=2, p=7) is F49 and F49 is not make_field(7)
+    # a refused call is refused every time, and not cached as a field;
+    # a bool or float degree is no spelling of k = 1
+    for _ in range(2):
+        with pytest.raises(CompositeCharacteristic):
+            make_field(4)
+        with pytest.raises(UnsupportedDegree):
+            make_field(3, 5)
+        for k in (True, 1.0):
+            with pytest.raises(UnsupportedDegree):
+                make_field(11, k)
+
+
 def test_is_prime_small():
     primes = [p for p in range(2, 60) if is_prime(p)]
     assert primes == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59]

@@ -34,11 +34,9 @@ from mirrorquintic.mvpoly import eval_batch
 from mirrorquintic.singular import (
     _jacobian,
     _surface_points,
-    classify_node,
     classify_nodes,
     fiber_size_table,
     preimage_count,
-    quadric_evidence_for_prime,
     singular_points,
     surface_evidence,
 )
@@ -89,7 +87,7 @@ def test_orbit_scan_equals_full_scan(monkeypatch, q):
 def test_x1_f11_node_census():
     rep = singular_points(quintic_x(1, F11))
     assert rep.count == 125
-    assert all(classify_node(quintic_x(1, F11), pt).is_node for pt in rep.points)
+    assert all(c.is_node for c in classify_nodes(quintic_x(1, F11), rep.points))
 
 
 def test_scan_without_zeros_reports_nothing():
@@ -143,29 +141,29 @@ def test_nodes_of_other_root_of_unity_member():
 
 
 def test_classify_node_at_symmetric_point():
-    nc = classify_node(quintic_x(1, F11), (F11.one,) * 5)
+    [nc] = classify_nodes(quintic_x(1, F11), [(F11.one,) * 5])
     assert nc.is_node and nc.hessian_rank == 4
-    ncy = classify_node(quintic_y(1, F11), (F11.one,) * 5)
+    [ncy] = classify_nodes(quintic_y(1, F11), [(F11.one,) * 5])
     assert ncy.is_node
 
 
 def test_a_point_is_singular_but_not_node():
     pt = (F11.zero, F11.zero, F11.one, F11.one, F11.element(-2))
-    nc = classify_node(quintic_y(1, F11), pt)
+    [nc] = classify_nodes(quintic_y(1, F11), [pt])
     assert not nc.is_node and nc.hessian_rank <= 3
 
 
 def test_classify_node_rejects_smooth_point():
     with pytest.raises(NotSingular):
-        classify_node(quintic_x(2, F11), (F11.one,) * 5)
+        classify_nodes(quintic_x(2, F11), [(F11.one,) * 5])
 
 
 def test_classify_node_rejects_small_characteristic():
     F2, F5 = make_field(2), make_field(5)
     with pytest.raises(BadCharacteristic):
-        classify_node(quintic_x(1, F2), (F2.one,) * 5)
+        classify_nodes(quintic_x(1, F2), [(F2.one,) * 5])
     with pytest.raises(BadCharacteristic):
-        classify_node(quintic_x(1, F5), (F5.one,) * 5)
+        classify_nodes(quintic_x(1, F5), [(F5.one,) * 5])
 
 
 def test_singular_scan_cap():
@@ -256,21 +254,21 @@ def test_fiber_sizes_match_preimage_count_on_samples():
 
 
 def test_surface_evidence_f11():
-    ev = quadric_evidence_for_prime(11)
+    ev = surface_evidence(quadric_q(F11), quintic_x(1, F11))
     assert ev.special_point_on_surface and ev.contained_in_target
     assert ev.jacobian_full_rank and ev.images_on_mirror
     assert ev.line_witnesses == []
 
 
 def test_surface_evidence_f31_witnesses():
-    ev = quadric_evidence_for_prime(31)
+    F31 = make_field(31)
+    ev = surface_evidence(quadric_q(F31), quintic_x(1, F31))
     assert ev.special_point_on_surface and ev.contained_in_target
     assert ev.jacobian_full_rank and ev.images_on_mirror
     # a primitive cube root of unity is a fifth power mod 31, so the two
     # surface points on each coordinate plane are rational and map onto
     # the lines: 2 x 10 witnesses
     assert len(ev.line_witnesses) == 20
-    F31 = make_field(31)
     for w in ev.line_witnesses:
         assert sum(1 for x in w if not x) == 2
 
@@ -512,12 +510,14 @@ def test_surface_scan_is_the_same_for_every_block_size(monkeypatch, p, chunks):
     # on _SCAN_CHUNK: blocks of single points, of one axis of q points, and
     # one block per chart (2^19 points hold chart 0 over F_41).  Blocks of
     # 1 or 7 points take seconds over F_31 and F_41, so q is the least there
-    want_rows = _surface_points(quadric_q(make_field(p)))
-    want = quadric_evidence_for_prime(p)
+    F = make_field(p)
+    surface, target = quadric_q(F), quintic_x(1, F)
+    want_rows = _surface_points(surface)
+    want = surface_evidence(surface, target)
     for chunk in chunks:
         monkeypatch.setattr(singular, "_SCAN_CHUNK", chunk)
-        assert np.array_equal(_surface_points(quadric_q(make_field(p))), want_rows)
-        assert quadric_evidence_for_prime(p) == want
+        assert np.array_equal(_surface_points(surface), want_rows)
+        assert surface_evidence(surface, target) == want
 
 
 # -- the batched jet Hessians against a scalar MPoly reference ----------------
@@ -619,7 +619,7 @@ def test_classify_nodes_batch_equals_one_at_a_time():
     batch = classify_nodes(inst, points)
     assert _as_tuples(batch) == [
         (c.point, c.hessian_rank, c.is_node)
-        for c in (classify_node(inst, pt) for pt in points)
+        for [c] in (classify_nodes(inst, [pt]) for pt in points)
     ]
     assert [c.point for c in batch] == [normalize_point(pt) for pt in points]
     assert classify_nodes(inst, []) == []
@@ -636,8 +636,6 @@ def test_classify_nodes_refusals():
         classify_nodes(quintic_x(1, F5), [(F5.one,) * 5])
     with pytest.raises(ValueError, match="hypersurfaces"):
         classify_nodes(cubics_v(1, F7), [(F7.one,) * 6])
-    with pytest.raises(ValueError, match="hypersurfaces"):
-        classify_node(cubics_v(1, F7), (F7.one,) * 6)
 
 
 def test_classify_nodes_refuses_points_of_another_field():
@@ -645,6 +643,6 @@ def test_classify_nodes_refuses_points_of_another_field():
     # over F_7 is not the node (1:1:1:1:1) of the F_11 quintic
     X = quintic_x(1, F11)
     with pytest.raises(FieldMismatch):
-        classify_node(X, (F7.one,) * 5)
+        classify_nodes(X, [(F7.one,) * 5])
     with pytest.raises(FieldMismatch):
         classify_nodes(X, [(F11.one,) * 5, (F7.one,) * 5])

@@ -103,3 +103,29 @@ def test_verify_all_in_a_fresh_process(tmp_path):
     # verify imports its stack inside the command; the report is unchanged
     golden = (Path(__file__).parent / "data" / "verify-all.txt").read_text()
     assert _python(["-m", "mirrorquintic.cli", "verify", "--suite", "all"], tmp_path).stdout == golden
+
+
+# run the CLI on argv with a counter on FieldDescriptor.__init__, then print
+# its exit code, the descriptors built and the distinct (p, k) among them
+_FIELDS_PROBE = """
+import sys
+from mirrorquintic import ffield
+from mirrorquintic.cli import run
+built, init = [], ffield.FieldDescriptor.__init__
+def counted(self, p, k, modulus):
+    built.append((p, k))
+    init(self, p, k, modulus)
+ffield.FieldDescriptor.__init__ = counted
+code = run(sys.argv[1:])
+print(code, len(built), len(set(built)))
+"""
+
+
+def test_each_command_builds_one_descriptor_per_field(tmp_path):
+    # verify-all reaches 26 fields and a cold trace of 2..101 the 25
+    # primes, each field built once however its callers spell make_field
+    verify = ["verify", "--suite", "all"]
+    trace = ["trace", "--p-range", "2..101", "--cache", "t.jsonl", "--out", "t.csv"]
+    for argv, fields in ((verify, 26), (trace, 25)):
+        out = _python(["-c", _FIELDS_PROBE, *argv], tmp_path).stdout.split()[-3:]
+        assert out == ["0", str(fields), str(fields)]

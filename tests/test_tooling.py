@@ -242,6 +242,30 @@ def test_only_the_cli_opens_a_count_cache():
     assert found == []
 
 
+def test_only_the_cached_builder_constructs_a_field():
+    # ffield._field, under lru_cache, is the one constructor of
+    # FieldDescriptor: one object per field, so identity is its equality
+    # and the descriptor defines none of its own
+    trees = {p.name: ast.parse(p.read_text(), str(p)) for p in sorted(SRC.glob("*.py"))}
+    top = {
+        n.name: n for n in trees["ffield.py"].body if isinstance(n, (ast.FunctionDef, ast.ClassDef))
+    }
+    assert any("lru_cache" in ast.unparse(d) for d in top["_field"].decorator_list)
+    assert {"__eq__", "__hash__"}.isdisjoint(
+        n.name for n in top["FieldDescriptor"].body if isinstance(n, ast.FunctionDef)
+    )
+    builder = set(ast.walk(top["_field"]))
+    found = []
+    for name, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and node not in builder and "FieldDescriptor" in (
+                getattr(node.func, "id", None),
+                getattr(node.func, "attr", None),
+            ):
+                found.append(f"{name}:{node.lineno}")
+    assert found == []
+
+
 def _import_time_nodes(node):
     # the nodes that run while their module is imported: all but function
     # bodies and annotations (strings under `from __future__ import annotations`)
