@@ -79,7 +79,16 @@ np = lazy_numpy()
 
 NAIVE_CAP = 10**10
 CACHE_VERSION = 1
-_CHUNK = 1 << 19
+# points per grid block of iter_projective_chunks by default (count_naive,
+# fiber_size_table).  Blocks are filled to it, so it sets their size: at
+# 2^19, X over F_101 ran in blocks of 520251 points and took 1.7-2.0 s
+# against 1.0-1.4 s in blocks of 10201, with 11 MB more peak RSS.  2^14
+# gives those 10201-point blocks back, and a naive trace of 2..73 took
+# 5.6-5.8 s against 5.5-5.6 s with one split value per block at 2^19, at
+# 29 instead of 40 MB peak RSS (2-core x86-64 box).
+_CHUNK = 1 << 14
+# pairs per block of a table count's pair histogram
+_HISTOGRAM_CHUNK = 1 << 19
 _UNIT_ROUNDOFF = 2.0**-53
 _FFT_ETA = 7 * _UNIT_ROUNDOFF
 _ROUNDING_MARGIN = 0.25
@@ -165,18 +174,23 @@ def iter_projective_chunks(
     coordinates, coordinate j of shape (1, ..., n, ..., 1), or scalars.
     The trailing groups are axes, as many as keep the block to at most
     chunk points.  Of the leading groups, all but the last are scalars; the
-    last gives its first coordinate v as a scalar and the rest as the suffix
-    of the (k - 1)-tuples with entries at least v, cut into runs that keep
-    the block to at most chunk points.
+    last is an axis too, cut into consecutive runs of its sorted k-tuples
+    (_tuple_run), so that every block of a prefix but its last holds
+    exactly chunk // points tuples, where points is the size of the
+    trailing axes.
 
-    With the default blocks every group is one coordinate, an arange(q) axis
-    or a scalar, so a power of x_j is a lookup on q values and only the last
-    operations of an equation run over the whole block.  Broadcast together
-    and raveled in C order, those blocks list exactly one representative
-    per point, chart by chart, each chart in the order of its free
-    coordinates read as base-q digits.  The sorted-tuple tables are built on
-    first use; the axes are shared by the blocks and read-only.
+    With the default blocks every group is one coordinate, an arange axis
+    or a scalar, so a power of x_j is a lookup on at most q values and only
+    the last operations of an equation run over the whole block.  Broadcast
+    together and raveled in C order, those blocks list exactly one
+    representative per point, chart by chart, each chart in the order of
+    its free coordinates read as base-q digits.  The sorted-tuple tables
+    are built on first use; the trailing axes are shared by the blocks and
+    read-only.  A chunk below 1 is refused with ValueError before any block
+    is yielded.
     """
+    if chunk < 1:
+        raise ValueError(f"a grid block holds at least one point, not chunk = {chunk}")
     q = F.q
     nv = dim + 1
     members = [j for b in blocks for j in b]
@@ -203,11 +217,16 @@ def iter_projective_chunks(
         *lead, split = groups[:n_lead]
         fixed += [j for g in lead for j in g]
         rows = [itertools.combinations_with_replacement(range(q), len(g)) for g in lead]
+        k, n, room = len(split), _n_tuples(q, len(split)), chunk // points
         for prefix in itertools.product(*rows):
             values = head + [v for row in prefix for v in row]
-            for v, run in _split_group(q, len(split), chunk // points):
-                tail = axes if run is None else [(split[1:], run), *axes]
-                yield _grid_block(nv, fixed + split[:1], values + [v], tail)
+            for start in range(0, n, room):
+                # no local keeps the run, so a consumer that drops a block
+                # frees it before the next run is built
+                yield _grid_block(
+                    nv, fixed, values,
+                    [(split, _tuple_run(q, k, start, min(start + room, n))), *axes],
+                )
 
 
 def _grid_block(nv: int, fixed, values, axes) -> list:
@@ -223,41 +242,42 @@ def _grid_block(nv: int, fixed, values, axes) -> list:
     return out
 
 
-def _split_group(q: int, k: int, room: int):
-    """The nondecreasing k-tuples over range(q) in lexicographic order, as
-    (first entry v, run) pairs: the runs of one v cover, in order and at
-    most room columns each, the suffix of the (k - 1)-tuple table whose
-    entries are all at least v (run is None when k = 1)."""
-    for v in range(q):
-        if k == 1:
-            yield v, None
-            continue
-        table = _sorted_tuples(q, k - 1)
-        suffix = table[:, table.shape[1] - _n_tuples(q - v, k - 1) :]
-        for start in range(0, suffix.shape[1], room):
-            yield v, suffix[:, start : start + room]
-
-
 def _n_tuples(q: int, k: int) -> int:
     """The number of nondecreasing k-tuples over range(q)."""
     return math.comb(q + k - 1, k)
 
 
+def _tuple_run(q: int, k: int, start: int, stop: int) -> np.ndarray:
+    """Columns start .. stop - 1 of the sorted k-tuple table, as a new
+    (k, stop - start) array, copied from the (k - 1)-tuple table.
+
+    The n_v tuples that start with v are v followed by the last n_v of the
+    (k - 1)-tuples: those whose entries are all at least v.  Only the run
+    itself is allocated.
+    """
+    if k == 1:
+        return np.arange(start, stop, dtype=np.int64)[None, :]
+    rest = _sorted_tuples(q, k - 1)
+    out = np.empty((k, stop - start), dtype=np.int64)
+    first = 0  # the column at which v starts
+    for v in range(q):
+        n_v = _n_tuples(q - v, k - 1)
+        lo, hi = max(start, first), min(stop, first + n_v)
+        if lo < hi:
+            out[0, lo - start : hi - start] = v
+            skip = rest.shape[1] - n_v + lo - first
+            out[1:, lo - start : hi - start] = rest[:, skip : skip + hi - lo]
+        first += n_v
+        if first >= stop:
+            break
+    return out
+
+
 @functools.lru_cache(maxsize=16)
 def _sorted_tuples(q: int, k: int) -> np.ndarray:
     """The nondecreasing k-tuples over range(q) in lexicographic order, as a
-    read-only (k, C(q + k - 1, k)) array with one row per coordinate.
-
-    The n_v tuples that start with v are v followed by the last n_v of the
-    (k - 1)-tuples: those whose entries are all at least v.
-    """
-    if k == 1:
-        table = np.arange(q, dtype=np.int64)[None, :]
-    else:
-        rest = _sorted_tuples(q, k - 1)
-        n = np.array([_n_tuples(q - v, k - 1) for v in range(q)], dtype=np.int64)
-        cols = np.arange(n.sum()) + np.repeat(rest.shape[1] - np.cumsum(n), n)
-        table = np.vstack([np.repeat(np.arange(q, dtype=np.int64), n), rest[:, cols]])
+    read-only (k, C(q + k - 1, k)) array with one row per coordinate."""
+    table = _tuple_run(q, k, 0, _n_tuples(q, k))
     table.flags.writeable = False
     return table
 
@@ -303,7 +323,7 @@ def _histogram(F: FieldDescriptor, first, second, rows, cols) -> np.ndarray:
     """q x q histogram of (first(a, b), second(a, b)) over a in rows, b in cols."""
     q = F.q
     hist = np.zeros(q * q, dtype=np.int64)
-    rows_per_block = max(1, _CHUNK // max(1, len(cols)))
+    rows_per_block = max(1, _HISTOGRAM_CHUNK // max(1, len(cols)))
     for start in range(0, len(rows), rows_per_block):
         a = rows[start : start + rows_per_block, None]
         b = cols[None, :]

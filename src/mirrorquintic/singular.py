@@ -9,11 +9,11 @@ permutation of the coordinates that maps every equation to itself maps
 the singular locus to itself, so a scan visits one point per orbit of the
 permutations inside the instance's blocks (FamilyInstance.blocks) and
 spreads the singular ones over their orbits at the end.  A scan walks
-those representatives in broadcastable grid blocks
-(counting.iter_projective_chunks with the instance's blocks) on the
-calling thread, evaluates the equations on each whole block through the
-instance's own builder, and gathers the points where they vanish as the
-rows of one index array.  The Jacobian then runs once on all of them, by
+those representatives in broadcastable grid blocks filled to _SCAN_CHUNK
+points (counting.iter_projective_chunks with the instance's blocks) on
+the calling thread, evaluates the equations on each whole block through
+the instance's own builder, and gathers the points where they vanish as
+the rows of one index array.  The Jacobian then runs once on all of them, by
 the same builder run on forward-mode jets (ffield.Jet), which gives the
 first partials in the compact form it writes the equations in.  The
 mirror's strata come from families.strata_codes on index arrays, and only
@@ -26,9 +26,11 @@ table.
 Nodes are recognized by a full-rank Hessian in the affine chart of the
 first nonzero coordinate, whose rank is that of the homogeneous Hessian.
 classify_nodes takes all the points of an instance at once, and a single
-point is a batch of one: the builder run on second-order jets (a Jet of
-Jets) gives the values, gradients and Hessians on index arrays, and one
-elimination over F_q on the stack of Hessians gives the ranks.
+point is a batch of one: their fields are checked as their indices are
+read into one array, families.normalize_rows normalizes every row, the
+builder run on second-order jets (a Jet of Jets) gives the values,
+gradients and Hessians on index arrays, and one elimination over F_q on
+the stack of Hessians gives the ranks.
 The criterion needs characteristic at least 7 and is refused below that.
 
 Containment statements about the quadric surface are certified by
@@ -66,6 +68,7 @@ from .families import (
     MonomialMap,
     Stratum,
     normalize_point,
+    normalize_rows,
     quintic_y,
     strata_codes,
     unique_points,
@@ -84,14 +87,18 @@ _P5_CAP = 13
 
 # points per grid block of a scan.  A group of interchangeable coordinates
 # is one axis on which each of its coordinates is a whole array, so a block
-# costs more memory per point than counting's default ones.  Against the
-# full scan at 2^19, verify-all's peak RSS rose 6.5 MB with orbit blocks of
-# up to 2^19 points (one block per chart), 2.5 MB at 2^16 (46376 points per
-# QuinticY block over F_31) and 0.5 MB at 2^15; 2^14 gives its scans the
-# same blocks as 2^15.  The quadric surface's scan of P^3 uses it too: over
-# F_41 its chart 0 is 41 blocks of 1681 points, not one of 68921, which took
-# verify-all's peak RSS from 34.9 to 32.9 MB (that scan had set the peak).
-_SCAN_CHUNK = 1 << 15
+# costs more memory per point than counting's default ones.  Blocks are
+# filled to it (counting.iter_projective_chunks): X over F_41 is scanned in 13 blocks
+# of up to 16384 points, X and Y over F_31 in 7, CubicsV over F_13 in 8,
+# and the quadric surface's P^3 over F_41 in 8 (chart 0 in 5 runs of 9
+# values of x1, 15129 points each).  With one value of the split group per
+# block at 2^15 the same scans took 45, 35, 18 and 44 blocks of at most
+# 12341 points.  Filled to 2^15, the blocks raised verify-all's peak RSS by
+# about 1 MB; filled to 2^14 the F_31 censuses peak about 0.1-0.2 MB above
+# the one-value blocks (tracemalloc) and verify-all's peak RSS does not
+# rise.  Unfilled, one block per chart (2^19) had cost 6.5 MB, and the
+# quadric's one 68921-point chart-0 block 2 MB.
+_SCAN_CHUNK = 1 << 14
 
 
 class SingularReport(NamedTuple):
@@ -171,6 +178,12 @@ def _gather(coords, mask) -> np.ndarray:
     return np.stack([np.broadcast_to(c, mask.shape)[nz] for c in coords], axis=1)
 
 
+def _zeros(instance: FamilyInstance, block) -> np.ndarray:
+    """The points of a grid block where the instance's system vanishes, as
+    the rows of an index array (_gather)."""
+    return _gather(block, instance.vanishing_mask(block))
+
+
 @functools.lru_cache(maxsize=None)
 def _block_permutations(blocks: tuple, nvars: int) -> np.ndarray:
     """Every permutation of the coordinates inside the blocks, as the rows
@@ -215,7 +228,9 @@ def singular_points(instance: FamilyInstance) -> SingularReport:
 
     n = instance.nvars
     chunks = iter_projective_chunks(F, dim, chunk=_SCAN_CHUNK, blocks=instance.blocks)
-    zeros = np.concatenate([_gather(c, instance.vanishing_mask(c)) for c in chunks])
+    # map drops each block before the next is built (a comprehension's
+    # loop variable would keep it alive meanwhile)
+    zeros = np.concatenate(list(map(functools.partial(_zeros, instance), chunks)))
     reps = zeros[~_full_rank(instance, zeros)]
     perms = _block_permutations(instance.blocks, n)
     hits = unique_points(reps[:, perms].reshape(-1, n), F)
@@ -267,30 +282,32 @@ def classify_nodes(instance: FamilyInstance, points) -> list[NodeClassification]
     gives every point's value, gradient and Hessian, and one elimination
     (ffield.matrix_ranks) every rank.  Only characteristics p >= 7 are
     accepted: the quadratic-form rank criterion degenerates for small p.
-    A point over another field is refused with FieldMismatch.
+    The points are read into one index array, a coordinate over another
+    field refused with FieldMismatch on the way, and normalized in one
+    families.normalize_rows pass; the zero vector is a ValueError.
     """
     F = instance.field
     if F.p < 7:
         raise BadCharacteristic(
             f"node classification requires characteristic >= 7, got {F.p}"
         )
-    points = [normalize_point(pt) for pt in points]
-    if any(x.field != F for pt in points for x in pt):
-        raise FieldMismatch(f"a point is not over the field of {instance!r}")
     n = instance.nvars
-    idx = np.array([[x.index for x in pt] for pt in points], dtype=np.int64)
-    idx = idx.reshape(len(points), n)
+    idx = np.array([[F.element(x).index for x in pt] for pt in points], dtype=np.int64)
+    idx = idx.reshape(len(idx), n)
+    if not idx.any(axis=1).all():
+        raise ValueError("the zero vector is not a projective point")
+    idx = normalize_rows(idx, F)
     parts = _hessian(instance, list(idx.T))
     if len(parts) != 1:
         raise ValueError("node classification applies to hypersurfaces")
     value, grad, hess = parts[0]
     smooth = np.nonzero(functools.reduce(np.logical_or, (g != 0 for g in grad), value != 0))[0]
     if smooth.size:
-        raise NotSingular(f"{[x.index for x in points[smooth[0]]]} is a smooth point")
-    ranks = matrix_ranks(F, _stack(hess))
+        raise NotSingular(f"{idx[smooth[0]].tolist()} is a smooth point")
+    ranks = matrix_ranks(F, _stack(hess)).tolist()
     return [
-        NodeClassification(pt, int(r), int(r) == n - 1)
-        for pt, r in zip(points, ranks)
+        NodeClassification(tuple(map(F.from_index, row)), r, r == n - 1)
+        for row, r in zip(idx.tolist(), ranks)
     ]
 
 

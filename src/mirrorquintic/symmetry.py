@@ -27,21 +27,27 @@ verify_axioms checks a GroupSpec in whole-array passes: the zero vector,
 every negative and all n^2 sums are members, with membership tested by
 one lookup of each vector's mixed-radix code.
 
-Group elements act through explicit field scalars, so invariance is
-exact field arithmetic on each equation's monomials, not character
-bookkeeping.  The scalars are taken in the field of what they act on: an
-instance's field, or for orbit(point, group) the field of the point's
-coordinates.
+Group elements act through explicit field scalars, computed for every
+element at once: the root exponents are elements @ action.T mod order,
+and the powers of w turn them into an (elements, coordinates) index array
+(element_scalars).  Invariance is exact field arithmetic on those arrays,
+one pass per equation over all the elements (invariance_mask): each
+monomial's factor prod s_j^(e_j) is a row of lookups and products, not
+character bookkeeping.  An orbit is one product of the point with every
+row of scalars and one families.unique_points pass.  The scalars are taken
+in the field of what they act on: an instance's field, or for
+orbit(point, group) the field of the point's coordinates.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 
 from ._lazy import lazy_numpy
 from .errors import DimensionMismatch, InvariantViolated
-from .families import FamilyInstance, normalize_point
+from .families import FamilyInstance, unique_points
 from .ffield import FieldDescriptor, FieldElement, primitive_nth_root
 
 np = lazy_numpy()
@@ -121,68 +127,111 @@ def verify_axioms(group: GroupSpec) -> bool:
     )
 
 
-def _action_exponents(action, g) -> tuple[int, ...]:
-    """action . g: the root exponent on each coordinate, not reduced."""
-    return tuple(sum(a * x for a, x in zip(row, g)) for row in action)
+def element_scalars(group: GroupSpec, F: FieldDescriptor, elements=None) -> np.ndarray:
+    """The diagonal scalars through which the elements (every element of the
+    group by default) act, as an (elements, coordinates) index array over
+    F: element g scales x_j by w^(action[j] . g mod order), read off the
+    powers of w = primitive_nth_root(F, order).  RootOfUnityUnavailable
+    when F lacks a primitive root of the group's order."""
+    w = primitive_nth_root(F, group.order).index
+    powers = np.array([F.vpow(w, u) for u in range(group.order)], dtype=np.int64)
+    g = np.array(group.elements if elements is None else elements, dtype=np.int64)
+    exponents = g.reshape(-1, len(group.moduli)) @ np.array(group.action, dtype=np.int64).T
+    return powers[exponents % group.order]
 
 
 def scalars_for(group: GroupSpec, g, F: FieldDescriptor) -> tuple[FieldElement, ...]:
-    """The diagonal field scalars through which g acts on coordinates;
-    RootOfUnityUnavailable when F lacks a primitive root of the group's
-    order."""
-    w = primitive_nth_root(F, group.order)
-    return tuple(w ** (u % group.order) for u in _action_exponents(group.action, g))
+    """The scalars of one element g as field elements (element_scalars)."""
+    return tuple(map(F.from_index, element_scalars(group, F, [g])[0].tolist()))
 
 
-def apply_scalars(scalars, point):
-    return tuple(s * x for s, x in zip(scalars, point))
+def invariance_mask(scalars, instance: FamilyInstance) -> np.ndarray:
+    """For each row of an (n, nvars) index array of diagonal scalars, True
+    iff the scaling multiplies each defining polynomial by one nonzero
+    factor: every monomial x^e of the equation gets the same factor
+    prod s_j^(e_j).  The scaling keeps each equation's monomial support and
+    no two equations of a family share one, so this is the same as each
+    scaled equation being a nonzero multiple of some equation of the
+    system.
+
+    One pass per equation covers every row: the powers s_j^0 .. s_j^top
+    of each column (repeated products, so 0^0 = 1), gathered by the
+    equation's exponent matrix and multiplied over the coordinates, give a
+    (terms, n) array of factors whose columns must be constant and
+    nonzero.  DimensionMismatch when there is not one scalar per variable.
+    """
+    F = instance.field
+    scalars = np.asarray(scalars, dtype=np.int64)
+    if scalars.ndim != 2 or scalars.shape[1] != instance.nvars:
+        raise DimensionMismatch(
+            f"scalars of shape {scalars.shape} for the {instance.nvars} variables of {instance!r}"
+        )
+    ok = np.ones(len(scalars), dtype=bool)
+    for f in instance.system:
+        exps = np.array([e for e, _ in f.terms()], dtype=np.int64)
+        if not exps.size:  # the zero polynomial is a multiple of itself
+            continue
+        factors = functools.reduce(
+            F.vmul,
+            (
+                _powers(F, s, col.max())[col] for s, col in zip(scalars.T, exps.T)
+            ),
+        )
+        ok &= (factors == factors[0]).all(axis=0) & (factors[0] != 0)
+    return ok
+
+
+def _powers(F: FieldDescriptor, s, top: int) -> np.ndarray:
+    """The powers s^0 .. s^top of an index array, as a (top + 1, n) array."""
+    out = [np.ones_like(s)]  # index 1 is one
+    for _ in range(top):
+        out.append(F.vmul(out[-1], s))
+    return np.stack(out)
+
+
+def group_invariance(group: GroupSpec, instance: FamilyInstance, elements=None) -> np.ndarray:
+    """invariance_mask on the scalars of the elements (every element of the
+    group by default, in the order of group.elements)."""
+    return invariance_mask(element_scalars(group, instance.field, elements), instance)
 
 
 def diagonal_invariance(scalars, instance: FamilyInstance) -> bool:
-    """True iff the diagonal scaling multiplies each defining polynomial by
-    one nonzero factor: every monomial x^e of the equation gets the same
-    factor prod s_j^(e_j).  The scaling keeps each equation's monomial
-    support and no two equations of a family share one, so this is the
-    same as each scaled equation being a nonzero multiple of some equation
-    of the system.  DimensionMismatch when there is not one scalar per
-    variable."""
-    if len(scalars) != instance.nvars:
-        raise DimensionMismatch(
-            f"{len(scalars)} scalars for the {instance.nvars} variables of {instance!r}"
-        )
-    one = instance.field.one
-    for f in instance.system:
-        factors = {
-            math.prod((s**e for s, e in zip(scalars, exps) if e), start=one)
-            for exps, _ in f.terms()
-        }
-        if len(factors) > 1 or not all(factors):
-            return False
-    return True
+    """invariance_mask for one scaling, given as field elements (or ints);
+    FieldMismatch for a scalar of another field, DimensionMismatch when
+    there is not one scalar per variable."""
+    F = instance.field
+    return bool(invariance_mask([[F.element(s).index for s in scalars]], instance)[0])
 
 
 def invariance_check(group: GroupSpec, g, instance: FamilyInstance) -> bool:
     """Exact invariance of the instance's system under the group element."""
-    return diagonal_invariance(scalars_for(group, g, instance.field), instance)
+    return bool(group_invariance(group, instance, [g])[0])
 
 
 def orbit(point, group: GroupSpec) -> set:
     """The orbit of a projective point, over the field of its coordinates,
-    as a set of normalized tuples."""
+    as a set of normalized tuples: the point times every element's scalars
+    in one product, normalized and deduplicated by families.unique_points.
+    FieldMismatch when the coordinates are not over one field, ValueError
+    for the zero vector."""
     point = tuple(point)
     F = point[0].field
-    out = set()
-    for g in group:
-        s = scalars_for(group, g, F)
-        out.add(normalize_point(apply_scalars(s, point)))
-    return out
+    idx = np.array([F.element(x).index for x in point], dtype=np.int64)
+    scalars = element_scalars(group, F)
+    if len(idx) != scalars.shape[1]:
+        raise DimensionMismatch(f"{len(idx)} coordinates for {scalars.shape[1]} scalars")
+    if not idx.any():
+        raise ValueError("the zero vector is not a projective point")
+    elems = list(F.elements())
+    images = unique_points(F.vmul(scalars, idx), F)
+    return {tuple(elems[i] for i in row) for row in images.tolist()}
 
 
 def induced_cube_action(g) -> tuple[int, ...]:
     """Exponents of w3 by which the image coordinates of the Gtilde element
     g scale under coordinate cubing, normalized so the second block is
     fixed: the cube of w9^u is w3^(u mod 3)."""
-    cubes = [u % 3 for u in _action_exponents(_GTILDE_ACTION, g)]
+    cubes = [sum(a * x for a, x in zip(row, g)) % 3 for row in _GTILDE_ACTION]
     shift = (-cubes[5]) % 3
     return tuple((c + shift) % 3 for c in cubes)
 

@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 import random
 
 import numpy as np
@@ -304,6 +305,102 @@ def test_grid_blocks_list_one_point_per_orbit(p, k, dim, blocks, chunk_for):
     ).tolist()
     want = {_sorted_in_blocks(pt, blocks) for pt in _flat_chart_order(F.q, dim).tolist()}
     assert len(got) == len(want) and set(map(tuple, got)) == want
+
+
+def _prefix_runs(grid):
+    """The blocks' (tuples, points) shapes grouped by chart and prefix: the
+    scalar coordinates of a block name its chart and prefix, its first axis
+    holds the tuples of the split group and the other axes the points."""
+    runs = {}
+    for block in grid:
+        key = tuple((j, int(c)) for j, c in enumerate(block) if np.ndim(c) == 0)
+        shape = np.broadcast(*block).shape or (1,)
+        runs.setdefault(key, []).append((shape[0], int(np.prod(shape[1:]))))
+    return runs
+
+
+def _filled_block_count(q, dim, blocks, chunk):
+    """The number of blocks of filled runs, from the docstring's rule: per
+    chart, the trailing groups that fit are axes of `points` points, the
+    other leading groups are prefixes, and the last leading group is cut
+    into runs of chunk // points tuples."""
+    total = 0
+    for i in range(dim + 1):
+        groups = {}
+        for j in range(i + 1, dim + 1):
+            groups.setdefault(min(next((b for b in blocks if j in b), (j,))), []).append(j)
+        sizes = [math.comb(q + len(g) - 1, len(g)) for g in groups.values()]
+        points = 1
+        while sizes and points * sizes[-1] <= chunk:
+            points *= sizes.pop()
+        total += math.prod(sizes[:-1]) * -(-sizes[-1] // (chunk // points)) if sizes else 1
+    return total
+
+
+_SMALL_GRIDS = [
+    (7, 1, 4, ((0, 1, 2, 3, 4),)),
+    (5, 1, 5, ((0, 1, 2), (3, 4, 5))),
+    (7, 1, 5, ((1, 2), (4, 5))),
+    (11, 1, 3, ()),
+    (3, 2, 4, ((1, 2, 3),)),
+]
+# verify's scans: QuinticX over F_41, CubicsV over F_13, the quadric's P^3
+_SCAN_GRIDS = [(41, 1, 4, ((0, 1, 2, 3, 4),)), (13, 1, 5, ((0, 1, 2), (3, 4, 5))), (41, 1, 3, ())]
+
+
+@pytest.mark.parametrize(
+    "p,k,dim,blocks,chunk",
+    [(*g, c) for g in _SMALL_GRIDS for c in (1, 7, 100)]
+    + [(*g, c) for g in _SCAN_GRIDS for c in (4096, 1 << 14)],
+)
+def test_grid_blocks_are_filled_to_the_chunk(p, k, dim, blocks, chunk):
+    # every block of a chart and prefix but its last holds exactly
+    # chunk // points tuples of the split group, no block exceeds chunk,
+    # and a split group is cut only into such runs (one value of it per
+    # block would give more blocks)
+    F = make_field(p, k)
+    grid = list(counting.iter_projective_chunks(F, dim, chunk=chunk, blocks=blocks))
+    assert all(np.broadcast(*b).size <= chunk for b in grid)
+    for key, shapes in _prefix_runs(grid).items():
+        for tuples, points in shapes[:-1]:
+            assert tuples == chunk // points, key
+        assert shapes[-1][0] <= chunk // shapes[-1][1], key
+    assert len(grid) == _filled_block_count(F.q, dim, blocks, chunk)
+
+
+def test_scan_block_counts_at_the_scan_chunk():
+    # the orbit scans and the quadric's P^3 at singular._SCAN_CHUNK, in
+    # filled blocks of at most 2^14 points; with one value of the split
+    # group per block (and 2^15) they took 45, 35, 44 and 18 blocks
+    def blocks(inst_or_field, dim=None):
+        if dim is None:
+            F, dim, groups = inst_or_field.field, inst_or_field.ambient_dim, inst_or_field.blocks
+        else:
+            F, groups = inst_or_field, ()
+        grid = counting.iter_projective_chunks(
+            F, dim, chunk=singular._SCAN_CHUNK, blocks=groups
+        )
+        sizes = [np.broadcast(*b).size for b in grid]
+        assert max(sizes) <= singular._SCAN_CHUNK
+        return len(sizes)
+
+    assert singular._SCAN_CHUNK == 1 << 14
+    assert blocks(quintic_x(1, make_field(41))) == 13
+    assert blocks(quintic_x(1, make_field(31))) == 7
+    assert blocks(quintic_y(1, make_field(31))) == 7
+    assert blocks(make_field(41), 3) == 8
+    assert blocks(cubics_v(1, make_field(13))) == 8
+
+
+@pytest.mark.parametrize("chunk", [0, -5])
+def test_grid_blocks_refuse_a_chunk_below_one(chunk):
+    # refused before any block is yielded; a negative chunk once listed 8
+    # of the 120 representatives without complaint
+    F = make_field(7)
+    for blocks in [(), ((1, 2, 3),)]:
+        chunks = counting.iter_projective_chunks(F, 3, chunk=chunk, blocks=blocks)
+        with pytest.raises(ValueError, match="at least one point"):
+            next(chunks)
 
 
 def test_grid_blocks_must_be_disjoint_coordinates():

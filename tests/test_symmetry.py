@@ -23,12 +23,14 @@ from mirrorquintic.mvpoly import MPoly
 from mirrorquintic.singular import singular_points
 from mirrorquintic.symmetry import (
     GroupSpec,
-    apply_scalars,
     diagonal_invariance,
+    element_scalars,
     enumerate_G,
     enumerate_Gtilde,
+    group_invariance,
     induced_cube_action,
     invariance_check,
+    invariance_mask,
     orbit,
     psi_kernel,
     quotient_generator,
@@ -38,6 +40,10 @@ from mirrorquintic.symmetry import (
 
 F11 = make_field(11)
 F19 = make_field(19)
+
+
+def apply_scalars(scalars, point):
+    return tuple(s * x for s, x in zip(scalars, point))
 
 
 def test_group_orders():
@@ -326,3 +332,103 @@ def test_quotient_generator_action():
         rhs = normalize_point((w[0] * w3, w[1] * w3, w[2] * w3, w[3], w[4], w[5]))
         assert lhs == rhs
 
+
+
+# -- whole-array passes against a per-element reference ----------------------
+
+
+def _reference_scalars(group, g, F):
+    # w^(action . g mod order) for one element, in FieldElement arithmetic
+    w = primitive_nth_root(F, group.order)
+    return tuple(w ** (sum(a * x for a, x in zip(row, g)) % group.order) for row in group.action)
+
+
+def _reference_one_factor(scalars, instance) -> bool:
+    # the one-factor rule on one scaling, one monomial at a time
+    one = instance.field.one
+    for f in instance.system:
+        factors = set()
+        for exps, _ in f.terms():
+            factor = one
+            for s, e in zip(scalars, exps):
+                if e:
+                    factor = factor * s**e
+            factors.add(factor)
+        if len(factors) > 1 or not all(factors):
+            return False
+    return True
+
+
+def _reference_orbit(point, group):
+    F = point[0].field
+    return {
+        normalize_point(apply_scalars(_reference_scalars(group, g, F), point)) for g in group
+    }
+
+
+def _group_cases():
+    G, Gt = enumerate_G(), enumerate_Gtilde()
+    for F in (F11, make_field(31), make_field(2, 4)):
+        yield pytest.param(G, quintic_x(F.from_index(2), F), id=f"G-X-{F.q}")
+    yield pytest.param(G, quintic_y(2, F11), id="G-Y-11")
+    for inst in (cubics_v(1, F19), cubics_w(1, F19), cubics_wtilde(1, F19)):
+        yield pytest.param(Gt, inst, id=f"Gtilde-{inst.id.value}-19")
+
+
+@pytest.mark.parametrize("group,inst", list(_group_cases()))
+def test_batched_invariance_equals_the_per_element_reference(group, inst):
+    F = inst.field
+    want = [_reference_one_factor(_reference_scalars(group, g, F), inst) for g in group]
+    scalars = element_scalars(group, F)
+    assert scalars.tolist() == [
+        [x.index for x in _reference_scalars(group, g, F)] for g in group
+    ]
+    assert group_invariance(group, inst).tolist() == want
+    assert [invariance_check(group, g, inst) for g in group] == want
+    if inst.id.value == "QuinticY":  # only the identity preserves Y
+        assert want == [not any(g) for g in group]
+    elif inst.id.value in ("QuinticX", "CubicsV"):  # verify's two claims
+        assert all(want)
+    else:
+        assert any(want) and not all(want)
+
+
+def test_batched_invariance_of_non_member_and_zero_scalings():
+    X2 = quintic_x(2, F11)
+    w5 = primitive_nth_root(F11, 5)
+    one, zero = F11.one, F11.zero
+    scalings = [
+        (one, w5, one, one, one),  # verify's non-member
+        (zero, w5, one, one, one),
+        (one, one, one, one, zero),
+        (zero,) * 5,
+        (w5,) * 5,  # one common factor
+        (one, w5, w5**4, one, one),  # a member
+    ]
+    want = [_reference_one_factor(s, X2) for s in scalings]
+    assert want == [False, False, False, False, True, True]
+    mask = invariance_mask([[x.index for x in s] for s in scalings], X2)
+    assert mask.tolist() == want
+    assert [diagonal_invariance(s, X2) for s in scalings] == want
+    with pytest.raises(DimensionMismatch):
+        invariance_mask(np.ones((3, 4), dtype=np.int64), X2)
+
+
+def test_batched_orbits_equal_the_per_element_reference():
+    import random
+
+    G, Gt = enumerate_G(), enumerate_Gtilde()
+    rng = random.Random(32)
+    cases = [(G, F) for F in (F11, make_field(31), make_field(2, 4))] + [(Gt, F19)]
+    for group, F in cases:
+        n = len(group.action)
+        points = [(F.one,) * n, (F.one,) + (F.zero,) * (n - 1)]
+        while len(points) < 12:
+            pt = tuple(F.from_index(rng.randrange(F.q)) for _ in range(n))
+            if any(pt):
+                points.append(pt)
+        for pt in points:
+            assert orbit(pt, group) == _reference_orbit(pt, group), (F, pt)
+    assert len(orbit((F11.one,) * 5, G)) == 125
+    with pytest.raises(ValueError, match="zero vector"):
+        orbit((F11.zero,) * 5, G)

@@ -2,8 +2,9 @@ import argparse
 
 import pytest
 
-from mirrorquintic import cli, ledger, singular, verify
+from mirrorquintic import cli, ledger, singular, symmetry, verify
 from mirrorquintic.families import Stratum
+from mirrorquintic.ffield import FieldElement
 from mirrorquintic.verify import SUITES, run_suite
 
 
@@ -158,3 +159,41 @@ def test_each_parameterized_row_runs_on_its_own_instance(monkeypatch):
     ]
     assert surfaces == [11, 31, 41]
     assert changes == [(1, 7), (2, 7), (1, 13), (2, 13)]
+
+
+@pytest.fixture
+def scalar_products(monkeypatch):
+    """Counts the calls of FieldElement's product and power operators."""
+    calls = []
+    for name in ("__mul__", "__rmul__", "__pow__"):
+        real = getattr(FieldElement, name)
+
+        def counting(self, *args, _real=real):
+            calls.append(self.field)
+            return _real(self, *args)
+
+        monkeypatch.setattr(FieldElement, name, counting)
+    return calls
+
+
+def test_group_rows_and_orbit_checks_run_on_arrays(scalar_products, monkeypatch):
+    # the two invariance rows of the groups suite and the three orbit checks
+    # of the nodes suite take every group element in one array pass: a few
+    # dozen FieldElement products each (the expansion of the system
+    # included), not one batch of them per element as before (thousands)
+    per_call = []
+
+    def counted(fn):
+        def run(*args):
+            before = len(scalar_products)
+            out = fn(*args)
+            per_call.append((fn.__name__, len(scalar_products) - before))
+            return out
+
+        return run
+
+    monkeypatch.setattr(symmetry, "group_invariance", counted(symmetry.group_invariance))
+    monkeypatch.setattr(symmetry, "orbit", counted(symmetry.orbit))
+    assert all(r.passed for r in run_suite("groups") + run_suite("nodes"))
+    assert [name for name, _ in per_call] == ["group_invariance"] * 2 + ["orbit"] * 3
+    assert all(n <= 40 for _, n in per_call), per_call
