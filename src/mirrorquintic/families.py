@@ -18,8 +18,8 @@ The singular strata of QuinticY, the 10 lines A (x_i = x_j = 0 and the
 other three coordinates summing to zero) and their 10 triple points B
 (three zero coordinates, the other two opposite), are not families:
 points_on_lines_a lists the points of A, and strata_codes classifies an
-index array of points against A, B and the extra node (strata_membership
-is its one-point case), the one definition of the strata.
+index array of points against A, B and the extra node, the one definition
+of the strata.
 
 Each family's equations are written once, by its builder, the only
 definition of them.  The builder evaluates them on index arrays
@@ -37,10 +37,12 @@ equation to itself (QuinticX and QuinticY (0..4); CubicsV and CubicsW
 build_family stores them on the instance, and the singular scan visits
 one point per orbit of those permutations.
 
-Projective points are tuples of FieldElements kept in canonical form
-(first nonzero coordinate scaled to 1); normalize_rows is the same scaling
-on the rows of an index array, and unique_points also sorts the rows and
-drops repeats.
+A projective point is a row of field indices, and a set of points an
+(n, nvars) int64 array; the field comes from the instance, or from an
+explicit F where no instance is given.  normalize_rows puts each row in
+canonical form (first nonzero coordinate scaled to 1) and refuses the zero
+vector, and unique_points also sorts the rows and drops repeats.
+FieldElements are scalars only: parameters and coefficients.
 """
 
 from __future__ import annotations
@@ -55,7 +57,6 @@ from typing import Callable, NamedTuple
 from ._lazy import lazy_numpy
 from .errors import (
     DimensionMismatch,
-    FieldMismatch,
     InvariantViolated,
     MissingParameter,
     TooFewPoints,
@@ -355,20 +356,13 @@ def wtilde_from_lambda(lam, F) -> FamilyInstance:
 # ---------------------------------------------------------------------------
 
 
-def normalize_point(point) -> tuple[FieldElement, ...]:
-    """Canonical projective representative: first nonzero coordinate is 1."""
-    point = tuple(point)
-    pivot = next((x for x in point if x), None)
-    if pivot is None:
-        raise ValueError("the zero vector is not a projective point")
-    inv = pivot.inverse()
-    return tuple(x * inv for x in point)
-
-
 def normalize_rows(idx, F: FieldDescriptor) -> np.ndarray:
-    """normalize_point on every row of an (n, nvars) index array of nonzero
-    vectors: each row scaled by the inverse of its first nonzero entry."""
+    """The canonical representatives of the rows of an (n, nvars) index
+    array: each row scaled by the inverse of its first nonzero entry.
+    ValueError for a zero row, which is not a projective point."""
     pivot = idx[np.arange(len(idx)), np.argmax(idx != 0, axis=1)]
+    if not pivot.all():
+        raise ValueError("the zero vector is not a projective point")
     return F.vmul(idx, F.vpow(pivot, -1)[:, None])
 
 
@@ -386,16 +380,17 @@ def unique_points(idx, F: FieldDescriptor) -> np.ndarray:
     return pts[keep]
 
 
-def apply_map(m: MonomialMap, point) -> tuple[FieldElement, ...]:
-    """Image of a projective point under a MonomialMap."""
+def apply_map(m: MonomialMap, points, F: FieldDescriptor) -> np.ndarray:
+    """The images of the rows of an (n, arity) index array of points over F
+    under a MonomialMap, normalized (normalize_rows), one per row."""
     if not isinstance(m, MonomialMap):
         raise TypeError(f"cannot apply {type(m).__name__} to a point")
-    point = tuple(point)
-    if len(point) != m.arity:
+    points = np.asarray(points, dtype=np.int64)
+    if points.ndim != 2 or points.shape[1] != m.arity:
         raise DimensionMismatch(
-            f"point has {len(point)} coordinates, map expects {m.arity}"
+            f"points of shape {points.shape}, map expects {m.arity} coordinates"
         )
-    return normalize_point(tuple(x ** m.exponent for x in point))
+    return normalize_rows(F.vpow(points, m.exponent), F)
 
 
 def strata_codes(idx, y_instance: FamilyInstance) -> np.ndarray:
@@ -423,19 +418,9 @@ def strata_codes(idx, y_instance: FamilyInstance) -> np.ndarray:
     return codes
 
 
-def strata_membership(point, y_instance: FamilyInstance) -> Stratum:
-    """The stratum of one P^4 point over the instance's field: the one-point
-    case of strata_codes, with its ValueError and DimensionMismatch, and
-    FieldMismatch for a point over another field."""
-    point = tuple(point)
-    if any(x.field != y_instance.field for x in point):
-        raise FieldMismatch(f"{point!r} is not a point over {y_instance.field!r}")
-    return tuple(Stratum)[strata_codes([[x.index for x in point]], y_instance)[0]]
-
-
-def points_on_lines_a(F: FieldDescriptor) -> list[tuple[FieldElement, ...]]:
-    """All F_q-points of the union of the 10 lines, normalized, deduplicated
-    and sorted by index tuple.
+def points_on_lines_a(F: FieldDescriptor) -> np.ndarray:
+    """All F_q-points of the union of the 10 lines as the rows of an index
+    array, normalized, deduplicated and sorted by index tuple.
 
     Line {x_i = x_j = 0} is (-(u + v), u, v) on the other three coordinates,
     with (u : v) over (1 : 0) and (t : 1); the 10 (q + 1) points are built on
@@ -449,9 +434,7 @@ def points_on_lines_a(F: FieldDescriptor) -> list[tuple[FieldElement, ...]]:
         block = np.zeros((F.q + 1, 5), dtype=np.int64)
         block[:, [r for r in range(5) if r not in (i, j)]] = np.stack([w, u, v], axis=1)
         blocks.append(block)
-    pts = unique_points(np.concatenate(blocks), F)
-    elems = list(F.elements())
-    return [tuple(elems[c] for c in row) for row in pts.tolist()]
+    return unique_points(np.concatenate(blocks), F)
 
 
 # ---------------------------------------------------------------------------
@@ -502,12 +485,14 @@ def new_coordinates_w(lam, F: FieldDescriptor) -> FamilyInstance:
 
 def sample_points(
     instance: FamilyInstance, n: int, seed: int = 0, nonzero_coords: bool = False
-) -> list[tuple[FieldElement, ...]]:
-    """Deterministic sample of n distinct F_q-points on the instance.
+) -> np.ndarray:
+    """Deterministic sample of n distinct F_q-points on the instance, as the
+    rows of an (n, nvars) index array.
 
     Draws random coordinate tuples, keeps those on the variety, and
     normalizes; with nonzero_coords only points with every coordinate
     nonzero are kept.  The points come in the order of their first draw.
+    n = 0 draws nothing, and n < 0 is a ValueError.
     A batch of nvars x 4096 coordinates is one randbytes call of a
     random.Random(seed), read as little-endian 32-bit words and reduced
     into [lo, q), lo = 1 with nonzero_coords and 0 otherwise; the modulo
@@ -516,27 +501,28 @@ def sample_points(
     its bit generators) would add about 6 MB of resident memory for the
     rest of the process.  64-bit words would double the bytes drawn, the
     larger part of a batch's time.  Each batch's hits are normalized in
-    one normalize_rows pass, and only a point not seen before becomes
-    FieldElements.  TooFewPoints when 200 batches of draws find fewer than
-    n distinct points.
+    one normalize_rows pass, and a dict keeps the distinct ones in order.
+    TooFewPoints when 200 batches of draws find fewer than n distinct
+    points.
     """
+    if n < 0:
+        raise ValueError(f"cannot sample {n} points")
     F = instance.field
     nv = instance.nvars
     lo = 1 if nonzero_coords else 0
     rng = random.Random(seed)
-    found: dict[tuple, tuple] = {}
-    for _ in range(200):
+    found: dict[tuple, None] = {}
+    for batches in itertools.count():
+        if len(found) >= n:
+            return np.array(list(found)[:n], dtype=np.int64).reshape(n, nv)
+        if batches == 200:
+            raise TooFewPoints(
+                f"found {len(found)} distinct points on {instance!r}, not the {n} requested"
+            )
         words = np.frombuffer(rng.randbytes(4 * nv * 4096), dtype="<u4")
         batch = (words % (F.q - lo)).astype(np.int64).reshape(nv, 4096) + lo
         coords = [np.ascontiguousarray(batch[i]) for i in range(nv)]
         mask = instance.vanishing_mask(coords)
         if not nonzero_coords:
             mask &= batch.sum(axis=0) > 0
-        for key in dict.fromkeys(map(tuple, normalize_rows(batch.T[mask], F).tolist())):
-            if key not in found:
-                found[key] = tuple(F.from_index(c) for c in key)
-                if len(found) >= n:
-                    return list(found.values())
-    raise TooFewPoints(
-        f"found {len(found)} distinct points on {instance!r}, not the {n} requested"
-    )
+        found.update(dict.fromkeys(map(tuple, normalize_rows(batch.T[mask], F).tolist())))

@@ -362,11 +362,6 @@ class FieldDescriptor:
         self._ensure_tables()
         return self._exp
 
-    @property
-    def log_table(self) -> np.ndarray:
-        self._ensure_tables()
-        return self._log
-
     def power_table(self, e: int) -> np.ndarray:
         """Flat table idx -> index of (element idx) ** e, with 0 ** 0 = 1 and
         0 ** e = 0 otherwise (so power_table(-1) inverts every unit);

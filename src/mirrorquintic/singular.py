@@ -16,21 +16,20 @@ the instance's own builder, and gathers the points where they vanish as
 the rows of one index array.  The Jacobian then runs once on all of them, by
 the same builder run on forward-mode jets (ffield.Jet), which gives the
 first partials in the compact form it writes the equations in.  The
-mirror's strata come from families.strata_codes on index arrays, and only
-the singular points become FieldElement tuples.  Fiber counts and node
-tests read the field off their points and refuse a point whose field is
-not the instance's (descriptors compare by identity, ffield.make_field);
-the e-th roots of a fiber's coordinates are read off the field's power
-table.
+mirror's strata come from families.strata_codes on index arrays.  Points
+go in and come out as index rows (families): the report's points are the
+sorted index array of the scan, and a fiber count takes its field
+explicitly, since a row of indices does not carry one.  The e-th roots of
+a fiber's coordinates are read off the field's power table.
 
 Nodes are recognized by a full-rank Hessian in the affine chart of the
 first nonzero coordinate, whose rank is that of the homogeneous Hessian.
-classify_nodes takes all the points of an instance at once, and a single
-point is a batch of one: their fields are checked as their indices are
-read into one array, families.normalize_rows normalizes every row, the
-builder run on second-order jets (a Jet of Jets) gives the values,
-gradients and Hessians on index arrays, and one elimination over F_q on
-the stack of Hessians gives the ranks.
+hessian_ranks takes all the points of an instance at once, as the rows of
+an index array, and a single point is a batch of one: the builder run on
+second-order jets (a Jet of Jets) gives the values, gradients and
+Hessians on index arrays, and one elimination over F_q on the stack of
+Hessians gives the ranks.  The rows need no normalization: H(cx) =
+c^(d-2) H(x), so every representative of a point has the same rank.
 The criterion needs characteristic at least 7 and is refused below that.
 
 Containment statements about the quadric surface are certified by
@@ -42,7 +41,7 @@ of the QuadricQ builder, whose x0 coefficient is 1, so the scan runs over
 instead of scanning P^4, and each claim is one whole-array expression on
 the surface's points.
 
-The four report types are NamedTuples.
+The three report types are NamedTuples.
 """
 
 from __future__ import annotations
@@ -67,18 +66,12 @@ from .families import (
     FamilyInstance,
     MonomialMap,
     Stratum,
-    normalize_point,
     normalize_rows,
     quintic_y,
     strata_codes,
     unique_points,
 )
-from .ffield import (
-    FieldDescriptor,
-    FieldElement,
-    Jet,
-    matrix_ranks,
-)
+from .ffield import FieldDescriptor, Jet, matrix_ranks
 
 np = lazy_numpy()
 
@@ -105,7 +98,7 @@ class SingularReport(NamedTuple):
     family: str
     params: str
     q: int
-    points: list[tuple[FieldElement, ...]]
+    points: np.ndarray  # (count, nvars) index rows, normalized and sorted
     strata_counts: dict[Stratum, int]
 
     @property
@@ -113,14 +106,8 @@ class SingularReport(NamedTuple):
         return len(self.points)
 
 
-class NodeClassification(NamedTuple):
-    point: tuple[FieldElement, ...]
-    hessian_rank: int
-    is_node: bool
-
-
 class FiberReport(NamedTuple):
-    point: tuple[FieldElement, ...]
+    point: tuple[int, ...]  # normalized index row
     count: int
     predicted: int
     count_within: int | None = None
@@ -136,8 +123,9 @@ class SurfaceEvidence(NamedTuple):
     # surface points whose images land on the singular lines; empty unless
     # F_q contains a primitive cube root of unity that is a fifth power
     # (then the two points of the surface on each coordinate plane are
-    # rational and their images are the cube-root points of the lines)
-    line_witnesses: list
+    # rational and their images are the cube-root points of the lines), as
+    # the rows of an index array, normalized and sorted
+    line_witnesses: np.ndarray
 
 
 def _jacobian(instance: FamilyInstance, coords) -> list[list[np.ndarray]]:
@@ -213,9 +201,9 @@ def singular_points(instance: FamilyInstance) -> SingularReport:
     and families.unique_points normalizes, sorts and deduplicates the
     images.  The criterion is invariant under those permutations, so the
     points are exactly those of a scan of every point (an instance without
-    blocks).  One families.strata_codes call classifies them (QuinticY),
-    np.bincount counts them, and only then do they become FieldElement
-    tuples.  The report is the same for every grid block size.
+    blocks).  One families.strata_codes call classifies them (QuinticY)
+    and np.bincount counts them.  The report is the same for every grid
+    block size.
     """
     F = instance.field
     dim = instance.ambient_dim
@@ -239,13 +227,8 @@ def singular_points(instance: FamilyInstance) -> SingularReport:
     else:
         codes = np.zeros(len(hits), dtype=np.int64)  # every point is Generic
     counts = np.bincount(codes, minlength=len(Stratum)).tolist()
-    elems = list(F.elements())
     return SingularReport(
-        instance.id.value,
-        instance.param_string(),
-        F.q,
-        [tuple(elems[c] for c in row) for row in hits.tolist()],
-        dict(zip(Stratum, counts)),
+        instance.id.value, instance.param_string(), F.q, hits, dict(zip(Stratum, counts))
     )
 
 
@@ -268,9 +251,10 @@ def _hessian(instance: FamilyInstance, coords) -> list[tuple]:
     return out
 
 
-def classify_nodes(instance: FamilyInstance, points) -> list[NodeClassification]:
+def hessian_ranks(instance: FamilyInstance, points) -> np.ndarray:
     """Hessian test at singular points of a hypersurface instance, all in one
-    batch.
+    batch: the int64 rank of the Hessian at each row of an (n, nvars) index
+    array of points; a point is a node when its rank is nvars - 1.
 
     Each point is dehomogenized at its first nonzero coordinate, and the
     4x4 Hessian of the affine equation there is the Hessian H of the
@@ -278,25 +262,22 @@ def classify_nodes(instance: FamilyInstance, points) -> list[NodeClassification]
     full rank.  Differentiating Euler's identity gives H x = (d - 1) grad f,
     which is 0 at a singular point x, so the pivot row and column are
     combinations of the others in every characteristic, and the whole
-    n x n Hessian has the same rank.  One builder run on second-order jets
-    gives every point's value, gradient and Hessian, and one elimination
+    n x n Hessian has the same rank.  H(cx) = c^(d-2) H(x), so the rows
+    need not be normalized.  One builder run on second-order jets gives
+    every point's value, gradient and Hessian, and one elimination
     (ffield.matrix_ranks) every rank.  Only characteristics p >= 7 are
     accepted: the quadratic-form rank criterion degenerates for small p.
-    The points are read into one index array, a coordinate over another
-    field refused with FieldMismatch on the way, and normalized in one
-    families.normalize_rows pass; the zero vector is a ValueError.
+    NotSingular at a smooth point, ValueError for the zero vector or an
+    instance of more than one equation.
     """
     F = instance.field
     if F.p < 7:
         raise BadCharacteristic(
             f"node classification requires characteristic >= 7, got {F.p}"
         )
-    n = instance.nvars
-    idx = np.array([[F.element(x).index for x in pt] for pt in points], dtype=np.int64)
-    idx = idx.reshape(len(idx), n)
+    idx = np.asarray(points, dtype=np.int64).reshape(-1, instance.nvars)
     if not idx.any(axis=1).all():
         raise ValueError("the zero vector is not a projective point")
-    idx = normalize_rows(idx, F)
     parts = _hessian(instance, list(idx.T))
     if len(parts) != 1:
         raise ValueError("node classification applies to hypersurfaces")
@@ -304,18 +285,14 @@ def classify_nodes(instance: FamilyInstance, points) -> list[NodeClassification]
     smooth = np.nonzero(functools.reduce(np.logical_or, (g != 0 for g in grad), value != 0))[0]
     if smooth.size:
         raise NotSingular(f"{idx[smooth[0]].tolist()} is a smooth point")
-    ranks = matrix_ranks(F, _stack(hess)).tolist()
-    return [
-        NodeClassification(tuple(map(F.from_index, row)), r, r == n - 1)
-        for row, r in zip(idx.tolist(), ranks)
-    ]
+    return matrix_ranks(F, _stack(hess))
 
 
 def preimage_count(
-    m: MonomialMap, point, within: FamilyInstance | None = None
+    m: MonomialMap, point, F: FieldDescriptor, within: FamilyInstance | None = None
 ) -> FiberReport:
-    """Fiber of the coordinate-power map over a point, as the product of the
-    coordinate-wise e-th roots, over the field of the point's coordinates.
+    """Fiber of the coordinate-power map over a point, given as one index
+    row over F, as the product of the coordinate-wise e-th roots.
     The roots of y are the indices u with power_table(e)[u] = y, in order.
 
     Scaled so that its pivot coordinate (the first nonzero one of the
@@ -323,16 +300,17 @@ def preimage_count(
     any e-th root of the point's coordinate after it; so the product of
     the root lists lists every fiber point exactly once.  The count is the
     full fiber in projective space; when ``within`` is given the fiber
-    points lying on that instance, which must be over the point's field,
-    are counted as well, by one vanishing_mask call on their index arrays.
+    points lying on that instance, which must be over F, are counted as
+    well, by one vanishing_mask call on their index arrays.  The report's
+    point is the normalized row (families.normalize_rows).
     The predicted geometric count is e^(m-1) with m the number of nonzero
     coordinates; the rational count attains it exactly when every nonzero
     coordinate ratio is an e-th power in F_q.
     """
-    point = normalize_point(point)
-    if len(point) != m.arity:
+    row = np.asarray(point, dtype=np.int64)
+    if row.shape != (m.arity,):
         raise DimensionMismatch("point arity does not match the map")
-    F = point[0].field
+    point = tuple(normalize_rows(row[None], F)[0].tolist())
     if (F.q - 1) % m.exponent != 0:
         raise RootOfUnityUnavailable(
             f"{F!r} lacks the {m.exponent}-th roots of unity"
@@ -341,7 +319,7 @@ def preimage_count(
     pivot = next(i for i, x in enumerate(point) if x)
     powers = F.power_table(e)
     roots = [
-        [1] if i == pivot else np.flatnonzero(powers == y.index)
+        [1] if i == pivot else np.flatnonzero(powers == y)
         for i, y in enumerate(point)
     ]
     count = math.prod(len(r) for r in roots)
@@ -434,9 +412,6 @@ def surface_evidence(
     imgs = fifth[pts]
     codes = strata_codes(imgs, mirror)
     on_a_or_b = (codes == 1) | (codes == 2)  # OnLineA or InPointSetB
-    witnesses = [
-        tuple(map(F.from_index, row)) for row in unique_points(pts[on_a_or_b], F).tolist()
-    ]
     return SurfaceEvidence(
         F.q,
         len(pts),
@@ -444,5 +419,5 @@ def surface_evidence(
         bool(target.vanishing_mask(list(pts.T)).all()),
         bool(_full_rank(surface, pts).all()),
         bool(mirror.vanishing_mask(list(imgs.T)).all()),
-        witnesses,
+        unique_points(pts[on_a_or_b], F),
     )

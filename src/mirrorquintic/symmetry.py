@@ -33,10 +33,11 @@ and the powers of w turn them into an (elements, coordinates) index array
 (element_scalars).  Invariance is exact field arithmetic on those arrays,
 one pass per equation over all the elements (invariance_mask): each
 monomial's factor prod s_j^(e_j) is a row of lookups and products, not
-character bookkeeping.  An orbit is one product of the point with every
-row of scalars and one families.unique_points pass.  The scalars are taken
-in the field of what they act on: an instance's field, or for
-orbit(point, group) the field of the point's coordinates.
+character bookkeeping.  An orbit is one product of the point, an index
+row, with every row of scalars and one families.unique_points pass, so it
+is a sorted index array like the points of a singular scan.  The scalars
+are taken in the field of what they act on: an instance's field, or the F
+given to orbit(point, group, F).
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ import math
 from ._lazy import lazy_numpy
 from .errors import DimensionMismatch, InvariantViolated
 from .families import FamilyInstance, unique_points
-from .ffield import FieldDescriptor, FieldElement, primitive_nth_root
+from .ffield import FieldDescriptor, primitive_nth_root
 
 np = lazy_numpy()
 
@@ -140,11 +141,6 @@ def element_scalars(group: GroupSpec, F: FieldDescriptor, elements=None) -> np.n
     return powers[exponents % group.order]
 
 
-def scalars_for(group: GroupSpec, g, F: FieldDescriptor) -> tuple[FieldElement, ...]:
-    """The scalars of one element g as field elements (element_scalars)."""
-    return tuple(map(F.from_index, element_scalars(group, F, [g])[0].tolist()))
-
-
 def invariance_mask(scalars, instance: FamilyInstance) -> np.ndarray:
     """For each row of an (n, nvars) index array of diagonal scalars, True
     iff the scaling multiplies each defining polynomial by one nonzero
@@ -195,36 +191,16 @@ def group_invariance(group: GroupSpec, instance: FamilyInstance, elements=None) 
     return invariance_mask(element_scalars(group, instance.field, elements), instance)
 
 
-def diagonal_invariance(scalars, instance: FamilyInstance) -> bool:
-    """invariance_mask for one scaling, given as field elements (or ints);
-    FieldMismatch for a scalar of another field, DimensionMismatch when
-    there is not one scalar per variable."""
-    F = instance.field
-    return bool(invariance_mask([[F.element(s).index for s in scalars]], instance)[0])
-
-
-def invariance_check(group: GroupSpec, g, instance: FamilyInstance) -> bool:
-    """Exact invariance of the instance's system under the group element."""
-    return bool(group_invariance(group, instance, [g])[0])
-
-
-def orbit(point, group: GroupSpec) -> set:
-    """The orbit of a projective point, over the field of its coordinates,
-    as a set of normalized tuples: the point times every element's scalars
-    in one product, normalized and deduplicated by families.unique_points.
-    FieldMismatch when the coordinates are not over one field, ValueError
-    for the zero vector."""
-    point = tuple(point)
-    F = point[0].field
-    idx = np.array([F.element(x).index for x in point], dtype=np.int64)
+def orbit(point, group: GroupSpec, F: FieldDescriptor) -> np.ndarray:
+    """The orbit of a projective point, one index row over F, as the rows of
+    an index array, normalized and sorted: the point times every element's
+    scalars in one product, then families.unique_points (which refuses the
+    zero vector with ValueError)."""
+    idx = np.asarray(point, dtype=np.int64)
     scalars = element_scalars(group, F)
-    if len(idx) != scalars.shape[1]:
-        raise DimensionMismatch(f"{len(idx)} coordinates for {scalars.shape[1]} scalars")
-    if not idx.any():
-        raise ValueError("the zero vector is not a projective point")
-    elems = list(F.elements())
-    images = unique_points(F.vmul(scalars, idx), F)
-    return {tuple(elems[i] for i in row) for row in images.tolist()}
+    if idx.shape != scalars.shape[1:]:
+        raise DimensionMismatch(f"a point of shape {idx.shape} for {scalars.shape[1]} scalars")
+    return unique_points(F.vmul(scalars, idx), F)
 
 
 def induced_cube_action(g) -> tuple[int, ...]:

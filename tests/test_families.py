@@ -9,7 +9,6 @@ from mirrorquintic.cli import run
 from mirrorquintic.counting import count, iter_projective_chunks
 from mirrorquintic.errors import (
     DimensionMismatch,
-    FieldMismatch,
     InstanceTooLarge,
     MissingParameter,
     RootOfUnityUnavailable,
@@ -26,20 +25,19 @@ from mirrorquintic.families import (
     cubics_w,
     cubics_wtilde,
     new_coordinates_w,
-    normalize_point,
+    normalize_rows,
     points_on_lines_a,
     quadric_q,
     quintic_x,
     quintic_y,
     sample_points,
     strata_codes,
-    strata_membership,
     verify_coordinate_change,
     wtilde_from_lambda,
 )
 from mirrorquintic.ffield import FieldArray, Jet, make_field, primitive_nth_root
 from mirrorquintic.mvpoly import MPoly, eval_batch
-from mirrorquintic.singular import classify_nodes, singular_points
+from mirrorquintic.singular import hessian_ranks, singular_points
 
 F7 = make_field(7)
 F11 = make_field(11)
@@ -99,11 +97,13 @@ def test_wtilde_from_lambda():
 
 def test_apply_map_fixed_points():
     phi = MonomialMap(5, 5)
-    ones = (F11.one,) * 5
-    assert apply_map(phi, ones) == ones
+    ones = np.ones((1, 5), dtype=np.int64)  # index 1 is one
+    assert np.array_equal(apply_map(phi, ones, F11), ones)
     psi = MonomialMap(3, 6)
-    ones6 = (F7.one,) * 6
-    assert apply_map(psi, ones6) == ones6
+    ones6 = np.ones((1, 6), dtype=np.int64)
+    assert np.array_equal(apply_map(psi, ones6, F7), ones6)
+    with pytest.raises(DimensionMismatch):
+        apply_map(phi, ones6, F7)
 
 
 @pytest.mark.parametrize("exponent", [0, -3])
@@ -115,29 +115,34 @@ def test_monomial_map_refuses_exponent_below_1(exponent):
 
 def test_apply_map_fifth_root_of_minus_one():
     a = F11.element(2)  # 2^5 = -1 mod 11
-    img = apply_map(MonomialMap(5, 5), (F11.zero,) * 3 + (F11.one, a))
-    assert img == (F11.zero,) * 3 + (F11.one, F11.element(-1))
+    img = apply_map(MonomialMap(5, 5), [[0, 0, 0, 1, a.index]], F11)
+    assert img.tolist() == [[0, 0, 0, 1, F11.element(-1).index]]
+
+
+def _stratum(point, y):
+    # the stratum of one index row, by strata_codes
+    return tuple(Stratum)[strata_codes([point], y)[0]]
 
 
 def test_strata_membership():
     y1 = quintic_y(1, F7)
-    b_pt = (F7.zero, F7.zero, F7.zero, F7.one, F7.element(-1))
-    assert strata_membership(b_pt, y1) is Stratum.IN_POINT_SET_B
+    b_pt = (0, 0, 0, 1, F7.element(-1).index)
+    assert _stratum(b_pt, y1) is Stratum.IN_POINT_SET_B
     y11 = quintic_y(1, F11)
-    a_pt = (F11.zero, F11.zero, F11.one, F11.one, F11.element(-2))
-    assert strata_membership(a_pt, y11) is Stratum.ON_LINE_A
-    ones = (F11.one,) * 5
-    assert strata_membership(ones, y11) is Stratum.EXTRA_NODE
-    assert strata_membership(ones, quintic_y(2, F11)) is Stratum.GENERIC
-    generic = (F11.one, F11.element(2), F11.zero, F11.zero, F11.element(3))
-    assert strata_membership(generic, y11) is Stratum.GENERIC
+    a_pt = (0, 0, 1, 1, F11.element(-2).index)
+    assert _stratum(a_pt, y11) is Stratum.ON_LINE_A
+    ones = (1,) * 5
+    assert _stratum(ones, y11) is Stratum.EXTRA_NODE
+    assert _stratum(ones, quintic_y(2, F11)) is Stratum.GENERIC
+    generic = (1, 2, 0, 0, 3)
+    assert _stratum(generic, y11) is Stratum.GENERIC
 
 
 def test_point_sets_a_and_b():
     y11 = quintic_y(1, F11)
     a_pts = points_on_lines_a(F11)
     assert len(a_pts) == 10 * 11 - 10
-    strata = [strata_membership(pt, y11) for pt in a_pts]
+    strata = [tuple(Stratum)[c] for c in strata_codes(a_pts, y11).tolist()]
     assert strata.count(Stratum.IN_POINT_SET_B) == 10
     assert set(strata) == {Stratum.ON_LINE_A, Stratum.IN_POINT_SET_B}
     assert len(points_on_lines_a(F7)) == 10 * 7 - 10
@@ -152,8 +157,7 @@ def _reference_stratum(point, y):
         return Stratum.IN_POINT_SET_B
     if zeros >= 2 and not total:
         return Stratum.ON_LINE_A
-    ones = (F.one,) * 5
-    if zeros == 0 and y.params["mu"] ** 5 == F.one and normalize_point(point) == ones:
+    if zeros == 0 and y.params["mu"] ** 5 == F.one and len(set(point)) == 1:
         return Stratum.EXTRA_NODE
     return Stratum.GENERIC
 
@@ -176,21 +180,16 @@ def test_strata_codes_match_scalar_reference(p, k, mu):
     want = [_reference_stratum(pt, y) for pt in points]
     for rows in (idx, F.vmul(idx, F.q - 1)):
         assert [tuple(Stratum)[c] for c in strata_codes(rows, y).tolist()] == want
-    assert [strata_membership(pt, y) for pt in points[::97]] == want[::97]
     assert set(want) >= {Stratum.GENERIC, Stratum.ON_LINE_A, Stratum.IN_POINT_SET_B}
     assert (Stratum.EXTRA_NODE in want) == (y.params["mu"] ** 5 == F.one)
 
 
 def test_strata_refusals():
     y = quintic_y(1, F11)
-    with pytest.raises(FieldMismatch):
-        strata_membership((F7.one,) * 5, y)
-    with pytest.raises(FieldMismatch):
-        strata_membership((F11.one,) * 4 + (F7.one,), y)
     with pytest.raises(ValueError, match="QuinticY"):
-        strata_membership((F11.one,) * 5, quintic_x(1, F11))
+        strata_codes([(1,) * 5], quintic_x(1, F11))
     with pytest.raises(DimensionMismatch):
-        strata_membership((F11.one,) * 4, y)
+        strata_codes([(1,) * 4], y)
     with pytest.raises(DimensionMismatch):
         strata_codes(np.ones((3, 6), dtype=np.int64), y)
 
@@ -215,7 +214,7 @@ def test_y_vanishes_on_all_of_a(q, p, k):
     F = make_field(p, k)
     pts = points_on_lines_a(F)
     assert len(pts) == 10 * q - 10
-    coords = [np.array([pt[i].index for pt in pts]) for i in range(5)]
+    coords = list(pts.T)
     for mu in (1, 2):
         inst = quintic_y(mu, F)
         for f in inst.system:
@@ -273,8 +272,8 @@ def test_psi_sends_w_points_to_wtilde(p, lam):
     w_new = new_coordinates_w(lam, F)
     wt = wtilde_from_lambda(lam, F)
     psi = MonomialMap(3, 6)
-    for pt in sample_points(w_new, 100, seed=lam * p):
-        assert not any(f.eval(apply_map(psi, pt)) for f in wt.system)
+    for row in apply_map(psi, sample_points(w_new, 100, seed=lam * p), F).tolist():
+        assert not any(f.eval(map(F.from_index, row)) for f in wt.system)
 
 
 @pytest.mark.parametrize("p", [2, 3, 7, 11, 31])
@@ -311,16 +310,27 @@ def test_sample_points_with_nonzero_coords_zero_keeps_out_the_zero_vector():
     X = quintic_x(1, F2)
     vectors = np.array(list(itertools.product((0, 1), repeat=5))[1:])
     on_x = vectors[X.vanishing_mask(list(vectors.T))]
-    want = {tuple(F2.from_index(int(c)) for c in row) for row in on_x}
+    want = set(map(tuple, on_x.tolist()))
     got = sample_points(X, 16, nonzero_coords=0)
-    assert len(want) == 16 and set(got) == want and (F2.zero,) * 5 not in got
+    assert len(want) == 16 and set(map(tuple, got.tolist())) == want and got.any(axis=1).all()
+
+
+def test_sample_points_of_no_points_draws_nothing(monkeypatch):
+    # n = 0 is the empty (0, nvars) array, returned without a draw, and a
+    # negative n is refused
+    inst = quintic_x(1, F11)
+    monkeypatch.setattr(inst, "vanishing_mask", lambda coords: pytest.fail("drew points"))
+    got = sample_points(inst, 0)
+    assert got.shape == (0, 5) and got.dtype == np.int64
+    with pytest.raises(ValueError):
+        sample_points(inst, -1)
 
 
 def _sample_one_at_a_time(instance, n, seed=0, nonzero_coords=False):
     """sample_points drawing each coordinate by its own 4-byte randbytes
-    call and normalizing each hit by normalize_point: the reference for the
-    draws, the samples and their order.  One randbytes(4 m) call gives the
-    bytes of m randbytes(4) calls in order."""
+    call and normalizing each hit in FieldElements: the reference for the
+    draws, the samples and their order, as a list of index tuples.  One
+    randbytes(4 m) call gives the bytes of m randbytes(4) calls in order."""
     F = instance.field
     lo = 1 if nonzero_coords else 0
     rng = random.Random(seed)
@@ -334,10 +344,11 @@ def _sample_one_at_a_time(instance, n, seed=0, nonzero_coords=False):
         if not nonzero_coords:
             mask &= batch.sum(axis=0) > 0
         for col in np.nonzero(mask)[0]:
-            pt = normalize_point(F.from_index(int(c)) for c in batch[:, col])
-            found[tuple(x.index for x in pt)] = pt
+            pt = [F.from_index(int(c)) for c in batch[:, col]]
+            inv = next(x for x in pt if x).inverse()
+            found[tuple((x * inv).index for x in pt)] = None
             if len(found) >= n:
-                return list(found.values())
+                return list(found)
     return None
 
 
@@ -354,7 +365,8 @@ def _sample_one_at_a_time(instance, n, seed=0, nonzero_coords=False):
 def test_sample_points_equal_one_at_a_time(ctor, param, p, k, n, seed, nonzero):
     inst = ctor(param, make_field(p, k))
     got = sample_points(inst, n, seed=seed, nonzero_coords=nonzero)
-    assert got == _sample_one_at_a_time(inst, n, seed, nonzero) and len(got) == n
+    assert got.tolist() == list(map(list, _sample_one_at_a_time(inst, n, seed, nonzero)))
+    assert got.shape == (n, inst.nvars)
 
 
 @pytest.mark.parametrize("p,k,n", [(2, 1, 1), (2, 2, 3), (11, 1, 20)])
@@ -371,10 +383,11 @@ def test_sample_points_repeat_and_draw_nonzero_coords_from_1_to_q(p, k, n, monke
 
     monkeypatch.setattr(inst, "vanishing_mask", recording_mask)
     got = sample_points(inst, n, seed=5, nonzero_coords=True)
-    assert got == sample_points(inst, n, seed=5, nonzero_coords=True) and len(got) == n
+    assert np.array_equal(got, sample_points(inst, n, seed=5, nonzero_coords=True))
+    assert len(got) == n
     drawn = np.concatenate(draws, axis=1)
     assert drawn.min() == 1 and drawn.max() == inst.field.q - 1
-    assert all(x for pt in got for x in pt)
+    assert got.all()
 
 
 # the coordinates each family's equations treat alike
@@ -417,11 +430,10 @@ def test_param_string_canonical():
 
 
 def test_normalize_point():
-    pt = (F7.zero, F7.element(3), F7.element(5))
-    n = normalize_point(pt)
-    assert n[0] == F7.zero and n[1] == F7.one
-    with pytest.raises(ValueError):
-        normalize_point((F7.zero, F7.zero))
+    # 3^-1 = 5 mod 7, so (0 : 3 : 5) is (0 : 1 : 4)
+    assert normalize_rows(np.array([[0, 3, 5]]), F7).tolist() == [[0, 1, 4]]
+    with pytest.raises(ValueError, match="zero vector"):
+        normalize_rows(np.array([[0, 3, 5], [0, 0, 0]]), F7)
 
 
 def _random_coords(F, nvars, seed):
@@ -587,7 +599,7 @@ def test_evaluations_leave_the_system_unexpanded(expansions, tmp_path):
             count(inst, "table")
     singular_points(cubics_v(1, F7))
     for inst in (quintic_x(1, F31), quintic_y(2, F31)):
-        classify_nodes(inst, singular_points(inst).points)
+        hessian_ranks(inst, singular_points(inst).points)
     assert run(
         ["trace", "--p-range", "2..31", "--cache", str(tmp_path / "c.jsonl"),
          "--out", str(tmp_path / "t.csv")]

@@ -22,20 +22,21 @@ from mirrorquintic.families import (
     cubics_w,
     cubics_wtilde,
     new_coordinates_w,
-    normalize_point,
+    normalize_rows,
+    points_on_lines_a,
     quadric_q,
     quintic_x,
     quintic_y,
     sample_points,
-    strata_membership,
+    strata_codes,
 )
 from mirrorquintic.ffield import make_field
 from mirrorquintic.mvpoly import eval_batch
 from mirrorquintic.singular import (
     _jacobian,
     _surface_points,
-    classify_nodes,
     fiber_size_table,
+    hessian_ranks,
     preimage_count,
     singular_points,
     surface_evidence,
@@ -80,14 +81,14 @@ def test_orbit_scan_equals_full_scan(monkeypatch, q):
         for chunk in chunks:
             monkeypatch.setattr(singular, "_SCAN_CHUNK", chunk)
             got = singular_points(inst)
-            assert got.points == want.points
+            assert np.array_equal(got.points, want.points)
             assert got.strata_counts == want.strata_counts
 
 
 def test_x1_f11_node_census():
     rep = singular_points(quintic_x(1, F11))
     assert rep.count == 125
-    assert all(c.is_node for c in classify_nodes(quintic_x(1, F11), rep.points))
+    assert (hessian_ranks(quintic_x(1, F11), rep.points) == 4).all()
 
 
 def test_scan_without_zeros_reports_nothing():
@@ -97,7 +98,7 @@ def test_scan_without_zeros_reports_nothing():
         FamilyId.QUINTIC_X, F7, {}, 1, lambda x: [x[0] ** 2 - (x[1] ** 2).scale(3)]
     )
     rep = singular_points(conic)
-    assert rep.points == []
+    assert rep.points.shape == (0, 2)
     assert rep.strata_counts == dict.fromkeys(Stratum, 0)
 
 
@@ -113,7 +114,7 @@ def test_y1_f11_extra_node():
     rep = singular_points(quintic_y(1, F11))
     assert rep.count == 10 * 11 - 9
     assert rep.strata_counts[Stratum.EXTRA_NODE] == 1
-    assert (F11.one,) * 5 in set(rep.points)
+    assert [1] * 5 in rep.points.tolist()
 
 
 @pytest.mark.parametrize("p", [7, 31])
@@ -135,35 +136,34 @@ def test_nodes_of_other_root_of_unity_member():
     mu = F11.element(3)
     assert mu**5 == F11.one
     rep = singular_points(quintic_x(mu, F11))
-    seed = (F11.one, mu, mu, mu, mu)
+    seed = (1, mu.index, mu.index, mu.index, mu.index)
     assert rep.count == 125
-    assert set(rep.points) == orbit(seed, enumerate_G())
+    assert np.array_equal(rep.points, orbit(seed, enumerate_G(), F11))
 
 
 def test_classify_node_at_symmetric_point():
-    [nc] = classify_nodes(quintic_x(1, F11), [(F11.one,) * 5])
-    assert nc.is_node and nc.hessian_rank == 4
-    [ncy] = classify_nodes(quintic_y(1, F11), [(F11.one,) * 5])
-    assert ncy.is_node
+    # a node has full rank nvars - 1 = 4
+    assert hessian_ranks(quintic_x(1, F11), [(1,) * 5]).tolist() == [4]
+    assert hessian_ranks(quintic_y(1, F11), [(1,) * 5]).tolist() == [4]
 
 
 def test_a_point_is_singular_but_not_node():
-    pt = (F11.zero, F11.zero, F11.one, F11.one, F11.element(-2))
-    [nc] = classify_nodes(quintic_y(1, F11), [pt])
-    assert not nc.is_node and nc.hessian_rank <= 3
+    pt = (0, 0, 1, 1, F11.element(-2).index)
+    [rank] = hessian_ranks(quintic_y(1, F11), [pt])
+    assert rank <= 3
 
 
 def test_classify_node_rejects_smooth_point():
     with pytest.raises(NotSingular):
-        classify_nodes(quintic_x(2, F11), [(F11.one,) * 5])
+        hessian_ranks(quintic_x(2, F11), [(1,) * 5])
 
 
 def test_classify_node_rejects_small_characteristic():
     F2, F5 = make_field(2), make_field(5)
     with pytest.raises(BadCharacteristic):
-        classify_nodes(quintic_x(1, F2), [(F2.one,) * 5])
+        hessian_ranks(quintic_x(1, F2), [(1,) * 5])
     with pytest.raises(BadCharacteristic):
-        classify_nodes(quintic_x(1, F5), [(F5.one,) * 5])
+        hessian_ranks(quintic_x(1, F5), [(1,) * 5])
 
 
 def test_singular_scan_cap():
@@ -178,55 +178,62 @@ def test_preimage_generic_and_special():
     phi = MonomialMap(5, 5)
     X = quintic_x(1, F11)
     Y = quintic_y(1, F11)
-    x = sample_points(X, 1, seed=5, nonzero_coords=True)[0]
-    fr = preimage_count(phi, apply_map(phi, x), within=X)
+    [y] = apply_map(phi, sample_points(X, 1, seed=5, nonzero_coords=True), F11)
+    fr = preimage_count(phi, y, F11, within=X)
     assert fr.count == 625 and fr.count_within == 125
-    assert fr.predicted == 625 and strata_membership(fr.point, Y) is Stratum.GENERIC
+    assert fr.predicted == 625 and _stratum(fr.point, Y) is Stratum.GENERIC
 
-    b = (F11.zero,) * 3 + (F11.one, F11.element(-1))
-    frb = preimage_count(phi, b, within=X)
+    b = (0, 0, 0, 1, F11.element(-1).index)
+    frb = preimage_count(phi, b, F11, within=X)
     assert frb.count == 5 == frb.count_within == frb.predicted
-    assert strata_membership(frb.point, Y) is Stratum.IN_POINT_SET_B
+    assert _stratum(frb.point, Y) is Stratum.IN_POINT_SET_B
+
+
+def _stratum(point, y):
+    # the stratum of one index row, by strata_codes
+    return tuple(Stratum)[strata_codes([point], y)[0]]
 
 
 def test_preimage_of_line_image_is_25():
     phi = MonomialMap(5, 5)
-    x = (F11.zero, F11.zero, F11.one, F11.one, F11.element(-2))
-    fr = preimage_count(phi, apply_map(phi, x))
+    x = (0, 0, 1, 1, F11.element(-2).index)
+    [y] = apply_map(phi, [x], F11)
+    fr = preimage_count(phi, y, F11)
     assert fr.count == 25 == fr.predicted
 
 
 def test_preimage_f31_line_witness():
     F31 = make_field(31)
     phi = MonomialMap(5, 5)
-    y = (F31.zero, F31.zero, F31.one, F31.element(5), F31.element(25))
-    fr = preimage_count(phi, y, within=quintic_x(1, F31))
-    assert strata_membership(fr.point, quintic_y(1, F31)) is Stratum.ON_LINE_A
+    y = (0, 0, 1, 5, 25)
+    fr = preimage_count(phi, y, F31, within=quintic_x(1, F31))
+    assert _stratum(fr.point, quintic_y(1, F31)) is Stratum.ON_LINE_A
     assert fr.count == 25 and fr.count_within == 25
 
 
 def test_preimage_empty_when_ratio_not_fifth_power():
     phi = MonomialMap(5, 5)
-    y = (F11.one, F11.element(2), F11.one, F11.one, F11.one)  # 2 not a 5th power
-    fr = preimage_count(phi, y)
+    y = (1, 2, 1, 1, 1)  # 2 not a 5th power
+    fr = preimage_count(phi, y, F11)
     assert fr.count == 0 and fr.count < fr.predicted
 
 
 def test_preimage_needs_roots_of_unity():
     with pytest.raises(RootOfUnityUnavailable):
-        preimage_count(MonomialMap(5, 5), (F7.one,) * 5)
+        preimage_count(MonomialMap(5, 5), (1,) * 5, F7)
 
 
 def test_preimage_count_reads_the_field_off_the_point():
-    # a point over F_7 is counted over F_7, which lacks the fifth roots of
-    # unity, and an instance over another field is refused
+    # a point is counted over the field given with it: over F_7, which
+    # lacks the fifth roots of unity, and an instance over another field is
+    # refused
     phi = MonomialMap(5, 5)
     with pytest.raises(RootOfUnityUnavailable, match="GF\\(7\\)"):
-        preimage_count(phi, (F7.one,) * 5, within=quintic_x(1, F11))
+        preimage_count(phi, (1,) * 5, F7, within=quintic_x(1, F11))
     with pytest.raises(FieldMismatch):
-        preimage_count(phi, (F11.one,) * 5, within=quintic_x(1, F7))
+        preimage_count(phi, (1,) * 5, F11, within=quintic_x(1, F7))
     with pytest.raises(FieldMismatch):
-        preimage_count(phi, (F11.one,) * 5, within=quintic_x(1, make_field(31)))
+        preimage_count(phi, (1,) * 5, F11, within=quintic_x(1, make_field(31)))
 
 
 def test_fiber_partition_of_p4():
@@ -247,17 +254,17 @@ def test_fiber_sizes_match_preimage_count_on_samples():
     for block in iter_projective_chunks(F11, 4):
         coords = [c.ravel() for c in np.broadcast_arrays(*block)]
         for col in range(coords[0].shape[0]):
-            pts.append(tuple(F11.from_index(int(c[col])) for c in coords))
+            pts.append(tuple(int(c[col]) for c in coords))
     rng = np.random.default_rng(8)
     for i in rng.integers(0, len(pts), size=100):
-        assert preimage_count(phi, pts[int(i)]).count == int(sizes[int(i)])
+        assert preimage_count(phi, pts[int(i)], F11).count == int(sizes[int(i)])
 
 
 def test_surface_evidence_f11():
     ev = surface_evidence(quadric_q(F11), quintic_x(1, F11))
     assert ev.special_point_on_surface and ev.contained_in_target
     assert ev.jacobian_full_rank and ev.images_on_mirror
-    assert ev.line_witnesses == []
+    assert ev.line_witnesses.shape == (0, 5)
 
 
 def test_surface_evidence_f31_witnesses():
@@ -436,11 +443,14 @@ def test_preimage_roots_equal_exhaustive_search(p, k, e, arity):
         y = tuple(map(F.from_index, row))
         if n % 2:  # the image of a point: a nonempty fiber
             y = tuple(x**e for x in y)
-        y = normalize_point(y)
+        inv = next(x for x in y if x).inverse()
+        y = tuple(x * inv for x in y)
         pivot = next(i for i, x in enumerate(y) if x)
         lists = [[1] if i == pivot else roots[x.index] for i, x in enumerate(y)]
         seen = []
-        fr = preimage_count(m, y, within=_recording_instance(F, arity, seen))
+        fr = preimage_count(
+            m, [x.index for x in y], F, within=_recording_instance(F, arity, seen)
+        )
         assert fr.count == fr.count_within == len(seen)
         assert seen == list(itertools.product(*lists))
         nonempty += fr.count > 0
@@ -478,7 +488,7 @@ def _full_scan_evidence(surface, target):
         for c in imgs[1:]:
             total = F.vadd(total, c)
         for col in np.nonzero((zeros >= 2) & (total == 0))[0]:
-            witnesses.append(tuple(F.from_index(int(c[col])) for c in sub))
+            witnesses.append([int(c[col]) for c in sub])
     return points, contained, full_rank, on_mirror, witnesses
 
 
@@ -489,8 +499,8 @@ def test_hyperplane_scan_equals_full_scan(p):
     points, contained, full_rank, on_mirror, witnesses = _full_scan_evidence(
         surface, target
     )
-    rows = _surface_points(surface).tolist()
-    hyper = {tuple(x.index for x in normalize_point(map(F.from_index, row))) for row in rows}
+    rows = _surface_points(surface)
+    hyper = set(map(tuple, normalize_rows(rows, F).tolist()))
     assert len(rows) == len(hyper) == len(points)
     assert hyper == points
     ev = surface_evidence(surface, target)
@@ -500,7 +510,7 @@ def test_hyperplane_scan_equals_full_scan(p):
     assert ev.images_on_mirror == on_mirror
     # the scan meets the witnesses in chart order; the evidence lists them
     # sorted by index tuple, as SingularReport.points
-    assert ev.line_witnesses == sorted(witnesses, key=lambda w: [x.index for x in w])
+    assert ev.line_witnesses.tolist() == sorted(witnesses)
     assert ev.special_point_on_surface
 
 
@@ -517,7 +527,9 @@ def test_surface_scan_is_the_same_for_every_block_size(monkeypatch, p, chunks):
     for chunk in chunks:
         monkeypatch.setattr(singular, "_SCAN_CHUNK", chunk)
         assert np.array_equal(_surface_points(surface), want_rows)
-        assert surface_evidence(surface, target) == want
+        got = surface_evidence(surface, target)
+        assert got[:-1] == want[:-1]
+        assert np.array_equal(got.line_witnesses, want.line_witnesses)
 
 
 # -- the batched jet Hessians against a scalar MPoly reference ----------------
@@ -542,18 +554,21 @@ def _scalar_rank(rows):
     return rank
 
 
-def _scalar_classifications(inst, points):
-    """The Hessian test one point at a time: the expanded polynomial's
-    symbolic second partials evaluated term by term in FieldElements, the
-    pivot row and column deleted, and a scalar elimination."""
+def _scalar_ranks(inst, points):
+    """The Hessian test one index row at a time: the point normalized in
+    FieldElements, the expanded polynomial's symbolic second partials
+    evaluated term by term, the pivot row and column deleted, and a scalar
+    elimination."""
     (f,) = inst.system
     n = f.nvars
     seconds = {
         (a, b): f.derivative(a).derivative(b).terms() for a in range(n) for b in range(a, n)
     }
     out = []
-    for point in points:
-        point = normalize_point(point)
+    for row in np.asarray(points).tolist():
+        point = [inst.field.from_index(c) for c in row]
+        inv = next(x for x in point if x).inverse()
+        point = [x * inv for x in point]
         powers = [[x**e for e in range(6)] for x in point]
         pivot = next(i for i, x in enumerate(point) if x)
         others = [i for i in range(n) if i != pivot]
@@ -566,13 +581,8 @@ def _scalar_classifications(inst, points):
                         c = c * powers[i][e]
                 value = value + c
             hess[a, b] = hess[b, a] = value
-        rank = _scalar_rank([[hess[a, b] for b in others] for a in others])
-        out.append((point, rank, rank == len(others)))
+        out.append(_scalar_rank([[hess[a, b] for b in others] for a in others]))
     return out
-
-
-def _as_tuples(results):
-    return [(c.point, c.hessian_rank, c.is_node) for c in results]
 
 
 @pytest.mark.parametrize("p", [7, 11, 31])
@@ -583,20 +593,19 @@ def test_classify_nodes_equal_scalar_hessians(p):
         for mu in (1, 2, 3):
             inst = ctor(mu, F)
             points = singular_points(inst).points
-            got = classify_nodes(inst, points)
-            assert _as_tuples(got) == _scalar_classifications(inst, points)
-            ranks |= {c.hessian_rank for c in got}
+            got = hessian_ranks(inst, points)
+            assert got.dtype == np.int64 and got.tolist() == _scalar_ranks(inst, points)
+            ranks |= set(got.tolist())
     assert {0, 2, 4} <= ranks
 
 
 def test_classify_nodes_over_extension_field():
     F49 = make_field(7, 2)
-    ones = (F49.one,) * 5
+    ones = [(1,) * 5]
     for ctor in (quintic_x, quintic_y):
         inst = ctor(1, F49)
-        got = classify_nodes(inst, [ones])
-        assert _as_tuples(got) == _scalar_classifications(inst, [ones])
-        assert got[0].is_node
+        got = hessian_ranks(inst, ones)
+        assert got.tolist() == _scalar_ranks(inst, ones) == [4]
 
 
 def test_classify_nodes_without_builder_uses_expanded_partials():
@@ -606,43 +615,69 @@ def test_classify_nodes_without_builder_uses_expanded_partials():
             inst.id, F11, inst.params, inst.ambient_dim, lambda x: [f(x) for f in expanded]
         )
         points = singular_points(inst).points
-        assert _as_tuples(classify_nodes(bare, points)) == _as_tuples(
-            classify_nodes(inst, points)
-        )
+        assert np.array_equal(hessian_ranks(bare, points), hessian_ranks(inst, points))
 
 
 def test_classify_nodes_batch_equals_one_at_a_time():
     F31 = make_field(31)
     inst = quintic_y(2, F31)
     # unnormalized representatives: every point scaled by 3
-    points = [tuple(x * 3 for x in pt) for pt in singular_points(inst).points]
-    batch = classify_nodes(inst, points)
-    assert _as_tuples(batch) == [
-        (c.point, c.hessian_rank, c.is_node)
-        for [c] in (classify_nodes(inst, [pt]) for pt in points)
-    ]
-    assert [c.point for c in batch] == [normalize_point(pt) for pt in points]
-    assert classify_nodes(inst, []) == []
+    normalized = singular_points(inst).points
+    points = F31.vmul(normalized, 3)
+    batch = hessian_ranks(inst, points)
+    assert batch.tolist() == [hessian_ranks(inst, [pt])[0] for pt in points]
+    assert np.array_equal(batch, hessian_ranks(inst, normalized))
+    assert hessian_ranks(inst, []).shape == (0,)
 
 
 def test_classify_nodes_refusals():
     X = quintic_x(1, F11)
     nodes = singular_points(X).points
-    smooth = (F11.zero, F11.zero, F11.zero, F11.one, F11.element(-1))
+    smooth = (0, 0, 0, 1, F11.element(-1).index)
     with pytest.raises(NotSingular, match=r"\[0, 0, 0, 1, 10\] is a smooth point"):
-        classify_nodes(X, [*nodes[:3], smooth, *nodes[3:]])
+        hessian_ranks(X, [*nodes[:3], smooth, *nodes[3:]])
+    with pytest.raises(ValueError, match="zero vector"):
+        hessian_ranks(X, [*nodes[:3], (0,) * 5])
     F5 = make_field(5)
     with pytest.raises(BadCharacteristic):
-        classify_nodes(quintic_x(1, F5), [(F5.one,) * 5])
+        hessian_ranks(quintic_x(1, F5), [(1,) * 5])
     with pytest.raises(ValueError, match="hypersurfaces"):
-        classify_nodes(cubics_v(1, F7), [(F7.one,) * 6])
+        hessian_ranks(cubics_v(1, F7), [(1,) * 6])
 
 
-def test_classify_nodes_refuses_points_of_another_field():
-    # the indices of an F_7 point mean other elements of F_11: (1:1:1:1:1)
-    # over F_7 is not the node (1:1:1:1:1) of the F_11 quintic
-    X = quintic_x(1, F11)
-    with pytest.raises(FieldMismatch):
-        classify_nodes(X, [(F7.one,) * 5])
-    with pytest.raises(FieldMismatch):
-        classify_nodes(X, [(F11.one,) * 5, (F7.one,) * 5])
+@pytest.mark.parametrize("p", [11, 31])
+def test_hessian_ranks_do_not_depend_on_the_representative(p):
+    # H(cx) = c^(d - 2) H(x): every representative of a point has its rank
+    F = make_field(p)
+    for inst in (quintic_x(1, F), quintic_y(1, F)):
+        points = singular_points(inst).points
+        want = hessian_ranks(inst, points)
+        assert set(want.tolist()) >= {4}
+        for c in (1, 3, p - 1):
+            assert np.array_equal(hessian_ranks(inst, F.vmul(points, c)), want)
+
+
+def test_point_sets_are_normalized_index_rows():
+    # every function that hands out points gives an (n, nvars) int64 array
+    # of normalized rows, sorted and distinct where its docstring says so
+    from mirrorquintic.symmetry import enumerate_G, orbit
+
+    F31 = make_field(31)
+    X = quintic_x(1, F31)
+    phi = MonomialMap(5, 5)
+    sample = sample_points(X, 20, seed=3)
+    cases = [
+        (sample, False),
+        (apply_map(phi, sample, F31), False),
+        (points_on_lines_a(F31), True),
+        (singular_points(quintic_y(1, F31)).points, True),
+        (orbit((1, 3, 3, 3, 3), enumerate_G(), F31), True),
+        (surface_evidence(quadric_q(F31), X).line_witnesses, True),
+    ]
+    for pts, ordered in cases:
+        assert pts.dtype == np.int64 and pts.ndim == 2 and pts.shape[1] == 5 and len(pts)
+        assert np.array_equal(normalize_rows(pts, F31), pts)
+        rows = pts.tolist()
+        if ordered:
+            assert rows == sorted(rows) and len(set(map(tuple, rows))) == len(rows)
+    assert len(set(map(tuple, sample.tolist()))) == len(sample) == 20

@@ -113,6 +113,20 @@ def test_one_field_arithmetic():
     assert found == []
 
 
+def test_points_are_index_rows():
+    # a point is a row of field indices: no module but ffield turns an
+    # index into a FieldElement (from_index) or lists the field's elements
+    names = {"from_index", "elements"}
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "ffield.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Call) and getattr(node.func, "attr", None) in names:
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
 def test_symbolic_layer_stays_in_its_modules():
     # MPoly is the symbolic reference: the families build polynomials, and
     # the counting, scans, symmetry checks, other checks and CLI do not
