@@ -10,9 +10,10 @@ count_table.  Anything that must refuse an instance before counting it
 
 count_naive enumerates normalized projective representatives chart by chart
 (leading coordinate 1, earlier coordinates 0) in broadcastable grid blocks
-(iter_projective_chunks) and evaluates the defining system on them through
-FamilyInstance.vanishing_mask, in the compact form the family's builder
-writes.  It is the oracle every fast path is tested against; the table
+of at most _CHUNK points (iter_projective_chunks, which every walk over
+projective space shares, the singular scans included) and evaluates the
+defining system on them through FamilyInstance.vanishing_mask, in the
+compact form the family's builder writes.  It is the oracle every fast path is tested against; the table
 path below uses no builder.
 
 count_table runs one engine for both quintics, which are
@@ -79,13 +80,26 @@ np = lazy_numpy()
 
 NAIVE_CAP = 10**10
 CACHE_VERSION = 1
-# points per grid block of iter_projective_chunks by default (count_naive,
-# fiber_size_table).  Blocks are filled to it, so it sets their size: at
-# 2^19, X over F_101 ran in blocks of 520251 points and took 1.7-2.0 s
-# against 1.0-1.4 s in blocks of 10201, with 11 MB more peak RSS.  2^14
-# gives those 10201-point blocks back, and a naive trace of 2..73 took
-# 5.6-5.8 s against 5.5-5.6 s with one split value per block at 2^19, at
-# 29 instead of 40 MB peak RSS (2-core x86-64 box).
+# points per grid block of iter_projective_chunks, the one block size of
+# every walk over P^dim: count_naive, fiber_size_table, the singular scans
+# and the quadric surface.  Blocks are filled to it, so it sets their size.
+# Counts: at 2^19, X over F_101 ran in blocks of 520251 points and took
+# 1.7-2.0 s against 1.0-1.4 s in blocks of 10201, with 11 MB more peak
+# RSS.  2^14 gives those 10201-point blocks back, and a naive trace of
+# 2..73 took 5.6-5.8 s against 5.5-5.6 s with one split value per block
+# at 2^19, at 29 instead of 40 MB peak RSS (2-core x86-64 box).
+# Scans: a group of interchangeable coordinates is one axis on which each
+# of its coordinates is a whole array, so a scan block costs more memory
+# per point.  At 2^14, X over F_41 is scanned in 13 blocks, X and Y over
+# F_31 in 7, CubicsV over F_13 in 8, and the quadric surface's P^3 over
+# F_41 in 8 (chart 0 in 5 runs of 9 values of x1, 15129 points each);
+# with one value of the split group per block at 2^15 the same scans took
+# 45, 35, 18 and 44 blocks of at most 12341 points.  Filled to 2^15, the
+# blocks raised verify-all's peak RSS by about 1 MB; filled to 2^14 the
+# F_31 censuses peak about 0.1-0.2 MB above the one-value blocks
+# (tracemalloc) and verify-all's peak RSS does not rise.  Unfilled, one
+# block per chart (2^19) had cost 6.5 MB, and the quadric's one
+# 68921-point chart-0 block 2 MB.
 _CHUNK = 1 << 14
 # pairs per block of a table count's pair histogram
 _HISTOGRAM_CHUNK = 1 << 19
@@ -157,9 +171,7 @@ def projective_size(q: int, dim: int) -> int:
     return (q ** (dim + 1) - 1) // (q - 1)
 
 
-def iter_projective_chunks(
-    F: FieldDescriptor, dim: int, chunk: int = _CHUNK, blocks: tuple = ()
-):
+def iter_projective_chunks(F: FieldDescriptor, dim: int, blocks: tuple = ()):
     """Stream normalized representatives of P^dim(F_q) as broadcastable grid
     blocks: one index array (or scalar) per coordinate.
 
@@ -173,10 +185,10 @@ def iter_projective_chunks(
     representative.  A group is one broadcast axis shared by its
     coordinates, coordinate j of shape (1, ..., n, ..., 1), or scalars.
     The trailing groups are axes, as many as keep the block to at most
-    chunk points.  Of the leading groups, all but the last are scalars; the
-    last is an axis too, cut into consecutive runs of its sorted k-tuples
-    (_tuple_run), so that every block of a prefix but its last holds
-    exactly chunk // points tuples, where points is the size of the
+    _CHUNK points.  Of the leading groups, all but the last are scalars;
+    the last is an axis too, cut into consecutive runs of its sorted
+    k-tuples (_tuple_run), so that every block of a prefix but its last
+    holds exactly _CHUNK // points tuples, where points is the size of the
     trailing axes.
 
     With the default blocks every group is one coordinate, an arange axis
@@ -186,11 +198,8 @@ def iter_projective_chunks(
     representative per point, chart by chart, each chart in the order of
     its free coordinates read as base-q digits.  The sorted-tuple tables
     are built on first use; the trailing axes are shared by the blocks and
-    read-only.  A chunk below 1 is refused with ValueError before any block
-    is yielded.
+    read-only.
     """
-    if chunk < 1:
-        raise ValueError(f"a grid block holds at least one point, not chunk = {chunk}")
     q = F.q
     nv = dim + 1
     members = [j for b in blocks for j in b]
@@ -206,7 +215,7 @@ def iter_projective_chunks(
             groups.setdefault(block_of[j], []).append(j)
         groups = list(groups.values())
         n_lead, points = len(groups), 1  # the trailing groups that fit are axes
-        while n_lead and points * _n_tuples(q, len(groups[n_lead - 1])) <= chunk:
+        while n_lead and points * _n_tuples(q, len(groups[n_lead - 1])) <= _CHUNK:
             n_lead -= 1
             points *= _n_tuples(q, len(groups[n_lead]))
         axes = [(g, _sorted_tuples(q, len(g))) for g in groups[n_lead:]]
@@ -217,7 +226,7 @@ def iter_projective_chunks(
         *lead, split = groups[:n_lead]
         fixed += [j for g in lead for j in g]
         rows = [itertools.combinations_with_replacement(range(q), len(g)) for g in lead]
-        k, n, room = len(split), _n_tuples(q, len(split)), chunk // points
+        k, n, room = len(split), _n_tuples(q, len(split)), _CHUNK // points
         for prefix in itertools.product(*rows):
             values = head + [v for row in prefix for v in row]
             for start in range(0, n, room):

@@ -39,10 +39,15 @@ one point per orbit of those permutations.
 
 A projective point is a row of field indices, and a set of points an
 (n, nvars) int64 array; the field comes from the instance, or from an
-explicit F where no instance is given.  normalize_rows puts each row in
-canonical form (first nonzero coordinate scaled to 1) and refuses the zero
-vector, and unique_points also sorts the rows and drops repeats.
-FieldElements are scalars only: parameters and coefficients.
+explicit F where no instance is given.  point_rows is the one check of
+that contract, and every function that takes points (normalize_rows and
+so unique_points, apply_map, strata_codes, and singular.hessian_ranks,
+singular.preimage_count and symmetry.orbit) runs its input through it:
+DimensionMismatch for a row of another width, FieldMismatch for an index
+outside [0, q), which is no element of F, and ValueError for the zero
+vector.  normalize_rows puts each row in canonical form (first nonzero
+coordinate scaled to 1), and unique_points also sorts the rows and drops
+repeats.  FieldElements are scalars only: parameters and coefficients.
 """
 
 from __future__ import annotations
@@ -57,6 +62,7 @@ from typing import Callable, NamedTuple
 from ._lazy import lazy_numpy
 from .errors import (
     DimensionMismatch,
+    FieldMismatch,
     InvariantViolated,
     MissingParameter,
     TooFewPoints,
@@ -356,24 +362,43 @@ def wtilde_from_lambda(lam, F) -> FamilyInstance:
 # ---------------------------------------------------------------------------
 
 
-def normalize_rows(idx, F: FieldDescriptor) -> np.ndarray:
-    """The canonical representatives of the rows of an (n, nvars) index
-    array: each row scaled by the inverse of its first nonzero entry.
-    ValueError for a zero row, which is not a projective point."""
-    pivot = idx[np.arange(len(idx)), np.argmax(idx != 0, axis=1)]
-    if not pivot.all():
+def point_rows(points, F: FieldDescriptor, nvars: int | None = None) -> np.ndarray:
+    """The points as an (n, nvars) int64 array of index rows over F, the one
+    check of the point contract; nvars=None takes the width of the rows.
+
+    DimensionMismatch unless the input is 2-D with nvars columns,
+    FieldMismatch for an index outside [0, q), which is not an element of F
+    (the arithmetic would read it as another element or fail on it), and
+    ValueError for a zero row, which is not a projective point.
+    """
+    idx = np.asarray(points, dtype=np.int64)
+    if idx.ndim != 2 or nvars not in (None, idx.shape[1]):
+        raise DimensionMismatch(f"points of shape {idx.shape}, not (n, {nvars or 'nvars'})")
+    outside = (idx < 0) | (idx >= F.q)
+    if outside.any():
+        raise FieldMismatch(f"index {idx[outside][0]} is not an element of {F!r}")
+    if not idx.any(axis=1).all():
         raise ValueError("the zero vector is not a projective point")
+    return idx
+
+
+def normalize_rows(points, F: FieldDescriptor) -> np.ndarray:
+    """The canonical representatives of the rows of an (n, nvars) index
+    array (point_rows): each row scaled by the inverse of its first nonzero
+    entry."""
+    idx = point_rows(points, F)
+    pivot = idx[np.arange(len(idx)), np.argmax(idx != 0, axis=1)]
     return F.vmul(idx, F.vpow(pivot, -1)[:, None])
 
 
-def unique_points(idx, F: FieldDescriptor) -> np.ndarray:
-    """The distinct projective points among the rows of an index array of
-    nonzero vectors, normalized and sorted by index tuple.
+def unique_points(points, F: FieldDescriptor) -> np.ndarray:
+    """The distinct projective points among the rows of an index array
+    (point_rows), normalized and sorted by index tuple.
 
     Duplicates are dropped against their sorted neighbours (np.unique would
     import numpy.ma, about 12 ms, on its first call).
     """
-    pts = normalize_rows(idx, F)
+    pts = normalize_rows(points, F)
     pts = pts[np.lexsort(pts.T[::-1])]
     keep = np.ones(len(pts), dtype=bool)
     keep[1:] = (pts[1:] != pts[:-1]).any(axis=1)
@@ -382,21 +407,18 @@ def unique_points(idx, F: FieldDescriptor) -> np.ndarray:
 
 def apply_map(m: MonomialMap, points, F: FieldDescriptor) -> np.ndarray:
     """The images of the rows of an (n, arity) index array of points over F
-    under a MonomialMap, normalized (normalize_rows), one per row."""
+    (point_rows) under a MonomialMap, normalized (normalize_rows), one per
+    row."""
     if not isinstance(m, MonomialMap):
         raise TypeError(f"cannot apply {type(m).__name__} to a point")
-    points = np.asarray(points, dtype=np.int64)
-    if points.ndim != 2 or points.shape[1] != m.arity:
-        raise DimensionMismatch(
-            f"points of shape {points.shape}, map expects {m.arity} coordinates"
-        )
-    return normalize_rows(F.vpow(points, m.exponent), F)
+    return normalize_rows(F.vpow(point_rows(points, F, m.arity), m.exponent), F)
 
 
-def strata_codes(idx, y_instance: FamilyInstance) -> np.ndarray:
-    """The stratum of each row of an (n, 5) index array of P^4 points, as its
-    position in Stratum (0 Generic, 1 OnLineA, 2 InPointSetB, 3 ExtraNode),
-    relative to a QuinticY instance; the rows need not be normalized.
+def strata_codes(points, y_instance: FamilyInstance) -> np.ndarray:
+    """The stratum of each row of an (n, 5) index array of P^4 points
+    (point_rows), as its position in Stratum (0 Generic, 1 OnLineA,
+    2 InPointSetB, 3 ExtraNode), relative to a QuinticY instance; the rows
+    need not be normalized.
 
     InPointSetB: exactly three coordinates vanish and the other two sum to
     zero.  OnLineA: two or more coordinates vanish and all five sum to zero
@@ -406,15 +428,13 @@ def strata_codes(idx, y_instance: FamilyInstance) -> np.ndarray:
     """
     if y_instance.id is not FamilyId.QUINTIC_Y:
         raise ValueError("strata are defined relative to a QuinticY instance")
-    idx = np.asarray(idx, dtype=np.int64)
-    if idx.ndim != 2 or idx.shape[1] != 5:
-        raise DimensionMismatch("strata are defined for points of P^4")
     F = y_instance.field
+    idx = point_rows(points, F, y_instance.nvars)
     zeros = (idx == 0).sum(axis=1)
     on_a_or_b = (zeros >= 2) & (functools.reduce(F.vadd, idx.T) == 0)
     codes = np.where(on_a_or_b, np.where(zeros == 3, 2, 1), 0)
     if y_instance.params["mu"] ** 5 == F.one:
-        codes[(idx == idx[:, :1]).all(axis=1) & (idx[:, 0] != 0)] = 3
+        codes[(idx == idx[:, :1]).all(axis=1)] = 3
     return codes
 
 

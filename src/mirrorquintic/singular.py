@@ -9,16 +9,18 @@ permutation of the coordinates that maps every equation to itself maps
 the singular locus to itself, so a scan visits one point per orbit of the
 permutations inside the instance's blocks (FamilyInstance.blocks) and
 spreads the singular ones over their orbits at the end.  A scan walks
-those representatives in broadcastable grid blocks filled to _SCAN_CHUNK
-points (counting.iter_projective_chunks with the instance's blocks) on
-the calling thread, evaluates the equations on each whole block through
-the instance's own builder, and gathers the points where they vanish as
-the rows of one index array.  The Jacobian then runs once on all of them, by
-the same builder run on forward-mode jets (ffield.Jet), which gives the
-first partials in the compact form it writes the equations in.  The
-mirror's strata come from families.strata_codes on index arrays.  Points
-go in and come out as index rows (families): the report's points are the
-sorted index array of the scan, and a fiber count takes its field
+those representatives in broadcastable grid blocks filled to
+counting._CHUNK points (counting.iter_projective_chunks with the
+instance's blocks) on the calling thread, evaluates the equations on
+each whole block through the instance's own builder, and gathers the
+points where they vanish as the rows of one index array.  The Jacobian
+then runs once on all of them, by the same builder run on forward-mode
+jets (ffield.Jet), which gives the first partials in the compact form it
+writes the equations in.  Points
+go in and come out as index rows (families): singular_points returns the
+sorted index array of the singular points, whose strata, for the mirror,
+are families.strata_codes of it.  Every function here that takes points
+checks them with families.point_rows, and a fiber count takes its field
 explicitly, since a row of indices does not carry one.  The e-th roots of
 a fiber's coordinates are read off the field's power table.
 
@@ -41,7 +43,7 @@ of the QuadricQ builder, whose x0 coefficient is 1, so the scan runs over
 instead of scanning P^4, and each claim is one whole-array expression on
 the surface's points.
 
-The three report types are NamedTuples.
+The two report types are NamedTuples.
 """
 
 from __future__ import annotations
@@ -55,7 +57,6 @@ from ._lazy import lazy_numpy
 from .counting import iter_projective_chunks, projective_size
 from .errors import (
     BadCharacteristic,
-    DimensionMismatch,
     FieldMismatch,
     InstanceTooLarge,
     NotSingular,
@@ -65,8 +66,8 @@ from .families import (
     FamilyId,
     FamilyInstance,
     MonomialMap,
-    Stratum,
     normalize_rows,
+    point_rows,
     quintic_y,
     strata_codes,
     unique_points,
@@ -77,34 +78,6 @@ np = lazy_numpy()
 
 _P4_CAP = 41  # the node census runs up to F_41
 _P5_CAP = 13
-
-# points per grid block of a scan.  A group of interchangeable coordinates
-# is one axis on which each of its coordinates is a whole array, so a block
-# costs more memory per point than counting's default ones.  Blocks are
-# filled to it (counting.iter_projective_chunks): X over F_41 is scanned in 13 blocks
-# of up to 16384 points, X and Y over F_31 in 7, CubicsV over F_13 in 8,
-# and the quadric surface's P^3 over F_41 in 8 (chart 0 in 5 runs of 9
-# values of x1, 15129 points each).  With one value of the split group per
-# block at 2^15 the same scans took 45, 35, 18 and 44 blocks of at most
-# 12341 points.  Filled to 2^15, the blocks raised verify-all's peak RSS by
-# about 1 MB; filled to 2^14 the F_31 censuses peak about 0.1-0.2 MB above
-# the one-value blocks (tracemalloc) and verify-all's peak RSS does not
-# rise.  Unfilled, one block per chart (2^19) had cost 6.5 MB, and the
-# quadric's one 68921-point chart-0 block 2 MB.
-_SCAN_CHUNK = 1 << 14
-
-
-class SingularReport(NamedTuple):
-    family: str
-    params: str
-    q: int
-    points: np.ndarray  # (count, nvars) index rows, normalized and sorted
-    strata_counts: dict[Stratum, int]
-
-    @property
-    def count(self) -> int:
-        return len(self.points)
-
 
 class FiberReport(NamedTuple):
     point: tuple[int, ...]  # normalized index row
@@ -190,9 +163,10 @@ def _block_permutations(blocks: tuple, nvars: int) -> np.ndarray:
     return table
 
 
-def singular_points(instance: FamilyInstance) -> SingularReport:
+def singular_points(instance: FamilyInstance) -> np.ndarray:
     """All F_q-points where the system vanishes and the Jacobian drops rank,
-    sorted by index tuple.
+    as the rows of an (n, nvars) int64 index array, normalized and sorted
+    by index tuple.
 
     The equations are evaluated on each grid block of one point per orbit
     of the instance's block permutations and the zeros are gathered as the
@@ -201,9 +175,7 @@ def singular_points(instance: FamilyInstance) -> SingularReport:
     and families.unique_points normalizes, sorts and deduplicates the
     images.  The criterion is invariant under those permutations, so the
     points are exactly those of a scan of every point (an instance without
-    blocks).  One families.strata_codes call classifies them (QuinticY)
-    and np.bincount counts them.  The report is the same for every grid
-    block size.
+    blocks), and they are the same for every grid block size.
     """
     F = instance.field
     dim = instance.ambient_dim
@@ -215,21 +187,13 @@ def singular_points(instance: FamilyInstance) -> SingularReport:
         )
 
     n = instance.nvars
-    chunks = iter_projective_chunks(F, dim, chunk=_SCAN_CHUNK, blocks=instance.blocks)
+    chunks = iter_projective_chunks(F, dim, blocks=instance.blocks)
     # map drops each block before the next is built (a comprehension's
     # loop variable would keep it alive meanwhile)
     zeros = np.concatenate(list(map(functools.partial(_zeros, instance), chunks)))
     reps = zeros[~_full_rank(instance, zeros)]
     perms = _block_permutations(instance.blocks, n)
-    hits = unique_points(reps[:, perms].reshape(-1, n), F)
-    if instance.id is FamilyId.QUINTIC_Y:
-        codes = strata_codes(hits, instance)
-    else:
-        codes = np.zeros(len(hits), dtype=np.int64)  # every point is Generic
-    counts = np.bincount(codes, minlength=len(Stratum)).tolist()
-    return SingularReport(
-        instance.id.value, instance.param_string(), F.q, hits, dict(zip(Stratum, counts))
-    )
+    return unique_points(reps[:, perms].reshape(-1, n), F)
 
 
 def _hessian(instance: FamilyInstance, coords) -> list[tuple]:
@@ -267,17 +231,16 @@ def hessian_ranks(instance: FamilyInstance, points) -> np.ndarray:
     every point's value, gradient and Hessian, and one elimination
     (ffield.matrix_ranks) every rank.  Only characteristics p >= 7 are
     accepted: the quadratic-form rank criterion degenerates for small p.
-    NotSingular at a smooth point, ValueError for the zero vector or an
+    The points are checked first (families.point_rows); then
+    BadCharacteristic, NotSingular at a smooth point, and ValueError for an
     instance of more than one equation.
     """
     F = instance.field
+    idx = point_rows(points, F, instance.nvars)
     if F.p < 7:
         raise BadCharacteristic(
             f"node classification requires characteristic >= 7, got {F.p}"
         )
-    idx = np.asarray(points, dtype=np.int64).reshape(-1, instance.nvars)
-    if not idx.any(axis=1).all():
-        raise ValueError("the zero vector is not a projective point")
     parts = _hessian(instance, list(idx.T))
     if len(parts) != 1:
         raise ValueError("node classification applies to hypersurfaces")
@@ -301,16 +264,14 @@ def preimage_count(
     the root lists lists every fiber point exactly once.  The count is the
     full fiber in projective space; when ``within`` is given the fiber
     points lying on that instance, which must be over F, are counted as
-    well, by one vanishing_mask call on their index arrays.  The report's
-    point is the normalized row (families.normalize_rows).
+    well, by one vanishing_mask call on their index arrays.  The point is
+    checked as a row of arity indices (families.point_rows), and the
+    report's point is the normalized row (families.normalize_rows).
     The predicted geometric count is e^(m-1) with m the number of nonzero
     coordinates; the rational count attains it exactly when every nonzero
     coordinate ratio is an e-th power in F_q.
     """
-    row = np.asarray(point, dtype=np.int64)
-    if row.shape != (m.arity,):
-        raise DimensionMismatch("point arity does not match the map")
-    point = tuple(normalize_rows(row[None], F)[0].tolist())
+    point = tuple(normalize_rows(point_rows([point], F, m.arity), F)[0].tolist())
     if (F.q - 1) % m.exponent != 0:
         raise RootOfUnityUnavailable(
             f"{F!r} lacks the {m.exponent}-th roots of unity"
@@ -363,21 +324,21 @@ def fiber_size_table(m: MonomialMap, F: FieldDescriptor) -> np.ndarray:
 def _surface_points(surface: FamilyInstance) -> np.ndarray:
     """The F_q-points of the quadric surface as the rows of an index array.
 
-    (x1 : ... : x4) runs over P^3 in grid blocks of at most _SCAN_CHUNK
-    points, like every scan, and x0 = -(c1 x1 + ... + c4 x4) puts it on
-    the hyperplane.  The c_j are read once, from the builder's linear
-    equation at x0 = 0 on the four unit vectors; its x0 coefficient is 1,
-    so this is a bijection onto the hyperplane and every surface point
-    comes exactly once.  The builder then runs once per block, in
-    vanishing_mask.  Blocks keep the scan's memory to that of the other
-    scans (see _SCAN_CHUNK).  The points come in chart order whatever the
-    block size, and are not normalized.
+    (x1 : ... : x4) runs over P^3 in grid blocks of at most
+    counting._CHUNK points, like every scan, and x0 = -(c1 x1 + ... +
+    c4 x4) puts it on the hyperplane.  The c_j are read once, from the
+    builder's linear equation at x0 = 0 on the four unit vectors; its x0
+    coefficient is 1, so this is a bijection onto the hyperplane and every
+    surface point comes exactly once.  The builder then runs once per
+    block, in vanishing_mask.  Blocks keep the scan's memory to that of
+    the other scans (see counting._CHUNK).  The points come in chart order
+    whatever the block size, and are not normalized.
     """
     F = surface.field
     unit = np.eye(4, dtype=np.int64)  # index 1 is one
     neg = [F.vneg(int(c)) for c in surface.evaluate([0, *unit])[0]]
     rows = []
-    for coords in iter_projective_chunks(F, 3, chunk=_SCAN_CHUNK):
+    for coords in iter_projective_chunks(F, 3):
         x0 = functools.reduce(F.vadd, map(F.vmul, neg, coords))
         pts = [x0, *coords]
         rows.append(_gather(pts, surface.vanishing_mask(pts)))
@@ -396,7 +357,7 @@ def surface_evidence(
     singular lines and triple points (families.strata_codes).  The points
     come from the surface's hyperplane (_surface_points); the witnesses are
     normalized and sorted by index tuple (families.unique_points), the
-    order of SingularReport.points.
+    order of singular_points.
     """
     F = surface.field
     if surface.id is not FamilyId.QUADRIC_Q:

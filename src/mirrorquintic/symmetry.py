@@ -34,10 +34,11 @@ and the powers of w turn them into an (elements, coordinates) index array
 one pass per equation over all the elements (invariance_mask): each
 monomial's factor prod s_j^(e_j) is a row of lookups and products, not
 character bookkeeping.  An orbit is one product of the point, an index
-row, with every row of scalars and one families.unique_points pass, so it
-is a sorted index array like the points of a singular scan.  The scalars
-are taken in the field of what they act on: an instance's field, or the F
-given to orbit(point, group, F).
+row checked by families.point_rows, with every row of scalars and one
+families.unique_points pass, so it is a sorted index array like the
+points of a singular scan.  The scalars are taken in the field of what
+they act on: an instance's field, or the F given to orbit(point, group,
+F).
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ import math
 
 from ._lazy import lazy_numpy
 from .errors import DimensionMismatch, InvariantViolated
-from .families import FamilyInstance, unique_points
+from .families import FamilyInstance, point_rows, unique_points
 from .ffield import FieldDescriptor, primitive_nth_root
 
 np = lazy_numpy()
@@ -185,22 +186,19 @@ def _powers(F: FieldDescriptor, s, top: int) -> np.ndarray:
     return np.stack(out)
 
 
-def group_invariance(group: GroupSpec, instance: FamilyInstance, elements=None) -> np.ndarray:
-    """invariance_mask on the scalars of the elements (every element of the
-    group by default, in the order of group.elements)."""
-    return invariance_mask(element_scalars(group, instance.field, elements), instance)
+def group_invariance(group: GroupSpec, instance: FamilyInstance) -> np.ndarray:
+    """invariance_mask on the scalars of every element of the group, in the
+    order of group.elements."""
+    return invariance_mask(element_scalars(group, instance.field), instance)
 
 
 def orbit(point, group: GroupSpec, F: FieldDescriptor) -> np.ndarray:
-    """The orbit of a projective point, one index row over F, as the rows of
-    an index array, normalized and sorted: the point times every element's
-    scalars in one product, then families.unique_points (which refuses the
-    zero vector with ValueError)."""
-    idx = np.asarray(point, dtype=np.int64)
-    scalars = element_scalars(group, F)
-    if idx.shape != scalars.shape[1:]:
-        raise DimensionMismatch(f"a point of shape {idx.shape} for {scalars.shape[1]} scalars")
-    return unique_points(F.vmul(scalars, idx), F)
+    """The orbit of a projective point, one index row over F checked by
+    families.point_rows, as the rows of an index array, normalized and
+    sorted: the point times every element's scalars in one product, then
+    families.unique_points."""
+    idx = point_rows([point], F, len(group.action))
+    return unique_points(F.vmul(element_scalars(group, F), idx), F)
 
 
 def induced_cube_action(g) -> tuple[int, ...]:

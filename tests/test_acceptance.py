@@ -86,11 +86,11 @@ def test_criterion_04_node_census():
     for p in (11, 31, 41):
         F = make_field(p)
         inst = quintic_x(1, F)
-        rep = singular.singular_points(inst)
-        all_nodes = (singular.hessian_ranks(inst, rep.points) == 4).all()
+        points = singular.singular_points(inst)
+        all_nodes = (singular.hessian_ranks(inst, points) == 4).all()
         orb = symmetry.orbit((1,) * 5, G, F)
-        ok = ok and rep.count == 125 and all_nodes and np.array_equal(rep.points, orb)
-        details.append(f"F_{p}: {rep.count}")
+        ok = ok and len(points) == 125 and all_nodes and np.array_equal(points, orb)
+        details.append(f"F_{p}: {len(points)}")
     report(
         "criterion 4: 125 nodes of the quintic, one orbit, over F_11/F_31/F_41",
         ok,
@@ -106,24 +106,24 @@ def test_criterion_05_mirror_singular_locus():
         mu = F.element(2)
         is_root = mu**5 == F.one  # true at p = 31 where 2^5 = 32 = 1
         expected = 10 * p - 9 if is_root else 10 * p - 10
-        rep = singular.singular_points(quintic_y(2, F))
-        ok = ok and rep.count == expected
-        details.append(f"F_{p} mu=2: {rep.count}/{expected}")
+        n = len(singular.singular_points(quintic_y(2, F)))
+        ok = ok and n == expected
+        details.append(f"F_{p} mu=2: {n}/{expected}")
         if p == 31:
             # mu = 2 is a fifth root of unity mod 31; also witness the
             # generic census there with mu = 3 (3^5 = 26 != 1)
-            rep3 = singular.singular_points(quintic_y(3, F))
-            ok = ok and rep3.count == 10 * p - 10
-            details.append(f"F_31 mu=3: {rep3.count}/300")
+            n3 = len(singular.singular_points(quintic_y(3, F)))
+            ok = ok and n3 == 10 * p - 10
+            details.append(f"F_31 mu=3: {n3}/300")
     for p in (7, 11, 31):
         F = make_field(p)
         inst = quintic_y(1, F)
-        rep = singular.singular_points(inst)
-        ok = ok and rep.count == 10 * p - 9
+        points = singular.singular_points(inst)
+        ok = ok and len(points) == 10 * p - 9
         ones = [1] * 5
-        ok = ok and ones in rep.points.tolist()
+        ok = ok and ones in points.tolist()
         ok = ok and singular.hessian_ranks(inst, [ones])[0] == 4
-        details.append(f"F_{p} mu=1: {rep.count}/{10 * p - 9}")
+        details.append(f"F_{p} mu=1: {len(points)}/{10 * p - 9}")
     report(
         "criterion 5: mirror singular counts 10q-10 (generic) and 10q-9 "
         "(extra node, a node at (1:1:1:1:1))",

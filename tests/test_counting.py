@@ -253,11 +253,12 @@ def _flat_chart_order(q, dim):
     [lambda q: 1, lambda q: q - 1, lambda q: q**2 + q, lambda q: counting._CHUNK],
     ids=["one", "below_q", "q2_to_q3", "default"],
 )
-def test_grid_blocks_ravel_to_flat_chart_order(p, k, dim, chunk_for):
+def test_grid_blocks_ravel_to_flat_chart_order(monkeypatch, p, k, dim, chunk_for):
     F = make_field(p, k)
     chunk = chunk_for(F.q)
-    blocks = list(counting.iter_projective_chunks(F, dim, chunk=chunk))
-    assert all(np.broadcast(*b).size <= max(chunk, 1) for b in blocks)
+    monkeypatch.setattr(counting, "_CHUNK", chunk)
+    blocks = list(counting.iter_projective_chunks(F, dim))
+    assert all(np.broadcast(*b).size <= chunk for b in blocks)
     got = np.concatenate(
         [np.stack([c.ravel() for c in np.broadcast_arrays(*b)], axis=1) for b in blocks]
     )
@@ -291,14 +292,16 @@ def _sorted_in_blocks(point, blocks):
     [lambda q: 1, lambda q: q - 1, lambda q: q**2 + q, lambda q: counting._CHUNK],
     ids=["one", "below_q", "q2_to_q3", "default"],
 )
-def test_grid_blocks_list_one_point_per_orbit(p, k, dim, blocks, chunk_for):
+def test_grid_blocks_list_one_point_per_orbit(monkeypatch, p, k, dim, blocks, chunk_for):
     # every point of P^dim is a permutation inside blocks of exactly one
     # listed point, and at the default size each chart is one grid block
     F = make_field(p, k)
     chunk = chunk_for(F.q)
-    grid = list(counting.iter_projective_chunks(F, dim, chunk=chunk, blocks=blocks))
-    assert all(np.broadcast(*b).size <= max(chunk, 1) for b in grid)
-    if chunk == counting._CHUNK:
+    default = chunk == counting._CHUNK
+    monkeypatch.setattr(counting, "_CHUNK", chunk)
+    grid = list(counting.iter_projective_chunks(F, dim, blocks=blocks))
+    assert all(np.broadcast(*b).size <= chunk for b in grid)
+    if default:
         assert len(grid) == dim + 1
     got = np.concatenate(
         [np.stack([c.ravel() for c in np.broadcast_arrays(*b)], axis=1) for b in grid]
@@ -353,13 +356,14 @@ _SCAN_GRIDS = [(41, 1, 4, ((0, 1, 2, 3, 4),)), (13, 1, 5, ((0, 1, 2), (3, 4, 5))
     [(*g, c) for g in _SMALL_GRIDS for c in (1, 7, 100)]
     + [(*g, c) for g in _SCAN_GRIDS for c in (4096, 1 << 14)],
 )
-def test_grid_blocks_are_filled_to_the_chunk(p, k, dim, blocks, chunk):
+def test_grid_blocks_are_filled_to_the_chunk(monkeypatch, p, k, dim, blocks, chunk):
     # every block of a chart and prefix but its last holds exactly
     # chunk // points tuples of the split group, no block exceeds chunk,
     # and a split group is cut only into such runs (one value of it per
     # block would give more blocks)
     F = make_field(p, k)
-    grid = list(counting.iter_projective_chunks(F, dim, chunk=chunk, blocks=blocks))
+    monkeypatch.setattr(counting, "_CHUNK", chunk)
+    grid = list(counting.iter_projective_chunks(F, dim, blocks=blocks))
     assert all(np.broadcast(*b).size <= chunk for b in grid)
     for key, shapes in _prefix_runs(grid).items():
         for tuples, points in shapes[:-1]:
@@ -369,38 +373,26 @@ def test_grid_blocks_are_filled_to_the_chunk(p, k, dim, blocks, chunk):
 
 
 def test_scan_block_counts_at_the_scan_chunk():
-    # the orbit scans and the quadric's P^3 at singular._SCAN_CHUNK, in
-    # filled blocks of at most 2^14 points; with one value of the split
-    # group per block (and 2^15) they took 45, 35, 44 and 18 blocks
+    # the orbit scans and the quadric's P^3 at the one block size
+    # counting._CHUNK, in filled blocks of at most 2^14 points; with one
+    # value of the split group per block (and 2^15) they took 45, 35, 44
+    # and 18 blocks
     def blocks(inst_or_field, dim=None):
         if dim is None:
             F, dim, groups = inst_or_field.field, inst_or_field.ambient_dim, inst_or_field.blocks
         else:
             F, groups = inst_or_field, ()
-        grid = counting.iter_projective_chunks(
-            F, dim, chunk=singular._SCAN_CHUNK, blocks=groups
-        )
+        grid = counting.iter_projective_chunks(F, dim, blocks=groups)
         sizes = [np.broadcast(*b).size for b in grid]
-        assert max(sizes) <= singular._SCAN_CHUNK
+        assert max(sizes) <= counting._CHUNK
         return len(sizes)
 
-    assert singular._SCAN_CHUNK == 1 << 14
+    assert counting._CHUNK == 1 << 14
     assert blocks(quintic_x(1, make_field(41))) == 13
     assert blocks(quintic_x(1, make_field(31))) == 7
     assert blocks(quintic_y(1, make_field(31))) == 7
     assert blocks(make_field(41), 3) == 8
     assert blocks(cubics_v(1, make_field(13))) == 8
-
-
-@pytest.mark.parametrize("chunk", [0, -5])
-def test_grid_blocks_refuse_a_chunk_below_one(chunk):
-    # refused before any block is yielded; a negative chunk once listed 8
-    # of the 120 representatives without complaint
-    F = make_field(7)
-    for blocks in [(), ((1, 2, 3),)]:
-        chunks = counting.iter_projective_chunks(F, 3, chunk=chunk, blocks=blocks)
-        with pytest.raises(ValueError, match="at least one point"):
-            next(chunks)
 
 
 def test_grid_blocks_must_be_disjoint_coordinates():
@@ -442,20 +434,12 @@ def flat_scans():
 @pytest.mark.parametrize("chunk", [1, 7, 500, None])
 def test_scans_do_not_depend_on_block_size(monkeypatch, flat_scans, chunk):
     # the grid block size (None: the default) changes neither the counts
-    # nor the reports
+    # nor the singular points
     if chunk is not None:
-        real = counting.iter_projective_chunks
-
-        def chunks(F, dim, **kwargs):
-            return real(F, dim, **{**kwargs, "chunk": chunk})
-
-        monkeypatch.setattr(counting, "iter_projective_chunks", chunks)
-        monkeypatch.setattr(singular, "iter_projective_chunks", chunks)
-    for inst, n, rep in flat_scans:
+        monkeypatch.setattr(counting, "_CHUNK", chunk)
+    for inst, n, points in flat_scans:
         assert count_naive(inst).count == n
-        got = singular.singular_points(inst)
-        assert np.array_equal(got.points, rep.points)
-        assert got.strata_counts == rep.strata_counts
+        assert np.array_equal(singular.singular_points(inst), points)
 
 
 # -- cache -------------------------------------------------------------------

@@ -9,6 +9,7 @@ from mirrorquintic.cli import run
 from mirrorquintic.counting import count, iter_projective_chunks
 from mirrorquintic.errors import (
     DimensionMismatch,
+    FieldMismatch,
     InstanceTooLarge,
     MissingParameter,
     RootOfUnityUnavailable,
@@ -32,12 +33,14 @@ from mirrorquintic.families import (
     quintic_y,
     sample_points,
     strata_codes,
+    unique_points,
     verify_coordinate_change,
     wtilde_from_lambda,
 )
 from mirrorquintic.ffield import FieldArray, Jet, make_field, primitive_nth_root
 from mirrorquintic.mvpoly import MPoly, eval_batch
-from mirrorquintic.singular import hessian_ranks, singular_points
+from mirrorquintic.singular import hessian_ranks, preimage_count, singular_points
+from mirrorquintic.symmetry import enumerate_G, orbit
 
 F7 = make_field(7)
 F11 = make_field(11)
@@ -436,6 +439,57 @@ def test_normalize_point():
         normalize_rows(np.array([[0, 3, 5], [0, 0, 0]]), F7)
 
 
+_PHI = MonomialMap(5, 5)
+# every function that takes points, called on a list of index rows over F,
+# and whether it fixes the width (the two others read it off the rows)
+_POINT_TAKERS = {
+    "normalize_rows": (lambda rows, F: normalize_rows(rows, F), False),
+    "unique_points": (lambda rows, F: unique_points(rows, F), False),
+    "apply_map": (lambda rows, F: apply_map(_PHI, rows, F), True),
+    "strata_codes": (lambda rows, F: strata_codes(rows, quintic_y(1, F)), True),
+    "hessian_ranks": (lambda rows, F: hessian_ranks(quintic_y(1, F), rows), True),
+    "preimage_count": (lambda rows, F: [preimage_count(_PHI, r, F) for r in rows], True),
+    "orbit": (lambda rows, F: [orbit(r, enumerate_G(), F) for r in rows], True),
+}
+
+
+@pytest.mark.parametrize("bad", ["index q", "index -1", "wrong width", "zero row"])
+@pytest.mark.parametrize("q", [11, 9])
+@pytest.mark.parametrize("taker", list(_POINT_TAKERS))
+def test_point_takers_refuse_bad_rows(taker, q, bad):
+    # one check (families.point_rows) for every function that takes points:
+    # an index outside [0, q) is no element of F_q, whatever the arithmetic
+    # would make of it (over F_11, 12 was a numpy IndexError and 23 read as
+    # 1; over F_9, -1 read as 8)
+    F = make_field(*{9: (3, 2)}.get(q, (q,)))
+    call, width_bound = _POINT_TAKERS[taker]
+    rows, error, message = {
+        "index q": ([[1, 1, 1, 1, q]], FieldMismatch, f"index {q} is not an element"),
+        "index -1": ([[1, 2, 3, 4, -1]], FieldMismatch, "index -1 is not an element"),
+        # rows of 4 coordinates, or for a width read off the rows a bare row
+        "wrong width": (
+            [[1, 1, 1, 1]] if width_bound else [1, 1, 1, 1, 1], DimensionMismatch, "not \\(n, "
+        ),
+        "zero row": ([[0, 0, 0, 0, 0]], ValueError, "zero vector"),
+    }[bad]
+    # the points are refused before anything else: over F_9 the Hessian
+    # test would refuse the characteristic, and orbits and fibers the
+    # missing fifth roots of unity
+    with pytest.raises(error, match=message):
+        call(rows, F)
+
+
+def test_point_rows_is_the_contract():
+    # good rows come back as they are, as int64; over F_11 the fiber of
+    # (1, 1, 1, 1, 23) was reported as that of (1, 1, 1, 1, 1)
+    F9 = make_field(3, 2)
+    rows = families.point_rows([[1, 2, 3, 4, 8]], F9, 5)
+    assert rows.dtype == np.int64 and rows.tolist() == [[1, 2, 3, 4, 8]]
+    assert families.point_rows(np.empty((0, 6), dtype=np.int64), F9).shape == (0, 6)
+    with pytest.raises(FieldMismatch, match="index 23 is not an element of"):
+        preimage_count(_PHI, (1, 1, 1, 1, 23), F11)
+
+
 def _random_coords(F, nvars, seed):
     import numpy as np
 
@@ -599,7 +653,7 @@ def test_evaluations_leave_the_system_unexpanded(expansions, tmp_path):
             count(inst, "table")
     singular_points(cubics_v(1, F7))
     for inst in (quintic_x(1, F31), quintic_y(2, F31)):
-        hessian_ranks(inst, singular_points(inst).points)
+        hessian_ranks(inst, singular_points(inst))
     assert run(
         ["trace", "--p-range", "2..31", "--cache", str(tmp_path / "c.jsonl"),
          "--out", str(tmp_path / "t.csv")]

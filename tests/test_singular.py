@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from mirrorquintic import families, singular
+from mirrorquintic import counting, families, singular
 from mirrorquintic.counting import iter_projective_chunks, projective_size
 from mirrorquintic.errors import (
     BadCharacteristic,
@@ -70,25 +70,23 @@ def _orbit_cases(q):
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 9, 11, 13, 31])
 def test_orbit_scan_equals_full_scan(monkeypatch, q):
-    # the report of the scan over one point per orbit of the declared
-    # blocks is the full scan's: the same points in the same order and the
-    # same strata; on small fields also for tiny grid blocks
-    chunks = [singular._SCAN_CHUNK, 1, 7] if q <= 4 else [singular._SCAN_CHUNK]
+    # the scan over one point per orbit of the declared blocks finds the
+    # full scan's points in the same order; on small fields also for tiny
+    # grid blocks
+    chunks = [counting._CHUNK, 1, 7] if q <= 4 else [counting._CHUNK]
     for inst in _orbit_cases(q):
         full = _full_scan_instance(inst)
         assert inst.blocks or inst.equations.func is families._cubics_nu_form_polys
         want = singular_points(full)
         for chunk in chunks:
-            monkeypatch.setattr(singular, "_SCAN_CHUNK", chunk)
-            got = singular_points(inst)
-            assert np.array_equal(got.points, want.points)
-            assert got.strata_counts == want.strata_counts
+            monkeypatch.setattr(counting, "_CHUNK", chunk)
+            assert np.array_equal(singular_points(inst), want)
 
 
 def test_x1_f11_node_census():
-    rep = singular_points(quintic_x(1, F11))
-    assert rep.count == 125
-    assert (hessian_ranks(quintic_x(1, F11), rep.points) == 4).all()
+    points = singular_points(quintic_x(1, F11))
+    assert len(points) == 125
+    assert (hessian_ranks(quintic_x(1, F11), points) == 4).all()
 
 
 def test_scan_without_zeros_reports_nothing():
@@ -97,24 +95,34 @@ def test_scan_without_zeros_reports_nothing():
     conic = FamilyInstance(
         FamilyId.QUINTIC_X, F7, {}, 1, lambda x: [x[0] ** 2 - (x[1] ** 2).scale(3)]
     )
-    rep = singular_points(conic)
-    assert rep.points.shape == (0, 2)
-    assert rep.strata_counts == dict.fromkeys(Stratum, 0)
+    points = singular_points(conic)
+    assert points.shape == (0, 2) and points.dtype == np.int64
+
+
+def _strata_counts(points, y):
+    """The number of points in each Stratum (families.strata_codes)."""
+    counts = np.bincount(strata_codes(points, y), minlength=len(Stratum))
+    return dict(zip(Stratum, counts.tolist()))
 
 
 def test_y2_f11_singular_locus_is_lines():
-    rep = singular_points(quintic_y(2, F11))
-    assert rep.count == 10 * 11 - 10
-    assert rep.strata_counts[Stratum.ON_LINE_A] == 90
-    assert rep.strata_counts[Stratum.IN_POINT_SET_B] == 10
-    assert rep.strata_counts[Stratum.GENERIC] == 0
+    y = quintic_y(2, F11)
+    points = singular_points(y)
+    assert len(points) == 10 * 11 - 10
+    assert _strata_counts(points, y) == {
+        Stratum.GENERIC: 0,
+        Stratum.ON_LINE_A: 90,
+        Stratum.IN_POINT_SET_B: 10,
+        Stratum.EXTRA_NODE: 0,
+    }
 
 
 def test_y1_f11_extra_node():
-    rep = singular_points(quintic_y(1, F11))
-    assert rep.count == 10 * 11 - 9
-    assert rep.strata_counts[Stratum.EXTRA_NODE] == 1
-    assert [1] * 5 in rep.points.tolist()
+    y = quintic_y(1, F11)
+    points = singular_points(y)
+    assert len(points) == 10 * 11 - 9
+    assert _strata_counts(points, y)[Stratum.EXTRA_NODE] == 1
+    assert [1] * 5 in points.tolist()
 
 
 @pytest.mark.parametrize("p", [7, 31])
@@ -123,9 +131,8 @@ def test_y_singular_counts_other_fields(p):
     for mu in (1, 2, 3):
         if not F.element(mu):
             continue
-        rep = singular_points(quintic_y(mu, F))
         expected = 10 * p - 9 if F.element(mu) ** 5 == F.one else 10 * p - 10
-        assert rep.count == expected
+        assert len(singular_points(quintic_y(mu, F))) == expected
 
 
 def test_nodes_of_other_root_of_unity_member():
@@ -135,10 +142,10 @@ def test_nodes_of_other_root_of_unity_member():
 
     mu = F11.element(3)
     assert mu**5 == F11.one
-    rep = singular_points(quintic_x(mu, F11))
+    points = singular_points(quintic_x(mu, F11))
     seed = (1, mu.index, mu.index, mu.index, mu.index)
-    assert rep.count == 125
-    assert np.array_equal(rep.points, orbit(seed, enumerate_G(), F11))
+    assert len(points) == 125
+    assert np.array_equal(points, orbit(seed, enumerate_G(), F11))
 
 
 def test_classify_node_at_symmetric_point():
@@ -509,7 +516,7 @@ def test_hyperplane_scan_equals_full_scan(p):
     assert ev.jacobian_full_rank == full_rank
     assert ev.images_on_mirror == on_mirror
     # the scan meets the witnesses in chart order; the evidence lists them
-    # sorted by index tuple, as SingularReport.points
+    # sorted by index tuple, as singular_points
     assert ev.line_witnesses.tolist() == sorted(witnesses)
     assert ev.special_point_on_surface
 
@@ -517,7 +524,7 @@ def test_hyperplane_scan_equals_full_scan(p):
 @pytest.mark.parametrize("p,chunks", [(11, [1, 7]), (31, [31, 1 << 19]), (41, [41, 1 << 19])])
 def test_surface_scan_is_the_same_for_every_block_size(monkeypatch, p, chunks):
     # the surface's points, in chart order, and its evidence do not depend
-    # on _SCAN_CHUNK: blocks of single points, of one axis of q points, and
+    # on counting._CHUNK: blocks of single points, of one axis of q points, and
     # one block per chart (2^19 points hold chart 0 over F_41).  Blocks of
     # 1 or 7 points take seconds over F_31 and F_41, so q is the least there
     F = make_field(p)
@@ -525,7 +532,7 @@ def test_surface_scan_is_the_same_for_every_block_size(monkeypatch, p, chunks):
     want_rows = _surface_points(surface)
     want = surface_evidence(surface, target)
     for chunk in chunks:
-        monkeypatch.setattr(singular, "_SCAN_CHUNK", chunk)
+        monkeypatch.setattr(counting, "_CHUNK", chunk)
         assert np.array_equal(_surface_points(surface), want_rows)
         got = surface_evidence(surface, target)
         assert got[:-1] == want[:-1]
@@ -592,7 +599,7 @@ def test_classify_nodes_equal_scalar_hessians(p):
     for ctor in (quintic_x, quintic_y):
         for mu in (1, 2, 3):
             inst = ctor(mu, F)
-            points = singular_points(inst).points
+            points = singular_points(inst)
             got = hessian_ranks(inst, points)
             assert got.dtype == np.int64 and got.tolist() == _scalar_ranks(inst, points)
             ranks |= set(got.tolist())
@@ -614,7 +621,7 @@ def test_classify_nodes_without_builder_uses_expanded_partials():
         bare = FamilyInstance(
             inst.id, F11, inst.params, inst.ambient_dim, lambda x: [f(x) for f in expanded]
         )
-        points = singular_points(inst).points
+        points = singular_points(inst)
         assert np.array_equal(hessian_ranks(bare, points), hessian_ranks(inst, points))
 
 
@@ -622,17 +629,17 @@ def test_classify_nodes_batch_equals_one_at_a_time():
     F31 = make_field(31)
     inst = quintic_y(2, F31)
     # unnormalized representatives: every point scaled by 3
-    normalized = singular_points(inst).points
+    normalized = singular_points(inst)
     points = F31.vmul(normalized, 3)
     batch = hessian_ranks(inst, points)
     assert batch.tolist() == [hessian_ranks(inst, [pt])[0] for pt in points]
     assert np.array_equal(batch, hessian_ranks(inst, normalized))
-    assert hessian_ranks(inst, []).shape == (0,)
+    assert hessian_ranks(inst, np.empty((0, 5), dtype=np.int64)).shape == (0,)
 
 
 def test_classify_nodes_refusals():
     X = quintic_x(1, F11)
-    nodes = singular_points(X).points
+    nodes = singular_points(X)
     smooth = (0, 0, 0, 1, F11.element(-1).index)
     with pytest.raises(NotSingular, match=r"\[0, 0, 0, 1, 10\] is a smooth point"):
         hessian_ranks(X, [*nodes[:3], smooth, *nodes[3:]])
@@ -650,7 +657,7 @@ def test_hessian_ranks_do_not_depend_on_the_representative(p):
     # H(cx) = c^(d - 2) H(x): every representative of a point has its rank
     F = make_field(p)
     for inst in (quintic_x(1, F), quintic_y(1, F)):
-        points = singular_points(inst).points
+        points = singular_points(inst)
         want = hessian_ranks(inst, points)
         assert set(want.tolist()) >= {4}
         for c in (1, 3, p - 1):
@@ -670,7 +677,7 @@ def test_point_sets_are_normalized_index_rows():
         (sample, False),
         (apply_map(phi, sample, F31), False),
         (points_on_lines_a(F31), True),
-        (singular_points(quintic_y(1, F31)).points, True),
+        (singular_points(quintic_y(1, F31)), True),
         (orbit((1, 3, 3, 3, 3), enumerate_G(), F31), True),
         (surface_evidence(quadric_q(F31), X).line_witnesses, True),
     ]

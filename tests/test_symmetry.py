@@ -260,10 +260,13 @@ def test_invariance_of_v_under_gtilde():
 
 
 def test_invariance_needs_roots():
+    F7 = make_field(7)
     with pytest.raises(RootOfUnityUnavailable):
-        group_invariance(enumerate_G(), quintic_x(1, make_field(7)), [(1, 4, 0, 0)])
+        invariance_mask(element_scalars(enumerate_G(), F7, [(1, 4, 0, 0)]), quintic_x(1, F7))
     with pytest.raises(RootOfUnityUnavailable):
-        group_invariance(enumerate_Gtilde(), cubics_v(1, make_field(7)), [(0, 0, 0, 0, 0)])
+        invariance_mask(
+            element_scalars(enumerate_Gtilde(), F7, [(0, 0, 0, 0, 0)]), cubics_v(1, F7)
+        )
 
 
 def test_node_orbit_has_125_points():
@@ -287,8 +290,8 @@ def test_orbit_sizes_divide_group_order():
 
 
 def test_orbit_equals_singular_locus():
-    rep = singular_points(quintic_x(1, F11))
-    assert np.array_equal(rep.points, orbit((1,) * 5, enumerate_G(), F11))
+    points = singular_points(quintic_x(1, F11))
+    assert np.array_equal(points, orbit((1,) * 5, enumerate_G(), F11))
 
 
 def test_phi_constant_on_g_orbits_exhaustive():
@@ -393,7 +396,7 @@ def test_batched_invariance_equals_the_per_element_reference(group, inst):
         [x.index for x in _reference_scalars(group, g, F)] for g in group
     ]
     assert group_invariance(group, inst).tolist() == want
-    assert [group_invariance(group, inst, [g])[0] for g in group] == want
+    assert [invariance_mask(element_scalars(group, F, [g]), inst)[0] for g in group] == want
     if inst.id.value == "QuinticY":  # only the identity preserves Y
         assert want == [not any(g) for g in group]
     elif inst.id.value in ("QuinticX", "CubicsV"):  # verify's two claims

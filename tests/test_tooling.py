@@ -127,6 +127,27 @@ def test_points_are_index_rows():
     assert found == []
 
 
+def test_point_refusals_live_in_point_rows():
+    # an index outside the field and the zero vector are refused in one
+    # function, families.point_rows, which every function taking points
+    # calls: no other function raises either refusal
+    phrases = ("is not an element of", "not a projective point")
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            for node in ast.walk(fn):
+                if not isinstance(node, ast.Raise):
+                    continue
+                text = " ".join(
+                    c.value for c in ast.walk(node)
+                    if isinstance(c, ast.Constant) and isinstance(c.value, str)
+                )
+                found += [(path.name, fn.name, ph) for ph in phrases if ph in text]
+    assert found == [("families.py", "point_rows", ph) for ph in phrases]
+
+
 def test_symbolic_layer_stays_in_its_modules():
     # MPoly is the symbolic reference: the families build polynomials, and
     # the counting, scans, symmetry checks, other checks and CLI do not

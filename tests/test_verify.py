@@ -28,15 +28,18 @@ def test_unknown_suite_is_refused():
 
 
 def test_mirror_rows_read_the_extra_node_from_the_scan(monkeypatch):
-    # a scan that counts no ExtraNode fails exactly the rows with mu^5 = 1:
-    # mu = 1 over F_7, F_11, F_31, and mu = 2 over F_31 (2^5 = 1 mod 31)
-    scan = singular.singular_points
+    # the scan's points classified by strata codes that never give
+    # ExtraNode fail exactly the rows with mu^5 = 1: mu = 1 over F_7, F_11,
+    # F_31, and mu = 2 over F_31 (2^5 = 1 mod 31)
+    codes = verify.strata_codes
+    extra = list(Stratum).index(Stratum.EXTRA_NODE)
 
-    def no_extra_node(instance):
-        rep = scan(instance)
-        return rep._replace(strata_counts={**rep.strata_counts, Stratum.EXTRA_NODE: 0})
+    def no_extra_node(points, y):
+        out = codes(points, y)
+        out[out == extra] = 0
+        return out
 
-    monkeypatch.setattr(singular, "singular_points", no_extra_node)
+    monkeypatch.setattr(verify, "strata_codes", no_extra_node)
     rows = run_suite("nodes")
     assert len(rows) == 10
     assert [r.name for r in rows if not r.passed] == [
