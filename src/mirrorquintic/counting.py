@@ -13,8 +13,11 @@ count_naive enumerates normalized projective representatives chart by chart
 of at most _CHUNK points (iter_projective_chunks, which every walk over
 projective space shares, the singular scans included) and evaluates the
 defining system on them through FamilyInstance.vanishing_mask, in the
-compact form the family's builder writes.  It is the oracle every fast path is tested against; the table
-path below uses no builder.
+compact form the family's builder writes.  It is the oracle every fast
+path is tested against; the table path below uses no builder.
+points(instance) is the same walk keeping the rows: every point of the
+instance as an (n, nvars) index array, and, walking one point per orbit
+of the instance's blocks, the zeros that singular.singular_points ranks.
 
 count_table runs one engine for both quintics, which are
 
@@ -81,8 +84,9 @@ np = lazy_numpy()
 NAIVE_CAP = 10**10
 CACHE_VERSION = 1
 # points per grid block of iter_projective_chunks, the one block size of
-# every walk over P^dim: count_naive, fiber_size_table, the singular scans
-# and the quadric surface.  Blocks are filled to it, so it sets their size.
+# every walk over P^dim: count_naive, points (and through it the singular
+# scans), fiber_size_table and the quadric surface.  Blocks are filled to
+# it, so it sets their size.
 # Counts: at 2^19, X over F_101 ran in blocks of 520251 points and took
 # 1.7-2.0 s against 1.0-1.4 s in blocks of 10201, with 11 MB more peak
 # RSS.  2^14 gives those 10201-point blocks back, and a naive trace of
@@ -306,6 +310,37 @@ def check_size(instance: FamilyInstance, algo: str):
             )
     elif q**dim > NAIVE_CAP:
         raise InstanceTooLarge(f"q^dim = {q**dim} exceeds {NAIVE_CAP}")
+
+
+def _gather(coords, mask) -> np.ndarray:
+    """The points where mask is True as the rows of an (n, nvars) index
+    array, in C order of the broadcast block.
+
+    One flat-index pass finds the points and each coordinate is gathered
+    there; indexing with the boolean mask would walk the whole block once
+    per coordinate.  The last chart's block is 0-d, hence atleast_1d.
+    """
+    mask = np.atleast_1d(mask)
+    nz = np.unravel_index(np.flatnonzero(mask), mask.shape)
+    return np.stack([np.broadcast_to(c, mask.shape)[nz] for c in coords], axis=1)
+
+
+def points(instance: FamilyInstance, blocks: tuple = ()) -> np.ndarray:
+    """Every F_q-point of the instance, as the (n, nvars) int64 array of
+    the normalized rows that count_naive's walk visits, in its chart order:
+    len(points(instance)) == count_naive(instance).count.
+
+    With blocks (the instance's own, for singular.singular_points) the walk
+    visits one point per orbit of the permutations inside them, as
+    iter_projective_chunks does.  Each block's zeros are gathered
+    (_gather) and the block is dropped before the next is built.  The size
+    limit is count_naive's (check_size).
+    """
+    check_size(instance, "naive")
+    chunks = iter_projective_chunks(instance.field, instance.ambient_dim, blocks)
+    # map drops each block before the next is built (a comprehension's
+    # loop variable would keep it alive meanwhile)
+    return np.concatenate(list(map(lambda c: _gather(c, instance.vanishing_mask(c)), chunks)))
 
 
 def count_naive(instance: FamilyInstance) -> CountRecord:

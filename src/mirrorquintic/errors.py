@@ -41,10 +41,6 @@ class InstanceTooLarge(MirrorQuinticError):
     """The instance exceeds the feasibility cap of the chosen algorithm."""
 
 
-class TooFewPoints(MirrorQuinticError):
-    """A point sample could not find the requested number of distinct points."""
-
-
 class InvariantViolated(MirrorQuinticError):
     """An exact identity that a correct computation satisfies failed."""
 

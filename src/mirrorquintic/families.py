@@ -43,11 +43,14 @@ explicit F where no instance is given.  point_rows is the one check of
 that contract, and every function that takes points (normalize_rows and
 so unique_points, apply_map, strata_codes, and singular.hessian_ranks,
 singular.preimage_count and symmetry.orbit) runs its input through it:
-DimensionMismatch for a row of another width, FieldMismatch for an index
-outside [0, q), which is no element of F, and ValueError for the zero
-vector.  normalize_rows puts each row in canonical form (first nonzero
-coordinate scaled to 1), and unique_points also sorts the rows and drops
-repeats.  FieldElements are scalars only: parameters and coefficients.
+DimensionMismatch for a row of another width, FieldMismatch for entries
+that are not integers and for an index outside [0, q), which is no
+element of F, and ValueError for the zero vector.  normalize_rows puts
+each row in canonical form (first nonzero coordinate scaled to 1), and
+unique_points also sorts the rows and drops repeats.  Every point of an
+instance comes from one walk, counting.points, in the chart order of the
+naive count.  FieldElements are scalars only: parameters and
+coefficients.
 """
 
 from __future__ import annotations
@@ -56,7 +59,6 @@ import enum
 import functools
 import itertools
 import operator
-import random
 from typing import Callable, NamedTuple
 
 from ._lazy import lazy_numpy
@@ -65,7 +67,6 @@ from .errors import (
     FieldMismatch,
     InvariantViolated,
     MissingParameter,
-    TooFewPoints,
     ZeroDenominator,
 )
 from .ffield import (
@@ -367,11 +368,16 @@ def point_rows(points, F: FieldDescriptor, nvars: int | None = None) -> np.ndarr
     check of the point contract; nvars=None takes the width of the rows.
 
     DimensionMismatch unless the input is 2-D with nvars columns,
-    FieldMismatch for an index outside [0, q), which is not an element of F
-    (the arithmetic would read it as another element or fail on it), and
-    ValueError for a zero row, which is not a projective point.
+    FieldMismatch for entries that are not integers (a float would be
+    truncated, and a bool read as index 0 or 1) and for an index outside
+    [0, q), which is not an element of F (the arithmetic would read it as
+    another element or fail on it), and ValueError for a zero row, which
+    is not a projective point.
     """
-    idx = np.asarray(points, dtype=np.int64)
+    idx = np.asarray(points)
+    if idx.dtype.kind not in "iu":
+        raise FieldMismatch(f"points of dtype {idx.dtype} are not field indices")
+    idx = idx.astype(np.int64, copy=False)
     if idx.ndim != 2 or nvars not in (None, idx.shape[1]):
         raise DimensionMismatch(f"points of shape {idx.shape}, not (n, {nvars or 'nvars'})")
     outside = (idx < 0) | (idx >= F.q)
@@ -501,48 +507,3 @@ def new_coordinates_w(lam, F: FieldDescriptor) -> FamilyInstance:
     return FamilyInstance(
         FamilyId.CUBICS_W, F, {"lam": lam}, 5, functools.partial(_cubics_nu_form_polys, nu)
     )
-
-
-def sample_points(
-    instance: FamilyInstance, n: int, seed: int = 0, nonzero_coords: bool = False
-) -> np.ndarray:
-    """Deterministic sample of n distinct F_q-points on the instance, as the
-    rows of an (n, nvars) index array.
-
-    Draws random coordinate tuples, keeps those on the variety, and
-    normalizes; with nonzero_coords only points with every coordinate
-    nonzero are kept.  The points come in the order of their first draw.
-    n = 0 draws nothing, and n < 0 is a ValueError.
-    A batch of nvars x 4096 coordinates is one randbytes call of a
-    random.Random(seed), read as little-endian 32-bit words and reduced
-    into [lo, q), lo = 1 with nonzero_coords and 0 otherwise; the modulo
-    bias is at most q / 2^32.  The standard library's random is loaded at
-    interpreter start-up, while numpy.random (with secrets, hashlib and
-    its bit generators) would add about 6 MB of resident memory for the
-    rest of the process.  64-bit words would double the bytes drawn, the
-    larger part of a batch's time.  Each batch's hits are normalized in
-    one normalize_rows pass, and a dict keeps the distinct ones in order.
-    TooFewPoints when 200 batches of draws find fewer than n distinct
-    points.
-    """
-    if n < 0:
-        raise ValueError(f"cannot sample {n} points")
-    F = instance.field
-    nv = instance.nvars
-    lo = 1 if nonzero_coords else 0
-    rng = random.Random(seed)
-    found: dict[tuple, None] = {}
-    for batches in itertools.count():
-        if len(found) >= n:
-            return np.array(list(found)[:n], dtype=np.int64).reshape(n, nv)
-        if batches == 200:
-            raise TooFewPoints(
-                f"found {len(found)} distinct points on {instance!r}, not the {n} requested"
-            )
-        words = np.frombuffer(rng.randbytes(4 * nv * 4096), dtype="<u4")
-        batch = (words % (F.q - lo)).astype(np.int64).reshape(nv, 4096) + lo
-        coords = [np.ascontiguousarray(batch[i]) for i in range(nv)]
-        mask = instance.vanishing_mask(coords)
-        if not nonzero_coords:
-            mask &= batch.sum(axis=0) > 0
-        found.update(dict.fromkeys(map(tuple, normalize_rows(batch.T[mask], F).tolist())))

@@ -8,12 +8,13 @@ by the same elimination (ffield.matrix_ranks) that ranks the Hessians.  A
 permutation of the coordinates that maps every equation to itself maps
 the singular locus to itself, so a scan visits one point per orbit of the
 permutations inside the instance's blocks (FamilyInstance.blocks) and
-spreads the singular ones over their orbits at the end.  A scan walks
-those representatives in broadcastable grid blocks filled to
-counting._CHUNK points (counting.iter_projective_chunks with the
-instance's blocks) on the calling thread, evaluates the equations on
-each whole block through the instance's own builder, and gathers the
-points where they vanish as the rows of one index array.  The Jacobian
+spreads the singular ones over their orbits at the end.  A scan gathers
+the zeros among those representatives with counting.points, the walk of
+the naive count: grid blocks filled to counting._CHUNK points
+(counting.iter_projective_chunks with the instance's blocks) on the
+calling thread, the equations evaluated on each whole block through the
+instance's own builder, and the points where they vanish kept as the
+rows of one index array.  The Jacobian
 then runs once on all of them, by the same builder run on forward-mode
 jets (ffield.Jet), which gives the first partials in the compact form it
 writes the equations in.  Points
@@ -54,7 +55,7 @@ import math
 from typing import NamedTuple
 
 from ._lazy import lazy_numpy
-from .counting import iter_projective_chunks, projective_size
+from .counting import _gather, iter_projective_chunks, points, projective_size
 from .errors import (
     BadCharacteristic,
     FieldMismatch,
@@ -126,25 +127,6 @@ def _full_rank(instance: FamilyInstance, rows) -> np.ndarray:
     return matrix_ranks(instance.field, _stack(jac)) == len(jac)
 
 
-def _gather(coords, mask) -> np.ndarray:
-    """The points where mask is True as the rows of an (n, nvars) index
-    array, in C order of the broadcast block.
-
-    One flat-index pass finds the points and each coordinate is gathered
-    there; indexing with the boolean mask would walk the whole block once
-    per coordinate.  The last chart's block is 0-d, hence atleast_1d.
-    """
-    mask = np.atleast_1d(mask)
-    nz = np.unravel_index(np.flatnonzero(mask), mask.shape)
-    return np.stack([np.broadcast_to(c, mask.shape)[nz] for c in coords], axis=1)
-
-
-def _zeros(instance: FamilyInstance, block) -> np.ndarray:
-    """The points of a grid block where the instance's system vanishes, as
-    the rows of an index array (_gather)."""
-    return _gather(block, instance.vanishing_mask(block))
-
-
 @functools.lru_cache(maxsize=None)
 def _block_permutations(blocks: tuple, nvars: int) -> np.ndarray:
     """Every permutation of the coordinates inside the blocks, as the rows
@@ -168,9 +150,8 @@ def singular_points(instance: FamilyInstance) -> np.ndarray:
     as the rows of an (n, nvars) int64 index array, normalized and sorted
     by index tuple.
 
-    The equations are evaluated on each grid block of one point per orbit
-    of the instance's block permutations and the zeros are gathered as the
-    rows of one index array.  The Jacobian then runs once on every zero.
+    The zeros are gathered by counting.points, one point per orbit of the
+    instance's block permutations, and the Jacobian runs once on them all.
     Every block permutation is applied to the singular representatives,
     and families.unique_points normalizes, sorts and deduplicates the
     images.  The criterion is invariant under those permutations, so the
@@ -187,10 +168,7 @@ def singular_points(instance: FamilyInstance) -> np.ndarray:
         )
 
     n = instance.nvars
-    chunks = iter_projective_chunks(F, dim, blocks=instance.blocks)
-    # map drops each block before the next is built (a comprehension's
-    # loop variable would keep it alive meanwhile)
-    zeros = np.concatenate(list(map(functools.partial(_zeros, instance), chunks)))
+    zeros = points(instance, instance.blocks)
     reps = zeros[~_full_rank(instance, zeros)]
     perms = _block_permutations(instance.blocks, n)
     return unique_points(reps[:, perms].reshape(-1, n), F)

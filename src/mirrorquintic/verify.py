@@ -10,6 +10,9 @@ A suite is a list of _row(name, run) calls, each run at once: run()
 returns passed or (passed, detail).  A check that raises is one FAIL row
 under its own name and the rest of its suite still runs; a suite that
 raises outside its checks is one FAIL row named "suite <name>".
+
+A row that states a fact about the points of an instance checks every
+one of them (counting.points), not a sample, and its detail says how many.
 """
 
 from __future__ import annotations
@@ -20,19 +23,18 @@ from typing import NamedTuple
 
 from . import ledger, modularity, singular, symmetry
 from ._lazy import lazy_numpy
-from .counting import count, count_naive, projective_size
+from .counting import count, count_naive, points, projective_size
 from .families import (
     MonomialMap,
     apply_map,
     cubics_v,
     new_coordinates_w,
-    normalize_rows,
     points_on_lines_a,
     quadric_q,
     quintic_x,
     quintic_y,
-    sample_points,
     strata_codes,
+    unique_points,
     verify_coordinate_change,
     wtilde_from_lambda,
 )
@@ -134,17 +136,23 @@ def suite_fibers(cache=None, long_run: bool = False, p_max: int = 101) -> list[C
     X = quintic_x(1, F)
     Y = quintic_y(1, F)
 
+    def fibers(pts, within=None):
+        """The fiber of every distinct image of the points."""
+        imgs = unique_points(apply_map(phi, pts, F), F)
+        return [singular.preimage_count(phi, y, F, within=within) for y in imgs]
+
     def generic():
-        imgs = apply_map(phi, sample_points(X, 5, seed=11, nonzero_coords=True), F)
-        fr = [singular.preimage_count(phi, y, F, within=X) for y in imgs]
+        pts = points(X)
+        pts = pts[pts.all(axis=1)]  # every coordinate nonzero
+        fr = fibers(pts, within=X)
         ok = all(r.count_within == 125 and r.count == 625 for r in fr)
-        return ok, f"sampled {len(fr)} image points"
+        return ok, f"{len(pts)} points, {len(fr)} images"
 
     def line_points():
         pts = points_on_lines_a(F)
         a_pts = pts[strata_codes(pts, Y) == 1]  # OnLineA
-        fr = [singular.preimage_count(phi, y, F) for y in apply_map(phi, a_pts[:10], F)]
-        return all(r.count == 25 for r in fr), f"{len(fr)} line points"
+        fr = fibers(a_pts)
+        return all(r.count == 25 for r in fr), f"{len(a_pts)} points, {len(fr)} images"
 
     def on_line_witness():
         F31 = make_field(31)
@@ -183,26 +191,27 @@ def suite_groups(cache=None, long_run: bool = False, p_max: int = 101) -> list[C
     F11 = make_field(11)
     X2 = quintic_x(2, F11)
     F19 = make_field(19)
-    V = cubics_v(1, F19)
 
     def non_member():
         bad = [1, primitive_nth_root(F11, 5).index, 1, 1, 1]
         return not symmetry.invariance_mask([bad], X2)[0]
 
     def residual_action():
+        # psi(g0 x) = (w3 y0 : w3 y1 : w3 y2 : y3 : y4 : y5) with y = psi(x)
+        # coordinate by coordinate, so it holds at every point of P^5 exactly
+        # when the cubes of g0's scalars are c (w3, w3, w3, 1, 1, 1), c != 0
         g0 = symmetry.quotient_generator()
-        # psi(g0 x) = (w3 y0 : w3 y1 : w3 y2 : y3 : y4 : y5) with y = psi(x),
-        # on every sampled point at once
-        cube = F19.power_table(MonomialMap(3, 6).exponent)
+        [scalars] = symmetry.element_scalars(Gt, F19, [g0])
+        cubes = F19.power_table(MonomialMap(3, 6).exponent)[scalars]
         w3 = primitive_nth_root(F19, 3).index
-        pts = sample_points(V, 50, seed=19)
-        lhs = normalize_rows(cube[F19.vmul(symmetry.element_scalars(Gt, F19, [g0]), pts)], F19)
-        rhs = cube[pts]
-        rhs[:, :3] = F19.vmul(rhs[:, :3], w3)
-        ok = symmetry.induced_cube_action(g0) == (1, 1, 1, 0, 0, 0) and np.array_equal(
-            lhs, normalize_rows(rhs, F19)
+        c = int(cubes[5])
+        ok = (
+            symmetry.induced_cube_action(g0) == (1, 1, 1, 0, 0, 0)
+            and c != 0
+            and np.array_equal(cubes, F19.vmul(np.array([w3, w3, w3, 1, 1, 1]), c))
         )
-        return ok, "checked on 50 points over F_19"
+        n = projective_size(19, 5)
+        return ok, f"all {n} points of P^5(F_19), cubes {c} (w3, w3, w3, 1, 1, 1)"
 
     return [
         _row("scaling group order 125", lambda: len(G) == 125),
@@ -219,7 +228,7 @@ def suite_groups(cache=None, long_run: bool = False, p_max: int = 101) -> list[C
         _row("a non-member scaling breaks invariance", non_member),
         _row(
             "all 81 elements preserve the cubic pair over F_19",
-            lambda: symmetry.group_invariance(Gt, V).all(),
+            lambda: symmetry.group_invariance(Gt, cubics_v(1, F19)).all(),
         ),
         _row(
             "residual action scales x0, x1, x2 by a primitive cube root", residual_action
@@ -232,12 +241,13 @@ def suite_groups(cache=None, long_run: bool = False, p_max: int = 101) -> list[C
 
 
 def suite_coordchange(cache=None, long_run: bool = False, p_max: int = 101) -> list[CheckResult]:
-    F19 = make_field(19)
+    F13 = make_field(13)
 
     def cubes_in_quotient(lam):
-        pts = sample_points(new_coordinates_w(lam, F19), 100, seed=100 + lam)
-        images = F19.power_table(3)[pts]
-        return wtilde_from_lambda(lam, F19).vanishing_mask(list(images.T)).all()
+        pts = points(new_coordinates_w(lam, F13))
+        images = F13.power_table(3)[pts]
+        ok = wtilde_from_lambda(lam, F13).vanishing_mask(list(images.T)).all()
+        return ok, f"{len(pts)} points"
 
     return [
         *[
@@ -250,7 +260,7 @@ def suite_coordchange(cache=None, long_run: bool = False, p_max: int = 101) -> l
         ],
         *[
             _row(
-                f"cube map sends 100 W-points into the quotient (lam={lam})",
+                f"cube map sends every W-point over F_13 into the quotient (lam={lam})",
                 lambda: cubes_in_quotient(lam),
             )
             for lam in (1, 2)

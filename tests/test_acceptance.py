@@ -15,6 +15,7 @@ from mirrorquintic import modularity, singular, symmetry
 from mirrorquintic.counting import (
     count_naive,
     count_table,
+    points,
     projective_size,
 )
 from mirrorquintic.families import (
@@ -23,7 +24,7 @@ from mirrorquintic.families import (
     points_on_lines_a,
     quintic_x,
     quintic_y,
-    sample_points,
+    unique_points,
 )
 from mirrorquintic.ffield import make_field
 from mirrorquintic.verify import run_suite
@@ -136,14 +137,15 @@ def test_criterion_06_fiber_degrees():
     F = make_field(11)
     phi = MonomialMap(5, 5)
     X = quintic_x(1, F)
-    ys = apply_map(phi, sample_points(X, 5, seed=6, nonzero_coords=True), F)
-    generic_ok = all(
+    pts = points(X)
+    ys = unique_points(apply_map(phi, pts[pts.all(axis=1)], F), F)  # no zero coordinate
+    generic_ok = len(ys) == 11 and all(
         singular.preimage_count(phi, y, F, within=X).count_within == 125 for y in ys
     )
     a_pts = [pt for pt in points_on_lines_a(F).tolist() if pt.count(0) == 2]
     line_ok = all(
         singular.preimage_count(phi, y, F).count == 25
-        for y in apply_map(phi, a_pts[:10], F)
+        for y in unique_points(apply_map(phi, a_pts, F), F)
     )
     b_pt = (0, 0, 0, 1, F.element(-1).index)
     fr_b = singular.preimage_count(phi, b_pt, F, within=X)

@@ -18,6 +18,7 @@ from mirrorquintic.counting import (
     count_naive,
     count_table,
     fft_error_bound,
+    points,
     projective_size,
 )
 from mirrorquintic.errors import CacheCorrupt, InstanceTooLarge, InvariantViolated
@@ -26,9 +27,14 @@ from mirrorquintic.families import (
     FamilyInstance,
     MonomialMap,
     cubics_v,
+    cubics_w,
     cubics_wtilde,
+    new_coordinates_w,
+    normalize_rows,
+    quadric_q,
     quintic_x,
     quintic_y,
+    unique_points,
 )
 from mirrorquintic.ffield import make_field
 from mirrorquintic.mvpoly import MPoly
@@ -131,6 +137,8 @@ def test_instance_too_large():
         count_table(quintic_x(1, make_field(8209)))
     with pytest.raises(InstanceTooLarge):
         count_naive(quintic_x(1, make_field(1009)))
+    with pytest.raises(InstanceTooLarge):  # the naive count's walk and limit
+        points(quintic_x(1, make_field(1009)))
 
 
 def _oracle_cases():
@@ -414,8 +422,8 @@ def test_instances_without_declared_blocks():
 
 @pytest.fixture(scope="module")
 def flat_scans():
-    """count_naive's reference counts from one flat mask over every point,
-    and the default singular scans with one thread."""
+    """count_naive's reference counts and points from one flat mask over
+    every point, and the default singular scans with one thread."""
     F3, F4, F7 = make_field(3), make_field(2, 2), make_field(7)
     instances = [
         quintic_x(1, F4),
@@ -426,20 +434,44 @@ def flat_scans():
     out = []
     for inst in instances:
         flat = _flat_chart_order(inst.field.q, inst.ambient_dim)
-        n = int(inst.vanishing_mask(list(flat.T)).sum())
-        out.append((inst, n, singular.singular_points(inst)))
+        rows = flat[inst.vanishing_mask(list(flat.T))]
+        out.append((inst, rows, singular.singular_points(inst)))
     return out
 
 
 @pytest.mark.parametrize("chunk", [1, 7, 500, None])
 def test_scans_do_not_depend_on_block_size(monkeypatch, flat_scans, chunk):
-    # the grid block size (None: the default) changes neither the counts
-    # nor the singular points
+    # the grid block size (None: the default) changes neither the counts,
+    # nor the points and their chart order, nor the singular points
     if chunk is not None:
         monkeypatch.setattr(counting, "_CHUNK", chunk)
-    for inst, n, points in flat_scans:
-        assert count_naive(inst).count == n
-        assert np.array_equal(singular.singular_points(inst), points)
+    for inst, rows, sing in flat_scans:
+        assert count_naive(inst).count == len(rows)
+        assert np.array_equal(points(inst), rows)
+        assert np.array_equal(singular.singular_points(inst), sing)
+
+
+def _points_cases():
+    # the oracle set of criterion 7, and the cubic families, the nu-form
+    # and the quadric (which needs q = 1 mod 5, so F_11 and not F_7)
+    for p in (2, 3, 7, 11, 13):
+        for mu in (0, 1, 2):
+            yield quintic_x, mu, p
+            yield quintic_y, mu, p
+    for ctor in (cubics_v, cubics_w, cubics_wtilde, new_coordinates_w):
+        yield ctor, 1, 7
+    yield (lambda _, F: quadric_q(F)), None, 11
+
+
+@pytest.mark.parametrize("ctor,param,p", _points_cases())
+def test_points_are_the_naive_count(ctor, param, p):
+    # every point once, normalized, on the instance: as many as it counts
+    inst = ctor(param, make_field(p))
+    pts = points(inst)
+    assert pts.dtype == np.int64 and pts.shape == (count_naive(inst).count, inst.nvars)
+    assert np.array_equal(normalize_rows(pts, inst.field), pts)
+    assert len(unique_points(pts, inst.field)) == len(pts)
+    assert inst.vanishing_mask(list(pts.T)).all()
 
 
 # -- cache -------------------------------------------------------------------

@@ -1,19 +1,15 @@
-import itertools
-import random
-
 import numpy as np
 import pytest
 
 from mirrorquintic import families
 from mirrorquintic.cli import run
-from mirrorquintic.counting import count, iter_projective_chunks
+from mirrorquintic.counting import count, iter_projective_chunks, points
 from mirrorquintic.errors import (
     DimensionMismatch,
     FieldMismatch,
     InstanceTooLarge,
     MissingParameter,
     RootOfUnityUnavailable,
-    TooFewPoints,
     ZeroDenominator,
 )
 from mirrorquintic.families import (
@@ -31,7 +27,6 @@ from mirrorquintic.families import (
     quadric_q,
     quintic_x,
     quintic_y,
-    sample_points,
     strata_codes,
     unique_points,
     verify_coordinate_change,
@@ -275,7 +270,7 @@ def test_psi_sends_w_points_to_wtilde(p, lam):
     w_new = new_coordinates_w(lam, F)
     wt = wtilde_from_lambda(lam, F)
     psi = MonomialMap(3, 6)
-    for row in apply_map(psi, sample_points(w_new, 100, seed=lam * p), F).tolist():
+    for row in apply_map(psi, points(w_new), F).tolist():
         assert not any(f.eval(map(F.from_index, row)) for f in wt.system)
 
 
@@ -297,100 +292,6 @@ def test_phi_sends_x_points_to_y(p):
             continue
         imgs = [fifth[c[on_x]] for c in coords]
         assert (eval_batch(fy, imgs, F) == 0).all()
-
-
-def test_sample_points_refuses_more_points_than_it_finds():
-    # P^4(F_3) has 121 points, and the quintic fewer: the sample gives up
-    # with a package error that says how many distinct points it found
-    with pytest.raises(TooFewPoints, match=r"found \d+ distinct points .* not the 100"):
-        sample_points(quintic_x(1, make_field(3)), 100)
-
-
-def test_sample_points_with_nonzero_coords_zero_keeps_out_the_zero_vector():
-    # nonzero_coords=0 draws zero coordinates like False, and the zero
-    # vector drawn among them is not a point: all 16 points of X(F_2)
-    F2 = make_field(2)
-    X = quintic_x(1, F2)
-    vectors = np.array(list(itertools.product((0, 1), repeat=5))[1:])
-    on_x = vectors[X.vanishing_mask(list(vectors.T))]
-    want = set(map(tuple, on_x.tolist()))
-    got = sample_points(X, 16, nonzero_coords=0)
-    assert len(want) == 16 and set(map(tuple, got.tolist())) == want and got.any(axis=1).all()
-
-
-def test_sample_points_of_no_points_draws_nothing(monkeypatch):
-    # n = 0 is the empty (0, nvars) array, returned without a draw, and a
-    # negative n is refused
-    inst = quintic_x(1, F11)
-    monkeypatch.setattr(inst, "vanishing_mask", lambda coords: pytest.fail("drew points"))
-    got = sample_points(inst, 0)
-    assert got.shape == (0, 5) and got.dtype == np.int64
-    with pytest.raises(ValueError):
-        sample_points(inst, -1)
-
-
-def _sample_one_at_a_time(instance, n, seed=0, nonzero_coords=False):
-    """sample_points drawing each coordinate by its own 4-byte randbytes
-    call and normalizing each hit in FieldElements: the reference for the
-    draws, the samples and their order, as a list of index tuples.  One
-    randbytes(4 m) call gives the bytes of m randbytes(4) calls in order."""
-    F = instance.field
-    lo = 1 if nonzero_coords else 0
-    rng = random.Random(seed)
-    found = {}
-    for _ in range(200):
-        batch = np.array([
-            [lo + int.from_bytes(rng.randbytes(4), "little") % (F.q - lo) for _ in range(4096)]
-            for _ in range(instance.nvars)
-        ])
-        mask = instance.vanishing_mask(list(batch))
-        if not nonzero_coords:
-            mask &= batch.sum(axis=0) > 0
-        for col in np.nonzero(mask)[0]:
-            pt = [F.from_index(int(c)) for c in batch[:, col]]
-            inv = next(x for x in pt if x).inverse()
-            found[tuple((x * inv).index for x in pt)] = None
-            if len(found) >= n:
-                return list(found)
-    return None
-
-
-@pytest.mark.parametrize(
-    "ctor,param,p,k,n,seed,nonzero",
-    [
-        (quintic_x, 1, 11, 1, 5, 11, True),
-        (cubics_v, 1, 19, 1, 50, 19, False),
-        (new_coordinates_w, 2, 19, 1, 100, 102, False),
-        (cubics_wtilde, 2, 3, 2, 30, 1, False),
-        (quintic_x, 1, 3, 1, 36, 0, False),  # every point of the instance
-    ],
-)
-def test_sample_points_equal_one_at_a_time(ctor, param, p, k, n, seed, nonzero):
-    inst = ctor(param, make_field(p, k))
-    got = sample_points(inst, n, seed=seed, nonzero_coords=nonzero)
-    assert got.tolist() == list(map(list, _sample_one_at_a_time(inst, n, seed, nonzero)))
-    assert got.shape == (n, inst.nvars)
-
-
-@pytest.mark.parametrize("p,k,n", [(2, 1, 1), (2, 2, 3), (11, 1, 20)])
-def test_sample_points_repeat_and_draw_nonzero_coords_from_1_to_q(p, k, n, monkeypatch):
-    # two fresh calls with one seed give the same points, and with
-    # nonzero_coords every coordinate drawn lies in [1, q)
-    inst = quintic_x(1, make_field(p, k))
-    draws = []
-    mask = inst.vanishing_mask
-
-    def recording_mask(coords):
-        draws.append(np.array(coords))
-        return mask(coords)
-
-    monkeypatch.setattr(inst, "vanishing_mask", recording_mask)
-    got = sample_points(inst, n, seed=5, nonzero_coords=True)
-    assert np.array_equal(got, sample_points(inst, n, seed=5, nonzero_coords=True))
-    assert len(got) == n
-    drawn = np.concatenate(draws, axis=1)
-    assert drawn.min() == 1 and drawn.max() == inst.field.q - 1
-    assert got.all()
 
 
 # the coordinates each family's equations treat alike
@@ -453,7 +354,9 @@ _POINT_TAKERS = {
 }
 
 
-@pytest.mark.parametrize("bad", ["index q", "index -1", "wrong width", "zero row"])
+@pytest.mark.parametrize(
+    "bad", ["index q", "index -1", "wrong width", "zero row", "float row", "bool row"]
+)
 @pytest.mark.parametrize("q", [11, 9])
 @pytest.mark.parametrize("taker", list(_POINT_TAKERS))
 def test_point_takers_refuse_bad_rows(taker, q, bad):
@@ -471,6 +374,9 @@ def test_point_takers_refuse_bad_rows(taker, q, bad):
             [[1, 1, 1, 1]] if width_bound else [1, 1, 1, 1, 1], DimensionMismatch, "not \\(n, "
         ),
         "zero row": ([[0, 0, 0, 0, 0]], ValueError, "zero vector"),
+        # a float was truncated to an index, and a bool read as index 0 or 1
+        "float row": ([[1.5, 2, 3, 4, 5]], FieldMismatch, "dtype float64 are not field indices"),
+        "bool row": ([[True, False, True, True, True]], FieldMismatch, "dtype bool are not"),
     }[bad]
     # the points are refused before anything else: over F_9 the Hessian
     # test would refuse the characteristic, and orbits and fibers the

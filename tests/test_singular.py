@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from mirrorquintic import counting, families, singular
-from mirrorquintic.counting import iter_projective_chunks, projective_size
+from mirrorquintic.counting import count_naive, iter_projective_chunks, points, projective_size
 from mirrorquintic.errors import (
     BadCharacteristic,
     FieldMismatch,
@@ -27,8 +27,8 @@ from mirrorquintic.families import (
     quadric_q,
     quintic_x,
     quintic_y,
-    sample_points,
     strata_codes,
+    unique_points,
 )
 from mirrorquintic.ffield import make_field
 from mirrorquintic.mvpoly import eval_batch
@@ -185,10 +185,16 @@ def test_preimage_generic_and_special():
     phi = MonomialMap(5, 5)
     X = quintic_x(1, F11)
     Y = quintic_y(1, F11)
-    [y] = apply_map(phi, sample_points(X, 1, seed=5, nonzero_coords=True), F11)
-    fr = preimage_count(phi, y, F11, within=X)
-    assert fr.count == 625 and fr.count_within == 125
-    assert fr.predicted == 625 and _stratum(fr.point, Y) is Stratum.GENERIC
+    # every point with no zero coordinate: its image is generic, or the
+    # extra node (1:1:1:1:1), and has the full fiber
+    pts = points(X)
+    imgs = unique_points(apply_map(phi, pts[pts.all(axis=1)], F11), F11)
+    strata = []
+    for y in imgs:
+        fr = preimage_count(phi, y, F11, within=X)
+        assert fr.count == 625 == fr.predicted and fr.count_within == 125
+        strata.append(_stratum(fr.point, Y))
+    assert strata == [Stratum.EXTRA_NODE] + [Stratum.GENERIC] * 10
 
     b = (0, 0, 0, 1, F11.element(-1).index)
     frb = preimage_count(phi, b, F11, within=X)
@@ -378,17 +384,6 @@ def _minor_rule(inst, rows):
     return mask
 
 
-def _zeros(inst):
-    """Every F_q-point of the instance, as the rows of an index array."""
-    F = inst.field
-    return np.concatenate(
-        [
-            singular._gather(coords, inst.vanishing_mask(coords))
-            for coords in iter_projective_chunks(F, inst.ambient_dim)
-        ]
-    )
-
-
 def _rank_cases(p):
     F = make_field(p)
     for param in (0, 1, 2):
@@ -402,7 +397,7 @@ def _rank_cases(p):
 def test_full_rank_equals_minor_rule(p):
     deficient = set()
     for inst in _rank_cases(p):
-        zeros = _zeros(inst)
+        zeros = points(inst)
         want = _minor_rule(inst, zeros)
         assert np.array_equal(singular._full_rank(inst, zeros), want)
         if not want.all():
@@ -414,7 +409,7 @@ def test_full_rank_equals_minor_rule(p):
 def test_full_rank_equals_minor_rule_on_the_quadric():
     # the quadric needs q = 1 mod 5, which neither F_7 nor F_13 is
     surface = quadric_q(F11)
-    zeros = _zeros(surface)
+    zeros = points(surface)
     want = _minor_rule(surface, zeros)
     assert want.all() and np.array_equal(singular._full_rank(surface, zeros), want)
 
@@ -672,10 +667,10 @@ def test_point_sets_are_normalized_index_rows():
     F31 = make_field(31)
     X = quintic_x(1, F31)
     phi = MonomialMap(5, 5)
-    sample = sample_points(X, 20, seed=3)
+    every = points(X)
     cases = [
-        (sample, False),
-        (apply_map(phi, sample, F31), False),
+        (every, False),
+        (apply_map(phi, every, F31), False),
         (points_on_lines_a(F31), True),
         (singular_points(quintic_y(1, F31)), True),
         (orbit((1, 3, 3, 3, 3), enumerate_G(), F31), True),
@@ -687,4 +682,5 @@ def test_point_sets_are_normalized_index_rows():
         rows = pts.tolist()
         if ordered:
             assert rows == sorted(rows) and len(set(map(tuple, rows))) == len(rows)
-    assert len(set(map(tuple, sample.tolist()))) == len(sample) == 20
+    # points come in chart order, which is not sorted, but once each
+    assert len(set(map(tuple, every.tolist()))) == len(every) == count_naive(X).count

@@ -92,7 +92,7 @@ def test_nodes_suite_loads_no_symbolic_layer(tmp_path):
 
 
 def test_verify_all_loads_no_numpy_random(tmp_path):
-    # the sampled rows draw from the standard library's random: numpy.random
+    # no row draws random points (they check every point): numpy.random
     # and the secrets module it imports stay unloaded, about 6 MB of RSS
     package, other = _loads(["verify", "--suite", "all"], tmp_path)
     assert "mirrorquintic.verify" in package

@@ -243,8 +243,8 @@ def test_no_module_starts_threads():
 
 def test_no_module_reads_numpy_random():
     # numpy.random pulls in secrets, hashlib and its bit generators, about
-    # 6 MB that stay resident: families.sample_points draws from the
-    # standard library's random, loaded at interpreter start-up
+    # 6 MB that stay resident; no module needs random draws, since the
+    # verify rows check every point
     found = []
     for path in sorted(SRC.rglob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), str(path))):

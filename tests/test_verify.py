@@ -1,5 +1,7 @@
 import argparse
+import functools
 
+import numpy as np
 import pytest
 
 from mirrorquintic import cli, ledger, singular, symmetry, verify
@@ -162,6 +164,74 @@ def test_each_parameterized_row_runs_on_its_own_instance(monkeypatch):
     ]
     assert surfaces == [11, 31, 41]
     assert changes == [(1, 7), (2, 7), (1, 13), (2, 13)]
+
+
+def _with_extra_point(ctor, extra):
+    """ctor whose instances also vanish at the index row extra: a family in
+    which one point breaks a statement that holds for the true one."""
+
+    def build(*args):
+        inst = ctor(*args)
+        mask = inst.vanishing_mask
+
+        def vanishing_mask(coords):
+            at_extra = functools.reduce(
+                np.logical_and, (np.asarray(c) == v for c, v in zip(coords, extra))
+            )
+            return mask(coords) | at_extra
+
+        inst.vanishing_mask = vanishing_mask
+        return inst
+
+    return build
+
+
+def _failing(suite):
+    return [r.name for r in run_suite(suite) if not r.passed]
+
+
+def test_generic_fiber_row_fails_on_one_bad_point(monkeypatch):
+    # (1:2:3:4:5) is off X_1(F_11) and its image off Y_1: a quintic
+    # through it has an image whose fiber on it is that one point
+    monkeypatch.setattr(verify, "quintic_x", _with_extra_point(verify.quintic_x, (1, 2, 3, 4, 5)))
+    assert _failing("fibers") == ["generic fiber on the quintic is 125 (ambient 625)"]
+
+
+def test_cube_map_rows_fail_on_one_bad_point(monkeypatch):
+    # (1:0:0:0:0:0) is off the nu-form, and its cube off the quotient for
+    # every nu != 0
+    extra = (1, 0, 0, 0, 0, 0)
+    monkeypatch.setattr(
+        verify, "new_coordinates_w", _with_extra_point(verify.new_coordinates_w, extra)
+    )
+    assert _failing("coordchange") == [
+        f"cube map sends every W-point over F_13 into the quotient (lam={lam})"
+        for lam in (1, 2)
+    ]
+
+
+_RESIDUAL = "residual action scales x0, x1, x2 by a primitive cube root"
+
+
+def test_residual_action_row_fails_on_a_kernel_element(monkeypatch):
+    # the identity acts trivially through the cube map
+    monkeypatch.setattr(symmetry, "quotient_generator", lambda: (0, 0, 0, 0, 0))
+    assert _failing("groups") == [_RESIDUAL]
+
+
+def test_residual_action_row_fails_on_perturbed_scalars(monkeypatch):
+    # g0 with x0 scaled by 2 more (2^3 = 8 is no cube root of unity mod 19)
+    # keeps the induced action, so only the cubes of the scalars catch it
+    scalars = symmetry.element_scalars
+
+    def perturbed(group, F, elements=None):
+        out = scalars(group, F, elements)
+        if elements is not None:
+            out[:, 0] = F.vmul(out[:, 0], 2)
+        return out
+
+    monkeypatch.setattr(symmetry, "element_scalars", perturbed)
+    assert _failing("groups") == [_RESIDUAL]
 
 
 @pytest.fixture
