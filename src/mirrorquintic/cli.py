@@ -26,6 +26,9 @@ first computed count, MPoly is never loaded).  verify imports the verify
 stack (singular, symmetry) inside _cmd_verify, and MPoly loads only for a
 suite that reads a symbolic system.  The --suite choices read
 verify.SUITES only when a value is checked or the help is printed.
+main, the mql entry point, flushes stdout and stderr and ends the process
+with os._exit, skipping the interpreter's teardown, unless a flush fails
+or a tracer or profiler is installed.
 """
 
 from __future__ import annotations
@@ -178,20 +181,22 @@ def _parse_primes(args) -> list[int]:
     return [p for p in range(lo, hi + 1) if is_prime(p)]
 
 
-def _open_cache(args) -> CountCache | None:
-    """The --cache file, else the MQL_CACHE one; None when neither is set.
+def _check_file_path(path: str, what: str):
+    """Refuse, as a usage error raised before any count, a file path that
+    is a directory or whose directory does not exist."""
+    if os.path.isdir(path):
+        raise _UsageError(f"{what} path {path!r} is a directory")
+    parent = os.path.dirname(path) or "."
+    if not os.path.isdir(parent):
+        raise _UsageError(f"{what} path {path!r}: directory {parent!r} does not exist")
 
-    A path that is a directory, or whose directory does not exist, is a
-    usage error, raised before any count is computed.
-    """
+
+def _open_cache(args) -> CountCache | None:
+    """The --cache file, else the MQL_CACHE one; None when neither is set."""
     path = args.cache or os.environ.get("MQL_CACHE")
     if not path:
         return None
-    if os.path.isdir(path):
-        raise _UsageError(f"cache path {path!r} is a directory")
-    parent = os.path.dirname(path) or "."
-    if not os.path.isdir(parent):
-        raise _UsageError(f"cache path {path!r}: directory {parent!r} does not exist")
+    _check_file_path(path, "cache")
     return CountCache(path)
 
 
@@ -330,6 +335,8 @@ def run(argv: list[str]) -> int:
     try:
         if getattr(args, "p_max", 2) < 2:
             raise _UsageError("--p-max must be at least 2")
+        if args.out is not None:
+            _check_file_path(args.out, "output")
         if args.command == "count":
             return _cmd_count(args)
         if args.command == "trace":
@@ -347,8 +354,39 @@ def run(argv: list[str]) -> int:
         return 1
 
 
+def _observed() -> bool:
+    """Whether a tracer or profiler is installed, which may write its data
+    after main returns or at exit (coverage, python -m cProfile)."""
+    if sys.gettrace() is not None or sys.getprofile() is not None:
+        return True
+    monitoring = getattr(sys, "monitoring", None)  # Python >= 3.12
+    return monitoring is not None and any(
+        monitoring.get_tool(tool) is not None for tool in range(6)
+    )
+
+
 def main():
-    sys.exit(run(sys.argv[1:]))
+    """The mql entry point: run sys.argv and end the process with its code.
+
+    main ends the process, usually without raising SystemExit, so tests
+    call it in a subprocess and never in-process.
+    """
+    code = run(sys.argv[1:])
+    # Interpreter teardown frees numpy and every module one object at a
+    # time, and the OS reclaims all of that memory anyway.  It is safe to
+    # skip once stdout and stderr are flushed: run has closed --out in
+    # _emit, the cache writes unbuffered through os.write, and no module
+    # starts a thread or registers an atexit hook.  A failed flush, or a
+    # tracer or profiler, takes the ordinary exit.
+    try:
+        for stream in (sys.stdout, sys.stderr):
+            if stream is not None:
+                stream.flush()
+    except OSError:
+        sys.exit(code)
+    if _observed():
+        sys.exit(code)
+    os._exit(code)
 
 
 if __name__ == "__main__":

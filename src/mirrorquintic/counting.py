@@ -526,7 +526,9 @@ class CountCache:
         fd = os.open(self.path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o666)
         try:
             fcntl.flock(fd, fcntl.LOCK_EX)
-            os.write(fd, (rec.to_json() + "\n").encode("utf-8"))
+            line = memoryview((rec.to_json() + "\n").encode("utf-8"))
+            while line:  # os.write may write only part of it
+                line = line[os.write(fd, line):]
         finally:
             os.close(fd)  # releases the lock
 

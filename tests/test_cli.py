@@ -221,6 +221,28 @@ def test_bad_cache_path_is_a_usage_error(tmp_path, monkeypatch, capsys, command,
     assert captured.err.startswith("usage error:") and repr(path) in captured.err
     assert list(tmp_path.iterdir()) == []
 
+@pytest.mark.parametrize("command", [
+    ["count", "--family", "X", "--mu", "1", "--p", "7"],
+    ["trace", "--p-range", "2..13"],
+    ["verify", "--suite", "traces", "--p-max", "13"],
+    ["ledger-dump"],
+])
+@pytest.mark.parametrize("bad", ["missing-dir", "directory"])
+def test_bad_out_path_is_a_usage_error(tmp_path, monkeypatch, capsys, command, bad):
+    # refused as --cache is, before the first count
+    def counted(instance):
+        raise AssertionError("a count ran")
+
+    monkeypatch.setattr(counting, "count_table", counted)
+    monkeypatch.setattr(counting, "count_naive", counted)
+    path = str(tmp_path / "nowhere" / "r.csv" if bad == "missing-dir" else tmp_path)
+    assert run(command + ["--out", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage error: output path") and repr(path) in captured.err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_corrupt_cache_warns_but_succeeds(tmp_path):
     cache = tmp_path / "counts.jsonl"
     cache.write_text("{ not json }\n")

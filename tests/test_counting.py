@@ -645,6 +645,28 @@ def test_cache_append_waits_for_the_file_lock(tmp_path):
     assert path.read_text() == rec.to_json() + "\n"
 
 
+def test_cache_append_writes_the_whole_line(tmp_path, monkeypatch):
+    # os.write may write fewer bytes than asked; the append repeats it
+    # until the line is whole, else the next load drops the line as corrupt
+    import os
+
+    write = os.write
+    sizes = []
+
+    def short_write(fd, data):
+        sizes.append(write(fd, bytes(data[:7])))
+        return sizes[-1]
+
+    path = tmp_path / "counts.jsonl"
+    cache = CountCache(path)
+    rec = CountRecord("QuinticX", "mu=1", 11, 1, 3300, "table", 1)
+    with monkeypatch.context() as m:
+        m.setattr(os, "write", short_write)
+        cache.append(rec)
+    assert path.read_text() == rec.to_json() + "\n"
+    assert len(sizes) > 1 and max(sizes) == 7
+
+
 def test_concurrent_appends_stay_loadable(tmp_path):
     import subprocess
     import sys

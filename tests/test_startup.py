@@ -6,6 +6,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
+from mirrorquintic.cli import run
+
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 # run the CLI on argv, then print its exit code and whether numpy executed
@@ -18,11 +22,14 @@ print(code, any(m.startswith("numpy.") for m in sys.modules))
 """
 
 
-def _python(args, cwd):
+def _env() -> dict:
     path = [str(SRC), *filter(None, [os.environ.get("PYTHONPATH")])]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+
+
+def _python(args, cwd):
     done = subprocess.run(
-        [sys.executable, *args], cwd=cwd, env=env, capture_output=True, text=True, timeout=120
+        [sys.executable, *args], cwd=cwd, env=_env(), capture_output=True, text=True, timeout=120
     )
     assert done.stderr == ""
     return done
@@ -129,3 +136,59 @@ def test_each_command_builds_one_descriptor_per_field(tmp_path):
     for argv, fields in ((verify, 26), (trace, 25)):
         out = _python(["-c", _FIELDS_PROBE, *argv], tmp_path).stdout.split()[-3:]
         assert out == ["0", str(fields), str(fields)]
+
+
+# cli.main, the mql entry point, ends the process with os._exit once stdout
+# and stderr are flushed, so it is only ever run in a subprocess, and with
+# PYTHONUNBUFFERED unset, so that its stdout is block-buffered as on a pipe
+_MAIN = ["-m", "mirrorquintic.cli"]
+
+
+def _main(argv, cwd, stdout=subprocess.PIPE) -> subprocess.CompletedProcess:
+    env = _env()
+    env.pop("PYTHONUNBUFFERED", None)
+    return subprocess.run(
+        [sys.executable, *_MAIN, *argv], cwd=cwd, env=env, stdout=stdout,
+        stderr=subprocess.PIPE, timeout=120,
+    )
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["--version"], 0),
+    (["count", "--family", "X", "--mu", "1", "--p", "8209", "--algo", "table"], 1),
+    (["trace", "--p", "5"], 2),
+])
+def test_main_exit_codes(tmp_path, argv, code):
+    assert _main(argv, tmp_path).returncode == code
+
+
+def test_main_writes_the_trace_run_writes(tmp_path):
+    # stdout and --out both reach the file before the process ends
+    trace = ["trace", "--p-range", "2..31"]
+    assert run(trace + ["--out", str(tmp_path / "run.csv")]) == 0
+    expected = (tmp_path / "run.csv").read_bytes()
+    piped = _main(trace + ["--format", "csv"], tmp_path)
+    assert piped.returncode == 0 and piped.stdout == expected
+    assert _main(trace + ["--out", "main.csv"], tmp_path).returncode == 0
+    assert (tmp_path / "main.csv").read_bytes() == expected
+
+
+def test_main_under_cprofile_prints_the_stats(tmp_path):
+    # a profiler writes its report after main returns, so main exits the
+    # ordinary way while one is installed
+    done = subprocess.run(
+        [sys.executable, "-m", "cProfile", *_MAIN, "--version"],
+        cwd=tmp_path, env=_env(), capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0
+    assert done.stdout.startswith("mql ") and "function calls" in done.stdout
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+def test_main_reports_a_failed_flush_as_python_does(tmp_path):
+    # block-buffered stdout on a full device: the flush fails, and the
+    # ordinary exit reports it and exits 120
+    with open("/dev/full", "w") as full:
+        done = _main(["--version"], tmp_path, stdout=full)
+    assert done.returncode == 120
+    assert done.stderr.decode().startswith("Exception ignored")
