@@ -183,7 +183,9 @@ def _parse_primes(args) -> list[int]:
 
 def _check_file_path(path: str, what: str):
     """Refuse, as a usage error raised before any count, a file path that
-    is a directory or whose directory does not exist."""
+    is empty, is a directory or whose directory does not exist."""
+    if not path:
+        raise _UsageError(f"{what} path {path!r} is empty")
     if os.path.isdir(path):
         raise _UsageError(f"{what} path {path!r} is a directory")
     parent = os.path.dirname(path) or "."
@@ -192,9 +194,10 @@ def _check_file_path(path: str, what: str):
 
 
 def _open_cache(args) -> CountCache | None:
-    """The --cache file, else the MQL_CACHE one; None when neither is set."""
-    path = args.cache or os.environ.get("MQL_CACHE")
-    if not path:
+    """The --cache file, else the MQL_CACHE one; None when neither is set
+    (an empty MQL_CACHE is unset, an empty --cache a usage error)."""
+    path = (os.environ.get("MQL_CACHE") or None) if args.cache is None else args.cache
+    if path is None:
         return None
     _check_file_path(path, "cache")
     return CountCache(path)

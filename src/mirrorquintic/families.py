@@ -88,11 +88,11 @@ class FamilyId(enum.Enum):
     CUBICS_WTILDE = "CubicsWtilde"
 
 
-class Stratum(enum.Enum):
-    GENERIC = "Generic"
-    ON_LINE_A = "OnLineA"
-    IN_POINT_SET_B = "InPointSetB"
-    EXTRA_NODE = "ExtraNode"
+class Stratum(enum.IntEnum):  # the codes of strata_codes
+    GENERIC = 0
+    ON_LINE_A = 1
+    IN_POINT_SET_B = 2
+    EXTRA_NODE = 3
 
 
 class _MapShape(NamedTuple):
@@ -422,15 +422,14 @@ def apply_map(m: MonomialMap, points, F: FieldDescriptor) -> np.ndarray:
 
 def strata_codes(points, y_instance: FamilyInstance) -> np.ndarray:
     """The stratum of each row of an (n, 5) index array of P^4 points
-    (point_rows), as its position in Stratum (0 Generic, 1 OnLineA,
-    2 InPointSetB, 3 ExtraNode), relative to a QuinticY instance; the rows
-    need not be normalized.
+    (point_rows), as Stratum codes in an int64 array, relative to a
+    QuinticY instance; the rows need not be normalized.
 
-    InPointSetB: exactly three coordinates vanish and the other two sum to
-    zero.  OnLineA: two or more coordinates vanish and all five sum to zero
-    (and not InPointSetB).  ExtraNode: the point (1:1:1:1:1), all
+    IN_POINT_SET_B: exactly three coordinates vanish and the other two sum
+    to zero.  ON_LINE_A: two or more coordinates vanish and all five sum to
+    zero (and not IN_POINT_SET_B).  EXTRA_NODE: the point (1:1:1:1:1), all
     coordinates equal and nonzero, when mu^5 = 1.  Everything else is
-    Generic.  This is the one definition of the strata.
+    GENERIC.  This is the one definition of the strata.
     """
     if y_instance.id is not FamilyId.QUINTIC_Y:
         raise ValueError("strata are defined relative to a QuinticY instance")
@@ -438,9 +437,10 @@ def strata_codes(points, y_instance: FamilyInstance) -> np.ndarray:
     idx = point_rows(points, F, y_instance.nvars)
     zeros = (idx == 0).sum(axis=1)
     on_a_or_b = (zeros >= 2) & (functools.reduce(F.vadd, idx.T) == 0)
-    codes = np.where(on_a_or_b, np.where(zeros == 3, 2, 1), 0)
+    line_codes = np.where(zeros == 3, Stratum.IN_POINT_SET_B, Stratum.ON_LINE_A)
+    codes = np.where(on_a_or_b, line_codes, Stratum.GENERIC)
     if y_instance.params["mu"] ** 5 == F.one:
-        codes[(idx == idx[:, :1]).all(axis=1)] = 3
+        codes[(idx == idx[:, :1]).all(axis=1)] = Stratum.EXTRA_NODE
     return codes
 
 

@@ -557,6 +557,7 @@ class Jet:
     writes, without expanding a term list.  A partial known to vanish is
     None.  The value and the partials may themselves be Jets (order 2 in
     Jet.variables), since the operations only use +, -, *, ** and scale.
+    The partials leave a Jet only as one index array, by partials().
     """
 
     __slots__ = ("val", "d")
@@ -584,6 +585,22 @@ class Jet:
             ]
             one = cls(one, (None,) * n)
         return xs
+
+    def partials(self) -> np.ndarray:
+        """The partials as one int64 index array, the variable axis last:
+        (..., nvars) for a first-order jet and (..., nvars, nvars) for a
+        jet of jets, whose row j holds the partials of df/dx_j.  A partial
+        known to vanish (None) reads as zeros."""
+        value, level, axes = self.val, [((), self)], 1
+        while isinstance(value, Jet):
+            value, axes = value.val, axes + 1
+        for _ in range(axes):
+            level = [(at + (j,), d) for at, e in level for j, d in enumerate(e.d) if d is not None]
+        shape = np.broadcast_shapes(np.shape(value._a), *(np.shape(d._a) for _, d in level))
+        out = np.zeros(shape + (len(self.d),) * axes, dtype=np.int64)
+        for at, d in level:
+            out[(..., *at)] = d.a
+        return out
 
     def __add__(self, other: "Jet") -> "Jet":
         d = tuple(

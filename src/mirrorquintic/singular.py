@@ -17,7 +17,9 @@ instance's own builder, and the points where they vanish kept as the
 rows of one index array.  The Jacobian
 then runs once on all of them, by the same builder run on forward-mode
 jets (ffield.Jet), which gives the first partials in the compact form it
-writes the equations in.  Points
+writes the equations in, as one stack (Jet.partials).  Every walk here
+(the singular scan, the fiber sizes, the surface's P^3) is refused past
+one scan cap (_check_scan) before its first block.  Points
 go in and come out as index rows (families): singular_points returns the
 sorted index array of the singular points, whose strata, for the mirror,
 are families.strata_codes of it.  Every function here that takes points
@@ -30,8 +32,8 @@ first nonzero coordinate, whose rank is that of the homogeneous Hessian.
 hessian_ranks takes all the points of an instance at once, as the rows of
 an index array, and a single point is a batch of one: the builder run on
 second-order jets (a Jet of Jets) gives the values, gradients and
-Hessians on index arrays, and one elimination over F_q on the stack of
-Hessians gives the ranks.  The rows need no normalization: H(cx) =
+Hessians on index arrays (Jet.partials), and one elimination over F_q on
+the stack of Hessians gives the ranks.  The rows need no normalization: H(cx) =
 c^(d-2) H(x), so every representative of a point has the same rank.
 The criterion needs characteristic at least 7 and is refused below that.
 
@@ -67,6 +69,7 @@ from .families import (
     FamilyId,
     FamilyInstance,
     MonomialMap,
+    Stratum,
     normalize_rows,
     point_rows,
     quintic_y,
@@ -77,8 +80,6 @@ from .ffield import FieldDescriptor, Jet, matrix_ranks
 
 np = lazy_numpy()
 
-_P4_CAP = 41  # the node census runs up to F_41
-_P5_CAP = 13
 
 class FiberReport(NamedTuple):
     point: tuple[int, ...]  # normalized index row
@@ -102,29 +103,24 @@ class SurfaceEvidence(NamedTuple):
     line_witnesses: np.ndarray
 
 
-def _jacobian(instance: FamilyInstance, coords) -> list[list[np.ndarray]]:
-    """The first partials of each equation of the instance on index arrays:
-    row i lists d f_i / d x_j for every j, from the builder run on jets.
-    """
-    F = instance.field
-    zero = np.zeros(np.shape(coords[0]), dtype=np.int64)
-    return [
-        [zero if d is None else d.a for d in eq.d]
-        for eq in instance.equations(Jet.variables(coords, F))
-    ]
-
-
-def _stack(matrix) -> np.ndarray:
-    """A matrix whose entries are index arrays over the same points, as the
-    (points, rows, cols) stack that ffield.matrix_ranks reads."""
-    return np.stack([np.stack(row, axis=-1) for row in matrix], axis=-2)
-
-
 def _full_rank(instance: FamilyInstance, rows) -> np.ndarray:
     """Mask of the points (the rows of an index array) at which the Jacobian
-    of the instance has full rank, one per equation."""
-    jac = _jacobian(instance, list(rows.T))
-    return matrix_ranks(instance.field, _stack(jac)) == len(jac)
+    of the instance, its equations' stacked partials, has full rank."""
+    eqs = instance.equations(Jet.variables(list(rows.T), instance.field))
+    jac = np.stack([eq.partials() for eq in eqs], axis=-2)
+    return matrix_ranks(instance.field, jac) == len(eqs)
+
+
+def _check_scan(F: FieldDescriptor, dim: int):
+    """Refuse, with InstanceTooLarge, a walk of P^dim over F past the scan
+    cap: q <= 41 up to P^4 (the node census runs up to F_41), q <= 13
+    from P^5 on."""
+    cap = 41 if dim <= 4 else 13
+    if F.q > cap:
+        raise InstanceTooLarge(
+            f"singular scan capped at q <= {cap} for P^{dim}: over F_{F.q} it "
+            f"would scan {projective_size(F.q, dim)} points"
+        )
 
 
 @functools.lru_cache(maxsize=None)
@@ -159,38 +155,12 @@ def singular_points(instance: FamilyInstance) -> np.ndarray:
     blocks), and they are the same for every grid block size.
     """
     F = instance.field
-    dim = instance.ambient_dim
-    cap = _P4_CAP if dim == 4 else _P5_CAP
-    if F.q > cap:
-        raise InstanceTooLarge(
-            f"singular scan capped at q <= {cap} for P^{dim}: over F_{F.q} it "
-            f"would scan {projective_size(F.q, dim)} points"
-        )
-
+    _check_scan(F, instance.ambient_dim)
     n = instance.nvars
     zeros = points(instance, instance.blocks)
     reps = zeros[~_full_rank(instance, zeros)]
     perms = _block_permutations(instance.blocks, n)
     return unique_points(reps[:, perms].reshape(-1, n), F)
-
-
-def _hessian(instance: FamilyInstance, coords) -> list[tuple]:
-    """Value, gradient and Hessian of each equation of the instance on index
-    arrays: one (f, [df/dx_j], [[d2f/dx_j dx_k]]) per equation, from one
-    run of the builder on second-order jets.
-    """
-    F = instance.field
-    zero = np.zeros(np.shape(coords[0]), dtype=np.int64)
-    n = len(coords)
-    out = []
-    for eq in instance.equations(Jet.variables(coords, F, order=2)):
-        grad = [zero if d is None else d.a for d in eq.val.d]
-        hess = [
-            [zero] * n if row is None else [zero if d is None else d.a for d in row.d]
-            for row in eq.d
-        ]
-        out.append((eq.val.val.a, grad, hess))
-    return out
 
 
 def hessian_ranks(instance: FamilyInstance, points) -> np.ndarray:
@@ -210,8 +180,8 @@ def hessian_ranks(instance: FamilyInstance, points) -> np.ndarray:
     (ffield.matrix_ranks) every rank.  Only characteristics p >= 7 are
     accepted: the quadratic-form rank criterion degenerates for small p.
     The points are checked first (families.point_rows); then
-    BadCharacteristic, NotSingular at a smooth point, and ValueError for an
-    instance of more than one equation.
+    BadCharacteristic, ValueError for an instance of more than one
+    equation, and NotSingular at a smooth point.
     """
     F = instance.field
     idx = point_rows(points, F, instance.nvars)
@@ -219,14 +189,14 @@ def hessian_ranks(instance: FamilyInstance, points) -> np.ndarray:
         raise BadCharacteristic(
             f"node classification requires characteristic >= 7, got {F.p}"
         )
-    parts = _hessian(instance, list(idx.T))
-    if len(parts) != 1:
+    eqs = instance.equations(Jet.variables(list(idx.T), F, order=2))
+    if len(eqs) != 1:
         raise ValueError("node classification applies to hypersurfaces")
-    value, grad, hess = parts[0]
-    smooth = np.nonzero(functools.reduce(np.logical_or, (g != 0 for g in grad), value != 0))[0]
+    value, grad = eqs[0].val.val.a, eqs[0].val.partials()
+    smooth = np.flatnonzero((value != 0) | (grad != 0).any(axis=-1))
     if smooth.size:
         raise NotSingular(f"{idx[smooth[0]].tolist()} is a smooth point")
-    return matrix_ranks(F, _stack(hess))
+    return matrix_ranks(F, eqs[0].partials())
 
 
 def preimage_count(
@@ -284,6 +254,7 @@ def fiber_size_table(m: MonomialMap, F: FieldDescriptor) -> np.ndarray:
     """
     e = m.exponent
     dim = m.arity - 1
+    _check_scan(F, dim)
     # counts[v] = number of solutions of u^e = v (1 at v = 0)
     counts = np.bincount(F.power_table(e), minlength=F.q)
     out = []
@@ -313,6 +284,7 @@ def _surface_points(surface: FamilyInstance) -> np.ndarray:
     whatever the block size, and are not normalized.
     """
     F = surface.field
+    _check_scan(F, 3)
     unit = np.eye(4, dtype=np.int64)  # index 1 is one
     neg = [F.vneg(int(c)) for c in surface.evaluate([0, *unit])[0]]
     rows = []
@@ -350,7 +322,7 @@ def surface_evidence(
     pts = _surface_points(surface)
     imgs = fifth[pts]
     codes = strata_codes(imgs, mirror)
-    on_a_or_b = (codes == 1) | (codes == 2)  # OnLineA or InPointSetB
+    on_a_or_b = (codes == Stratum.ON_LINE_A) | (codes == Stratum.IN_POINT_SET_B)
     return SurfaceEvidence(
         F.q,
         len(pts),

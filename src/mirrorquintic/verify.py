@@ -26,6 +26,7 @@ from ._lazy import lazy_numpy
 from .counting import count, count_naive, points, projective_size
 from .families import (
     MonomialMap,
+    Stratum,
     apply_map,
     cubics_v,
     new_coordinates_w,
@@ -101,7 +102,7 @@ def suite_nodes(cache=None, long_run: bool = False, p_max: int = 101) -> list[Ch
             points = singular.singular_points(Y)
             ok = len(points) == expected
             if is_root:
-                ok = ok and (strata_codes(points, Y) == 3).sum() == 1  # ExtraNode
+                ok = ok and (strata_codes(points, Y) == Stratum.EXTRA_NODE).sum() == 1
                 ok = ok and singular.hessian_ranks(Y, [ones])[0] == Y.nvars - 1
             return ok, f"count={len(points)}, mu^5=1: {is_root}"
 
@@ -150,7 +151,7 @@ def suite_fibers(cache=None, long_run: bool = False, p_max: int = 101) -> list[C
 
     def line_points():
         pts = points_on_lines_a(F)
-        a_pts = pts[strata_codes(pts, Y) == 1]  # OnLineA
+        a_pts = pts[strata_codes(pts, Y) == Stratum.ON_LINE_A]
         fr = fibers(a_pts)
         return all(r.count == 25 for r in fr), f"{len(a_pts)} points, {len(fr)} images"
 
@@ -158,14 +159,14 @@ def suite_fibers(cache=None, long_run: bool = False, p_max: int = 101) -> list[C
         F31 = make_field(31)
         witness = (0, 0, 1, 5, 25)
         fr = singular.preimage_count(phi, witness, F31, within=quintic_x(1, F31))
-        on_line = strata_codes([witness], quintic_y(1, F31))[0] == 1  # OnLineA
+        on_line = strata_codes([witness], quintic_y(1, F31))[0] == Stratum.ON_LINE_A
         ok = on_line and fr.count == fr.count_within == 25
         return ok, f"count={fr.count}"
 
     def triple_point():
         b_pt = (0, 0, 0, 1, F.vneg(1))
         fr = singular.preimage_count(phi, b_pt, F, within=X)
-        in_b = strata_codes([b_pt], Y)[0] == 2  # InPointSetB
+        in_b = strata_codes([b_pt], Y)[0] == Stratum.IN_POINT_SET_B
         ok = in_b and fr.count == fr.count_within == 5
         return ok, f"count={fr.count}"
 

@@ -227,20 +227,49 @@ def test_bad_cache_path_is_a_usage_error(tmp_path, monkeypatch, capsys, command,
     ["verify", "--suite", "traces", "--p-max", "13"],
     ["ledger-dump"],
 ])
-@pytest.mark.parametrize("bad", ["missing-dir", "directory"])
+@pytest.mark.parametrize("bad", ["missing-dir", "directory", "empty"])
 def test_bad_out_path_is_a_usage_error(tmp_path, monkeypatch, capsys, command, bad):
     # refused as --cache is, before the first count
-    def counted(instance):
-        raise AssertionError("a count ran")
-
-    monkeypatch.setattr(counting, "count_table", counted)
-    monkeypatch.setattr(counting, "count_naive", counted)
-    path = str(tmp_path / "nowhere" / "r.csv" if bad == "missing-dir" else tmp_path)
+    _refuse_counts(monkeypatch)
+    paths = {"missing-dir": tmp_path / "nowhere" / "r.csv", "directory": tmp_path, "empty": ""}
+    path = str(paths[bad])
     assert run(command + ["--out", path]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("usage error: output path") and repr(path) in captured.err
     assert list(tmp_path.iterdir()) == []
+
+
+def _refuse_counts(monkeypatch):
+    def counted(instance):
+        raise AssertionError("a count ran")
+
+    monkeypatch.setattr(counting, "count_table", counted)
+    monkeypatch.setattr(counting, "count_naive", counted)
+
+
+@pytest.mark.parametrize("command", [
+    ["count", "--family", "X", "--mu", "1", "--p", "7"],
+    ["trace", "--p-range", "2..13"],
+    ["verify", "--suite", "traces", "--p-max", "13"],
+])
+def test_empty_cache_flag_is_a_usage_error(tmp_path, monkeypatch, capsys, command):
+    # an explicit --cache wins over MQL_CACHE even when empty: it is refused
+    # before the first count, and the env cache is neither read nor written
+    _refuse_counts(monkeypatch)
+    monkeypatch.setenv("MQL_CACHE", str(tmp_path / "env.jsonl"))
+    assert run(command + ["--cache", ""]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "usage error: cache path '' is empty\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_empty_cache_env_is_no_cache(tmp_path, monkeypatch):
+    monkeypatch.setenv("MQL_CACHE", "")
+    monkeypatch.chdir(tmp_path)
+    assert run(["count", "--family", "X", "--mu", "1", "--p", "7", "--out", "r.json"]) == 0
+    assert [f.name for f in tmp_path.iterdir()] == ["r.json"]
 
 
 def test_corrupt_cache_warns_but_succeeds(tmp_path):

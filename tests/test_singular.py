@@ -30,10 +30,9 @@ from mirrorquintic.families import (
     strata_codes,
     unique_points,
 )
-from mirrorquintic.ffield import make_field
+from mirrorquintic.ffield import Jet, make_field
 from mirrorquintic.mvpoly import eval_batch
 from mirrorquintic.singular import (
-    _jacobian,
     _surface_points,
     fiber_size_table,
     hessian_ranks,
@@ -181,6 +180,22 @@ def test_singular_scan_cap():
         singular_points(cubics_v(1, make_field(17)))
 
 
+@pytest.mark.parametrize("walk,q,dim", [
+    (lambda F: fiber_size_table(MonomialMap(5, 5), F), 43, 4),
+    (lambda F: surface_evidence(quadric_q(F), quintic_x(1, F)), 61, 3),
+], ids=["fiber_size_table", "surface_evidence"])
+def test_walks_refuse_past_the_scan_cap(monkeypatch, walk, q, dim):
+    # every walk reads the one scan cap before its first block
+    def walked(*args, **kwargs):
+        raise AssertionError("a block was built")
+
+    monkeypatch.setattr(counting, "iter_projective_chunks", walked)
+    monkeypatch.setattr(singular, "iter_projective_chunks", walked)
+    size = projective_size(q, dim)
+    with pytest.raises(InstanceTooLarge, match=f"P\\^{dim}: .* scan {size} points"):
+        walk(make_field(q))
+
+
 def test_preimage_generic_and_special():
     phi = MonomialMap(5, 5)
     X = quintic_x(1, F11)
@@ -325,6 +340,12 @@ def _expanded_jacobian(inst, coords):
     ]
 
 
+def _jet_jacobian(inst, coords):
+    # the (points, equations, nvars) stack of the equations' Jet.partials()
+    eqs = inst.equations(Jet.variables(coords, inst.field))
+    return np.stack([eq.partials() for eq in eqs], axis=-2)
+
+
 @pytest.mark.parametrize("p,k", _JET_FIELDS)
 def test_jet_jacobian_equals_expanded_partials(p, k):
     F = make_field(p, k)
@@ -332,13 +353,37 @@ def test_jet_jacobian_equals_expanded_partials(p, k):
     for inst in _jet_instances(F):
         coords = list(rng.integers(0, F.q, size=(inst.nvars, 400)))
         coords[0][:50] = 0  # points with a zero coordinate
-        got = _jacobian(inst, coords)
+        got = _jet_jacobian(inst, coords)
         want = _expanded_jacobian(inst, coords)
-        assert len(got) == len(want)
-        for grow, wrow in zip(got, want):
-            assert len(grow) == len(wrow) == inst.nvars
-            for g, w in zip(grow, wrow):
-                assert g.dtype == np.int64 and np.array_equal(g, w)
+        assert got.dtype == np.int64 and got.shape == (400, len(want), inst.nvars)
+        for i, wrow in enumerate(want):
+            for j, w in enumerate(wrow):
+                assert np.array_equal(got[:, i, j], w)
+
+
+@pytest.mark.parametrize("p,k", _JET_FIELDS)
+def test_jet_hessian_equals_expanded_second_partials(p, k):
+    # the order-2 stack: row j holds the partials of df/dx_j, and a partial
+    # the jets know to vanish (None) reads as zeros
+    F = make_field(p, k)
+    rng = np.random.default_rng(2000 * p + k)
+    vanishing = 0
+    for inst in _jet_instances(F):
+        n = inst.nvars
+        coords = list(rng.integers(0, F.q, size=(n, 100)))
+        coords[0][:20] = 0
+        for eq, f in zip(inst.equations(Jet.variables(coords, F, order=2)), inst.system):
+            got = eq.partials()
+            assert got.dtype == np.int64 and got.shape == (100, n, n)
+            for i in range(n):
+                fi = f.derivative(i)
+                for j in range(n):
+                    want = eval_batch(fi.derivative(j), coords, F)
+                    assert np.array_equal(got[:, i, j], want)
+            vanishing += sum(
+                row is None or row.d[j] is None for row in eq.d for j in range(n)
+            )
+    assert vanishing
 
 
 def test_jet_fields_cover_every_builder():
@@ -358,10 +403,7 @@ def test_jacobian_without_builder_uses_expanded_partials():
         inst.id, F11, inst.params, inst.ambient_dim, lambda x: [f(x) for f in inst.system]
     )
     coords = list(np.random.default_rng(3).integers(0, 11, size=(5, 200)))
-    got = _jacobian(bare, coords)
-    for grow, wrow in zip(got, _jacobian(inst, coords)):
-        for g, w in zip(grow, wrow):
-            assert np.array_equal(g, w)
+    assert np.array_equal(_jet_jacobian(bare, coords), _jet_jacobian(inst, coords))
 
 
 # -- the Jacobian rank and the fiber roots against their references -------------
@@ -372,14 +414,12 @@ def _minor_rule(inst, rows):
     full rank when some first partial (one equation) or some 2x2 minor (two
     equations) is nonzero."""
     F = inst.field
-    jac = _jacobian(inst, list(rows.T))
+    jac = _jet_jacobian(inst, list(rows.T))
+    if jac.shape[1] == 1:
+        return (jac[:, 0] != 0).any(axis=1)
     mask = np.zeros(len(rows), dtype=bool)
-    if len(jac) == 1:
-        for d in jac[0]:
-            mask |= d != 0
-        return mask
-    for c1, c2 in itertools.combinations(range(len(jac[0])), 2):
-        minor = F.vsub(F.vmul(jac[0][c1], jac[1][c2]), F.vmul(jac[0][c2], jac[1][c1]))
+    for c1, c2 in itertools.combinations(range(jac.shape[2]), 2):
+        minor = F.vsub(F.vmul(jac[:, 0, c1], jac[:, 1, c2]), F.vmul(jac[:, 0, c2], jac[:, 1, c1]))
         mask |= minor != 0
     return mask
 

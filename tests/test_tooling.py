@@ -204,6 +204,20 @@ def test_reduction_stays_in_ffield():
     assert found == []
 
 
+def test_jet_partials_leave_ffield_only_as_one_stack():
+    # a jet's partials (the attribute d, None where one is known to vanish)
+    # become index arrays in one place, Jet.partials, which fills the
+    # zeros and stacks Jacobians and Hessians alike: no other module reads d
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "ffield.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Attribute) and node.attr == "d":
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
 def test_size_caps_are_read_only_in_counting():
     # counting.check_size is the one statement of the count size limits:
     # no other module names TABLE_CAP or NAIVE_CAP
