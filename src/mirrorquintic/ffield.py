@@ -281,14 +281,15 @@ class FieldDescriptor:
         return idx
 
     def element(self, value) -> FieldElement:
-        """Coerce an int (reduced mod p), coefficient sequence, or element."""
+        """Coerce an integer (reduced mod p), integer coefficients or an
+        element; FieldMismatch for anything else, a bool or float too."""
         if isinstance(value, FieldElement):
             if value.field != self:
                 raise FieldMismatch(f"{value!r} is not in {self!r}")
             return value
-        if isinstance(value, int):
-            return FieldElement(self, value % self.p)
-        coeffs = [int(c) % self.p for c in value]
+        if not hasattr(value, "__iter__"):
+            return FieldElement(self, _integer(value, FieldMismatch) % self.p)
+        coeffs = [_integer(c, FieldMismatch) % self.p for c in value]
         if len(coeffs) > self.k:
             raise ValueError("coefficient vector longer than extension degree")
         return FieldElement(self, self._index(coeffs))
@@ -433,15 +434,15 @@ class FieldDescriptor:
         return prod * ((a != 0) & (b != 0))
 
     def vpow(self, a, e: int):
-        """a ** e, with 0 ** 0 = 1; e < 0 inverts (and sends 0 to 0 on the
-        tables).  A prime field's ints use the builtin pow, an extension
-        field's ints the exp/log tables, arrays the cached power_table(e)."""
+        """a ** e, with 0 ** 0 = 1; e < 0 inverts and sends 0 to 0.  A prime
+        field's ints use the builtin pow, an extension field's ints the
+        exp/log tables, arrays the cached power_table(e)."""
         if not isinstance(a, int):
             return self.power_table(e)[a]
-        if self.k == 1:
-            return pow(a, e, self.p)
         if a == 0:
             return int(e == 0)
+        if self.k == 1:
+            return pow(a, e, self.p)
         self._ensure_tables()
         return self._exp[int(self._log[a]) * e % (self.q - 1)]
 
@@ -690,23 +691,32 @@ def _prime_factors(n: int) -> list[int]:
     return out
 
 
+def _integer(value, error) -> int:
+    # an integer is anything with __index__ but a bool, numpy's too; any
+    # other value is refused with the error class given
+    if isinstance(value, bool) or not hasattr(value, "__index__"):
+        raise error(f"{value!r} is not an integer")
+    return operator.index(value)
+
+
 def make_field(p: int, k: int = 1) -> FieldDescriptor:
     """F_{p^k} with the deterministic smallest-lexicographic modulus.
 
-    Raises CompositeCharacteristic when p is not prime and UnsupportedDegree
-    when k is outside [1, 4].  Every spelling of the same (p, k) returns
-    the field's one cached descriptor, which is its identity.
+    p and k are read as ints (_integer) before the cache, so every spelling
+    of the same (p, k), numpy integers too, returns the field's one cached
+    descriptor, which is its identity.  Raises CompositeCharacteristic when
+    p is not a prime integer, UnsupportedDegree when k is not one in [1, 4].
     """
-    return _field(p, k)
+    return _field(_integer(p, CompositeCharacteristic), _integer(k, UnsupportedDegree))
 
 
-@functools.lru_cache(maxsize=None, typed=True)
+@functools.lru_cache(maxsize=None)
 def _field(p: int, k: int) -> FieldDescriptor:
     # the only constructor of descriptors: each field is validated and
-    # built once, keyed on exact int arguments so no spelling splits it
-    if type(p) is not int or not is_prime(p):
+    # built once, keyed on the ints make_field read
+    if not is_prime(p):
         raise CompositeCharacteristic(f"{p} is not prime")
-    if type(k) is not int or not 1 <= k <= 4:
+    if not 1 <= k <= 4:
         raise UnsupportedDegree(f"extension degree {k} outside [1, 4]")
     if k == 1:
         return FieldDescriptor(p, 1, ())

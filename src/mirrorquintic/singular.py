@@ -24,8 +24,11 @@ go in and come out as index rows (families): singular_points returns the
 sorted index array of the singular points, whose strata, for the mirror,
 are families.strata_codes of it.  Every function here that takes points
 checks them with families.point_rows, and a fiber count takes its field
-explicitly, since a row of indices does not carry one.  The e-th roots of
-a fiber's coordinates are read off the field's power table.
+explicitly, since a row of indices does not carry one.  The fibers read
+their field facts off ffield: the e-th roots of a coordinate are the
+indices where the field's power table reads it, fiber_size_table's sizes
+are products of that table's bincount, and a field without the e-th
+roots of unity is refused by ffield.primitive_nth_root.
 
 Nodes are recognized by a full-rank Hessian in the affine chart of the
 first nonzero coordinate, whose rank is that of the homogeneous Hessian.
@@ -58,13 +61,7 @@ from typing import NamedTuple
 
 from ._lazy import lazy_numpy
 from .counting import _gather, iter_projective_chunks, points, projective_size
-from .errors import (
-    BadCharacteristic,
-    FieldMismatch,
-    InstanceTooLarge,
-    NotSingular,
-    RootOfUnityUnavailable,
-)
+from .errors import BadCharacteristic, FieldMismatch, InstanceTooLarge, NotSingular
 from .families import (
     FamilyId,
     FamilyInstance,
@@ -76,7 +73,7 @@ from .families import (
     strata_codes,
     unique_points,
 )
-from .ffield import FieldDescriptor, Jet, matrix_ranks
+from .ffield import FieldDescriptor, Jet, matrix_ranks, primitive_nth_root
 
 np = lazy_numpy()
 
@@ -217,14 +214,12 @@ def preimage_count(
     report's point is the normalized row (families.normalize_rows).
     The predicted geometric count is e^(m-1) with m the number of nonzero
     coordinates; the rational count attains it exactly when every nonzero
-    coordinate ratio is an e-th power in F_q.
+    coordinate ratio is an e-th power in F_q.  RootOfUnityUnavailable, from
+    ffield.primitive_nth_root, when e does not divide q - 1.
     """
     point = tuple(normalize_rows(point_rows([point], F, m.arity), F)[0].tolist())
-    if (F.q - 1) % m.exponent != 0:
-        raise RootOfUnityUnavailable(
-            f"{F!r} lacks the {m.exponent}-th roots of unity"
-        )
     e = m.exponent
+    primitive_nth_root(F, e)  # RootOfUnityUnavailable when F lacks them
     pivot = next(i for i, x in enumerate(point) if x)
     powers = F.power_table(e)
     roots = [
@@ -250,22 +245,19 @@ def fiber_size_table(m: MonomialMap, F: FieldDescriptor) -> np.ndarray:
 
     Returns the array of fiber cardinalities indexed in the deterministic
     chart order of iter_projective_chunks; its sum is the size of P^n(F_q)
-    because fibers partition the source.
+    because fibers partition the source.  With counts[v] the number of
+    solutions of u^e = v (a bincount of power_table(e)), a size is the
+    product of counts[c] over the coordinates after the pivot; a leading
+    zero has counts[0] = 1 and the chart's pivot is 1, so it is the
+    product over every coordinate divided by counts[1].
     """
     e = m.exponent
     dim = m.arity - 1
     _check_scan(F, dim)
-    # counts[v] = number of solutions of u^e = v (1 at v = 0)
     counts = np.bincount(F.power_table(e), minlength=F.q)
     out = []
     for coords in iter_projective_chunks(F, dim):
-        sizes = np.int64(1)
-        seen_pivot = np.False_
-        for c in coords:
-            # a nonzero coordinate after the pivot has counts[c] roots
-            nz = c != 0
-            sizes = sizes * np.where(nz & seen_pivot, counts[c], 1)
-            seen_pivot = seen_pivot | nz
+        sizes = math.prod(counts[c] for c in coords) // counts[1]
         out.append(np.broadcast_to(sizes, np.broadcast(*coords).shape).ravel())
     return np.concatenate(out)
 

@@ -32,9 +32,10 @@ element at once: the root exponents are elements @ action.T mod order,
 and the powers of w turn them into an (elements, coordinates) index array
 (element_scalars).  Invariance is exact field arithmetic on those arrays,
 one pass per equation over all the elements (invariance_mask): each
-monomial's factor prod s_j^(e_j) is a row of lookups and products, not
-character bookkeeping.  An orbit is one product of the point, an index
-row checked by families.point_rows, with every row of scalars and one
+monomial's factor prod s_j^(e_j) is a row of lookups in the field's power
+tables (ffield's power_table) and products, not character bookkeeping.
+An orbit is one product of the point, an index row checked by
+families.point_rows, with every row of scalars and one
 families.unique_points pass, so it is a sorted index array like the
 points of a singular scan.  The scalars are taken in the field of what
 they act on: an instance's field, or the F given to orbit(point, group,
@@ -151,11 +152,12 @@ def invariance_mask(scalars, instance: FamilyInstance) -> np.ndarray:
     scaled equation being a nonzero multiple of some equation of the
     system.
 
-    One pass per equation covers every row: the powers s_j^0 .. s_j^top
-    of each column (repeated products, so 0^0 = 1), gathered by the
-    equation's exponent matrix and multiplied over the coordinates, give a
-    (terms, n) array of factors whose columns must be constant and
-    nonzero.  DimensionMismatch when there is not one scalar per variable.
+    One pass per equation covers every row: each term's power s_j^(e_j)
+    of each column is a lookup in the field's power_table(e_j), which has
+    0^0 = 1, and the products over the coordinates give a (terms, n) array
+    of factors whose columns must be constant and nonzero.
+    DimensionMismatch when there is not one scalar per variable, and
+    TableTooLarge above ffield.POWER_TABLE_CAP, as for vpow on arrays.
     """
     F = instance.field
     scalars = np.asarray(scalars, dtype=np.int64)
@@ -171,19 +173,12 @@ def invariance_mask(scalars, instance: FamilyInstance) -> np.ndarray:
         factors = functools.reduce(
             F.vmul,
             (
-                _powers(F, s, col.max())[col] for s, col in zip(scalars.T, exps.T)
+                np.stack([F.power_table(e)[s] for e in col.tolist()])
+                for s, col in zip(scalars.T, exps.T)
             ),
         )
         ok &= (factors == factors[0]).all(axis=0) & (factors[0] != 0)
     return ok
-
-
-def _powers(F: FieldDescriptor, s, top: int) -> np.ndarray:
-    """The powers s^0 .. s^top of an index array, as a (top + 1, n) array."""
-    out = [np.ones_like(s)]  # index 1 is one
-    for _ in range(top):
-        out.append(F.vmul(out[-1], s))
-    return np.stack(out)
 
 
 def group_invariance(group: GroupSpec, instance: FamilyInstance) -> np.ndarray:

@@ -8,6 +8,7 @@ import pytest
 
 from mirrorquintic.errors import (
     CompositeCharacteristic,
+    FieldMismatch,
     InstanceTooLarge,
     RootOfUnityUnavailable,
     TableTooLarge,
@@ -20,6 +21,7 @@ from mirrorquintic.ffield import (
     matrix_ranks,
     primitive_nth_root,
 )
+from mirrorquintic.families import quintic_x
 
 SMALL_FIELDS = [(11, 1), (2, 2), (7, 2), (2, 3), (3, 4), (11, 2)]
 
@@ -54,12 +56,14 @@ def test_modulus_deterministic():
 
 def test_every_spelling_of_a_field_is_one_descriptor():
     # the cache keys on (p, k) however a call spells them, so a field is
-    # one object: F_11 three ways, F_49 four ways
+    # one object: F_11 five ways, F_49 six ways, numpy integers among them
     F11 = make_field(11)
     assert make_field(11, 1) is F11 and make_field(p=11, k=1) is F11
+    assert make_field(np.int64(11)) is F11 and make_field(11, np.int32(1)) is F11
     F49 = make_field(7, 2)
     assert make_field(7, k=2) is F49 and make_field(p=7, k=2) is F49
     assert make_field(k=2, p=7) is F49 and F49 is not make_field(7)
+    assert make_field(np.int64(7), np.int64(2)) is F49 and make_field(np.uint8(7), 2) is F49
     # a refused call is refused every time, and not cached as a field;
     # a bool or float degree is no spelling of k = 1
     for _ in range(2):
@@ -70,6 +74,48 @@ def test_every_spelling_of_a_field_is_one_descriptor():
         for k in (True, 1.0):
             with pytest.raises(UnsupportedDegree):
                 make_field(11, k)
+
+
+def test_make_field_refuses_a_float():
+    # refused as not an integer, where it was read as a composite p
+    for p in (11.0, np.float64(11)):
+        with pytest.raises(CompositeCharacteristic, match="is not an integer"):
+            make_field(p)
+    with pytest.raises(UnsupportedDegree, match="is not an integer"):
+        make_field(3, 2.0)
+
+
+def test_make_field_refuses_a_bool():
+    for p in (True, np.True_):
+        with pytest.raises(CompositeCharacteristic, match="is not an integer"):
+            make_field(p)
+    with pytest.raises(UnsupportedDegree, match="is not an integer"):
+        make_field(3, np.True_)
+
+
+def test_element_reads_numpy_integers():
+    # a numpy integer is an integer, as a scalar, a coefficient or a
+    # family parameter
+    F = make_field(11)
+    assert F.element(np.int64(3)) == F.element(3) == F.element(np.uint8(14))
+    F9 = make_field(3, 2)
+    assert F9.element([np.int64(1), np.int32(2)]) == F9.element([1, 2])
+    assert quintic_x(np.int64(2), F).params == quintic_x(2, F).params
+
+
+def test_element_refuses_a_bool():
+    F = make_field(11)
+    for value in (True, np.True_):
+        with pytest.raises(FieldMismatch, match="is not an integer"):
+            F.element(value)
+
+
+def test_element_refuses_a_float():
+    # neither a float scalar nor a float coefficient is truncated
+    with pytest.raises(FieldMismatch, match="1.5 is not an integer"):
+        make_field(3, 2).element([1.5, 2])
+    with pytest.raises(FieldMismatch, match="is not an integer"):
+        make_field(11).element(3.0)
 
 
 def test_is_prime_small():
@@ -280,10 +326,12 @@ def test_mul_matches_schoolbook_random_pairs(p, k):
 
 
 def test_inv_table():
-    for F in (make_field(11), make_field(7, 2)):
+    # vpow(0, -1) is 0 on an index array, a numpy integer and an int alike
+    for F in (make_field(11), make_field(7, 2), make_field(3, 2)):
         inv = F.vpow(np.arange(F.q), -1)
         for i in range(1, F.q):
             assert F.from_index(int(inv[i])) * F.from_index(i) == F.one
+        assert inv[0] == F.vpow(np.int64(0), -1) == F.vpow(0, -1) == 0
 
 
 @pytest.mark.parametrize("p,k", [(2, 1), (3, 1), (7, 1), (2, 2)])

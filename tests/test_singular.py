@@ -271,21 +271,18 @@ def test_fiber_partition_of_p4():
     assert set(int(s) for s in sizes) <= full
 
 
-def test_fiber_sizes_match_preimage_count_on_samples():
-    import numpy as np
-
-    from mirrorquintic.counting import iter_projective_chunks
-
-    phi = MonomialMap(5, 5)
-    sizes = fiber_size_table(phi, F11)
-    pts = []
-    for block in iter_projective_chunks(F11, 4):
-        coords = [c.ravel() for c in np.broadcast_arrays(*block)]
-        for col in range(coords[0].shape[0]):
-            pts.append(tuple(int(c[col]) for c in coords))
-    rng = np.random.default_rng(8)
-    for i in rng.integers(0, len(pts), size=100):
-        assert preimage_count(phi, pts[int(i)], F11).count == int(sizes[int(i)])
+def test_fiber_sizes_match_preimage_count_at_every_point():
+    # the table against the root lists at every point: P^4(F_11) under
+    # x -> x^5, and P^5(F_4) under x -> x^3, an extension field
+    for F, m in ((F11, MonomialMap(5, 5)), (make_field(2, 2), MonomialMap(3, 6))):
+        sizes = fiber_size_table(m, F)
+        pts = np.concatenate([
+            np.stack(np.broadcast_arrays(*block), axis=-1).reshape(-1, m.arity)
+            for block in iter_projective_chunks(F, m.arity - 1)
+        ])
+        assert len(sizes) == len(pts) == projective_size(F.q, m.arity - 1)
+        counts = [preimage_count(m, pt, F).count for pt in pts.tolist()]
+        assert counts == sizes.tolist()
 
 
 def test_surface_evidence_f11():

@@ -148,6 +148,24 @@ def test_point_refusals_live_in_point_rows():
     assert found == [("families.py", "point_rows", ph) for ph in phrases]
 
 
+def test_missing_roots_of_unity_are_refused_in_primitive_nth_root():
+    # RootOfUnityUnavailable is raised in one function,
+    # ffield.primitive_nth_root, which every check for a primitive root
+    # calls: no other function raises it
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            for node in ast.walk(fn):
+                if isinstance(node, ast.Raise) and any(
+                    isinstance(c, ast.Name) and c.id == "RootOfUnityUnavailable"
+                    for c in ast.walk(node)
+                ):
+                    found.append((path.name, fn.name))
+    assert found == [("ffield.py", "primitive_nth_root")]
+
+
 def test_symbolic_layer_stays_in_its_modules():
     # MPoly is the symbolic reference: the families build polynomials, and
     # the counting, scans, symmetry checks, other checks and CLI do not
