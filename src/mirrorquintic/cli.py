@@ -13,9 +13,10 @@ Subcommands
   ledger-dump  write the recorded constant table as JSON
 
 Exit codes: 0 success, 1 any failed verification or record, 2 usage error.
-The environment variable MQL_CACHE supplies a default cache path; an
-explicit --cache flag wins.  Reports are single JSON envelopes (or CSV for
-traces); the cache file is JSON-lines.  With a warm cache and a fixed
+count and trace read and append to a count cache, a JSON-lines file:
+MQL_CACHE supplies a default path, and an explicit --cache flag wins.
+verify takes no cache and computes every count it checks.  Reports are
+single JSON envelopes (or CSV for traces).  With a warm cache and a fixed
 configuration, reruns produce byte-identical reports: the envelope's
 elapsed_ms is the sum of the per-record values, which cache hits preserve.
 
@@ -136,7 +137,7 @@ def _build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--suite", required=True).choices = _SuiteChoices()
     pv.add_argument("--p-max", type=int, default=101, help="prime bound for traces")
     pv.add_argument("--long", action="store_true", help="include long-running checks")
-    shared(pv, "--cache", "--out")
+    shared(pv, "--out")
 
     pl = sub.add_parser("ledger-dump", help="dump the recorded constant table")
     shared(pl, "--out")
@@ -301,9 +302,7 @@ def _cmd_verify(args) -> int:
 
     # the traces suite counts with the table up to --p-max
     _check_reach(2, args.p_max, "table")
-    results = run_suite(
-        args.suite, cache=_open_cache(args), long_run=args.long, p_max=args.p_max
-    )
+    results = run_suite(args.suite, long_run=args.long, p_max=args.p_max)
     width = max(len(r.name) for r in results)
     lines = []
     for r in results:

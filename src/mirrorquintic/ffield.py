@@ -163,8 +163,8 @@ class FieldElement:
                     f"elements of {self.field} and {other.field} cannot be combined"
                 )
             return other.index
-        if isinstance(other, int):
-            return other % self.field.p
+        if hasattr(other, "__index__"):  # read by _integer, so a bool is refused
+            return _integer(other, FieldMismatch) % self.field.p
         return None
 
     def _new(self, index) -> "FieldElement":
@@ -195,7 +195,7 @@ class FieldElement:
         return self._new(self.field.vneg(self.index))
 
     def __pow__(self, e: int):
-        e = operator.index(e)  # a numpy integer exponent too
+        e = _integer(e, FieldMismatch)  # a numpy integer exponent too
         if e < 0 and not self.index:
             raise ZeroDivisionError("inverse of zero")
         return self._new(self.field.vpow(self.index, e))
@@ -287,17 +287,19 @@ class FieldDescriptor:
             if value.field != self:
                 raise FieldMismatch(f"{value!r} is not in {self!r}")
             return value
-        if not hasattr(value, "__iter__"):
+        try:
+            coeffs = [_integer(c, FieldMismatch) % self.p for c in value]
+        except TypeError:  # not iterable: a scalar, a 0-d numpy array too
             return FieldElement(self, _integer(value, FieldMismatch) % self.p)
-        coeffs = [_integer(c, FieldMismatch) % self.p for c in value]
         if len(coeffs) > self.k:
             raise ValueError("coefficient vector longer than extension degree")
         return FieldElement(self, self._index(coeffs))
 
     def from_index(self, idx: int) -> FieldElement:
+        idx = _integer(idx, FieldMismatch)
         if not 0 <= idx < self.q:
             raise ValueError(f"index {idx} out of range for {self!r}")
-        return FieldElement(self, int(idx))
+        return FieldElement(self, idx)
 
     def elements(self):
         """All field elements in canonical index order."""
@@ -692,11 +694,14 @@ def _prime_factors(n: int) -> list[int]:
 
 
 def _integer(value, error) -> int:
-    # an integer is anything with __index__ but a bool, numpy's too; any
-    # other value is refused with the error class given
-    if isinstance(value, bool) or not hasattr(value, "__index__"):
-        raise error(f"{value!r} is not an integer")
-    return operator.index(value)
+    # an integer is what operator.index reads (numpy's, 0-d arrays too) but
+    # a bool; any other value is refused with the error class given
+    try:
+        if not isinstance(value, bool):
+            return operator.index(value)
+    except TypeError:
+        pass
+    raise error(f"{value!r} is not an integer")
 
 
 def make_field(p: int, k: int = 1) -> FieldDescriptor:

@@ -98,7 +98,7 @@ def weil_ok(a: int, q: int) -> bool:
     return a * a <= 4 * q**3
 
 
-def _count_pair(p: int, k: int, cache, algo: str = "table"):
+def _count_pair(p: int, k: int, cache=None, algo: str = "table"):
     """Count X and Y at mu = 1 over F_(p^k): ((#X, #Y), (t_X, t_Y))."""
     _residue(p)
     F = make_field(p, k)
@@ -116,17 +116,17 @@ def compare_traces(p: int, cache=None, algo: str = "table") -> TraceRecord:
     )
 
 
-def hecke_consistency(p: int, k: int = 2, cache=None) -> bool:
+def hecke_consistency(p: int, k: int = 2) -> bool:
     """Frobenius recurrence t_j = t_1 t_(j-1) - p^3 t_(j-2), t_0 = 2, for
-    X and Y at mu = 1, with t_j counted over F_(p^j), for every 2 <= j <= k
-    (k <= 4, the largest extension degree make_field builds).
+    X and Y at mu = 1, with t_j counted over F_(p^j) (no cache), for every
+    2 <= j <= k (k <= 4, the largest extension degree make_field builds).
 
     k = 2 is the two-dimensionality relation t(p^2) = t(p)^2 - 2 p^3.
     """
     if k < 2:
         raise ValueError(f"k = {k}: the recurrence starts at k = 2")
     make_field(p, k)  # UnsupportedDegree for k > 4, before any count
-    pairs = [_count_pair(p, j, cache) for j in range(1, k + 1)]
+    pairs = [_count_pair(p, j) for j in range(1, k + 1)]
     t = [(2, 2)] + [traces for _, traces in pairs]
     return all(
         t[j][i] == t[1][i] * t[j - 1][i] - p**3 * t[j - 2][i]

@@ -1,8 +1,9 @@
 """Named verification suites binding the modules into pass/fail checks.
 
-Each suite takes the same keyword arguments (cache, long_run, p_max; a
-suite reads those it needs) and returns a list of CheckResult rows; the
-CLI renders them as a table and the acceptance tests assert on them.
+Each suite takes the same keyword arguments (long_run, p_max; a suite
+reads those it needs) and returns a list of CheckResult rows; the CLI
+renders them as a table and the acceptance tests assert on them.  No
+suite reads a count cache: every count a row checks is computed.
 SUITES names them in order: nodes, fibers, groups, coordchange, quadric,
 ledger, hecke, traces; "all" runs every one.
 
@@ -70,7 +71,7 @@ def _row(name: str, run) -> CheckResult:
 # ---------------------------------------------------------------------------
 
 
-def suite_nodes(cache=None, long_run: bool = False, p_max: int = 101) -> list[CheckResult]:
+def suite_nodes(long_run: bool = False, p_max: int = 101) -> list[CheckResult]:
     """Node census of the quintic and the mirror's singular strata."""
     G = symmetry.enumerate_G()
     ones = [1] * 5  # (1:1:1:1:1); index 1 is one
@@ -129,7 +130,7 @@ def suite_nodes(cache=None, long_run: bool = False, p_max: int = 101) -> list[Ch
     ]
 
 
-def suite_fibers(cache=None, long_run: bool = False, p_max: int = 101) -> list[CheckResult]:
+def suite_fibers(long_run: bool = False, p_max: int = 101) -> list[CheckResult]:
     """Fiber degrees of the coordinate-fifth-power map over F_11 (and the
     rational witness for the on-line degree over F_31)."""
     F = make_field(11)
@@ -185,7 +186,7 @@ def suite_fibers(cache=None, long_run: bool = False, p_max: int = 101) -> list[C
     ]
 
 
-def suite_groups(cache=None, long_run: bool = False, p_max: int = 101) -> list[CheckResult]:
+def suite_groups(long_run: bool = False, p_max: int = 101) -> list[CheckResult]:
     G = symmetry.enumerate_G()
     Gt = symmetry.enumerate_Gtilde()
     H = symmetry.psi_kernel()
@@ -241,7 +242,7 @@ def suite_groups(cache=None, long_run: bool = False, p_max: int = 101) -> list[C
     ]
 
 
-def suite_coordchange(cache=None, long_run: bool = False, p_max: int = 101) -> list[CheckResult]:
+def suite_coordchange(long_run: bool = False, p_max: int = 101) -> list[CheckResult]:
     F13 = make_field(13)
 
     def cubes_in_quotient(lam):
@@ -269,7 +270,7 @@ def suite_coordchange(cache=None, long_run: bool = False, p_max: int = 101) -> l
     ]
 
 
-def suite_quadric(cache=None, long_run: bool = False, p_max: int = 101) -> list[CheckResult]:
+def suite_quadric(long_run: bool = False, p_max: int = 101) -> list[CheckResult]:
     """Containment and smoothness evidence for the quadric surface.
 
     The images of surface points avoid the singular lines except at primes
@@ -324,7 +325,7 @@ def suite_quadric(cache=None, long_run: bool = False, p_max: int = 101) -> list[
     return [row for p in (11, 31, 41) for row in prime_rows(p)]
 
 
-def suite_ledger(cache=None, long_run: bool = False, p_max: int = 101) -> list[CheckResult]:
+def suite_ledger(long_run: bool = False, p_max: int = 101) -> list[CheckResult]:
     solve, resolve = ledger.solve_quotient_chi, ledger.resolution_chi
     smooth, xhat = ledger.QUINTIC_SMOOTH, ledger.QUINTIC_SMALL_RESOLUTION
 
@@ -380,10 +381,8 @@ def suite_ledger(cache=None, long_run: bool = False, p_max: int = 101) -> list[C
     ]
 
 
-def suite_hecke(cache=None, long_run: bool = False, p_max: int = 101) -> list[CheckResult]:
-    def hecke(p, k=2):
-        return modularity.hecke_consistency(p, k, cache=cache)
-
+def suite_hecke(long_run: bool = False, p_max: int = 101) -> list[CheckResult]:
+    hecke = modularity.hecke_consistency
     rows = [_row("trace over F_121 equals t(11)^2 - 2 * 11^3", lambda: hecke(11))]
     if long_run:
         rows += [
@@ -397,11 +396,8 @@ def suite_hecke(cache=None, long_run: bool = False, p_max: int = 101) -> list[Ch
     return rows
 
 
-def suite_traces(cache=None, long_run: bool = False, p_max: int = 101) -> list[CheckResult]:
-    records = [
-        modularity.compare_traces(p, cache=cache, algo="table")
-        for p in modularity.good_primes(2, p_max)
-    ]
+def suite_traces(long_run: bool = False, p_max: int = 101) -> list[CheckResult]:
+    records = [modularity.compare_traces(p) for p in modularity.good_primes(2, p_max)]
 
     def desk_anchor():
         anchor = next(r for r in records if r.p == 2)
@@ -442,9 +438,7 @@ SUITES = {
 }
 
 
-def run_suite(
-    name: str, cache=None, long_run: bool = False, p_max: int = 101
-) -> list[CheckResult]:
+def run_suite(name: str, long_run: bool = False, p_max: int = 101) -> list[CheckResult]:
     """The rows of one suite, or of every suite in order for "all".
 
     A check that raises is its own FAIL row; a suite that raises outside its
@@ -457,7 +451,7 @@ def run_suite(
 
     def rows(key):
         try:
-            return SUITES[key](cache=cache, long_run=long_run, p_max=p_max)
+            return SUITES[key](long_run=long_run, p_max=p_max)
         except Exception as exc:
             return [_failed(f"suite {key}", exc)]
 

@@ -6,7 +6,7 @@ import pytest
 from mirrorquintic import cli, counting, verify
 from mirrorquintic.cli import TRACE_COLUMNS, run
 from mirrorquintic.errors import InstanceTooLarge, MirrorQuinticError
-from mirrorquintic.families import quintic_x
+from mirrorquintic.families import FamilyId, quintic_x
 from mirrorquintic.ffield import is_prime, make_field
 
 
@@ -251,7 +251,6 @@ def _refuse_counts(monkeypatch):
 @pytest.mark.parametrize("command", [
     ["count", "--family", "X", "--mu", "1", "--p", "7"],
     ["trace", "--p-range", "2..13"],
-    ["verify", "--suite", "traces", "--p-max", "13"],
 ])
 def test_empty_cache_flag_is_a_usage_error(tmp_path, monkeypatch, capsys, command):
     # an explicit --cache wins over MQL_CACHE even when empty: it is refused
@@ -270,6 +269,40 @@ def test_empty_cache_env_is_no_cache(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert run(["count", "--family", "X", "--mu", "1", "--p", "7", "--out", "r.json"]) == 0
     assert [f.name for f in tmp_path.iterdir()] == ["r.json"]
+
+
+def test_verify_counts_what_the_cache_holds(tmp_path, monkeypatch, capsys):
+    # verify reads no cache: with X's table counts off by q for q > 13 the
+    # traces suite fails, though MQL_CACHE names a cache that a correct
+    # trace filled, and the cache file is left byte for byte as it was
+    cache = tmp_path / "counts.jsonl"
+    trace = ["trace", "--p-range", "2..101", "--out", str(tmp_path / "t.csv")]
+    assert run(trace + ["--cache", str(cache)]) == 0
+    filled = cache.read_bytes()
+    monkeypatch.setenv("MQL_CACHE", str(cache))
+    table = counting.count_table
+
+    def off_by_q(instance):
+        rec = table(instance)
+        q = instance.field.q
+        if instance.id is FamilyId.QUINTIC_X and q > 13:
+            return rec._replace(count=rec.count + q)
+        return rec
+
+    monkeypatch.setattr(counting, "count_table", off_by_q)
+    assert run(["verify", "--suite", "traces"]) == 1
+    fails = [l for l in capsys.readouterr().out.splitlines() if l.startswith("FAIL")]
+    assert len(fails) == 1 and "trace match for every good prime p <= 101" in fails[0]
+    assert cache.read_bytes() == filled
+
+
+@pytest.mark.parametrize("suite", ["traces", "hecke"])
+def test_verify_writes_no_cache(tmp_path, monkeypatch, suite):
+    cache = tmp_path / "counts.jsonl"
+    cache.touch()
+    monkeypatch.setenv("MQL_CACHE", str(cache))
+    assert run(["verify", "--suite", suite]) == 0
+    assert cache.read_bytes() == b""
 
 
 def test_corrupt_cache_warns_but_succeeds(tmp_path):
@@ -432,6 +465,8 @@ def test_ledger_dump_matches_golden_file(tmp_path, capsys):
         ["verify", "--suite", "groups", "--threads", "-1"],
         ["count", "--family", "X", "--mu", "1", "--p", "11", "--threads", "2"],
         ["trace", "--p-range", "2..11", "--threads", "2"],
+        # verify computes every count it checks
+        ["verify", "--suite", "ledger", "--cache", "counts.jsonl"],
     ],
 )
 def test_options_a_subcommand_does_not_read_exit_2(args):

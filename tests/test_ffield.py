@@ -101,6 +101,10 @@ def test_element_reads_numpy_integers():
     F9 = make_field(3, 2)
     assert F9.element([np.int64(1), np.int32(2)]) == F9.element([1, 2])
     assert quintic_x(np.int64(2), F).params == quintic_x(2, F).params
+    # a 0-d integer array is an integer, not a coefficient sequence
+    assert F.element(np.array(3)) == F.element(3) == F.element(np.array(14, np.uint8))
+    with pytest.raises(FieldMismatch, match="is not an integer"):
+        F.element(np.array(3.0))
 
 
 def test_element_refuses_a_bool():
@@ -108,6 +112,38 @@ def test_element_refuses_a_bool():
     for value in (True, np.True_):
         with pytest.raises(FieldMismatch, match="is not an integer"):
             F.element(value)
+
+
+def test_element_operators_refuse_a_bool():
+    # an operand is read as F.element reads a scalar; numpy integers work
+    F = make_field(11)
+    for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+        with pytest.raises(FieldMismatch, match="True is not an integer"):
+            op(F.one, True)
+        with pytest.raises(FieldMismatch, match="True is not an integer"):
+            op(True, F.one)
+    with pytest.raises(FieldMismatch, match="True is not an integer"):
+        F.one.scale(True)
+    assert F.one + np.int64(3) == np.int64(3) + F.one == F.element(4)
+    assert F.one.scale(np.uint8(14)) == F.element(3)
+
+
+def test_power_refuses_a_bool_exponent():
+    F = make_field(11)
+    with pytest.raises(FieldMismatch, match="True is not an integer"):
+        F.one ** True
+    with pytest.raises(FieldMismatch, match="is not an integer"):
+        F.one ** 2.0
+    assert F.element(2) ** np.int64(3) == F.element(8)
+
+
+def test_from_index_refuses_a_bool_or_float():
+    F = make_field(11)
+    for value in (True, 3.0):
+        with pytest.raises(FieldMismatch, match="is not an integer"):
+            F.from_index(value)
+    assert F.from_index(np.int64(3)) == F.element(3)
+    assert type(F.from_index(np.int64(3)).index) is int
 
 
 def test_element_refuses_a_float():
