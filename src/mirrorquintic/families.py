@@ -42,7 +42,7 @@ A projective point is a row of field indices, and a set of points an
 explicit F where no instance is given.  point_rows is the one check of
 that contract, and every function that takes points (normalize_rows and
 so unique_points, apply_map, strata_codes, and singular.hessian_ranks,
-singular.preimage_count and symmetry.orbit) runs its input through it:
+singular.fiber_points and symmetry.orbit) runs its input through it:
 DimensionMismatch for a row of another width, FieldMismatch for entries
 that are not integers and for an index outside [0, q), which is no
 element of F, and ValueError for the zero vector.  normalize_rows puts
@@ -121,8 +121,8 @@ class FamilyInstance:
     values, for any value type with +, -, *, ** and scale (FieldArray, Jet,
     MPoly); it is a family builder bound to its parameter.  The
     evaluations (evaluate, vanishing_mask, and the jets of the singular
-    module) run it directly; ``system`` and ``degrees`` run it once on
-    MPoly variables, on their first read.  ``blocks`` lists disjoint
+    module) run it directly; ``system`` runs it once on MPoly variables,
+    on its first read.  ``blocks`` lists disjoint
     tuples of coordinates such that every permutation inside a tuple maps
     each equation to itself; singular.singular_points scans one point per
     orbit of those permutations.  An instance built directly has none.
@@ -147,10 +147,6 @@ class FamilyInstance:
     @functools.cached_property
     def system(self) -> list[MPoly]:
         return _expand(self.equations, self.nvars, self.field)
-
-    @property
-    def degrees(self) -> tuple[int, ...]:
-        return tuple(p.degree() for p in self.system)
 
     @property
     def nvars(self) -> int:

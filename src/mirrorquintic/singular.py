@@ -1,5 +1,5 @@
 """Singular loci, node classification, quotient-map fibers and the quadric
-surface evidence.
+surface's points.
 
 Singularity is detected set-theoretically over F_q by the Jacobian
 criterion: a point is singular when the defining equations vanish and the
@@ -15,20 +15,22 @@ the naive count: grid blocks filled to counting._CHUNK points
 calling thread, the equations evaluated on each whole block through the
 instance's own builder, and the points where they vanish kept as the
 rows of one index array.  The Jacobian
-then runs once on all of them, by the same builder run on forward-mode
-jets (ffield.Jet), which gives the first partials in the compact form it
-writes the equations in, as one stack (Jet.partials).  Every walk here
-(the singular scan, the fiber sizes, the surface's P^3) is refused past
-one scan cap (_check_scan) before its first block.  Points
-go in and come out as index rows (families): singular_points returns the
-sorted index array of the singular points, whose strata, for the mirror,
-are families.strata_codes of it.  Every function here that takes points
-checks them with families.point_rows, and a fiber count takes its field
-explicitly, since a row of indices does not carry one.  The fibers read
-their field facts off ffield: the e-th roots of a coordinate are the
-indices where the field's power table reads it, fiber_size_table's sizes
-are products of that table's bincount, and a field without the e-th
-roots of unity is refused by ffield.primitive_nth_root.
+then runs once on all of them (full_rank), by the same builder run on
+forward-mode jets (ffield.Jet), which gives the first partials in the
+compact form it writes the equations in, as one stack (Jet.partials).
+Every walk here (the singular scan, the fiber sizes, the surface's P^3)
+is refused past one scan cap (_check_scan) before its first block.
+Points go in and come out as index rows (families): singular_points
+returns the sorted index array of the singular points, whose strata, for
+the mirror, are families.strata_codes of it, and fiber_points the fiber
+of the coordinate-power map over a point, normalized and sorted.  Every
+function here that takes points checks them with families.point_rows,
+and a fiber takes its field explicitly, since a row of indices does not
+carry one.  The fibers read their field facts off ffield: the e-th roots
+of a coordinate are the indices where the field's power table reads it,
+fiber_size_table's sizes are products of that table's bincount, and a
+field without the e-th roots of unity is refused by
+ffield.primitive_nth_root.
 
 Nodes are recognized by a full-rank Hessian in the affine chart of the
 first nonzero coordinate, whose rank is that of the homogeneous Hessian.
@@ -41,15 +43,13 @@ c^(d-2) H(x), so every representative of a point has the same rank.
 The criterion needs characteristic at least 7 and is refused below that.
 
 Containment statements about the quadric surface are certified by
-exhaustive finite-field enumeration over several primes, which is strong
-evidence but not a symbolic proof; the report type is named accordingly.
+exhaustive finite-field enumeration over several primes (the quadric
+suite of verify), which is strong evidence but not a symbolic proof.
 Every point of the surface lies on its hyperplane, the linear equation
-of the QuadricQ builder, whose x0 coefficient is 1, so the scan runs over
-(x1 : ... : x4) in P^3, in grid blocks like every scan, and solves for x0
-instead of scanning P^4, and each claim is one whole-array expression on
-the surface's points.
-
-The two report types are NamedTuples.
+of the QuadricQ builder, whose x0 coefficient is 1, so surface_points
+runs over (x1 : ... : x4) in P^3, in grid blocks like every scan, and
+solves for x0 instead of scanning P^4; each claim is then one whole-array
+expression on the surface's points.
 """
 
 from __future__ import annotations
@@ -57,20 +57,16 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from typing import NamedTuple
 
 from ._lazy import lazy_numpy
 from .counting import _gather, iter_projective_chunks, points, projective_size
-from .errors import BadCharacteristic, FieldMismatch, InstanceTooLarge, NotSingular
+from .errors import BadCharacteristic, InstanceTooLarge, NotSingular
 from .families import (
     FamilyId,
     FamilyInstance,
     MonomialMap,
-    Stratum,
     normalize_rows,
     point_rows,
-    quintic_y,
-    strata_codes,
     unique_points,
 )
 from .ffield import FieldDescriptor, Jet, matrix_ranks, primitive_nth_root
@@ -78,29 +74,7 @@ from .ffield import FieldDescriptor, Jet, matrix_ranks, primitive_nth_root
 np = lazy_numpy()
 
 
-class FiberReport(NamedTuple):
-    point: tuple[int, ...]  # normalized index row
-    count: int
-    predicted: int
-    count_within: int | None = None
-
-
-class SurfaceEvidence(NamedTuple):
-    q: int
-    surface_points: int
-    special_point_on_surface: bool
-    contained_in_target: bool
-    jacobian_full_rank: bool
-    images_on_mirror: bool
-    # surface points whose images land on the singular lines; empty unless
-    # F_q contains a primitive cube root of unity that is a fifth power
-    # (then the two points of the surface on each coordinate plane are
-    # rational and their images are the cube-root points of the lines), as
-    # the rows of an index array, normalized and sorted
-    line_witnesses: np.ndarray
-
-
-def _full_rank(instance: FamilyInstance, rows) -> np.ndarray:
+def full_rank(instance: FamilyInstance, rows) -> np.ndarray:
     """Mask of the points (the rows of an index array) at which the Jacobian
     of the instance, its equations' stacked partials, has full rank."""
     eqs = instance.equations(Jet.variables(list(rows.T), instance.field))
@@ -155,7 +129,7 @@ def singular_points(instance: FamilyInstance) -> np.ndarray:
     _check_scan(F, instance.ambient_dim)
     n = instance.nvars
     zeros = points(instance, instance.blocks)
-    reps = zeros[~_full_rank(instance, zeros)]
+    reps = zeros[~full_rank(instance, zeros)]
     perms = _block_permutations(instance.blocks, n)
     return unique_points(reps[:, perms].reshape(-1, n), F)
 
@@ -196,48 +170,37 @@ def hessian_ranks(instance: FamilyInstance, points) -> np.ndarray:
     return matrix_ranks(F, eqs[0].partials())
 
 
-def preimage_count(
-    m: MonomialMap, point, F: FieldDescriptor, within: FamilyInstance | None = None
-) -> FiberReport:
-    """Fiber of the coordinate-power map over a point, given as one index
-    row over F, as the product of the coordinate-wise e-th roots.
-    The roots of y are the indices u with power_table(e)[u] = y, in order.
+def fiber_points(m: MonomialMap, point, F: FieldDescriptor) -> np.ndarray:
+    """The fiber of the coordinate-power map over a point, given as one index
+    row over F: the rows of an (n, arity) int64 index array, normalized and
+    sorted by index tuple, (0, arity) when the fiber is empty.
 
     Scaled so that its pivot coordinate (the first nonzero one of the
     normalized point) is 1, a fiber point has zeros before the pivot and
-    any e-th root of the point's coordinate after it; so the product of
-    the root lists lists every fiber point exactly once.  The count is the
-    full fiber in projective space; when ``within`` is given the fiber
-    points lying on that instance, which must be over F, are counted as
-    well, by one vanishing_mask call on their index arrays.  The point is
-    checked as a row of arity indices (families.point_rows), and the
-    report's point is the normalized row (families.normalize_rows).
-    The predicted geometric count is e^(m-1) with m the number of nonzero
-    coordinates; the rational count attains it exactly when every nonzero
-    coordinate ratio is an e-th power in F_q.  RootOfUnityUnavailable, from
-    ffield.primitive_nth_root, when e does not divide q - 1.
+    any e-th root of the point's coordinate after it, so the product of the
+    root lists lists every fiber point exactly once.  The roots of y are
+    the indices u with power_table(e)[u] = y, in increasing order, so the
+    product comes sorted.  The point is checked as a row of arity indices
+    (families.point_rows).  The geometric fiber over a point with k
+    nonzero coordinates has e^(k-1) points; the rational one attains that
+    exactly when every nonzero coordinate ratio is an e-th power in F_q.
+    RootOfUnityUnavailable, from ffield.primitive_nth_root, when e does
+    not divide q - 1.
     """
-    point = tuple(normalize_rows(point_rows([point], F, m.arity), F)[0].tolist())
+    [point] = normalize_rows(point_rows([point], F, m.arity), F).tolist()
     e = m.exponent
     primitive_nth_root(F, e)  # RootOfUnityUnavailable when F lacks them
     pivot = next(i for i, x in enumerate(point) if x)
     powers = F.power_table(e)
     roots = [
-        [1] if i == pivot else np.flatnonzero(powers == y)
+        np.ones(1, dtype=np.int64) if i == pivot else np.flatnonzero(powers == y)
         for i, y in enumerate(point)
     ]
-    count = math.prod(len(r) for r in roots)
-    nonzero = sum(1 for x in point if x)
-    predicted = e ** (nonzero - 1)
-    count_within = None
-    if within is not None:
-        if within.field != F:
-            raise FieldMismatch(f"{within!r} is not over {F!r}")
-        count_within = 0
-        if count:
-            grids = np.meshgrid(*(np.array(r) for r in roots), indexing="ij")
-            count_within = int(within.vanishing_mask([g.ravel() for g in grids]).sum())
-    return FiberReport(point, count, predicted, count_within)
+    # the product of the root lists, coordinate i running along axis i
+    rows = np.empty([*map(len, roots), m.arity], dtype=np.int64)
+    for i, r in enumerate(roots):
+        rows[..., i] = r.reshape((-1,) + (1,) * (m.arity - 1 - i))
+    return rows.reshape(-1, m.arity)
 
 
 def fiber_size_table(m: MonomialMap, F: FieldDescriptor) -> np.ndarray:
@@ -262,8 +225,9 @@ def fiber_size_table(m: MonomialMap, F: FieldDescriptor) -> np.ndarray:
     return np.concatenate(out)
 
 
-def _surface_points(surface: FamilyInstance) -> np.ndarray:
-    """The F_q-points of the quadric surface as the rows of an index array.
+def surface_points(surface: FamilyInstance) -> np.ndarray:
+    """The F_q-points of the QuadricQ surface as the rows of an index array;
+    ValueError for any other instance.
 
     (x1 : ... : x4) runs over P^3 in grid blocks of at most
     counting._CHUNK points, like every scan, and x0 = -(c1 x1 + ... +
@@ -275,6 +239,8 @@ def _surface_points(surface: FamilyInstance) -> np.ndarray:
     the other scans (see counting._CHUNK).  The points come in chart order
     whatever the block size, and are not normalized.
     """
+    if surface.id is not FamilyId.QUADRIC_Q:
+        raise ValueError("the hyperplane scan is defined for the QuadricQ surface")
     F = surface.field
     _check_scan(F, 3)
     unit = np.eye(4, dtype=np.int64)  # index 1 is one
@@ -285,42 +251,3 @@ def _surface_points(surface: FamilyInstance) -> np.ndarray:
         pts = [x0, *coords]
         rows.append(_gather(pts, surface.vanishing_mask(pts)))
     return np.concatenate(rows)
-
-
-def surface_evidence(
-    surface: FamilyInstance, target: FamilyInstance
-) -> SurfaceEvidence:
-    """Exhaustive F_q evidence for the quadric-surface claims.
-
-    Checks that (1:1:1:1:1) lies on the surface, that every F_q-point of
-    the surface satisfies the target quintic, that the surface's Jacobian
-    has full rank 2 at each of its points, and that the coordinate-power
-    images of surface points land on the mirror quintic while avoiding its
-    singular lines and triple points (families.strata_codes).  The points
-    come from the surface's hyperplane (_surface_points); the witnesses are
-    normalized and sorted by index tuple (families.unique_points), the
-    order of singular_points.
-    """
-    F = surface.field
-    if surface.id is not FamilyId.QUADRIC_Q:
-        raise ValueError("evidence is defined for the QuadricQ surface")
-
-    mirror = quintic_y(target.params["mu"], F)
-    fifth = F.power_table(5)
-
-    ones = [np.ones(1, dtype=np.int64)] * 5  # index 1 is one
-    special_on_surface = bool(surface.vanishing_mask(ones).all())
-
-    pts = _surface_points(surface)
-    imgs = fifth[pts]
-    codes = strata_codes(imgs, mirror)
-    on_a_or_b = (codes == Stratum.ON_LINE_A) | (codes == Stratum.IN_POINT_SET_B)
-    return SurfaceEvidence(
-        F.q,
-        len(pts),
-        special_on_surface,
-        bool(target.vanishing_mask(list(pts.T)).all()),
-        bool(_full_rank(surface, pts).all()),
-        bool(mirror.vanishing_mask(list(imgs.T)).all()),
-        unique_points(pts[on_a_or_b], F),
-    )

@@ -138,38 +138,42 @@ def suite_fibers(long_run: bool = False, p_max: int = 101) -> list[CheckResult]:
     X = quintic_x(1, F)
     Y = quintic_y(1, F)
 
-    def fibers(pts, within=None):
+    def fibers(pts):
         """The fiber of every distinct image of the points."""
         imgs = unique_points(apply_map(phi, pts, F), F)
-        return [singular.preimage_count(phi, y, F, within=within) for y in imgs]
+        return [singular.fiber_points(phi, y, F) for y in imgs]
+
+    def on(inst, rows):
+        """How many of the rows lie on the instance."""
+        return int(inst.vanishing_mask(list(rows.T)).sum())
 
     def generic():
         pts = points(X)
         pts = pts[pts.all(axis=1)]  # every coordinate nonzero
-        fr = fibers(pts, within=X)
-        ok = all(r.count_within == 125 and r.count == 625 for r in fr)
+        fr = fibers(pts)
+        ok = all(len(rows) == 625 and on(X, rows) == 125 for rows in fr)
         return ok, f"{len(pts)} points, {len(fr)} images"
 
     def line_points():
         pts = points_on_lines_a(F)
         a_pts = pts[strata_codes(pts, Y) == Stratum.ON_LINE_A]
         fr = fibers(a_pts)
-        return all(r.count == 25 for r in fr), f"{len(a_pts)} points, {len(fr)} images"
+        return all(len(rows) == 25 for rows in fr), f"{len(a_pts)} points, {len(fr)} images"
 
     def on_line_witness():
         F31 = make_field(31)
         witness = (0, 0, 1, 5, 25)
-        fr = singular.preimage_count(phi, witness, F31, within=quintic_x(1, F31))
+        rows = singular.fiber_points(phi, witness, F31)
         on_line = strata_codes([witness], quintic_y(1, F31))[0] == Stratum.ON_LINE_A
-        ok = on_line and fr.count == fr.count_within == 25
-        return ok, f"count={fr.count}"
+        ok = on_line and len(rows) == on(quintic_x(1, F31), rows) == 25
+        return ok, f"count={len(rows)}"
 
     def triple_point():
         b_pt = (0, 0, 0, 1, F.vneg(1))
-        fr = singular.preimage_count(phi, b_pt, F, within=X)
+        rows = singular.fiber_points(phi, b_pt, F)
         in_b = strata_codes([b_pt], Y)[0] == Stratum.IN_POINT_SET_B
-        ok = in_b and fr.count == fr.count_within == 5
-        return ok, f"count={fr.count}"
+        ok = in_b and len(rows) == on(X, rows) == 5
+        return ok, f"count={len(rows)}"
 
     def fiber_sum():
         total = int(singular.fiber_size_table(phi, F).sum())
@@ -271,33 +275,43 @@ def suite_coordchange(long_run: bool = False, p_max: int = 101) -> list[CheckRes
 
 
 def suite_quadric(long_run: bool = False, p_max: int = 101) -> list[CheckResult]:
-    """Containment and smoothness evidence for the quadric surface.
+    """Containment and smoothness evidence for the quadric surface, by
+    exhaustive enumeration of its points (singular.surface_points).
 
-    The images of surface points avoid the singular lines except at primes
-    where a primitive cube root of unity is a rational fifth power: there
-    the two points of the surface on each coordinate plane are rational and
-    map onto the cube-root points of the lines (20 witnesses).  F_31 is
-    such a prime; the suite verifies the witness structure exactly there.
+    At every prime: (1:1:1:1:1) lies on the surface, every surface point
+    lies on the quintic X_1, the surface's Jacobian has full rank 2 there
+    (singular.full_rank), and the fifth-power images of its points lie on
+    the mirror Y_1.  The images avoid the singular lines and triple points
+    (families.strata_codes) except at primes where a primitive cube root
+    of unity is a rational fifth power: there the two points of the
+    surface on each coordinate plane are rational and map onto the
+    cube-root points of the lines.  These line witnesses are normalized
+    and sorted (families.unique_points); F_31 is such a prime, and the
+    suite verifies the structure of its 20 witnesses exactly there.
     """
 
     def prime_rows(p):
         F = make_field(p)
-        ev = singular.surface_evidence(quadric_q(F), quintic_x(1, F))
+        surface, X, Y = quadric_q(F), quintic_x(1, F), quintic_y(1, F)
         fifth = F.power_table(5)
+        pts = singular.surface_points(surface)
+        imgs = fifth[pts]
+        codes = strata_codes(imgs, Y)
+        on_lines = (codes == Stratum.ON_LINE_A) | (codes == Stratum.IN_POINT_SET_B)
+        ws = unique_points(pts[on_lines], F)
 
-        def surface():
+        def surface_row():
             ok = (
-                ev.special_point_on_surface
-                and ev.contained_in_target
-                and ev.jacobian_full_rank
-                and ev.images_on_mirror
+                surface.vanishing_mask([1] * 5)  # (1:1:1:1:1); index 1 is one
+                and X.vanishing_mask(list(pts.T)).all()
+                and singular.full_rank(surface, pts).all()
+                and Y.vanishing_mask(list(imgs.T)).all()
             )
-            return ok, f"{ev.surface_points} surface points"
+            return ok, f"{len(pts)} surface points"
 
         def cube_root_witnesses():
             # each witness has two zero coordinates, and the fifth powers y
             # of the other three are the roots of t^3 - c: e1 = e2 = 0
-            ws = ev.line_witnesses
             ys = [[int(fifth[x]) for x in w if x] for w in ws.tolist()]
             ok = len(ws) == 20 and all(
                 len(y) == 3
@@ -309,7 +323,7 @@ def suite_quadric(long_run: bool = False, p_max: int = 101) -> list[CheckResult]
 
         witnesses_possible = (p - 1) % 3 == 0 and primitive_nth_root(F, 3).index in fifth
         return [
-            _row(f"surface over F_{p}: on the quintic, smooth, images on mirror", surface),
+            _row(f"surface over F_{p}: on the quintic, smooth, images on mirror", surface_row),
             _row(
                 f"over F_{p} the line witnesses are exactly the 20 "
                 "cube-root points (2 per coordinate plane)",
@@ -318,7 +332,7 @@ def suite_quadric(long_run: bool = False, p_max: int = 101) -> list[CheckResult]
             if witnesses_possible
             else _row(
                 f"images avoid the singular lines over F_{p}",
-                lambda: not len(ev.line_witnesses),
+                lambda: not len(ws),
             ),
         ]
 

@@ -139,17 +139,21 @@ def test_criterion_06_fiber_degrees():
     X = quintic_x(1, F)
     pts = points(X)
     ys = unique_points(apply_map(phi, pts[pts.all(axis=1)], F), F)  # no zero coordinate
+
+    def on_x(rows):
+        return int(X.vanishing_mask(list(rows.T)).sum())
+
     generic_ok = len(ys) == 11 and all(
-        singular.preimage_count(phi, y, F, within=X).count_within == 125 for y in ys
+        on_x(singular.fiber_points(phi, y, F)) == 125 for y in ys
     )
     a_pts = [pt for pt in points_on_lines_a(F).tolist() if pt.count(0) == 2]
     line_ok = all(
-        singular.preimage_count(phi, y, F).count == 25
+        len(singular.fiber_points(phi, y, F)) == 25
         for y in unique_points(apply_map(phi, a_pts, F), F)
     )
     b_pt = (0, 0, 0, 1, F.element(-1).index)
-    fr_b = singular.preimage_count(phi, b_pt, F, within=X)
-    b_ok = fr_b.count == 5 and fr_b.count_within == 5
+    rows_b = singular.fiber_points(phi, b_pt, F)
+    b_ok = len(rows_b) == 5 and on_x(rows_b) == 5
     total = int(singular.fiber_size_table(phi, F).sum())
     sum_ok = total == 16105 == projective_size(11, 4)
     report(

@@ -390,6 +390,13 @@ def test_p_max_and_p_out_of_range_exit_2(args, capsys):
     assert captured.err.startswith("usage error:") and captured.err.count("\n") == 1
 
 
+def test_p_max_is_refused_only_for_the_traces_suite(capsys):
+    # only the traces suite counts up to --p-max, so a bound above the
+    # table's cap leaves the other suites to run
+    assert run(["verify", "--suite", "ledger", "--p-max", "2000"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "10/10 checks passed"
+
+
 def test_count_p_range(tmp_path):
     out = tmp_path / "range.json"
     code = run(

@@ -38,7 +38,7 @@ from mirrorquintic.families import (
 )
 from mirrorquintic.ffield import make_field
 from mirrorquintic.mvpoly import MPoly
-from mirrorquintic.singular import preimage_count
+from mirrorquintic.singular import fiber_points
 
 
 def hyperplane_instance(F):
@@ -209,13 +209,8 @@ def test_fiber_sum_identity(q, mu):
     X = quintic_x(mu, F)
     Y = quintic_y(mu, F)
     phi = MonomialMap(5, 5)
-    total = 0
-    for block in counting.iter_projective_chunks(F, 4):
-        mask = Y.vanishing_mask(block).ravel()
-        coords = [c.ravel() for c in np.broadcast_arrays(*block)]
-        for col in np.nonzero(mask)[0]:
-            pt = [int(c[col]) for c in coords]
-            total += preimage_count(phi, pt, F, within=X).count_within
+    rows = np.concatenate([fiber_points(phi, y, F) for y in points(Y).tolist()])
+    total = int(X.vanishing_mask(list(rows.T)).sum())
     assert total == count_table(X).count
 
 

@@ -7,7 +7,6 @@ from mirrorquintic import counting, families, singular
 from mirrorquintic.counting import count_naive, iter_projective_chunks, points, projective_size
 from mirrorquintic.errors import (
     BadCharacteristic,
-    FieldMismatch,
     InstanceTooLarge,
     NotSingular,
     RootOfUnityUnavailable,
@@ -33,12 +32,12 @@ from mirrorquintic.families import (
 from mirrorquintic.ffield import Jet, make_field
 from mirrorquintic.mvpoly import eval_batch
 from mirrorquintic.singular import (
-    _surface_points,
+    fiber_points,
     fiber_size_table,
+    full_rank,
     hessian_ranks,
-    preimage_count,
     singular_points,
-    surface_evidence,
+    surface_points,
 )
 
 F7 = make_field(7)
@@ -182,8 +181,8 @@ def test_singular_scan_cap():
 
 @pytest.mark.parametrize("walk,q,dim", [
     (lambda F: fiber_size_table(MonomialMap(5, 5), F), 43, 4),
-    (lambda F: surface_evidence(quadric_q(F), quintic_x(1, F)), 61, 3),
-], ids=["fiber_size_table", "surface_evidence"])
+    (lambda F: surface_points(quadric_q(F)), 61, 3),
+], ids=["fiber_size_table", "surface_points"])
 def test_walks_refuse_past_the_scan_cap(monkeypatch, walk, q, dim):
     # every walk reads the one scan cap before its first block
     def walked(*args, **kwargs):
@@ -196,6 +195,11 @@ def test_walks_refuse_past_the_scan_cap(monkeypatch, walk, q, dim):
         walk(make_field(q))
 
 
+def _on(inst, rows):
+    # how many of the index rows lie on the instance
+    return int(inst.vanishing_mask(list(rows.T)).sum())
+
+
 def test_preimage_generic_and_special():
     phi = MonomialMap(5, 5)
     X = quintic_x(1, F11)
@@ -206,15 +210,15 @@ def test_preimage_generic_and_special():
     imgs = unique_points(apply_map(phi, pts[pts.all(axis=1)], F11), F11)
     strata = []
     for y in imgs:
-        fr = preimage_count(phi, y, F11, within=X)
-        assert fr.count == 625 == fr.predicted and fr.count_within == 125
-        strata.append(_stratum(fr.point, Y))
+        rows = fiber_points(phi, y, F11)
+        assert len(rows) == 625 and _on(X, rows) == 125
+        strata.append(_stratum(y, Y))
     assert strata == [Stratum.EXTRA_NODE] + [Stratum.GENERIC] * 10
 
     b = (0, 0, 0, 1, F11.element(-1).index)
-    frb = preimage_count(phi, b, F11, within=X)
-    assert frb.count == 5 == frb.count_within == frb.predicted
-    assert _stratum(frb.point, Y) is Stratum.IN_POINT_SET_B
+    rows = fiber_points(phi, b, F11)
+    assert len(rows) == 5 == _on(X, rows)
+    assert _stratum(b, Y) is Stratum.IN_POINT_SET_B
 
 
 def _stratum(point, y):
@@ -226,42 +230,40 @@ def test_preimage_of_line_image_is_25():
     phi = MonomialMap(5, 5)
     x = (0, 0, 1, 1, F11.element(-2).index)
     [y] = apply_map(phi, [x], F11)
-    fr = preimage_count(phi, y, F11)
-    assert fr.count == 25 == fr.predicted
+    assert len(fiber_points(phi, y, F11)) == 25
 
 
 def test_preimage_f31_line_witness():
     F31 = make_field(31)
     phi = MonomialMap(5, 5)
     y = (0, 0, 1, 5, 25)
-    fr = preimage_count(phi, y, F31, within=quintic_x(1, F31))
-    assert _stratum(fr.point, quintic_y(1, F31)) is Stratum.ON_LINE_A
-    assert fr.count == 25 and fr.count_within == 25
+    rows = fiber_points(phi, y, F31)
+    assert _stratum(y, quintic_y(1, F31)) is Stratum.ON_LINE_A
+    assert len(rows) == 25 == _on(quintic_x(1, F31), rows)
 
 
 def test_preimage_empty_when_ratio_not_fifth_power():
     phi = MonomialMap(5, 5)
     y = (1, 2, 1, 1, 1)  # 2 not a 5th power
-    fr = preimage_count(phi, y, F11)
-    assert fr.count == 0 and fr.count < fr.predicted
+    rows = fiber_points(phi, y, F11)
+    assert rows.shape == (0, 5) and rows.dtype == np.int64
 
 
 def test_preimage_needs_roots_of_unity():
     with pytest.raises(RootOfUnityUnavailable):
-        preimage_count(MonomialMap(5, 5), (1,) * 5, F7)
+        fiber_points(MonomialMap(5, 5), (1,) * 5, F7)
 
 
 def test_preimage_count_reads_the_field_off_the_point():
-    # a point is counted over the field given with it: over F_7, which
-    # lacks the fifth roots of unity, and an instance over another field is
-    # refused
+    # a point is taken over the field given with it: over F_7, which lacks
+    # the fifth roots of unity, it is refused; index 10 is -1 in F_11, a
+    # fifth power, and 10 in F_31, which is none
     phi = MonomialMap(5, 5)
     with pytest.raises(RootOfUnityUnavailable, match="GF\\(7\\)"):
-        preimage_count(phi, (1,) * 5, F7, within=quintic_x(1, F11))
-    with pytest.raises(FieldMismatch):
-        preimage_count(phi, (1,) * 5, F11, within=quintic_x(1, F7))
-    with pytest.raises(FieldMismatch):
-        preimage_count(phi, (1,) * 5, F11, within=quintic_x(1, make_field(31)))
+        fiber_points(phi, (1,) * 5, F7)
+    rows = fiber_points(phi, (1, 1, 1, 1, 10), F11)
+    assert len(rows) == 625 and rows.max() < 11
+    assert fiber_points(phi, (1, 1, 1, 1, 10), make_field(31)).shape == (0, 5)
 
 
 def test_fiber_partition_of_p4():
@@ -281,33 +283,66 @@ def test_fiber_sizes_match_preimage_count_at_every_point():
             for block in iter_projective_chunks(F, m.arity - 1)
         ])
         assert len(sizes) == len(pts) == projective_size(F.q, m.arity - 1)
-        counts = [preimage_count(m, pt, F).count for pt in pts.tolist()]
+        counts = [len(fiber_points(m, pt, F)) for pt in pts.tolist()]
         assert counts == sizes.tolist()
 
 
+def test_fiber_rows_map_onto_their_point_at_every_point():
+    # every fiber's rows are normalized and distinct, and the map sends each
+    # of them to its point: P^4(F_11) under x -> x^5, and P^5(F_4) under
+    # x -> x^3.  The fibers partition the source, so together they list
+    # every point of the space once
+    for F, m in ((F11, MonomialMap(5, 5)), (make_field(2, 2), MonomialMap(3, 6))):
+        pts = np.concatenate([
+            np.stack(np.broadcast_arrays(*block), axis=-1).reshape(-1, m.arity)
+            for block in iter_projective_chunks(F, m.arity - 1)
+        ])
+        fibers = [fiber_points(m, pt, F) for pt in pts.tolist()]
+        rows = np.concatenate(fibers)
+        sizes = [len(f) for f in fibers]
+        assert np.array_equal(normalize_rows(rows, F), rows)
+        assert np.array_equal(apply_map(m, rows, F), np.repeat(pts, sizes, axis=0))
+        assert len(unique_points(rows, F)) == len(rows) == len(pts)
+
+
+def _line_witnesses(rows, F):
+    # the surface points whose fifth powers lie on the mirror's lines or
+    # triple points, as the quadric suite lists them
+    codes = strata_codes(F.power_table(5)[rows], quintic_y(1, F))
+    on_lines = (codes == Stratum.ON_LINE_A) | (codes == Stratum.IN_POINT_SET_B)
+    return unique_points(rows[on_lines], F)
+
+
 def test_surface_evidence_f11():
-    ev = surface_evidence(quadric_q(F11), quintic_x(1, F11))
-    assert ev.special_point_on_surface and ev.contained_in_target
-    assert ev.jacobian_full_rank and ev.images_on_mirror
-    assert ev.line_witnesses.shape == (0, 5)
+    surface = quadric_q(F11)
+    rows = surface_points(surface)
+    assert surface.vanishing_mask([1] * 5)  # (1:1:1:1:1); index 1 is one
+    assert len(rows) == 144 == _on(quintic_x(1, F11), rows)
+    assert full_rank(surface, rows).all()
+    assert _on(quintic_y(1, F11), F11.power_table(5)[rows]) == 144
+    assert _line_witnesses(rows, F11).shape == (0, 5)
 
 
 def test_surface_evidence_f31_witnesses():
     F31 = make_field(31)
-    ev = surface_evidence(quadric_q(F31), quintic_x(1, F31))
-    assert ev.special_point_on_surface and ev.contained_in_target
-    assert ev.jacobian_full_rank and ev.images_on_mirror
+    surface = quadric_q(F31)
+    rows = surface_points(surface)
+    assert surface.vanishing_mask([1] * 5)
+    assert len(rows) == 1024 == _on(quintic_x(1, F31), rows)
+    assert full_rank(surface, rows).all()
+    assert _on(quintic_y(1, F31), F31.power_table(5)[rows]) == 1024
     # a primitive cube root of unity is a fifth power mod 31, so the two
     # surface points on each coordinate plane are rational and map onto
     # the lines: 2 x 10 witnesses
-    assert len(ev.line_witnesses) == 20
-    for w in ev.line_witnesses:
+    witnesses = _line_witnesses(rows, F31)
+    assert len(witnesses) == 20
+    for w in witnesses:
         assert sum(1 for x in w if not x) == 2
 
 
 def test_surface_evidence_requires_quadric():
-    with pytest.raises(ValueError):
-        surface_evidence(quintic_x(1, F11), quintic_x(1, F11))
+    with pytest.raises(ValueError, match="QuadricQ"):
+        surface_points(quintic_x(1, F11))
 
 
 # -- the jet Jacobian against the expanded partials ----------------------------
@@ -436,7 +471,7 @@ def test_full_rank_equals_minor_rule(p):
     for inst in _rank_cases(p):
         zeros = points(inst)
         want = _minor_rule(inst, zeros)
-        assert np.array_equal(singular._full_rank(inst, zeros), want)
+        assert np.array_equal(full_rank(inst, zeros), want)
         if not want.all():
             deficient.add(inst.id)
     # the cases include rank-deficient points of V and W (and of X and Y)
@@ -448,27 +483,15 @@ def test_full_rank_equals_minor_rule_on_the_quadric():
     surface = quadric_q(F11)
     zeros = points(surface)
     want = _minor_rule(surface, zeros)
-    assert want.all() and np.array_equal(singular._full_rank(surface, zeros), want)
-
-
-def _recording_instance(F, nvars, seen):
-    """An instance over F whose one equation vanishes everywhere and which
-    records, as index rows, every point it is evaluated on."""
-
-    def equations(x):
-        coords = np.broadcast_arrays(*(c.a for c in x))
-        seen.extend(map(tuple, np.stack(coords, axis=-1).reshape(-1, nvars).tolist()))
-        return [x[0] - x[0]]
-
-    return FamilyInstance(FamilyId.QUINTIC_X, F, {}, nvars - 1, equations)
+    assert want.all() and np.array_equal(full_rank(surface, zeros), want)
 
 
 @pytest.mark.parametrize(
     "p,k,e,arity", [(11, 1, 5, 5), (31, 1, 5, 5), (31, 1, 3, 4), (7, 2, 3, 4)]
 )
 def test_preimage_roots_equal_exhaustive_search(p, k, e, arity):
-    # the fiber points preimage_count lists (through within) and its count,
-    # against the e-th roots of each coordinate found by trying every element
+    # the fiber's rows against the e-th roots of each coordinate found by
+    # trying every element
     F = make_field(p, k)
     m = MonomialMap(e, arity)
     roots = {v.index: [u.index for u in F.elements() if u**e == v] for v in F.elements()}
@@ -486,13 +509,9 @@ def test_preimage_roots_equal_exhaustive_search(p, k, e, arity):
         y = tuple(x * inv for x in y)
         pivot = next(i for i, x in enumerate(y) if x)
         lists = [[1] if i == pivot else roots[x.index] for i, x in enumerate(y)]
-        seen = []
-        fr = preimage_count(
-            m, [x.index for x in y], F, within=_recording_instance(F, arity, seen)
-        )
-        assert fr.count == fr.count_within == len(seen)
-        assert seen == list(itertools.product(*lists))
-        nonempty += fr.count > 0
+        rows = fiber_points(m, [x.index for x in y], F)
+        assert rows.tolist() == [list(t) for t in itertools.product(*lists)]
+        nonempty += len(rows) > 0
     assert nonempty >= 140
 
 
@@ -506,7 +525,7 @@ def _full_scan_evidence(surface, target):
     mirror = quintic_y(target.params["mu"], F)
     fifth = F.power_table(5)
     points = set()
-    contained = full_rank = on_mirror = True
+    contained = smooth = on_mirror = True
     witnesses = []
     for block in iter_projective_chunks(F, 4):
         coords = [c.ravel() for c in np.broadcast_arrays(*block)]
@@ -519,7 +538,7 @@ def _full_scan_evidence(surface, target):
         for i in range(5):
             for j in range(i + 1, 5):
                 rank2 |= F.vsub(F.vmul(a[i], b[j]), F.vmul(a[j], b[i])) != 0
-        full_rank &= bool(rank2.all())
+        smooth &= bool(rank2.all())
         imgs = [fifth[c] for c in sub]
         on_mirror &= bool(mirror.vanishing_mask(imgs).all())
         zeros = sum((c == 0).astype(np.int64) for c in imgs)
@@ -528,47 +547,40 @@ def _full_scan_evidence(surface, target):
             total = F.vadd(total, c)
         for col in np.nonzero((zeros >= 2) & (total == 0))[0]:
             witnesses.append([int(c[col]) for c in sub])
-    return points, contained, full_rank, on_mirror, witnesses
+    return points, contained, smooth, on_mirror, witnesses
 
 
 @pytest.mark.parametrize("p", [11, 31])
 def test_hyperplane_scan_equals_full_scan(p):
     F = make_field(p)
     surface, target = quadric_q(F), quintic_x(1, F)
-    points, contained, full_rank, on_mirror, witnesses = _full_scan_evidence(
+    points, contained, smooth, on_mirror, witnesses = _full_scan_evidence(
         surface, target
     )
-    rows = _surface_points(surface)
+    rows = surface_points(surface)
     hyper = set(map(tuple, normalize_rows(rows, F).tolist()))
     assert len(rows) == len(hyper) == len(points)
     assert hyper == points
-    ev = surface_evidence(surface, target)
-    assert ev.surface_points == len(points)
-    assert ev.contained_in_target == contained
-    assert ev.jacobian_full_rank == full_rank
-    assert ev.images_on_mirror == on_mirror
-    # the scan meets the witnesses in chart order; the evidence lists them
+    # each claim of the quadric suite on the rows, against the full scan
+    assert (_on(target, rows) == len(rows)) == contained
+    assert full_rank(surface, rows).all() == smooth
+    assert (_on(quintic_y(1, F), F.power_table(5)[rows]) == len(rows)) == on_mirror
+    # the scan meets the witnesses in chart order; the suite lists them
     # sorted by index tuple, as singular_points
-    assert ev.line_witnesses.tolist() == sorted(witnesses)
-    assert ev.special_point_on_surface
+    assert _line_witnesses(rows, F).tolist() == sorted(witnesses)
 
 
 @pytest.mark.parametrize("p,chunks", [(11, [1, 7]), (31, [31, 1 << 19]), (41, [41, 1 << 19])])
 def test_surface_scan_is_the_same_for_every_block_size(monkeypatch, p, chunks):
-    # the surface's points, in chart order, and its evidence do not depend
-    # on counting._CHUNK: blocks of single points, of one axis of q points, and
-    # one block per chart (2^19 points hold chart 0 over F_41).  Blocks of
-    # 1 or 7 points take seconds over F_31 and F_41, so q is the least there
-    F = make_field(p)
-    surface, target = quadric_q(F), quintic_x(1, F)
-    want_rows = _surface_points(surface)
-    want = surface_evidence(surface, target)
+    # the surface's points, in chart order, do not depend on counting._CHUNK:
+    # blocks of single points, of one axis of q points, and one block per
+    # chart (2^19 points hold chart 0 over F_41).  Blocks of 1 or 7 points
+    # take seconds over F_31 and F_41, so q is the least there
+    surface = quadric_q(make_field(p))
+    want = surface_points(surface)
     for chunk in chunks:
         monkeypatch.setattr(counting, "_CHUNK", chunk)
-        assert np.array_equal(_surface_points(surface), want_rows)
-        got = surface_evidence(surface, target)
-        assert got[:-1] == want[:-1]
-        assert np.array_equal(got.line_witnesses, want.line_witnesses)
+        assert np.array_equal(surface_points(surface), want)
 
 
 # -- the batched jet Hessians against a scalar MPoly reference ----------------
@@ -711,7 +723,7 @@ def test_point_sets_are_normalized_index_rows():
         (points_on_lines_a(F31), True),
         (singular_points(quintic_y(1, F31)), True),
         (orbit((1, 3, 3, 3, 3), enumerate_G(), F31), True),
-        (surface_evidence(quadric_q(F31), X).line_witnesses, True),
+        (fiber_points(phi, apply_map(phi, [(1, 2, 3, 4, 5)], F31)[0], F31), True),
     ]
     for pts, ordered in cases:
         assert pts.dtype == np.int64 and pts.ndim == 2 and pts.shape[1] == 5 and len(pts)

@@ -202,6 +202,13 @@ def test_record_types_do_not_import_dataclasses():
     assert found == []
 
 
+def test_singular_defines_no_class():
+    # singular hands out index rows (singular points, fibers, the surface's
+    # points) and masks, never a report record
+    tree = ast.parse((SRC / "singular.py").read_text())
+    assert [n.name for n in ast.walk(tree) if isinstance(n, ast.ClassDef)] == []
+
+
 def test_reduction_stays_in_ffield():
     # FieldArray defers prime-field reductions and FieldDescriptor._mod_p
     # performs them: no other module reduces arrays with numpy's remainders

@@ -130,24 +130,23 @@ def test_each_parameterized_row_runs_on_its_own_instance(monkeypatch):
     # the arguments of each scan, surface and coordinate change, in order
     scans, surfaces, changes = [], [], []
     singular_points = singular.singular_points
-    surface_evidence = singular.surface_evidence
+    surface_points = singular.surface_points
     coordinate_change = verify.verify_coordinate_change
 
     def scan(inst):
         scans.append((inst.id.value, inst.param_string(), inst.field.q))
         return singular_points(inst)
 
-    def surface(surface, target):
+    def surface(surface):
         surfaces.append(surface.field.q)
-        assert target.field is surface.field
-        return surface_evidence(surface, target)
+        return surface_points(surface)
 
     def change(lam, F):
         changes.append((lam, F.q))
         return coordinate_change(lam, F)
 
     monkeypatch.setattr(singular, "singular_points", scan)
-    monkeypatch.setattr(singular, "surface_evidence", surface)
+    monkeypatch.setattr(singular, "surface_points", surface)
     monkeypatch.setattr(verify, "verify_coordinate_change", change)
     assert [r.name for r in run_suite("all") if not r.passed] == []
     assert scans == [
