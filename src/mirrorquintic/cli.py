@@ -196,11 +196,17 @@ def _check_file_path(path: str, what: str):
 
 def _open_cache(args) -> CountCache | None:
     """The --cache file, else the MQL_CACHE one; None when neither is set
-    (an empty MQL_CACHE is unset, an empty --cache a usage error)."""
+    (an empty MQL_CACHE is unset, an empty --cache a usage error).
+
+    A path that exists but is not a regular file (a device, a FIFO) is a
+    usage error before any read: reading one may never end.
+    """
     path = (os.environ.get("MQL_CACHE") or None) if args.cache is None else args.cache
     if path is None:
         return None
     _check_file_path(path, "cache")
+    if os.path.exists(path) and not os.path.isfile(path):
+        raise _UsageError(f"cache path {path!r} is not a regular file")
     return CountCache(path)
 
 

@@ -27,14 +27,19 @@ with U = x1 x2 x3 x4 and V = x1^e + ... + x4^e: e = 5 for QuinticX and
 e = 1 for QuinticY.  The x0 table T[U, V] = #{x0 : h(x0, V) = k x0 U} is
 built in O(q^2): an x0 with k x0 != 0 solves it for one U, and an x0 with
 k x0 = 0 (x0 = 0, or every x0 when k = 0: mu = 0 or characteristic 5) for
-every U when h(x0, V) = 0.  The (x1..x4) block is aggregated through a pair
-histogram D2 over (pair product, pair key sum).  The block histogram is
-D4 = D2 * D2, a convolution on (F_q, x) x (F_q, +), the affine cone count
-is the O(q^2) contraction sum D4[U, V] T[U, V], and the projective count is
-(N_aff - 1) / (q - 1).
-_block_count computes D4 with one float64 FFT over Z/(q - 1) x (Z/p)^k
-(F_q^* by discrete logarithm, F_q by its base-p digits) plus a k-dimensional
-one for the product-zero row, O(q^2 log q) in all, and rounds it to int64.
+every U when h(x0, V) = 0, that is when V = -x0^e.  The (x1..x4) block is
+aggregated through a pair histogram D2 over (pair product, pair key sum).
+The block histogram is D4 = D2 * D2, a convolution on (F_q, x) x (F_q, +),
+the affine cone count is the O(q^2) contraction sum D4[U, V] T[U, V], and
+the projective count is (N_aff - 1) / (q - 1).
+D2, D4 and T hold the product U in the product layout: row t is the unit
+g^t and row q - 1 is 0 (_log_codes), so their unit rows are in
+discrete-logarithm order.  _square computes D4 with one float64 FFT over
+Z/(q - 1) x (Z/p)^k (F_q^* by discrete logarithm, F_q by its base-p
+digits) plus a k-dimensional one for the zero row, O(q^2 log q) in all,
+and rounds it to int64.  _cone_count frees D2 before it builds T, and each
+FFT keeps one spectrum alive, so at most four q x q arrays of 8-byte
+entries are alive at once.
 
 The rounding is exact while the float error stays below 1/2.  To first
 order, the error of a square z = x * x of a nonnegative array through an
@@ -47,12 +52,13 @@ stay within it, which the residual check below watches.  D2 counts q^2
 pairs, so ||x||_2 <= ||x||_1 <= q^2, and the worst case is
 fft_error_bound(q) = (3 eta log2(q (q - 1)) + u) q^4, about
 21 u q^4 log2 N.  check_size refuses a table count with InstanceTooLarge
-unless that bound is below 1/4 (q <= TABLE_CAP = 1500); a count there peaks at
-about 60 q^2 bytes of arrays (140 MB) and takes about half a second.  Two
-checks guard the result at run time: every rounded entry must lie within
-1/4 of an integer, and the cone count must be 1 mod (q - 1); either
-failure raises InvariantViolated.  The observed residual is about 1e-8 at
-q = 1499.  Everything after rounding is int64.
+unless that bound is below 1/4 (q <= TABLE_CAP = 1500).  A count at
+q = 1499 peaks at about 26 q^2 bytes of arrays (58 MB) and takes about a
+third of a second; numpy's fixed 128 KB of iterator buffers take smaller
+fields higher, to 32 q^2 at q = 101 and 29 q^2 over F_121.  Two checks guard the result at run time: every
+rounded entry must lie within 1/4 of an integer, and the cone count must
+be 1 mod (q - 1); either failure raises InvariantViolated.  The observed
+residual is about 1e-8 at q = 1499.  Everything after rounding is int64.
 
 The cache is an append-only JSON-lines file keyed on
 (family, params, p, k, version), by _cache_key; hits never recompute.
@@ -343,11 +349,18 @@ def points(instance: FamilyInstance, blocks: tuple = ()) -> np.ndarray:
     return np.concatenate(list(map(lambda c: _gather(c, instance.vanishing_mask(c)), chunks)))
 
 
+def _timer_start() -> float:
+    """time.perf_counter(), read once numpy has executed, so that the first
+    count of a process does not time the import of a lazily loaded numpy."""
+    np.ndarray  # the first attribute read executes a lazily loaded numpy
+    return time.perf_counter()
+
+
 def count_naive(instance: FamilyInstance) -> CountRecord:
     """Exact projective count by chart enumeration; the reference algorithm."""
     check_size(instance, "naive")
     F = instance.field
-    t0 = time.perf_counter()
+    t0 = _timer_start()
     n = sum(
         int(instance.vanishing_mask(c).sum())
         for c in iter_projective_chunks(F, instance.ambient_dim)
@@ -364,15 +377,29 @@ def count_naive(instance: FamilyInstance) -> CountRecord:
 
 
 def _histogram(F: FieldDescriptor, first, second, rows, cols) -> np.ndarray:
-    """q x q histogram of (first(a, b), second(a, b)) over a in rows, b in cols."""
+    """q x q int64 histogram of (first(a, b), second(a, b)) over a in rows,
+    b in cols.
+
+    The pairs run in blocks of about _HISTOGRAM_CHUNK.  first must return
+    a new array of the block's shape, in which the keys are built in place.
+    Each block's bincount is q^2 long: the first one is the histogram
+    itself, and each later one is added to it and freed.
+    """
     q = F.q
-    hist = np.zeros(q * q, dtype=np.int64)
+    b = cols[None, :]
     rows_per_block = max(1, _HISTOGRAM_CHUNK // max(1, len(cols)))
-    for start in range(0, len(rows), rows_per_block):
+
+    def block(start):
         a = rows[start : start + rows_per_block, None]
-        b = cols[None, :]
-        keys = (first(a, b) * q + second(a, b)).ravel()
-        hist += np.bincount(keys, minlength=q * q)
+        keys = first(a, b)
+        keys *= q
+        keys += second(a, b)
+        return np.bincount(keys.ravel(), minlength=q * q)
+
+    starts = range(0, len(rows), rows_per_block)
+    hist = block(0)
+    for start in starts[1:]:
+        hist += block(start)
     return hist.reshape(q, q)
 
 
@@ -380,15 +407,21 @@ def _convolve(a: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
     """Cyclic convolution a * b (a * a when b is None) of nonnegative integer
     arrays over the product of the cyclic groups Z/n for n in a.shape.
 
-    The float64 result is rounded to int64; a rounding residual of 1/4 or
+    One spectrum is alive at a time: it is transformed back in place along
+    every axis but the last (numpy.fft's out argument, new in numpy 2.0),
+    and freed once the last axis is real again.  The float64 result is rounded to int64; a rounding residual of 1/4 or
     more means the error bound did not hold and raises InvariantViolated.
     """
-    fa = np.fft.rfftn(a)
-    fa *= fa if b is None else np.fft.rfftn(b)
-    x = np.fft.irfftn(fa, s=a.shape, axes=range(a.ndim))
+    spec = np.fft.rfftn(a)
+    spec *= spec if b is None else np.fft.rfftn(b)
+    for axis in range(a.ndim - 1):
+        np.fft.ifft(spec, axis=axis, out=spec)
+    x = np.fft.irfft(spec, n=a.shape[-1])
+    del spec
     r = np.rint(x)
     np.subtract(x, r, out=x)
     residual = float(np.abs(x, out=x).max())
+    del x
     if not residual < _ROUNDING_MARGIN:
         raise InvariantViolated(
             f"FFT convolution residual {residual:.3g} is not below "
@@ -397,27 +430,43 @@ def _convolve(a: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
     return r.astype(np.int64)
 
 
-def _block_count(F: FieldDescriptor, d2: np.ndarray, table: np.ndarray) -> int:
-    """sum over U, V of D4[U, V] table[U, V], with D4 = d2 * d2.
+def _log_codes(F: FieldDescriptor) -> tuple[np.ndarray, np.ndarray]:
+    """The tables (code, wrap) of the product layout: the row of a * b is
+    wrap[code[a] + code[b]].
 
-    d2[u, v] counts the coordinate pairs with product key u and additive key
-    v; D4 counts the four-coordinate blocks with product U and additive key
-    V.  Rows with a nonzero product are convolved by discrete logarithm
-    (u1 u2 = g^(t1 + t2)) and additive keys by their base-p digits (field
-    addition is digit-wise mod p).  A zero product needs a zero in either
-    pair: D4[0] = z * z + 2 z * m, with z = d2[0] and m the sum of the
-    nonzero rows, convolved on the additive axis only.
+    The row of a unit u = g^t is its logarithm t, and the row of 0 is
+    q - 1.  code[u] = t, and code[0] = 2 (q - 1), so a sum of two codes is
+    below 2 (q - 1) exactly when both are units; wrap reduces such a sum
+    mod q - 1 and sends every larger one to q - 1.
     """
-    q = F.q
+    n = F.q - 1
+    code = np.full(F.q, 2 * n, dtype=np.int64)
+    code[F.exp_table] = np.arange(n)
+    wrap = np.full(4 * n + 1, n, dtype=np.int64)
+    wrap[: 2 * n] = np.tile(np.arange(n), 2)
+    return code, wrap
+
+
+def _square(F: FieldDescriptor, d2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """D4 = D2 * D2 in the product layout, as its q - 1 unit rows and its
+    zero row.
+
+    d2[t, v] counts the coordinate pairs with product in row t and additive
+    key v; D4 counts the four-coordinate blocks.  The unit rows are
+    convolved cyclically in t (g^t1 g^t2 = g^(t1 + t2)) and in the base-p
+    digits of v (field addition is digit-wise mod p).  A zero product needs
+    a zero in either pair: D4's zero row is z * z + 2 z * m, with z the zero
+    row of d2 and m the sum of its unit rows, convolved on the additive
+    axis only.
+    """
+    n = F.q - 1
     add_shape = (F.p,) * F.k
-    exp = F.exp_table
-    units = d2[exp]
-    d4_units = _convolve(units.reshape((q - 1,) + add_shape)).reshape(q - 1, q)
-    zero = d2[0]
+    units, zero = d2[:n], d2[n]
     d4_zero = _convolve(
         zero.reshape(add_shape), (zero + 2 * units.sum(axis=0)).reshape(add_shape)
-    ).reshape(q)
-    return int(np.einsum("tv,tv->", d4_units, table[exp])) + int(d4_zero @ table[0])
+    ).reshape(F.q)
+    d4_units = _convolve(units.reshape((n,) + add_shape)).reshape(n, F.q)
+    return d4_units, d4_zero
 
 
 def _cone_to_projective(n_aff: int, q: int) -> int:
@@ -432,29 +481,54 @@ def _cone_to_projective(n_aff: int, q: int) -> int:
 _KEY_EXPONENT = {FamilyId.QUINTIC_X: 5, FamilyId.QUINTIC_Y: 1}
 
 
-def _x0_table(F: FieldDescriptor, e: int, k: int) -> np.ndarray:
-    """T[U, V] = #{x0 : h(x0, V) = k x0 U} with h(x0, V) = (x0^e + V)^(5/e).
+def _x0_table(
+    F: FieldDescriptor, e: int, k: int, code: np.ndarray, wrap: np.ndarray
+) -> np.ndarray:
+    """T[U, V] = #{x0 : h(x0, V) = k x0 U} with h(x0, V) = (x0^e + V)^(5/e),
+    with U in the product layout.
 
-    An x0 with k x0 != 0 solves it for the one U = h(x0, V) / (k x0).  An x0
-    with k x0 = 0 (x0 = 0, or every x0 when k = 0) solves it for every U
-    when h(x0, V) = 0.
+    An x0 with k x0 != 0 solves it for the one U = h(x0, V) / (k x0), whose
+    row is wrap[code[h(x0, V)] + code[1 / (k x0)]] with the tables of
+    _log_codes.  An x0 with k x0 = 0 (x0 = 0, or every x0 when k = 0)
+    solves it for every U when h(x0, V) = 0, that is when V = -x0^e.
     """
     all_idx = np.arange(F.q, dtype=np.int64)
     kx = F.vmul(k, all_idx)
-    inv_kx = F.vpow(kx, -1)
-
-    def h(x0, v):
-        return F.vpow(F.vadd(F.vpow(x0, e), v), 5 // e)
-
+    inv_code = code[F.vpow(kx, -1)]
+    pow_e = F.power_table(e)
+    h_code = code[F.power_table(5 // e)]  # h_code[x0^e + V] = code[h(x0, V)]
     table = _histogram(
         F,
-        lambda v, x0: F.vmul(h(x0, v), inv_kx[x0]),
+        lambda v, x0: wrap[h_code[F.vadd(pow_e[x0], v)] + inv_code[x0]],
         lambda v, x0: v,
         all_idx,
         all_idx[kx != 0],
     )
-    table += (h(all_idx[kx == 0, None], all_idx) == 0).sum(axis=0)
+    table += np.bincount(F.vneg(pow_e[kx == 0]), minlength=F.q)
     return table
+
+
+def _cone_count(F: FieldDescriptor, e: int, k: int) -> int:
+    """The affine cone count: the sum over U, V of D4[U, V] T[U, V].
+
+    D4 is computed first and D2 freed before T is built, so that at most
+    four q x q arrays are alive at once.
+    """
+    code, wrap = _log_codes(F)
+    key = F.power_table(e)
+    all_idx = np.arange(F.q, dtype=np.int64)
+    d2 = _histogram(
+        F,
+        lambda a, b: wrap[code[a] + code[b]],
+        lambda a, b: F.vadd(key[a], key[b]),
+        all_idx,
+        all_idx,
+    )
+    d4_units, d4_zero = _square(F, d2)
+    del d2
+    table = _x0_table(F, e, k, code, wrap)
+    n = F.q - 1
+    return int(np.einsum("tv,tv->", d4_units, table[:n])) + int(d4_zero @ table[n])
 
 
 def count_table(instance: FamilyInstance) -> CountRecord:
@@ -465,12 +539,9 @@ def count_table(instance: FamilyInstance) -> CountRecord:
         raise ValueError(f"no table algorithm for {instance.id.value}")
     check_size(instance, "table")
     F = instance.field
-    t0 = time.perf_counter()
-    key = F.power_table(e)
-    all_idx = np.arange(F.q, dtype=np.int64)
-    d2 = _histogram(F, F.vmul, lambda a, b: F.vadd(key[a], key[b]), all_idx, all_idx)
-    table = _x0_table(F, e, ((instance.params["mu"] * 5) ** (5 // e)).index)
-    count = _cone_to_projective(_block_count(F, d2, table), F.q)
+    t0 = _timer_start()
+    k = ((instance.params["mu"] * 5) ** (5 // e)).index
+    count = _cone_to_projective(_cone_count(F, e, k), F.q)
     ms = int(round((time.perf_counter() - t0) * 1000))
     return CountRecord(
         instance.id.value, instance.param_string(), F.p, F.k, count, "table", ms

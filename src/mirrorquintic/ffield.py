@@ -406,13 +406,25 @@ class FieldDescriptor:
         return x % self.p
 
     def _digitwise(self, op, a, b):
-        # op applied to each base-p digit, mod p; a prime field has one digit
+        # op (+ or -) applied to each base-p digit, mod p; a prime field has
+        # one digit.  Over an extension field op acts on the whole indices,
+        # and each digit j that op took out of [0, p) (a carry of + or a
+        # borrow of -) gives p^(j + 1) back in place, under a boolean mask:
+        # on arrays the result and one mask of its shape are alive.
         if self.k == 1:
             return self._mod_p(op(a, b))
-        p, out, scale = self.p, 0, 1
+        p, out, scale = self.p, op(a, b), 1
         for _ in range(self.k):
-            out += op(a, b) % p * scale
-            a, b, scale = a // p, b // p, scale * p
+            da, db = a // scale % p, b // scale % p
+            if op is operator.add:
+                wrapped, step = da >= p - db, -p * scale
+            else:
+                wrapped, step = da < db, p * scale
+            if isinstance(out, np.ndarray):
+                np.add(out, step, out=out, where=wrapped)
+            else:
+                out += step * wrapped
+            scale *= p
         return out
 
     def vadd(self, a, b):

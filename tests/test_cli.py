@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -262,6 +265,32 @@ def test_empty_cache_flag_is_a_usage_error(tmp_path, monkeypatch, capsys, comman
     assert captured.out == ""
     assert captured.err == "usage error: cache path '' is empty\n"
     assert list(tmp_path.iterdir()) == []
+
+
+def test_cache_that_is_not_a_regular_file_exits_2(tmp_path):
+    # reading a FIFO blocks until a writer comes, so --cache and MQL_CACHE
+    # naming one are refused before any read; run in a subprocess with a
+    # timeout, since the read would hang the test
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    src = Path(__file__).resolve().parent.parent / "src"
+    path = [str(src), *filter(None, [os.environ.get("PYTHONPATH")])]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    env.pop("MQL_CACHE", None)
+    trace = [sys.executable, "-m", "mirrorquintic.cli", "trace", "--p", "2"]
+    for argv, extra in ((["--cache", str(fifo)], {}), ([], {"MQL_CACHE": str(fifo)})):
+        done = subprocess.run(
+            trace + argv, env={**env, **extra}, capture_output=True, text=True, timeout=60
+        )
+        assert done.returncode == 2
+        assert done.stderr == f"usage error: cache path {str(fifo)!r} is not a regular file\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/null"), reason="no /dev/null")
+def test_devices_are_refused_as_cache_but_not_as_out(capsys):
+    assert run(["trace", "--p", "2", "--cache", "/dev/null"]) == 2
+    assert capsys.readouterr().err == "usage error: cache path '/dev/null' is not a regular file\n"
+    assert run(["trace", "--p", "2", "--out", "/dev/null"]) == 0
 
 
 def test_empty_cache_env_is_no_cache(tmp_path, monkeypatch):

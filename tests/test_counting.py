@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -177,6 +178,27 @@ def test_table_cap_is_the_error_bound():
                 refuse()
 
 
+@pytest.mark.parametrize("family", [quintic_x, quintic_y])
+@pytest.mark.parametrize("p,k,blocks", [(211, 1, 1), (1009, 1, 2), (11, 2, 1), (11, 3, 4)])
+def test_table_count_holds_at_most_33_q2_bytes(family, p, k, blocks):
+    # at most four q x q arrays of 8-byte entries are alive at once, with
+    # the pair histograms in one block of counting._HISTOGRAM_CHUNK pairs
+    # and in several, over prime fields and over F_121 and F_1331, whose
+    # additive keys are summed digit by digit; the margin holds numpy's
+    # fixed buffers (about 9 q^2 at q = 121) and the O(q) tables
+    q = p**k
+    assert math.ceil(q / (counting._HISTOGRAM_CHUNK // q)) == blocks
+    instance = family(1, make_field(p, k))
+    count_table(instance)  # loads numpy.fft and the field's tables
+    tracemalloc.start()
+    try:
+        count_table(instance)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 33 * q * q
+
+
 @pytest.mark.parametrize("algo", ALGOS)
 def test_check_size_states_the_naive_cap(algo):
     # q^dim <= NAIVE_CAP = 10^10 on CubicsV in P^5: 97^5 passes and 101^5
@@ -193,8 +215,8 @@ def test_count_table_refuses_a_family_without_a_table_path():
 
 @pytest.mark.parametrize("offset,ok", [(0.2, True), (0.3, False)])
 def test_rounding_residual_raises(monkeypatch, offset, ok):
-    irfftn = np.fft.irfftn
-    monkeypatch.setattr(np.fft, "irfftn", lambda *a, **kw: irfftn(*a, **kw) + offset)
+    irfft = np.fft.irfft
+    monkeypatch.setattr(np.fft, "irfft", lambda *a, **kw: irfft(*a, **kw) + offset)
     if ok:  # within the 1/4 margin the rounding still recovers the count
         assert count_table(quintic_x(1, make_field(11))).count == 3300
     else:
@@ -567,7 +589,7 @@ def test_cone_to_projective_raises_under_python_O():
 def test_cli_exits_1_on_bad_cone_count(monkeypatch, capsys):
     from mirrorquintic import cli, counting
 
-    monkeypatch.setattr(counting, "_block_count", lambda *a, **k: 5)
+    monkeypatch.setattr(counting, "_cone_count", lambda *a, **k: 5)
     code = cli.run(["count", "--family", "X", "--mu", "1", "--p", "11", "--algo", "table"])
     assert code == 1
     assert "not 1 mod (q - 1)" in capsys.readouterr().out

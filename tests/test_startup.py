@@ -192,3 +192,29 @@ def test_main_reports_a_failed_flush_as_python_does(tmp_path):
         done = _main(["--version"], tmp_path, stdout=full)
     assert done.returncode == 120
     assert done.stderr.decode().startswith("Exception ignored")
+
+
+# count the mu = 1 X over F_7 with the named algorithm, the first count of
+# the process, and print whether numpy had executed when count_table or
+# count_naive first read the clock
+_TIMER_PROBE = """
+import sys, time
+from mirrorquintic import counting
+from mirrorquintic.families import quintic_x
+from mirrorquintic.ffield import make_field
+instance = quintic_x(1, make_field(7))
+executed, clock = [], time.perf_counter
+def perf_counter():
+    executed.append(any(m.startswith("numpy.") for m in sys.modules))
+    return clock()
+time.perf_counter = perf_counter
+counting.count(instance, sys.argv[1])
+print(executed[0])
+"""
+
+
+@pytest.mark.parametrize("algo", ["table", "naive"])
+def test_first_count_times_no_numpy_import(tmp_path, algo):
+    # a lazily loaded numpy executes before the timer starts, so its import
+    # is not in the first record's elapsed_ms
+    assert _python(["-c", _TIMER_PROBE, algo], tmp_path).stdout == "True\n"
