@@ -24,22 +24,24 @@ count_table runs one engine for both quintics, which are
   h(x0, V) = k x0 U,   h(x0, V) = (x0^e + V)^(5/e),   k = (5 mu)^(5/e),
 
 with U = x1 x2 x3 x4 and V = x1^e + ... + x4^e: e = 5 for QuinticX and
-e = 1 for QuinticY.  The x0 table T[U, V] = #{x0 : h(x0, V) = k x0 U} is
-built in O(q^2): an x0 with k x0 != 0 solves it for one U, and an x0 with
-k x0 = 0 (x0 = 0, or every x0 when k = 0: mu = 0 or characteristic 5) for
-every U when h(x0, V) = 0, that is when V = -x0^e.  The (x1..x4) block is
-aggregated through a pair histogram D2 over (pair product, pair key sum).
-The block histogram is D4 = D2 * D2, a convolution on (F_q, x) x (F_q, +),
-the affine cone count is the O(q^2) contraction sum D4[U, V] T[U, V], and
-the projective count is (N_aff - 1) / (q - 1).
-D2, D4 and T hold the product U in the product layout: row t is the unit
+e = 1 for QuinticY.  The (x1..x4) block is aggregated through a pair
+histogram D2 over (pair product, pair key sum).  The block histogram is
+D4 = D2 * D2, a convolution on (F_q, x) x (F_q, +), and the affine cone
+count reads D4 where each (x0, V) lands, in O(q^2): an x0 with
+k x0 != 0 solves h(x0, V) = k x0 U for one U and adds D4[U, V], and an
+x0 with k x0 = 0 (x0 = 0, or every x0 when k = 0: mu = 0 or
+characteristic 5) solves it for every U when h(x0, V) = 0, that is when
+V = -x0^e, and adds D4's column sum there.  The projective count is
+(N_aff - 1) / (q - 1).
+D2 and D4 hold the product U in the product layout: row t is the unit
 g^t and row q - 1 is 0 (_log_codes), so their unit rows are in
 discrete-logarithm order.  _square computes D4 with one float64 FFT over
 Z/(q - 1) x (Z/p)^k (F_q^* by discrete logarithm, F_q by its base-p
-digits) plus a k-dimensional one for the zero row, O(q^2 log q) in all,
-and rounds it to int64.  _cone_count frees D2 before it builds T, and each
-FFT keeps one spectrum alive, so at most four q x q arrays of 8-byte
-entries are alive at once.
+digits), O(q^2 log q); the zero row's spectrum is read off that
+spectrum's product-frequency-0 slice and transformed back on the
+k additive axes alone.  Every entry is rounded to int64.  At most three
+q x q arrays of 8-byte entries (or half-length spectra of 16-byte ones)
+are alive at once.
 
 The rounding is exact while the float error stays below 1/2.  To first
 order, the error of a square z = x * x of a nonnegative array through an
@@ -53,9 +55,10 @@ pairs, so ||x||_2 <= ||x||_1 <= q^2, and the worst case is
 fft_error_bound(q) = (3 eta log2(q (q - 1)) + u) q^4, about
 21 u q^4 log2 N.  check_size refuses a table count with InstanceTooLarge
 unless that bound is below 1/4 (q <= TABLE_CAP = 1500).  A count at
-q = 1499 peaks at about 26 q^2 bytes of arrays (58 MB) and takes about a
+q = 1499 peaks at about 24 q^2 bytes of arrays (54 MB) and takes about a
 third of a second; numpy's fixed 128 KB of iterator buffers take smaller
-fields higher, to 32 q^2 at q = 101 and 29 q^2 over F_121.  Two checks guard the result at run time: every
+fields higher, to 31 q^2 at q = 101 and 29 q^2 over F_121 and F_125.
+Two checks guard the result at run time: every
 rounded entry must lie within 1/4 of an integer, and the cone count must
 be 1 mod (q - 1); either failure raises InvariantViolated.  The observed
 residual is about 1e-8 at q = 1499.  Everything after rounding is int64.
@@ -376,16 +379,14 @@ def count_naive(instance: FamilyInstance) -> CountRecord:
 # ---------------------------------------------------------------------------
 
 
-def _histogram(F: FieldDescriptor, first, second, rows, cols) -> np.ndarray:
-    """q x q int64 histogram of (first(a, b), second(a, b)) over a in rows,
-    b in cols.
+def _pair_sum(q: int, first, second, rows, cols, reduce):
+    """The sum of reduce(keys) over blocks of about _HISTOGRAM_CHUNK pairs
+    a in rows, b in cols, keys the flat indices first(a, b) q + second(a, b).
 
-    The pairs run in blocks of about _HISTOGRAM_CHUNK.  first must return
-    a new array of the block's shape, in which the keys are built in place.
-    Each block's bincount is q^2 long: the first one is the histogram
-    itself, and each later one is added to it and freed.
+    first must return a new array of the block's shape, in which the keys
+    are built in place.  The first block's reduce is the running sum, and
+    each later one is added to it and freed.
     """
-    q = F.q
     b = cols[None, :]
     rows_per_block = max(1, _HISTOGRAM_CHUNK // max(1, len(cols)))
 
@@ -394,40 +395,23 @@ def _histogram(F: FieldDescriptor, first, second, rows, cols) -> np.ndarray:
         keys = first(a, b)
         keys *= q
         keys += second(a, b)
-        return np.bincount(keys.ravel(), minlength=q * q)
+        return reduce(keys.ravel())
 
     starts = range(0, len(rows), rows_per_block)
-    hist = block(0)
+    total = block(0)
     for start in starts[1:]:
-        hist += block(start)
-    return hist.reshape(q, q)
+        total += block(start)
+    return total
 
 
-def _convolve(a: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
-    """Cyclic convolution a * b (a * a when b is None) of nonnegative integer
-    arrays over the product of the cyclic groups Z/n for n in a.shape.
-
-    One spectrum is alive at a time: it is transformed back in place along
-    every axis but the last (numpy.fft's out argument, new in numpy 2.0),
-    and freed once the last axis is real again.  The float64 result is rounded to int64; a rounding residual of 1/4 or
-    more means the error bound did not hold and raises InvariantViolated.
-    """
-    spec = np.fft.rfftn(a)
-    spec *= spec if b is None else np.fft.rfftn(b)
-    for axis in range(a.ndim - 1):
-        np.fft.ifft(spec, axis=axis, out=spec)
-    x = np.fft.irfft(spec, n=a.shape[-1])
-    del spec
-    r = np.rint(x)
-    np.subtract(x, r, out=x)
-    residual = float(np.abs(x, out=x).max())
-    del x
-    if not residual < _ROUNDING_MARGIN:
-        raise InvariantViolated(
-            f"FFT convolution residual {residual:.3g} is not below "
-            f"{_ROUNDING_MARGIN}: the float64 error bound did not hold"
-        )
-    return r.astype(np.int64)
+def _histogram(F: FieldDescriptor, first, second, rows, cols) -> np.ndarray:
+    """q x q int64 histogram of (first(a, b), second(a, b)) over a in rows,
+    b in cols, one q^2-long bincount per block of pairs (_pair_sum)."""
+    q = F.q
+    count = _pair_sum(
+        q, first, second, rows, cols, lambda keys: np.bincount(keys, minlength=q * q)
+    )
+    return count.reshape(q, q)
 
 
 def _log_codes(F: FieldDescriptor) -> tuple[np.ndarray, np.ndarray]:
@@ -447,26 +431,45 @@ def _log_codes(F: FieldDescriptor) -> tuple[np.ndarray, np.ndarray]:
     return code, wrap
 
 
-def _square(F: FieldDescriptor, d2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """D4 = D2 * D2 in the product layout, as its q - 1 unit rows and its
-    zero row.
+def _square(F: FieldDescriptor, d2: np.ndarray) -> np.ndarray:
+    """D4 = D2 * D2 as a (q, q) int64 array in the product layout.
 
     d2[t, v] counts the coordinate pairs with product in row t and additive
     key v; D4 counts the four-coordinate blocks.  The unit rows are
     convolved cyclically in t (g^t1 g^t2 = g^(t1 + t2)) and in the base-p
-    digits of v (field addition is digit-wise mod p).  A zero product needs
-    a zero in either pair: D4's zero row is z * z + 2 z * m, with z the zero
-    row of d2 and m the sum of its unit rows, convolved on the additive
-    axis only.
+    digits of v (field addition is digit-wise mod p), through one spectrum
+    that is transformed back in place along every axis but the last
+    (numpy.fft's out argument, new in numpy 2.0).  A zero product needs a
+    zero in either pair: D4's zero row is z * z + 2 z * m, with z the zero
+    row of d2 and m the sum of its unit rows.  Its spectrum is
+    Z (Z + 2 M) on the additive axes, and M, the additive spectrum of m, is
+    the units' spectrum at product frequency 0, read before it is squared.
+    The float64 rows are rounded into D4; a rounding residual of 1/4 or
+    more means the error bound did not hold and raises InvariantViolated.
     """
     n = F.q - 1
     add_shape = (F.p,) * F.k
-    units, zero = d2[:n], d2[n]
-    d4_zero = _convolve(
-        zero.reshape(add_shape), (zero + 2 * units.sum(axis=0)).reshape(add_shape)
-    ).reshape(F.q)
-    d4_units = _convolve(units.reshape((n,) + add_shape)).reshape(n, F.q)
-    return d4_units, d4_zero
+    spec = np.fft.rfftn(d2[:n].reshape((n,) + add_shape))
+    zero = np.fft.rfftn(d2[n].reshape(add_shape))
+    zero *= zero + 2 * spec[0]
+    spec *= spec
+    for axis in range(spec.ndim - 1):
+        np.fft.ifft(spec, axis=axis, out=spec)
+    units = np.fft.irfft(spec, n=F.p).reshape(n, F.q)
+    del spec
+    zero = np.fft.irfftn(zero, s=add_shape, axes=range(F.k)).reshape(F.q)
+    d4 = np.empty((F.q, F.q), dtype=np.int64)
+    residual = 0.0
+    for x, rows in (units, d4[:n]), (zero, d4[n]):
+        np.rint(x, out=rows, casting="unsafe")
+        np.subtract(x, rows, out=x)
+        residual = max(residual, float(np.abs(x, out=x).max()))
+    if not residual < _ROUNDING_MARGIN:
+        raise InvariantViolated(
+            f"FFT convolution residual {residual:.3g} is not below "
+            f"{_ROUNDING_MARGIN}: the float64 error bound did not hold"
+        )
+    return d4
 
 
 def _cone_to_projective(n_aff: int, q: int) -> int:
@@ -481,38 +484,16 @@ def _cone_to_projective(n_aff: int, q: int) -> int:
 _KEY_EXPONENT = {FamilyId.QUINTIC_X: 5, FamilyId.QUINTIC_Y: 1}
 
 
-def _x0_table(
-    F: FieldDescriptor, e: int, k: int, code: np.ndarray, wrap: np.ndarray
-) -> np.ndarray:
-    """T[U, V] = #{x0 : h(x0, V) = k x0 U} with h(x0, V) = (x0^e + V)^(5/e),
-    with U in the product layout.
+def _cone_count(F: FieldDescriptor, e: int, k: int) -> int:
+    """The affine cone count: the number of (x0, U, V) with
+    h(x0, V) = k x0 U, each (U, V) weighted by D4[U, V].
 
     An x0 with k x0 != 0 solves it for the one U = h(x0, V) / (k x0), whose
-    row is wrap[code[h(x0, V)] + code[1 / (k x0)]] with the tables of
-    _log_codes.  An x0 with k x0 = 0 (x0 = 0, or every x0 when k = 0)
-    solves it for every U when h(x0, V) = 0, that is when V = -x0^e.
-    """
-    all_idx = np.arange(F.q, dtype=np.int64)
-    kx = F.vmul(k, all_idx)
-    inv_code = code[F.vpow(kx, -1)]
-    pow_e = F.power_table(e)
-    h_code = code[F.power_table(5 // e)]  # h_code[x0^e + V] = code[h(x0, V)]
-    table = _histogram(
-        F,
-        lambda v, x0: wrap[h_code[F.vadd(pow_e[x0], v)] + inv_code[x0]],
-        lambda v, x0: v,
-        all_idx,
-        all_idx[kx != 0],
-    )
-    table += np.bincount(F.vneg(pow_e[kx == 0]), minlength=F.q)
-    return table
-
-
-def _cone_count(F: FieldDescriptor, e: int, k: int) -> int:
-    """The affine cone count: the sum over U, V of D4[U, V] T[U, V].
-
-    D4 is computed first and D2 freed before T is built, so that at most
-    four q x q arrays are alive at once.
+    row is wrap[h_code[x0^e + V] + inv_code[x0]] with the tables of
+    _log_codes: each such (x0, V) adds the D4 entry there (_pair_sum).  An
+    x0 with k x0 = 0 (x0 = 0, or every x0 when k = 0) solves it for every
+    U when V = -x0^e, and adds D4's column sum there.  D2 is freed once D4
+    is built, so the sum reads D4 alone.
     """
     code, wrap = _log_codes(F)
     key = F.power_table(e)
@@ -524,11 +505,21 @@ def _cone_count(F: FieldDescriptor, e: int, k: int) -> int:
         all_idx,
         all_idx,
     )
-    d4_units, d4_zero = _square(F, d2)
+    d4 = _square(F, d2)
     del d2
-    table = _x0_table(F, e, k, code, wrap)
-    n = F.q - 1
-    return int(np.einsum("tv,tv->", d4_units, table[:n])) + int(d4_zero @ table[n])
+    kx = F.vmul(k, all_idx)
+    inv_code = code[F.vpow(kx, -1)]
+    h_code = code[F.power_table(5 // e)]  # h_code[x0^e + V] = code[h(x0, V)]
+    flat = d4.ravel()
+    cone = _pair_sum(
+        F.q,
+        lambda v, x0: wrap[h_code[F.vadd(key[x0], v)] + inv_code[x0]],
+        lambda v, x0: v,
+        all_idx,
+        all_idx[kx != 0],
+        lambda keys: int(flat[keys].sum()),
+    )
+    return cone + int(d4.sum(axis=0)[F.vneg(key[kx == 0])].sum())
 
 
 def count_table(instance: FamilyInstance) -> CountRecord:

@@ -662,9 +662,13 @@ def matrix_ranks(F: FieldDescriptor, m) -> np.ndarray:
 
     A column that has a pivot in every matrix, the common case, updates
     the whole stack without gathering it; only the matrices whose pivot
-    row is not already in place swap rows."""
+    row is not already in place swap rows.  A stack of one-row matrices
+    (a hypersurface's Jacobians) needs no elimination: a row has rank 1
+    exactly when it has a nonzero entry."""
     m = np.array(m, dtype=np.int64)
     count, nrows, ncols = m.shape
+    if nrows == 1:
+        return m[:, 0].any(axis=1).astype(np.int64)
     rank = np.zeros(count, dtype=np.int64)
     rows = np.arange(nrows)
     for col in range(ncols):

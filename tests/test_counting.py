@@ -181,22 +181,32 @@ def test_table_cap_is_the_error_bound():
 @pytest.mark.parametrize("family", [quintic_x, quintic_y])
 @pytest.mark.parametrize("p,k,blocks", [(211, 1, 1), (1009, 1, 2), (11, 2, 1), (11, 3, 4)])
 def test_table_count_holds_at_most_33_q2_bytes(family, p, k, blocks):
-    # at most four q x q arrays of 8-byte entries are alive at once, with
+    # at most three q x q arrays of 8-byte entries are alive at once, with
     # the pair histograms in one block of counting._HISTOGRAM_CHUNK pairs
     # and in several, over prime fields and over F_121 and F_1331, whose
     # additive keys are summed digit by digit; the margin holds numpy's
     # fixed buffers (about 9 q^2 at q = 121) and the O(q) tables
     q = p**k
     assert math.ceil(q / (counting._HISTOGRAM_CHUNK // q)) == blocks
-    instance = family(1, make_field(p, k))
+    assert _peak_bytes(family(1, make_field(p, k))) <= 33 * q * q
+
+
+@pytest.mark.parametrize("family", [quintic_x, quintic_y])
+def test_large_table_count_holds_at_most_26_q2_bytes(family):
+    # at q = 1009 the FFT, not the cone count, sets the peak: the count
+    # reads D4 where each (x0, V) lands and builds no second q x q table
+    assert _peak_bytes(family(1, make_field(1009))) <= 26 * 1009**2
+
+
+def _peak_bytes(instance) -> int:
+    # the tracemalloc peak of a table count
     count_table(instance)  # loads numpy.fft and the field's tables
     tracemalloc.start()
     try:
         count_table(instance)
-        peak = tracemalloc.get_traced_memory()[1]
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 33 * q * q
 
 
 @pytest.mark.parametrize("algo", ALGOS)
@@ -213,15 +223,27 @@ def test_count_table_refuses_a_family_without_a_table_path():
         count_table(cubics_v(1, make_field(7)))
 
 
-@pytest.mark.parametrize("offset,ok", [(0.2, True), (0.3, False)])
-def test_rounding_residual_raises(monkeypatch, offset, ok):
-    irfft = np.fft.irfft
-    monkeypatch.setattr(np.fft, "irfft", lambda *a, **kw: irfft(*a, **kw) + offset)
+def _count_with_offset(monkeypatch, transform, offset, ok):
+    # adds offset to every entry that np.fft.<transform> returns
+    inverse = getattr(np.fft, transform)
+    monkeypatch.setattr(np.fft, transform, lambda *a, **kw: inverse(*a, **kw) + offset)
     if ok:  # within the 1/4 margin the rounding still recovers the count
         assert count_table(quintic_x(1, make_field(11))).count == 3300
     else:
         with pytest.raises(InvariantViolated, match="residual 0.3"):
             count_table(quintic_x(1, make_field(11)))
+
+
+@pytest.mark.parametrize("offset,ok", [(0.2, True), (0.3, False)])
+def test_rounding_residual_raises(monkeypatch, offset, ok):
+    _count_with_offset(monkeypatch, "irfft", offset, ok)
+
+
+@pytest.mark.parametrize("offset,ok", [(0.2, True), (0.3, False)])
+def test_zero_row_rounding_residual_raises(monkeypatch, offset, ok):
+    # D4's zero row is the one array that np.fft.irfftn transforms back;
+    # the unit rows go through np.fft.irfft alone
+    _count_with_offset(monkeypatch, "irfftn", offset, ok)
 
 
 @pytest.mark.parametrize("q,mu", [(11, 1), (31, 2)])

@@ -395,6 +395,21 @@ def test_matrix_ranks_equal_row_space_size(p, k):
         assert matrix_ranks(F, [m.T])[0] == r
 
 
+@pytest.mark.parametrize("p,k", [(11, 1), (41, 1), (3, 2)])
+def test_matrix_ranks_of_one_row_stacks(p, k):
+    # a stack of one-row matrices, zero rows among them, ranks the same as
+    # those rows padded with a zero second row, which takes the elimination
+    F = make_field(p, k)
+    rng = np.random.default_rng(p + k)
+    rows = rng.integers(0, F.q, size=(200, 1, 5))
+    rows[::3] = 0
+    rows[1::3, 0, :4] = 0
+    padded = np.concatenate([rows, np.zeros_like(rows)], axis=1)
+    got = matrix_ranks(F, rows)
+    assert got.tolist() == matrix_ranks(F, padded).tolist()
+    assert set(got.tolist()) == {0, 1}
+
+
 def test_element_roots():
     F = make_field(11)
     assert _roots(F.element(-1), 5) == [2, 6, 7, 8, 10]

@@ -301,6 +301,19 @@ def test_no_module_reads_numpy_random():
     assert found == []
 
 
+def test_no_module_calls_numpy_einsum():
+    # the first np.einsum of a process raised a cold trace's peak RSS by
+    # about 0.16 MB; a sum of products is a gather and a sum, or `@`
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Attribute) and node.attr == "einsum":
+                found.append(f"{path.name}:{node.lineno}")
+            elif isinstance(node, ast.ImportFrom) and node.module == "numpy":
+                found += [f"{path.name}:{node.lineno}" for a in node.names if a.name == "einsum"]
+    assert found == []
+
+
 def test_only_the_cli_opens_a_count_cache():
     # one cache per command: the CLI opens it once and hands it down, and
     # no count reloads the file
