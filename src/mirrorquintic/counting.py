@@ -34,7 +34,7 @@ characteristic 5) solves it for every U when h(x0, V) = 0, that is when
 V = -x0^e, and adds D4's column sum there.  The projective count is
 (N_aff - 1) / (q - 1).
 D2 and D4 hold the product U in the product layout: row t is the unit
-g^t and row q - 1 is 0 (_log_codes), so their unit rows are in
+g^t and row q - 1 is 0 (F.log_table), so their unit rows are in
 discrete-logarithm order.  _square computes D4 with one float64 FFT over
 Z/(q - 1) x (Z/p)^k (F_q^* by discrete logarithm, F_q by its base-p
 digits), O(q^2 log q); the zero row's spectrum is read off that
@@ -321,7 +321,7 @@ def check_size(instance: FamilyInstance, algo: str):
         raise InstanceTooLarge(f"q^dim = {q**dim} exceeds {NAIVE_CAP}")
 
 
-def _gather(coords, mask) -> np.ndarray:
+def rows_where(coords, mask) -> np.ndarray:
     """The points where mask is True as the rows of an (n, nvars) index
     array, in C order of the broadcast block.
 
@@ -342,36 +342,35 @@ def points(instance: FamilyInstance, blocks: tuple = ()) -> np.ndarray:
     With blocks (the instance's own, for singular.singular_points) the walk
     visits one point per orbit of the permutations inside them, as
     iter_projective_chunks does.  Each block's zeros are gathered
-    (_gather) and the block is dropped before the next is built.  The size
+    (rows_where) and the block is dropped before the next is built.  The size
     limit is count_naive's (check_size).
     """
     check_size(instance, "naive")
     chunks = iter_projective_chunks(instance.field, instance.ambient_dim, blocks)
     # map drops each block before the next is built (a comprehension's
     # loop variable would keep it alive meanwhile)
-    return np.concatenate(list(map(lambda c: _gather(c, instance.vanishing_mask(c)), chunks)))
+    return np.concatenate(list(map(lambda c: rows_where(c, instance.vanishing_mask(c)), chunks)))
 
 
-def _timer_start() -> float:
-    """time.perf_counter(), read once numpy has executed, so that the first
-    count of a process does not time the import of a lazily loaded numpy."""
+def _timed_record(instance: FamilyInstance, algo: str, run) -> CountRecord:
+    """The CountRecord of the count run() returns, after check_size, timed
+    from once numpy has executed, so that the first count of a process does
+    not time the import of a lazily loaded numpy."""
+    check_size(instance, algo)
     np.ndarray  # the first attribute read executes a lazily loaded numpy
-    return time.perf_counter()
+    t0 = time.perf_counter()
+    n = run()
+    ms = int(round((time.perf_counter() - t0) * 1000))
+    F = instance.field
+    return CountRecord(instance.id.value, instance.param_string(), F.p, F.k, n, algo, ms)
 
 
 def count_naive(instance: FamilyInstance) -> CountRecord:
     """Exact projective count by chart enumeration; the reference algorithm."""
-    check_size(instance, "naive")
-    F = instance.field
-    t0 = _timer_start()
-    n = sum(
+    return _timed_record(instance, "naive", lambda: sum(
         int(instance.vanishing_mask(c).sum())
-        for c in iter_projective_chunks(F, instance.ambient_dim)
-    )
-    ms = int(round((time.perf_counter() - t0) * 1000))
-    return CountRecord(
-        instance.id.value, instance.param_string(), F.p, F.k, n, "naive", ms
-    )
+        for c in iter_projective_chunks(instance.field, instance.ambient_dim)
+    ))
 
 
 # ---------------------------------------------------------------------------
@@ -412,23 +411,6 @@ def _histogram(F: FieldDescriptor, first, second, rows, cols) -> np.ndarray:
         q, first, second, rows, cols, lambda keys: np.bincount(keys, minlength=q * q)
     )
     return count.reshape(q, q)
-
-
-def _log_codes(F: FieldDescriptor) -> tuple[np.ndarray, np.ndarray]:
-    """The tables (code, wrap) of the product layout: the row of a * b is
-    wrap[code[a] + code[b]].
-
-    The row of a unit u = g^t is its logarithm t, and the row of 0 is
-    q - 1.  code[u] = t, and code[0] = 2 (q - 1), so a sum of two codes is
-    below 2 (q - 1) exactly when both are units; wrap reduces such a sum
-    mod q - 1 and sends every larger one to q - 1.
-    """
-    n = F.q - 1
-    code = np.full(F.q, 2 * n, dtype=np.int64)
-    code[F.exp_table] = np.arange(n)
-    wrap = np.full(4 * n + 1, n, dtype=np.int64)
-    wrap[: 2 * n] = np.tile(np.arange(n), 2)
-    return code, wrap
 
 
 def _square(F: FieldDescriptor, d2: np.ndarray) -> np.ndarray:
@@ -488,14 +470,19 @@ def _cone_count(F: FieldDescriptor, e: int, k: int) -> int:
     """The affine cone count: the number of (x0, U, V) with
     h(x0, V) = k x0 U, each (U, V) weighted by D4[U, V].
 
-    An x0 with k x0 != 0 solves it for the one U = h(x0, V) / (k x0), whose
-    row is wrap[h_code[x0^e + V] + inv_code[x0]] with the tables of
-    _log_codes: each such (x0, V) adds the D4 entry there (_pair_sum).  An
-    x0 with k x0 = 0 (x0 = 0, or every x0 when k = 0) solves it for every
-    U when V = -x0^e, and adds D4's column sum there.  D2 is freed once D4
-    is built, so the sum reads D4 alone.
+    The row of a * b is wrap[code[a] + code[b]], with code = F.log_table:
+    wrap reduces a sum below 2 (q - 1), two units, mod q - 1 and sends the
+    rest to the zero row q - 1.  An x0 with k x0 != 0 solves it for the
+    one U = h(x0, V) / (k x0), whose row is wrap[h_code[x0^e + V] +
+    inv_code[x0]]: each such (x0, V) adds the D4 entry there (_pair_sum).
+    An x0 with k x0 = 0 (x0 = 0, or every x0 when k = 0) solves it for
+    every U when V = -x0^e, and adds D4's column sum there.  D2 is freed
+    once D4 is built, so the sum reads D4 alone.
     """
-    code, wrap = _log_codes(F)
+    n = F.q - 1
+    code = F.log_table
+    wrap = np.full(4 * n + 1, n, dtype=np.int64)
+    wrap[: 2 * n] = np.tile(np.arange(n), 2)
     key = F.power_table(e)
     all_idx = np.arange(F.q, dtype=np.int64)
     d2 = _histogram(
@@ -528,15 +515,13 @@ def count_table(instance: FamilyInstance) -> CountRecord:
     e = _KEY_EXPONENT.get(instance.id)
     if e is None:
         raise ValueError(f"no table algorithm for {instance.id.value}")
-    check_size(instance, "table")
     F = instance.field
-    t0 = _timer_start()
-    k = ((instance.params["mu"] * 5) ** (5 // e)).index
-    count = _cone_to_projective(_cone_count(F, e, k), F.q)
-    ms = int(round((time.perf_counter() - t0) * 1000))
-    return CountRecord(
-        instance.id.value, instance.param_string(), F.p, F.k, count, "table", ms
-    )
+
+    def run() -> int:
+        k = ((instance.params["mu"] * 5) ** (5 // e)).index
+        return _cone_to_projective(_cone_count(F, e, k), F.q)
+
+    return _timed_record(instance, "table", run)
 
 
 # ---------------------------------------------------------------------------
@@ -546,10 +531,12 @@ def count_table(instance: FamilyInstance) -> CountRecord:
 class CountCache:
     """Append-only JSON-lines store of CountRecords.
 
-    Malformed lines trigger a CacheCorrupt warning with the line number and
-    are skipped; computation proceeds as if they were absent.  Each append
-    is a single write of one whole line under an exclusive flock, and the
-    load reads under a shared one, so processes may share a cache file.
+    Malformed lines, a line that is not UTF-8 too, trigger a CacheCorrupt
+    warning with the line number and are skipped; computation proceeds as
+    if they were absent.  Each append is a single write of one whole line
+    under an exclusive flock, and the load reads under a shared one, so
+    processes may share a cache file.  An append after a torn last line (a
+    crash mid-write) ends that line first, so no record is written onto it.
     """
 
     def __init__(self, path):
@@ -559,16 +546,16 @@ class CountCache:
 
     def _load(self):
         try:
-            with open(self.path, "r", encoding="utf-8") as fh:
+            with open(self.path, "rb") as fh:
                 fcntl.flock(fh, fcntl.LOCK_SH)
-                lines = fh.readlines()
+                lines = fh.read().splitlines()
         except FileNotFoundError:
             return
         for lineno, line in enumerate(lines, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
+            try:  # a line that is not UTF-8 is corrupt too
+                line = line.decode("utf-8").strip()
+                if not line:
+                    continue
                 rec = CountRecord.from_json(line)
             except (ValueError, TypeError) as exc:
                 warnings.warn(
@@ -585,10 +572,14 @@ class CountCache:
 
     def append(self, rec: CountRecord):
         self._records[rec.cache_key()] = rec
-        fd = os.open(self.path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o666)
+        fd = os.open(self.path, os.O_RDWR | os.O_APPEND | os.O_CREAT, 0o666)
         try:
             fcntl.flock(fd, fcntl.LOCK_EX)
-            line = memoryview((rec.to_json() + "\n").encode("utf-8"))
+            line = (rec.to_json() + "\n").encode("utf-8")
+            end = os.fstat(fd).st_size
+            if end and os.pread(fd, 1, end - 1) != b"\n":
+                line = b"\n" + line  # end a torn last line first
+            line = memoryview(line)
             while line:  # os.write may write only part of it
                 line = line[os.write(fd, line):]
         finally:

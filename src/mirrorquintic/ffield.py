@@ -8,8 +8,11 @@ FieldDescriptor (vadd, vsub, vneg, vmul, vpow), each of which takes Python
 ints as well as numpy int64 arrays of indices.  A prime field's index is
 its residue, so its scalars need no tables at any p; an extension field
 adds digit by digit in base p and multiplies, powers and inverts through
-its exp/log tables.  FieldElement gives one index the operators, for exact
-scalar work; FieldArray gives an index array the same operators, so that
+its exp/log tables.  The log table (log_table) gives 0 the code 2 (q - 1),
+so a sum of two logs is below 2 (q - 1) exactly when both factors are
+units: vmul and counting's table count read products off such sums.
+FieldElement gives one index the operators, for exact scalar work;
+FieldArray gives an index array the same operators, so that
 polynomial expressions written for MPoly also evaluate on arrays.  Over a
 prime field a FieldArray defers the reduction mod p: it applies the raw
 integer operation, carries the exact interval of the unreduced values,
@@ -246,7 +249,8 @@ class FieldDescriptor:
     Built only by make_field, once per field, so the descriptor is the
     field's identity: it has no equality of its own, and elements compare
     their fields with ``is``.  All tables are built once and then only
-    read, so a descriptor is safe to share across threads.
+    read, so a descriptor is safe to share across threads.  The log table
+    inverts the generator's powers and gives 0 the code 2 (q - 1).
     """
 
     def __init__(self, p: int, k: int, modulus: tuple[int, ...]):
@@ -355,15 +359,18 @@ class FieldDescriptor:
             for t in range(n):
                 exp[t] = self._index(v)
                 v = _poly_mul_mod(v, gc, self.modulus, self.p)
-        log = np.zeros(self.q, dtype=np.int64)  # log[0] is a placeholder
+        log = np.full(self.q, 2 * n, dtype=np.int64)
         log[exp] = np.arange(n)
+        log.flags.writeable = False
         self._log = log
         self._exp = exp  # last: a set _exp means both tables are ready
 
     @property
-    def exp_table(self) -> np.ndarray:
+    def log_table(self) -> np.ndarray:
+        """The read-only discrete logarithm: log_table[g^t] = t < q - 1 for
+        the generator g, and log_table[0] = 2 (q - 1)."""
         self._ensure_tables()
-        return self._exp
+        return self._log
 
     def power_table(self, e: int) -> np.ndarray:
         """Flat table idx -> index of (element idx) ** e, with 0 ** 0 = 1 and
@@ -372,12 +379,8 @@ class FieldDescriptor:
         tab = self._pow_tables.get(e)
         if tab is None:
             self._ensure_tables()
-            n = self.q - 1
-            tab = np.zeros(self.q, dtype=np.int64)
-            if e == 0:
-                tab[:] = 1
-            else:
-                tab[self._exp] = self._exp[(np.arange(n) * e) % n]
+            tab = self._exp[self._log * e % (self.q - 1)]
+            tab[0] = e == 0
             self._pow_tables[e] = tab
         return tab
 
@@ -444,8 +447,8 @@ class FieldDescriptor:
                 raise _products_overflow(self)
             return self._mod_p(a * b)
         self._ensure_tables()
-        prod = self._exp[(self._log[a] + self._log[b]) % (self.q - 1)]
-        return prod * ((a != 0) & (b != 0))
+        s = self._log[a] + self._log[b]
+        return self._exp[s % (self.q - 1)] * (s < 2 * (self.q - 1))
 
     def vpow(self, a, e: int):
         """a ** e, with 0 ** 0 = 1; e < 0 inverts and sends 0 to 0.  A prime

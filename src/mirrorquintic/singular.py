@@ -59,7 +59,7 @@ import itertools
 import math
 
 from ._lazy import lazy_numpy
-from .counting import _gather, iter_projective_chunks, points, projective_size
+from .counting import iter_projective_chunks, points, projective_size, rows_where
 from .errors import BadCharacteristic, InstanceTooLarge, NotSingular
 from .families import (
     FamilyId,
@@ -249,5 +249,5 @@ def surface_points(surface: FamilyInstance) -> np.ndarray:
     for coords in iter_projective_chunks(F, 3):
         x0 = functools.reduce(F.vadd, map(F.vmul, neg, coords))
         pts = [x0, *coords]
-        rows.append(_gather(pts, surface.vanishing_mask(pts)))
+        rows.append(rows_where(pts, surface.vanishing_mask(pts)))
     return np.concatenate(rows)

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -8,7 +9,7 @@ import pytest
 
 from mirrorquintic import cli, counting, verify
 from mirrorquintic.cli import TRACE_COLUMNS, run
-from mirrorquintic.errors import InstanceTooLarge, MirrorQuinticError
+from mirrorquintic.errors import CacheCorrupt, InstanceTooLarge, MirrorQuinticError
 from mirrorquintic.families import FamilyId, quintic_x
 from mirrorquintic.ffield import is_prime, make_field
 
@@ -346,6 +347,49 @@ def test_corrupt_cache_warns_but_succeeds(tmp_path):
     assert code == 0
     (rec,) = json.loads(out.read_text())["records"]
     assert rec["count"] == 3300
+
+
+def _trace_p7_lines(tmp_path) -> list[bytes]:
+    # the cache lines a cold trace --p 7 writes, X's record first
+    cache = tmp_path / "fresh.jsonl"
+    assert run(["trace", "--p", "7", "--cache", str(cache)]) == 0
+    lines = cache.read_bytes().splitlines(keepends=True)
+    assert [json.loads(l)["family"] for l in lines] == ["QuinticX", "QuinticY"]
+    return lines
+
+
+def _corrupt_lines(caught) -> set[str]:
+    return {re.search(r"cache line \d+", str(w.message))[0] for w in caught}
+
+
+def test_non_utf8_cache_line_warns_and_is_skipped(tmp_path, capsys):
+    # a line that is not UTF-8 is one corrupt line: the records around it
+    # are hits, so nothing is recomputed or appended
+    x, y = _trace_p7_lines(tmp_path)
+    cache = tmp_path / "counts.jsonl"
+    cache.write_bytes(x + b"\xff\xfe garbage\n" + y)
+    with pytest.warns(CacheCorrupt) as caught:
+        assert run(["trace", "--p", "7", "--cache", str(cache)]) == 0
+    assert _corrupt_lines(caught) == {"cache line 2"}
+    assert cache.read_bytes() == x + b"\xff\xfe garbage\n" + y
+
+
+def test_append_after_a_torn_line_keeps_the_record(tmp_path, capsys):
+    # a crash mid-append leaves a last line without its newline; the next
+    # append ends that line first, so its record is a line of its own
+    torn = b'{"algo": "table", "co'
+    cache = tmp_path / "counts.jsonl"
+    cache.write_bytes(torn)
+    written = []
+    for _ in range(2):
+        with pytest.warns(CacheCorrupt) as caught:
+            assert run(["trace", "--p", "7", "--cache", str(cache)]) == 0
+        assert _corrupt_lines(caught) == {"cache line 1"}
+        written.append(cache.read_bytes())
+    assert written[1] == written[0]  # the second run's counts are all hits
+    first, *records = written[0].splitlines(keepends=True)
+    assert first == torn + b"\n"
+    assert [json.loads(l)["family"] for l in records] == ["QuinticX", "QuinticY"]
 
 
 def test_verify_groups_suite(capsys):

@@ -345,6 +345,42 @@ def _check_products(F, a, b):
         assert (F.from_index(x) * F.from_index(y)).index == want
 
 
+# every field make_field builds with q <= 256: the primes, and p^k, k = 2..4
+_LOG_FIELDS = [(p, 1) for p in range(2, 257) if is_prime(p)] + [
+    (2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (3, 4), (5, 2), (5, 3), (7, 2), (11, 2), (13, 2),
+]
+
+
+@pytest.mark.parametrize("p,k", _LOG_FIELDS)
+def test_log_table_on_every_small_field(p, k):
+    # the generator's discrete logarithm, with 0 at 2 (q - 1); vmul and
+    # power_table equal the formulas they had when 0's log was a
+    # placeholder 0 and zero factors were masked out
+    F = make_field(p, k)
+    q, n = F.q, F.q - 1
+    log = F.log_table
+    assert not log.flags.writeable
+    assert log[0] == 2 * n
+    units = np.arange(1, q)
+    g = F.generator().index
+    assert [F.vpow(g, int(t)) for t in log[units]] == units.tolist()
+    assert sorted(log[units].tolist()) == list(range(n))
+    exp = np.empty(n, dtype=np.int64)
+    exp[log[units]] = units
+    placeholder = log.copy()
+    placeholder[0] = 0
+    a, b = np.meshgrid(np.arange(q), np.arange(q), indexing="ij")
+    product = exp[(placeholder[a] + placeholder[b]) % n] * ((a != 0) & (b != 0))
+    assert np.array_equal(F.vmul(a, b), product)
+    for e in range(-2, 7):
+        power = np.zeros(q, dtype=np.int64)
+        if e == 0:
+            power[:] = 1
+        else:
+            power[exp] = exp[(np.arange(n) * e) % n]
+        assert np.array_equal(F.power_table(e), power)
+
+
 @pytest.mark.parametrize("p,k", [(2, 2), (2, 3), (3, 2), (2, 4), (5, 2), (3, 3), (7, 2)])
 def test_mul_matches_schoolbook_every_pair(p, k):
     F = make_field(p, k)

@@ -59,6 +59,23 @@ def test_no_module_imports_a_name_it_never_uses():
     assert found == []
 
 
+def test_no_module_imports_a_private_name():
+    # a leading underscore keeps a name inside its module: no module
+    # imports one from another module of the package
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").split(".")[0] == "mirrorquintic"
+            ):
+                found += [
+                    f"{path.name}:{node.lineno} {a.name}"
+                    for a in node.names
+                    if a.name.startswith("_") and not a.name.startswith("__")
+                ]
+    assert found == []
+
+
 def test_no_dead_private_names():
     # a deleted caller leaves no helper behind: every private module-level
     # function, class or constant is read somewhere in the package
