@@ -39,9 +39,12 @@ discrete-logarithm order.  _square computes D4 with one float64 FFT over
 Z/(q - 1) x (Z/p)^k (F_q^* by discrete logarithm, F_q by its base-p
 digits), O(q^2 log q); the zero row's spectrum is read off that
 spectrum's product-frequency-0 slice and transformed back on the
-k additive axes alone.  Every entry is rounded to int64.  At most three
-q x q arrays of 8-byte entries (or half-length spectra of 16-byte ones)
-are alive at once.
+k additive axes alone.  Every entry is rounded to int64.  _square takes
+D2 over, casts it to float64 in its own buffer and frees it after the
+one out-of-place transform, so at most two q x q arrays of 8-byte
+entries (or half-length spectra of 16-byte ones) are alive in the FFT,
+and the pair histogram, D2 beside one block's q^2-long bincount, sets
+a count's peak.
 
 The rounding is exact while the float error stays below 1/2.  To first
 order, the error of a square z = x * x of a nonnegative array through an
@@ -55,9 +58,9 @@ pairs, so ||x||_2 <= ||x||_1 <= q^2, and the worst case is
 fft_error_bound(q) = (3 eta log2(q (q - 1)) + u) q^4, about
 21 u q^4 log2 N.  check_size refuses a table count with InstanceTooLarge
 unless that bound is below 1/4 (q <= TABLE_CAP = 1500).  A count at
-q = 1499 peaks at about 24 q^2 bytes of arrays (54 MB) and takes about a
+q = 1499 peaks at about 18 q^2 bytes of arrays (40 MB) and takes about a
 third of a second; numpy's fixed 128 KB of iterator buffers take smaller
-fields higher, to 31 q^2 at q = 101 and 29 q^2 over F_121 and F_125.
+fields higher, to 31 q^2 at q = 101 and 29 q^2 over F_121.
 Two checks guard the result at run time: every
 rounded entry must lie within 1/4 of an integer, and the cone count must
 be 1 mod (q - 1); either failure raises InvariantViolated.  The observed
@@ -74,7 +77,6 @@ concurrent writers, in one process or many, never interleave lines.
 from __future__ import annotations
 
 import fcntl
-import functools
 import itertools
 import json
 import math
@@ -209,9 +211,11 @@ def iter_projective_chunks(F: FieldDescriptor, dim: int, blocks: tuple = ()):
     the last operations of an equation run over the whole block.  Broadcast
     together and raveled in C order, those blocks list exactly one
     representative per point, chart by chart, each chart in the order of
-    its free coordinates read as base-q digits.  The sorted-tuple tables
-    are built on first use; the trailing axes are shared by the blocks and
-    read-only.
+    its free coordinates read as base-q digits.  The walk builds each
+    sorted-tuple table it needs once, on first use, and holds it until it
+    is exhausted or closed; no table outlives the walk but through a block
+    still held.  The trailing axes are views of these tables, shared by
+    the blocks and read-only.
     """
     q = F.q
     nv = dim + 1
@@ -222,6 +226,7 @@ def iter_projective_chunks(F: FieldDescriptor, dim: int, blocks: tuple = ()):
     for b in blocks:
         for j in b:
             block_of[j] = min(b)
+    tables = []  # the walk's sorted-tuple tables, tables[k - 1] of k-tuples
     for i in range(nv):
         groups = {}
         for j in range(i + 1, nv):
@@ -231,7 +236,7 @@ def iter_projective_chunks(F: FieldDescriptor, dim: int, blocks: tuple = ()):
         while n_lead and points * _n_tuples(q, len(groups[n_lead - 1])) <= _CHUNK:
             n_lead -= 1
             points *= _n_tuples(q, len(groups[n_lead]))
-        axes = [(g, _sorted_tuples(q, len(g))) for g in groups[n_lead:]]
+        axes = [(g, _sorted_tuples(q, len(g), tables)) for g in groups[n_lead:]]
         fixed, head = list(range(i + 1)), [0] * i + [1]
         if not n_lead:
             yield _grid_block(nv, fixed, head, axes)
@@ -240,6 +245,7 @@ def iter_projective_chunks(F: FieldDescriptor, dim: int, blocks: tuple = ()):
         fixed += [j for g in lead for j in g]
         rows = [itertools.combinations_with_replacement(range(q), len(g)) for g in lead]
         k, n, room = len(split), _n_tuples(q, len(split)), _CHUNK // points
+        rest = _sorted_tuples(q, k - 1, tables) if k > 1 else None
         for prefix in itertools.product(*rows):
             values = head + [v for row in prefix for v in row]
             for start in range(0, n, room):
@@ -247,7 +253,7 @@ def iter_projective_chunks(F: FieldDescriptor, dim: int, blocks: tuple = ()):
                 # frees it before the next run is built
                 yield _grid_block(
                     nv, fixed, values,
-                    [(split, _tuple_run(q, k, start, min(start + room, n))), *axes],
+                    [(split, _tuple_run(q, k, start, min(start + room, n), rest)), *axes],
                 )
 
 
@@ -269,9 +275,10 @@ def _n_tuples(q: int, k: int) -> int:
     return math.comb(q + k - 1, k)
 
 
-def _tuple_run(q: int, k: int, start: int, stop: int) -> np.ndarray:
+def _tuple_run(q: int, k: int, start: int, stop: int, rest: np.ndarray | None) -> np.ndarray:
     """Columns start .. stop - 1 of the sorted k-tuple table, as a new
-    (k, stop - start) array, copied from the (k - 1)-tuple table.
+    (k, stop - start) array, copied from rest, the (k - 1)-tuple table
+    (unread when k = 1).
 
     The n_v tuples that start with v are v followed by the last n_v of the
     (k - 1)-tuples: those whose entries are all at least v.  Only the run
@@ -279,7 +286,6 @@ def _tuple_run(q: int, k: int, start: int, stop: int) -> np.ndarray:
     """
     if k == 1:
         return np.arange(start, stop, dtype=np.int64)[None, :]
-    rest = _sorted_tuples(q, k - 1)
     out = np.empty((k, stop - start), dtype=np.int64)
     first = 0  # the column at which v starts
     for v in range(q):
@@ -295,13 +301,19 @@ def _tuple_run(q: int, k: int, start: int, stop: int) -> np.ndarray:
     return out
 
 
-@functools.lru_cache(maxsize=16)
-def _sorted_tuples(q: int, k: int) -> np.ndarray:
+def _sorted_tuples(q: int, k: int, tables: list) -> np.ndarray:
     """The nondecreasing k-tuples over range(q) in lexicographic order, as a
-    read-only (k, C(q + k - 1, k)) array with one row per coordinate."""
-    table = _tuple_run(q, k, 0, _n_tuples(q, k))
-    table.flags.writeable = False
-    return table
+    read-only (k, C(q + k - 1, k)) array with one row per coordinate.
+
+    tables holds the tables built so far, tables[j - 1] of j-tuples; each
+    missing one up to k is built from the one before it and kept there.
+    """
+    while len(tables) < k:
+        j = len(tables) + 1
+        table = _tuple_run(q, j, 0, _n_tuples(q, j), tables[-1] if tables else None)
+        table.flags.writeable = False
+        tables.append(table)
+    return tables[k - 1]
 
 
 def check_size(instance: FamilyInstance, algo: str):
@@ -419,20 +431,31 @@ def _square(F: FieldDescriptor, d2: np.ndarray) -> np.ndarray:
     d2[t, v] counts the coordinate pairs with product in row t and additive
     key v; D4 counts the four-coordinate blocks.  The unit rows are
     convolved cyclically in t (g^t1 g^t2 = g^(t1 + t2)) and in the base-p
-    digits of v (field addition is digit-wise mod p), through one spectrum
-    that is transformed back in place along every axis but the last
-    (numpy.fft's out argument, new in numpy 2.0).  A zero product needs a
-    zero in either pair: D4's zero row is z * z + 2 z * m, with z the zero
-    row of d2 and m the sum of its unit rows.  Its spectrum is
-    Z (Z + 2 M) on the additive axes, and M, the additive spectrum of m, is
-    the units' spectrum at product frequency 0, read before it is squared.
-    The float64 rows are rounded into D4; a rounding residual of 1/4 or
-    more means the error bound did not hold and raises InvariantViolated.
+    digits of v (field addition is digit-wise mod p).  d2 is taken over:
+    its int64 buffer is cast to float64 in place, the real transform along
+    the last additive axis is its one out-of-place step, and d2 is dropped
+    before the other axes are transformed, forward and back, in place
+    (numpy.fft's out argument, new in numpy 2.0).  The caller must hold no
+    other reference to d2.  A zero product needs a zero in either pair:
+    D4's zero row is z * z + 2 z * m, with z the zero row of d2 and m the
+    sum of its unit rows.  Its spectrum is Z (Z + 2 M) on the additive
+    axes, and M, the additive spectrum of m, is the units' spectrum at
+    product frequency 0, read before it is squared.  The float64 rows are
+    rounded into D4; a rounding residual of 1/4 or more means the error
+    bound did not hold and raises InvariantViolated.
     """
     n = F.q - 1
     add_shape = (F.p,) * F.k
-    spec = np.fft.rfftn(d2[:n].reshape((n,) + add_shape))
-    zero = np.fft.rfftn(d2[n].reshape(add_shape))
+    flat = d2.ravel()
+    del d2
+    x = flat.view(np.float64)
+    x[:] = flat  # one-dimensional, so cast in place with no temporary
+    del flat
+    spec = np.fft.rfft(x[: n * F.q].reshape((n,) + add_shape))
+    zero = np.fft.rfftn(x[n * F.q :].reshape(add_shape))
+    del x
+    for axis in range(spec.ndim - 1):
+        np.fft.fft(spec, axis=axis, out=spec)
     zero *= zero + 2 * spec[0]
     spec *= spec
     for axis in range(spec.ndim - 1):
@@ -476,8 +499,9 @@ def _cone_count(F: FieldDescriptor, e: int, k: int) -> int:
     one U = h(x0, V) / (k x0), whose row is wrap[h_code[x0^e + V] +
     inv_code[x0]]: each such (x0, V) adds the D4 entry there (_pair_sum).
     An x0 with k x0 = 0 (x0 = 0, or every x0 when k = 0) solves it for
-    every U when V = -x0^e, and adds D4's column sum there.  D2 is freed
-    once D4 is built, so the sum reads D4 alone.
+    every U when V = -x0^e, and adds D4's column sum there.  D2 goes
+    straight to _square, which frees it before its in-place transforms, so
+    no D2 is alive beside the spectrum and the sum reads D4 alone.
     """
     n = F.q - 1
     code = F.log_table
@@ -485,15 +509,13 @@ def _cone_count(F: FieldDescriptor, e: int, k: int) -> int:
     wrap[: 2 * n] = np.tile(np.arange(n), 2)
     key = F.power_table(e)
     all_idx = np.arange(F.q, dtype=np.int64)
-    d2 = _histogram(
+    d4 = _square(F, _histogram(
         F,
         lambda a, b: wrap[code[a] + code[b]],
         lambda a, b: F.vadd(key[a], key[b]),
         all_idx,
         all_idx,
-    )
-    d4 = _square(F, d2)
-    del d2
+    ))
     kx = F.vmul(k, all_idx)
     inv_code = code[F.vpow(kx, -1)]
     h_code = code[F.power_table(5 // e)]  # h_code[x0^e + V] = code[h(x0, V)]

@@ -754,10 +754,12 @@ def _field(p: int, k: int) -> FieldDescriptor:
 def primitive_nth_root(F: FieldDescriptor, n: int) -> FieldElement:
     """The distinguished element of exact order n: generator ** ((q-1)/n).
 
-    Deterministic because the generator is.  Raises RootOfUnityUnavailable
-    when n does not divide q - 1.
+    Deterministic because the generator is.  n is read as an int
+    (_integer); raises RootOfUnityUnavailable when it is not one, when it
+    is below 1, or when it does not divide q - 1.
     """
-    if (F.q - 1) % n != 0:
+    n = _integer(n, RootOfUnityUnavailable)
+    if n < 1 or (F.q - 1) % n != 0:
         raise RootOfUnityUnavailable(
             f"{F!r} has no element of exact order {n} (q - 1 = {F.q - 1})"
         )

@@ -1,8 +1,10 @@
+import gc
 import itertools
 import json
 import math
 import random
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -196,6 +198,18 @@ def test_large_table_count_holds_at_most_26_q2_bytes(family):
     # at q = 1009 the FFT, not the cone count, sets the peak: the count
     # reads D4 where each (x0, V) lands and builds no second q x q table
     assert _peak_bytes(family(1, make_field(1009))) <= 26 * 1009**2
+
+
+@pytest.mark.parametrize("family", [quintic_x, quintic_y])
+@pytest.mark.parametrize("p,k", [(1009, 1), (11, 3)])
+def test_large_table_count_holds_at_most_21_q2_bytes(family, p, k):
+    # D2 goes straight to _square, which casts it to float64 in its own
+    # buffer and drops it after the one out-of-place transform: from
+    # q ~ 1000 no D2 is alive beside the spectra (24.1 q^2 at F_1009 and
+    # 25.5 q^2 at F_1331 when it was), and the pair histogram, about
+    # 20 q^2 at F_1009, sets the peak
+    q = p**k
+    assert _peak_bytes(family(1, make_field(p, k))) <= 21 * q * q
 
 
 def _peak_bytes(instance) -> int:
@@ -440,6 +454,29 @@ def test_scan_block_counts_at_the_scan_chunk():
     assert blocks(quintic_y(1, make_field(31))) == 7
     assert blocks(make_field(41), 3) == 8
     assert blocks(cubics_v(1, make_field(13))) == 8
+
+
+@pytest.mark.parametrize("end", ["exhaust", "close"])
+def test_walk_tables_die_with_the_walk(end):
+    # a walk builds its sorted-tuple tables and keeps them itself: once it
+    # is exhausted or closed and its blocks are dropped, nothing holds
+    # them.  Over F_31, chart 0's 4-tuples are cut into runs copied from
+    # the 3-tuple table, and chart 1 (x1 the scalar 1) is one block whose
+    # trailing axis, x2..x4, is a read-only view of that table
+    walk = counting.iter_projective_chunks(make_field(31), 4, ((0, 1, 2, 3, 4),))
+    block = next(b for b in walk if np.ndim(b[1]) == 0)
+    axes = block[2:]
+    assert all(c.base.shape == (3, 5456) and not c.flags.writeable for c in axes)
+    table = weakref.ref(axes[0].base)
+    if end == "exhaust":
+        # charts 2 and 3 are trailing axes too, views of the 2- and 1-tuples
+        for later in walk:
+            assert all(not c.flags.writeable for c in later if np.ndim(c))
+    else:
+        walk.close()
+    del block, axes
+    gc.collect()
+    assert table() is None
 
 
 def test_grid_blocks_must_be_disjoint_coordinates():

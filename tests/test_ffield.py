@@ -239,6 +239,18 @@ def test_primitive_root_order():
         primitive_nth_root(make_field(7), 5)
 
 
+@pytest.mark.parametrize(
+    "n,message",
+    [(0, "exact order 0"), (-5, "exact order -5"), (True, "True is not"), (2.0, "2.0 is not")],
+)
+def test_primitive_root_order_must_be_a_positive_int(n, message):
+    # n is read by _integer and must be at least 1: (q - 1) / 0 is no
+    # exponent, and over F_11 the generator ** (10 / -5) is F11(3), of
+    # order 5, not -5; a bool or a float is no order at all
+    with pytest.raises(RootOfUnityUnavailable, match=message):
+        primitive_nth_root(make_field(11), n)
+
+
 def test_power_table_identity_f2():
     F = make_field(2)
     assert list(F.power_table(5)) == [0, 1]

@@ -371,6 +371,40 @@ def test_only_the_cached_builder_constructs_a_field():
     assert found == []
 
 
+def _is_cache(node) -> bool:
+    # functools.lru_cache or functools.cache, read or imported
+    names = {"lru_cache", "cache"}
+    if isinstance(node, ast.ImportFrom):
+        return node.module == "functools" and any(a.name in names for a in node.names)
+    return (
+        isinstance(node, ast.Attribute) and node.attr in names
+        and isinstance(node.value, ast.Name) and node.value.id == "functools"
+    )
+
+
+def test_only_fields_and_block_permutations_are_cached_for_the_process():
+    # a functools cache keeps what it returns until the process exits: one
+    # descriptor per field and the permutations of a block are kept so, but
+    # a working table (a walk's sorted tuples, a count's arrays) must die
+    # with its work
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        decorating = set()
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for d in fn.decorator_list:
+                    if any(map(_is_cache, ast.walk(d))):
+                        found.append((path.name, fn.name))
+                        decorating.update(ast.walk(d))
+        found += [
+            (path.name, node.lineno)
+            for node in ast.walk(tree)
+            if _is_cache(node) and node not in decorating
+        ]
+    assert found == [("ffield.py", "_field"), ("singular.py", "_block_permutations")]
+
+
 def _import_time_nodes(node):
     # the nodes that run while their module is imported: all but function
     # bodies and annotations (strings under `from __future__ import annotations`)
