@@ -19,32 +19,24 @@ points(instance) is the same walk keeping the rows: every point of the
 instance as an (n, nvars) index array, and, walking one point per orbit
 of the instance's blocks, the zeros that singular.singular_points ranks.
 
-count_table runs one engine for both quintics, which are
+count_table reads only the instance's pencil (families.Pencil).  Its
+engine takes one block (r = 1) of d = 5 coordinates, x0 and the four
+x1..x4 that D4 aggregates, and the key exponent e = d for model X and
+e = 1 for model Y, so QuinticX is (d, e) = (5, 5) and QuinticY (5, 1):
 
-  h(x0, V) = k x0 U,   h(x0, V) = (x0^e + V)^(5/e),   k = (5 mu)^(5/e),
+  h(x0, V) = k x0 U,   h(x0, V) = (x0^e + V)^(d/e),   k = (d mu)^(d/e),
 
-with U = x1 x2 x3 x4 and V = x1^e + ... + x4^e: e = 5 for QuinticX and
-e = 1 for QuinticY.  The (x1..x4) block is aggregated through a pair
-histogram D2 over (pair product, pair key sum).  The block histogram is
-D4 = D2 * D2, a convolution on (F_q, x) x (F_q, +), and the affine cone
-count reads D4 where each (x0, V) lands, in O(q^2): an x0 with
-k x0 != 0 solves h(x0, V) = k x0 U for one U and adds D4[U, V], and an
-x0 with k x0 = 0 (x0 = 0, or every x0 when k = 0: mu = 0 or
-characteristic 5) solves it for every U when h(x0, V) = 0, that is when
-V = -x0^e, and adds D4's column sum there.  The projective count is
-(N_aff - 1) / (q - 1).
-D2 and D4 hold the product U in the product layout: row t is the unit
-g^t and row q - 1 is 0 (F.log_table), so their unit rows are in
-discrete-logarithm order.  _square computes D4 with one float64 FFT over
-Z/(q - 1) x (Z/p)^k (F_q^* by discrete logarithm, F_q by its base-p
-digits), O(q^2 log q); the zero row's spectrum is read off that
-spectrum's product-frequency-0 slice and transformed back on the
-k additive axes alone.  Every entry is rounded to int64.  _square takes
-D2 over, casts it to float64 in its own buffer and frees it after the
-one out-of-place transform, so at most two q x q arrays of 8-byte
-entries (or half-length spectra of 16-byte ones) are alive in the FFT,
-and the pair histogram, D2 beside one block's q^2-long bincount, sets
-a count's peak.
+with U = x1 x2 x3 x4 and V = x1^e + ... + x4^e.  A pair histogram D2
+over (pair product, pair key sum) gives the block histogram D4 = D2 * D2,
+a convolution on (F_q, x) x (F_q, +), and the affine cone count reads D4
+where each (x0, V) lands, in O(q^2) (_cone_count); the projective count
+is (N_aff - 1) / (q - 1).  D2 and D4 hold the product U in the product
+layout: row t is the unit g^t and row q - 1 is 0 (F.log_table).  _square
+computes D4 with one float64 FFT over Z/(q - 1) x (Z/p)^k (F_q^* by
+discrete logarithm, F_q by its base-p digits), O(q^2 log q), rounded to
+int64.  At most two q x q arrays of 8-byte entries (or half-length
+spectra of 16-byte ones) are alive in the FFT, and the pair histogram,
+D2 beside one block's q^2-long bincount, sets a count's peak.
 
 The rounding is exact while the float error stays below 1/2.  To first
 order, the error of a square z = x * x of a nonnegative array through an
@@ -87,7 +79,7 @@ import warnings
 
 from ._lazy import lazy_numpy
 from .errors import CacheCorrupt, InstanceTooLarge, InvariantViolated
-from .families import FamilyId, FamilyInstance
+from .families import FamilyInstance
 from .ffield import FieldDescriptor
 
 np = lazy_numpy()
@@ -316,13 +308,20 @@ def _sorted_tuples(q: int, k: int, tables: list) -> np.ndarray:
     return tables[k - 1]
 
 
+def _check_algo(algo: str):
+    if algo not in ALGOS:
+        raise ValueError(f"unknown algorithm {algo!r}: use {' or '.join(map(repr, ALGOS))}")
+
+
 def check_size(instance: FamilyInstance, algo: str):
     """Refuse, with InstanceTooLarge, an instance past the size limit of the
     count that count(instance, algo) runs: q <= TABLE_CAP for the table
     path, under the fft_error_bound estimate, and q^dim <= NAIVE_CAP for
-    the enumerator."""
+    the enumerator.  ValueError, as count raises it, for an algo outside
+    ALGOS."""
+    _check_algo(algo)
     q, dim = instance.field.q, instance.ambient_dim
-    if algo == "table" and instance.id in _KEY_EXPONENT:
+    if algo == "table" and _table_degrees(instance):
         if q > TABLE_CAP:
             raise InstanceTooLarge(
                 f"table algorithm capped at q <= {TABLE_CAP}: at q = {q} the "
@@ -485,11 +484,15 @@ def _cone_to_projective(n_aff: int, q: int) -> int:
     return (n_aff - 1) // (q - 1)
 
 
-# the exponent e of each family's coordinate key (see the module docstring)
-_KEY_EXPONENT = {FamilyId.QUINTIC_X: 5, FamilyId.QUINTIC_Y: 1}
+def _table_degrees(instance: FamilyInstance) -> tuple[int, int] | None:
+    """The engine's (d, e) for the instance, or None when it has no table
+    path: no pencil, or not one block of five coordinates."""
+    pencil = instance.pencil
+    if pencil is not None and (pencil.degree, pencil.nblocks) == (5, 1):
+        return pencil.degree, (pencil.degree if pencil.model == "X" else 1)
 
 
-def _cone_count(F: FieldDescriptor, e: int, k: int) -> int:
+def _cone_count(F: FieldDescriptor, d: int, e: int, k: int) -> int:
     """The affine cone count: the number of (x0, U, V) with
     h(x0, V) = k x0 U, each (U, V) weighted by D4[U, V].
 
@@ -498,10 +501,11 @@ def _cone_count(F: FieldDescriptor, e: int, k: int) -> int:
     rest to the zero row q - 1.  An x0 with k x0 != 0 solves it for the
     one U = h(x0, V) / (k x0), whose row is wrap[h_code[x0^e + V] +
     inv_code[x0]]: each such (x0, V) adds the D4 entry there (_pair_sum).
-    An x0 with k x0 = 0 (x0 = 0, or every x0 when k = 0) solves it for
-    every U when V = -x0^e, and adds D4's column sum there.  D2 goes
-    straight to _square, which frees it before its in-place transforms, so
-    no D2 is alive beside the spectrum and the sum reads D4 alone.
+    An x0 with k x0 = 0 (x0 = 0, or every x0 when k = 0: mu = 0 or p | d)
+    solves it for every U when V = -x0^e, and adds D4's column sum there.
+    D2 goes straight to _square, which frees it before its in-place
+    transforms, so no D2 is alive beside the spectrum and the sum reads D4
+    alone.
     """
     n = F.q - 1
     code = F.log_table
@@ -518,7 +522,7 @@ def _cone_count(F: FieldDescriptor, e: int, k: int) -> int:
     ))
     kx = F.vmul(k, all_idx)
     inv_code = code[F.vpow(kx, -1)]
-    h_code = code[F.power_table(5 // e)]  # h_code[x0^e + V] = code[h(x0, V)]
+    h_code = code[F.power_table(d // e)]  # h_code[x0^e + V] = code[h(x0, V)]
     flat = d4.ravel()
     cone = _pair_sum(
         F.q,
@@ -532,16 +536,19 @@ def _cone_count(F: FieldDescriptor, e: int, k: int) -> int:
 
 
 def count_table(instance: FamilyInstance) -> CountRecord:
-    """Table count for QuinticX and QuinticY; equals count_naive on the
-    same instance.  ValueError for any other family."""
-    e = _KEY_EXPONENT.get(instance.id)
-    if e is None:
+    """Table count for an instance with a table path (_table_degrees):
+    QuinticX and QuinticY; equals count_naive on the same instance.
+    ValueError for any other instance."""
+    degrees = _table_degrees(instance)
+    if degrees is None:
         raise ValueError(f"no table algorithm for {instance.id.value}")
+    d, e = degrees
     F = instance.field
 
     def run() -> int:
-        k = ((instance.params["mu"] * 5) ** (5 // e)).index
-        return _cone_to_projective(_cone_count(F, e, k), F.q)
+        (mu,) = instance.params.values()
+        k = ((mu * d) ** (d // e)).index
+        return _cone_to_projective(_cone_count(F, d, e, k), F.q)
 
     return _timed_record(instance, "table", run)
 
@@ -615,21 +622,18 @@ def count(
 ) -> CountRecord:
     """The projective count of the instance.
 
-    "table" is honored for QuinticX and QuinticY; other families have no
-    specialized path and run the naive enumerator.  With a cache, the
-    record stored under the instance's key is returned verbatim, and a
-    count computed on a miss is appended.
+    "table" is honored for an instance with a table path (count_table):
+    QuinticX and QuinticY; other instances run the naive enumerator.
+    With a cache, the record stored under the instance's key is returned
+    verbatim, and a count computed on a miss is appended.
     """
-    if algo not in ALGOS:
-        raise ValueError(
-            f"unknown algorithm {algo!r}: use {' or '.join(map(repr, ALGOS))}"
-        )
+    _check_algo(algo)
     F = instance.field
     if cache is not None:
         hit = cache.get(_cache_key(instance.id.value, instance.param_string(), F.p, F.k))
         if hit is not None:
             return hit
-    run = count_table if algo == "table" and instance.id in _KEY_EXPONENT else count_naive
+    run = count_table if algo == "table" and _table_degrees(instance) else count_naive
     rec = run(instance)
     if cache is not None:
         cache.append(rec)

@@ -1,16 +1,17 @@
 """Constructors for the named projective families, maps and strata.
 
-Families over F_q, all cut out by the systems below (x_i are projective
-coordinates, parameters are elements of the field):
+Families over F_q (x_i are projective coordinates, parameters are
+elements of the field).  Four are the equal-degree Dwork pencil (Pencil)
+of a degree tuple (d, r): r blocks B_0 .. B_(r-1) of d consecutive
+coordinates in P^(dr - 1), and r equations, block indices mod r:
 
-  QuinticX      x0^5 + x1^5 + x2^5 + x3^5 + x4^5 - 5 mu x0 x1 x2 x3 x4      in P^4
-  QuinticY      (x0 + x1 + x2 + x3 + x4)^5 - (5 mu)^5 x0 x1 x2 x3 x4        in P^4
+  model X   sum_(B_j) x^d = d mu prod_(B_(j+1)) x
+  model Y   (sum_(B_j) x)^d = (d mu)^d prod_(B_(j+1)) x, X's image under x -> x^d
+
+  QuinticX, QuinticY   (5, 1), models X and Y, parameter mu               in P^4
+  CubicsV, CubicsW     (3, 2), models X and Y, parameter lam              in P^5
   QuadricQ      x0 + w x1 + w^2 x2 + w^3 x3 + w^4 x4  and a fixed
                 w-weighted quadric (w a primitive 5th root of unity)        in P^4
-  CubicsV       x0^3 + x1^3 + x2^3 = 3 lam x3 x4 x5,
-                x3^3 + x4^3 + x5^3 = 3 lam x0 x1 x2                         in P^5
-  CubicsW       (x0 + x1 + x2)^3 = (3 lam)^3 x3 x4 x5,
-                (x3 + x4 + x5)^3 = (3 lam)^3 x0 x1 x2                       in P^5
   CubicsWtilde  (x3 + x4 + x5 - nu x0)^3 = 27 x3 x4 x5,
                 (x0 + x1 + x2 - nu x3)^3 = 27 x0 x1 x2                      in P^5
 
@@ -21,21 +22,22 @@ points_on_lines_a lists the points of A, and strata_codes classifies an
 index array of points against A, B and the extra node, the one definition
 of the strata.
 
-Each family's equations are written once, by its builder, the only
-definition of them.  The builder evaluates them on index arrays
-(FamilyInstance.evaluate) and on jets without expanding them, so building
-an instance expands nothing; its symbolic system is the list of MPolys the
-builder writes on MPoly variables over the field, on first read.  mvpoly
+Each family's equations are written once, by its builder (_pencil_x or
+_pencil_y for a pencil), the only definition of them.  The builder
+evaluates them on index arrays (FamilyInstance.evaluate) and on jets
+without expanding them, so building an instance expands nothing; its
+symbolic system is the list of MPolys the builder writes on MPoly
+variables over the field, on first read.  mvpoly
 is imported only for MPoly variables (_variables): for that system, and
 for verify_coordinate_change, which writes the cube-root coordinate
 change as its six linear forms on them; so a count never loads it.
 
 Each family's row in _FAMILIES also declares, as data, its blocks of
 interchangeable coordinates: every permutation inside a block maps each
-equation to itself (QuinticX and QuinticY (0..4); CubicsV and CubicsW
-(0, 1, 2) and (3, 4, 5); CubicsWtilde (1, 2) and (4, 5); QuadricQ none).
-build_family stores them on the instance, and the singular scan visits
-one point per orbit of those permutations.
+equation to itself (a pencil's r blocks; CubicsWtilde (1, 2) and (4, 5);
+QuadricQ none).  build_family stores them on the instance, with a pencil
+family's Pencil, whose degrees are written only in _FAMILIES; the
+singular scan visits one point per orbit of those permutations.
 
 A projective point is a row of field indices, and a set of points an
 (n, nvars) int64 array; the field comes from the instance, or from an
@@ -114,6 +116,18 @@ class MonomialMap(_MapShape):
         return super().__new__(cls, exponent, arity)
 
 
+class Pencil(NamedTuple):
+    """The degree tuple (d, r) = (degree, nblocks) of an equal-degree Dwork
+    pencil and its model, "X" or "Y" (see the module docstring)."""
+
+    degree: int
+    nblocks: int
+    model: str
+
+    def polys(self, mu, x):  # the builder of the pencil's family
+        return (_pencil_x if self.model == "X" else _pencil_y)(self.degree, mu, x)
+
+
 class FamilyInstance:
     """A family over one field: its parameters and its equation builder.
 
@@ -125,7 +139,8 @@ class FamilyInstance:
     on its first read.  ``blocks`` lists disjoint
     tuples of coordinates such that every permutation inside a tuple maps
     each equation to itself; singular.singular_points scans one point per
-    orbit of those permutations.  An instance built directly has none.
+    orbit of those permutations.  ``pencil`` is a pencil family's Pencil.
+    An instance built directly has neither.
     """
 
     def __init__(
@@ -136,6 +151,7 @@ class FamilyInstance:
         ambient_dim: int,
         equations: Callable[[list], list],
         blocks: tuple[tuple[int, ...], ...] = (),
+        pencil: Pencil | None = None,
     ):
         self.id = id
         self.field = field
@@ -143,6 +159,7 @@ class FamilyInstance:
         self.ambient_dim = ambient_dim
         self.equations = equations
         self.blocks = blocks
+        self.pencil = pencil
 
     @functools.cached_property
     def system(self) -> list[MPoly]:
@@ -191,34 +208,46 @@ class FamilyInstance:
 # ---------------------------------------------------------------------------
 # equation builders
 #
-# Each builder takes the parameter and the coordinates x and writes the
-# equations once.  Given MPoly variables over the field it returns the
-# symbolic system; given FieldArrays or Jets it returns the values on index
-# arrays, evaluated in the compact form written here.
+# Each builder takes the parameter (a pencil's, after its degree d) and the
+# coordinates x and writes the equations once.  Given MPoly variables over
+# the field it returns the symbolic system; given FieldArrays or Jets it
+# returns the values on index arrays, evaluated in the compact form written
+# here.
 # ---------------------------------------------------------------------------
 
 
-def _quintic_x_polys(mu, x):
-    powersum = x[0] ** 5 + x[1] ** 5 + x[2] ** 5 + x[3] ** 5 + x[4] ** 5
-    return [powersum - (x[0] * x[1] * x[2] * x[3] * x[4]).scale(mu * 5)]
+def _pencil_blocks(d: int, x):
+    """The pairs (B_j, B_(j+1)), j < r, of the r blocks of d consecutive
+    entries of x, block indices mod r."""
+    b = [x[i : i + d] for i in range(0, len(x), d)]
+    return zip(b, b[1:] + b[:1])
 
 
-def _quintic_y_polys(mu, x):
-    s = x[0] + x[1] + x[2] + x[3] + x[4]
-    return [s**5 - (x[0] * x[1] * x[2] * x[3] * x[4]).scale((mu * 5) ** 5)]
+def _fold(op, values):
+    """values[0] op values[1] op ..., left to right, each value made when
+    it is needed: the peak of live arrays of the written-out expression
+    (functools.reduce keeps its last two operands alive meanwhile)."""
+    values = iter(values)
+    total = next(values)
+    for v in values:
+        total = op(total, v)
+    return total
 
 
-def _cubics_v_polys(lam, x):
-    f1 = x[0] ** 3 + x[1] ** 3 + x[2] ** 3 - (x[3] * x[4] * x[5]).scale(lam * 3)
-    f2 = x[3] ** 3 + x[4] ** 3 + x[5] ** 3 - (x[0] * x[1] * x[2]).scale(lam * 3)
-    return [f1, f2]
+def _pencil_x(d: int, mu, x):
+    # sum_(B_j) x^d - (d mu) prod_(B_(j+1)) x
+    return [
+        _fold(operator.add, (v**d for v in b)) - _fold(operator.mul, nxt).scale(mu * d)
+        for b, nxt in _pencil_blocks(d, x)
+    ]
 
 
-def _cubics_w_polys(lam, x):
-    c = (lam * 3) ** 3
-    f1 = (x[0] + x[1] + x[2]) ** 3 - (x[3] * x[4] * x[5]).scale(c)
-    f2 = (x[3] + x[4] + x[5]) ** 3 - (x[0] * x[1] * x[2]).scale(c)
-    return [f1, f2]
+def _pencil_y(d: int, mu, x):
+    # (sum_(B_j) x)^d - (d mu)^d prod_(B_(j+1)) x
+    return [
+        _fold(operator.add, b) ** d - _fold(operator.mul, nxt).scale((mu * d) ** d)
+        for b, nxt in _pencil_blocks(d, x)
+    ]
 
 
 def _cubics_wtilde_polys(nu, x):
@@ -248,9 +277,7 @@ _QUADRIC_PAIRS = (
 def _quadric_q_polys(xi: FieldElement, x):
     lin = x[0] + x[1].scale(xi) + x[2].scale(xi**2) + x[3].scale(xi**3) + x[4].scale(xi**4)
     # a generator: on arrays, one term at a time is alive
-    quad = functools.reduce(
-        operator.add, ((x[i] * x[j]).scale(xi**e) for i, j, e in _QUADRIC_PAIRS)
-    )
+    quad = _fold(operator.add, ((x[i] * x[j]).scale(xi**e) for i, j, e in _QUADRIC_PAIRS))
     return [lin, quad]
 
 
@@ -264,20 +291,28 @@ class _Family(NamedTuple):
     """One row of _FAMILIES.  The builder takes the one parameter when there
     is one, else xi5 (QuadricQ).  blocks are the coordinates that its
     equations treat alike: each permutation inside a block fixes every
-    equation, for every parameter and field."""
+    equation, for every parameter and field.  A pencil's row is derived
+    from it (_pencil_row)."""
 
     params: tuple[str, ...]
     nvars: int
     builder: Callable
     blocks: tuple[tuple[int, ...], ...]
+    pencil: Pencil | None = None
+
+
+def _pencil_row(name: str, d: int, r: int, model: str) -> _Family:
+    pencil = Pencil(d, r, model)
+    blocks = tuple(tuple(b) for b, _ in _pencil_blocks(d, range(d * r)))
+    return _Family((name,), d * r, pencil.polys, blocks, pencil)
 
 
 _FAMILIES = {
-    FamilyId.QUINTIC_X: _Family(("mu",), 5, _quintic_x_polys, ((0, 1, 2, 3, 4),)),
-    FamilyId.QUINTIC_Y: _Family(("mu",), 5, _quintic_y_polys, ((0, 1, 2, 3, 4),)),
+    FamilyId.QUINTIC_X: _pencil_row("mu", 5, 1, "X"),
+    FamilyId.QUINTIC_Y: _pencil_row("mu", 5, 1, "Y"),
     FamilyId.QUADRIC_Q: _Family((), 5, _quadric_q_polys, ()),
-    FamilyId.CUBICS_V: _Family(("lam",), 6, _cubics_v_polys, ((0, 1, 2), (3, 4, 5))),
-    FamilyId.CUBICS_W: _Family(("lam",), 6, _cubics_w_polys, ((0, 1, 2), (3, 4, 5))),
+    FamilyId.CUBICS_V: _pencil_row("lam", 3, 2, "X"),
+    FamilyId.CUBICS_W: _pencil_row("lam", 3, 2, "Y"),
     FamilyId.CUBICS_WTILDE: _Family(("nu",), 6, _cubics_wtilde_polys, ((1, 2), (4, 5))),
 }
 
@@ -303,10 +338,11 @@ def build_family(fid: FamilyId, params: dict | None, F: FieldDescriptor) -> Fami
     primitive 5th root of unity in F and takes none from the caller; the
     deterministic choice is recorded under params["xi5"].  No polynomial
     is expanded here: the symbolic system is written on its first read.
-    The instance carries the family's blocks of interchangeable coordinates.
+    The instance carries the family's blocks of interchangeable coordinates
+    and its Pencil, if any.
     """
     params = dict(params or {})
-    needed, nvars, builder, blocks = _FAMILIES[fid]
+    needed, nvars, builder, blocks, pencil = _FAMILIES[fid]
     for name in needed:
         if name not in params:
             raise MissingParameter(f"{fid.value} requires parameter '{name}'")
@@ -319,7 +355,9 @@ def build_family(fid: FamilyId, params: dict | None, F: FieldDescriptor) -> Fami
         elems = {"xi5": param}
     else:
         param = elems[needed[0]]
-    return FamilyInstance(fid, F, elems, nvars - 1, functools.partial(builder, param), blocks)
+    return FamilyInstance(
+        fid, F, elems, nvars - 1, functools.partial(builder, param), blocks, pencil
+    )
 
 
 def quintic_x(mu, F) -> FamilyInstance:

@@ -129,10 +129,16 @@ def test_monotone_bound():
     assert count_naive(cubics_v(1, make_field(7))).count <= projective_size(7, 5)
 
 
-@pytest.mark.parametrize("algo", ["auto", "tabel"])
+@pytest.mark.parametrize("algo", ["auto", "tabel", "fft"])
 def test_count_task_rejects_unknown_algo(algo):
-    with pytest.raises(ValueError, match="unknown algorithm"):
-        count(quintic_x(1, make_field(11)), algo)
+    # check_size refuses it with the same ValueError, so an algorithm
+    # outside ALGOS never falls through to a size limit
+    inst = quintic_x(1, make_field(11))
+    with pytest.raises(ValueError, match="unknown algorithm") as counted:
+        count(inst, algo)
+    with pytest.raises(ValueError) as refused:
+        check_size(inst, algo)
+    assert str(refused.value) == str(counted.value)
 
 
 def test_instance_too_large():

@@ -1,3 +1,6 @@
+import functools
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -324,6 +327,141 @@ def test_declared_blocks_are_symmetries(fid, p, k):
                 swapped = list(x)
                 swapped[a], swapped[b] = x[b], x[a]
                 assert set(inst.equations(swapped)) == set(inst.system)
+
+
+# the builders the pencil rows replaced, verbatim, as the reference
+
+
+def _quintic_x_polys(mu, x):
+    powersum = x[0] ** 5 + x[1] ** 5 + x[2] ** 5 + x[3] ** 5 + x[4] ** 5
+    return [powersum - (x[0] * x[1] * x[2] * x[3] * x[4]).scale(mu * 5)]
+
+
+def _quintic_y_polys(mu, x):
+    s = x[0] + x[1] + x[2] + x[3] + x[4]
+    return [s**5 - (x[0] * x[1] * x[2] * x[3] * x[4]).scale((mu * 5) ** 5)]
+
+
+def _cubics_v_polys(lam, x):
+    f1 = x[0] ** 3 + x[1] ** 3 + x[2] ** 3 - (x[3] * x[4] * x[5]).scale(lam * 3)
+    f2 = x[3] ** 3 + x[4] ** 3 + x[5] ** 3 - (x[0] * x[1] * x[2]).scale(lam * 3)
+    return [f1, f2]
+
+
+def _cubics_w_polys(lam, x):
+    c = (lam * 3) ** 3
+    f1 = (x[0] + x[1] + x[2]) ** 3 - (x[3] * x[4] * x[5]).scale(c)
+    f2 = (x[3] + x[4] + x[5]) ** 3 - (x[0] * x[1] * x[2]).scale(c)
+    return [f1, f2]
+
+
+_PENCIL_REFERENCE = {
+    FamilyId.QUINTIC_X: _quintic_x_polys,
+    FamilyId.QUINTIC_Y: _quintic_y_polys,
+    FamilyId.CUBICS_V: _cubics_v_polys,
+    FamilyId.CUBICS_W: _cubics_w_polys,
+}
+
+
+class _Logged:
+    """A value that logs each operation run on it: a builder run on these
+    writes out its operations, in order, by the names of their operands."""
+
+    def __init__(self, name, log):
+        self.name, self.log = name, log
+
+    def _op(self, op, other):
+        out = _Logged(f"v{len(self.log)}", self.log)
+        operand = other.name if isinstance(other, _Logged) else repr(other)
+        self.log.append((out.name, self.name, op, operand))
+        return out
+
+    def __add__(self, other):
+        return self._op("+", other)
+
+    def __sub__(self, other):
+        return self._op("-", other)
+
+    def __mul__(self, other):
+        return self._op("*", other)
+
+    def __pow__(self, other):
+        return self._op("**", other)
+
+    def scale(self, c):
+        return self._op("scale", c)
+
+
+@pytest.mark.parametrize("p,k", [(7, 1), (11, 1), (7, 2)])
+@pytest.mark.parametrize("fid", list(_PENCIL_REFERENCE), ids=lambda f: f.value)
+def test_pencil_rows_write_the_replaced_builders(fid, p, k):
+    # each pencil family's system equals the replaced builder's, and its
+    # builder runs the same operations in the same order on its values
+    F = make_field(p, k)
+    row = families._FAMILIES[fid]
+    old = _PENCIL_REFERENCE[fid]
+    x = [MPoly.variable(row.nvars, i, F) for i in range(row.nvars)]
+    for v in (0, 1, 2):
+        inst = build_family(fid, {row.params[0]: v}, F)
+        assert inst.system == old(F.element(v), x)
+        logs = [], []
+        for write, log in zip((inst.equations, functools.partial(old, F.element(v))), logs):
+            results = write([_Logged(f"x{i}", log) for i in range(row.nvars)])
+            log.append(tuple(r.name for r in results))
+        assert logs[0] == logs[1]
+
+
+@pytest.mark.parametrize("fid", list(_PENCIL_REFERENCE), ids=lambda f: f.value)
+def test_pencil_builders_hold_no_more_arrays_than_the_replaced_ones(fid):
+    # on whole-block arrays a pencil builder's peak stays within half a
+    # block of the replaced builder's: no extra temporary stays alive
+    F = make_field(101)
+    row = families._FAMILIES[fid]
+    rng = np.random.default_rng(5)
+    x = [FieldArray(rng.integers(0, F.q, size=1 << 14), F) for _ in range(row.nvars)]
+
+    def peak(write):
+        write(x)  # builds the field's power tables outside the trace
+        tracemalloc.start()
+        try:
+            write(x)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    new = peak(build_family(fid, {row.params[0]: 2}, F).equations)
+    old = peak(functools.partial(_PENCIL_REFERENCE[fid], F.element(2)))
+    assert new < old + x[0].a.nbytes // 2
+
+
+def test_pencil_rows_derive_their_shape():
+    # nvars = d r and the r blocks of d consecutive coordinates, on the
+    # row and on each instance; the other families and a directly built
+    # instance have no pencil
+    for fid, row in families._FAMILIES.items():
+        pencil = row.pencil
+        inst = build_family(fid, {name: 1 for name in row.params}, make_field(11))
+        assert inst.pencil is pencil and inst.blocks == row.blocks == _BLOCKS[fid]
+        if fid in _PENCIL_REFERENCE:
+            assert row.nvars == pencil.degree * pencil.nblocks == inst.nvars
+        else:
+            assert pencil is None
+    pencils = {fid: families._FAMILIES[fid].pencil[:2] for fid in _PENCIL_REFERENCE}
+    assert pencils == {
+        FamilyId.QUINTIC_X: (5, 1),
+        FamilyId.QUINTIC_Y: (5, 1),
+        FamilyId.CUBICS_V: (3, 2),
+        FamilyId.CUBICS_W: (3, 2),
+    }
+    assert new_coordinates_w(1, F7).pencil is None
+
+
+def test_new_coordinates_w_counts_as_cubics_w_on_the_naive_path():
+    # the nu-form has no pencil, so "table" runs the enumerator on it; its
+    # points are W_1's in other coordinates
+    rec = count(new_coordinates_w(1, F7), "table")
+    assert rec.algo == "naive"
+    assert rec.count == count(cubics_w(1, F7), "naive").count == 432
 
 
 def test_param_string_canonical():

@@ -278,6 +278,29 @@ def test_size_caps_are_read_only_in_counting():
     assert found == []
 
 
+def test_pencil_degrees_are_written_only_in_the_family_table():
+    # the table engine reads a family's degrees off its pencil: counting
+    # names no FamilyId and imports none, and every Pencil is made in one
+    # place, families._FAMILIES (through _pencil_row), so no per-family
+    # exponent map grows beside the engine
+    assert _references(ast.parse((SRC / "counting.py").read_text()), {"FamilyId"}) == []
+    made = []
+    for path in sorted(SRC.glob("*.py")):
+        for stmt in ast.parse(path.read_text(), str(path)).body:
+            owner = getattr(stmt, "name", None) or ",".join(
+                t.id for t in getattr(stmt, "targets", ()) if isinstance(t, ast.Name)
+            )
+            made += [
+                (path.name, owner)
+                for node in ast.walk(stmt)
+                if isinstance(node, ast.Call)
+                and getattr(node.func, "id", getattr(node.func, "attr", None))
+                in {"Pencil", "_pencil_row"}
+            ]
+    assert sorted(set(made)) == [("families.py", "_FAMILIES"), ("families.py", "_pencil_row")]
+    assert made.count(("families.py", "_FAMILIES")) == 4
+
+
 def test_no_module_starts_threads():
     # _lazy.lazy_numpy's first attribute access is not thread-safe on
     # Python 3.11, and every count and scan runs on one thread; cli.main
